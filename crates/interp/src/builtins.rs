@@ -1,11 +1,16 @@
 //! Builtin bindings: libm and SIMD intrinsics for float-mode programs,
 //! and the whole `ia_*` / `isum_*` runtime (backed by `igen-interval`)
-//! for transformed programs.
+//! for transformed programs. Each call site binds its builtin once, at
+//! load time ([`lookup`]); no name is matched while a program runs.
 
 use crate::exec::{Interp, RtError};
+use crate::resolve::{RExpr, Var};
 use crate::value::Value;
-use igen_cfront::{BinOp, Expr, UnOp};
+use igen_cfront::BinOp;
 use igen_interval::{capi, DdI, SumAcc64, SumAccDd, TBool, F32I, F64I};
+
+/// A value-level builtin over the evaluated arguments.
+pub(crate) type Builtin = fn(&mut Interp, &[Value]) -> Result<Value, RtError>;
 
 /// Width histogram of every interval produced by an interpreted
 /// arithmetic operator (recorded only while a telemetry trace is on).
@@ -52,15 +57,6 @@ pub fn ddi_binop(op: BinOp, a: DdI, b: DdI) -> Result<Value, RtError> {
     })
 }
 
-fn want_f32i(v: &Value) -> Result<F32I, RtError> {
-    match v {
-        Value::Interval32(i) => Ok(*i),
-        Value::F64(x) => Ok(F32I::point(*x as f32)),
-        Value::Int(x) => Ok(F32I::point(*x as f32)),
-        other => Err(RtError::Type(format!("expected f32i, got {}", other.tag()))),
-    }
-}
-
 fn want_interval(v: &Value) -> Result<F64I, RtError> {
     v.as_interval().ok_or_else(|| RtError::Type(format!("expected f64i, got {}", v.tag())))
 }
@@ -69,451 +65,433 @@ fn want_ddi(v: &Value) -> Result<DdI, RtError> {
     v.as_ddi().ok_or_else(|| RtError::Type(format!("expected ddi, got {}", v.tag())))
 }
 
-fn want_f64(v: &Value) -> Result<f64, RtError> {
-    v.as_f64().ok_or_else(|| RtError::Type(format!("expected double, got {}", v.tag())))
+/// Argument `k` as an `f64i` (and likewise below for each type).
+fn ival(v: &[Value], k: usize) -> Result<F64I, RtError> {
+    want_interval(&v[k])
 }
 
-fn want_int(v: &Value) -> Result<i64, RtError> {
-    v.as_int().ok_or_else(|| RtError::Type(format!("expected int, got {}", v.tag())))
+fn ddi(v: &[Value], k: usize) -> Result<DdI, RtError> {
+    want_ddi(&v[k])
 }
 
-fn want_tbool(v: &Value) -> Result<TBool, RtError> {
-    match v {
+fn ival32(v: &[Value], k: usize) -> Result<F32I, RtError> {
+    match &v[k] {
+        Value::Interval32(i) => Ok(*i),
+        Value::F64(x) => Ok(F32I::point(*x as f32)),
+        Value::Int(x) => Ok(F32I::point(*x as f32)),
+        other => Err(RtError::Type(format!("expected f32i, got {}", other.tag()))),
+    }
+}
+
+fn real(v: &[Value], k: usize) -> Result<f64, RtError> {
+    v[k].as_f64().ok_or_else(|| RtError::Type(format!("expected double, got {}", v[k].tag())))
+}
+
+fn int(v: &[Value], k: usize) -> Result<i64, RtError> {
+    v[k].as_int().ok_or_else(|| RtError::Type(format!("expected int, got {}", v[k].tag())))
+}
+
+fn tbool(v: &[Value], k: usize) -> Result<TBool, RtError> {
+    match &v[k] {
         Value::TBool(t) => Ok(*t),
         other => Err(RtError::Type(format!("expected tbool, got {}", other.tag()))),
     }
 }
 
-fn want_vecf(v: &Value) -> Result<Vec<f64>, RtError> {
-    match v {
+fn vecf(v: &[Value], k: usize) -> Result<Vec<f64>, RtError> {
+    match &v[k] {
         Value::VecF64(x) => Ok(x.clone()),
         other => Err(RtError::Type(format!("expected simd vector, got {}", other.tag()))),
     }
 }
 
-fn want_veci(v: &Value) -> Result<Vec<F64I>, RtError> {
-    match v {
+fn veci(v: &[Value], k: usize) -> Result<Vec<F64I>, RtError> {
+    match &v[k] {
         Value::VecInterval(x) => Ok(x.clone()),
         other => Err(RtError::Type(format!("expected interval vector, got {}", other.tag()))),
     }
 }
 
-/// Accumulator calls need by-reference first arguments; handled before
-/// ordinary evaluation.
-pub fn try_accumulator_call(
-    it: &mut Interp,
-    name: &str,
-    args: &[Expr],
-) -> Result<Option<Value>, RtError> {
-    if !name.starts_with("isum_") {
-        return Ok(None);
-    }
-    let var = match args.first() {
-        Some(Expr::Unary(UnOp::Addr, inner)) => match &**inner {
-            Expr::Ident(n, _) => n.clone(),
-            _ => return Err(RtError::Type("isum_* expects &accumulator".into())),
-        },
-        _ => return Err(RtError::Type("isum_* expects &accumulator".into())),
-    };
-    match name {
-        "isum_init_f64" => {
-            let init = want_interval(&it.eval_pub(&args[1])?)?;
-            let idx = {
-                let store = it.acc64_mut();
-                store.push(SumAcc64::new(init));
-                store.len() - 1
-            };
-            it.var_set(&var, Value::Acc64(idx))?;
-            Ok(Some(Value::Unit))
-        }
-        "isum_accumulate_f64" => {
-            let term = want_interval(&it.eval_pub(&args[1])?)?;
-            let Value::Acc64(idx) = it.var_value(&var)? else {
-                return Err(RtError::Type("accumulator not initialized".into()));
-            };
-            it.acc64_mut()[idx].accumulate(&term);
-            Ok(Some(Value::Unit))
-        }
-        "isum_reduce_f64" => {
-            let Value::Acc64(idx) = it.var_value(&var)? else {
-                return Err(RtError::Type("accumulator not initialized".into()));
-            };
-            let r = it.acc64_mut()[idx].reduce();
-            Ok(Some(Value::Interval(r)))
-        }
-        "isum_init_dd" => {
-            let init = want_ddi(&it.eval_pub(&args[1])?)?;
-            let idx = {
-                let store = it.accdd_mut();
-                store.push(SumAccDd::new(init));
-                store.len() - 1
-            };
-            it.var_set(&var, Value::AccDd(idx))?;
-            Ok(Some(Value::Unit))
-        }
-        "isum_accumulate_dd" => {
-            let term = want_ddi(&it.eval_pub(&args[1])?)?;
-            let Value::AccDd(idx) = it.var_value(&var)? else {
-                return Err(RtError::Type("accumulator not initialized".into()));
-            };
-            it.accdd_mut()[idx].accumulate(&term);
-            Ok(Some(Value::Unit))
-        }
-        "isum_reduce_dd" => {
-            let Value::AccDd(idx) = it.var_value(&var)? else {
-                return Err(RtError::Type("accumulator not initialized".into()));
-            };
-            let r = it.accdd_mut()[idx].reduce();
-            Ok(Some(Value::DdInterval(r)))
-        }
-        other => Err(RtError::Missing(format!("accumulator function {other}"))),
-    }
+/// An `isum_*` accumulator builtin. Its first argument is taken by
+/// address, so it receives the accumulator variable and the remaining
+/// arguments unevaluated.
+pub(crate) type AccFn = fn(&mut Interp, &Var, &[RExpr]) -> Result<Value, RtError>;
+
+fn uninit() -> RtError {
+    RtError::Type("accumulator not initialized".into())
 }
 
-/// Dispatch table for value-level builtins. Returns `Ok(None)` when the
-/// name is not a builtin (so user functions take over).
-pub fn try_builtin(it: &mut Interp, name: &str, vals: &[Value]) -> Result<Option<Value>, RtError> {
+/// Binds an accumulator builtin by name.
+pub(crate) fn lookup_acc(name: &str) -> Option<AccFn> {
+    Some(match name {
+        "isum_init_f64" => |it, var, args| {
+            let init = want_interval(&it.eval(&args[0])?)?;
+            it.accs64.push(SumAcc64::new(init));
+            it.store_var(var, Value::Acc64(it.accs64.len() - 1))?;
+            Ok(Value::Unit)
+        },
+        "isum_accumulate_f64" => |it, var, args| {
+            let term = want_interval(&it.eval(&args[0])?)?;
+            let Value::Acc64(idx) = it.load_var(var)? else { return Err(uninit()) };
+            it.accs64[idx].accumulate(&term);
+            Ok(Value::Unit)
+        },
+        "isum_reduce_f64" => |it, var, _| match it.load_var(var)? {
+            Value::Acc64(idx) => Ok(Value::Interval(it.accs64[idx].reduce())),
+            _ => Err(uninit()),
+        },
+        "isum_init_dd" => |it, var, args| {
+            let init = want_ddi(&it.eval(&args[0])?)?;
+            it.accsdd.push(SumAccDd::new(init));
+            it.store_var(var, Value::AccDd(it.accsdd.len() - 1))?;
+            Ok(Value::Unit)
+        },
+        "isum_accumulate_dd" => |it, var, args| {
+            let term = want_ddi(&it.eval(&args[0])?)?;
+            let Value::AccDd(idx) = it.load_var(var)? else { return Err(uninit()) };
+            it.accsdd[idx].accumulate(&term);
+            Ok(Value::Unit)
+        },
+        "isum_reduce_dd" => |it, var, _| match it.load_var(var)? {
+            Value::AccDd(idx) => Ok(Value::DdInterval(it.accsdd[idx].reduce())),
+            _ => Err(uninit()),
+        },
+        _ => return None,
+    })
+}
+
+/// Binds a value-level builtin by name: `None` when `name` is no
+/// builtin (user functions take over), an error (raised when the call
+/// is evaluated) for an unknown SIMD intrinsic.
+pub(crate) fn lookup(name: &str) -> Option<Result<Builtin, RtError>> {
     // --- interval runtime: f64i ---------------------------------------
-    let v = match name {
-        "ia_set_f64" => Value::Interval(capi::ia_set_f64(want_f64(&vals[0])?, want_f64(&vals[1])?)),
+    let f: Builtin = match name {
+        "ia_set_f64" => |_, v| Ok(Value::Interval(capi::ia_set_f64(real(v, 0)?, real(v, 1)?))),
         "ia_set_tol_f64" => {
-            Value::Interval(capi::ia_set_tol_f64(want_f64(&vals[0])?, want_f64(&vals[1])?))
+            |_, v| Ok(Value::Interval(capi::ia_set_tol_f64(real(v, 0)?, real(v, 1)?)))
         }
-        "ia_set_int_f64" => Value::Interval(capi::ia_set_int_f64(want_int(&vals[0])?)),
-        "ia_add_f64" => Value::Interval(want_interval(&vals[0])? + want_interval(&vals[1])?),
-        "ia_sub_f64" => Value::Interval(want_interval(&vals[0])? - want_interval(&vals[1])?),
-        "ia_mul_f64" => Value::Interval(want_interval(&vals[0])? * want_interval(&vals[1])?),
-        "ia_div_f64" => Value::Interval(want_interval(&vals[0])? / want_interval(&vals[1])?),
-        "ia_neg_f64" => Value::Interval(-want_interval(&vals[0])?),
-        "ia_abs_f64" => Value::Interval(want_interval(&vals[0])?.abs()),
-        "ia_sqrt_f64" => Value::Interval(want_interval(&vals[0])?.sqrt()),
-        "ia_floor_f64" => Value::Interval(want_interval(&vals[0])?.floor()),
-        "ia_ceil_f64" => Value::Interval(want_interval(&vals[0])?.ceil()),
-        "ia_min_f64" => Value::Interval(want_interval(&vals[0])?.min_i(&want_interval(&vals[1])?)),
-        "ia_max_f64" => Value::Interval(want_interval(&vals[0])?.max_i(&want_interval(&vals[1])?)),
-        "ia_exp_f64" => Value::Interval(capi::ia_exp_f64(want_interval(&vals[0])?)),
-        "ia_log_f64" => Value::Interval(capi::ia_log_f64(want_interval(&vals[0])?)),
-        "ia_sin_f64" => Value::Interval(capi::ia_sin_f64(want_interval(&vals[0])?)),
-        "ia_cos_f64" => Value::Interval(capi::ia_cos_f64(want_interval(&vals[0])?)),
-        "ia_tan_f64" => Value::Interval(capi::ia_tan_f64(want_interval(&vals[0])?)),
-        "ia_atan_f64" => Value::Interval(capi::ia_atan_f64(want_interval(&vals[0])?)),
-        "ia_asin_f64" => Value::Interval(capi::ia_asin_f64(want_interval(&vals[0])?)),
-        "ia_acos_f64" => Value::Interval(capi::ia_acos_f64(want_interval(&vals[0])?)),
-        "ia_sqr_f64" => Value::Interval(want_interval(&vals[0])?.sqr()),
-        "ia_pow_f64" => Value::Interval(
-            want_interval(&vals[0])?
-                .powi(want_int(&vals[1])?.clamp(i32::MIN as i64, i32::MAX as i64) as i32),
-        ),
-        "ia_and_f64" => {
-            Value::Interval(capi::ia_and_f64(want_interval(&vals[0])?, want_interval(&vals[1])?))
-        }
-        "ia_or_f64" => {
-            Value::Interval(capi::ia_or_f64(want_interval(&vals[0])?, want_interval(&vals[1])?))
-        }
-        "ia_not_f64" => Value::Interval(capi::ia_not_f64(want_interval(&vals[0])?)),
-        "ia_xor_f64" => {
-            Value::Interval(capi::ia_xor_f64(want_interval(&vals[0])?, want_interval(&vals[1])?))
-        }
-        "ia_join_f64" => {
-            Value::Interval(capi::ia_join_f64(want_interval(&vals[0])?, want_interval(&vals[1])?))
-        }
-        "ia_cmplt_f64" => Value::TBool(want_interval(&vals[0])?.cmp_lt(&want_interval(&vals[1])?)),
-        "ia_cmple_f64" => Value::TBool(want_interval(&vals[0])?.cmp_le(&want_interval(&vals[1])?)),
-        "ia_cmpgt_f64" => Value::TBool(want_interval(&vals[0])?.cmp_gt(&want_interval(&vals[1])?)),
-        "ia_cmpge_f64" => Value::TBool(want_interval(&vals[0])?.cmp_ge(&want_interval(&vals[1])?)),
-        "ia_cmpeq_f64" => Value::TBool(want_interval(&vals[0])?.cmp_eq(&want_interval(&vals[1])?)),
-        "ia_cmpne_f64" => Value::TBool(want_interval(&vals[0])?.cmp_ne(&want_interval(&vals[1])?)),
+        "ia_set_int_f64" => |_, v| Ok(Value::Interval(capi::ia_set_int_f64(int(v, 0)?))),
+        "ia_add_f64" => |_, v| Ok(Value::Interval(ival(v, 0)? + ival(v, 1)?)),
+        "ia_sub_f64" => |_, v| Ok(Value::Interval(ival(v, 0)? - ival(v, 1)?)),
+        "ia_mul_f64" => |_, v| Ok(Value::Interval(ival(v, 0)? * ival(v, 1)?)),
+        "ia_div_f64" => |_, v| Ok(Value::Interval(ival(v, 0)? / ival(v, 1)?)),
+        "ia_neg_f64" => |_, v| Ok(Value::Interval(-ival(v, 0)?)),
+        "ia_abs_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.abs())),
+        "ia_sqrt_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.sqrt())),
+        "ia_floor_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.floor())),
+        "ia_ceil_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.ceil())),
+        "ia_min_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.min_i(&ival(v, 1)?))),
+        "ia_max_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.max_i(&ival(v, 1)?))),
+        "ia_exp_f64" => |_, v| Ok(Value::Interval(capi::ia_exp_f64(ival(v, 0)?))),
+        "ia_log_f64" => |_, v| Ok(Value::Interval(capi::ia_log_f64(ival(v, 0)?))),
+        "ia_sin_f64" => |_, v| Ok(Value::Interval(capi::ia_sin_f64(ival(v, 0)?))),
+        "ia_cos_f64" => |_, v| Ok(Value::Interval(capi::ia_cos_f64(ival(v, 0)?))),
+        "ia_tan_f64" => |_, v| Ok(Value::Interval(capi::ia_tan_f64(ival(v, 0)?))),
+        "ia_atan_f64" => |_, v| Ok(Value::Interval(capi::ia_atan_f64(ival(v, 0)?))),
+        "ia_asin_f64" => |_, v| Ok(Value::Interval(capi::ia_asin_f64(ival(v, 0)?))),
+        "ia_acos_f64" => |_, v| Ok(Value::Interval(capi::ia_acos_f64(ival(v, 0)?))),
+        "ia_sqr_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.sqr())),
+        "ia_pow_f64" => |_, v| {
+            Ok(Value::Interval(
+                ival(v, 0)?.powi(int(v, 1)?.clamp(i32::MIN as i64, i32::MAX as i64) as i32),
+            ))
+        },
+        "ia_and_f64" => |_, v| Ok(Value::Interval(capi::ia_and_f64(ival(v, 0)?, ival(v, 1)?))),
+        "ia_or_f64" => |_, v| Ok(Value::Interval(capi::ia_or_f64(ival(v, 0)?, ival(v, 1)?))),
+        "ia_not_f64" => |_, v| Ok(Value::Interval(capi::ia_not_f64(ival(v, 0)?))),
+        "ia_xor_f64" => |_, v| Ok(Value::Interval(capi::ia_xor_f64(ival(v, 0)?, ival(v, 1)?))),
+        "ia_join_f64" => |_, v| Ok(Value::Interval(capi::ia_join_f64(ival(v, 0)?, ival(v, 1)?))),
+        "ia_cmplt_f64" => |_, v| Ok(Value::TBool(ival(v, 0)?.cmp_lt(&ival(v, 1)?))),
+        "ia_cmple_f64" => |_, v| Ok(Value::TBool(ival(v, 0)?.cmp_le(&ival(v, 1)?))),
+        "ia_cmpgt_f64" => |_, v| Ok(Value::TBool(ival(v, 0)?.cmp_gt(&ival(v, 1)?))),
+        "ia_cmpge_f64" => |_, v| Ok(Value::TBool(ival(v, 0)?.cmp_ge(&ival(v, 1)?))),
+        "ia_cmpeq_f64" => |_, v| Ok(Value::TBool(ival(v, 0)?.cmp_eq(&ival(v, 1)?))),
+        "ia_cmpne_f64" => |_, v| Ok(Value::TBool(ival(v, 0)?.cmp_ne(&ival(v, 1)?))),
 
         // --- f32i (single-precision target) ----------------------------
-        "ia_set_f32" => Value::Interval32(capi::ia_set_f32(
-            want_f64(&vals[0])? as f32,
-            want_f64(&vals[1])? as f32,
-        )),
-        "ia_set_tol_f32" => Value::Interval32(capi::ia_set_tol_f32(
-            want_f64(&vals[0])? as f32,
-            want_f64(&vals[1])? as f32,
-        )),
-        "ia_set_int_f32" => Value::Interval32(F32I::enclose_f64(want_int(&vals[0])? as f64)),
-        "ia_add_f32" => Value::Interval32(want_f32i(&vals[0])? + want_f32i(&vals[1])?),
-        "ia_sub_f32" => Value::Interval32(want_f32i(&vals[0])? - want_f32i(&vals[1])?),
-        "ia_mul_f32" => Value::Interval32(want_f32i(&vals[0])? * want_f32i(&vals[1])?),
-        "ia_div_f32" => Value::Interval32(want_f32i(&vals[0])? / want_f32i(&vals[1])?),
-        "ia_neg_f32" => Value::Interval32(-want_f32i(&vals[0])?),
-        "ia_sqrt_f32" => Value::Interval32(want_f32i(&vals[0])?.sqrt()),
-        "ia_min_f32" => Value::Interval32(want_f32i(&vals[0])?.min_i(&want_f32i(&vals[1])?)),
-        "ia_max_f32" => Value::Interval32(want_f32i(&vals[0])?.max_i(&want_f32i(&vals[1])?)),
-        "ia_abs_f32" => {
-            let x = want_f32i(&vals[0])?;
-            Value::Interval32(x.max_i(&-x))
+        "ia_set_f32" => {
+            |_, v| Ok(Value::Interval32(capi::ia_set_f32(real(v, 0)? as f32, real(v, 1)? as f32)))
         }
+        "ia_set_tol_f32" => |_, v| {
+            Ok(Value::Interval32(capi::ia_set_tol_f32(real(v, 0)? as f32, real(v, 1)? as f32)))
+        },
+        "ia_set_int_f32" => |_, v| Ok(Value::Interval32(F32I::enclose_f64(int(v, 0)? as f64))),
+        "ia_add_f32" => |_, v| Ok(Value::Interval32(ival32(v, 0)? + ival32(v, 1)?)),
+        "ia_sub_f32" => |_, v| Ok(Value::Interval32(ival32(v, 0)? - ival32(v, 1)?)),
+        "ia_mul_f32" => |_, v| Ok(Value::Interval32(ival32(v, 0)? * ival32(v, 1)?)),
+        "ia_div_f32" => |_, v| Ok(Value::Interval32(ival32(v, 0)? / ival32(v, 1)?)),
+        "ia_neg_f32" => |_, v| Ok(Value::Interval32(-ival32(v, 0)?)),
+        "ia_sqrt_f32" => |_, v| Ok(Value::Interval32(ival32(v, 0)?.sqrt())),
+        "ia_min_f32" => |_, v| Ok(Value::Interval32(ival32(v, 0)?.min_i(&ival32(v, 1)?))),
+        "ia_max_f32" => |_, v| Ok(Value::Interval32(ival32(v, 0)?.max_i(&ival32(v, 1)?))),
+        "ia_abs_f32" => |_, v| {
+            let x = ival32(v, 0)?;
+            Ok(Value::Interval32(x.max_i(&-x)))
+        },
         // Elementary functions on the f32 target: evaluate the f64
         // enclosure and demote outward (sound; CRlibm would do the same
         // at higher precision).
-        "ia_exp_f32" => {
-            Value::Interval32(F32I::from_f64i(&capi::ia_exp_f64(want_f32i(&vals[0])?.to_f64i())))
-        }
-        "ia_log_f32" => {
-            Value::Interval32(F32I::from_f64i(&capi::ia_log_f64(want_f32i(&vals[0])?.to_f64i())))
-        }
-        "ia_sin_f32" => {
-            Value::Interval32(F32I::from_f64i(&capi::ia_sin_f64(want_f32i(&vals[0])?.to_f64i())))
-        }
-        "ia_cos_f32" => {
-            Value::Interval32(F32I::from_f64i(&capi::ia_cos_f64(want_f32i(&vals[0])?.to_f64i())))
-        }
-        "ia_tan_f32" => {
-            Value::Interval32(F32I::from_f64i(&capi::ia_tan_f64(want_f32i(&vals[0])?.to_f64i())))
-        }
-        "ia_atan_f32" => {
-            Value::Interval32(F32I::from_f64i(&capi::ia_atan_f64(want_f32i(&vals[0])?.to_f64i())))
-        }
-        "ia_asin_f32" => {
-            Value::Interval32(F32I::from_f64i(&capi::ia_asin_f64(want_f32i(&vals[0])?.to_f64i())))
-        }
-        "ia_acos_f32" => {
-            Value::Interval32(F32I::from_f64i(&capi::ia_acos_f64(want_f32i(&vals[0])?.to_f64i())))
-        }
-        "ia_pow_f32" => Value::Interval32(F32I::from_f64i(
-            &want_f32i(&vals[0])?
-                .to_f64i()
-                .powi(want_int(&vals[1])?.clamp(i32::MIN as i64, i32::MAX as i64) as i32),
-        )),
+        "ia_exp_f32" => |_, v| {
+            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_exp_f64(ival32(v, 0)?.to_f64i()))))
+        },
+        "ia_log_f32" => |_, v| {
+            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_log_f64(ival32(v, 0)?.to_f64i()))))
+        },
+        "ia_sin_f32" => |_, v| {
+            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_sin_f64(ival32(v, 0)?.to_f64i()))))
+        },
+        "ia_cos_f32" => |_, v| {
+            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_cos_f64(ival32(v, 0)?.to_f64i()))))
+        },
+        "ia_tan_f32" => |_, v| {
+            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_tan_f64(ival32(v, 0)?.to_f64i()))))
+        },
+        "ia_atan_f32" => |_, v| {
+            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_atan_f64(ival32(v, 0)?.to_f64i()))))
+        },
+        "ia_asin_f32" => |_, v| {
+            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_asin_f64(ival32(v, 0)?.to_f64i()))))
+        },
+        "ia_acos_f32" => |_, v| {
+            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_acos_f64(ival32(v, 0)?.to_f64i()))))
+        },
+        "ia_pow_f32" => |_, v| {
+            Ok(Value::Interval32(F32I::from_f64i(
+                &ival32(v, 0)?
+                    .to_f64i()
+                    .powi(int(v, 1)?.clamp(i32::MIN as i64, i32::MAX as i64) as i32),
+            )))
+        },
         "ia_floor_f32" => {
-            Value::Interval32(F32I::from_f64i(&want_f32i(&vals[0])?.to_f64i().floor()))
+            |_, v| Ok(Value::Interval32(F32I::from_f64i(&ival32(v, 0)?.to_f64i().floor())))
         }
-        "ia_ceil_f32" => Value::Interval32(F32I::from_f64i(&want_f32i(&vals[0])?.to_f64i().ceil())),
-        "ia_cmplt_f32" => Value::TBool(want_f32i(&vals[0])?.cmp_lt(&want_f32i(&vals[1])?)),
-        "ia_cmpgt_f32" => Value::TBool(want_f32i(&vals[0])?.cmp_gt(&want_f32i(&vals[1])?)),
-        "ia_cmple_f32" => Value::TBool(want_f32i(&vals[1])?.cmp_gt(&want_f32i(&vals[0])?).not()),
-        "ia_cmpge_f32" => Value::TBool(want_f32i(&vals[0])?.cmp_lt(&want_f32i(&vals[1])?).not()),
-        "ia_cmpeq_f32" => {
-            let (a, b) = (want_f32i(&vals[0])?.to_f64i(), want_f32i(&vals[1])?.to_f64i());
-            Value::TBool(a.cmp_eq(&b))
+        "ia_ceil_f32" => {
+            |_, v| Ok(Value::Interval32(F32I::from_f64i(&ival32(v, 0)?.to_f64i().ceil())))
         }
-        "ia_cmpne_f32" => {
-            let (a, b) = (want_f32i(&vals[0])?.to_f64i(), want_f32i(&vals[1])?.to_f64i());
-            Value::TBool(a.cmp_ne(&b))
-        }
-        "ia_join_f32" => {
-            let (a, b) = (want_f32i(&vals[0])?.to_f64i(), want_f32i(&vals[1])?.to_f64i());
-            Value::Interval32(F32I::from_f64i(&a.join(&b)))
-        }
-        "ia_cvt_f32_f64" => Value::Interval(want_f32i(&vals[0])?.to_f64i()),
-        "ia_cvt_f64_f32" => Value::Interval32(F32I::from_f64i(&want_interval(&vals[0])?)),
+        "ia_cmplt_f32" => |_, v| Ok(Value::TBool(ival32(v, 0)?.cmp_lt(&ival32(v, 1)?))),
+        "ia_cmpgt_f32" => |_, v| Ok(Value::TBool(ival32(v, 0)?.cmp_gt(&ival32(v, 1)?))),
+        "ia_cmple_f32" => |_, v| Ok(Value::TBool(ival32(v, 1)?.cmp_gt(&ival32(v, 0)?).not())),
+        "ia_cmpge_f32" => |_, v| Ok(Value::TBool(ival32(v, 0)?.cmp_lt(&ival32(v, 1)?).not())),
+        "ia_cmpeq_f32" => |_, v| {
+            let (a, b) = (ival32(v, 0)?.to_f64i(), ival32(v, 1)?.to_f64i());
+            Ok(Value::TBool(a.cmp_eq(&b)))
+        },
+        "ia_cmpne_f32" => |_, v| {
+            let (a, b) = (ival32(v, 0)?.to_f64i(), ival32(v, 1)?.to_f64i());
+            Ok(Value::TBool(a.cmp_ne(&b)))
+        },
+        "ia_join_f32" => |_, v| {
+            let (a, b) = (ival32(v, 0)?.to_f64i(), ival32(v, 1)?.to_f64i());
+            Ok(Value::Interval32(F32I::from_f64i(&a.join(&b))))
+        },
+        "ia_cvt_f32_f64" => |_, v| Ok(Value::Interval(ival32(v, 0)?.to_f64i())),
+        "ia_cvt_f64_f32" => |_, v| Ok(Value::Interval32(F32I::from_f64i(&ival(v, 0)?))),
 
         // --- tbool ---------------------------------------------------
-        "ia_cvt2bool_tb" => match want_tbool(&vals[0])?.to_bool() {
-            Ok(b) => Value::Int(b as i64),
-            Err(_) => return Err(RtError::UnknownBranch),
+        "ia_cvt2bool_tb" => |_, v| match tbool(v, 0)?.to_bool() {
+            Ok(b) => Ok(Value::Int(b as i64)),
+            Err(_) => Err(RtError::UnknownBranch),
         },
-        "ia_is_true_tb" => Value::Int(want_tbool(&vals[0])?.is_true() as i64),
-        "ia_is_false_tb" => Value::Int(want_tbool(&vals[0])?.is_false() as i64),
+        "ia_is_true_tb" => |_, v| Ok(Value::Int(tbool(v, 0)?.is_true() as i64)),
+        "ia_is_false_tb" => |_, v| Ok(Value::Int(tbool(v, 0)?.is_false() as i64)),
 
         // --- interval runtime: ddi ------------------------------------
-        "ia_set_dd" => Value::DdInterval(capi::ia_set_dd(want_f64(&vals[0])?, want_f64(&vals[1])?)),
-        "ia_set_ddx" => Value::DdInterval(capi::ia_set_ddx(
-            want_f64(&vals[0])?,
-            want_f64(&vals[1])?,
-            want_f64(&vals[2])?,
-            want_f64(&vals[3])?,
-        )),
-        "ia_set_tol_dd" => Value::DdInterval(DdI::from_f64i(&capi::ia_set_tol_f64(
-            want_f64(&vals[0])?,
-            want_f64(&vals[1])?,
-        ))),
-        "ia_set_int_dd" => Value::DdInterval(capi::ia_set_int_dd(want_int(&vals[0])?)),
-        "ia_add_dd" => Value::DdInterval(want_ddi(&vals[0])? + want_ddi(&vals[1])?),
-        "ia_sub_dd" => Value::DdInterval(want_ddi(&vals[0])? - want_ddi(&vals[1])?),
-        "ia_mul_dd" => Value::DdInterval(want_ddi(&vals[0])? * want_ddi(&vals[1])?),
-        "ia_div_dd" => Value::DdInterval(want_ddi(&vals[0])? / want_ddi(&vals[1])?),
-        "ia_neg_dd" => Value::DdInterval(-want_ddi(&vals[0])?),
-        "ia_abs_dd" => Value::DdInterval(want_ddi(&vals[0])?.abs()),
-        "ia_sqrt_dd" => Value::DdInterval(want_ddi(&vals[0])?.sqrt()),
-        "ia_sqr_dd" => Value::DdInterval(want_ddi(&vals[0])?.sqr()),
-        "ia_pow_dd" => Value::DdInterval(
-            want_ddi(&vals[0])?
-                .powi(want_int(&vals[1])?.clamp(i32::MIN as i64, i32::MAX as i64) as i32),
-        ),
-        "ia_min_dd" => Value::DdInterval(want_ddi(&vals[0])?.min_i(&want_ddi(&vals[1])?)),
-        "ia_max_dd" => Value::DdInterval(want_ddi(&vals[0])?.max_i(&want_ddi(&vals[1])?)),
-        "ia_join_dd" => Value::DdInterval(want_ddi(&vals[0])?.join(&want_ddi(&vals[1])?)),
-        "ia_cmplt_dd" => Value::TBool(want_ddi(&vals[0])?.cmp_lt(&want_ddi(&vals[1])?)),
-        "ia_cmpgt_dd" => Value::TBool(want_ddi(&vals[0])?.cmp_gt(&want_ddi(&vals[1])?)),
-        "ia_cmple_dd" => Value::TBool(want_ddi(&vals[1])?.cmp_gt(&want_ddi(&vals[0])?).not()),
-        "ia_cmpge_dd" => Value::TBool(want_ddi(&vals[0])?.cmp_lt(&want_ddi(&vals[1])?).not()),
-        "ia_cvt_f64_dd" => Value::DdInterval(DdI::from_f64i(&want_interval(&vals[0])?)),
-        "ia_cvt_dd_f64" => Value::Interval(want_ddi(&vals[0])?.to_f64i()),
+        "ia_set_dd" => |_, v| Ok(Value::DdInterval(capi::ia_set_dd(real(v, 0)?, real(v, 1)?))),
+        "ia_set_ddx" => |_, v| {
+            Ok(Value::DdInterval(capi::ia_set_ddx(
+                real(v, 0)?,
+                real(v, 1)?,
+                real(v, 2)?,
+                real(v, 3)?,
+            )))
+        },
+        "ia_set_tol_dd" => |_, v| {
+            Ok(Value::DdInterval(DdI::from_f64i(&capi::ia_set_tol_f64(real(v, 0)?, real(v, 1)?))))
+        },
+        "ia_set_int_dd" => |_, v| Ok(Value::DdInterval(capi::ia_set_int_dd(int(v, 0)?))),
+        "ia_add_dd" => |_, v| Ok(Value::DdInterval(ddi(v, 0)? + ddi(v, 1)?)),
+        "ia_sub_dd" => |_, v| Ok(Value::DdInterval(ddi(v, 0)? - ddi(v, 1)?)),
+        "ia_mul_dd" => |_, v| Ok(Value::DdInterval(ddi(v, 0)? * ddi(v, 1)?)),
+        "ia_div_dd" => |_, v| Ok(Value::DdInterval(ddi(v, 0)? / ddi(v, 1)?)),
+        "ia_neg_dd" => |_, v| Ok(Value::DdInterval(-ddi(v, 0)?)),
+        "ia_abs_dd" => |_, v| Ok(Value::DdInterval(ddi(v, 0)?.abs())),
+        "ia_sqrt_dd" => |_, v| Ok(Value::DdInterval(ddi(v, 0)?.sqrt())),
+        "ia_sqr_dd" => |_, v| Ok(Value::DdInterval(ddi(v, 0)?.sqr())),
+        "ia_pow_dd" => |_, v| {
+            Ok(Value::DdInterval(
+                ddi(v, 0)?.powi(int(v, 1)?.clamp(i32::MIN as i64, i32::MAX as i64) as i32),
+            ))
+        },
+        "ia_min_dd" => |_, v| Ok(Value::DdInterval(ddi(v, 0)?.min_i(&ddi(v, 1)?))),
+        "ia_max_dd" => |_, v| Ok(Value::DdInterval(ddi(v, 0)?.max_i(&ddi(v, 1)?))),
+        "ia_join_dd" => |_, v| Ok(Value::DdInterval(ddi(v, 0)?.join(&ddi(v, 1)?))),
+        "ia_cmplt_dd" => |_, v| Ok(Value::TBool(ddi(v, 0)?.cmp_lt(&ddi(v, 1)?))),
+        "ia_cmpgt_dd" => |_, v| Ok(Value::TBool(ddi(v, 0)?.cmp_gt(&ddi(v, 1)?))),
+        "ia_cmple_dd" => |_, v| Ok(Value::TBool(ddi(v, 1)?.cmp_gt(&ddi(v, 0)?).not())),
+        "ia_cmpge_dd" => |_, v| Ok(Value::TBool(ddi(v, 0)?.cmp_lt(&ddi(v, 1)?).not())),
+        "ia_cvt_f64_dd" => |_, v| Ok(Value::DdInterval(DdI::from_f64i(&ival(v, 0)?))),
+        "ia_cvt_dd_f64" => |_, v| Ok(Value::Interval(ddi(v, 0)?.to_f64i())),
 
         // --- float-mode libm -------------------------------------------
-        "sqrt" => Value::F64(want_f64(&vals[0])?.sqrt()),
-        "fabs" => Value::F64(want_f64(&vals[0])?.abs()),
-        "sin" => Value::F64(want_f64(&vals[0])?.sin()),
-        "cos" => Value::F64(want_f64(&vals[0])?.cos()),
-        "tan" => Value::F64(want_f64(&vals[0])?.tan()),
-        "atan" => Value::F64(want_f64(&vals[0])?.atan()),
-        "asin" => Value::F64(want_f64(&vals[0])?.asin()),
-        "acos" => Value::F64(want_f64(&vals[0])?.acos()),
-        "pow" => Value::F64(want_f64(&vals[0])?.powf(want_f64(&vals[1])?)),
-        "exp" => Value::F64(want_f64(&vals[0])?.exp()),
-        "log" => Value::F64(want_f64(&vals[0])?.ln()),
-        "floor" => Value::F64(want_f64(&vals[0])?.floor()),
-        "ceil" => Value::F64(want_f64(&vals[0])?.ceil()),
-        "fmin" => Value::F64(want_f64(&vals[0])?.min(want_f64(&vals[1])?)),
-        "fmax" => Value::F64(want_f64(&vals[0])?.max(want_f64(&vals[1])?)),
+        "sqrt" => |_, v| Ok(Value::F64(real(v, 0)?.sqrt())),
+        "fabs" => |_, v| Ok(Value::F64(real(v, 0)?.abs())),
+        "sin" => |_, v| Ok(Value::F64(real(v, 0)?.sin())),
+        "cos" => |_, v| Ok(Value::F64(real(v, 0)?.cos())),
+        "tan" => |_, v| Ok(Value::F64(real(v, 0)?.tan())),
+        "atan" => |_, v| Ok(Value::F64(real(v, 0)?.atan())),
+        "asin" => |_, v| Ok(Value::F64(real(v, 0)?.asin())),
+        "acos" => |_, v| Ok(Value::F64(real(v, 0)?.acos())),
+        "pow" => |_, v| Ok(Value::F64(real(v, 0)?.powf(real(v, 1)?))),
+        "exp" => |_, v| Ok(Value::F64(real(v, 0)?.exp())),
+        "log" => |_, v| Ok(Value::F64(real(v, 0)?.ln())),
+        "floor" => |_, v| Ok(Value::F64(real(v, 0)?.floor())),
+        "ceil" => |_, v| Ok(Value::F64(real(v, 0)?.ceil())),
+        "fmin" => |_, v| Ok(Value::F64(real(v, 0)?.min(real(v, 1)?))),
+        "fmax" => |_, v| Ok(Value::F64(real(v, 0)?.max(real(v, 1)?))),
 
         // --- float-mode SIMD intrinsics ---------------------------------
-        _ if name.starts_with("_mm") => return simd_float(it, name, vals).map(Some),
+        _ if name.starts_with("_mm") => return Some(simd_float(name)),
 
         // --- interval-mode SIMD intrinsics -------------------------------
-        _ if name.starts_with("ia_mm") => return simd_interval(it, name, vals).map(Some),
+        _ if name.starts_with("ia_mm") => return Some(simd_interval(name)),
 
-        _ => return Ok(None),
+        _ => return None,
     };
-    Ok(Some(v))
+    Some(Ok(f))
 }
 
-fn lanes_of(name: &str) -> usize {
-    if name.contains("_mm256") {
-        4
-    } else {
-        2
-    }
+/// `vals[0] op vals[1]` lane by lane.
+fn lanes_f(vals: &[Value], f: fn(f64, f64) -> f64) -> Result<Value, RtError> {
+    let (x, y) = (vecf(vals, 0)?, vecf(vals, 1)?);
+    Ok(Value::VecF64(x.iter().zip(&y).map(|(p, q)| f(*p, *q)).collect()))
+}
+
+/// `N` heap elements from the pointer `vals[0]` on, each converted by
+/// `conv` (`what` names the element type an error reports).
+fn load<T, const N: usize>(
+    it: &Interp,
+    vals: &[Value],
+    conv: fn(&Value) -> Option<T>,
+    what: &str,
+) -> Result<Vec<T>, RtError> {
+    let Value::Ptr(obj, off) = vals[0] else {
+        return Err(RtError::Type("load from non-pointer".into()));
+    };
+    (0..N)
+        .map(|i| {
+            conv(&it.heap_load(obj, off + i as i64)?)
+                .ok_or_else(|| RtError::Type(format!("load of non-{what}")))
+        })
+        .collect()
 }
 
 /// Float-mode semantics of the supported SIMD intrinsics.
-fn simd_float(it: &mut Interp, name: &str, vals: &[Value]) -> Result<Value, RtError> {
-    let lanewise = |f: fn(f64, f64) -> f64, a: &Value, b: &Value| -> Result<Value, RtError> {
-        let (x, y) = (want_vecf(a)?, want_vecf(b)?);
-        Ok(Value::VecF64(x.iter().zip(&y).map(|(p, q)| f(*p, *q)).collect()))
-    };
-    match name {
+fn simd_float(name: &str) -> Result<Builtin, RtError> {
+    Ok(match name {
         "_mm_add_pd" | "_mm256_add_pd" | "_mm_add_ps" | "_mm256_add_ps" => {
-            lanewise(|a, b| a + b, &vals[0], &vals[1])
+            |_, vals| lanes_f(vals, |a, b| a + b)
         }
-        "_mm_sub_pd" | "_mm256_sub_pd" => lanewise(|a, b| a - b, &vals[0], &vals[1]),
-        "_mm_mul_pd" | "_mm256_mul_pd" | "_mm256_mul_ps" => {
-            lanewise(|a, b| a * b, &vals[0], &vals[1])
-        }
-        "_mm_div_pd" | "_mm256_div_pd" => lanewise(|a, b| a / b, &vals[0], &vals[1]),
-        "_mm_min_pd" | "_mm256_min_pd" => lanewise(f64::min, &vals[0], &vals[1]),
-        "_mm_max_pd" | "_mm256_max_pd" => lanewise(f64::max, &vals[0], &vals[1]),
+        "_mm_sub_pd" | "_mm256_sub_pd" => |_, vals| lanes_f(vals, |a, b| a - b),
+        "_mm_mul_pd" | "_mm256_mul_pd" | "_mm256_mul_ps" => |_, vals| lanes_f(vals, |a, b| a * b),
+        "_mm_div_pd" | "_mm256_div_pd" => |_, vals| lanes_f(vals, |a, b| a / b),
+        "_mm_min_pd" | "_mm256_min_pd" => |_, vals| lanes_f(vals, f64::min),
+        "_mm_max_pd" | "_mm256_max_pd" => |_, vals| lanes_f(vals, f64::max),
         "_mm_sqrt_pd" | "_mm256_sqrt_pd" => {
-            let x = want_vecf(&vals[0])?;
-            Ok(Value::VecF64(x.iter().map(|v| v.sqrt()).collect()))
+            |_, vals| Ok(Value::VecF64(vecf(vals, 0)?.iter().map(|v| v.sqrt()).collect()))
         }
-        "_mm_set1_pd" | "_mm256_set1_pd" => {
-            let v = want_f64(&vals[0])?;
-            Ok(Value::VecF64(vec![v; lanes_of(name)]))
+        "_mm_set1_pd" => |_, v| Ok(Value::VecF64(vec![real(v, 0)?; 2])),
+        "_mm256_set1_pd" => |_, v| Ok(Value::VecF64(vec![real(v, 0)?; 4])),
+        "_mm_setzero_pd" => |_, _| Ok(Value::VecF64(vec![0.0; 2])),
+        "_mm256_setzero_pd" => |_, _| Ok(Value::VecF64(vec![0.0; 4])),
+        "_mm_loadu_pd" | "_mm_load_pd" => {
+            |it, v| Ok(Value::VecF64(load::<_, 2>(it, v, Value::as_f64, "double")?))
         }
-        "_mm_setzero_pd" | "_mm256_setzero_pd" => Ok(Value::VecF64(vec![0.0; lanes_of(name)])),
-        "_mm_loadu_pd" | "_mm_load_pd" | "_mm256_loadu_pd" | "_mm256_load_pd" => {
-            let Value::Ptr(obj, off) = vals[0] else {
-                return Err(RtError::Type("load from non-pointer".into()));
-            };
-            let n = lanes_of(name);
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                out.push(
-                    it.heap_load(obj, off + i as i64)?
-                        .as_f64()
-                        .ok_or_else(|| RtError::Type("load of non-double".into()))?,
-                );
-            }
-            Ok(Value::VecF64(out))
+        "_mm256_loadu_pd" | "_mm256_load_pd" => {
+            |it, v| Ok(Value::VecF64(load::<_, 4>(it, v, Value::as_f64, "double")?))
         }
-        "_mm_storeu_pd" | "_mm_store_pd" | "_mm256_storeu_pd" | "_mm256_store_pd" => {
+        "_mm_storeu_pd" | "_mm_store_pd" | "_mm256_storeu_pd" | "_mm256_store_pd" => |it, vals| {
             let Value::Ptr(obj, off) = vals[0] else {
                 return Err(RtError::Type("store to non-pointer".into()));
             };
-            let x = want_vecf(&vals[1])?;
+            let x = vecf(vals, 1)?;
             for (i, v) in x.iter().enumerate() {
                 it.heap_store(obj, off + i as i64, Value::F64(*v))?;
             }
             Ok(Value::Unit)
-        }
-        "_mm256_fmadd_pd" => {
-            let (a, b, c) = (want_vecf(&vals[0])?, want_vecf(&vals[1])?, want_vecf(&vals[2])?);
+        },
+        "_mm256_fmadd_pd" => |_, vals| {
+            let (a, b, c) = (vecf(vals, 0)?, vecf(vals, 1)?, vecf(vals, 2)?);
             Ok(Value::VecF64(a.iter().zip(&b).zip(&c).map(|((x, y), z)| x * y + z).collect()))
-        }
-        "_mm256_hadd_pd" => {
-            let (a, b) = (want_vecf(&vals[0])?, want_vecf(&vals[1])?);
+        },
+        "_mm256_hadd_pd" => |_, vals| {
+            let (a, b) = (vecf(vals, 0)?, vecf(vals, 1)?);
             Ok(Value::VecF64(vec![a[0] + a[1], b[0] + b[1], a[2] + a[3], b[2] + b[3]]))
-        }
-        "_mm256_unpacklo_pd" => {
-            let (a, b) = (want_vecf(&vals[0])?, want_vecf(&vals[1])?);
+        },
+        "_mm256_unpacklo_pd" => |_, vals| {
+            let (a, b) = (vecf(vals, 0)?, vecf(vals, 1)?);
             Ok(Value::VecF64(vec![a[0], b[0], a[2], b[2]]))
-        }
-        "_mm256_unpackhi_pd" => {
-            let (a, b) = (want_vecf(&vals[0])?, want_vecf(&vals[1])?);
+        },
+        "_mm256_unpackhi_pd" => |_, vals| {
+            let (a, b) = (vecf(vals, 0)?, vecf(vals, 1)?);
             Ok(Value::VecF64(vec![a[1], b[1], a[3], b[3]]))
-        }
-        other => Err(RtError::Missing(format!("float intrinsic {other}"))),
-    }
+        },
+        other => return Err(RtError::Missing(format!("float intrinsic {other}"))),
+    })
+}
+
+/// `vals[0] op vals[1]` interval lane by lane.
+fn lanes_i(vals: &[Value], f: fn(F64I, F64I) -> F64I) -> Result<Value, RtError> {
+    let (x, y) = (veci(vals, 0)?, veci(vals, 1)?);
+    Ok(Value::VecInterval(x.iter().zip(&y).map(|(p, q)| f(*p, *q)).collect()))
 }
 
 /// Interval-mode semantics of the SIMD intrinsics (`ia_mm…` — the
-/// interval implementations of Section V).
-fn simd_interval(it: &mut Interp, name: &str, vals: &[Value]) -> Result<Value, RtError> {
+/// interval implementations of Section V). One interval per
+/// floating-point lane (Table II: an interval fills one __m128d, so a
+/// __m256d operand becomes 4 packed intervals).
+fn simd_interval(name: &str) -> Result<Builtin, RtError> {
     // `ia_mm256_add_pd` corresponds to the intrinsic `_mm256_add_pd`.
     let base = format!("_{}", name.strip_prefix("ia_").expect("prefixed"));
-    let base = base.as_str();
-    // One interval per floating-point lane (Table II: an interval fills
-    // one __m128d, so a __m256d operand becomes 4 packed intervals).
-    let lanes = lanes_of(base);
-    let lanewise = |f: fn(F64I, F64I) -> F64I, a: &Value, b: &Value| -> Result<Value, RtError> {
-        let (x, y) = (want_veci(a)?, want_veci(b)?);
-        Ok(Value::VecInterval(x.iter().zip(&y).map(|(p, q)| f(*p, *q)).collect()))
-    };
-    match base {
-        "_mm_add_pd" | "_mm256_add_pd" => lanewise(|a, b| a + b, &vals[0], &vals[1]),
-        "_mm_sub_pd" | "_mm256_sub_pd" => lanewise(|a, b| a - b, &vals[0], &vals[1]),
-        "_mm_mul_pd" | "_mm256_mul_pd" => lanewise(|a, b| a * b, &vals[0], &vals[1]),
-        "_mm_div_pd" | "_mm256_div_pd" => lanewise(|a, b| a / b, &vals[0], &vals[1]),
-        "_mm_min_pd" | "_mm256_min_pd" => lanewise(|a, b| a.min_i(&b), &vals[0], &vals[1]),
-        "_mm_max_pd" | "_mm256_max_pd" => lanewise(|a, b| a.max_i(&b), &vals[0], &vals[1]),
+    Ok(match base.as_str() {
+        "_mm_add_pd" | "_mm256_add_pd" => |_, vals| lanes_i(vals, |a, b| a + b),
+        "_mm_sub_pd" | "_mm256_sub_pd" => |_, vals| lanes_i(vals, |a, b| a - b),
+        "_mm_mul_pd" | "_mm256_mul_pd" => |_, vals| lanes_i(vals, |a, b| a * b),
+        "_mm_div_pd" | "_mm256_div_pd" => |_, vals| lanes_i(vals, |a, b| a / b),
+        "_mm_min_pd" | "_mm256_min_pd" => |_, vals| lanes_i(vals, |a, b| a.min_i(&b)),
+        "_mm_max_pd" | "_mm256_max_pd" => |_, vals| lanes_i(vals, |a, b| a.max_i(&b)),
         "_mm_sqrt_pd" | "_mm256_sqrt_pd" => {
-            let x = want_veci(&vals[0])?;
-            Ok(Value::VecInterval(x.iter().map(|v| v.sqrt()).collect()))
+            |_, vals| Ok(Value::VecInterval(veci(vals, 0)?.iter().map(|v| v.sqrt()).collect()))
         }
-        "_mm_set1_pd" | "_mm256_set1_pd" => {
-            let v = want_interval(&vals[0])?;
-            Ok(Value::VecInterval(vec![v; lanes]))
+        "_mm_set1_pd" => |_, v| Ok(Value::VecInterval(vec![ival(v, 0)?; 2])),
+        "_mm256_set1_pd" => |_, v| Ok(Value::VecInterval(vec![ival(v, 0)?; 4])),
+        "_mm_setzero_pd" => |_, _| Ok(Value::VecInterval(vec![F64I::ZERO; 2])),
+        "_mm256_setzero_pd" => |_, _| Ok(Value::VecInterval(vec![F64I::ZERO; 4])),
+        "_mm_loadu_pd" | "_mm_load_pd" => {
+            |it, v| Ok(Value::VecInterval(load::<_, 2>(it, v, Value::as_interval, "interval")?))
         }
-        "_mm_setzero_pd" | "_mm256_setzero_pd" => Ok(Value::VecInterval(vec![F64I::ZERO; lanes])),
-        "_mm_loadu_pd" | "_mm_load_pd" | "_mm256_loadu_pd" | "_mm256_load_pd" => {
-            let Value::Ptr(obj, off) = vals[0] else {
-                return Err(RtError::Type("load from non-pointer".into()));
-            };
-            let mut out = Vec::with_capacity(lanes);
-            for i in 0..lanes {
-                out.push(
-                    it.heap_load(obj, off + i as i64)?
-                        .as_interval()
-                        .ok_or_else(|| RtError::Type("load of non-interval".into()))?,
-                );
-            }
-            Ok(Value::VecInterval(out))
+        "_mm256_loadu_pd" | "_mm256_load_pd" => {
+            |it, v| Ok(Value::VecInterval(load::<_, 4>(it, v, Value::as_interval, "interval")?))
         }
-        "_mm_storeu_pd" | "_mm_store_pd" | "_mm256_storeu_pd" | "_mm256_store_pd" => {
+        "_mm_storeu_pd" | "_mm_store_pd" | "_mm256_storeu_pd" | "_mm256_store_pd" => |it, vals| {
             let Value::Ptr(obj, off) = vals[0] else {
                 return Err(RtError::Type("store to non-pointer".into()));
             };
-            let x = want_veci(&vals[1])?;
+            let x = veci(vals, 1)?;
             for (i, v) in x.iter().enumerate() {
                 it.heap_store(obj, off + i as i64, Value::Interval(*v))?;
             }
             Ok(Value::Unit)
-        }
-        "_mm256_fmadd_pd" => {
-            let (a, b, c) = (want_veci(&vals[0])?, want_veci(&vals[1])?, want_veci(&vals[2])?);
+        },
+        "_mm256_fmadd_pd" => |_, vals| {
+            let (a, b, c) = (veci(vals, 0)?, veci(vals, 1)?, veci(vals, 2)?);
             Ok(Value::VecInterval(
                 a.iter().zip(&b).zip(&c).map(|((x, y), z)| *x * *y + *z).collect(),
             ))
-        }
-        "_mm256_hadd_pd" => {
-            let (a, b) = (want_veci(&vals[0])?, want_veci(&vals[1])?);
+        },
+        "_mm256_hadd_pd" => |_, vals| {
+            let (a, b) = (veci(vals, 0)?, veci(vals, 1)?);
             Ok(Value::VecInterval(vec![a[0] + a[1], b[0] + b[1], a[2] + a[3], b[2] + b[3]]))
-        }
-        other => Err(RtError::Missing(format!("interval intrinsic {other}"))),
-    }
+        },
+        other => return Err(RtError::Missing(format!("interval intrinsic {other}"))),
+    })
 }

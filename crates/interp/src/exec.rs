@@ -1,11 +1,14 @@
-//! The evaluator: statement execution, expression evaluation, lvalues,
-//! the heap and the call machinery.
+//! The evaluator over the resolved form (see [`crate::resolve`]):
+//! statement execution, expression evaluation, lvalues, the heap and
+//! the call machinery.
 
 use crate::builtins;
+use crate::resolve::{Callee, Function, Program, RExpr, RStmt, Var};
 use crate::value::Value;
-use igen_cfront::{BinOp, Expr, Function, Item, Loc, Stmt, TranslationUnit, Type, UnOp};
+use igen_cfront::{BinOp, TranslationUnit, Type, UnOp};
 use igen_interval::{DdI, SumAcc64, SumAccDd, TBool, F64I};
-use std::collections::HashMap;
+use std::ops::Range;
+use std::rc::Rc;
 
 /// Runtime error.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,24 +50,27 @@ enum Flow {
 }
 
 /// Resolved assignment target.
-enum Place {
-    Var(String),
+enum Place<'a> {
+    Var(&'a Var),
     Heap(usize, i64),
-    /// Union lane: variable name holding a [`Value::Union`], lane index.
-    UnionLane(Box<Place>, usize),
+    /// Union lane: the place holding a [`Value::Union`], lane index.
+    UnionLane(Box<Place<'a>>, usize),
     /// Union bit view lane (reads/writes f64 lanes as integer bits).
-    UnionBits(Box<Place>, usize),
+    UnionBits(Box<Place<'a>>, usize),
     /// Whole union content from/to a vector value.
-    UnionWhole(Box<Place>),
+    UnionWhole(Box<Place<'a>>),
 }
 
 /// Width-provenance profiling state. Unlike the VM, whose instruction
-/// count is known before execution, the interpreter discovers its sites
-/// dynamically: each distinct (source location, operation) pair that
-/// performs interval arithmetic is assigned a dense index on first use.
+/// count is known before execution, the interpreter discovers its rows
+/// dynamically: each resolved site (source location, operation) that
+/// performs interval arithmetic is assigned the next dense row on first
+/// use.
 struct ProfState {
     prof: igen_telemetry::UnitProfiler,
-    sites: HashMap<(u32, u32, String), usize>,
+    /// Site index → row, once assigned.
+    rows: Vec<Option<usize>>,
+    n_rows: usize,
 }
 
 /// Relative width of an interval-valued `Value`, `None` for scalars.
@@ -95,26 +101,20 @@ fn max_rel_width(vals: &[Value]) -> f64 {
     max_in
 }
 
-/// Mnemonic for an `ia_*` builtin: the `ia_` prefix and precision
-/// suffix stripped, so interpreter profile rows line up with the VM's
-/// instruction names (`ia_mul_f64` and the `mul` bytecode both say
-/// `mul`).
-fn ia_mnemonic(name: &str) -> &str {
-    let s = name.strip_prefix("ia_").unwrap_or(name);
-    s.strip_suffix("_f64")
-        .or_else(|| s.strip_suffix("_f32"))
-        .or_else(|| s.strip_suffix("_dd"))
-        .unwrap_or(s)
-}
-
-/// The interpreter: owns the program, a heap of arrays, accumulator
-/// stores and the scope stack of the current call.
+/// The interpreter: owns the resolved program, a heap of arrays,
+/// accumulator stores and the frames of the active calls.
 pub struct Interp {
-    functions: HashMap<String, Function>,
+    prog: Program,
     heap: Vec<Vec<Value>>,
-    accs64: Vec<SumAcc64>,
-    accsdd: Vec<SumAccDd>,
-    scopes: Vec<HashMap<String, Value>>,
+    pub(crate) accs64: Vec<SumAcc64>,
+    pub(crate) accsdd: Vec<SumAccDd>,
+    /// Frames of the active calls, one slot per local of the callee;
+    /// `None` until the local's declaration runs.
+    stack: Vec<Option<Value>>,
+    /// Where the running call's frame starts in `stack`.
+    base: usize,
+    /// Evaluated arguments of the calls under way.
+    args: Vec<Value>,
     steps: u64,
     /// Maximum evaluation steps before aborting (defaults to 200M).
     pub step_budget: u64,
@@ -122,22 +122,19 @@ pub struct Interp {
 }
 
 impl Interp {
-    /// Builds an interpreter from a parsed translation unit.
+    /// Builds an interpreter from a parsed translation unit, resolving
+    /// every function definition once.
     pub fn new(tu: &TranslationUnit) -> Interp {
-        let mut functions = HashMap::new();
-        for item in &tu.items {
-            if let Item::Function(f) = item {
-                if f.body.is_some() {
-                    functions.insert(f.name.clone(), f.clone());
-                }
-            }
-        }
+        let mut prog = Program::default();
+        prog.add_unit(tu);
         Interp {
-            functions,
+            prog,
             heap: Vec::new(),
             accs64: Vec::new(),
             accsdd: Vec::new(),
-            scopes: Vec::new(),
+            stack: Vec::new(),
+            base: 0,
+            args: Vec::new(),
             steps: 0,
             step_budget: 200_000_000,
             prof: None,
@@ -156,13 +153,7 @@ impl Interp {
     /// Merges additional functions (e.g. a transformed unit alongside the
     /// original under different names, or generated intrinsics).
     pub fn add_unit(&mut self, tu: &TranslationUnit) {
-        for item in &tu.items {
-            if let Item::Function(f) = item {
-                if f.body.is_some() {
-                    self.functions.insert(f.name.clone(), f.clone());
-                }
-            }
-        }
+        self.prog.add_unit(tu);
     }
 
     /// Drops all heap arrays and accumulators and resets the step
@@ -174,7 +165,7 @@ impl Interp {
         self.heap.clear();
         self.accs64.clear();
         self.accsdd.clear();
-        self.scopes.clear();
+        self.stack.clear();
         self.steps = 0;
     }
 
@@ -187,7 +178,8 @@ impl Interp {
     pub fn profile_start(&mut self, unit: &str) {
         self.prof = Some(ProfState {
             prof: igen_telemetry::UnitProfiler::start(unit, 0),
-            sites: HashMap::new(),
+            rows: Vec::new(),
+            n_rows: 0,
         });
     }
 
@@ -199,21 +191,23 @@ impl Interp {
         }
     }
 
-    /// Dense site index for a (location, operation) pair, assigning the
-    /// next index (and growing the profiler) on first sight.
-    fn prof_site(&mut self, loc: Loc, op: &str) -> usize {
-        let ps = self.prof.as_mut().expect("prof_site requires active profiling");
-        let next = ps.sites.len();
-        let key = (loc.line, loc.col, op.to_string());
-        match ps.sites.get(&key) {
-            Some(&i) => i,
-            None => {
-                ps.sites.insert(key, next);
-                ps.prof.grow(next + 1);
-                ps.prof.set_meta(next, loc.line, loc.col, op);
-                next
-            }
+    /// Profile row of a resolved site, assigning the next row (and
+    /// growing the profiler) on first sight.
+    fn prof_row(&mut self, site: usize) -> usize {
+        let ps = self.prof.as_mut().expect("prof_row requires active profiling");
+        if ps.rows.len() <= site {
+            ps.rows.resize(site + 1, None);
         }
+        if let Some(row) = ps.rows[site] {
+            return row;
+        }
+        let row = ps.n_rows;
+        ps.n_rows += 1;
+        ps.rows[site] = Some(row);
+        let (loc, op) = &self.prog.sites[site];
+        ps.prof.grow(row + 1);
+        ps.prof.set_meta(row, loc.line, loc.col, op);
+        row
     }
 
     /// Allocates a heap array of doubles; returns the pointer value.
@@ -279,52 +273,60 @@ impl Interp {
     /// when an interval branch condition cannot be decided.
     pub fn call(&mut self, name: &str, args: Vec<Value>) -> Result<Value, RtError> {
         let f =
-            self.functions.get(name).cloned().ok_or_else(|| RtError::Missing(name.to_string()))?;
-        if f.params.len() != args.len() {
+            self.prog.function(name).cloned().ok_or_else(|| RtError::Missing(name.to_string()))?;
+        let mark = self.args.len();
+        self.args.extend(args);
+        let out = self.enter(&f, mark);
+        // A failed call may leave arguments of unfinished inner calls.
+        self.args.truncate(mark);
+        out
+    }
+
+    /// Runs `f` on the arguments `self.args[mark..]` in a fresh frame.
+    fn enter(&mut self, f: &Rc<Function>, mark: usize) -> Result<Value, RtError> {
+        let n_args = self.args.len() - mark;
+        if f.n_params != n_args {
             return Err(RtError::Type(format!(
-                "{name}: expected {} arguments, got {}",
-                f.params.len(),
-                args.len()
+                "{}: expected {} arguments, got {n_args}",
+                f.name, f.n_params
             )));
         }
-        let mut scope = HashMap::new();
-        for (p, a) in f.params.iter().zip(args) {
-            scope.insert(p.name.clone(), a);
-        }
-        let depth = self.scopes.len();
-        self.scopes.push(scope);
-        let body = f.body.as_ref().expect("definition");
-        let result = self.exec_block(body);
-        self.scopes.truncate(depth);
-        match result? {
+        let base = self.stack.len();
+        self.stack.extend(self.args.drain(mark..).map(Some));
+        self.stack.resize(base + f.n_slots, None);
+        let caller = std::mem::replace(&mut self.base, base);
+        let flow = self.exec_all(&f.body);
+        self.stack.truncate(base);
+        self.base = caller;
+        match flow? {
             Flow::Return(v) => Ok(v),
             _ => Ok(Value::Unit),
         }
     }
 
-    // --- scopes ---------------------------------------------------------
+    // --- variables ------------------------------------------------------
 
-    fn get_var(&self, name: &str) -> Result<Value, RtError> {
-        self.scopes
-            .iter()
-            .rev()
-            .find_map(|s| s.get(name))
-            .cloned()
-            .ok_or_else(|| RtError::Missing(name.to_string()))
-    }
-
-    fn set_var(&mut self, name: &str, v: Value) -> Result<(), RtError> {
-        for s in self.scopes.iter_mut().rev() {
-            if let Some(slot) = s.get_mut(name) {
-                *slot = v;
-                return Ok(());
-            }
+    pub(crate) fn load_var(&self, var: &Var) -> Result<Value, RtError> {
+        // The common variants are tested ahead of the general clone,
+        // whose dispatch over every variant predicts poorly.
+        match &self.stack[self.base + var.slot] {
+            Some(Value::Interval(i)) => Ok(Value::Interval(*i)),
+            Some(Value::Int(i)) => Ok(Value::Int(*i)),
+            Some(v) => Ok(v.clone()),
+            None => Err(RtError::Missing(var.name.to_string())),
         }
-        Err(RtError::Missing(name.to_string()))
     }
 
-    fn declare(&mut self, name: &str, v: Value) {
-        self.scopes.last_mut().expect("scope").insert(name.to_string(), v);
+    pub(crate) fn store_var(&mut self, var: &Var, v: Value) -> Result<(), RtError> {
+        let cell = self.stack[self.base + var.slot].as_mut();
+        *cell.ok_or_else(|| RtError::Missing(var.name.to_string()))? = v;
+        Ok(())
+    }
+
+    /// Ends the lifetime of a scope's locals.
+    fn clear(&mut self, slots: &Range<usize>) {
+        let base = self.base;
+        self.stack[base + slots.start..base + slots.end].fill(None);
     }
 
     fn tick(&mut self) -> Result<(), RtError> {
@@ -337,36 +339,37 @@ impl Interp {
 
     // --- statements -----------------------------------------------------
 
-    fn exec_block(&mut self, stmts: &[Stmt]) -> Result<Flow, RtError> {
-        self.scopes.push(HashMap::new());
-        let mut flow = Flow::Normal;
+    fn exec_all(&mut self, stmts: &[RStmt]) -> Result<Flow, RtError> {
         for s in stmts {
-            flow = self.exec(s)?;
+            let flow = self.exec(s)?;
             if !matches!(flow, Flow::Normal) {
-                break;
+                return Ok(flow);
             }
         }
-        self.scopes.pop();
-        Ok(flow)
+        Ok(Flow::Normal)
     }
 
-    fn exec(&mut self, s: &Stmt) -> Result<Flow, RtError> {
+    fn exec(&mut self, s: &RStmt) -> Result<Flow, RtError> {
         self.tick()?;
         match s {
-            Stmt::Decl(d) => {
-                let v = match &d.init {
+            RStmt::Decl(slot, init, ty) => {
+                let v = match init {
                     Some(e) => self.eval(e)?,
-                    None => self.default_value(&d.ty),
+                    None => self.default_value(ty),
                 };
-                self.declare(&d.name, v);
+                self.stack[self.base + slot] = Some(v);
                 Ok(Flow::Normal)
             }
-            Stmt::Expr(e) => {
+            RStmt::Expr(e) => {
                 self.eval(e)?;
                 Ok(Flow::Normal)
             }
-            Stmt::Block(b) => self.exec_block(b),
-            Stmt::If { cond, then_branch, else_branch } => {
+            RStmt::Block(b, slots) => {
+                let flow = self.exec_all(b)?;
+                self.clear(slots);
+                Ok(flow)
+            }
+            RStmt::If(cond, then_branch, else_branch) => {
                 if self.eval_cond(cond)? {
                     self.exec(then_branch)
                 } else if let Some(e) = else_branch {
@@ -375,8 +378,7 @@ impl Interp {
                     Ok(Flow::Normal)
                 }
             }
-            Stmt::For { init, cond, step, body } => {
-                self.scopes.push(HashMap::new());
+            RStmt::For(init, cond, step, body, slots) => {
                 if let Some(i) = init {
                     self.exec(i)?;
                 }
@@ -396,10 +398,10 @@ impl Interp {
                         self.eval(st)?;
                     }
                 };
-                self.scopes.pop();
+                self.clear(slots);
                 Ok(flow)
             }
-            Stmt::While { cond, body } => loop {
+            RStmt::While(cond, body) => loop {
                 self.tick()?;
                 if !self.eval_cond(cond)? {
                     return Ok(Flow::Normal);
@@ -410,7 +412,7 @@ impl Interp {
                     _ => {}
                 }
             },
-            Stmt::DoWhile { body, cond } => loop {
+            RStmt::DoWhile(body, cond) => loop {
                 self.tick()?;
                 match self.exec(body)? {
                     Flow::Break => return Ok(Flow::Normal),
@@ -421,7 +423,7 @@ impl Interp {
                     return Ok(Flow::Normal);
                 }
             },
-            Stmt::Switch { cond, arms } => {
+            RStmt::Switch(cond, arms, slots) => {
                 let v = self.eval(cond)?;
                 let Some(n) = v.as_int() else {
                     return Err(RtError::Type(format!("switch on non-integer value {}", v.tag())));
@@ -430,15 +432,14 @@ impl Interp {
                 // C fallthrough until a break.
                 let start = arms
                     .iter()
-                    .position(|a| a.label == Some(n))
-                    .or_else(|| arms.iter().position(|a| a.label.is_none()));
+                    .position(|a| a.0 == Some(n))
+                    .or_else(|| arms.iter().position(|a| a.0.is_none()));
                 let Some(start) = start else {
                     return Ok(Flow::Normal);
                 };
-                self.scopes.push(HashMap::new());
                 let mut flow = Flow::Normal;
-                'arms: for arm in &arms[start..] {
-                    for st in &arm.body {
+                'arms: for (_, body) in &arms[start..] {
+                    for st in body {
                         match self.exec(st)? {
                             Flow::Break => break 'arms,
                             Flow::Normal => {}
@@ -449,19 +450,19 @@ impl Interp {
                         }
                     }
                 }
-                self.scopes.pop();
+                self.clear(slots);
                 Ok(flow)
             }
-            Stmt::Return(e) => {
+            RStmt::Return(e) => {
                 let v = match e {
                     Some(e) => self.eval(e)?,
                     None => Value::Unit,
                 };
                 Ok(Flow::Return(v))
             }
-            Stmt::Break => Ok(Flow::Break),
-            Stmt::Continue => Ok(Flow::Continue),
-            Stmt::Pragma(_) | Stmt::Empty => Ok(Flow::Normal),
+            RStmt::Break => Ok(Flow::Break),
+            RStmt::Continue => Ok(Flow::Continue),
+            RStmt::Empty => Ok(Flow::Normal),
         }
     }
 
@@ -508,7 +509,7 @@ impl Interp {
 
     // --- conditions -----------------------------------------------------
 
-    fn eval_cond(&mut self, e: &Expr) -> Result<bool, RtError> {
+    fn eval_cond(&mut self, e: &RExpr) -> Result<bool, RtError> {
         let v = self.eval(e)?;
         match v {
             Value::TBool(t) => t.to_bool().map_err(|_| RtError::UnknownBranch),
@@ -520,14 +521,24 @@ impl Interp {
 
     // --- expressions ----------------------------------------------------
 
-    fn eval(&mut self, e: &Expr) -> Result<Value, RtError> {
+    /// Evaluates `e`. Leaves, about half of any program's nodes, are
+    /// handled here, inlined into their parent's evaluation.
+    #[inline]
+    pub(crate) fn eval(&mut self, e: &RExpr) -> Result<Value, RtError> {
         self.tick()?;
         match e {
-            Expr::IntLit { value, .. } => Ok(Value::Int(*value)),
-            Expr::FloatLit { value, .. } => Ok(Value::F64(*value)),
-            Expr::Ident(name, _) => self.get_var(name),
-            Expr::Unary(op, inner) => self.eval_unary(*op, inner),
-            Expr::PostIncDec(inner, inc) => {
+            RExpr::Int(v) => Ok(Value::Int(*v)),
+            RExpr::Float(v) => Ok(Value::F64(*v)),
+            RExpr::Var(var) => self.load_var(var),
+            _ => self.eval_inner(e),
+        }
+    }
+
+    fn eval_inner(&mut self, e: &RExpr) -> Result<Value, RtError> {
+        match e {
+            RExpr::Int(_) | RExpr::Float(_) | RExpr::Var(_) => unreachable!("leaves are inlined"),
+            RExpr::Unary(op, inner) => self.eval_unary(*op, inner),
+            RExpr::PostIncDec(inner, inc) => {
                 let old = self.eval(inner)?;
                 let delta = if *inc { 1 } else { -1 };
                 let new = match &old {
@@ -539,7 +550,7 @@ impl Interp {
                 self.store(place, new)?;
                 Ok(old)
             }
-            Expr::Binary { op, lhs, rhs, loc } => {
+            RExpr::Binary(op, lhs, rhs, site) => {
                 // Short-circuit logicals.
                 if *op == BinOp::And {
                     return Ok(Value::Int((self.eval_cond(lhs)? && self.eval_cond(rhs)?) as i64));
@@ -549,30 +560,30 @@ impl Interp {
                 }
                 let l = self.eval(lhs)?;
                 let r = self.eval(rhs)?;
-                self.eval_binop_at(*op, l, r, *loc)
+                self.eval_binop_at(*op, l, r, *site)
             }
-            Expr::Assign { op, lhs, rhs, loc } => {
+            RExpr::Assign(op, lhs, rhs, site) => {
                 let rv = self.eval(rhs)?;
-                let new = match op.bin_op() {
+                let new = match op {
                     None => rv,
                     Some(bop) => {
                         let old = self.eval(lhs)?;
-                        self.eval_binop_at(bop, old, rv, *loc)?
+                        self.eval_binop_at(*bop, old, rv, *site)?
                     }
                 };
                 let place = self.resolve_place(lhs)?;
                 self.store(place, new.clone())?;
                 Ok(new)
             }
-            Expr::Call { name, args, loc } => self.eval_call(name, args, *loc),
-            Expr::Index(base, idx) => {
+            RExpr::Call(callee, args, site) => self.eval_call(callee, args, *site),
+            RExpr::Index(base, idx) => {
                 let i = self
                     .eval(idx)?
                     .as_int()
                     .ok_or_else(|| RtError::Type("non-integer index".into()))?;
                 // Union views: `u.f[i]` is the lane value, `u.i[i]` the
                 // lane's bit pattern (Section V's integer array).
-                if let Expr::Member { base: ub, field, .. } = &**base {
+                if let RExpr::Member(ub, field) = &**base {
                     if field == "f" || field == "i" {
                         let u = self.eval(ub)?;
                         let Value::Union(lanes) = u else {
@@ -603,7 +614,7 @@ impl Interp {
                     other => Err(RtError::Type(format!("indexing {}", other.tag()))),
                 }
             }
-            Expr::Member { base, field, .. } => {
+            RExpr::Member(base, field) => {
                 let b = self.eval(base)?;
                 let Value::Union(lanes) = b else {
                     return Err(RtError::Type(format!("member access on {}", b.tag())));
@@ -617,7 +628,7 @@ impl Interp {
                     other => Err(RtError::Missing(format!("union field {other}"))),
                 }
             }
-            Expr::Cast(ty, inner) => {
+            RExpr::Cast(ty, inner) => {
                 let v = self.eval(inner)?;
                 match (ty, v) {
                     (Type::Double | Type::Float, Value::Int(i)) => Ok(Value::F64(i as f64)),
@@ -628,7 +639,7 @@ impl Interp {
                     (_, v) => Ok(v), // pointer casts etc.: transparent
                 }
             }
-            Expr::Cond(c, t, f) => {
+            RExpr::Cond(c, t, f) => {
                 if self.eval_cond(c)? {
                     self.eval(t)
                 } else {
@@ -638,14 +649,14 @@ impl Interp {
         }
     }
 
-    fn eval_unary(&mut self, op: UnOp, inner: &Expr) -> Result<Value, RtError> {
+    fn eval_unary(&mut self, op: UnOp, inner: &RExpr) -> Result<Value, RtError> {
         match op {
             UnOp::Addr => {
                 // Only used for accumulator arguments (&acc) and array
                 // element pointers; represented as the place itself.
                 match inner {
-                    Expr::Ident(name, _) => Ok(self.get_var(name)?),
-                    Expr::Index(base, idx) => {
+                    RExpr::Var(var) => self.load_var(var),
+                    RExpr::Index(base, idx) => {
                         let b = self.eval(base)?;
                         let i = self
                             .eval(idx)?
@@ -695,39 +706,45 @@ impl Interp {
         }
     }
 
-    /// [`Interp::eval_binop`] with a source location, recording a
-    /// profile sample when profiling is on and the operands carry
-    /// intervals (direct operator arithmetic on interval values).
-    fn eval_binop_at(&mut self, op: BinOp, l: Value, r: Value, loc: Loc) -> Result<Value, RtError> {
-        use BinOp::*;
+    /// [`Interp::eval_binop`] at a resolved site, recording a profile
+    /// sample when profiling is on and the operands carry intervals
+    /// (direct operator arithmetic on interval values).
+    fn eval_binop_at(
+        &mut self,
+        op: BinOp,
+        l: Value,
+        r: Value,
+        site: Option<usize>,
+    ) -> Result<Value, RtError> {
         let interval_args =
             matches!(l, Value::Interval(_) | Value::Interval32(_) | Value::DdInterval(_))
                 || matches!(r, Value::Interval(_) | Value::Interval32(_) | Value::DdInterval(_));
-        if self.prof.is_none() || !interval_args || !matches!(op, Add | Sub | Mul | Div) {
+        let Some(site) = site.filter(|_| self.prof.is_some() && interval_args) else {
             return self.eval_binop(op, l, r);
-        }
+        };
         let wl = value_rel_width(&l).unwrap_or(0.0);
         let wr = value_rel_width(&r).unwrap_or(0.0);
         let max_in = if wl.is_nan() || wr.is_nan() { f64::NAN } else { wl.max(wr) };
-        let op_name = match op {
-            Add => "add",
-            Sub => "sub",
-            Mul => "mul",
-            Div => "div",
-            _ => unreachable!(),
-        };
-        let site = self.prof_site(loc, op_name);
-        let ps = self.prof.as_ref().expect("profiling active");
-        let t0 = ps.prof.now_ns();
+        let row = self.prof_row(site);
+        let t0 = self.now_ns();
         let out = self.eval_binop(op, l, r)?;
+        self.record(row, t0, max_in, &out);
+        Ok(out)
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.prof.as_ref().map_or(0, |ps| ps.prof.now_ns())
+    }
+
+    /// Adds one timed sample to profile row `row`.
+    fn record(&mut self, row: usize, t0: u64, max_in: f64, out: &Value) {
         if let Some(ps) = self.prof.as_mut() {
             let dt = ps.prof.now_ns().saturating_sub(t0);
-            ps.prof.add_time(site, dt);
-            if let Some(out_rel) = value_rel_width(&out) {
-                ps.prof.add_sample(site, max_in, out_rel);
+            ps.prof.add_time(row, dt);
+            if let Some(out_rel) = value_rel_width(out) {
+                ps.prof.add_sample(row, max_in, out_rel);
             }
         }
-        Ok(out)
     }
 
     fn eval_binop(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, RtError> {
@@ -802,41 +819,54 @@ impl Interp {
         }
     }
 
-    fn eval_call(&mut self, name: &str, args: &[Expr], loc: Loc) -> Result<Value, RtError> {
-        // Accumulator builtins take their first argument by address.
-        if let Some(v) = builtins::try_accumulator_call(self, name, args)? {
-            return Ok(v);
+    fn eval_call(
+        &mut self,
+        callee: &Callee,
+        args: &[RExpr],
+        site: Option<usize>,
+    ) -> Result<Value, RtError> {
+        if let Callee::Acc(f, var) = callee {
+            return f(self, var, args);
         }
-        let mut vals = Vec::with_capacity(args.len());
+        let mark = self.args.len();
         for a in args {
-            // `&x` arguments to non-accumulator calls resolve to the
-            // pointed-at value (pointers are first-class here).
-            vals.push(self.eval(a)?);
-        }
-        // Profile `ia_*` builtins: in a transformed unit these ARE the
-        // interval operations, and the call carries the source location
-        // of the expression it replaced.
-        if self.prof.is_some() && name.starts_with("ia_") {
-            let max_in = max_rel_width(&vals);
-            let site = self.prof_site(loc, ia_mnemonic(name));
-            let t0 = self.prof.as_ref().expect("profiling active").prof.now_ns();
-            if let Some(v) = builtins::try_builtin(self, name, &vals)? {
-                if let Some(ps) = self.prof.as_mut() {
-                    let dt = ps.prof.now_ns().saturating_sub(t0);
-                    ps.prof.add_time(site, dt);
-                    if let Some(out_rel) = value_rel_width(&v) {
-                        ps.prof.add_sample(site, max_in, out_rel);
+            // A declared variable is copied straight into the buffer.
+            if let RExpr::Var(var) = a {
+                if let Some(v) = &self.stack[self.base + var.slot] {
+                    self.steps += 1;
+                    if self.steps > self.step_budget {
+                        return Err(RtError::StepBudget);
                     }
+                    self.args.push(v.clone());
+                    continue;
                 }
-                return Ok(v);
             }
-        } else if let Some(v) = builtins::try_builtin(self, name, &vals)? {
-            return Ok(v);
+            let v = self.eval(a)?;
+            self.args.push(v);
         }
-        if self.functions.contains_key(name) {
-            return self.call(name, vals);
-        }
-        Err(RtError::Missing(format!("function {name}")))
+        let row = site.filter(|_| self.prof.is_some()).map(|s| self.prof_row(s));
+        let out = match callee {
+            Callee::Builtin(f) => {
+                // Builtins never evaluate expressions, so the argument
+                // buffer can be lent out for the duration of the call.
+                let vals = std::mem::take(&mut self.args);
+                let timing = row.map(|row| (row, max_rel_width(&vals[mark..]), self.now_ns()));
+                let out = f(self, &vals[mark..]);
+                self.args = vals;
+                if let (Some((row, max_in, t0)), Ok(v)) = (timing, &out) {
+                    self.record(row, t0, max_in, v);
+                }
+                out
+            }
+            Callee::User(id) => match self.prog.symbols[*id].1.clone() {
+                Some(f) => self.enter(&f, mark),
+                None => Err(RtError::Missing(format!("function {}", self.prog.symbols[*id].0))),
+            },
+            Callee::Error(e) => Err(e.clone()),
+            Callee::Acc(..) => unreachable!("accumulator calls return above"),
+        };
+        self.args.truncate(mark);
+        out
     }
 
     // --- heap & places ---------------------------------------------------
@@ -858,16 +888,16 @@ impl Interp {
         Ok(())
     }
 
-    fn resolve_place(&mut self, e: &Expr) -> Result<Place, RtError> {
+    fn resolve_place<'a>(&mut self, e: &'a RExpr) -> Result<Place<'a>, RtError> {
         match e {
-            Expr::Ident(name, _) => Ok(Place::Var(name.clone())),
-            Expr::Index(base, idx) => {
+            RExpr::Var(var) => Ok(Place::Var(var)),
+            RExpr::Index(base, idx) => {
                 let i = self
                     .eval(idx)?
                     .as_int()
                     .ok_or_else(|| RtError::Type("non-integer index".into()))?;
                 // `u.f[i]` / `u.i[i]`: member then index.
-                if let Expr::Member { base: ub, field, .. } = &**base {
+                if let RExpr::Member(ub, field) = &**base {
                     let inner = self.resolve_place(ub)?;
                     return match field.as_str() {
                         "f" => Ok(Place::UnionLane(Box::new(inner), i as usize)),
@@ -881,14 +911,14 @@ impl Interp {
                     _ => Err(RtError::Type(format!("assignment into {}", b.tag()))),
                 }
             }
-            Expr::Member { base, field, .. } => {
+            RExpr::Member(base, field) => {
                 let inner = self.resolve_place(base)?;
                 match field.as_str() {
                     "v" => Ok(Place::UnionWhole(Box::new(inner))),
                     other => Err(RtError::Missing(format!("union field {other}"))),
                 }
             }
-            Expr::Unary(UnOp::Deref, inner) => {
+            RExpr::Unary(UnOp::Deref, inner) => {
                 let v = self.eval(inner)?;
                 match v {
                     Value::Ptr(obj, off) => Ok(Place::Heap(obj, off)),
@@ -901,7 +931,7 @@ impl Interp {
 
     fn load_place(&mut self, p: &Place) -> Result<Value, RtError> {
         match p {
-            Place::Var(n) => self.get_var(n),
+            Place::Var(var) => self.load_var(var),
             Place::Heap(o, i) => self.heap_load(*o, *i),
             Place::UnionLane(inner, i) => {
                 let v = self.load_place(inner)?;
@@ -934,10 +964,8 @@ impl Interp {
 
     fn store(&mut self, p: Place, v: Value) -> Result<(), RtError> {
         match p {
-            Place::Var(n) => {
-                // Declare-on-assign never happens (decls precede); mutate.
-                self.set_var(&n, v)
-            }
+            // Declare-on-assign never happens (decls precede); mutate.
+            Place::Var(var) => self.store_var(var, v),
             Place::Heap(o, i) => self.heap_store(o, i, v),
             Place::UnionLane(inner, i) => {
                 let mut u = self.load_place(&inner)?;
@@ -999,27 +1027,6 @@ impl Interp {
                 self.store(*inner, u)
             }
         }
-    }
-
-    // Accessors used by the builtin module.
-    pub(crate) fn acc64_mut(&mut self) -> &mut Vec<SumAcc64> {
-        &mut self.accs64
-    }
-
-    pub(crate) fn accdd_mut(&mut self) -> &mut Vec<SumAccDd> {
-        &mut self.accsdd
-    }
-
-    pub(crate) fn var_value(&self, name: &str) -> Result<Value, RtError> {
-        self.get_var(name)
-    }
-
-    pub(crate) fn var_set(&mut self, name: &str, v: Value) -> Result<(), RtError> {
-        self.set_var(name, v)
-    }
-
-    pub(crate) fn eval_pub(&mut self, e: &Expr) -> Result<Value, RtError> {
-        self.eval(e)
     }
 }
 

@@ -30,6 +30,7 @@
 
 mod builtins;
 mod exec;
+mod resolve;
 mod value;
 
 pub use exec::{Interp, RtError};
