@@ -252,11 +252,10 @@ impl BatchProgram {
         let mut result = BatchF64I::with_capacity(items * nout);
         // Width recording only while a trace is live — same one-branch
         // guard the named kernels use, so untraced runs pay nothing.
-        let recording = igen_telemetry::recording();
-        let hist = program_width_hist(&prog.name);
+        let hist = igen_telemetry::recording().then(|| program_width_hist(&prog.name));
         for part in parts {
             for v in part {
-                if recording {
+                if let Some(hist) = hist {
                     hist.record(v.lo(), v.hi());
                 }
                 result.push(v);
@@ -351,11 +350,10 @@ impl BatchProgram {
             },
         );
         let mut result = BatchDdI::with_capacity(items * nout);
-        let recording = igen_telemetry::recording();
-        let hist = program_width_hist(&prog.name);
+        let hist = igen_telemetry::recording().then(|| program_width_hist(&prog.name));
         for part in parts {
             for v in part {
-                if recording {
+                if let Some(hist) = hist {
                     let f = v.to_f64i();
                     hist.record(f.lo(), f.hi());
                 }

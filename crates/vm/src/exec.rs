@@ -13,6 +13,8 @@ use crate::bytecode::{Insn, PoolConst, Precision, Program};
 use igen_interval::{DdI, F64I};
 use igen_kernels::{LaneOrScalar, Numeric};
 use igen_telemetry::{Counter, WidthHist};
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 /// Total bytecode instructions retired by [`run_lanes`] (one count per
 /// instruction per call, independent of lane width).
@@ -231,20 +233,32 @@ pub fn run_scalar_profiled<T: VmElem>(
     p.outputs.iter().map(|o| regs[o.reg as usize]).collect()
 }
 
+/// Programs with a histogram of their own; the outputs of any further
+/// program go to [`OTHER_WIDTHS`]. A long-running service compiles an
+/// unbounded number of distinct programs, and each histogram is leaked.
+const WIDTH_HIST_CAP: usize = 256;
+
+/// `width.vm.other`: the shared histogram beyond [`WIDTH_HIST_CAP`].
+static OTHER_WIDTHS: WidthHist = WidthHist::new("width.vm.other");
+
+fn width_hist_table() -> &'static Mutex<HashMap<String, &'static WidthHist>> {
+    static TABLE: OnceLock<Mutex<HashMap<String, &'static WidthHist>>> = OnceLock::new();
+    TABLE.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
 /// The per-program output-width histogram `width.vm.<name>`.
 ///
 /// The telemetry registry holds `'static` histograms, so per-program
-/// instances are interned and leaked on first use — programs are few
-/// and long-lived, and in non-telemetry builds the histogram is a
-/// zero-sized no-op.
+/// instances are interned and leaked on first use, up to
+/// [`WIDTH_HIST_CAP`] programs; in non-telemetry builds the histogram
+/// is a zero-sized no-op. Callers look it up only while recording.
 pub fn program_width_hist(name: &str) -> &'static WidthHist {
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    static TABLE: OnceLock<Mutex<HashMap<String, &'static WidthHist>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut t = table.lock().expect("vm hist table poisoned");
+    let mut t = width_hist_table().lock().expect("vm hist table poisoned");
     if let Some(h) = t.get(name) {
         return h;
+    }
+    if t.len() >= WIDTH_HIST_CAP {
+        return &OTHER_WIDTHS;
     }
     let full: &'static str = Box::leak(format!("width.vm.{name}").into_boxed_str());
     let h: &'static WidthHist = Box::leak(Box::new(WidthHist::new(full)));
@@ -255,6 +269,18 @@ pub fn program_width_hist(name: &str) -> &'static WidthHist {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn width_hist_table_stays_at_its_cap() {
+        for i in 0..10_000 {
+            program_width_hist(&format!("cap-test-{i}"));
+        }
+        assert_eq!(width_hist_table().lock().expect("table").len(), WIDTH_HIST_CAP);
+        let late = program_width_hist("cap-test-late");
+        assert!(std::ptr::eq(late, &OTHER_WIDTHS), "names beyond the cap share one histogram");
+        // Names interned before the cap keep their own histogram.
+        assert!(!std::ptr::eq(program_width_hist("cap-test-0"), &OTHER_WIDTHS));
+    }
     use crate::bytecode::OutputSlot;
 
     fn quad() -> Program {
