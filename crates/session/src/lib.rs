@@ -27,6 +27,7 @@ pub mod cache;
 pub mod flags;
 mod pipeline;
 pub mod service;
+mod shortest;
 
 pub use cache::{CacheStats, CompileCache};
 pub use flags::Flags;

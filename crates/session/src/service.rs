@@ -23,6 +23,11 @@
 //! mirroring the CLI's one-line exit-2 convention; the server never
 //! dies on a bad request.
 //!
+//! An interval endpoint travels as the shortest decimal that parses back
+//! to the same `f64`, laid out as Rust's `{:?}` would; NaN and the
+//! infinities travel as the strings `"NaN"`, `"inf"` and `"-inf"`
+//! (DESIGN.md §17).
+//!
 //! # Determinism
 //!
 //! A `compile`/`run`/`profile` response is a **pure function of its
@@ -49,14 +54,15 @@
 //! `session.worker.panics` counter is bumped, and the worker goes on
 //! serving.
 
-use crate::pipeline::{workload_dd, workload_f64, BindRequest, CompileRequest};
-use crate::Session;
+use crate::pipeline::{workload_dd, workload_f64, BindRequest, CompileRequest, CompiledUnit};
+use crate::{shortest, Session};
 use igen_batch::{BatchConfig, BatchDdI, BatchF64I};
 use igen_core::{Config, OptLevel, Precision};
 use igen_interval::{DdI, F64I};
 use igen_telemetry::json::{self, Json};
 use igen_telemetry::Counter;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -73,6 +79,11 @@ static PROFILE_LOCK: Mutex<()> = Mutex::new(());
 /// Hard ceiling on per-request batch sizes (a service must not let one
 /// request allocate unbounded memory).
 const MAX_BATCH: u64 = 1 << 20;
+
+/// Hard ceiling on the interval values of one run or profile, batch ×
+/// (inputs + outputs): those grow with a program's array lengths, so
+/// [`MAX_BATCH`] alone does not bound a request's memory.
+const MAX_VALUES: u64 = 1 << 22;
 
 /// Hard ceiling on `ping` `sleep_ms` (tests use sleeps to fill the
 /// queue deterministically; nothing should park a worker for minutes).
@@ -237,13 +248,10 @@ impl Service {
             "profile" => Work::Profile,
             "ping" => Work::Ping,
             "metrics" => {
-                let line = ok_line(
-                    &id,
-                    &format!(
-                        "\"kind\":\"metrics\",\"text\":{}",
-                        json::escape(&self.metrics_text())
-                    ),
-                );
+                let mut line = ok_head(&id);
+                line.push_str("\"kind\":\"metrics\",\"text\":");
+                line.push_str(&json::escape(&self.metrics_text()));
+                line.push('}');
                 return Ticket { slot: Slot::ready(line), shutdown: false };
             }
             "shutdown" => {
@@ -252,7 +260,8 @@ impl Service {
                     q.stop = true;
                 }
                 self.shared.job_ready.notify_all();
-                let line = ok_line(&id, "\"kind\":\"shutdown\"");
+                let mut line = ok_head(&id);
+                line.push_str("\"kind\":\"shutdown\"}");
                 return Ticket { slot: Slot::ready(line), shutdown: true };
             }
             k => return fail(&format!("unknown kind '{k}' (expected {KINDS})")),
@@ -384,31 +393,39 @@ fn answer(session: &Session, job: &Job, handler: Handler) -> String {
     )
 }
 
+/// Answers one job. An ok line is written in one pass: the head once,
+/// then the handler appends its body to the same buffer.
 fn handle(session: &Session, job: &Job) -> String {
+    let mut line = ok_head(&job.id);
     let result = match job.work {
-        Work::Ping => handle_ping(&job.body),
-        Work::Compile => handle_compile(session, &job.body),
-        Work::Run => handle_run(session, &job.body),
-        Work::Profile => handle_profile(session, &job.body),
+        Work::Ping => handle_ping(&job.body, &mut line),
+        Work::Compile => handle_compile(session, &job.body, &mut line),
+        Work::Run => handle_run(session, &job.body, &mut line),
+        Work::Profile => handle_profile(session, &job.body, &mut line),
     };
     match result {
-        Ok(body) => ok_line(&job.id, &body),
+        Ok(()) => {
+            line.push('}');
+            line
+        }
         Err(msg) => error_line(&job.id, &msg),
     }
 }
 
-fn handle_ping(body: &Json) -> Result<String, String> {
+fn handle_ping(body: &Json, out: &mut String) -> Result<(), String> {
     let sleep_ms = get_u64(body, "sleep_ms", 0)?.min(MAX_SLEEP_MS);
     if sleep_ms > 0 {
         std::thread::sleep(Duration::from_millis(sleep_ms));
     }
-    Ok("\"kind\":\"pong\"".to_string())
+    out.push_str("\"kind\":\"pong\"");
+    Ok(())
 }
 
-fn handle_compile(session: &Session, body: &Json) -> Result<String, String> {
+fn handle_compile(session: &Session, body: &Json, out: &mut String) -> Result<(), String> {
     let req = compile_request("compile", body)?;
     let unit = session.compile(&req).map_err(|e| e.to_string())?;
-    let mut out = format!(
+    let _ = write!(
+        out,
         "\"kind\":\"compile\",\"fn\":{},\"insns\":{},\"inputs\":{},\"outputs\":{}",
         json::escape(&unit.fn_name),
         unit.batch.program().insns.len(),
@@ -416,15 +433,17 @@ fn handle_compile(session: &Session, body: &Json) -> Result<String, String> {
         unit.n_outputs(),
     );
     if get_bool(body, "emit_bytecode", false)? {
-        out.push_str(&format!(",\"bytecode\":{}", json::escape(&unit.batch.program().dump())));
+        let _ = write!(out, ",\"bytecode\":{}", json::escape(&unit.batch.program().dump()));
     }
-    Ok(out)
+    Ok(())
 }
 
-fn handle_run(session: &Session, body: &Json) -> Result<String, String> {
+fn handle_run(session: &Session, body: &Json, out: &mut String) -> Result<(), String> {
     let req = compile_request("run", body)?;
     let unit = session.compile(&req).map_err(|e| e.to_string())?;
-    let threads = get_u64(body, "threads", 1)? as usize;
+    // No result bit depends on the thread count; the clamp keeps a
+    // request from asking for one OS thread per tile.
+    let threads = (get_u64(body, "threads", 1)? as usize).min(igen_batch::available_threads());
     let tile = get_u64(body, "tile", 0)? as usize;
     // seq_threshold 0 + the engine's bit-identity invariant: the same
     // request yields the same output bits at any thread/tile setting.
@@ -432,38 +451,50 @@ fn handle_run(session: &Session, body: &Json) -> Result<String, String> {
         BatchConfig::new().with_threads(threads).with_seq_threshold(0).with_tile_groups(tile);
     let nin = unit.n_inputs();
     let (batch, seed) = seeded_batch(body)?;
-    let (items, outputs) = match req.cfg.precision {
+    let explicit = body.get("inputs").map(|v| parse_input_pairs(v, nin)).transpose()?;
+    let items = explicit.as_ref().map_or(batch, |pairs| pairs.len() / nin);
+    check_values(&unit, items)?;
+    let _ = write!(
+        out,
+        "\"kind\":\"run\",\"fn\":{},\"items\":{items},\"outputs\":",
+        json::escape(&unit.fn_name)
+    );
+    match req.cfg.precision {
         Precision::Dd => {
-            let soa = match body.get("inputs") {
-                Some(v) => {
-                    let ivals: Vec<DdI> =
-                        parse_input_pairs(v, nin)?.iter().map(DdI::from_f64i).collect();
-                    BatchDdI::from_intervals(&ivals)
+            let soa = match explicit {
+                Some(pairs) => {
+                    BatchDdI::from_intervals(&pairs.iter().map(DdI::from_f64i).collect::<Vec<_>>())
                 }
                 None => workload_dd(&unit, batch, seed),
             };
-            let out = unit.batch.run_dd(&bcfg, &soa);
-            (soa.len() / nin, render_dd_outputs(&out))
+            let res = unit.batch.run_dd(&bcfg, &soa);
+            // Each endpoint as its exact [hi, lo] component pair.
+            push_intervals(out, res.len(), |i| {
+                let v = res.get(i);
+                let (lo, hi) = (v.lo(), v.hi());
+                [lo.hi(), lo.lo(), hi.hi(), hi.lo()]
+            });
         }
         _ => {
-            let soa = match body.get("inputs") {
-                Some(v) => BatchF64I::from_intervals(&parse_input_pairs(v, nin)?),
+            let soa = match explicit {
+                Some(pairs) => BatchF64I::from_intervals(&pairs),
                 None => workload_f64(&unit, batch, seed),
             };
-            let out = unit.batch.run(&bcfg, &soa);
-            (soa.len() / nin, render_f64_outputs(&out))
+            let res = unit.batch.run(&bcfg, &soa);
+            push_intervals(out, res.len(), |i| {
+                let v = res.get(i);
+                [v.lo(), v.hi()]
+            });
         }
-    };
-    Ok(format!(
-        "\"kind\":\"run\",\"fn\":{},\"items\":{items},\"outputs\":{outputs}",
-        json::escape(&unit.fn_name),
-    ))
+    }
+    Ok(())
 }
 
-fn handle_profile(session: &Session, body: &Json) -> Result<String, String> {
+fn handle_profile(session: &Session, body: &Json, out: &mut String) -> Result<(), String> {
     let req = compile_request("profile", body)?;
     let unit = session.compile(&req).map_err(|e| e.to_string())?;
     let (batch, seed) = seeded_batch(body)?;
+    check_values(&unit, batch)?;
     let n_insns = unit.batch.program().insns.len();
     let bcfg = BatchConfig::new().with_threads(1).with_seq_threshold(0);
 
@@ -489,7 +520,12 @@ fn handle_profile(session: &Session, body: &Json) -> Result<String, String> {
     igen_telemetry::set_recording(was_recording);
     let after = igen_telemetry::snapshot().profiles;
 
-    let mut sites = Vec::new();
+    let _ = write!(
+        out,
+        "\"kind\":\"profile\",\"fn\":{},\"insns\":{n_insns},\"telemetry\":{},\"sites\":[",
+        json::escape(&unit.fn_name),
+        igen_telemetry::COMPILED_IN,
+    );
     for rec in after.iter().filter(|r| r.unit == unit.fn_name) {
         let prev = before.iter().find(|r| r.site == rec.site && r.unit == rec.unit);
         let count = rec.count - prev.map_or(0, |r| r.count);
@@ -510,21 +546,25 @@ fn handle_profile(session: &Session, body: &Json) -> Result<String, String> {
             .filter(|(_, v)| *v > 0)
             .collect();
         let diff = igen_telemetry::ProfileRec { amp, count, ..rec.clone() };
-        let amp_json = diff.mean_amp_log2().map_or("null".to_string(), |a| format!("{a:?}"));
-        sites.push(format!(
-            "{{\"site\":{},\"op\":{},\"line\":{},\"col\":{},\"count\":{count},\"amp\":{amp_json}}}",
+        if !out.ends_with('[') {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"site\":{},\"op\":{},\"line\":{},\"col\":{},\"count\":{count},\"amp\":",
             rec.site,
             json::escape(&rec.op),
             rec.line,
             rec.col,
-        ));
+        );
+        match diff.mean_amp_log2() {
+            Some(a) => push_endpoint(out, a),
+            None => out.push_str("null"),
+        }
+        out.push('}');
     }
-    Ok(format!(
-        "\"kind\":\"profile\",\"fn\":{},\"insns\":{n_insns},\"telemetry\":{},\"sites\":[{}]",
-        json::escape(&unit.fn_name),
-        igen_telemetry::COMPILED_IN,
-        sites.join(","),
-    ))
+    out.push(']');
+    Ok(())
 }
 
 /// Builds the cache-keyed [`CompileRequest`] shared by the compile,
@@ -597,6 +637,19 @@ fn seeded_batch(body: &Json) -> Result<(usize, u64), String> {
     Ok((batch as usize, seed))
 }
 
+/// Refuses a run or profile of `items` items that would hold more than
+/// [`MAX_VALUES`] interval values, before any input is built.
+fn check_values(unit: &CompiledUnit, items: usize) -> Result<(), String> {
+    let (nin, nout) = (unit.n_inputs(), unit.n_outputs());
+    if (items as u64).saturating_mul((nin + nout) as u64) > MAX_VALUES {
+        return Err(format!(
+            "{items} items of {nin} inputs and {nout} outputs each exceed the limit of \
+             {MAX_VALUES} interval values"
+        ));
+    }
+    Ok(())
+}
+
 /// Parses an explicit `"inputs"` array of `[lo, hi]` pairs.
 fn parse_input_pairs(v: &Json, nin: usize) -> Result<Vec<F64I>, String> {
     let arr = v.as_arr().ok_or("\"inputs\" must be an array of [lo,hi] pairs")?;
@@ -618,53 +671,38 @@ fn parse_input_pairs(v: &Json, nin: usize) -> Result<Vec<F64I>, String> {
         .collect()
 }
 
-fn render_f64_outputs(out: &BatchF64I) -> String {
-    let mut s = String::from("[");
-    for i in 0..out.len() {
+/// Appends `[[e,…],…]`: one array of `N` endpoints per interval. The
+/// reservation is an upper bound, so the line never grows mid-write.
+fn push_intervals<const N: usize>(
+    out: &mut String,
+    len: usize,
+    endpoints: impl Fn(usize) -> [f64; N],
+) {
+    out.reserve(2 + len * (N * (shortest::MAX_LEN + 1) + 2));
+    out.push('[');
+    for i in 0..len {
         if i > 0 {
-            s.push(',');
+            out.push(',');
         }
-        let v = out.get(i);
-        s.push_str(&format!("[{},{}]", num(v.lo()), num(v.hi())));
+        for (k, v) in endpoints(i).into_iter().enumerate() {
+            out.push(if k == 0 { '[' } else { ',' });
+            push_endpoint(out, v);
+        }
+        out.push(']');
     }
-    s.push(']');
-    s
+    out.push(']');
 }
 
-/// Double-double outputs carry each endpoint as its exact `[hi, lo]`
-/// component pair: `[lo.hi, lo.lo, hi.hi, hi.lo]` per interval.
-fn render_dd_outputs(out: &BatchDdI) -> String {
-    let mut s = String::from("[");
-    for i in 0..out.len() {
-        if i > 0 {
-            s.push(',');
-        }
-        let v = out.get(i);
-        let (lo, hi) = (v.lo(), v.hi());
-        s.push_str(&format!(
-            "[{},{},{},{}]",
-            num(lo.hi()),
-            num(lo.lo()),
-            num(hi.hi()),
-            num(hi.lo())
-        ));
-    }
-    s.push(']');
-    s
-}
-
-/// One endpoint as JSON: shortest-roundtrip decimal for finite values;
-/// NaN/infinities (legal interval endpoints, illegal JSON numbers) as
-/// strings.
-fn num(v: f64) -> String {
+/// One endpoint as JSON: the shortest round-trip decimal for a finite
+/// value; NaN and the infinities (legal interval endpoints, illegal
+/// JSON numbers) as the strings `"NaN"`, `"inf"` and `"-inf"`.
+fn push_endpoint(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v:?}")
-    } else if v.is_nan() {
-        "\"NaN\"".to_string()
-    } else if v > 0.0 {
-        "\"inf\"".to_string()
+        shortest::push_f64(out, v);
     } else {
-        "\"-inf\"".to_string()
+        out.push('"');
+        shortest::push_f64(out, v);
+        out.push('"');
     }
 }
 
@@ -695,10 +733,12 @@ fn request_id(req: &Json) -> Result<Option<String>, String> {
     }
 }
 
-fn ok_line(id: &Option<String>, body: &str) -> String {
+/// Starts an ok response line, `{"id":…,"ok":true,`. The caller
+/// appends the body and the closing `}`.
+fn ok_head(id: &Option<String>) -> String {
     match id {
-        Some(id) => format!("{{\"id\":{id},\"ok\":true,{body}}}"),
-        None => format!("{{\"ok\":true,{body}}}"),
+        Some(id) => format!("{{\"id\":{id},\"ok\":true,"),
+        None => "{\"ok\":true,".to_string(),
     }
 }
 
@@ -896,5 +936,35 @@ mod tests {
             svc.submit(r#"{"id":3,"kind":"ping"}"#).wait(),
             r#"{"id":3,"ok":true,"kind":"pong"}"#
         );
+    }
+
+    /// Seven inputs and one output: 8 interval values per item.
+    const WIDE: &str = "double f(double a, double b, double c, double d, double e, double g, \
+                        double h) { return a + b + c + d + e + g + h; }";
+
+    #[test]
+    fn a_run_or_profile_over_the_value_cap_is_refused() {
+        let svc = Service::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+        // 2^19 + 1 items of 8 values each: within MAX_BATCH, just over
+        // MAX_VALUES.
+        for kind in ["run", "profile"] {
+            let line = format!(r#"{{"id":1,"kind":"{kind}","source":"{WIDE}","batch":524289}}"#);
+            assert_eq!(
+                svc.submit(&line).wait(),
+                r#"{"id":1,"ok":false,"error":"524289 items of 7 inputs and 1 outputs each exceed the limit of 4194304 interval values"}"#
+            );
+        }
+    }
+
+    #[test]
+    fn the_value_cap_admits_every_batch_of_a_one_in_one_out_program() {
+        let session = Session::new(0);
+        let compile =
+            |src: &str| session.compile(&CompileRequest::new(src, "test")).expect("compiles");
+        let sq = compile("double sq(double x) { return x * x; }");
+        assert_eq!(check_values(&sq, MAX_BATCH as usize), Ok(()));
+        let wide = compile(WIDE);
+        assert_eq!(check_values(&wide, 1 << 19), Ok(()));
+        assert!(check_values(&wide, (1 << 19) + 1).is_err());
     }
 }
