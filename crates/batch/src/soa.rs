@@ -12,7 +12,8 @@
 //! AVX gather or a future GPU port wants to touch.
 
 use igen_dd::Dd;
-use igen_interval::{DdI, DdIx2, DdIx4, F64Ix2, F64Ix4, LaneOps, F64I};
+use igen_interval::{DdI, DdIx4, F64Ix2, F64Ix4, LaneOps, F64I};
+use igen_round::simd::DdiCols4;
 
 /// A batch of double-precision intervals in structure-of-arrays layout:
 /// one column of negated lower endpoints, one of upper endpoints.
@@ -221,24 +222,21 @@ impl BatchDdI {
         (0..self.len()).map(|i| self.get(i)).collect()
     }
 
-    /// Loads lanes `start, start+stride, ..` into a 2-wide lane vector.
-    pub fn load_x2(&self, start: usize, stride: usize) -> DdIx2 {
-        DdIx2([self.get(start), self.get(start + stride)])
-    }
-
-    /// Loads lanes `start, start+stride, ..` into a 4-wide lane vector.
+    /// Loads lanes `start, start+stride, ..` into a 4-wide lane vector:
+    /// four column-to-column gathers, no interval reassembly.
     pub fn load_x4(&self, start: usize, stride: usize) -> DdIx4 {
-        DdIx4([
-            self.get(start),
-            self.get(start + stride),
-            self.get(start + 2 * stride),
-            self.get(start + 3 * stride),
-        ])
+        let idx = [start, start + stride, start + 2 * stride, start + 3 * stride];
+        DdIx4::from_columns(DdiCols4 {
+            neg_lo_hi: idx.map(|i| self.neg_lo_hi[i]),
+            neg_lo_lo: idx.map(|i| self.neg_lo_lo[i]),
+            hi_hi: idx.map(|i| self.hi_hi[i]),
+            hi_lo: idx.map(|i| self.hi_lo[i]),
+        })
     }
 
     /// Loads four consecutive lanes starting at `start` (API parity with
-    /// [`BatchF64I::load_x4_contig`]; the dd lane types have no packed
-    /// backend, so this is simply the unit-stride load).
+    /// [`BatchF64I::load_x4_contig`]): the unit-stride [`Self::load_x4`],
+    /// four column loads.
     pub fn load_x4_contig(&self, start: usize) -> DdIx4 {
         self.load_x4(start, 1)
     }

@@ -10,8 +10,8 @@
 #![cfg(feature = "telemetry")]
 
 use igen_batch::engine::par_map;
-use igen_batch::{dot_batch, henon_ensemble, BatchConfig, BatchF64I};
-use igen_interval::{F64Ix4, LaneOps};
+use igen_batch::{dot_batch, henon_ensemble, BatchConfig, BatchDdI, BatchF64I};
+use igen_interval::{DdIx4, F64Ix4, LaneOps};
 use igen_kernels::workload;
 use igen_telemetry::Snapshot;
 use proptest::prelude::*;
@@ -69,6 +69,16 @@ proptest! {
         // unary/comparison patch-site counters are exercised too.
         let groups: Vec<F64Ix4> =
             (0..batch * n / 4).map(|g| xs.load_x4_contig(g * 4)).collect();
+        // Double-double groups for the packed dd add/mul kernels
+        // (nonzero low words, as in the paper's dd workload).
+        let dds = BatchDdI::from_intervals(&workload::dd_intervals_1ulp(
+            &mut workload::rng(seed ^ 0x5bd1_e995),
+            batch * n,
+            -2.0,
+            2.0,
+        ));
+        let dd_groups: Vec<DdIx4> =
+            (0..batch * n / 4).map(|g| dds.load_x4_contig(g * 4)).collect();
         let run = |threads: usize| {
             let cfg = BatchConfig::new().with_threads(threads).with_seq_threshold(0);
             traced(|| {
@@ -78,6 +88,7 @@ proptest! {
                     let square = v.sqr();
                     (root, square, v.cmp_lt(square).lane(0))
                 }));
+                igen_bench_sink(par_map(&cfg, &dd_groups, |v| (*v * *v - *v).mul_add(*v, *v)));
             })
         };
         let base = run(1);
@@ -86,7 +97,11 @@ proptest! {
             base_counters.iter().any(|(n, v)| n.starts_with("simd.") && *v > 0),
             "the workload must actually exercise the instrumented kernels: {base_counters:?}"
         );
-        for op in ["sqrt", "sqr", "abs", "cmp"] {
+        let mut ops = vec!["sqrt", "sqr", "abs", "cmp"];
+        if igen_round::simd::detected_backend() == igen_round::simd::Backend::Avx2Fma {
+            ops.extend(["dd_add", "dd_mul"]);
+        }
+        for op in ops {
             let name = format!("simd.{op}.packed_calls");
             prop_assert!(
                 base_counters.iter().any(|(n, v)| *n == name && *v > 0),

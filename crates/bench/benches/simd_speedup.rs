@@ -9,6 +9,12 @@
 //! - `simd`: the same lane types dispatching to the packed
 //!   `igen_round::simd` kernels on the host's detected backend.
 //!
+//! The `dd_add`/`dd_mul` op rows measure the same three variants for
+//! double-double intervals: scalar `DdI` loops, `DdIx4` lane loops
+//! (forced `Portable`) and `DdIx4` on the detected backend (the packed
+//! double-double kernels on AVX2+FMA), on 1-ulp dd inputs with nonzero
+//! low words.
+//!
 //! A plain run (without `--test`) records `results/simd_speedup.csv`
 //! with per-op and per-paper-kernel rows. Every kernel row routes
 //! through the lane types: `gemm` evolves four columns of `C` per
@@ -22,7 +28,7 @@ use igen_batch::{
     dot_batch, ffnn_batch, gemm_row_blocks, henon_ensemble, mvm_batch, BatchConfig, BatchF64I,
 };
 use igen_bench::{host_line, median_time, write_csv_with_comments};
-use igen_interval::{F64Ix4, LaneOps, F64I};
+use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, F64I};
 use igen_kernels::ffnn::Ffnn;
 use igen_kernels::{henon_from, linalg, workload};
 use igen_round::simd::{self, Backend};
@@ -61,6 +67,15 @@ fn to_lanes(xs: &[F64I]) -> Vec<F64Ix4> {
     xs.chunks_exact(4).map(|c| F64Ix4::from_lanes([c[0], c[1], c[2], c[3]])).collect()
 }
 
+/// Double-double intervals of width `ulp(x_lo)` (the paper's dd inputs).
+fn dd_sample(seed: u64, len: usize) -> Vec<DdI> {
+    workload::dd_intervals_1ulp(&mut workload::rng(seed), len, -2.0, 2.0)
+}
+
+fn to_dd_lanes(xs: &[DdI]) -> Vec<DdIx4> {
+    xs.chunks_exact(4).map(|c| DdIx4::from_lanes([c[0], c[1], c[2], c[3]])).collect()
+}
+
 /// Runs `f` with the dispatch pinned to `bk` (clamped to the host).
 fn timed_with_backend(bk: Backend, reps: usize, mut f: impl FnMut()) -> Duration {
     simd::force_backend(Some(bk));
@@ -82,6 +97,8 @@ fn op_rows(reps: usize) -> Vec<Row> {
     let b = sample_positive(12, OP_N);
     let c = sample(13, OP_N);
     let (va, vb, vc) = (to_lanes(&a), to_lanes(&b), to_lanes(&c));
+    let (da, db) = (dd_sample(14, OP_N), dd_sample(15, OP_N));
+    let (vda, vdb) = (to_dd_lanes(&da), to_dd_lanes(&db));
 
     type OpSpec<'a> = (&'static str, Box<dyn FnMut() + 'a>, Box<dyn FnMut() + 'a>);
     let specs: Vec<OpSpec> = {
@@ -252,6 +269,52 @@ fn op_rows(reps: usize) -> Vec<Row> {
                     move || {
                         for i in 0..OP_N / 4 {
                             out[i] = va[i].sqr();
+                        }
+                        black_box(&out);
+                    }
+                }
+            ),
+            op!(
+                "dd_add",
+                {
+                    let mut out = vec![DdI::ZERO; OP_N];
+                    let (a, b) = (&da, &db);
+                    move || {
+                        for i in 0..OP_N {
+                            out[i] = a[i] + b[i];
+                        }
+                        black_box(&out);
+                    }
+                },
+                {
+                    let mut out = vec![DdIx4::default(); OP_N / 4];
+                    let (va, vb) = (&vda, &vdb);
+                    move || {
+                        for i in 0..OP_N / 4 {
+                            out[i] = va[i] + vb[i];
+                        }
+                        black_box(&out);
+                    }
+                }
+            ),
+            op!(
+                "dd_mul",
+                {
+                    let mut out = vec![DdI::ZERO; OP_N];
+                    let (a, b) = (&da, &db);
+                    move || {
+                        for i in 0..OP_N {
+                            out[i] = a[i] * b[i];
+                        }
+                        black_box(&out);
+                    }
+                },
+                {
+                    let mut out = vec![DdIx4::default(); OP_N / 4];
+                    let (va, vb) = (&vda, &vdb);
+                    move || {
+                        for i in 0..OP_N / 4 {
+                            out[i] = va[i] * vb[i];
                         }
                         black_box(&out);
                     }
@@ -445,6 +508,35 @@ fn bench_ops(c: &mut Criterion) {
                 let mut acc = F64Ix4::default();
                 for i in 0..OP_N / 4 {
                     acc = acc + black_box(va[i]) * black_box(vb[i]);
+                }
+                black_box(acc)
+            });
+            simd::force_backend(None);
+        });
+    }
+    g.finish();
+
+    // The double-double counterpart: the `simd` variant runs the packed
+    // dd kernels on AVX2+FMA hosts (so the CI smoke exercises them).
+    let (da, db) = (dd_sample(14, OP_N), dd_sample(15, OP_N));
+    let (vda, vdb) = (to_dd_lanes(&da), to_dd_lanes(&db));
+    let mut g = c.benchmark_group("simd_speedup_dd_mul");
+    g.bench_function("scalar", |bch| {
+        bch.iter(|| {
+            let mut acc = DdI::ZERO;
+            for i in 0..OP_N {
+                acc = acc + black_box(da[i]) * black_box(db[i]);
+            }
+            black_box(acc)
+        })
+    });
+    for (tag, bk) in [("lane_portable", Backend::Portable), ("simd", simd::detected_backend())] {
+        g.bench_function(tag, |bch| {
+            simd::force_backend(Some(bk));
+            bch.iter(|| {
+                let mut acc = DdIx4::default();
+                for i in 0..OP_N / 4 {
+                    acc = acc + black_box(vda[i]) * black_box(vdb[i]);
                 }
                 black_box(acc)
             });

@@ -17,10 +17,15 @@
 //! scalar [`F64I`] operations — the property tests pin this on random and
 //! special-value lanes.
 //!
-//! The double-double lane types ([`DdIx2`], [`DdIx4`]) keep the plain
-//! lane-loop shape: a `DdI` operation is a long chain of dependent EFTs
-//! with little packed-width parallelism to harvest, and LLVM already
-//! autovectorizes the independent lanes where profitable.
+//! [`DdIx4`] applies the same transposition to double-double intervals:
+//! four columns (high and low words of `neg_lo` and of `hi`). A `DdI`
+//! operation is a chain of about a hundred dependent operations per
+//! directed product — longer than the out-of-order window, so
+//! independent scalar lanes barely overlap — and the packed kernels run
+//! the four chains side by side in one register each: add, sub and mul
+//! are one kernel call apiece on the AVX2+FMA backend, with the lanes
+//! that leave the scalar hot path recomputed by the scalar op (see
+//! DESIGN.md §10). [`DdIx2`] widens into [`DdIx4`].
 
 use crate::ddi::DdI;
 use crate::f64i::F64I;
@@ -56,6 +61,12 @@ impl TBoolLanes {
         TBoolLanes { vals, n }
     }
 
+    /// The first two verdicts of a comparison widened from 2 to 4
+    /// lanes.
+    fn first_two(self) -> TBoolLanes {
+        TBoolLanes::new([self.vals[0], self.vals[1], TBool::Unknown, TBool::Unknown], 2)
+    }
+
     /// Number of live lanes.
     #[must_use]
     pub fn lanes(&self) -> usize {
@@ -76,9 +87,10 @@ impl TBoolLanes {
 
 /// The unified operation surface of the packed interval lane types —
 /// every vectorized kernel in `igen-kernels`/`igen-batch` is written once
-/// against this trait and instantiated for [`F64Ix2`]/[`F64Ix4`] (packed
-/// x86 kernels with scalar-patch fallback) and [`DdIx2`]/[`DdIx4`]
-/// (lane loops over the double-double scalar ops).
+/// against this trait and instantiated for [`F64Ix2`]/[`F64Ix4`] and
+/// [`DdIx2`]/[`DdIx4`] (packed x86 kernels with scalar-patch fallback;
+/// the double-double types pack add, sub and mul and run their other
+/// ops lane by lane).
 ///
 /// Every method is **bit-identical per lane** to the corresponding scalar
 /// [`F64I`]/[`DdI`] operation: a lane of `a.sqrt()` equals
@@ -542,18 +554,15 @@ impl LaneOps for F64Ix2 {
     }
 
     fn cmp_lt(self, other: Self) -> TBoolLanes {
-        let m = self.widen().cmp_lt(other.widen());
-        TBoolLanes::new([m.vals[0], m.vals[1], TBool::Unknown, TBool::Unknown], 2)
+        self.widen().cmp_lt(other.widen()).first_two()
     }
 
     fn cmp_le(self, other: Self) -> TBoolLanes {
-        let m = self.widen().cmp_le(other.widen());
-        TBoolLanes::new([m.vals[0], m.vals[1], TBool::Unknown, TBool::Unknown], 2)
+        self.widen().cmp_le(other.widen()).first_two()
     }
 
     fn cmp_eq(self, other: Self) -> TBoolLanes {
-        let m = self.widen().cmp_eq(other.widen());
-        TBoolLanes::new([m.vals[0], m.vals[1], TBool::Unknown, TBool::Unknown], 2)
+        self.widen().cmp_eq(other.widen()).first_two()
     }
 }
 
@@ -617,181 +626,317 @@ impl core::ops::Div for F64Ix2 {
     }
 }
 
-/// Plain lane-loop vector types (used for the double-double lanes, where
-/// the long dependent EFT chains leave little packed parallelism).
-macro_rules! lane_type {
-    ($(#[$doc:meta])* $name:ident, $elem:ty, $n:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq)]
-        pub struct $name(pub [$elem; $n]);
-
-        impl $name {
-            /// Packs `LANES` intervals.
-            pub fn from_lanes(xs: [$elem; $n]) -> Self {
-                $name(xs)
-            }
-
-            /// Applies a scalar op to every lane.
-            #[inline]
-            fn map(self, f: impl Fn(&$elem) -> $elem) -> Self {
-                let mut out = [<$elem>::default(); $n];
-                for i in 0..$n {
-                    out[i] = f(&self.0[i]);
-                }
-                $name(out)
-            }
-        }
-
-        impl LaneOps for $name {
-            type Elem = $elem;
-            type Endpoint = Dd;
-            const LANES: usize = $n;
-
-            fn splat(v: $elem) -> Self {
-                $name([v; $n])
-            }
-
-            fn from_lanes_fn(f: impl FnMut(usize) -> $elem) -> Self {
-                $name(core::array::from_fn(f))
-            }
-
-            fn from_columns_slice(neg_lo: &[Dd], hi: &[Dd]) -> Self {
-                Self::from_lanes_fn(|i| <$elem>::from_neg_lo_hi(neg_lo[i], hi[i]))
-            }
-
-            #[inline]
-            fn lane(&self, i: usize) -> $elem {
-                debug_assert!(
-                    i < $n,
-                    concat!(stringify!($name), " lane index {} out of range ({} lanes)"),
-                    i,
-                    $n
-                );
-                self.0[i]
-            }
-
-            fn sqrt(self) -> Self {
-                self.map(|x| x.sqrt())
-            }
-
-            fn abs(self) -> Self {
-                self.map(|x| x.abs())
-            }
-
-            fn sqr(self) -> Self {
-                self.map(|x| x.sqr())
-            }
-
-            fn relu(self) -> Self {
-                self.map(|x| x.max_i(&<$elem>::ZERO))
-            }
-
-            fn cmp_lt(self, other: Self) -> TBoolLanes {
-                let mut vals = [TBool::Unknown; 4];
-                for i in 0..$n {
-                    vals[i] = self.0[i].cmp_lt(&other.0[i]);
-                }
-                TBoolLanes::new(vals, $n)
-            }
-
-            fn cmp_le(self, other: Self) -> TBoolLanes {
-                let mut vals = [TBool::Unknown; 4];
-                for i in 0..$n {
-                    vals[i] = self.0[i].cmp_le(&other.0[i]);
-                }
-                TBoolLanes::new(vals, $n)
-            }
-
-            fn cmp_eq(self, other: Self) -> TBoolLanes {
-                let mut vals = [TBool::Unknown; 4];
-                for i in 0..$n {
-                    vals[i] = self.0[i].cmp_eq(&other.0[i]);
-                }
-                TBoolLanes::new(vals, $n)
-            }
-        }
-
-        impl core::ops::Add for $name {
-            type Output = $name;
-            #[inline]
-            fn add(self, rhs: $name) -> $name {
-                let mut out = [<$elem>::default(); $n];
-                for i in 0..$n {
-                    out[i] = self.0[i] + rhs.0[i];
-                }
-                $name(out)
-            }
-        }
-
-        impl core::ops::Sub for $name {
-            type Output = $name;
-            #[inline]
-            fn sub(self, rhs: $name) -> $name {
-                let mut out = [<$elem>::default(); $n];
-                for i in 0..$n {
-                    out[i] = self.0[i] - rhs.0[i];
-                }
-                $name(out)
-            }
-        }
-
-        impl core::ops::Mul for $name {
-            type Output = $name;
-            #[inline]
-            fn mul(self, rhs: $name) -> $name {
-                let mut out = [<$elem>::default(); $n];
-                for i in 0..$n {
-                    out[i] = self.0[i] * rhs.0[i];
-                }
-                $name(out)
-            }
-        }
-
-        impl core::ops::Div for $name {
-            type Output = $name;
-            #[inline]
-            fn div(self, rhs: $name) -> $name {
-                let mut out = [<$elem>::default(); $n];
-                for i in 0..$n {
-                    out[i] = self.0[i] / rhs.0[i];
-                }
-                $name(out)
-            }
-        }
-
-        impl core::ops::Neg for $name {
-            type Output = $name;
-            #[inline]
-            fn neg(self) -> $name {
-                let mut out = [<$elem>::default(); $n];
-                for i in 0..$n {
-                    out[i] = -self.0[i];
-                }
-                $name(out)
-            }
-        }
-
-        impl Default for $name {
-            fn default() -> Self {
-                $name([<$elem>::default(); $n])
-            }
-        }
-    };
+/// Four packed double-double intervals (`4 ddi` of Table II) in
+/// SoA-in-register layout: four endpoint columns — the high and low
+/// words of the negated lower endpoints and of the upper endpoints —
+/// exactly the column layout of `igen-batch`'s `BatchDdI`, so each
+/// column is one AVX register.
+///
+/// Addition, subtraction and multiplication run the packed
+/// double-double kernels of [`igen_round::simd`] on the AVX2+FMA
+/// backend: one kernel call per operation, whose validity mask names
+/// the lanes that left the scalar hot path; only those lanes are
+/// recomputed with the scalar [`DdI`] operation. On the SSE2 and
+/// portable backends (no hardware FMA for the directed products), and
+/// for every other operation, the lanes run the scalar `DdI` ops one
+/// by one. Every path is bit-identical per lane to the scalar op.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct DdIx4 {
+    cols: simd::DdiCols4,
 }
 
-lane_type!(
-    /// Two packed double-double intervals (`2 ddi` of Table II).
-    DdIx2,
-    DdI,
-    2
-);
+impl DdIx4 {
+    /// Packs four intervals.
+    pub fn from_lanes(xs: [DdI; 4]) -> DdIx4 {
+        let (nl, h) = (xs.map(|x| x.neg_lo()), xs.map(|x| x.hi()));
+        DdIx4 {
+            cols: simd::DdiCols4 {
+                neg_lo_hi: nl.map(|d| d.hi()),
+                neg_lo_lo: nl.map(|d| d.lo()),
+                hi_hi: h.map(|d| d.hi()),
+                hi_lo: h.map(|d| d.lo()),
+            },
+        }
+    }
 
-lane_type!(
-    /// Four packed double-double intervals (`4 ddi` of Table II).
-    DdIx4,
-    DdI,
-    4
-);
+    /// Builds directly from the four endpoint columns — the raw
+    /// representation, used by the batch engine to fill lane vectors
+    /// straight from its SoA buffers. The caller asserts every lane
+    /// holds the components of a valid `DdI` (as with
+    /// [`DdI::from_neg_lo_hi`]).
+    #[inline]
+    pub fn from_columns(cols: simd::DdiCols4) -> DdIx4 {
+        DdIx4 { cols }
+    }
+
+    /// Applies a scalar op to every lane.
+    #[inline]
+    fn map(self, f: impl Fn(DdI) -> DdI) -> DdIx4 {
+        Self::from_lanes_fn(|i| f(self.lane(i)))
+    }
+
+    /// Takes a packed kernel's result, recomputing with the scalar op
+    /// `f` every lane whose bit is clear in the validity mask `ok`;
+    /// `None` (no packed kernel on this backend) computes all lanes
+    /// with `f`.
+    #[inline]
+    fn packed_or_scalar(res: Option<(simd::DdiCols4, u8)>, f: impl Fn(usize) -> DdI) -> DdIx4 {
+        match res {
+            Some((cols, 0b1111)) => DdIx4 { cols },
+            Some((cols, ok)) => DdIx4 { cols }.patch(ok, f),
+            None => Self::from_lanes_fn(f),
+        }
+    }
+
+    /// Lane-by-lane scalar recompute of the lanes a packed kernel
+    /// flagged (cold: the guards fail only on special or extreme
+    /// operands).
+    #[cold]
+    fn patch(mut self, ok: u8, f: impl Fn(usize) -> DdI) -> DdIx4 {
+        for i in 0..4 {
+            if ok & (1 << i) == 0 {
+                let x = f(i);
+                let (nl, h) = (x.neg_lo(), x.hi());
+                let c = &mut self.cols;
+                (c.neg_lo_hi[i], c.neg_lo_lo[i], c.hi_hi[i], c.hi_lo[i]) =
+                    (nl.hi(), nl.lo(), h.hi(), h.lo());
+            }
+        }
+        self
+    }
+}
+
+impl LaneOps for DdIx4 {
+    type Elem = DdI;
+    type Endpoint = Dd;
+    const LANES: usize = 4;
+
+    fn splat(v: DdI) -> Self {
+        Self::from_lanes([v; 4])
+    }
+
+    fn from_lanes_fn(f: impl FnMut(usize) -> DdI) -> Self {
+        Self::from_lanes(core::array::from_fn(f))
+    }
+
+    fn from_columns_slice(neg_lo: &[Dd], hi: &[Dd]) -> Self {
+        Self::from_lanes_fn(|i| DdI::from_neg_lo_hi(neg_lo[i], hi[i]))
+    }
+
+    #[inline]
+    fn lane(&self, i: usize) -> DdI {
+        debug_assert!(i < 4, "DdIx4 lane index {i} out of range (4 lanes)");
+        let c = &self.cols;
+        DdI::from_neg_lo_hi(
+            Dd::from_parts_unchecked(c.neg_lo_hi[i], c.neg_lo_lo[i]),
+            Dd::from_parts_unchecked(c.hi_hi[i], c.hi_lo[i]),
+        )
+    }
+
+    fn sqrt(self) -> Self {
+        self.map(|x| x.sqrt())
+    }
+
+    fn abs(self) -> Self {
+        self.map(|x| x.abs())
+    }
+
+    fn sqr(self) -> Self {
+        self.map(|x| x.sqr())
+    }
+
+    fn relu(self) -> Self {
+        self.map(|x| x.max_i(&DdI::ZERO))
+    }
+
+    fn cmp_lt(self, other: Self) -> TBoolLanes {
+        TBoolLanes::new(core::array::from_fn(|i| self.lane(i).cmp_lt(&other.lane(i))), 4)
+    }
+
+    fn cmp_le(self, other: Self) -> TBoolLanes {
+        TBoolLanes::new(core::array::from_fn(|i| self.lane(i).cmp_le(&other.lane(i))), 4)
+    }
+
+    fn cmp_eq(self, other: Self) -> TBoolLanes {
+        TBoolLanes::new(core::array::from_fn(|i| self.lane(i).cmp_eq(&other.lane(i))), 4)
+    }
+}
+
+impl core::ops::Add for DdIx4 {
+    type Output = DdIx4;
+    /// Packed interval addition: one `simd::ddi_add_4` call, flagged
+    /// lanes patched with [`DdI::add`].
+    #[inline]
+    fn add(self, rhs: DdIx4) -> DdIx4 {
+        let res = simd::ddi_add_4(simd::active_backend(), &self.cols, &rhs.cols);
+        Self::packed_or_scalar(res, |i| self.lane(i) + rhs.lane(i))
+    }
+}
+
+impl core::ops::Sub for DdIx4 {
+    type Output = DdIx4;
+    /// Packed interval subtraction `a + (-b)`: [`DdI::sub`] is exactly
+    /// [`DdI::add`] with the second operand's endpoints swapped, and the
+    /// swap (negation) is exact.
+    #[inline]
+    fn sub(self, rhs: DdIx4) -> DdIx4 {
+        self + -rhs
+    }
+}
+
+impl core::ops::Mul for DdIx4 {
+    type Output = DdIx4;
+    /// Packed interval multiplication: one `simd::ddi_mul_4` call,
+    /// flagged lanes patched with [`DdI::mul`].
+    #[inline]
+    fn mul(self, rhs: DdIx4) -> DdIx4 {
+        let res = simd::ddi_mul_4(simd::active_backend(), &self.cols, &rhs.cols);
+        Self::packed_or_scalar(res, |i| self.lane(i) * rhs.lane(i))
+    }
+}
+
+impl core::ops::Div for DdIx4 {
+    type Output = DdIx4;
+    #[inline]
+    fn div(self, rhs: DdIx4) -> DdIx4 {
+        Self::from_lanes_fn(|i| self.lane(i) / rhs.lane(i))
+    }
+}
+
+impl core::ops::Neg for DdIx4 {
+    type Output = DdIx4;
+    /// Exact per-lane endpoint swap, as [`DdI::neg`].
+    #[inline]
+    fn neg(self) -> DdIx4 {
+        let c = self.cols;
+        DdIx4 {
+            cols: simd::DdiCols4 {
+                neg_lo_hi: c.hi_hi,
+                neg_lo_lo: c.hi_lo,
+                hi_hi: c.neg_lo_hi,
+                hi_lo: c.neg_lo_lo,
+            },
+        }
+    }
+}
+
+/// Two packed double-double intervals (`2 ddi` of Table II). Every
+/// operation widens into [`DdIx4`] with two `[1, 1]` padding lanes and
+/// narrows back, as [`F64Ix2`] does: lanes are independent, so the
+/// padding cannot influence the live ones, and `[1, 1]` stays on the
+/// packed hot path and is a zero-free divisor.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct DdIx2([DdI; 2]);
+
+impl DdIx2 {
+    /// Packs two intervals.
+    pub fn from_lanes(xs: [DdI; 2]) -> DdIx2 {
+        DdIx2(xs)
+    }
+
+    #[inline]
+    fn widen(self) -> DdIx4 {
+        let one = DdI::point_f64(1.0);
+        DdIx4::from_lanes([self.0[0], self.0[1], one, one])
+    }
+
+    #[inline]
+    fn narrow(v: DdIx4) -> DdIx2 {
+        DdIx2([v.lane(0), v.lane(1)])
+    }
+}
+
+impl LaneOps for DdIx2 {
+    type Elem = DdI;
+    type Endpoint = Dd;
+    const LANES: usize = 2;
+
+    fn splat(v: DdI) -> Self {
+        DdIx2([v; 2])
+    }
+
+    fn from_lanes_fn(f: impl FnMut(usize) -> DdI) -> Self {
+        DdIx2(core::array::from_fn(f))
+    }
+
+    fn from_columns_slice(neg_lo: &[Dd], hi: &[Dd]) -> Self {
+        Self::from_lanes_fn(|i| DdI::from_neg_lo_hi(neg_lo[i], hi[i]))
+    }
+
+    #[inline]
+    fn lane(&self, i: usize) -> DdI {
+        debug_assert!(i < 2, "DdIx2 lane index {i} out of range (2 lanes)");
+        self.0[i]
+    }
+
+    fn sqrt(self) -> Self {
+        Self::narrow(self.widen().sqrt())
+    }
+
+    fn abs(self) -> Self {
+        Self::narrow(self.widen().abs())
+    }
+
+    fn sqr(self) -> Self {
+        Self::narrow(self.widen().sqr())
+    }
+
+    fn relu(self) -> Self {
+        Self::narrow(self.widen().relu())
+    }
+
+    fn cmp_lt(self, other: Self) -> TBoolLanes {
+        self.widen().cmp_lt(other.widen()).first_two()
+    }
+
+    fn cmp_le(self, other: Self) -> TBoolLanes {
+        self.widen().cmp_le(other.widen()).first_two()
+    }
+
+    fn cmp_eq(self, other: Self) -> TBoolLanes {
+        self.widen().cmp_eq(other.widen()).first_two()
+    }
+}
+
+impl core::ops::Add for DdIx2 {
+    type Output = DdIx2;
+    #[inline]
+    fn add(self, rhs: DdIx2) -> DdIx2 {
+        Self::narrow(self.widen() + rhs.widen())
+    }
+}
+
+impl core::ops::Sub for DdIx2 {
+    type Output = DdIx2;
+    #[inline]
+    fn sub(self, rhs: DdIx2) -> DdIx2 {
+        Self::narrow(self.widen() - rhs.widen())
+    }
+}
+
+impl core::ops::Mul for DdIx2 {
+    type Output = DdIx2;
+    #[inline]
+    fn mul(self, rhs: DdIx2) -> DdIx2 {
+        Self::narrow(self.widen() * rhs.widen())
+    }
+}
+
+impl core::ops::Div for DdIx2 {
+    type Output = DdIx2;
+    #[inline]
+    fn div(self, rhs: DdIx2) -> DdIx2 {
+        Self::narrow(self.widen() / rhs.widen())
+    }
+}
+
+impl core::ops::Neg for DdIx2 {
+    type Output = DdIx2;
+    #[inline]
+    fn neg(self) -> DdIx2 {
+        Self::narrow(-self.widen())
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -7,13 +7,18 @@
 //! vector operation equals the scalar `F64I` result bit for bit —
 //! including NaN, infinite, subnormal and signed-zero endpoints, which
 //! the random generator produces and the deterministic grid guarantees.
+//! `DdIx4`/`DdIx2` add, sub, mul and `mul_add` get the same treatment
+//! against scalar `DdI`: on AVX2+FMA they run the packed double-double
+//! kernels, elsewhere lane loops.
 //!
 //! The backend override is process-global, so every forced section takes
 //! a mutex; no other test in this binary touches the lane types outside
 //! of it.
 
-use igen_interval::{F64Ix2, F64Ix4, LaneOps, TBool, F64I};
+use igen_dd::Dd;
+use igen_interval::{DdI, DdIx2, DdIx4, F64Ix2, F64Ix4, LaneOps, TBool, F64I};
 use igen_round::simd::{self, Backend};
+use igen_round::Ru;
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -173,6 +178,80 @@ fn vector_ops_bit_identical_special_grid() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// A random double-double with a nonzero low word, over binades wide
+/// enough that products leave the FMA-residual range and overflow.
+fn dd_value() -> impl Strategy<Value = Dd> {
+    let binade = prop_oneof![3 => -40i32..40, 1 => -700i32..700];
+    (1.0f64..2.0, binade, -0.49f64..0.49, any::<bool>()).prop_map(|(m, e, l, neg)| {
+        let xh = if neg { -m } else { m } * 2f64.powi(e);
+        Dd::new(xh, l * igen_round::ulp(xh))
+    })
+}
+
+/// Double-double intervals: 1-ulp intervals around random
+/// double-doubles (the paper's dd workload recipe), wide intervals
+/// between two of them, points, and promoted `F64I` intervals with the
+/// full range of special endpoints (zero low words, NaN, ±inf, ±0).
+fn dd_iv() -> impl Strategy<Value = DdI> {
+    prop_oneof![
+        3 => dd_value().prop_map(|x| {
+            let w = igen_round::ulp(x.lo().abs().max(f64::MIN_POSITIVE));
+            DdI::new(x, igen_dd::add_dir::<Ru>(x, Dd::from(w))).expect("ordered")
+        }),
+        2 => (dd_value(), dd_value()).prop_map(|(x, y)| {
+            let (lo, hi) = if x.le(&y) { (x, y) } else { (y, x) };
+            DdI::new(lo, hi).expect("ordered")
+        }),
+        1 => dd_value().prop_map(DdI::point),
+        2 => iv_any().prop_map(|x| DdI::from_f64i(&x)),
+    ]
+}
+
+fn dd_same(got: DdI, want: DdI) -> bool {
+    let bits =
+        |x: DdI| [x.neg_lo().hi(), x.neg_lo().lo(), x.hi().hi(), x.hi().lo()].map(f64::to_bits);
+    bits(got) == bits(want)
+}
+
+/// Checks `DdIx4`/`DdIx2` add, sub, mul and `mul_add` lane-wise against
+/// the scalar `DdI` ops, under the given backend.
+fn check_dd_lanes(bk: Backend, a: [DdI; 4], b: [DdI; 4]) -> Result<(), TestCaseError> {
+    let want: Vec<[DdI; 4]> =
+        (0..4).map(|i| [a[i] + b[i], a[i] - b[i], a[i] * b[i], a[i] * b[i] + a[i]]).collect();
+    let (got4, got2) = with_backend(bk, || {
+        let (va, vb) = (DdIx4::from_lanes(a), DdIx4::from_lanes(b));
+        let (wa, wb) = (DdIx2::from_lanes([a[0], a[1]]), DdIx2::from_lanes([b[0], b[1]]));
+        (
+            [va + vb, va - vb, va * vb, va.mul_add(vb, va)],
+            [wa + wb, wa - wb, wa * wb, wa.mul_add(wb, wa)],
+        )
+    });
+    for (k, op) in ["add", "sub", "mul", "mul_add"].iter().enumerate() {
+        for i in 0..4 {
+            let ctx = format!("{bk:?} lane {i}: a={} b={}", a[i], b[i]);
+            prop_assert!(dd_same(got4[k].lane(i), want[i][k]), "ddx4 {op} {ctx}");
+            if i < 2 {
+                prop_assert!(dd_same(got2[k].lane(i), want[i][k]), "ddx2 {op} {ctx}");
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn dd_vector_ops_bit_identical_all_backends(
+        a0 in dd_iv(), a1 in dd_iv(), a2 in dd_iv(), a3 in dd_iv(),
+        b0 in dd_iv(), b1 in dd_iv(), b2 in dd_iv(), b3 in dd_iv(),
+    ) {
+        for bk in backends() {
+            check_dd_lanes(bk, [a0, a1, a2, a3], [b0, b1, b2, b3])?;
         }
     }
 }

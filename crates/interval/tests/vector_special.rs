@@ -7,26 +7,43 @@
 //! signed-zero endpoints is pinned on every host — including ones where
 //! no packed backend exists and `simd_bitident` would only ever see the
 //! portable path incidentally. It also covers the `DdIx2`/`DdIx4` lane
-//! types, which never dispatch to packed kernels at all.
+//! types on every backend: their add, sub and mul run the packed
+//! double-double kernels on AVX2+FMA (with scalar patches for flagged
+//! lanes) and lane loops on forced SSE2 and portable.
 //!
 //! The backend override is process-global, so every pinned section takes
 //! a mutex; no other test in this binary touches the lane types outside
 //! of it.
 
+use igen_dd::Dd;
 use igen_interval::{DdI, DdIx2, DdIx4, F64Ix2, F64Ix4, LaneOps, F64I};
 use igen_round::simd::{self, Backend};
+use igen_round::Ru;
 use proptest::prelude::*;
+use rand::{RngExt, SeedableRng};
 use std::sync::Mutex;
 
 /// Serializes `force_backend` sections (the override is process-global).
 static PIN_LOCK: Mutex<()> = Mutex::new(());
 
-fn pinned_portable<T>(f: impl FnOnce() -> T) -> T {
+fn pinned<T>(bk: Backend, f: impl FnOnce() -> T) -> T {
     let _guard = PIN_LOCK.lock().unwrap();
-    simd::force_backend(Some(Backend::Portable));
+    simd::force_backend(Some(bk));
     let out = f();
     simd::force_backend(None);
     out
+}
+
+fn pinned_portable<T>(f: impl FnOnce() -> T) -> T {
+    pinned(Backend::Portable, f)
+}
+
+/// Every backend the host supports, widest last.
+fn backends() -> Vec<Backend> {
+    [Backend::Portable, Backend::Sse2, Backend::Avx2Fma]
+        .into_iter()
+        .filter(|&bk| bk <= simd::detected_backend())
+        .collect()
 }
 
 fn same(got: F64I, want: F64I) -> bool {
@@ -154,20 +171,31 @@ fn portable_special_lanes_stay_isolated() {
     }
 }
 
-/// Double-double lane types: lane ops match scalar `DdI` ops bit for bit
-/// on special values too. `DdIx{2,4}` never dispatch to packed kernels,
-/// but their lane loops are pinned here alongside the f64 ones.
-#[test]
-fn dd_lane_ops_match_scalar_on_special_values() {
-    fn dd_bits(x: &DdI) -> [u64; 4] {
-        [
-            x.neg_lo().hi().to_bits(),
-            x.neg_lo().lo().to_bits(),
-            x.hi().hi().to_bits(),
-            x.hi().lo().to_bits(),
-        ]
-    }
-    let vals = [
+/// Double-double intervals of width `ulp(x_lo)` around random
+/// double-doubles in `[lo, hi)` — the paper's dd workload recipe (the
+/// same as `igen_kernels::workload::dd_intervals_1ulp`), so every low
+/// word is nonzero.
+fn dd_intervals_1ulp(seed: u64, n: usize, lo: f64, hi: f64) -> Vec<DdI> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let xh = rng.random_range(lo..hi);
+            let xl = rng.random_range(-0.49..0.49) * igen_round::ulp(xh);
+            let x = Dd::new(xh, xl);
+            let w = igen_round::ulp(x.lo().abs().max(f64::MIN_POSITIVE));
+            DdI::new(x, igen_dd::add_dir::<Ru>(x, Dd::from(w))).expect("ordered")
+        })
+        .collect()
+}
+
+/// The double-double special catalogue: every endpoint class the scalar
+/// `DdI` ops branch on, plus the inputs that drive the packed kernels
+/// off their hot path.
+fn dd_special_values() -> Vec<DdI> {
+    let raw = |nlh: f64, nll: f64, hh: f64, hl: f64| {
+        DdI::from_neg_lo_hi(Dd::from_parts_unchecked(nlh, nll), Dd::from_parts_unchecked(hh, hl))
+    };
+    let mut vals = vec![
         DdI::point_f64(0.0),
         DdI::point_f64(-0.0),
         DdI::point_f64(1.0),
@@ -177,36 +205,105 @@ fn dd_lane_ops_match_scalar_on_special_values() {
         DdI::point_f64(1e300),
         DdI::point_f64(f64::INFINITY),
         DdI::point_f64(f64::NAN),
+        // Products below the 2.5e-291 FMA-residual guard (1e-150 ·
+        // 1e-146, and the low words of the 1e-140 value), and products
+        // near overflow (1.3e154² stays finite, 1.3e154 · 1.4e154 does
+        // not), including a renormalization that overflows in `finish`.
+        DdI::point_f64(1e-150),
+        DdI::point_f64(-1e-146),
+        DdI::point(Dd::new(1e-140, 3e-157)),
+        DdI::point_f64(1.3e154),
+        DdI::point_f64(-1.4e154),
+        DdI::point(Dd::new(f64::MAX, 2f64.powi(968))),
+        // `-0.0` low words.
+        raw(-1.0, -0.0, 1.5, -0.0),
+        raw(-0.0, -0.0, 0.0, -0.0),
+        // (1 + 2^-52) · (1 - 2^-52) · 2^-1000: the rounded-up product is
+        // 2^-1000, so the FMA residual of `two_prod_dir` is RN(-2^-1104)
+        // = -0.0, and `fma_ru`'s guarded fallback steps it with
+        // `next_up` to the smallest subnormal.
+        DdI::point_f64(1.0 + f64::EPSILON),
+        DdI::point_f64((1.0 - f64::EPSILON) * 2f64.powi(-1000)),
     ];
+    // Non-point intervals with nonzero low words.
+    vals.extend(dd_intervals_1ulp(5, 4, -2.0, 2.0));
+    vals.extend(dd_intervals_1ulp(6, 2, 1e150, 1e152));
+    vals
+}
+
+/// Double-double lane types: lane ops match scalar `DdI` ops bit for bit
+/// on special values, on the detected backend (the packed add/sub/mul
+/// kernels on AVX2+FMA) and on the portable lane loops.
+#[test]
+fn dd_lane_ops_match_scalar_on_special_values() {
+    for bk in backends() {
+        if bk != Backend::Sse2 {
+            check_dd_specials(bk);
+        }
+    }
+}
+
+/// [`dd_lane_ops_match_scalar_on_special_values`] with SSE2 forced (the
+/// lane loop an SSE2-only host runs).
+#[test]
+fn dd_lane_ops_match_scalar_on_special_values_forced_sse2() {
+    check_dd_specials(Backend::Sse2);
+}
+
+/// Every pair of the dd special catalogue, rotated through every lane
+/// position, under backend `bk`.
+fn check_dd_specials(bk: Backend) {
+    fn dd_bits(x: &DdI) -> [u64; 4] {
+        [
+            x.neg_lo().hi().to_bits(),
+            x.neg_lo().lo().to_bits(),
+            x.hi().hi().to_bits(),
+            x.hi().lo().to_bits(),
+        ]
+    }
+    let vals = dd_special_values();
+    let benign = DdI::point_f64(2.0);
     for &x in &vals {
         for &y in &vals {
             for pos in 0..4 {
-                let benign = DdI::point_f64(2.0);
                 let mut a = [benign; 4];
                 let mut b = [benign; 4];
                 a[pos] = x;
                 b[pos] = y;
-                let va = DdIx4::from_lanes(a);
-                let vb = DdIx4::from_lanes(b);
-                let wa = DdIx2::from_lanes([a[0], a[1]]);
-                let wb = DdIx2::from_lanes([b[0], b[1]]);
-                let (s4, p4) = (va + vb, va * vb);
-                let (s2, p2) = (wa + wb, wa * wb);
-                let (q4, m4, r4) = (va.sqrt(), va.abs(), va.sqr());
-                let (lt4, le4, eq4) = (va.cmp_lt(vb), va.cmp_le(vb), va.cmp_eq(vb));
+                let got = pinned(bk, || {
+                    let va = DdIx4::from_lanes(a);
+                    let vb = DdIx4::from_lanes(b);
+                    let wa = DdIx2::from_lanes([a[0], a[1]]);
+                    let wb = DdIx2::from_lanes([b[0], b[1]]);
+                    (
+                        (va + vb, va - vb, va * vb, va.mul_add(vb, va), -va),
+                        (va.sqrt(), va.abs(), va.sqr()),
+                        (va.cmp_lt(vb), va.cmp_le(vb), va.cmp_eq(vb)),
+                        (wa + wb, wa - wb, wa * wb),
+                    )
+                });
+                let ((s4, d4, p4, f4, n4), (q4, m4, r4), (lt4, le4, eq4), (s2, d2, p2)) = got;
                 for i in 0..4 {
-                    assert_eq!(dd_bits(&s4.lane(i)), dd_bits(&(a[i] + b[i])), "ddx4 add lane {i}");
-                    assert_eq!(dd_bits(&p4.lane(i)), dd_bits(&(a[i] * b[i])), "ddx4 mul lane {i}");
-                    assert_eq!(dd_bits(&q4.lane(i)), dd_bits(&a[i].sqrt()), "ddx4 sqrt lane {i}");
-                    assert_eq!(dd_bits(&m4.lane(i)), dd_bits(&a[i].abs()), "ddx4 abs lane {i}");
-                    assert_eq!(dd_bits(&r4.lane(i)), dd_bits(&a[i].sqr()), "ddx4 sqr lane {i}");
-                    assert_eq!(lt4.lane(i), a[i].cmp_lt(&b[i]), "ddx4 cmp_lt lane {i}");
-                    assert_eq!(le4.lane(i), a[i].cmp_le(&b[i]), "ddx4 cmp_le lane {i}");
-                    assert_eq!(eq4.lane(i), a[i].cmp_eq(&b[i]), "ddx4 cmp_eq lane {i}");
+                    let ctx = format!("{bk} lane {i}: a={} b={}", a[i], b[i]);
+                    let (ai, bi) = (a[i], b[i]);
+                    assert_eq!(dd_bits(&s4.lane(i)), dd_bits(&(ai + bi)), "x4 add {ctx}");
+                    assert_eq!(dd_bits(&d4.lane(i)), dd_bits(&(ai - bi)), "x4 sub {ctx}");
+                    assert_eq!(dd_bits(&p4.lane(i)), dd_bits(&(ai * bi)), "x4 mul {ctx}");
+                    let fma = ai * bi + ai;
+                    assert_eq!(dd_bits(&f4.lane(i)), dd_bits(&fma), "x4 mul_add {ctx}");
+                    assert_eq!(dd_bits(&n4.lane(i)), dd_bits(&-ai), "x4 neg {ctx}");
+                    assert_eq!(dd_bits(&q4.lane(i)), dd_bits(&ai.sqrt()), "x4 sqrt {ctx}");
+                    assert_eq!(dd_bits(&m4.lane(i)), dd_bits(&ai.abs()), "x4 abs {ctx}");
+                    assert_eq!(dd_bits(&r4.lane(i)), dd_bits(&ai.sqr()), "x4 sqr {ctx}");
+                    assert_eq!(lt4.lane(i), ai.cmp_lt(&bi), "x4 cmp_lt {ctx}");
+                    assert_eq!(le4.lane(i), ai.cmp_le(&bi), "x4 cmp_le {ctx}");
+                    assert_eq!(eq4.lane(i), ai.cmp_eq(&bi), "x4 cmp_eq {ctx}");
                 }
                 for i in 0..2 {
-                    assert_eq!(dd_bits(&s2.lane(i)), dd_bits(&(a[i] + b[i])), "ddx2 add lane {i}");
-                    assert_eq!(dd_bits(&p2.lane(i)), dd_bits(&(a[i] * b[i])), "ddx2 mul lane {i}");
+                    let ctx = format!("{bk} lane {i}: a={} b={}", a[i], b[i]);
+                    assert_eq!(dd_bits(&s2.lane(i)), dd_bits(&(a[i] + b[i])), "x2 add {ctx}");
+                    assert_eq!(dd_bits(&d2.lane(i)), dd_bits(&(a[i] - b[i])), "x2 sub {ctx}");
+                    assert_eq!(dd_bits(&p2.lane(i)), dd_bits(&(a[i] * b[i])), "x2 mul {ctx}");
                 }
             }
         }

@@ -69,6 +69,10 @@ pub(crate) mod tel {
     pub static ABS_PACKED: Counter = Counter::new("simd.abs.packed_calls");
     pub static CMP_PACKED: Counter = Counter::new("simd.cmp.packed_calls");
     pub static CMP_PATCHED: Counter = Counter::new("simd.cmp.lanes_patched");
+    pub static DD_ADD_PACKED: Counter = Counter::new("simd.dd_add.packed_calls");
+    pub static DD_ADD_PATCHED: Counter = Counter::new("simd.dd_add.lanes_patched");
+    pub static DD_MUL_PACKED: Counter = Counter::new("simd.dd_mul.packed_calls");
+    pub static DD_MUL_PATCHED: Counter = Counter::new("simd.dd_mul.lanes_patched");
 }
 
 /// Counts one 4-wide call: which op was invoked and which backend
@@ -349,6 +353,75 @@ pub fn sqr_ru_both_4(bk: Backend, a: &[f64; 4]) -> ([f64; 4], [f64; 4]) {
     }
 }
 
+/// Four double-double intervals in structure-of-arrays form: the high
+/// and low words of the negated lower endpoints and of the upper
+/// endpoints, one `[f64; 4]` column each. This is the register layout
+/// of `igen_interval::DdIx4` and the column layout of `igen-batch`'s
+/// `BatchDdI`; lane `i` is the interval whose negated lower endpoint is
+/// the double-double `neg_lo_hi[i] + neg_lo_lo[i]` and whose upper
+/// endpoint is `hi_hi[i] + hi_lo[i]`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct DdiCols4 {
+    /// High words of the negated lower endpoints.
+    pub neg_lo_hi: [f64; 4],
+    /// Low words of the negated lower endpoints.
+    pub neg_lo_lo: [f64; 4],
+    /// High words of the upper endpoints.
+    pub hi_hi: [f64; 4],
+    /// Low words of the upper endpoints.
+    pub hi_lo: [f64; 4],
+}
+
+/// Packed double-double interval addition: lane-wise `DdI::add`, i.e.
+/// `igen_dd::add_dir::<Ru>` on the negated-lower and on the upper
+/// endpoint columns, run in AVX2+FMA registers with the scalar code's
+/// IEEE operation sequence.
+///
+/// Returns `None` when `bk` has no packed double-double kernel
+/// (`Sse2` and `Portable` lack the hardware FMA the directed products
+/// need; the caller evaluates its lanes with the scalar op). Otherwise
+/// returns the result columns and a validity mask: bit `i` set means
+/// lane `i` passed every guard of the scalar hot path, so its bits are
+/// the scalar op's; a clear bit means the lane left the hot path
+/// (non-finite sums, overflow in the final renormalization) and its
+/// columns are meaningless — the caller must recompute that lane with
+/// the scalar `DdI` operation.
+pub fn ddi_add_4(bk: Backend, a: &DdiCols4, b: &DdiCols4) -> Option<(DdiCols4, u8)> {
+    match clamp(bk) {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2Fma => {
+            note_dispatch(Backend::Avx2Fma, &tel::DD_ADD_PACKED);
+            // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
+            Some(unsafe { x86::ddi_add_4_avx2(a, b) })
+        }
+        _ => None,
+    }
+}
+
+/// Packed double-double interval multiplication: lane-wise `DdI::mul` —
+/// eight `igen_dd::mul_dir::<Ru>` products and the NaN-aware
+/// double-double maximum reductions, run in AVX2+FMA registers with the
+/// scalar code's IEEE operation sequence.
+///
+/// Same contract as [`ddi_add_4`]: `None` on backends without a packed
+/// double-double kernel, otherwise the result columns plus a validity
+/// mask whose clear bits name the lanes that left the scalar hot path
+/// (products below the FMA-residual range or underflowing to zero,
+/// non-finite residuals or ErrFma terms, a `-0.0` FMA result that
+/// `next_up` would step, non-finite results) and must be recomputed
+/// with the scalar `DdI` operation.
+pub fn ddi_mul_4(bk: Backend, a: &DdiCols4, b: &DdiCols4) -> Option<(DdiCols4, u8)> {
+    match clamp(bk) {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2Fma => {
+            note_dispatch(Backend::Avx2Fma, &tel::DD_MUL_PACKED);
+            // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
+            Some(unsafe { x86::ddi_mul_4_avx2(a, b) })
+        }
+        _ => None,
+    }
+}
+
 /// Scalar reference for [`abs_4`]: the interval absolute value on one raw
 /// `(neg_lo, hi)` endpoint pair (the `(-lo, hi)` column layout the packed
 /// kernels operate on). NaN endpoints yield `(NaN, NaN)`; a nonnegative
@@ -603,7 +676,7 @@ mod x86 {
     //! dispatchers via `clamp`), the SSE2 ones only the x86-64 baseline.
 
     use super::{
-        TriMask4, DEKKER_OP_MAX, DEKKER_OP_MIN, DEKKER_PROD_MAX, DIV_EXACT_MIN_A,
+        DdiCols4, TriMask4, DEKKER_OP_MAX, DEKKER_OP_MIN, DEKKER_PROD_MAX, DIV_EXACT_MIN_A,
         FMA_RESIDUAL_EXACT_MIN, SQRT_EXACT_MIN_A,
     };
     use core::arch::x86_64::*;
@@ -967,6 +1040,320 @@ mod x86 {
         let mut out = [0.0; 4];
         _mm256_storeu_pd(out.as_mut_ptr(), res);
         out
+    }
+
+    // ------------------------------------------------------------------
+    // AVX2 + FMA double-double intervals: `igen_dd::add_dir::<Ru>` and
+    // `mul_dir::<Ru>` transliterated onto 256-bit columns. Each scalar
+    // `add_ru`/`mul_ru`/`fma_ru` call becomes its hot path on four lanes;
+    // its guard is folded into a `Guard` instead of branching.
+    // ------------------------------------------------------------------
+
+    /// Four double-double values: one register of high words, one of
+    /// low words.
+    #[derive(Clone, Copy)]
+    struct Dd256 {
+        hi: __m256d,
+        lo: __m256d,
+    }
+
+    impl Dd256 {
+        /// Exact negation of both words (`Dd::neg`).
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn neg(self) -> Dd256 {
+            Dd256 { hi: neg_256(self.hi), lo: neg_256(self.lo) }
+        }
+    }
+
+    /// The scalar hot-path guards of one double-double operation, per
+    /// lane. `sum` adds up every value whose finiteness a scalar guard
+    /// tests (TwoSum errors, FMA residuals, ErrFma terms, `finish`'s
+    /// renormalization error): a non-finite term makes the sum
+    /// non-finite, so a finite sum proves each term finite (a sum of
+    /// finite terms that overflows only costs a needless patch). `ok`
+    /// collects the comparison guards as a lane mask.
+    #[derive(Clone, Copy)]
+    struct Guard {
+        sum: __m256d,
+        ok: __m256d,
+    }
+
+    impl Guard {
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn new() -> Guard {
+            Guard { sum: _mm256_setzero_pd(), ok: _mm256_castsi256_pd(_mm256_set1_epi64x(-1)) }
+        }
+
+        /// Folds another operation's guards in (kept separate while the
+        /// operations run so the `sum` chains stay short and parallel).
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn merge(self, other: Guard) -> Guard {
+            Guard { sum: _mm256_add_pd(self.sum, other.sum), ok: _mm256_and_pd(self.ok, other.ok) }
+        }
+
+        /// The 4-bit lane validity mask.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn mask(self) -> i32 {
+            _mm256_movemask_pd(_mm256_and_pd(self.ok, is_finite_256(self.sum)))
+        }
+    }
+
+    /// Knuth TwoSum on four lanes: the six IEEE additions of the scalar
+    /// `two_sum`, in the same order.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn two_sum_256(a: __m256d, b: __m256d) -> (__m256d, __m256d) {
+        let s = _mm256_add_pd(a, b);
+        let a1 = _mm256_sub_pd(s, b);
+        let b1 = _mm256_sub_pd(s, a1);
+        let da = _mm256_sub_pd(a, a1);
+        let db = _mm256_sub_pd(b, b1);
+        (s, _mm256_add_pd(da, db))
+    }
+
+    /// `add_ru` hot path: TwoSum + bump. The scalar guard is
+    /// `s.is_finite() && e.is_finite()`; a non-finite `s` always makes
+    /// the TwoSum error NaN, so `e` alone goes into the guard sum.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn add_ru_256(a: __m256d, b: __m256d, g: &mut Guard) -> __m256d {
+        let (s, e) = two_sum_256(a, b);
+        g.sum = _mm256_add_pd(g.sum, e);
+        bump_up_256(s, _mm256_cmp_pd::<_CMP_GT_OQ>(e, _mm256_setzero_pd()))
+    }
+
+    /// `sub_ru(a, b) = add_ru(a, -b)`, as the scalar kernel defines it.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn sub_ru_256(a: __m256d, b: __m256d, g: &mut Guard) -> __m256d {
+        add_ru_256(a, neg_256(b), g)
+    }
+
+    /// Lane mask of the product guard shared by `mul_ru` and `fma_ru`:
+    /// the rounded product `p` is either at least `2.5e-291` in
+    /// magnitude (FMA residual exact) or an exact zero from a zero
+    /// operand.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn product_ok_256(a: __m256d, b: __m256d, p: __m256d) -> __m256d {
+        let zero = _mm256_setzero_pd();
+        let operand_zero = _mm256_or_pd(
+            _mm256_cmp_pd::<_CMP_EQ_OQ>(a, zero),
+            _mm256_cmp_pd::<_CMP_EQ_OQ>(b, zero),
+        );
+        _mm256_or_pd(
+            _mm256_cmp_pd::<_CMP_GE_OQ>(abs_256(p), _mm256_set1_pd(FMA_RESIDUAL_EXACT_MIN)),
+            _mm256_and_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(p, zero), operand_zero),
+        )
+    }
+
+    /// `mul_ru` on four lanes. Its hot path is `|p|` in
+    /// `[2.5e-291, MAX]` with a finite residual; the exact-zero-product
+    /// return of its slow path (hot here: every f64-promoted operand has
+    /// a zero low word) is also taken in-register, where the residual is
+    /// an exact zero and the bump leaves `p` unchanged. A finite
+    /// residual already implies `|p| <= MAX`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn mul_ru_256(a: __m256d, b: __m256d, g: &mut Guard) -> __m256d {
+        let p = _mm256_mul_pd(a, b);
+        let e = _mm256_fmsub_pd(a, b, p);
+        g.sum = _mm256_add_pd(g.sum, e);
+        g.ok = _mm256_and_pd(g.ok, product_ok_256(a, b, p));
+        bump_up_256(p, _mm256_cmp_pd::<_CMP_GT_OQ>(e, _mm256_setzero_pd()))
+    }
+
+    /// `fma_ru` on four lanes: the Boldo–Muller ErrFma sign test of the
+    /// scalar kernel, operation for operation. Its guards: `r`, the
+    /// product `u1` and both ErrFma terms finite (a non-finite `r` or
+    /// `u1` makes `e1` non-finite, so `e1` and `e2` go into the guard
+    /// sum), the product guard on `u1`, and one lane the integer bump
+    /// gets wrong — `r == -0.0` stepped up, where `next_up` yields the
+    /// smallest subnormal but `bump_up` yields `+0.0`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn fma_ru_256(a: __m256d, b: __m256d, c: __m256d, g: &mut Guard) -> __m256d {
+        let zero = _mm256_setzero_pd();
+        let r = _mm256_fmadd_pd(a, b, c);
+        let u1 = _mm256_mul_pd(a, b);
+        let u2 = _mm256_fmsub_pd(a, b, u1);
+        let (a1, a2) = two_sum_256(c, u2);
+        let (b1, b2) = two_sum_256(u1, a1);
+        let gg = _mm256_add_pd(_mm256_sub_pd(b1, r), b2);
+        // fast_two_sum(gg, a2)
+        let e1 = _mm256_add_pd(gg, a2);
+        let e2 = _mm256_sub_pd(a2, _mm256_sub_pd(e1, gg));
+        g.sum = _mm256_add_pd(_mm256_add_pd(g.sum, e1), e2);
+        let sign = _mm256_blendv_pd(e2, e1, _mm256_cmp_pd::<_CMP_NEQ_UQ>(e1, zero));
+        let up = _mm256_cmp_pd::<_CMP_GT_OQ>(sign, zero);
+        let neg_zero = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+            _mm256_castpd_si256(r),
+            _mm256_set1_epi64x(i64::MIN),
+        ));
+        g.ok = _mm256_andnot_pd(
+            _mm256_and_pd(neg_zero, up),
+            _mm256_and_pd(g.ok, product_ok_256(a, b, u1)),
+        );
+        bump_up_256(r, up)
+    }
+
+    /// `igen_dd::arith::two_sum_dir::<Ru>`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn two_sum_dir_256(a: __m256d, b: __m256d, g: &mut Guard) -> (__m256d, __m256d) {
+        let s = add_ru_256(a, b, g);
+        let a1 = sub_ru_256(s, b, g);
+        let b1 = sub_ru_256(s, a1, g);
+        let da = sub_ru_256(a, a1, g);
+        let db = sub_ru_256(b, b1, g);
+        (s, add_ru_256(da, db, g))
+    }
+
+    /// `igen_dd::arith::fast_two_sum_dir::<Ru>`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn fast_two_sum_dir_256(a: __m256d, b: __m256d, g: &mut Guard) -> (__m256d, __m256d) {
+        let s = add_ru_256(a, b, g);
+        let z = sub_ru_256(s, a, g);
+        (s, sub_ru_256(b, z, g))
+    }
+
+    /// `igen_dd::arith::finish`: its hot path is the exact TwoSum
+    /// renormalization with a finite result. Its NaN, infinity and
+    /// overflow branches all make the TwoSum error non-finite, so that
+    /// error goes into the guard sum.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn finish_256(zh: __m256d, zl: __m256d, g: &mut Guard) -> Dd256 {
+        let (h, l) = two_sum_256(zh, zl);
+        g.sum = _mm256_add_pd(g.sum, l);
+        Dd256 { hi: h, lo: l }
+    }
+
+    /// `igen_dd::add_dir::<Ru>` (AccurateDWPlusDW) on four lanes.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn add_dir_256(x: Dd256, y: Dd256) -> (Dd256, Guard) {
+        let mut g = Guard::new();
+        let (sh, sl) = two_sum_dir_256(x.hi, y.hi, &mut g);
+        let (th, tl) = two_sum_dir_256(x.lo, y.lo, &mut g);
+        let c = add_ru_256(sl, th, &mut g);
+        let (vh, vl) = fast_two_sum_dir_256(sh, c, &mut g);
+        let w = add_ru_256(tl, vl, &mut g);
+        let (zh, zl) = fast_two_sum_dir_256(vh, w, &mut g);
+        (finish_256(zh, zl, &mut g), g)
+    }
+
+    /// `igen_dd::mul_dir::<Ru>` (DWTimesDW3) on four lanes.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn mul_dir_256(x: Dd256, y: Dd256) -> (Dd256, Guard) {
+        let mut g = Guard::new();
+        // two_prod_dir::<Ru>(x.hi, y.hi)
+        let ch = mul_ru_256(x.hi, y.hi, &mut g);
+        let cl1 = fma_ru_256(x.hi, y.hi, neg_256(ch), &mut g);
+        let tl0 = mul_ru_256(x.lo, y.lo, &mut g);
+        let tl1 = fma_ru_256(x.hi, y.lo, tl0, &mut g);
+        let cl2 = fma_ru_256(x.lo, y.hi, tl1, &mut g);
+        let cl3 = add_ru_256(cl1, cl2, &mut g);
+        let (zh, zl) = fast_two_sum_dir_256(ch, cl3, &mut g);
+        (finish_256(zh, zl, &mut g), g)
+    }
+
+    /// `DdI`'s NaN-aware `dd_max` for lanes whose operands are both
+    /// finite `finish` outputs (the only lanes the validity mask
+    /// accepts): no NaN screen is needed, and the TwoSum renormalization
+    /// `Dd::cmp_num` applies is the identity on values already
+    /// renormalized by `finish`, so `b <= a` is a plain lexicographic
+    /// compare. Ties keep `a`, as `Dd::max` does.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn dd_max_256(a: Dd256, b: Dd256) -> Dd256 {
+        let b_le_a = _mm256_or_pd(
+            _mm256_cmp_pd::<_CMP_LT_OQ>(b.hi, a.hi),
+            _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_EQ_OQ>(b.hi, a.hi),
+                _mm256_cmp_pd::<_CMP_LE_OQ>(b.lo, a.lo),
+            ),
+        );
+        Dd256 { hi: _mm256_blendv_pd(b.hi, a.hi, b_le_a), lo: _mm256_blendv_pd(b.lo, a.lo, b_le_a) }
+    }
+
+    /// Loads the `(neg_lo, hi)` endpoint pair of four intervals.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load_ddi(x: &DdiCols4) -> (Dd256, Dd256) {
+        (
+            Dd256 {
+                hi: _mm256_loadu_pd(x.neg_lo_hi.as_ptr()),
+                lo: _mm256_loadu_pd(x.neg_lo_lo.as_ptr()),
+            },
+            Dd256 { hi: _mm256_loadu_pd(x.hi_hi.as_ptr()), lo: _mm256_loadu_pd(x.hi_lo.as_ptr()) },
+        )
+    }
+
+    /// Stores an endpoint pair and reports the lanes the caller must
+    /// patch under `patched`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn store_ddi(
+        neg_lo: Dd256,
+        hi: Dd256,
+        g: Guard,
+        patched: &'static igen_telemetry::Counter,
+    ) -> (DdiCols4, u8) {
+        let mut out = DdiCols4::default();
+        _mm256_storeu_pd(out.neg_lo_hi.as_mut_ptr(), neg_lo.hi);
+        _mm256_storeu_pd(out.neg_lo_lo.as_mut_ptr(), neg_lo.lo);
+        _mm256_storeu_pd(out.hi_hi.as_mut_ptr(), hi.hi);
+        _mm256_storeu_pd(out.hi_lo.as_mut_ptr(), hi.lo);
+        let ok = g.mask();
+        if ok != ALL4 {
+            note_patched(patched, ok);
+        }
+        (out, ok as u8)
+    }
+
+    /// Packed `DdI::add`: `add_dir::<Ru>` on both endpoint columns.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn ddi_add_4_avx2(a: &DdiCols4, b: &DdiCols4) -> (DdiCols4, u8) {
+        let (a_nl, a_h) = load_ddi(a);
+        let (b_nl, b_h) = load_ddi(b);
+        let (nl, g_nl) = add_dir_256(a_nl, b_nl);
+        let (h, g_h) = add_dir_256(a_h, b_h);
+        store_ddi(nl, h, g_nl.merge(g_h), &super::tel::DD_ADD_PATCHED)
+    }
+
+    /// Packed `DdI::mul`: the eight directed products and the `dd_max`
+    /// reductions in the scalar order.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn ddi_mul_4_avx2(a: &DdiCols4, b: &DdiCols4) -> (DdiCols4, u8) {
+        let (na, ah) = load_ddi(a);
+        let (nb, bh) = load_ddi(b);
+        let (u1, g1) = mul_dir_256(na, nb);
+        let (u2, g2) = mul_dir_256(na.neg(), bh);
+        let (u3, g3) = mul_dir_256(ah, nb.neg());
+        let (u4, g4) = mul_dir_256(ah, bh);
+        let (l1, g5) = mul_dir_256(na.neg(), nb);
+        let (l2, g6) = mul_dir_256(na, bh);
+        let (l3, g7) = mul_dir_256(ah, nb);
+        let (l4, g8) = mul_dir_256(ah.neg(), bh);
+        let neg_lo = dd_max_256(dd_max_256(l1, l2), dd_max_256(l3, l4));
+        let hi = dd_max_256(dd_max_256(u1, u2), dd_max_256(u3, u4));
+        let g = g1.merge(g2).merge(g3.merge(g4)).merge(g5.merge(g6).merge(g7.merge(g8)));
+        store_ddi(neg_lo, hi, g, &super::tel::DD_MUL_PATCHED)
     }
 
     // ------------------------------------------------------------------

@@ -85,7 +85,7 @@ fn counter(snap: &Snapshot, name: &str) -> Option<u64> {
 fn render_simd(out: &mut String, snap: &Snapshot) {
     // Guard-failure rate per packed op.
     let mut rows: Vec<(&str, u64, u64)> = Vec::new();
-    for op in ["add", "mul", "div", "max", "sqrt", "sqr", "abs", "cmp"] {
+    for op in ["add", "mul", "div", "max", "sqrt", "sqr", "abs", "cmp", "dd_add", "dd_mul"] {
         let packed = counter(snap, &format!("simd.{op}.packed_calls"));
         let patched = counter(snap, &format!("simd.{op}.lanes_patched"));
         if let Some(packed) = packed {
@@ -98,7 +98,7 @@ fn render_simd(out: &mut String, snap: &Snapshot) {
             let lanes = packed * 4;
             let rate = if lanes > 0 { *patched as f64 / lanes as f64 * 100.0 } else { 0.0 };
             out.push_str(&format!(
-                "  {:<4} {:>12} calls  {:>12} lanes patched  ({rate:.4}%)\n",
+                "  {:<6} {:>12} calls  {:>12} lanes patched  ({rate:.4}%)\n",
                 op, packed, patched
             ));
         }
@@ -300,6 +300,8 @@ mod tests {
                 ("simd.sqrt.lanes_patched".into(), 2),
                 ("simd.sqrt.packed_calls".into(), 100),
                 ("simd.cmp.packed_calls".into(), 50),
+                ("simd.dd_mul.lanes_patched".into(), 7),
+                ("simd.dd_mul.packed_calls".into(), 10),
                 ("simd.dispatch.avx2_fma".into(), 3),
                 ("simd.dispatch.sse2".into(), 1),
                 ("vm.peephole.dedup".into(), 4),
@@ -333,6 +335,9 @@ mod tests {
         assert!(r.contains("(0.5000%)"), "{r}");
         assert!(r.contains("sqrt"), "{r}");
         assert!(r.contains("cmp"), "{r}");
+        // The packed double-double kernels: 7 / 40 lanes = 17.5%.
+        assert!(r.contains("dd_mul"), "{r}");
+        assert!(r.contains("(17.5000%)"), "{r}");
         assert!(r.contains("avx2_fma"), "{r}");
         assert!(r.contains("(75.0%)"), "{r}");
         assert!(r.contains("exact 10.0%"), "{r}");
