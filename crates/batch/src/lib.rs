@@ -8,9 +8,9 @@
 //! crate adds the missing throughput layer:
 //!
 //! * [`soa`] — structure-of-arrays interval buffers ([`BatchF64I`],
-//!   [`BatchDdI`]): endpoint columns stored in the intervals' internal
-//!   (negated-low) representation, feeding the `vector.rs` lane types
-//!   with plain strided loads.
+//!   [`BatchDdI`], both [`SoaBatch`]): endpoint columns stored in the
+//!   intervals' internal (negated-low) representation, feeding the
+//!   `vector.rs` lane types with plain strided loads.
 //! * [`engine`] — a chunked multi-threaded map/reduce
 //!   ([`engine::par_map`], [`engine::par_reduce`]) built on
 //!   `std::thread::scope` (`rayon` is unavailable offline — documented
@@ -61,4 +61,4 @@ pub use kernels::{
     mvm_batch, mvm_batch_dd,
 };
 pub use program::BatchProgram;
-pub use soa::{BatchDdI, BatchF64I};
+pub use soa::{BatchDdI, BatchF64I, SoaBatch};

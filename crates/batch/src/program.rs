@@ -10,7 +10,8 @@
 //! executor at width 1. Tiles are distributed across threads with the
 //! engine's pinned, order-preserving combine, and each worker reuses
 //! one register bank across all its tiles, so per-call setup is gone
-//! from both the packed and the tail path.
+//! from both the packed and the tail path. One generic driver serves
+//! both precisions, plain and profiled.
 //!
 //! Because the tile executor is bit-identical to per-group execution
 //! for every tile size and lane width, the output batch is
@@ -19,11 +20,12 @@
 //! functions.
 
 use crate::engine::{par_map_indexed_with, BatchConfig};
-use crate::soa::{BatchDdI, BatchF64I};
-use igen_interval::{DdI, DdIx4, F64Ix4, F64I};
+use crate::soa::{BatchDdI, BatchF64I, SoaBatch};
+use igen_interval::{DdI, F64I};
 use igen_kernels::LaneOrScalar;
+use igen_telemetry::UnitProfiler;
 use igen_vm::{
-    program_width_hist, run_tile, run_tile_profiled, Precision, PreparedProgram, Program, TileBank,
+    program_width_hist, run_tile, Precision, PreparedProgram, Program, TileBank, VmElem,
 };
 use std::sync::Mutex;
 
@@ -31,19 +33,33 @@ use std::sync::Mutex;
 /// any realistic worker count without hoarding memory on huge machines.
 const POOL_CAP: usize = 64;
 
-#[derive(Debug, Clone)]
-enum Prepared {
-    F64(PreparedProgram<F64I>),
-    Dd(PreparedProgram<DdI>),
+/// A program prepared for one element type, with its scratch pool: tile
+/// banks handed back after every run so repeated calls (the benchmark
+/// loop, long-lived services) stop paying bank allocation and constant
+/// fill. The pool holds allocations only, never values, so sharing it
+/// across calls cannot change a result bit.
+struct Typed<T: VmElem> {
+    prep: PreparedProgram<T>,
+    pool: Mutex<Vec<Scratch<T>>>,
 }
 
-impl Prepared {
-    fn program(&self) -> &Program {
-        match self {
-            Prepared::F64(p) => p.program(),
-            Prepared::Dd(p) => p.program(),
-        }
+impl<T: VmElem> Clone for Typed<T> {
+    fn clone(&self) -> Typed<T> {
+        // Scratch is per-instance cache, not state: clones start empty.
+        Typed { prep: self.prep.clone(), pool: Mutex::new(Vec::new()) }
     }
+}
+
+impl<T: VmElem> std::fmt::Debug for Typed<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Typed").field("prep", &self.prep).finish_non_exhaustive()
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Prepared {
+    F64(Typed<F64I>),
+    Dd(Typed<DdI>),
 }
 
 /// A compiled program ready for batched evaluation.
@@ -52,26 +68,9 @@ impl Prepared {
 /// `i * n_inputs .. (i + 1) * n_inputs` of the input batch, in the
 /// program's declared input order; outputs are produced item-major in
 /// the program's declared output order.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BatchProgram {
     prepared: Prepared,
-    // Scratch pools: tile banks handed back after every run so repeated
-    // calls (the benchmark loop, long-lived services) stop paying bank
-    // allocation and constant fill. Pools hold allocations only, never
-    // values, so sharing them across calls cannot change a result bit.
-    pool_f64: Mutex<Vec<Scratch>>,
-    pool_dd: Mutex<Vec<ScratchDd>>,
-}
-
-impl Clone for BatchProgram {
-    fn clone(&self) -> BatchProgram {
-        // Scratch is per-instance cache, not state: clones start empty.
-        BatchProgram {
-            prepared: self.prepared.clone(),
-            pool_f64: Mutex::new(Vec::new()),
-            pool_dd: Mutex::new(Vec::new()),
-        }
-    }
 }
 
 /// Per-worker scratch: the tile register banks and output buffers one
@@ -79,27 +78,21 @@ impl Clone for BatchProgram {
 /// lazily so a worker that only sees the tail never allocates the
 /// packed one (and vice versa). Scratch carries allocations only —
 /// never values — so it cannot perturb the determinism guarantee.
-#[derive(Debug)]
-struct Scratch {
+struct Scratch<T: VmElem> {
     /// Tile size the packed bank was built for; a pooled scratch with a
     /// different tile drops its packed bank and rebuilds. Banks are
     /// sized to the tile actually *used* (never wider than the batch
     /// has groups): a wider bank would stride its sweeps past cold
     /// slots and waste cache-line bandwidth on every instruction.
     tile: usize,
-    packed: Option<(TileBank<F64I, F64Ix4>, Vec<F64Ix4>)>,
+    packed: Option<Bank<T, T::Lane>>,
     /// Items in the scalar-tail bank (1–3); same exact-fit rationale.
     tail_tile: usize,
-    tail: Option<(TileBank<F64I, F64I>, Vec<F64I>)>,
+    tail: Option<Bank<T, T>>,
 }
 
-#[derive(Debug)]
-struct ScratchDd {
-    tile: usize,
-    packed: Option<(TileBank<DdI, DdIx4>, Vec<DdIx4>)>,
-    tail_tile: usize,
-    tail: Option<(TileBank<DdI, DdI>, Vec<DdI>)>,
-}
+/// A tile bank and the output buffer [`run_tile`] fills from it.
+type Bank<T, L> = (TileBank<T, L>, Vec<L>);
 
 /// Checks a scratch set out of a pool and returns it on drop (even on
 /// worker panic unwinding), capped at [`POOL_CAP`].
@@ -124,6 +117,61 @@ impl<S> Drop for Lease<'_, S> {
     }
 }
 
+impl<T: VmElem> Typed<T> {
+    fn new(prog: Program) -> Typed<T> {
+        Typed { prep: PreparedProgram::new(prog), pool: Mutex::new(Vec::new()) }
+    }
+
+    /// Checks a scratch set out of the pool, dropping any bank built
+    /// for a different tile or tail size.
+    fn lease(&self, tile: usize, tail: usize) -> Lease<'_, Scratch<T>> {
+        let mut s = self.pool.lock().ok().and_then(|mut p| p.pop()).unwrap_or(Scratch {
+            tile,
+            packed: None,
+            tail_tile: tail,
+            tail: None,
+        });
+        if s.tile != tile {
+            s.packed = None;
+            s.tile = tile;
+        }
+        if s.tail_tile != tail {
+            s.tail = None;
+            s.tail_tile = tail;
+        }
+        Lease { scratch: Some(s), pool: &self.pool }
+    }
+}
+
+/// Fills `bank`'s input columns for `ng` groups from `load(group,
+/// input)`, runs one tile and returns its outputs item-major.
+fn tile_pass<T: VmElem, L: LaneOrScalar<T>>(
+    prep: &PreparedProgram<T>,
+    bank: &mut TileBank<T, L>,
+    out: &mut Vec<L>,
+    ng: usize,
+    load: impl Fn(usize, usize) -> L,
+    prof: Option<&mut UnitProfiler>,
+) -> Vec<T> {
+    let prog = prep.program();
+    for j in 0..prog.n_inputs {
+        for (g, slot) in bank.input_column(j).iter_mut().enumerate().take(ng) {
+            *slot = load(g, j as usize);
+        }
+    }
+    run_tile(prep, bank, ng, out, prof);
+    let nout = prog.outputs.len();
+    let mut part = Vec::with_capacity(ng * L::WIDTH * nout);
+    for g in 0..ng {
+        for l in 0..L::WIDTH {
+            for s in 0..nout {
+                part.push(out[s * ng + g].lane_l(l));
+            }
+        }
+    }
+    part
+}
+
 impl BatchProgram {
     /// Prepares a lowered program for batched evaluation (decodes the
     /// constant pool once, per the program's precision).
@@ -135,15 +183,18 @@ impl BatchProgram {
     pub fn new(prog: Program) -> BatchProgram {
         assert!(prog.n_inputs > 0, "batched programs need at least one input");
         let prepared = match prog.precision {
-            Precision::F64 => Prepared::F64(PreparedProgram::new(prog)),
-            Precision::Dd => Prepared::Dd(PreparedProgram::new(prog)),
+            Precision::F64 => Prepared::F64(Typed::new(prog)),
+            Precision::Dd => Prepared::Dd(Typed::new(prog)),
         };
-        BatchProgram { prepared, pool_f64: Mutex::new(Vec::new()), pool_dd: Mutex::new(Vec::new()) }
+        BatchProgram { prepared }
     }
 
     /// The wrapped program.
     pub fn program(&self) -> &Program {
-        self.prepared.program()
+        match &self.prepared {
+            Prepared::F64(t) => t.prep.program(),
+            Prepared::Dd(t) => t.prep.program(),
+        }
     }
 
     /// Items contained in an input batch of this length.
@@ -165,103 +216,10 @@ impl BatchProgram {
     /// Panics if the program is not `f64` precision or the batch
     /// length is not a multiple of the input count.
     pub fn run(&self, cfg: &BatchConfig, inputs: &BatchF64I) -> BatchF64I {
-        let Prepared::F64(prep) = &self.prepared else {
+        let Prepared::F64(t) = &self.prepared else {
             panic!("run_dd executes dd programs");
         };
-        let prog = prep.program();
-        let _span = igen_telemetry::span_joined("vm.batch.", &prog.name);
-        let nin = prog.n_inputs as usize;
-        let nout = prog.outputs.len();
-        let items = self.items_in(inputs.len());
-        let groups = items / 4;
-        let tail = items % 4;
-        // Exact-fit tile: never wider than the batch has groups, so the
-        // bank sweeps touch only warm, contiguous slots.
-        let tile = cfg.tile_groups().min(groups.max(1));
-        let tile_tasks = groups.div_ceil(tile);
-        let n_tasks = tile_tasks + usize::from(tail > 0);
-        let parts: Vec<Vec<F64I>> = par_map_indexed_with(
-            cfg,
-            n_tasks,
-            || {
-                let mut s = self
-                    .pool_f64
-                    .lock()
-                    .ok()
-                    .and_then(|mut p| p.pop())
-                    .unwrap_or(Scratch { tile, packed: None, tail_tile: tail, tail: None });
-                if s.tile != tile {
-                    s.packed = None;
-                    s.tile = tile;
-                }
-                if s.tail_tile != tail {
-                    s.tail = None;
-                    s.tail_tile = tail;
-                }
-                Lease { scratch: Some(s), pool: &self.pool_f64 }
-            },
-            |lease, t| {
-                let scratch = lease.get();
-                let mut part = Vec::new();
-                if t < tile_tasks {
-                    // A tile of up to `tile` packed groups: fill the
-                    // input columns, one instruction-major sweep, read
-                    // the slot-major outputs back item-major.
-                    let g0 = t * tile;
-                    let ng = (groups - g0).min(tile);
-                    let (bank, out) = scratch
-                        .packed
-                        .get_or_insert_with(|| (TileBank::new(prep, tile), Vec::new()));
-                    for j in 0..nin {
-                        let col = bank.input_column(j as u32);
-                        for (g, slot) in col.iter_mut().enumerate().take(ng) {
-                            *slot = inputs.load_x4((g0 + g) * 4 * nin + j, nin);
-                        }
-                    }
-                    run_tile(prep, bank, ng, out);
-                    part.reserve(ng * 4 * nout);
-                    for g in 0..ng {
-                        for l in 0..4 {
-                            for s in 0..nout {
-                                part.push(out[s * ng + g].lane_l(l));
-                            }
-                        }
-                    }
-                } else {
-                    // Tail: remaining items at scalar width, still one
-                    // tiled call — no per-item setup.
-                    let (bank, out) =
-                        scratch.tail.get_or_insert_with(|| (TileBank::new(prep, tail), Vec::new()));
-                    for j in 0..nin {
-                        let col = bank.input_column(j as u32);
-                        for (g, slot) in col.iter_mut().enumerate().take(tail) {
-                            *slot = inputs.get((groups * 4 + g) * nin + j);
-                        }
-                    }
-                    run_tile(prep, bank, tail, out);
-                    part.reserve(tail * nout);
-                    for g in 0..tail {
-                        for s in 0..nout {
-                            part.push(out[s * tail + g]);
-                        }
-                    }
-                }
-                part
-            },
-        );
-        let mut result = BatchF64I::with_capacity(items * nout);
-        // Width recording only while a trace is live — same one-branch
-        // guard the named kernels use, so untraced runs pay nothing.
-        let hist = igen_telemetry::recording().then(|| program_width_hist(&prog.name));
-        for part in parts {
-            for v in part {
-                if let Some(hist) = hist {
-                    hist.record(v.lo(), v.hi());
-                }
-                result.push(v);
-            }
-        }
-        result
+        self.execute(t, cfg, inputs, None)
     }
 
     /// Runs a `dd` program over an item-major input batch; returns the
@@ -272,99 +230,14 @@ impl BatchProgram {
     /// Panics if the program is not `dd` precision or the batch length
     /// is not a multiple of the input count.
     pub fn run_dd(&self, cfg: &BatchConfig, inputs: &BatchDdI) -> BatchDdI {
-        let Prepared::Dd(prep) = &self.prepared else {
+        let Prepared::Dd(t) = &self.prepared else {
             panic!("run executes f64 programs");
         };
-        let prog = prep.program();
-        let _span = igen_telemetry::span_joined("vm.batch.", &prog.name);
-        let nin = prog.n_inputs as usize;
-        let nout = prog.outputs.len();
-        let items = self.items_in(inputs.len());
-        let groups = items / 4;
-        let tail = items % 4;
-        let tile = cfg.tile_groups().min(groups.max(1));
-        let tile_tasks = groups.div_ceil(tile);
-        let n_tasks = tile_tasks + usize::from(tail > 0);
-        let parts: Vec<Vec<DdI>> = par_map_indexed_with(
-            cfg,
-            n_tasks,
-            || {
-                let mut s = self
-                    .pool_dd
-                    .lock()
-                    .ok()
-                    .and_then(|mut p| p.pop())
-                    .unwrap_or(ScratchDd { tile, packed: None, tail_tile: tail, tail: None });
-                if s.tile != tile {
-                    s.packed = None;
-                    s.tile = tile;
-                }
-                if s.tail_tile != tail {
-                    s.tail = None;
-                    s.tail_tile = tail;
-                }
-                Lease { scratch: Some(s), pool: &self.pool_dd }
-            },
-            |lease, t| {
-                let scratch = lease.get();
-                let mut part = Vec::new();
-                if t < tile_tasks {
-                    let g0 = t * tile;
-                    let ng = (groups - g0).min(tile);
-                    let (bank, out) = scratch
-                        .packed
-                        .get_or_insert_with(|| (TileBank::new(prep, tile), Vec::new()));
-                    for j in 0..nin {
-                        let col = bank.input_column(j as u32);
-                        for (g, slot) in col.iter_mut().enumerate().take(ng) {
-                            *slot = inputs.load_x4((g0 + g) * 4 * nin + j, nin);
-                        }
-                    }
-                    run_tile(prep, bank, ng, out);
-                    part.reserve(ng * 4 * nout);
-                    for g in 0..ng {
-                        for l in 0..4 {
-                            for s in 0..nout {
-                                part.push(out[s * ng + g].lane_l(l));
-                            }
-                        }
-                    }
-                } else {
-                    let (bank, out) =
-                        scratch.tail.get_or_insert_with(|| (TileBank::new(prep, tail), Vec::new()));
-                    for j in 0..nin {
-                        let col = bank.input_column(j as u32);
-                        for (g, slot) in col.iter_mut().enumerate().take(tail) {
-                            *slot = inputs.get((groups * 4 + g) * nin + j);
-                        }
-                    }
-                    run_tile(prep, bank, tail, out);
-                    part.reserve(tail * nout);
-                    for g in 0..tail {
-                        for s in 0..nout {
-                            part.push(out[s * tail + g]);
-                        }
-                    }
-                }
-                part
-            },
-        );
-        let mut result = BatchDdI::with_capacity(items * nout);
-        let hist = igen_telemetry::recording().then(|| program_width_hist(&prog.name));
-        for part in parts {
-            for v in part {
-                if let Some(hist) = hist {
-                    let f = v.to_f64i();
-                    hist.record(f.lo(), f.hi());
-                }
-                result.push(v);
-            }
-        }
-        result
+        self.execute(t, cfg, inputs, None)
     }
 
     /// Runs an `f64` program with per-instruction width-provenance
-    /// profiling into `prof` ([`igen_vm::run_tile_profiled`]).
+    /// profiling into `prof` (see [`igen_vm::run_tile`]).
     ///
     /// Sequential by design: profiling wants undistorted per-site
     /// timing, and the output is bit-identical to [`BatchProgram::run`]
@@ -380,58 +253,12 @@ impl BatchProgram {
         &self,
         cfg: &BatchConfig,
         inputs: &BatchF64I,
-        prof: &mut igen_telemetry::UnitProfiler,
+        prof: &mut UnitProfiler,
     ) -> BatchF64I {
-        let Prepared::F64(prep) = &self.prepared else {
+        let Prepared::F64(t) = &self.prepared else {
             panic!("run_dd_profiled executes dd programs");
         };
-        let prog = prep.program();
-        let _span = igen_telemetry::span_joined("vm.batch.profiled.", &prog.name);
-        let nin = prog.n_inputs as usize;
-        let nout = prog.outputs.len();
-        let items = self.items_in(inputs.len());
-        let groups = items / 4;
-        let tail = items % 4;
-        let tile = cfg.tile_groups().min(groups.max(1));
-        let mut result = BatchF64I::with_capacity(items * nout);
-        let mut packed: Option<(TileBank<F64I, F64Ix4>, Vec<F64Ix4>)> = None;
-        let mut g0 = 0usize;
-        while g0 < groups {
-            let ng = (groups - g0).min(tile);
-            let (bank, out) = packed.get_or_insert_with(|| (TileBank::new(prep, tile), Vec::new()));
-            for j in 0..nin {
-                let col = bank.input_column(j as u32);
-                for (g, slot) in col.iter_mut().enumerate().take(ng) {
-                    *slot = inputs.load_x4((g0 + g) * 4 * nin + j, nin);
-                }
-            }
-            run_tile_profiled(prep, bank, ng, out, prof);
-            for g in 0..ng {
-                for l in 0..4 {
-                    for s in 0..nout {
-                        result.push(out[s * ng + g].lane_l(l));
-                    }
-                }
-            }
-            g0 += ng;
-        }
-        if tail > 0 {
-            let mut bank = TileBank::<F64I, F64I>::new(prep, tail);
-            let mut out = Vec::new();
-            for j in 0..nin {
-                let col = bank.input_column(j as u32);
-                for (g, slot) in col.iter_mut().enumerate().take(tail) {
-                    *slot = inputs.get((groups * 4 + g) * nin + j);
-                }
-            }
-            run_tile_profiled(prep, &mut bank, tail, &mut out, prof);
-            for g in 0..tail {
-                for s in 0..nout {
-                    result.push(out[s * tail + g]);
-                }
-            }
-        }
-        result
+        self.execute(t, cfg, inputs, Some(prof))
     }
 
     /// [`BatchProgram::run_profiled`] for `dd` programs — sequential,
@@ -445,56 +272,75 @@ impl BatchProgram {
         &self,
         cfg: &BatchConfig,
         inputs: &BatchDdI,
-        prof: &mut igen_telemetry::UnitProfiler,
+        prof: &mut UnitProfiler,
     ) -> BatchDdI {
-        let Prepared::Dd(prep) = &self.prepared else {
+        let Prepared::Dd(t) = &self.prepared else {
             panic!("run_profiled executes f64 programs");
         };
-        let prog = prep.program();
-        let _span = igen_telemetry::span_joined("vm.batch.profiled.", &prog.name);
+        self.execute(t, cfg, inputs, Some(prof))
+    }
+
+    /// The one tile driver behind every entry point: task `k` is a tile
+    /// of up to `tile` packed groups, or, last, the scalar tail. A
+    /// profiled run keeps every task on the calling thread.
+    fn execute<T: VmElem, B: SoaBatch<Elem = T> + Sync>(
+        &self,
+        t: &Typed<T>,
+        cfg: &BatchConfig,
+        inputs: &B,
+        prof: Option<&mut UnitProfiler>,
+    ) -> B {
+        let (prep, prog) = (&t.prep, t.prep.program());
+        let profiled = prof.is_some();
+        let prefix = if profiled { "vm.batch.profiled." } else { "vm.batch." };
+        let _span = igen_telemetry::span_joined(prefix, &prog.name);
         let nin = prog.n_inputs as usize;
-        let nout = prog.outputs.len();
+        let width = <T::Lane as LaneOrScalar<T>>::WIDTH;
         let items = self.items_in(inputs.len());
-        let groups = items / 4;
-        let tail = items % 4;
+        let groups = items / width;
+        let tail = items % width;
+        // Exact-fit tile: never wider than the batch has groups, so the
+        // bank sweeps touch only warm, contiguous slots.
         let tile = cfg.tile_groups().min(groups.max(1));
-        let mut result = BatchDdI::with_capacity(items * nout);
-        let mut packed: Option<(TileBank<DdI, DdIx4>, Vec<DdIx4>)> = None;
-        let mut g0 = 0usize;
-        while g0 < groups {
-            let ng = (groups - g0).min(tile);
-            let (bank, out) = packed.get_or_insert_with(|| (TileBank::new(prep, tile), Vec::new()));
-            for j in 0..nin {
-                let col = bank.input_column(j as u32);
-                for (g, slot) in col.iter_mut().enumerate().take(ng) {
-                    *slot = inputs.load_x4((g0 + g) * 4 * nin + j, nin);
-                }
+        let tile_tasks = groups.div_ceil(tile);
+        let n_tasks = tile_tasks + usize::from(tail > 0);
+        let task = |s: &mut Scratch<T>, k: usize, prof: Option<&mut UnitProfiler>| {
+            if k < tile_tasks {
+                let g0 = k * tile;
+                let (bank, out) =
+                    s.packed.get_or_insert_with(|| (TileBank::new(prep, tile), Vec::new()));
+                let load = |g, j| inputs.load_lanes((g0 + g) * width * nin + j, nin);
+                tile_pass(prep, bank, out, (groups - g0).min(tile), load, prof)
+            } else {
+                let (bank, out) =
+                    s.tail.get_or_insert_with(|| (TileBank::new(prep, tail), Vec::new()));
+                let load = |g, j| inputs.get((groups * width + g) * nin + j);
+                tile_pass(prep, bank, out, tail, load, prof)
             }
-            run_tile_profiled(prep, bank, ng, out, prof);
-            for g in 0..ng {
-                for l in 0..4 {
-                    for s in 0..nout {
-                        result.push(out[s * ng + g].lane_l(l));
-                    }
-                }
+        };
+        let parts: Vec<Vec<T>> = match prof {
+            Some(prof) => {
+                let mut lease = t.lease(tile, tail);
+                (0..n_tasks).map(|k| task(lease.get(), k, Some(&mut *prof))).collect()
             }
-            g0 += ng;
-        }
-        if tail > 0 {
-            let mut bank = TileBank::<DdI, DdI>::new(prep, tail);
-            let mut out = Vec::new();
-            for j in 0..nin {
-                let col = bank.input_column(j as u32);
-                for (g, slot) in col.iter_mut().enumerate().take(tail) {
-                    *slot = inputs.get((groups * 4 + g) * nin + j);
-                }
+            None => par_map_indexed_with(
+                cfg,
+                n_tasks,
+                || t.lease(tile, tail),
+                |lease, k| task(lease.get(), k, None),
+            ),
+        };
+        // Width recording only while a trace is live — same one-branch
+        // guard the named kernels use, so untraced runs pay nothing.
+        let hist =
+            (!profiled && igen_telemetry::recording()).then(|| program_width_hist(&prog.name));
+        let mut result = B::with_capacity(items * prog.outputs.len());
+        for v in parts.into_iter().flatten() {
+            if let Some(hist) = hist {
+                let (lo, hi) = v.endpoints_f64();
+                hist.record(lo, hi);
             }
-            run_tile_profiled(prep, &mut bank, tail, &mut out, prof);
-            for g in 0..tail {
-                for s in 0..nout {
-                    result.push(out[s * tail + g]);
-                }
-            }
+            result.push(v);
         }
         result
     }

@@ -13,7 +13,52 @@
 
 use igen_dd::Dd;
 use igen_interval::{DdI, DdIx4, F64Ix2, F64Ix4, LaneOps, F64I};
+use igen_kernels::Numeric;
 use igen_round::simd::DdiCols4;
+
+/// A structure-of-arrays interval batch, as the generic program driver
+/// ([`crate::BatchProgram`]) reads and writes it: implemented by
+/// [`BatchF64I`] and [`BatchDdI`].
+pub trait SoaBatch: Sized {
+    /// The interval type of one slot.
+    type Elem: Numeric;
+
+    /// An empty batch with room for `n` intervals.
+    fn with_capacity(n: usize) -> Self;
+
+    /// Appends one interval.
+    fn push(&mut self, v: Self::Elem);
+
+    /// Number of intervals in the batch.
+    fn len(&self) -> usize;
+
+    /// True when the batch holds no intervals.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`-th interval.
+    fn get(&self, i: usize) -> Self::Elem;
+
+    /// Loads slots `start, start + stride, ..` into one packed lane
+    /// vector of the element's widest lane type.
+    fn load_lanes(&self, start: usize, stride: usize) -> <Self::Elem as Numeric>::Lane;
+
+    /// The endpoint columns, in a fixed order.
+    fn columns(&self) -> Vec<&[f64]>;
+
+    /// True when both batches hold the same bits in every endpoint
+    /// column. Unlike the derived `==`, a NaN endpoint equals itself,
+    /// so batches that went non-finite compare as the bit-identity
+    /// contract means.
+    fn bits_eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.columns(), other.columns());
+        a.len() == b.len()
+            && a.iter().zip(&b).all(|(x, y)| {
+                x.len() == y.len() && x.iter().zip(*y).all(|(p, q)| p.to_bits() == q.to_bits())
+            })
+    }
+}
 
 /// A batch of double-precision intervals in structure-of-arrays layout:
 /// one column of negated lower endpoints, one of upper endpoints.
@@ -138,6 +183,29 @@ impl FromIterator<F64I> for BatchF64I {
     }
 }
 
+impl SoaBatch for BatchF64I {
+    type Elem = F64I;
+
+    fn with_capacity(n: usize) -> BatchF64I {
+        BatchF64I::with_capacity(n)
+    }
+    fn push(&mut self, v: F64I) {
+        BatchF64I::push(self, v);
+    }
+    fn len(&self) -> usize {
+        BatchF64I::len(self)
+    }
+    fn get(&self, i: usize) -> F64I {
+        BatchF64I::get(self, i)
+    }
+    fn load_lanes(&self, start: usize, stride: usize) -> F64Ix4 {
+        self.load_x4(start, stride)
+    }
+    fn columns(&self) -> Vec<&[f64]> {
+        vec![&self.neg_lo, &self.hi]
+    }
+}
+
 /// A batch of double-double intervals in structure-of-arrays layout.
 ///
 /// A `DdI` endpoint is itself a double-double pair, so the batch carries
@@ -259,6 +327,29 @@ impl FromIterator<DdI> for BatchDdI {
     }
 }
 
+impl SoaBatch for BatchDdI {
+    type Elem = DdI;
+
+    fn with_capacity(n: usize) -> BatchDdI {
+        BatchDdI::with_capacity(n)
+    }
+    fn push(&mut self, v: DdI) {
+        BatchDdI::push(self, v);
+    }
+    fn len(&self) -> usize {
+        BatchDdI::len(self)
+    }
+    fn get(&self, i: usize) -> DdI {
+        BatchDdI::get(self, i)
+    }
+    fn load_lanes(&self, start: usize, stride: usize) -> DdIx4 {
+        self.load_x4(start, stride)
+    }
+    fn columns(&self) -> Vec<&[f64]> {
+        vec![&self.neg_lo_hi, &self.neg_lo_lo, &self.hi_hi, &self.hi_lo]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,5 +441,21 @@ mod tests {
         assert_eq!(b.get(1), F64I::point(-2.25));
         let d = BatchDdI::from_points(&[0.1]);
         assert_eq!(d.get(0), DdI::point_f64(0.1));
+    }
+
+    #[test]
+    fn bits_eq_compares_endpoint_bits() {
+        let nan = F64I::from_neg_lo_hi(f64::NAN, f64::NAN);
+        let a = BatchF64I::from_intervals(&[nan, F64I::point(1.0)]);
+        assert_ne!(a, a.clone(), "the derived == treats NaN as unequal to itself");
+        assert!(a.bits_eq(&a.clone()));
+        assert!(!a.bits_eq(&BatchF64I::from_intervals(&[nan, F64I::point(-1.0)])));
+        assert!(!a.bits_eq(&BatchF64I::from_intervals(&[nan])));
+        assert!(!BatchF64I::from_points(&[0.0]).bits_eq(&BatchF64I::from_points(&[-0.0])));
+        // The low words count too.
+        let x = DdI::new(Dd::new(1.0, 1e-20), Dd::new(1.0, 1e-20)).unwrap();
+        let d = BatchDdI::from_intervals(&[x]);
+        assert!(d.bits_eq(&d.clone()));
+        assert!(!d.bits_eq(&BatchDdI::from_points(&[1.0])));
     }
 }

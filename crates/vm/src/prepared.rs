@@ -1,20 +1,22 @@
-//! The tiled, instruction-major executor.
+//! The tiled, instruction-major executor: the VM's one instruction loop.
 //!
-//! [`run_lanes`](crate::exec::run_lanes) pays the full instruction
-//! match and operand decode once per 4-item group; on short programs
+//! Running the whole program once per 4-item group pays the full
+//! instruction match and operand decode per group; on short programs
 //! that dispatch overhead is most of the runtime. [`run_tile`] flips
 //! the loop nest: the register file becomes a SoA *bank* of `TILE`
 //! packed groups per register (`bank[reg * tile + g]`), each
 //! instruction is decoded once per tile, and the inner loop is a
 //! tight, branch-free sweep over the contiguous group column — the
 //! classic vectorized-interpreter trick, applied to interval lanes.
-//! With `TILE = 8` packed groups, one decode covers 32 items.
+//! With `TILE = 8` packed groups, one decode covers 32 items. The same
+//! loop at tile 1 and width 1 over the raw instruction list is
+//! [`run_scalar`](crate::exec::run_scalar).
 //!
 //! Two pieces of per-call waste are also hoisted to preparation time:
 //!
 //! * [`PreparedProgram`] decodes every pool constant **once per
-//!   (program, element type)** — `Insn::Const` in the plain executor
-//!   re-decodes and re-splats on every call.
+//!   (program, element type)** — an `Insn::Const` left in the executed
+//!   body re-decodes and re-splats on every call.
 //! * [`TileBank`] is built once per worker and pre-fills the constant
 //!   columns, so a call only writes the input columns and the scratch
 //!   registers the program itself defines. There is no per-call
@@ -24,20 +26,21 @@
 //! Execution order within a tile is *group-major per instruction*
 //! (instruction-major overall), but every value computed for group `g`
 //! depends only on column `g` — the columns never interact — so the
-//! results are bit-identical to running each group alone through
-//! `run_lanes`, for any tile size. That keeps the batch determinism
-//! guarantee: tile size, like thread count, cannot change a single
-//! endpoint bit.
+//! results are bit-identical to running each group alone at tile 1,
+//! for any tile size. That keeps the batch determinism guarantee: tile
+//! size, like thread count, cannot change a single endpoint bit.
 
 use crate::bytecode::{Insn, Program};
-use crate::exec::{VmElem, VM_INSNS_EXECUTED};
+use crate::exec::{max_src_rel, VmElem, VM_INSNS_EXECUTED};
 use igen_kernels::LaneOrScalar;
-use igen_telemetry::Counter;
+use igen_telemetry::profile::rel_width;
+use igen_telemetry::{Counter, UnitProfiler};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Tiles executed by [`run_tile`] (one count per call, independent of
-/// tile size and lane width).
+/// Runs of the instruction loop: one per [`run_tile`] or
+/// [`run_scalar`](crate::exec::run_scalar) call, independent of tile
+/// size and lane width.
 pub static VM_TILES: Counter = Counter::new("vm.tiles");
 
 /// Default number of packed groups per tile (8 groups = 32 items at
@@ -233,14 +236,113 @@ fn sweep1<L: Copy>(bank: &mut [L], tile: usize, n: usize, dst: u32, a: u32, f: i
     }
 }
 
+/// The instruction loop: executes `body` over the first `n` group
+/// columns of a bank `tile` groups wide. `site(i)` is body instruction
+/// `i`'s index in `prog.insns`, the key into the program's
+/// [`DebugMap`](crate::bytecode::DebugMap) and the profiler's site
+/// table.
+///
+/// A live `prof` times each sweep as one sample and takes one
+/// input/output width sample per element the sweep produced. It reads
+/// the bank between sweeps, never inside one, so a profiled run is
+/// bit-identical to a plain one.
+///
+/// Inlined into both callers, so `run_scalar`'s constant tile and group
+/// count of 1 fold every sweep down to a single operation.
+#[inline(always)]
+pub(crate) fn run_body<T: VmElem, L: LaneOrScalar<T>>(
+    prog: &Program,
+    body: &[Insn],
+    site: impl Fn(usize) -> usize,
+    bank: &mut [L],
+    tile: usize,
+    n: usize,
+    prof: Option<&mut UnitProfiler>,
+) {
+    // `active()` is a constant `false` without the telemetry feature,
+    // so every hook below folds away.
+    let mut prof = prof.filter(|p| p.active());
+    // Widest source width per element, `g * L::WIDTH + lane`.
+    let mut max_in = Vec::new();
+    for (bi, insn) in body.iter().enumerate() {
+        let t0 = match prof.as_deref_mut() {
+            Some(p) => {
+                let oi = site(bi);
+                let loc = prog.debug.site(oi);
+                p.set_meta(oi, loc.line, loc.col, insn.op_name());
+                // Source widths are read before the sweep: the peephole
+                // reuses registers, so dst may alias a source.
+                max_in.clear();
+                for g in 0..n {
+                    for l in 0..L::WIDTH {
+                        max_in.push(max_src_rel(insn, |r| {
+                            bank[r as usize * tile + g].lane_l(l).endpoints_f64()
+                        }));
+                    }
+                }
+                p.now_ns()
+            }
+            None => 0,
+        };
+        match *insn {
+            // Only non-hoistable constants reach a prepared body
+            // (rewritten register or input-register destination); the
+            // raw instruction list decodes every constant here.
+            Insn::Const { dst, idx } => {
+                let v = L::splat_l(T::from_const(&prog.consts[idx as usize]));
+                sweep1(bank, tile, n, dst, dst, |_| v);
+            }
+            Insn::Add { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x + y),
+            Insn::Sub { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x - y),
+            Insn::Mul { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x * y),
+            Insn::Div { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x / y),
+            Insn::Min { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x.min_l(y)),
+            Insn::Max { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x.max_l(y)),
+            Insn::Neg { dst, a } => sweep1(bank, tile, n, dst, a, |x| -x),
+            Insn::Sqrt { dst, a } => sweep1(bank, tile, n, dst, a, |x| x.sqrt_l()),
+            Insn::Abs { dst, a } => sweep1(bank, tile, n, dst, a, |x| x.abs_l()),
+            Insn::Sqr { dst, a } => sweep1(bank, tile, n, dst, a, |x| x.sqr_l()),
+            Insn::Pow { dst, a, n: e } => {
+                // No packed powi kernel: lane-wise is bit-identical
+                // because the lanes are independent.
+                sweep1(bank, tile, n, dst, a, |x| L::from_fn_l(|i| x.lane_l(i).powi_e(e)))
+            }
+            // Dispatch-fused multiply-accumulate: the same two rounded
+            // interval ops as the Mul+Add/Sub pair it replaced, product
+            // on the right of the accumulate, so bit-identical; the
+            // product stays in a machine register instead of
+            // round-tripping a temp column through the bank.
+            Insn::MulAdd { dst, a, b, acc } => {
+                sweep3(bank, tile, n, dst, a, b, acc, |x, y, z| z + (x * y))
+            }
+            Insn::MulSub { dst, a, b, acc } => {
+                sweep3(bank, tile, n, dst, a, b, acc, |x, y, z| z - (x * y))
+            }
+        }
+        if let Some(p) = prof.as_deref_mut() {
+            let oi = site(bi);
+            p.add_time(oi, p.now_ns().saturating_sub(t0));
+            let di = insn.dst() as usize * tile;
+            for (k, &w) in max_in.iter().enumerate() {
+                let (lo, hi) = bank[di + k / L::WIDTH].lane_l(k % L::WIDTH).endpoints_f64();
+                p.add_sample(oi, w, rel_width(lo, hi));
+            }
+        }
+    }
+    VM_INSNS_EXECUTED.add(body.len() as u64);
+    VM_TILES.inc();
+}
+
 /// Executes `prep` over the first `n_groups` group columns of `bank`
 /// (inputs already written via [`TileBank::input_column`]). Declared
 /// outputs land in `outputs` slot-major: `outputs[slot * n_groups + g]`
 /// is output `slot` for group `g`.
 ///
-/// Bit-identical to running each group alone through
-/// [`run_lanes`](crate::exec::run_lanes), for every tile size and lane
-/// width — see the module docs.
+/// With a live `prof`, each body instruction's sweep is profiled
+/// against its *original* instruction index (the hoisted-constant split
+/// shifts body positions, so the prepared program carries the index
+/// map). Bit-identical to running each group alone at tile 1, for every
+/// tile size and lane width, profiled or not — see the module docs.
 ///
 /// # Panics
 ///
@@ -251,132 +353,13 @@ pub fn run_tile<T: VmElem, L: LaneOrScalar<T>>(
     bank: &mut TileBank<T, L>,
     n_groups: usize,
     outputs: &mut Vec<L>,
+    prof: Option<&mut UnitProfiler>,
 ) {
     assert_eq!(bank.prep_id, prep.id, "tile bank was built for a different program");
     assert!(n_groups <= bank.tile, "n_groups {} exceeds tile {}", n_groups, bank.tile);
     let tile = bank.tile;
-    let bk = &mut bank.bank[..];
-    for insn in &prep.body {
-        match *insn {
-            // Only non-hoistable constants reach the body (rewritten
-            // register or input-register destination).
-            Insn::Const { dst, idx } => {
-                let v = L::splat_l(T::from_const(&prep.prog.consts[idx as usize]));
-                sweep1(bk, tile, n_groups, dst, dst, |_| v);
-            }
-            Insn::Add { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x + y),
-            Insn::Sub { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x - y),
-            Insn::Mul { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x * y),
-            Insn::Div { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x / y),
-            Insn::Min { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x.min_l(y)),
-            Insn::Max { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x.max_l(y)),
-            Insn::Neg { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| -x),
-            Insn::Sqrt { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| x.sqrt_l()),
-            Insn::Abs { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| x.abs_l()),
-            Insn::Sqr { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| x.sqr_l()),
-            Insn::Pow { dst, a, n } => {
-                // No packed powi kernel: lane-wise is bit-identical
-                // because the lanes are independent.
-                sweep1(bk, tile, n_groups, dst, a, |x| L::from_fn_l(|i| x.lane_l(i).powi_e(n)))
-            }
-            // The accumulate superinstructions keep the product in a
-            // machine register instead of round-tripping a temp column
-            // through the bank — both interval roundings preserved.
-            Insn::MulAdd { dst, a, b, acc } => {
-                sweep3(bk, tile, n_groups, dst, a, b, acc, |x, y, z| z + (x * y))
-            }
-            Insn::MulSub { dst, a, b, acc } => {
-                sweep3(bk, tile, n_groups, dst, a, b, acc, |x, y, z| z - (x * y))
-            }
-        }
-    }
-    VM_INSNS_EXECUTED.add(prep.body.len() as u64);
-    VM_TILES.inc();
-    outputs.clear();
-    for o in &prep.prog.outputs {
-        let oi = o.reg as usize * tile;
-        outputs.extend_from_slice(&bk[oi..oi + n_groups]);
-    }
-}
-
-/// [`run_tile`] with per-instruction profiling. Each body instruction's
-/// sweep over the tile is timed as one sample against its *original*
-/// instruction index (the hoisted-constant split shifts body positions,
-/// so the prepared program carries the index map), and every element it
-/// produced contributes an input/output width sample.
-///
-/// The sweeps themselves are the exact loops of [`run_tile`] — the
-/// profiler reads the bank between instructions, never inside a sweep —
-/// so the outputs are bit-identical to an unprofiled run. When `prof`
-/// is inactive this falls straight through to [`run_tile`].
-pub fn run_tile_profiled<T: VmElem, L: LaneOrScalar<T>>(
-    prep: &PreparedProgram<T>,
-    bank: &mut TileBank<T, L>,
-    n_groups: usize,
-    outputs: &mut Vec<L>,
-    prof: &mut igen_telemetry::UnitProfiler,
-) {
-    use igen_telemetry::profile::rel_width;
-    if !prof.active() {
-        return run_tile(prep, bank, n_groups, outputs);
-    }
-    assert_eq!(bank.prep_id, prep.id, "tile bank was built for a different program");
-    assert!(n_groups <= bank.tile, "n_groups {} exceeds tile {}", n_groups, bank.tile);
-    let tile = bank.tile;
-    for (bi, insn) in prep.body.iter().enumerate() {
-        let oi = prep.body_idx[bi] as usize;
-        let site = prep.prog.debug.site(oi);
-        prof.set_meta(oi, site.line, site.col, insn.op_name());
-        // Input widths are read before the sweep: the renumbered
-        // programs reuse registers, so dst may alias a source.
-        let mut max_in = vec![0.0f64; n_groups * L::WIDTH];
-        for g in 0..n_groups {
-            for l in 0..L::WIDTH {
-                max_in[g * L::WIDTH + l] = crate::exec::max_src_rel(insn, |r| {
-                    bank.bank[r as usize * tile + g].lane_l(l).endpoints_f64()
-                });
-            }
-        }
-        let t0 = prof.now_ns();
-        {
-            let bk = &mut bank.bank[..];
-            match *insn {
-                Insn::Const { dst, idx } => {
-                    let v = L::splat_l(T::from_const(&prep.prog.consts[idx as usize]));
-                    sweep1(bk, tile, n_groups, dst, dst, |_| v);
-                }
-                Insn::Add { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x + y),
-                Insn::Sub { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x - y),
-                Insn::Mul { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x * y),
-                Insn::Div { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x / y),
-                Insn::Min { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x.min_l(y)),
-                Insn::Max { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x.max_l(y)),
-                Insn::Neg { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| -x),
-                Insn::Sqrt { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| x.sqrt_l()),
-                Insn::Abs { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| x.abs_l()),
-                Insn::Sqr { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| x.sqr_l()),
-                Insn::Pow { dst, a, n } => {
-                    sweep1(bk, tile, n_groups, dst, a, |x| L::from_fn_l(|i| x.lane_l(i).powi_e(n)))
-                }
-                Insn::MulAdd { dst, a, b, acc } => {
-                    sweep3(bk, tile, n_groups, dst, a, b, acc, |x, y, z| z + (x * y))
-                }
-                Insn::MulSub { dst, a, b, acc } => {
-                    sweep3(bk, tile, n_groups, dst, a, b, acc, |x, y, z| z - (x * y))
-                }
-            }
-        }
-        prof.add_time(oi, prof.now_ns().saturating_sub(t0));
-        let di = insn.dst() as usize * tile;
-        for g in 0..n_groups {
-            for l in 0..L::WIDTH {
-                let (lo, hi) = bank.bank[di + g].lane_l(l).endpoints_f64();
-                prof.add_sample(oi, max_in[g * L::WIDTH + l], rel_width(lo, hi));
-            }
-        }
-    }
-    VM_INSNS_EXECUTED.add(prep.body.len() as u64);
-    VM_TILES.inc();
+    let site = |bi: usize| prep.body_idx[bi] as usize;
+    run_body(&prep.prog, &prep.body, site, &mut bank.bank, tile, n_groups, prof);
     outputs.clear();
     for o in &prep.prog.outputs {
         let oi = o.reg as usize * tile;
@@ -445,7 +428,7 @@ mod tests {
                     bank.input_column(r as u32)[g] = *v;
                 }
             }
-            run_tile(&prep, &mut bank, n_groups, &mut out);
+            run_tile(&prep, &mut bank, n_groups, &mut out, None);
             assert_eq!(out.len(), n_groups);
             for (g, got) in out.iter().enumerate() {
                 let want = run_scalar(&p, &item(g + 7 * n_groups))[0];
@@ -473,7 +456,7 @@ mod tests {
                     });
                 }
             }
-            run_tile(&prep, &mut bank, n_groups, &mut out);
+            run_tile(&prep, &mut bank, n_groups, &mut out, None);
             for (g, group) in out.iter().enumerate().take(n_groups) {
                 for l in 0..4 {
                     let want = run_scalar(&p, &item(100 * call + 4 * g + l))[0];
@@ -506,7 +489,7 @@ mod tests {
         for g in 0..4 {
             bank.input_column(0)[g] = F64I::new(-1.5 - g as f64, 2.0 + g as f64).unwrap();
         }
-        run_tile(&prep, &mut bank, 4, &mut out);
+        run_tile(&prep, &mut bank, 4, &mut out, None);
         for (g, got) in out.iter().enumerate() {
             let x = F64I::new(-1.5 - g as f64, 2.0 + g as f64).unwrap();
             let want = run_scalar(&p, &[x])[0];
@@ -515,32 +498,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn profiled_tile_is_bit_identical_to_plain() {
+    /// Plain and profiled runs over the same bank, at the lane width `L`.
+    fn check_profiled_tile<L: LaneOrScalar<F64I>>() {
         let p = quad();
         let prep = PreparedProgram::<F64I>::new(p.clone());
-        let mut bank = TileBank::<F64I, F64I>::new(&prep, 4);
+        let mut bank = TileBank::<F64I, L>::new(&prep, 4);
+        let fill = |bank: &mut TileBank<F64I, L>| {
+            for g in 0..4 {
+                for r in 0..3u32 {
+                    bank.input_column(r)[g] = L::from_fn_l(|l| item(L::WIDTH * g + l)[r as usize]);
+                }
+            }
+        };
+        fill(&mut bank);
         let mut plain = Vec::new();
-        for g in 0..4 {
-            for (r, v) in item(g).iter().enumerate() {
-                bank.input_column(r as u32)[g] = *v;
-            }
-        }
-        run_tile(&prep, &mut bank, 4, &mut plain);
-        let mut profiled = Vec::new();
+        run_tile(&prep, &mut bank, 4, &mut plain, None);
+        // Recording on makes the profiler live under the telemetry
+        // feature; without it this pins the folded-away hooks.
+        igen_telemetry::set_recording(true);
         let mut prof = igen_telemetry::UnitProfiler::start(&p.name, p.insns.len());
-        for g in 0..4 {
-            for (r, v) in item(g).iter().enumerate() {
-                bank.input_column(r as u32)[g] = *v;
-            }
-        }
-        run_tile_profiled(&prep, &mut bank, 4, &mut profiled, &mut prof);
+        fill(&mut bank);
+        let mut profiled = Vec::new();
+        run_tile(&prep, &mut bank, 4, &mut profiled, Some(&mut prof));
         prof.finish();
+        igen_telemetry::set_recording(false);
         assert_eq!(plain.len(), profiled.len());
         for (w, g) in plain.iter().zip(&profiled) {
-            assert_eq!(w.lo().to_bits(), g.lo().to_bits());
-            assert_eq!(w.hi().to_bits(), g.hi().to_bits());
+            for l in 0..L::WIDTH {
+                let (w, g) = (w.lane_l(l), g.lane_l(l));
+                assert_eq!(w.lo().to_bits(), g.lo().to_bits());
+                assert_eq!(w.hi().to_bits(), g.hi().to_bits());
+            }
         }
+    }
+
+    #[test]
+    fn profiled_tile_is_bit_identical_to_plain() {
+        check_profiled_tile::<F64I>();
+        check_profiled_tile::<F64Ix4>();
     }
 
     #[test]
@@ -562,6 +557,6 @@ mod tests {
         let prep_b = PreparedProgram::<F64I>::new(quad());
         let mut bank = TileBank::<F64I, F64I>::new(&prep_a, 2);
         let mut out = Vec::new();
-        run_tile(&prep_b, &mut bank, 1, &mut out);
+        run_tile(&prep_b, &mut bank, 1, &mut out, None);
     }
 }

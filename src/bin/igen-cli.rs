@@ -398,7 +398,7 @@ fn compile_unit(req: &CompileRequest) -> Result<igen::session::CompiledUnit, Exi
 /// result against both the single-thread run and the differential
 /// interpreter before reporting throughput.
 fn run_run(args: &[String]) -> ExitCode {
-    use igen::batch::{BatchConfig, BatchDdI, BatchF64I};
+    use igen::batch::{BatchConfig, BatchDdI, BatchF64I, SoaBatch};
     use igen::kernels::workload;
 
     let mut input: Option<String> = None;
@@ -514,7 +514,7 @@ fn run_run(args: &[String]) -> ExitCode {
             let t1 = t.elapsed();
             let t = Instant::now();
             let b = unit.batch.run_dd(&par, &soa);
-            (t1, t.elapsed(), a == b)
+            (t1, t.elapsed(), a.bits_eq(&b))
         }
         _ => {
             let pts = workload::random_points(&mut rng, batch * nin, -2.0, 2.0);
@@ -534,7 +534,7 @@ fn run_run(args: &[String]) -> ExitCode {
             let t1 = t.elapsed();
             let t = Instant::now();
             let b = unit.batch.run(&par, &soa);
-            (t1, t.elapsed(), a == b)
+            (t1, t.elapsed(), a.bits_eq(&b))
         }
     };
     if !same {
@@ -564,7 +564,7 @@ fn run_run(args: &[String]) -> ExitCode {
 /// thread and at `--threads`), and prints a blame report — the source
 /// sites costing the most time and amplifying enclosure width the most.
 fn run_profile(args: &[String]) -> ExitCode {
-    use igen::batch::{BatchConfig, BatchDdI, BatchF64I};
+    use igen::batch::{BatchConfig, BatchDdI, BatchF64I, SoaBatch};
     use igen::kernels::workload;
 
     let mut input: Option<String> = None;
@@ -672,7 +672,7 @@ fn run_profile(args: &[String]) -> ExitCode {
             let mut prof = igen::telemetry::UnitProfiler::start(&fn_name, n_insns);
             let c = unit.batch.run_dd_profiled(&seq, &soa, &mut prof);
             prof.finish();
-            a == b && a == c
+            a.bits_eq(&b) && a.bits_eq(&c)
         }
         _ => {
             let pts = workload::random_points(&mut rng, batch * nin, -2.0, 2.0);
@@ -684,7 +684,7 @@ fn run_profile(args: &[String]) -> ExitCode {
             let mut prof = igen::telemetry::UnitProfiler::start(&fn_name, n_insns);
             let c = unit.batch.run_profiled(&seq, &soa, &mut prof);
             prof.finish();
-            a == b && a == c
+            a.bits_eq(&b) && a.bits_eq(&c)
         }
     };
     igen::telemetry::set_recording(false);

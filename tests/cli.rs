@@ -238,6 +238,25 @@ fn run_rejects_untraceable_functions_with_the_reason() {
     assert!(stderr.contains("interval"), "{stderr}");
 }
 
+/// dd Hénon goes NaN from 10 iterations on. NaN is unequal to itself
+/// under `==`, but the endpoint bits still agree across thread counts
+/// and between profiled and plain runs, so both checks must pass.
+#[test]
+fn run_and_profile_accept_nan_endpoints() {
+    let dir = scratch("cli_nan_endpoints");
+    let henon = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/henon.c");
+    let flags = ["--precision", "dd", "--arg", "iterations=20", "--batch", "64", "--threads", "2"];
+    for (cmd, line) in [
+        ("run", "results bit-identical across thread counts: yes"),
+        ("profile", "profiled outputs bit-identical to unprofiled: yes"),
+    ] {
+        let out = run_in(&dir, &[&[cmd, henon][..], &flags].concat());
+        assert!(out.status.success(), "{cmd}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(line), "{cmd}: {stdout}");
+    }
+}
+
 #[test]
 fn report_renders_a_handcrafted_trace() {
     let dir = scratch("cli_trace_report");

@@ -8,6 +8,7 @@ use igen::batch::{BatchConfig, BatchDdI, BatchF64I, BatchProgram};
 use igen::compiler::{
     compile_to_program, compile_to_program_raw, Compiler, Config, OptLevel, Output, Precision,
 };
+use igen::interval::DdI;
 use igen::kernels::workload;
 use igen::vm::{ArgBind, BindSpec};
 
@@ -25,12 +26,26 @@ fn compile(src: &str, opt: OptLevel, precision: Precision) -> Output {
     Compiler::new(cfg).compile_str(src).expect("compiles")
 }
 
+/// All four components of a dd interval, as bits: a NaN equals itself,
+/// and the low words are compared too.
+fn dd_bits(d: &DdI) -> [u64; 4] {
+    let (lo, hi) = (d.lo(), d.hi());
+    [lo.hi().to_bits(), lo.lo().to_bits(), hi.hi().to_bits(), hi.lo().to_bits()]
+}
+
 /// Runs plain and profiled over the same batch and asserts every
 /// endpoint matches bit for bit. With telemetry compiled in (and
 /// recording turned on here) the profiled run records live samples; in
 /// a default build the profiler is a zero-sized stub and this pins the
-/// fall-through path instead — both must hold.
-fn check_profiled_identity(src: &str, fn_name: &str, bind: &BindSpec, precision: Precision) {
+/// loop with its hooks folded away instead — both must hold. Returns
+/// how many outputs had a NaN endpoint, over all opt levels.
+fn check_profiled_identity(
+    src: &str,
+    fn_name: &str,
+    bind: &BindSpec,
+    precision: Precision,
+) -> usize {
+    let mut nan = 0;
     for opt in OPT_LEVELS {
         let out = compile(src, opt, precision);
         let prog = compile_to_program(&out, fn_name, bind)
@@ -53,10 +68,10 @@ fn check_profiled_identity(src: &str, fn_name: &str, bind: &BindSpec, precision:
                 prof.finish();
                 assert_eq!(plain.len(), profiled.len());
                 for (a, b) in plain.iter().zip(&profiled) {
-                    let (fa, fb) = (a.to_f64i(), b.to_f64i());
-                    assert_eq!(fa.lo().to_bits(), fb.lo().to_bits(), "{fn_name} {opt:?} dd lo");
-                    assert_eq!(fa.hi().to_bits(), fb.hi().to_bits(), "{fn_name} {opt:?} dd hi");
+                    assert_eq!(dd_bits(a), dd_bits(b), "{fn_name} {opt:?} dd");
                 }
+                nan +=
+                    plain.iter().filter(|a| a.lo().hi().is_nan() || a.hi().hi().is_nan()).count();
             }
             _ => {
                 let pts = workload::random_points(&mut rng, items * nin, -2.0, 2.0);
@@ -71,10 +86,12 @@ fn check_profiled_identity(src: &str, fn_name: &str, bind: &BindSpec, precision:
                     assert_eq!(a.lo().to_bits(), b.lo().to_bits(), "{fn_name} {opt:?} lo");
                     assert_eq!(a.hi().to_bits(), b.hi().to_bits(), "{fn_name} {opt:?} hi");
                 }
+                nan += plain.iter().filter(|a| a.lo().is_nan() || a.hi().is_nan()).count();
             }
         }
         igen::telemetry::set_recording(false);
     }
+    nan
 }
 
 #[test]
@@ -83,10 +100,15 @@ fn profiled_henon_is_bit_identical_f64() {
     check_profiled_identity(&henon_src(), "henon_map", &bind, Precision::F64);
 }
 
+/// Hénon@8 stays finite on [-2, 2] inputs; @20 goes NaN, so the
+/// profiled run also crosses the lanes the packed dd kernels patch.
 #[test]
 fn profiled_henon_is_bit_identical_dd() {
-    let bind = BindSpec::new(vec![ArgBind::Ival, ArgBind::Ival, ArgBind::Int(8)]);
-    check_profiled_identity(&henon_src(), "henon_map", &bind, Precision::Dd);
+    for (iterations, goes_nan) in [(8, false), (20, true)] {
+        let bind = BindSpec::new(vec![ArgBind::Ival, ArgBind::Ival, ArgBind::Int(iterations)]);
+        let nan = check_profiled_identity(&henon_src(), "henon_map", &bind, Precision::Dd);
+        assert_eq!(nan > 0, goes_nan, "Hénon@{iterations}: {nan} outputs with a NaN endpoint");
+    }
 }
 
 #[test]
