@@ -6,16 +6,14 @@
 //! results are stitched back together *in range order*. Because every
 //! interval operation in this workspace rounds via deterministic software
 //! EFTs, a pure per-element function returns bit-identical results no
-//! matter which thread runs it — so `par_map` output is byte-for-byte the
-//! sequential output, at any thread count.
+//! matter which thread runs it — so [`par_map_indexed`] output is
+//! byte-for-byte the sequential output, at any thread count.
 //!
-//! Reductions are different: interval addition is *not* associative at
-//! the bit level, so a reduction's combine order must be pinned for the
-//! result to be reproducible. [`par_reduce`] therefore cuts the index
-//! space into fixed-size chunks whose boundaries depend only on the
-//! configured chunk length — never on the thread count — computes one
-//! partial per chunk, and folds the partials left-to-right in chunk
-//! order. The result is identical for 1, 2, or N threads.
+//! The engine only maps: each index or block is computed on its own and
+//! lands in its own slot. A sum *across* items would need its combine
+//! order pinned, since interval addition is not associative at the bit
+//! level; no caller needs one, because every batched kernel sums within
+//! one item, in the scalar kernel's order.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -186,16 +184,6 @@ where
     out
 }
 
-/// Applies `f` to every item of `items`, in parallel, preserving order.
-pub fn par_map<I, O, F>(cfg: &BatchConfig, items: &[I], f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    par_map_indexed(cfg, items.len(), |i| f(&items[i]))
-}
-
 /// Splits `data` into consecutive blocks of `block_len` items (the last
 /// block may be shorter) and runs `f(block_index, block)` on every block,
 /// distributing contiguous runs of blocks across threads. Each block is
@@ -241,40 +229,6 @@ where
             h.join().expect("batch worker panicked");
         }
     });
-}
-
-/// Chunked deterministic reduction over `0..n`.
-///
-/// The index space is cut into chunks of exactly `chunk` indices (the
-/// last may be shorter); `map_chunk` produces one partial per chunk (in
-/// parallel), and the partials are folded left-to-right in chunk order
-/// with `combine`. Chunk boundaries depend only on `chunk`, so the
-/// result is bitwise identical at every thread count — the property the
-/// proptests pin down. Returns `None` when `n == 0`.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0`.
-pub fn par_reduce<A, F, G>(
-    cfg: &BatchConfig,
-    n: usize,
-    chunk: usize,
-    map_chunk: F,
-    combine: G,
-) -> Option<A>
-where
-    A: Send,
-    F: Fn(Range<usize>) -> A + Sync,
-    G: Fn(A, A) -> A,
-{
-    assert!(chunk > 0, "chunk must be positive");
-    if n == 0 {
-        return None;
-    }
-    let nchunks = n.div_ceil(chunk);
-    let chunk_range = |ci: usize| ci * chunk..((ci + 1) * chunk).min(n);
-    let partials = par_map_indexed(cfg, nchunks, |ci| map_chunk(chunk_range(ci)));
-    partials.into_iter().reduce(combine)
 }
 
 #[cfg(test)]
@@ -362,29 +316,5 @@ mod tests {
         });
         let want: Vec<u32> = (1..=103).collect();
         assert_eq!(data, want);
-    }
-
-    #[test]
-    fn reduce_is_thread_count_invariant() {
-        // f64 addition is non-associative, exactly like interval addition:
-        // if chunk boundaries drifted with the thread count this would
-        // differ bitwise.
-        let vals: Vec<f64> = (0..10_000).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let run = |threads| {
-            let cfg = BatchConfig::new().with_threads(threads).with_seq_threshold(0);
-            par_reduce(&cfg, vals.len(), 64, |r| r.fold(0.0f64, |a, i| a + vals[i]), |a, b| a + b)
-                .unwrap()
-        };
-        let one = run(1);
-        for t in [2, 3, 8] {
-            assert_eq!(one.to_bits(), run(t).to_bits(), "threads = {t}");
-        }
-    }
-
-    #[test]
-    fn reduce_empty_is_none() {
-        let cfg = BatchConfig::new();
-        let r: Option<u32> = par_reduce(&cfg, 0, 8, |_| 1, |a, b| a + b);
-        assert_eq!(r, None);
     }
 }

@@ -11,9 +11,9 @@
 //!   [`BatchDdI`], both [`SoaBatch`]): endpoint columns stored in the
 //!   intervals' internal (negated-low) representation, feeding the
 //!   `vector.rs` lane types with plain strided loads.
-//! * [`engine`] — a chunked multi-threaded map/reduce
-//!   ([`engine::par_map`], [`engine::par_reduce`]) built on
-//!   `std::thread::scope` (`rayon` is unavailable offline — documented
+//! * [`engine`] — a chunked multi-threaded ordered map
+//!   ([`engine::par_map_indexed`], [`engine::par_for_each_block`]) built
+//!   on `std::thread::scope` (`rayon` is unavailable offline — documented
 //!   substitution), with a configurable sequential fallback threshold
 //!   ([`BatchConfig`]).
 //! * [`kernels`] — batched entry points for the paper kernels: dot
@@ -27,10 +27,8 @@
 //! therefore cannot change results: every batched kernel executes, per
 //! batch item, exactly the scalar kernel's operation sequence (four
 //! items per packed register, element-wise lane ops), so outputs are
-//! **bit-identical to the scalar path at any thread count**. Reductions
-//! pin their combine order to fixed-size chunks so they too are
-//! reproducible across thread counts. The property tests in
-//! `tests/batch_properties.rs` enforce both guarantees.
+//! **bit-identical to the scalar path at any thread count**. The
+//! property tests in `tests/batch_properties.rs` enforce this.
 //!
 //! # Example
 //!

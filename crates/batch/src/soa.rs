@@ -12,7 +12,7 @@
 //! AVX gather or a future GPU port wants to touch.
 
 use igen_dd::Dd;
-use igen_interval::{DdI, DdIx4, F64Ix2, F64Ix4, LaneOps, F64I};
+use igen_interval::{DdI, DdIx4, F64Ix4, F64I};
 use igen_kernels::Numeric;
 use igen_round::simd::DdiCols4;
 
@@ -87,11 +87,6 @@ impl BatchF64I {
         }
     }
 
-    /// Point intervals (width zero) from raw doubles.
-    pub fn from_points(xs: &[f64]) -> BatchF64I {
-        BatchF64I { neg_lo: xs.iter().map(|&x| -x).collect(), hi: xs.to_vec() }
-    }
-
     /// Number of intervals in the batch.
     pub fn len(&self) -> usize {
         self.neg_lo.len()
@@ -114,35 +109,9 @@ impl BatchF64I {
         F64I::from_neg_lo_hi(self.neg_lo[i], self.hi[i])
     }
 
-    /// Overwrites the `i`-th interval.
-    pub fn set(&mut self, i: usize, v: F64I) {
-        self.neg_lo[i] = v.neg_lo();
-        self.hi[i] = v.hi();
-    }
-
-    /// The negated-lower-endpoint column.
-    pub fn neg_lo_col(&self) -> &[f64] {
-        &self.neg_lo
-    }
-
-    /// The upper-endpoint column.
-    pub fn hi_col(&self) -> &[f64] {
-        &self.hi
-    }
-
     /// Materializes the batch back to array-of-structs form.
     pub fn to_intervals(&self) -> Vec<F64I> {
         (0..self.len()).map(|i| self.get(i)).collect()
-    }
-
-    /// Loads lanes `start, start+stride, ..` into a 2-wide lane vector.
-    /// The lane vector's columns are filled straight from the batch
-    /// columns — no per-element interval reassembly.
-    pub fn load_x2(&self, start: usize, stride: usize) -> F64Ix2 {
-        F64Ix2::from_columns(
-            [self.neg_lo[start], self.neg_lo[start + stride]],
-            [self.hi[start], self.hi[start + stride]],
-        )
     }
 
     /// Loads lanes `start, start+stride, ..` into a 4-wide lane vector —
@@ -161,15 +130,6 @@ impl BatchF64I {
         let nl: &[f64; 4] = self.neg_lo[start..start + 4].try_into().expect("4 lanes");
         let h: &[f64; 4] = self.hi[start..start + 4].try_into().expect("4 lanes");
         F64Ix4::from_columns(*nl, *h)
-    }
-
-    /// Stores a 4-wide lane vector back to lanes `start, start+stride, ..`
-    /// (column-to-column scatter).
-    pub fn store_x4(&mut self, start: usize, stride: usize, v: F64Ix4) {
-        for l in 0..F64Ix4::LANES {
-            self.neg_lo[start + l * stride] = v.neg_lo_col()[l];
-            self.hi[start + l * stride] = v.hi_col()[l];
-        }
     }
 }
 
@@ -244,11 +204,6 @@ impl BatchDdI {
         b
     }
 
-    /// Point intervals (width zero) from raw doubles.
-    pub fn from_points(xs: &[f64]) -> BatchDdI {
-        xs.iter().map(|&x| DdI::point_f64(x)).collect()
-    }
-
     /// Number of intervals in the batch.
     pub fn len(&self) -> usize {
         self.neg_lo_hi.len()
@@ -276,15 +231,6 @@ impl BatchDdI {
         )
     }
 
-    /// Overwrites the `i`-th interval.
-    pub fn set(&mut self, i: usize, v: DdI) {
-        let (nl, h) = (v.neg_lo(), v.hi());
-        self.neg_lo_hi[i] = nl.hi();
-        self.neg_lo_lo[i] = nl.lo();
-        self.hi_hi[i] = h.hi();
-        self.hi_lo[i] = h.lo();
-    }
-
     /// Materializes the batch back to array-of-structs form.
     pub fn to_intervals(&self) -> Vec<DdI> {
         (0..self.len()).map(|i| self.get(i)).collect()
@@ -307,13 +253,6 @@ impl BatchDdI {
     /// four column loads.
     pub fn load_x4_contig(&self, start: usize) -> DdIx4 {
         self.load_x4(start, 1)
-    }
-
-    /// Stores a 4-wide lane vector back to lanes `start, start+stride, ..`.
-    pub fn store_x4(&mut self, start: usize, stride: usize, v: DdIx4) {
-        for l in 0..DdIx4::LANES {
-            self.set(start + l * stride, v.lane(l));
-        }
     }
 }
 
@@ -353,6 +292,7 @@ impl SoaBatch for BatchDdI {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use igen_interval::LaneOps;
 
     fn sample_f64i(n: usize) -> Vec<F64I> {
         (0..n)
@@ -380,8 +320,7 @@ mod tests {
         let b = BatchF64I::from_intervals(&[x]);
         // neg_lo column stores the *negated* lower endpoint: no shuffle
         // between batch memory and the interval representation.
-        assert_eq!(b.neg_lo_col(), &[2.0]);
-        assert_eq!(b.hi_col(), &[5.0]);
+        assert_eq!(b.columns(), [&[2.0][..], &[5.0][..]]);
     }
 
     #[test]
@@ -392,21 +331,6 @@ mod tests {
         for l in 0..4 {
             assert_eq!(v.lane(l), xs[1 + 2 * l]);
         }
-        let v2 = b.load_x2(0, 6);
-        assert_eq!(v2.lane(0), xs[0]);
-        assert_eq!(v2.lane(1), xs[6]);
-    }
-
-    #[test]
-    fn f64i_store_x4_roundtrips() {
-        let xs = sample_f64i(8);
-        let mut b = BatchF64I::from_intervals(&xs);
-        let v = b.load_x4(0, 2);
-        let mut b2 = BatchF64I::from_intervals(&sample_f64i(8));
-        b2.store_x4(0, 2, v);
-        assert_eq!(b2.get(2), b.get(2));
-        b.set(3, F64I::point(9.0));
-        assert_eq!(b.get(3), F64I::point(9.0));
     }
 
     #[test]
@@ -431,16 +355,7 @@ mod tests {
         assert!(BatchF64I::new().is_empty());
         assert!(BatchDdI::new().is_empty());
         assert_eq!(BatchF64I::from_intervals(&[]).to_intervals(), vec![]);
-        assert_eq!(BatchDdI::from_points(&[]).len(), 0);
-    }
-
-    #[test]
-    fn from_points_are_points() {
-        let b = BatchF64I::from_points(&[1.5, -2.25]);
-        assert_eq!(b.get(0), F64I::point(1.5));
-        assert_eq!(b.get(1), F64I::point(-2.25));
-        let d = BatchDdI::from_points(&[0.1]);
-        assert_eq!(d.get(0), DdI::point_f64(0.1));
+        assert_eq!(BatchDdI::from_intervals(&[]).len(), 0);
     }
 
     #[test]
@@ -451,11 +366,12 @@ mod tests {
         assert!(a.bits_eq(&a.clone()));
         assert!(!a.bits_eq(&BatchF64I::from_intervals(&[nan, F64I::point(-1.0)])));
         assert!(!a.bits_eq(&BatchF64I::from_intervals(&[nan])));
-        assert!(!BatchF64I::from_points(&[0.0]).bits_eq(&BatchF64I::from_points(&[-0.0])));
+        let zero = |x: f64| BatchF64I::from_intervals(&[F64I::point(x)]);
+        assert!(!zero(0.0).bits_eq(&zero(-0.0)));
         // The low words count too.
         let x = DdI::new(Dd::new(1.0, 1e-20), Dd::new(1.0, 1e-20)).unwrap();
         let d = BatchDdI::from_intervals(&[x]);
         assert!(d.bits_eq(&d.clone()));
-        assert!(!d.bits_eq(&BatchDdI::from_points(&[1.0])));
+        assert!(!d.bits_eq(&BatchDdI::from_intervals(&[DdI::point_f64(1.0)])));
     }
 }

@@ -1,12 +1,10 @@
 //! The batch engine's contract, pinned by property tests: batched
 //! evaluation is **bit-identical** to the scalar kernels at every thread
 //! count (software directed rounding is deterministic, and each batch
-//! item executes the scalar operation sequence), and chunked reductions
-//! are invariant in the thread count. Sizes are drawn to cover the empty
-//! batch, lane-width tails (batch not a multiple of 4), and length-1
-//! vectors.
+//! item executes the scalar operation sequence). Sizes are drawn to
+//! cover the empty batch, lane-width tails (batch not a multiple of 4),
+//! and length-1 vectors.
 
-use igen_batch::engine::par_reduce;
 use igen_batch::{
     dot_batch, ffnn_batch, gemm_row_blocks, henon_ensemble, mvm_batch, BatchConfig, BatchF64I,
 };
@@ -125,32 +123,6 @@ proptest! {
             gemm_row_blocks(&cfg(t), m, k, n, &a, &b, &mut got, row_block);
             prop_assert_eq!(&got, &want, "threads = {}", t);
         }
-    }
-
-    // Chunked interval-sum reduction: identical bits at every thread
-    // count (the combine order is pinned by the chunk size, never by the
-    // thread count).
-    #[test]
-    fn par_reduce_thread_count_invariant(
-        len in 0usize..400,
-        chunk in 1usize..64,
-        seed in proptest::strategy::any::<u64>(),
-    ) {
-        let xs = batch_1ulp(seed, len).to_intervals();
-        let run = |t: usize| {
-            par_reduce(
-                &cfg(t),
-                xs.len(),
-                chunk,
-                |r| r.fold(F64I::ZERO, |acc, i| acc + xs[i]),
-                |a, b| a + b,
-            )
-        };
-        let want = run(1);
-        for t in thread_counts() {
-            prop_assert_eq!(run(t), want, "threads = {}", t);
-        }
-        prop_assert_eq!(want.is_none(), len == 0);
     }
 }
 

@@ -9,7 +9,7 @@
 //! telemetry`).
 #![cfg(feature = "telemetry")]
 
-use igen_batch::engine::par_map;
+use igen_batch::engine::par_map_indexed;
 use igen_batch::{dot_batch, henon_ensemble, BatchConfig, BatchDdI, BatchF64I};
 use igen_interval::{DdIx4, F64Ix4, LaneOps};
 use igen_kernels::workload;
@@ -83,12 +83,16 @@ proptest! {
             let cfg = BatchConfig::new().with_threads(threads).with_seq_threshold(0);
             traced(|| {
                 igen_bench_sink(dot_batch(&cfg, n, &xs, &ys));
-                igen_bench_sink(par_map(&cfg, &groups, |v| {
+                igen_bench_sink(par_map_indexed(&cfg, groups.len(), |g| {
+                    let v = groups[g];
                     let root = v.abs().sqrt();
                     let square = v.sqr();
                     (root, square, v.cmp_lt(square).lane(0))
                 }));
-                igen_bench_sink(par_map(&cfg, &dd_groups, |v| (*v * *v - *v).mul_add(*v, *v)));
+                igen_bench_sink(par_map_indexed(&cfg, dd_groups.len(), |g| {
+                    let v = dd_groups[g];
+                    (v * v - v).mul_add(v, v)
+                }));
             })
         };
         let base = run(1);

@@ -8,7 +8,6 @@
 //!                     [--tol-width F] [--tol-backend NAME=F]...
 //! igen-bench trajectory [--dir <results>] [--out <TRAJECTORY.md>]
 //!                       [--csv <TRAJECTORY.csv>]
-//! igen-bench serve-throughput [--full] [--requests N]
 //! ```
 //!
 //! `gauntlet` runs every registered interval backend through the shared
@@ -20,13 +19,6 @@
 //! `trajectory` merges every committed `results/BENCH_<pr>.json` into
 //! the reviewable `results/TRAJECTORY.md` pivot (speedup-vs-naive per
 //! backend × kernel × PR) plus the flat `results/TRAJECTORY.csv`.
-//!
-//! `serve-throughput` drives the in-process session service (the engine
-//! behind `igen-cli serve`) with JSON-lines run requests — cold cache
-//! (every request a distinct source) vs warm cache (identical requests)
-//! at 1 and 4 workers — and prints requests/second. A full-mode run
-//! from a telemetry-free build also records
-//! `results/serve_throughput.csv`.
 //!
 //! Output-path policy: with an explicit `--out` the file goes exactly
 //! there. Otherwise the default is `results/BENCH_<pr>.json` only for a
@@ -49,8 +41,7 @@ fn usage() -> &'static str {
     "usage: igen-bench gauntlet [--full] [--backends a,b,...] [--out <path>]\n\
      \x20                          [--pr N] [--check <baseline.json>] [--tol F] [--tol-width F]\n\
      \x20                          [--tol-backend NAME=F]...\n\
-     \x20      igen-bench trajectory [--dir <results>] [--out <TRAJECTORY.md>] [--csv <TRAJECTORY.csv>]\n\
-     \x20      igen-bench serve-throughput [--full] [--requests N]"
+     \x20      igen-bench trajectory [--dir <results>] [--out <TRAJECTORY.md>] [--csv <TRAJECTORY.csv>]"
 }
 
 /// Prints the one-line usage error every subcommand shares and exits 2.
@@ -75,12 +66,8 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("gauntlet") => run_gauntlet(&args[1..]),
         Some("trajectory") => run_trajectory(&args[1..]),
-        Some("serve-throughput") => run_serve_throughput(&args[1..]),
         Some(cmd) => {
-            eprintln!(
-                "igen-bench: unknown subcommand '{cmd}' \
-                 (expected gauntlet, trajectory or serve-throughput)"
-            );
+            eprintln!("igen-bench: unknown subcommand '{cmd}' (expected gauntlet or trajectory)");
             ExitCode::from(2)
         }
         None => {
@@ -259,102 +246,6 @@ fn run_gauntlet(args: &[String]) -> ExitCode {
             }
             return ExitCode::FAILURE;
         }
-    }
-    ExitCode::SUCCESS
-}
-
-/// One timed pass against a fresh service: `requests` run requests,
-/// all submitted up front, waited in order. Cold = every request a
-/// distinct source (every compile a cache miss); warm = identical
-/// requests after one priming compile (every lookup a hit). Returns
-/// (elapsed seconds, responses with `"ok":true`).
-fn serve_pass(workers: usize, requests: usize, warm: bool) -> (f64, usize) {
-    use igen_session::{Service, ServiceConfig};
-    let svc = Service::start(ServiceConfig {
-        workers,
-        // Head-room on both bounds: throughput here measures the
-        // pipeline + cache, not eviction or backpressure.
-        cache_cap: requests + 1,
-        queue_cap: requests + 1,
-        ..ServiceConfig::default()
-    });
-    let line = |i: usize| -> String {
-        let src = if warm {
-            "double f(double x) { return x * (x + 1.0); }".to_string()
-        } else {
-            format!("double f(double x) {{ return x * (x + {i}.0); }}")
-        };
-        format!(r#"{{"id":{i},"kind":"run","source":"{src}","batch":8}}"#)
-    };
-    if warm {
-        // Prime: the one compile happens outside the timed window.
-        svc.submit(&line(0)).wait();
-    }
-    let t0 = std::time::Instant::now();
-    let tickets: Vec<_> = (0..requests).map(|i| svc.submit(&line(i))).collect();
-    let ok = tickets.into_iter().map(|t| t.wait()).filter(|r| r.contains("\"ok\":true")).count();
-    (t0.elapsed().as_secs_f64(), ok)
-}
-
-fn run_serve_throughput(args: &[String]) -> ExitCode {
-    let full = igen_bench::full_mode();
-    let mut requests = if full { 128 } else { 32 };
-    let mut f = Flags::new(args);
-    while let Some(arg) = f.next() {
-        match arg {
-            "--full" => {} // read by igen_bench::full_mode()
-            "--requests" => requests = flag!(f.parse("--requests", "a count")),
-            other => {
-                eprintln!("igen-bench: unknown option '{other}' for serve-throughput");
-                eprintln!("{}", usage());
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if requests == 0 {
-        return fail2("--requests must be at least 1".into());
-    }
-
-    println!(
-        "serve-throughput: {requests} run requests per pass (mode: {})",
-        if full { "full" } else { "smoke" }
-    );
-    println!("{:>7}  {:>5}  {:>10}  {:>12}", "workers", "cache", "secs", "req/s");
-    let mut rows: Vec<String> = Vec::new();
-    for workers in [1usize, 4] {
-        for warm in [false, true] {
-            let (secs, ok) = serve_pass(workers, requests, warm);
-            if ok != requests {
-                eprintln!(
-                    "igen-bench: serve-throughput: {ok}/{requests} requests succeeded \
-                     (workers={workers}, warm={warm})"
-                );
-                return ExitCode::FAILURE;
-            }
-            let cache = if warm { "warm" } else { "cold" };
-            let rps = requests as f64 / secs;
-            println!("{workers:>7}  {cache:>5}  {secs:>10.4}  {rps:>12.1}");
-            rows.push(format!("{workers},{cache},{requests},{secs:.6},{rps:.1}"));
-        }
-    }
-
-    // Same recording policy as the gauntlet: only a full-mode run from
-    // a telemetry-free build lands in results/.
-    if full && igen_bench::perf_recording_allowed() {
-        igen_bench::write_csv_with_comments(
-            "serve_throughput.csv",
-            &[
-                "igen-bench serve-throughput: JSON-lines run requests against the in-process \
-                 session service"
-                    .to_string(),
-                "cold = every request a distinct source (compile each time); warm = identical \
-                 requests served from the compile cache"
-                    .to_string(),
-                igen_bench::host_line(igen_batch::available_threads()),
-            ],
-            "workers,cache,requests,secs,req_per_sec",
-            &rows,
-        );
     }
     ExitCode::SUCCESS
 }

@@ -11,8 +11,8 @@
 //!   double-precision results;
 //! * three-valued booleans [`TBool`] for interval comparisons in branch
 //!   conditions;
-//! * packed lane types ([`F64Ix2`], [`F64Ix4`], [`DdIx2`], [`DdIx4`])
-//!   mirroring the SSE/AVX layouts of Table II;
+//! * packed lane types ([`F64Ix4`], [`DdIx4`]) mirroring the AVX
+//!   layouts of Table II;
 //! * rigorous elementary functions ([`elem`], the CRlibm substitute);
 //! * the accurate reduction accumulators of Section VI-B ([`SumAcc64`],
 //!   [`SumAccDd`]);
@@ -58,4 +58,4 @@ pub use ddi::DdI;
 pub use f32i::F32I;
 pub use f64i::{InvalidInterval, F64I};
 pub use tbool::{TBool, UnknownBranch};
-pub use vector::{DdIx2, DdIx4, F64Ix2, F64Ix4, LaneOps, TBoolLanes};
+pub use vector::{DdIx4, F64Ix4, LaneOps, TBoolLanes};

@@ -3,8 +3,8 @@
 //!
 //! In the paper's C runtime a double-precision interval occupies one SSE
 //! register (`__m128d`) and the wider types pack 2 or 4 intervals into
-//! AVX registers. The double-precision lane types here use the same
-//! layout transposed into **SoA-in-register** form: [`F64Ix4`] holds a
+//! AVX registers. Every packed kernel here works on 4 intervals, in the
+//! same layout transposed into **SoA-in-register** form: [`F64Ix4`] holds a
 //! `neg_lo[4]` column and a `hi[4]` column, so each column is exactly one
 //! AVX register and every arithmetic operation maps onto the packed
 //! directed-rounding kernels of [`igen_round::simd`] (add/sub are two
@@ -25,7 +25,7 @@
 //! the four chains side by side in one register each: add, sub and mul
 //! are one kernel call apiece on the AVX2+FMA backend, with the lanes
 //! that leave the scalar hot path recomputed by the scalar op (see
-//! DESIGN.md §10). [`DdIx2`] widens into [`DdIx4`].
+//! DESIGN.md §10).
 
 use crate::ddi::DdI;
 use crate::f64i::F64I;
@@ -34,22 +34,15 @@ use igen_dd::Dd;
 use igen_round::simd;
 
 /// Per-lane three-valued comparison verdicts from the packed compare
-/// operations ([`LaneOps::cmp_lt`] and friends): one [`TBool`] per live
-/// lane. Vectors narrower than 4 lanes fill only the first
-/// [`TBoolLanes::lanes`] slots.
+/// operations ([`LaneOps::cmp_lt`] and friends): one [`TBool`] per lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TBoolLanes {
     vals: [TBool; 4],
-    n: usize,
 }
 
 impl TBoolLanes {
-    fn new(vals: [TBool; 4], n: usize) -> TBoolLanes {
-        TBoolLanes { vals, n }
-    }
-
-    /// Converts the packed tri-state masks, keeping the first `n` lanes.
-    fn from_trimask(m: simd::TriMask4, n: usize) -> TBoolLanes {
+    /// Converts the packed tri-state masks.
+    fn from_trimask(m: simd::TriMask4) -> TBoolLanes {
         let mut vals = [TBool::Unknown; 4];
         for (i, v) in vals.iter_mut().enumerate() {
             *v = match m.lane(i) {
@@ -58,39 +51,26 @@ impl TBoolLanes {
                 None => TBool::Unknown,
             };
         }
-        TBoolLanes { vals, n }
-    }
-
-    /// The first two verdicts of a comparison widened from 2 to 4
-    /// lanes.
-    fn first_two(self) -> TBoolLanes {
-        TBoolLanes::new([self.vals[0], self.vals[1], TBool::Unknown, TBool::Unknown], 2)
-    }
-
-    /// Number of live lanes.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.n
+        TBoolLanes { vals }
     }
 
     /// The verdict for lane `i`.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is not a live lane.
+    /// Panics if `i >= 4`.
     #[must_use]
     pub fn lane(&self, i: usize) -> TBool {
-        assert!(i < self.n, "TBoolLanes lane index {i} out of range ({} lanes)", self.n);
+        assert!(i < 4, "TBoolLanes lane index {i} out of range (4 lanes)");
         self.vals[i]
     }
 }
 
 /// The unified operation surface of the packed interval lane types —
 /// every vectorized kernel in `igen-kernels`/`igen-batch` is written once
-/// against this trait and instantiated for [`F64Ix2`]/[`F64Ix4`] and
-/// [`DdIx2`]/[`DdIx4`] (packed x86 kernels with scalar-patch fallback;
-/// the double-double types pack add, sub and mul and run their other
-/// ops lane by lane).
+/// against this trait and instantiated for [`F64Ix4`] and [`DdIx4`]
+/// (packed x86 kernels with scalar-patch fallback; the double-double
+/// type packs add, sub and mul and runs its other ops lane by lane).
 ///
 /// Every method is **bit-identical per lane** to the corresponding scalar
 /// [`F64I`]/[`DdI`] operation: a lane of `a.sqrt()` equals
@@ -109,10 +89,7 @@ pub trait LaneOps:
     + core::ops::Neg<Output = Self>
 {
     /// The scalar interval element packed in each lane.
-    type Elem: Copy + core::fmt::Debug + PartialEq + core::ops::Add<Output = Self::Elem>;
-    /// The raw endpoint scalar of the SoA column layout (`f64` for the
-    /// double-precision lanes, [`Dd`] for the double-double ones).
-    type Endpoint: Copy;
+    type Elem: Copy + core::fmt::Debug + PartialEq;
 
     /// Number of packed intervals.
     const LANES: usize;
@@ -122,17 +99,6 @@ pub trait LaneOps:
 
     /// Builds a vector by evaluating `f` once per lane index, in order.
     fn from_lanes_fn(f: impl FnMut(usize) -> Self::Elem) -> Self;
-
-    /// Builds directly from the leading `LANES` slots of two endpoint
-    /// columns — the raw representation, used by the batch engine to
-    /// feed packed kernels straight from its SoA buffers. The caller
-    /// asserts every lane is a valid interval (`-neg_lo[i] <= hi[i]` or
-    /// NaN).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either column holds fewer than `LANES` endpoints.
-    fn from_columns_slice(neg_lo: &[Self::Endpoint], hi: &[Self::Endpoint]) -> Self;
 
     /// Lane accessor.
     ///
@@ -184,16 +150,6 @@ pub trait LaneOps:
         self * b + c
     }
 
-    /// Horizontal sum of all lanes (sequential left-to-right scalar
-    /// adds, so the result is independent of the packed backend).
-    fn reduce_sum(self) -> Self::Elem {
-        let mut acc = self.lane(0);
-        for i in 1..Self::LANES {
-            acc = acc + self.lane(i);
-        }
-        acc
-    }
-
     /// Lane-wise interval square root.
     #[must_use]
     fn sqrt(self) -> Self;
@@ -222,91 +178,56 @@ pub trait LaneOps:
     fn cmp_eq(self, other: Self) -> TBoolLanes;
 }
 
-/// Packed double-precision intervals in SoA-in-register layout: one
-/// column of negated lower endpoints and one of upper endpoints, exactly
-/// the scalar [`F64I`] representation transposed across `LANES` lanes.
-macro_rules! f64i_lane_type {
-    ($(#[$doc:meta])* $name:ident, $n:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq)]
-        pub struct $name {
-            /// Negated-lower-endpoint column (`-lo`, one slot per lane).
-            neg_lo: [f64; $n],
-            /// Upper-endpoint column.
-            hi: [f64; $n],
-        }
-
-        impl $name {
-            /// Packs `LANES` intervals.
-            pub fn from_lanes(xs: [F64I; $n]) -> Self {
-                $name { neg_lo: xs.map(|x| x.neg_lo()), hi: xs.map(|x| x.hi()) }
-            }
-
-            /// Builds directly from endpoint columns — the raw
-            /// representation, used by the batch engine to feed packed
-            /// kernels straight from its SoA buffers. The caller asserts
-            /// every lane is a valid interval (`-neg_lo[i] <= hi[i]` or
-            /// NaN), as with [`F64I::from_neg_lo_hi`].
-            #[inline]
-            pub fn from_columns(neg_lo: [f64; $n], hi: [f64; $n]) -> Self {
-                #[cfg(debug_assertions)]
-                for i in 0..$n {
-                    let _ = F64I::from_neg_lo_hi(neg_lo[i], hi[i]);
-                }
-                $name { neg_lo, hi }
-            }
-
-            /// The negated-lower-endpoint column.
-            #[inline]
-            pub fn neg_lo_col(&self) -> &[f64; $n] {
-                &self.neg_lo
-            }
-
-            /// The upper-endpoint column.
-            #[inline]
-            pub fn hi_col(&self) -> &[f64; $n] {
-                &self.hi
-            }
-
-        }
-
-        impl Default for $name {
-            fn default() -> Self {
-                let d = F64I::default();
-                $name { neg_lo: [d.neg_lo(); $n], hi: [d.hi(); $n] }
-            }
-        }
-
-        impl core::ops::Neg for $name {
-            type Output = $name;
-            /// Exact per-lane endpoint swap — free in the `(-lo, hi)`
-            /// layout, no rounding involved.
-            #[inline]
-            fn neg(self) -> $name {
-                $name { neg_lo: self.hi, hi: self.neg_lo }
-            }
-        }
-    };
+/// Four packed double-precision intervals — the counterpart of two AVX
+/// registers (`m256di_2`), the widest shape the vectorized kernels use —
+/// in SoA-in-register layout: one column of negated lower endpoints and
+/// one of upper endpoints, exactly the scalar [`F64I`] representation
+/// transposed across the lanes. Each endpoint column is one 256-bit
+/// register on the AVX2 backend.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct F64Ix4 {
+    /// Negated-lower-endpoint column (`-lo`, one slot per lane).
+    neg_lo: [f64; 4],
+    /// Upper-endpoint column.
+    hi: [f64; 4],
 }
 
-f64i_lane_type!(
-    /// Two packed double-precision intervals — the counterpart of the
-    /// paper's `m256di_1` (one AVX register holding 2 intervals). Stored
-    /// as two half-filled columns; arithmetic widens into the 4-lane
-    /// packed kernels (lanes are independent, so the two padding lanes
-    /// cannot influence the live ones).
-    F64Ix2,
-    2
-);
+impl F64Ix4 {
+    /// Packs four intervals.
+    pub fn from_lanes(xs: [F64I; 4]) -> F64Ix4 {
+        F64Ix4 { neg_lo: xs.map(|x| x.neg_lo()), hi: xs.map(|x| x.hi()) }
+    }
 
-f64i_lane_type!(
-    /// Four packed double-precision intervals — the counterpart of two
-    /// AVX registers (`m256di_2`), the widest shape the vectorized
-    /// kernels use. Each endpoint column is one 256-bit register on the
-    /// AVX2 backend.
-    F64Ix4,
-    4
-);
+    /// Builds directly from endpoint columns — the raw representation,
+    /// used by the batch engine to feed packed kernels straight from its
+    /// SoA buffers. The caller asserts every lane is a valid interval
+    /// (`-neg_lo[i] <= hi[i]` or NaN), as with [`F64I::from_neg_lo_hi`].
+    #[inline]
+    pub fn from_columns(neg_lo: [f64; 4], hi: [f64; 4]) -> F64Ix4 {
+        #[cfg(debug_assertions)]
+        for i in 0..4 {
+            let _ = F64I::from_neg_lo_hi(neg_lo[i], hi[i]);
+        }
+        F64Ix4 { neg_lo, hi }
+    }
+}
+
+impl Default for F64Ix4 {
+    fn default() -> Self {
+        let d = F64I::default();
+        F64Ix4 { neg_lo: [d.neg_lo(); 4], hi: [d.hi(); 4] }
+    }
+}
+
+impl core::ops::Neg for F64Ix4 {
+    type Output = F64Ix4;
+    /// Exact per-lane endpoint swap — free in the `(-lo, hi)` layout, no
+    /// rounding involved.
+    #[inline]
+    fn neg(self) -> F64Ix4 {
+        F64Ix4 { neg_lo: self.hi, hi: self.neg_lo }
+    }
+}
 
 impl core::ops::Add for F64Ix4 {
     type Output = F64Ix4;
@@ -406,7 +327,6 @@ impl core::ops::Div for F64Ix4 {
 
 impl LaneOps for F64Ix4 {
     type Elem = F64I;
-    type Endpoint = f64;
     const LANES: usize = 4;
 
     fn splat(v: F64I) -> Self {
@@ -415,10 +335,6 @@ impl LaneOps for F64Ix4 {
 
     fn from_lanes_fn(f: impl FnMut(usize) -> F64I) -> Self {
         Self::from_lanes(core::array::from_fn(f))
-    }
-
-    fn from_columns_slice(neg_lo: &[f64], hi: &[f64]) -> Self {
-        Self::from_columns(neg_lo[..4].try_into().unwrap(), hi[..4].try_into().unwrap())
     }
 
     #[inline]
@@ -493,136 +409,19 @@ impl LaneOps for F64Ix4 {
     fn cmp_lt(self, other: Self) -> TBoolLanes {
         let bk = simd::active_backend();
         let m = simd::cmp_lt_4(bk, &self.neg_lo, &self.hi, &other.neg_lo, &other.hi);
-        TBoolLanes::from_trimask(m, 4)
+        TBoolLanes::from_trimask(m)
     }
 
     fn cmp_le(self, other: Self) -> TBoolLanes {
         let bk = simd::active_backend();
         let m = simd::cmp_le_4(bk, &self.neg_lo, &self.hi, &other.neg_lo, &other.hi);
-        TBoolLanes::from_trimask(m, 4)
+        TBoolLanes::from_trimask(m)
     }
 
     fn cmp_eq(self, other: Self) -> TBoolLanes {
         let bk = simd::active_backend();
         let m = simd::cmp_eq_4(bk, &self.neg_lo, &self.hi, &other.neg_lo, &other.hi);
-        TBoolLanes::from_trimask(m, 4)
-    }
-}
-
-impl LaneOps for F64Ix2 {
-    type Elem = F64I;
-    type Endpoint = f64;
-    const LANES: usize = 2;
-
-    fn splat(v: F64I) -> Self {
-        F64Ix2 { neg_lo: [v.neg_lo(); 2], hi: [v.hi(); 2] }
-    }
-
-    fn from_lanes_fn(f: impl FnMut(usize) -> F64I) -> Self {
-        Self::from_lanes(core::array::from_fn(f))
-    }
-
-    fn from_columns_slice(neg_lo: &[f64], hi: &[f64]) -> Self {
-        Self::from_columns(neg_lo[..2].try_into().unwrap(), hi[..2].try_into().unwrap())
-    }
-
-    #[inline]
-    fn lane(&self, i: usize) -> F64I {
-        debug_assert!(i < 2, "F64Ix2 lane index {i} out of range (2 lanes)");
-        F64I::from_neg_lo_hi(self.neg_lo[i], self.hi[i])
-    }
-
-    /// Via the 4-lane kernels; the `[1, 1]` padding lanes are valid,
-    /// strictly positive operands for sqrt, so they never patch.
-    fn sqrt(self) -> Self {
-        Self::narrow(self.widen().sqrt())
-    }
-
-    /// Via the 4-lane kernels (see [`F64Ix4::abs`]).
-    fn abs(self) -> Self {
-        Self::narrow(self.widen().abs())
-    }
-
-    /// Via the 4-lane kernels; the `[1, 1]` padding squares to `[1, 1]`
-    /// on the guarded fast path.
-    fn sqr(self) -> Self {
-        Self::narrow(self.widen().sqr())
-    }
-
-    fn relu(self) -> Self {
-        Self::from_lanes_fn(|i| self.lane(i).max_i(&F64I::ZERO))
-    }
-
-    fn cmp_lt(self, other: Self) -> TBoolLanes {
-        self.widen().cmp_lt(other.widen()).first_two()
-    }
-
-    fn cmp_le(self, other: Self) -> TBoolLanes {
-        self.widen().cmp_le(other.widen()).first_two()
-    }
-
-    fn cmp_eq(self, other: Self) -> TBoolLanes {
-        self.widen().cmp_eq(other.widen()).first_two()
-    }
-}
-
-impl F64Ix2 {
-    /// Widens into a 4-lane vector; the two padding lanes hold `[1, 1]`,
-    /// which is valid for every operation (in particular it is a
-    /// zero-free divisor, so padding never forces the division fallback).
-    /// Lanes are computed independently by every packed kernel, so the
-    /// padding cannot influence the two live lanes.
-    #[inline]
-    fn widen(self) -> F64Ix4 {
-        F64Ix4 {
-            neg_lo: [self.neg_lo[0], self.neg_lo[1], -1.0, -1.0],
-            hi: [self.hi[0], self.hi[1], 1.0, 1.0],
-        }
-    }
-
-    /// Takes the two live lanes back out of a widened result.
-    #[inline]
-    fn narrow(v: F64Ix4) -> F64Ix2 {
-        F64Ix2 { neg_lo: [v.neg_lo[0], v.neg_lo[1]], hi: [v.hi[0], v.hi[1]] }
-    }
-}
-
-impl core::ops::Add for F64Ix2 {
-    type Output = F64Ix2;
-    /// Packed interval addition (via the 4-lane kernels; see
-    /// [`F64Ix4`]'s `Add`).
-    #[inline]
-    fn add(self, rhs: F64Ix2) -> F64Ix2 {
-        Self::narrow(self.widen() + rhs.widen())
-    }
-}
-
-impl core::ops::Sub for F64Ix2 {
-    type Output = F64Ix2;
-    /// Packed interval subtraction (via the 4-lane kernels).
-    #[inline]
-    fn sub(self, rhs: F64Ix2) -> F64Ix2 {
-        Self::narrow(self.widen() - rhs.widen())
-    }
-}
-
-impl core::ops::Mul for F64Ix2 {
-    type Output = F64Ix2;
-    /// Packed interval multiplication (via the 4-lane kernels).
-    #[inline]
-    fn mul(self, rhs: F64Ix2) -> F64Ix2 {
-        Self::narrow(self.widen() * rhs.widen())
-    }
-}
-
-impl core::ops::Div for F64Ix2 {
-    type Output = F64Ix2;
-    /// Packed interval division (via the 4-lane kernels; the `[1, 1]`
-    /// padding is a zero-free divisor, so only live lanes can trigger
-    /// the special-case fallback).
-    #[inline]
-    fn div(self, rhs: F64Ix2) -> F64Ix2 {
-        Self::narrow(self.widen() / rhs.widen())
+        TBoolLanes::from_trimask(m)
     }
 }
 
@@ -708,7 +507,6 @@ impl DdIx4 {
 
 impl LaneOps for DdIx4 {
     type Elem = DdI;
-    type Endpoint = Dd;
     const LANES: usize = 4;
 
     fn splat(v: DdI) -> Self {
@@ -717,10 +515,6 @@ impl LaneOps for DdIx4 {
 
     fn from_lanes_fn(f: impl FnMut(usize) -> DdI) -> Self {
         Self::from_lanes(core::array::from_fn(f))
-    }
-
-    fn from_columns_slice(neg_lo: &[Dd], hi: &[Dd]) -> Self {
-        Self::from_lanes_fn(|i| DdI::from_neg_lo_hi(neg_lo[i], hi[i]))
     }
 
     #[inline]
@@ -750,15 +544,15 @@ impl LaneOps for DdIx4 {
     }
 
     fn cmp_lt(self, other: Self) -> TBoolLanes {
-        TBoolLanes::new(core::array::from_fn(|i| self.lane(i).cmp_lt(&other.lane(i))), 4)
+        TBoolLanes { vals: core::array::from_fn(|i| self.lane(i).cmp_lt(&other.lane(i))) }
     }
 
     fn cmp_le(self, other: Self) -> TBoolLanes {
-        TBoolLanes::new(core::array::from_fn(|i| self.lane(i).cmp_le(&other.lane(i))), 4)
+        TBoolLanes { vals: core::array::from_fn(|i| self.lane(i).cmp_le(&other.lane(i))) }
     }
 
     fn cmp_eq(self, other: Self) -> TBoolLanes {
-        TBoolLanes::new(core::array::from_fn(|i| self.lane(i).cmp_eq(&other.lane(i))), 4)
+        TBoolLanes { vals: core::array::from_fn(|i| self.lane(i).cmp_eq(&other.lane(i))) }
     }
 }
 
@@ -820,124 +614,6 @@ impl core::ops::Neg for DdIx4 {
     }
 }
 
-/// Two packed double-double intervals (`2 ddi` of Table II). Every
-/// operation widens into [`DdIx4`] with two `[1, 1]` padding lanes and
-/// narrows back, as [`F64Ix2`] does: lanes are independent, so the
-/// padding cannot influence the live ones, and `[1, 1]` stays on the
-/// packed hot path and is a zero-free divisor.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DdIx2([DdI; 2]);
-
-impl DdIx2 {
-    /// Packs two intervals.
-    pub fn from_lanes(xs: [DdI; 2]) -> DdIx2 {
-        DdIx2(xs)
-    }
-
-    #[inline]
-    fn widen(self) -> DdIx4 {
-        let one = DdI::point_f64(1.0);
-        DdIx4::from_lanes([self.0[0], self.0[1], one, one])
-    }
-
-    #[inline]
-    fn narrow(v: DdIx4) -> DdIx2 {
-        DdIx2([v.lane(0), v.lane(1)])
-    }
-}
-
-impl LaneOps for DdIx2 {
-    type Elem = DdI;
-    type Endpoint = Dd;
-    const LANES: usize = 2;
-
-    fn splat(v: DdI) -> Self {
-        DdIx2([v; 2])
-    }
-
-    fn from_lanes_fn(f: impl FnMut(usize) -> DdI) -> Self {
-        DdIx2(core::array::from_fn(f))
-    }
-
-    fn from_columns_slice(neg_lo: &[Dd], hi: &[Dd]) -> Self {
-        Self::from_lanes_fn(|i| DdI::from_neg_lo_hi(neg_lo[i], hi[i]))
-    }
-
-    #[inline]
-    fn lane(&self, i: usize) -> DdI {
-        debug_assert!(i < 2, "DdIx2 lane index {i} out of range (2 lanes)");
-        self.0[i]
-    }
-
-    fn sqrt(self) -> Self {
-        Self::narrow(self.widen().sqrt())
-    }
-
-    fn abs(self) -> Self {
-        Self::narrow(self.widen().abs())
-    }
-
-    fn sqr(self) -> Self {
-        Self::narrow(self.widen().sqr())
-    }
-
-    fn relu(self) -> Self {
-        Self::narrow(self.widen().relu())
-    }
-
-    fn cmp_lt(self, other: Self) -> TBoolLanes {
-        self.widen().cmp_lt(other.widen()).first_two()
-    }
-
-    fn cmp_le(self, other: Self) -> TBoolLanes {
-        self.widen().cmp_le(other.widen()).first_two()
-    }
-
-    fn cmp_eq(self, other: Self) -> TBoolLanes {
-        self.widen().cmp_eq(other.widen()).first_two()
-    }
-}
-
-impl core::ops::Add for DdIx2 {
-    type Output = DdIx2;
-    #[inline]
-    fn add(self, rhs: DdIx2) -> DdIx2 {
-        Self::narrow(self.widen() + rhs.widen())
-    }
-}
-
-impl core::ops::Sub for DdIx2 {
-    type Output = DdIx2;
-    #[inline]
-    fn sub(self, rhs: DdIx2) -> DdIx2 {
-        Self::narrow(self.widen() - rhs.widen())
-    }
-}
-
-impl core::ops::Mul for DdIx2 {
-    type Output = DdIx2;
-    #[inline]
-    fn mul(self, rhs: DdIx2) -> DdIx2 {
-        Self::narrow(self.widen() * rhs.widen())
-    }
-}
-
-impl core::ops::Div for DdIx2 {
-    type Output = DdIx2;
-    #[inline]
-    fn div(self, rhs: DdIx2) -> DdIx2 {
-        Self::narrow(self.widen() / rhs.widen())
-    }
-}
-
-impl core::ops::Neg for DdIx2 {
-    type Output = DdIx2;
-    #[inline]
-    fn neg(self) -> DdIx2 {
-        Self::narrow(-self.widen())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -982,23 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn x2_lanes_match_scalar() {
-        let a = F64I::new(-0.3, 0.7).unwrap();
-        let b = F64I::new(0.11, 5.3).unwrap();
-        let va = F64Ix2::from_lanes([a, b]);
-        let vb = F64Ix2::from_lanes([b, a]);
-        let sum = va + vb;
-        let prod = va * vb;
-        let quot = va / vb;
-        for i in 0..2 {
-            let (x, y) = (va.lane(i), vb.lane(i));
-            assert_eq!(sum.lane(i), x + y);
-            assert_eq!(prod.lane(i), x * y);
-            assert_eq!(quot.lane(i), x / y);
-        }
-    }
-
-    #[test]
     fn div_special_lanes_fall_back() {
         // One straddling divisor lane forces the scalar path for the
         // whole vector; results must still match lane-wise scalar div.
@@ -1028,22 +687,21 @@ mod tests {
 
     #[test]
     fn columns_hold_raw_representation() {
-        let x = F64I::new(-2.0, 5.0).unwrap();
-        let v = F64Ix4::splat(x);
-        assert_eq!(v.neg_lo_col(), &[2.0; 4]);
-        assert_eq!(v.hi_col(), &[5.0; 4]);
-        let rebuilt = F64Ix4::from_columns(*v.neg_lo_col(), *v.hi_col());
-        assert_eq!(rebuilt, v);
+        // The first column holds the *negated* lower endpoints.
+        let v = F64Ix4::from_columns([2.0; 4], [5.0; 4]);
+        assert_eq!(v, F64Ix4::splat(F64I::new(-2.0, 5.0).unwrap()));
     }
 
     #[test]
     fn mul_add_and_reduce() {
-        let a = F64Ix2::splat(F64I::point(2.0));
-        let b = F64Ix2::splat(F64I::point(3.0));
-        let c = F64Ix2::splat(F64I::point(1.0));
+        let a = F64Ix4::splat(F64I::point(2.0));
+        let b = F64Ix4::splat(F64I::point(3.0));
+        let c = F64Ix4::splat(F64I::point(1.0));
         let r = a.mul_add(b, c);
         assert_eq!(r.lane(0).hi(), 7.0);
-        assert_eq!(r.reduce_sum().hi(), 14.0);
+        let mut out = [F64I::ZERO; 4];
+        r.store(&mut out);
+        assert_eq!(out.into_iter().fold(F64I::ZERO, |acc, x| acc + x).hi(), 28.0);
     }
 
     #[test]
@@ -1058,7 +716,7 @@ mod tests {
     #[test]
     fn dd_lanes() {
         let x = DdI::point_f64(0.1);
-        let v = DdIx2::splat(x);
+        let v = DdIx4::splat(x);
         let s = v + v;
         assert!(s.lane(0).contains_f64(0.2));
         let p = v * v;

@@ -1,13 +1,13 @@
 //! Bit-identity of the packed lane types against the scalar interval
 //! operations, across every backend the host supports.
 //!
-//! `F64Ix2`/`F64Ix4` dispatch to the packed kernels of
+//! `F64Ix4` dispatches to the packed kernels of
 //! `igen_round::simd`; this suite forces each backend in turn (portable,
 //! SSE2, AVX2+FMA where detected) and checks that every lane of every
 //! vector operation equals the scalar `F64I` result bit for bit —
 //! including NaN, infinite, subnormal and signed-zero endpoints, which
 //! the random generator produces and the deterministic grid guarantees.
-//! `DdIx4`/`DdIx2` add, sub, mul and `mul_add` get the same treatment
+//! `DdIx4` add, sub, mul and `mul_add` get the same treatment
 //! against scalar `DdI`: on AVX2+FMA they run the packed double-double
 //! kernels, elsewhere lane loops.
 //!
@@ -16,7 +16,7 @@
 //! of it.
 
 use igen_dd::Dd;
-use igen_interval::{DdI, DdIx2, DdIx4, F64Ix2, F64Ix4, LaneOps, TBool, F64I};
+use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, TBool, F64I};
 use igen_round::simd::{self, Backend};
 use igen_round::Ru;
 use proptest::prelude::*;
@@ -57,7 +57,7 @@ fn same(got: F64I, want: F64I) -> bool {
     got.neg_lo().to_bits() == want.neg_lo().to_bits() && got.hi().to_bits() == want.hi().to_bits()
 }
 
-/// Checks every `F64Ix4` and `F64Ix2` operation lane-wise against the
+/// Checks every `F64Ix4` operation lane-wise against the
 /// scalar ops, under the given backend.
 fn check_lanes(bk: Backend, a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseError> {
     // Scalar references, computed outside the forced section (scalar ops
@@ -74,27 +74,15 @@ fn check_lanes(bk: Backend, a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseEr
     let want_lt: Vec<TBool> = (0..4).map(|i| a[i].cmp_lt(&b[i])).collect();
     let want_le: Vec<TBool> = (0..4).map(|i| a[i].cmp_le(&b[i])).collect();
     let want_eq: Vec<TBool> = (0..4).map(|i| a[i].cmp_eq(&b[i])).collect();
-    let (got4, got2, gotu4, gotu2, gotc4, gotc2) = with_backend(bk, || {
+    let (got4, gotu4, gotc4) = with_backend(bk, || {
         let va = F64Ix4::from_lanes(a);
         let vb = F64Ix4::from_lanes(b);
-        let wa = F64Ix2::from_lanes([a[0], a[1]]);
-        let wb = F64Ix2::from_lanes([b[0], b[1]]);
         (
-            (va + vb, va - vb, va * vb, va / vb, va.mul_add(vb, va), va.reduce_sum()),
-            (wa + wb, wa - wb, wa * wb, wa / wb, wa.mul_add(wb, wa)),
+            (va + vb, va - vb, va * vb, va / vb, va.mul_add(vb, va)),
             (va.sqrt(), va.abs(), va.sqr(), va.relu()),
-            (wa.sqrt(), wa.abs(), wa.sqr(), wa.relu()),
             (va.cmp_lt(vb), va.cmp_le(vb), va.cmp_eq(vb)),
-            (wa.cmp_lt(wb), wa.cmp_le(wb), wa.cmp_eq(wb)),
         )
     });
-    let want_red = {
-        let mut acc = a[0];
-        for x in &a[1..] {
-            acc = acc + *x;
-        }
-        acc
-    };
     for i in 0..4 {
         let ctx = format!("{bk:?} lane {i}: a={} b={}", a[i], b[i]);
         prop_assert!(same(got4.0.lane(i), want_add[i]), "x4 add {ctx}");
@@ -109,22 +97,6 @@ fn check_lanes(bk: Backend, a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseEr
         prop_assert!(gotc4.0.lane(i) == want_lt[i], "x4 cmp_lt {ctx}");
         prop_assert!(gotc4.1.lane(i) == want_le[i], "x4 cmp_le {ctx}");
         prop_assert!(gotc4.2.lane(i) == want_eq[i], "x4 cmp_eq {ctx}");
-    }
-    prop_assert!(same(got4.5, want_red), "x4 reduce_sum {bk:?}");
-    for i in 0..2 {
-        let ctx = format!("{bk:?} lane {i}: a={} b={}", a[i], b[i]);
-        prop_assert!(same(got2.0.lane(i), want_add[i]), "x2 add {ctx}");
-        prop_assert!(same(got2.1.lane(i), want_sub[i]), "x2 sub {ctx}");
-        prop_assert!(same(got2.2.lane(i), want_mul[i]), "x2 mul {ctx}");
-        prop_assert!(same(got2.3.lane(i), want_div[i]), "x2 div {ctx}");
-        prop_assert!(same(got2.4.lane(i), want_fma[i]), "x2 mul_add {ctx}");
-        prop_assert!(same(gotu2.0.lane(i), want_sqrt[i]), "x2 sqrt {ctx}");
-        prop_assert!(same(gotu2.1.lane(i), want_abs[i]), "x2 abs {ctx}");
-        prop_assert!(same(gotu2.2.lane(i), want_sqr[i]), "x2 sqr {ctx}");
-        prop_assert!(same(gotu2.3.lane(i), want_relu[i]), "x2 relu {ctx}");
-        prop_assert!(gotc2.0.lane(i) == want_lt[i], "x2 cmp_lt {ctx}");
-        prop_assert!(gotc2.1.lane(i) == want_le[i], "x2 cmp_le {ctx}");
-        prop_assert!(gotc2.2.lane(i) == want_eq[i], "x2 cmp_eq {ctx}");
     }
     Ok(())
 }
@@ -217,26 +189,19 @@ fn dd_same(got: DdI, want: DdI) -> bool {
     bits(got) == bits(want)
 }
 
-/// Checks `DdIx4`/`DdIx2` add, sub, mul and `mul_add` lane-wise against
+/// Checks `DdIx4` add, sub, mul and `mul_add` lane-wise against
 /// the scalar `DdI` ops, under the given backend.
 fn check_dd_lanes(bk: Backend, a: [DdI; 4], b: [DdI; 4]) -> Result<(), TestCaseError> {
     let want: Vec<[DdI; 4]> =
         (0..4).map(|i| [a[i] + b[i], a[i] - b[i], a[i] * b[i], a[i] * b[i] + a[i]]).collect();
-    let (got4, got2) = with_backend(bk, || {
+    let got4 = with_backend(bk, || {
         let (va, vb) = (DdIx4::from_lanes(a), DdIx4::from_lanes(b));
-        let (wa, wb) = (DdIx2::from_lanes([a[0], a[1]]), DdIx2::from_lanes([b[0], b[1]]));
-        (
-            [va + vb, va - vb, va * vb, va.mul_add(vb, va)],
-            [wa + wb, wa - wb, wa * wb, wa.mul_add(wb, wa)],
-        )
+        [va + vb, va - vb, va * vb, va.mul_add(vb, va)]
     });
     for (k, op) in ["add", "sub", "mul", "mul_add"].iter().enumerate() {
         for i in 0..4 {
             let ctx = format!("{bk:?} lane {i}: a={} b={}", a[i], b[i]);
             prop_assert!(dd_same(got4[k].lane(i), want[i][k]), "ddx4 {op} {ctx}");
-            if i < 2 {
-                prop_assert!(dd_same(got2[k].lane(i), want[i][k]), "ddx2 {op} {ctx}");
-            }
         }
     }
     Ok(())

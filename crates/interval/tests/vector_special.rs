@@ -6,8 +6,8 @@
 //! lane-loop fallback's handling of NaN, infinite, subnormal and
 //! signed-zero endpoints is pinned on every host — including ones where
 //! no packed backend exists and `simd_bitident` would only ever see the
-//! portable path incidentally. It also covers the `DdIx2`/`DdIx4` lane
-//! types on every backend: their add, sub and mul run the packed
+//! portable path incidentally. It also covers the `DdIx4` lane type on
+//! every backend: its add, sub and mul run the packed
 //! double-double kernels on AVX2+FMA (with scalar patches for flagged
 //! lanes) and lane loops on forced SSE2 and portable.
 //!
@@ -16,7 +16,7 @@
 //! of it.
 
 use igen_dd::Dd;
-use igen_interval::{DdI, DdIx2, DdIx4, F64Ix2, F64Ix4, LaneOps, F64I};
+use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, F64I};
 use igen_round::simd::{self, Backend};
 use igen_round::Ru;
 use proptest::prelude::*;
@@ -86,13 +86,10 @@ fn check_portable(a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseError> {
     let got = pinned_portable(|| {
         let va = F64Ix4::from_lanes(a);
         let vb = F64Ix4::from_lanes(b);
-        let wa = F64Ix2::from_lanes([a[0], a[1]]);
-        let wb = F64Ix2::from_lanes([b[0], b[1]]);
         (
             (va + vb, va - vb, va * vb, va / vb, va.mul_add(vb, va), -va),
             (va.sqrt(), va.abs(), va.sqr(), va.relu()),
             (va.cmp_lt(vb), va.cmp_le(vb), va.cmp_eq(vb)),
-            (wa + wb, wa * wb, wa / wb, wa.sqrt(), wa.abs(), wa.sqr()),
         )
     });
     for i in 0..4 {
@@ -110,15 +107,6 @@ fn check_portable(a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseError> {
         prop_assert!(got.2 .0.lane(i) == a[i].cmp_lt(&b[i]), "x4 cmp_lt {ctx}");
         prop_assert!(got.2 .1.lane(i) == a[i].cmp_le(&b[i]), "x4 cmp_le {ctx}");
         prop_assert!(got.2 .2.lane(i) == a[i].cmp_eq(&b[i]), "x4 cmp_eq {ctx}");
-    }
-    for i in 0..2 {
-        let ctx = format!("portable lane {i}: a={} b={}", a[i], b[i]);
-        prop_assert!(same(got.3 .0.lane(i), a[i] + b[i]), "x2 add {ctx}");
-        prop_assert!(same(got.3 .1.lane(i), a[i] * b[i]), "x2 mul {ctx}");
-        prop_assert!(same(got.3 .2.lane(i), a[i] / b[i]), "x2 div {ctx}");
-        prop_assert!(same(got.3 .3.lane(i), a[i].sqrt()), "x2 sqrt {ctx}");
-        prop_assert!(same(got.3 .4.lane(i), a[i].abs()), "x2 abs {ctx}");
-        prop_assert!(same(got.3 .5.lane(i), a[i].sqr()), "x2 sqr {ctx}");
     }
     Ok(())
 }
@@ -273,16 +261,13 @@ fn check_dd_specials(bk: Backend) {
                 let got = pinned(bk, || {
                     let va = DdIx4::from_lanes(a);
                     let vb = DdIx4::from_lanes(b);
-                    let wa = DdIx2::from_lanes([a[0], a[1]]);
-                    let wb = DdIx2::from_lanes([b[0], b[1]]);
                     (
                         (va + vb, va - vb, va * vb, va.mul_add(vb, va), -va),
                         (va.sqrt(), va.abs(), va.sqr()),
                         (va.cmp_lt(vb), va.cmp_le(vb), va.cmp_eq(vb)),
-                        (wa + wb, wa - wb, wa * wb),
                     )
                 });
-                let ((s4, d4, p4, f4, n4), (q4, m4, r4), (lt4, le4, eq4), (s2, d2, p2)) = got;
+                let ((s4, d4, p4, f4, n4), (q4, m4, r4), (lt4, le4, eq4)) = got;
                 for i in 0..4 {
                     let ctx = format!("{bk} lane {i}: a={} b={}", a[i], b[i]);
                     let (ai, bi) = (a[i], b[i]);
@@ -298,12 +283,6 @@ fn check_dd_specials(bk: Backend) {
                     assert_eq!(lt4.lane(i), ai.cmp_lt(&bi), "x4 cmp_lt {ctx}");
                     assert_eq!(le4.lane(i), ai.cmp_le(&bi), "x4 cmp_le {ctx}");
                     assert_eq!(eq4.lane(i), ai.cmp_eq(&bi), "x4 cmp_eq {ctx}");
-                }
-                for i in 0..2 {
-                    let ctx = format!("{bk} lane {i}: a={} b={}", a[i], b[i]);
-                    assert_eq!(dd_bits(&s2.lane(i)), dd_bits(&(a[i] + b[i])), "x2 add {ctx}");
-                    assert_eq!(dd_bits(&d2.lane(i)), dd_bits(&(a[i] - b[i])), "x2 sub {ctx}");
-                    assert_eq!(dd_bits(&p2.lane(i)), dd_bits(&(a[i] * b[i])), "x2 mul {ctx}");
                 }
             }
         }

@@ -15,7 +15,8 @@
 //!
 //! Kinds: `compile` (compile + cache, report the program shape), `run`
 //! (compile + execute over a seeded or explicit input batch), `profile`
-//! (compile + profiled run, report per-site counts and width
+//! (compile + profiled run over the same `"batch"`/`"seed"` or explicit
+//! `"inputs"` as `run`, report per-site counts and width
 //! amplification), `metrics` (Prometheus-style text: the telemetry
 //! snapshot plus session cache/queue counters), `ping` (liveness, with
 //! an optional `sleep_ms` for queue tests) and `shutdown`. Failures are
@@ -449,24 +450,16 @@ fn handle_run(session: &Session, body: &Json, out: &mut String) -> Result<(), St
     // request yields the same output bits at any thread/tile setting.
     let bcfg =
         BatchConfig::new().with_threads(threads).with_seq_threshold(0).with_tile_groups(tile);
-    let nin = unit.n_inputs();
-    let (batch, seed) = seeded_batch(body)?;
-    let explicit = body.get("inputs").map(|v| parse_input_pairs(v, nin)).transpose()?;
-    let items = explicit.as_ref().map_or(batch, |pairs| pairs.len() / nin);
-    check_values(&unit, items)?;
+    let inputs = Inputs::parse(&unit, body)?;
     let _ = write!(
         out,
-        "\"kind\":\"run\",\"fn\":{},\"items\":{items},\"outputs\":",
-        json::escape(&unit.fn_name)
+        "\"kind\":\"run\",\"fn\":{},\"items\":{},\"outputs\":",
+        json::escape(&unit.fn_name),
+        inputs.items
     );
     match req.cfg.precision {
         Precision::Dd => {
-            let soa = match explicit {
-                Some(pairs) => {
-                    BatchDdI::from_intervals(&pairs.iter().map(DdI::from_f64i).collect::<Vec<_>>())
-                }
-                None => workload_dd(&unit, batch, seed),
-            };
+            let soa = inputs.dd(&unit);
             let res = unit.batch.run_dd(&bcfg, &soa);
             // Each endpoint as its exact [hi, lo] component pair.
             push_intervals(out, res.len(), |i| {
@@ -476,10 +469,7 @@ fn handle_run(session: &Session, body: &Json, out: &mut String) -> Result<(), St
             });
         }
         _ => {
-            let soa = match explicit {
-                Some(pairs) => BatchF64I::from_intervals(&pairs),
-                None => workload_f64(&unit, batch, seed),
-            };
+            let soa = inputs.f64(&unit);
             let res = unit.batch.run(&bcfg, &soa);
             push_intervals(out, res.len(), |i| {
                 let v = res.get(i);
@@ -493,8 +483,7 @@ fn handle_run(session: &Session, body: &Json, out: &mut String) -> Result<(), St
 fn handle_profile(session: &Session, body: &Json, out: &mut String) -> Result<(), String> {
     let req = compile_request("profile", body)?;
     let unit = session.compile(&req).map_err(|e| e.to_string())?;
-    let (batch, seed) = seeded_batch(body)?;
-    check_values(&unit, batch)?;
+    let inputs = Inputs::parse(&unit, body)?;
     let n_insns = unit.batch.program().insns.len();
     let bcfg = BatchConfig::new().with_threads(1).with_seq_threshold(0);
 
@@ -508,12 +497,10 @@ fn handle_profile(session: &Session, body: &Json, out: &mut String) -> Result<()
     let mut prof = igen_telemetry::UnitProfiler::start(&unit.fn_name, n_insns);
     match req.cfg.precision {
         Precision::Dd => {
-            let soa = workload_dd(&unit, batch, seed);
-            unit.batch.run_dd_profiled(&bcfg, &soa, &mut prof);
+            unit.batch.run_dd_profiled(&bcfg, &inputs.dd(&unit), &mut prof);
         }
         _ => {
-            let soa = workload_f64(&unit, batch, seed);
-            unit.batch.run_profiled(&bcfg, &soa, &mut prof);
+            unit.batch.run_profiled(&bcfg, &inputs.f64(&unit), &mut prof);
         }
     }
     prof.finish();
@@ -627,14 +614,45 @@ fn named_values<T>(
     }
 }
 
-/// The seeded-workload parameters shared by run and profile.
-fn seeded_batch(body: &Json) -> Result<(usize, u64), String> {
-    let batch = get_u64(body, "batch", 8)?;
-    if batch == 0 || batch > MAX_BATCH {
-        return Err(format!("\"batch\" must be between 1 and {MAX_BATCH}"));
+/// The input batch of a run or profile: the explicit `"inputs"` pairs
+/// when given, else `"batch"` items generated from `"seed"`.
+struct Inputs {
+    items: usize,
+    explicit: Option<Vec<F64I>>,
+    seed: u64,
+}
+
+impl Inputs {
+    /// Parses the request's inputs and refuses them over the value cap,
+    /// before any batch is built.
+    fn parse(unit: &CompiledUnit, body: &Json) -> Result<Inputs, String> {
+        let batch = get_u64(body, "batch", 8)?;
+        if batch == 0 || batch > MAX_BATCH {
+            return Err(format!("\"batch\" must be between 1 and {MAX_BATCH}"));
+        }
+        let seed = get_u64(body, "seed", 0x16e0)?;
+        let nin = unit.n_inputs();
+        let explicit = body.get("inputs").map(|v| parse_input_pairs(v, nin)).transpose()?;
+        let items = explicit.as_ref().map_or(batch as usize, |pairs| pairs.len() / nin);
+        check_values(unit, items)?;
+        Ok(Inputs { items, explicit, seed })
     }
-    let seed = get_u64(body, "seed", 0x16e0)?;
-    Ok((batch as usize, seed))
+
+    fn f64(&self, unit: &CompiledUnit) -> BatchF64I {
+        match &self.explicit {
+            Some(pairs) => BatchF64I::from_intervals(pairs),
+            None => workload_f64(unit, self.items, self.seed),
+        }
+    }
+
+    fn dd(&self, unit: &CompiledUnit) -> BatchDdI {
+        match &self.explicit {
+            Some(pairs) => {
+                BatchDdI::from_intervals(&pairs.iter().map(DdI::from_f64i).collect::<Vec<_>>())
+            }
+            None => workload_dd(unit, self.items, self.seed),
+        }
+    }
 }
 
 /// Refuses a run or profile of `items` items that would hold more than

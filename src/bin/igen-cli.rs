@@ -40,8 +40,11 @@
 //! more trace files — concatenated traces merge, so a compile trace and
 //! a run trace can be reported together.
 
+use igen::batch::{BatchConfig, SoaBatch};
 use igen::compiler::{BranchPolicy, Config, OptLevel, OutputVec, Precision};
-use igen::session::{compile_uncached, BindRequest, CompileRequest, Flags};
+use igen::session::{
+    compile_uncached, workload_dd, workload_f64, BindRequest, CompileRequest, Flags,
+};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -226,7 +229,7 @@ fn run_report(args: &[String]) -> ExitCode {
 /// `igen-batch` at 1 thread and at the configured thread count, checks
 /// the two results are bit-identical, and prints the throughput.
 fn run_batch(args: &[String]) -> ExitCode {
-    use igen::batch::{self, BatchConfig, BatchF64I};
+    use igen::batch::{self, BatchF64I};
     use igen::kernels::ffnn::Ffnn;
     use igen::kernels::{linalg, workload};
 
@@ -392,123 +395,160 @@ fn compile_unit(req: &CompileRequest) -> Result<igen::session::CompiledUnit, Exi
     }
 }
 
+/// The options of `run` and `profile`: the flags both share, plus each
+/// mode's own (`run`: `--emit-bytecode`, `--metrics`; `profile`:
+/// `--top`), which the other mode rejects as unknown.
+struct RunOpts {
+    /// Everything but the source text, which [`RunOpts::compile`] reads
+    /// from the input path held in `origin`.
+    req: CompileRequest,
+    batch: usize,
+    threads: usize,
+    seed: u64,
+    tile: usize,
+    trace_out: Option<String>,
+    emit_bytecode: bool,
+    metrics: bool,
+    top: usize,
+}
+
+impl RunOpts {
+    /// Parses the arguments of `mode` (`"run"` or `"profile"`). An error
+    /// is the one-line message for [`fail2`].
+    fn parse(mode: &str, args: &[String]) -> Result<RunOpts, String> {
+        let run = mode == "run";
+        let mut input: Option<String> = None;
+        let (mut int_args, mut lens, mut size) = (Vec::new(), Vec::new(), 8);
+        let mut o = RunOpts {
+            req: CompileRequest::new("", ""),
+            batch: 64,
+            threads: if run { 0 } else { 4 }, // 0 = all cores
+            seed: 0x16e0,
+            tile: 0, // 0 = default tile size
+            trace_out: None,
+            emit_bytecode: false,
+            metrics: false,
+            top: 8,
+        };
+        let mut f = Flags::new(args);
+        while let Some(a) = f.next() {
+            match a {
+                "--fn" => o.req.fn_name = Some(f.value("--fn", "a function name")?.to_string()),
+                "--batch" => o.batch = f.parse("--batch", "a count")?,
+                "--threads" => o.threads = f.parse("--threads", "a count")?,
+                "--size" => size = f.parse("--size", "a count")?,
+                "--seed" => o.seed = f.parse("--seed", "an integer")?,
+                "--opt-level" => {
+                    o.req.cfg.opt_level = match f.next() {
+                        Some("0") => OptLevel::O0,
+                        Some("1") => OptLevel::O1,
+                        Some("2") => OptLevel::O2,
+                        _ => return Err("--opt-level needs 0, 1 or 2".into()),
+                    };
+                }
+                "--precision" => {
+                    o.req.cfg.precision = match f.next() {
+                        Some("f64") => Precision::F64,
+                        Some("dd") => Precision::Dd,
+                        _ => return Err(format!("{mode} supports --precision f64 or dd")),
+                    };
+                }
+                "--arg" => int_args.push(f.pair("--arg", "name=integer")?),
+                "--len" => lens.push(f.pair("--len", "name=count")?),
+                "--no-peephole" => o.req.peephole = false,
+                "--tile" => o.tile = f.parse("--tile", "a group count")?,
+                "--trace-out" => o.trace_out = Some(f.value("--trace-out", "a path")?.to_string()),
+                "--emit-bytecode" if run => o.emit_bytecode = true,
+                "--metrics" if run => o.metrics = true,
+                "--top" if !run => o.top = f.parse("--top", "a count")?,
+                "-h" | "--help" => usage(),
+                a if a.starts_with('-') => {
+                    return Err(format!("unknown {mode} option '{a}' (see igen-cli --help)"));
+                }
+                a => {
+                    if input.replace(a.to_string()).is_some() {
+                        return Err(format!("{mode} takes one input file"));
+                    }
+                }
+            }
+        }
+        let Some(input) = input else {
+            return Err(format!("{mode} needs an input file (see igen-cli --help)"));
+        };
+        if o.batch == 0 {
+            return Err("--batch must be at least 1".into());
+        }
+        o.req.origin = input;
+        o.req.bind = BindRequest::FromParams { int_args, lens, size };
+        Ok(o)
+    }
+
+    /// Reads the input file and compiles the chosen function through the
+    /// shared session pipeline. Returns the source with the unit.
+    fn compile(&self) -> Result<(String, igen::session::CompiledUnit), ExitCode> {
+        let input = &self.req.origin;
+        let src = std::fs::read_to_string(input)
+            .map_err(|e| fail2(format!("cannot read {input}: {e}")))?;
+        let unit =
+            compile_unit(&CompileRequest { source: src.as_str().into(), ..self.req.clone() })?;
+        Ok((src, unit))
+    }
+
+    /// The one-thread reference configuration and the `--threads` one.
+    fn configs(&self) -> (BatchConfig, BatchConfig) {
+        let cfg = |threads| {
+            BatchConfig::new()
+                .with_threads(threads)
+                .with_seq_threshold(0)
+                .with_tile_groups(self.tile)
+        };
+        (cfg(1), cfg(self.threads))
+    }
+}
+
 /// `igen-cli run <input.c>`: compiles one function into register
 /// bytecode via the `igen-session` pipeline and executes it over a
 /// generated input batch on the packed multi-threaded path, pinning the
 /// result against both the single-thread run and the differential
 /// interpreter before reporting throughput.
 fn run_run(args: &[String]) -> ExitCode {
-    use igen::batch::{BatchConfig, BatchDdI, BatchF64I, SoaBatch};
-    use igen::kernels::workload;
-
-    let mut input: Option<String> = None;
-    let mut fn_name: Option<String> = None;
-    let mut batch = 64usize;
-    let mut threads = 0usize; // 0 = all cores
-    let mut size = 8usize;
-    let mut seed = 0x16e0u64;
-    let mut emit_bytecode = false;
-    let mut no_peephole = false;
-    let mut tile = 0usize; // 0 = default tile size
-    let mut metrics = false;
-    let mut trace_out: Option<String> = None;
-    let mut cfg = Config { opt_level: OptLevel::O2, ..Config::default() };
-    let mut int_args: Vec<(String, i64)> = Vec::new();
-    let mut lens: Vec<(String, usize)> = Vec::new();
-
-    let mut f = Flags::new(args);
-    while let Some(a) = f.next() {
-        match a {
-            "--fn" => fn_name = Some(flag!(f.value("--fn", "a function name")).to_string()),
-            "--batch" => batch = flag!(f.parse("--batch", "a count")),
-            "--threads" => threads = flag!(f.parse("--threads", "a count")),
-            "--size" => size = flag!(f.parse("--size", "a count")),
-            "--seed" => seed = flag!(f.parse("--seed", "an integer")),
-            "--opt-level" => {
-                cfg.opt_level = match f.next() {
-                    Some("0") => OptLevel::O0,
-                    Some("1") => OptLevel::O1,
-                    Some("2") => OptLevel::O2,
-                    _ => return fail2("--opt-level needs 0, 1 or 2".into()),
-                };
-            }
-            "--precision" => {
-                cfg.precision = match f.next() {
-                    Some("f64") => Precision::F64,
-                    Some("dd") => Precision::Dd,
-                    _ => return fail2("run supports --precision f64 or dd".into()),
-                };
-            }
-            "--arg" => int_args.push(flag!(f.pair("--arg", "name=integer"))),
-            "--len" => lens.push(flag!(f.pair("--len", "name=count"))),
-            "--emit-bytecode" => emit_bytecode = true,
-            "--no-peephole" => no_peephole = true,
-            "--tile" => tile = flag!(f.parse("--tile", "a group count")),
-            "--metrics" => metrics = true,
-            "--trace-out" => trace_out = Some(flag!(f.value("--trace-out", "a path")).to_string()),
-            "-h" | "--help" => usage(),
-            a if a.starts_with('-') => {
-                return fail2(format!("unknown run option '{a}' (see igen-cli --help)"));
-            }
-            a => {
-                if input.replace(a.to_string()).is_some() {
-                    return fail2("run takes one input file".into());
-                }
-            }
-        }
-    }
-    let Some(input) = input else {
-        return fail2("run needs an input file (see igen-cli --help)".into());
+    let o = match RunOpts::parse("run", args) {
+        Ok(o) => o,
+        Err(msg) => return fail2(msg),
     };
-    if batch == 0 {
-        return fail2("--batch must be at least 1".into());
-    }
-    let tel = Telemetry::start(metrics, trace_out);
-
-    let src = match std::fs::read_to_string(&input) {
-        Ok(s) => s,
-        Err(e) => return fail2(format!("cannot read {input}: {e}")),
-    };
-    let unit = match compile_unit(&CompileRequest {
-        source: src.into(),
-        origin: input.clone(),
-        fn_name,
-        cfg,
-        bind: BindRequest::FromParams { int_args, lens, size },
-        peephole: !no_peephole,
-    }) {
-        Ok(u) => u,
+    let tel = Telemetry::start(o.metrics, o.trace_out.clone());
+    let unit = match o.compile() {
+        Ok((_, unit)) => unit,
         Err(code) => return code,
     };
     // Either lowering path feeds --emit-bytecode the program that
     // actually executes below.
-    if emit_bytecode {
+    if o.emit_bytecode {
         print!("{}", unit.batch.program().dump());
     }
     let fn_name = &unit.fn_name;
     let nin = unit.n_inputs();
     let nout = unit.n_outputs();
     let n_insns = unit.batch.program().insns.len();
-    let check_items = batch.min(8);
-    let mut rng = workload::rng(seed);
+    let check_items = o.batch.min(8);
+    let checked = 0..check_items * nin;
 
     // Execute: differential interpreter check on a prefix, then the
     // 1-thread vs N-thread bit-identity run over the full batch.
-    let seq = BatchConfig::new().with_threads(1).with_seq_threshold(0).with_tile_groups(tile);
-    let par = BatchConfig::new().with_threads(threads).with_seq_threshold(0).with_tile_groups(tile);
-    let (t1, tn, same) = match cfg.precision {
+    let (seq, par) = o.configs();
+    let (t1, tn, same) = match o.req.cfg.precision {
         Precision::Dd => {
-            let ivals = workload::dd_intervals_1ulp(&mut rng, batch * nin, -2.0, 2.0);
+            let soa = workload_dd(&unit, o.batch, o.seed);
+            let prefix: Vec<_> = checked.map(|i| soa.get(i)).collect();
             if let Err(e) = igen::compiler::verify_bit_identity_dd(
                 &unit.out,
                 unit.batch.program(),
                 &unit.bind,
-                &ivals[..check_items * nin],
+                &prefix,
             ) {
                 eprintln!("igen-cli: {fn_name}: {e}");
                 return ExitCode::FAILURE;
             }
-            let soa = BatchDdI::from_intervals(&ivals);
             let t = Instant::now();
             let a = unit.batch.run_dd(&seq, &soa);
             let t1 = t.elapsed();
@@ -517,18 +557,17 @@ fn run_run(args: &[String]) -> ExitCode {
             (t1, t.elapsed(), a.bits_eq(&b))
         }
         _ => {
-            let pts = workload::random_points(&mut rng, batch * nin, -2.0, 2.0);
-            let ivals = workload::intervals_1ulp(&pts);
+            let soa = workload_f64(&unit, o.batch, o.seed);
+            let prefix: Vec<_> = checked.map(|i| soa.get(i)).collect();
             if let Err(e) = igen::compiler::verify_bit_identity(
                 &unit.out,
                 unit.batch.program(),
                 &unit.bind,
-                &ivals[..check_items * nin],
+                &prefix,
             ) {
                 eprintln!("igen-cli: {fn_name}: {e}");
                 return ExitCode::FAILURE;
             }
-            let soa = BatchF64I::from_intervals(&ivals);
             let t = Instant::now();
             let a = unit.batch.run(&seq, &soa);
             let t1 = t.elapsed();
@@ -544,11 +583,12 @@ fn run_run(args: &[String]) -> ExitCode {
     let eff_threads = par.threads();
     println!(
         "{fn_name}: {n_insns} insns, {nin} inputs -> {nout} outputs per item\n\
-         batch={batch} threads={eff_threads}\n\
+         batch={} threads={eff_threads}\n\
          1 thread : {t1:>12.3?}\n\
          {eff_threads} threads: {tn:>12.3?}  ({:.2}x)\n\
          differential interpreter check: ok ({check_items} items)\n\
          results bit-identical across thread counts: yes",
+        o.batch,
         t1.as_secs_f64() / tn.as_secs_f64(),
     );
     if let Err(code) = tel.finish() {
@@ -564,69 +604,10 @@ fn run_run(args: &[String]) -> ExitCode {
 /// thread and at `--threads`), and prints a blame report — the source
 /// sites costing the most time and amplifying enclosure width the most.
 fn run_profile(args: &[String]) -> ExitCode {
-    use igen::batch::{BatchConfig, BatchDdI, BatchF64I, SoaBatch};
-    use igen::kernels::workload;
-
-    let mut input: Option<String> = None;
-    let mut fn_name: Option<String> = None;
-    let mut batch = 64usize;
-    let mut threads = 4usize;
-    let mut size = 8usize;
-    let mut seed = 0x16e0u64;
-    let mut top = 8usize;
-    let mut no_peephole = false;
-    let mut tile = 0usize;
-    let mut trace_out: Option<String> = None;
-    let mut cfg = Config { opt_level: OptLevel::O2, ..Config::default() };
-    let mut int_args: Vec<(String, i64)> = Vec::new();
-    let mut lens: Vec<(String, usize)> = Vec::new();
-
-    let mut f = Flags::new(args);
-    while let Some(a) = f.next() {
-        match a {
-            "--fn" => fn_name = Some(flag!(f.value("--fn", "a function name")).to_string()),
-            "--batch" => batch = flag!(f.parse("--batch", "a count")),
-            "--threads" => threads = flag!(f.parse("--threads", "a count")),
-            "--size" => size = flag!(f.parse("--size", "a count")),
-            "--seed" => seed = flag!(f.parse("--seed", "an integer")),
-            "--top" => top = flag!(f.parse("--top", "a count")),
-            "--opt-level" => {
-                cfg.opt_level = match f.next() {
-                    Some("0") => OptLevel::O0,
-                    Some("1") => OptLevel::O1,
-                    Some("2") => OptLevel::O2,
-                    _ => return fail2("--opt-level needs 0, 1 or 2".into()),
-                };
-            }
-            "--precision" => {
-                cfg.precision = match f.next() {
-                    Some("f64") => Precision::F64,
-                    Some("dd") => Precision::Dd,
-                    _ => return fail2("profile supports --precision f64 or dd".into()),
-                };
-            }
-            "--arg" => int_args.push(flag!(f.pair("--arg", "name=integer"))),
-            "--len" => lens.push(flag!(f.pair("--len", "name=count"))),
-            "--no-peephole" => no_peephole = true,
-            "--tile" => tile = flag!(f.parse("--tile", "a group count")),
-            "--trace-out" => trace_out = Some(flag!(f.value("--trace-out", "a path")).to_string()),
-            "-h" | "--help" => usage(),
-            a if a.starts_with('-') => {
-                return fail2(format!("unknown profile option '{a}' (see igen-cli --help)"));
-            }
-            a => {
-                if input.replace(a.to_string()).is_some() {
-                    return fail2("profile takes one input file".into());
-                }
-            }
-        }
-    }
-    let Some(input) = input else {
-        return fail2("profile needs an input file (see igen-cli --help)".into());
+    let o = match RunOpts::parse("profile", args) {
+        Ok(o) => o,
+        Err(msg) => return fail2(msg),
     };
-    if batch == 0 {
-        return fail2("--batch must be at least 1".into());
-    }
     if !igen::telemetry::COMPILED_IN {
         eprintln!(
             "igen-cli: note: built without the `telemetry` feature — \
@@ -634,38 +615,22 @@ fn run_profile(args: &[String]) -> ExitCode {
              (rebuild with `--features telemetry`)"
         );
     }
-
-    let src = match std::fs::read_to_string(&input) {
-        Ok(s) => s,
-        Err(e) => return fail2(format!("cannot read {input}: {e}")),
-    };
-    let unit = match compile_unit(&CompileRequest {
-        source: src.as_str().into(),
-        origin: input.clone(),
-        fn_name,
-        cfg,
-        bind: BindRequest::FromParams { int_args, lens, size },
-        peephole: !no_peephole,
-    }) {
-        Ok(u) => u,
+    let (src, unit) = match o.compile() {
+        Ok(compiled) => compiled,
         Err(code) => return code,
     };
     let fn_name = unit.fn_name.clone();
     let prog = unit.batch.program();
     let known_sites = prog.debug.sites.iter().filter(|s| s.is_known()).count();
     let n_insns = prog.insns.len();
-    let nin = unit.n_inputs();
-    let mut rng = workload::rng(seed);
 
     // Reference runs first (unprofiled, recording off): 1 thread and
     // --threads; then the profiled sequential run, which must match
     // both bit for bit.
-    let seq = BatchConfig::new().with_threads(1).with_seq_threshold(0).with_tile_groups(tile);
-    let par = BatchConfig::new().with_threads(threads).with_seq_threshold(0).with_tile_groups(tile);
-    let same = match cfg.precision {
+    let (seq, par) = o.configs();
+    let same = match o.req.cfg.precision {
         Precision::Dd => {
-            let ivals = workload::dd_intervals_1ulp(&mut rng, batch * nin, -2.0, 2.0);
-            let soa = BatchDdI::from_intervals(&ivals);
+            let soa = workload_dd(&unit, o.batch, o.seed);
             let a = unit.batch.run_dd(&seq, &soa);
             let b = unit.batch.run_dd(&par, &soa);
             igen::telemetry::set_recording(true);
@@ -675,9 +640,7 @@ fn run_profile(args: &[String]) -> ExitCode {
             a.bits_eq(&b) && a.bits_eq(&c)
         }
         _ => {
-            let pts = workload::random_points(&mut rng, batch * nin, -2.0, 2.0);
-            let ivals = workload::intervals_1ulp(&pts);
-            let soa = BatchF64I::from_intervals(&ivals);
+            let soa = workload_f64(&unit, o.batch, o.seed);
             let a = unit.batch.run(&seq, &soa);
             let b = unit.batch.run(&par, &soa);
             igen::telemetry::set_recording(true);
@@ -694,7 +657,7 @@ fn run_profile(args: &[String]) -> ExitCode {
     }
 
     let snap = igen::telemetry::snapshot();
-    if let Some(path) = &trace_out {
+    if let Some(path) = &o.trace_out {
         if let Err(e) = std::fs::write(path, snap.to_jsonl()) {
             eprintln!("igen-cli: cannot write {path}: {e}");
             return ExitCode::FAILURE;
@@ -704,13 +667,14 @@ fn run_profile(args: &[String]) -> ExitCode {
     let rows: Vec<_> = snap.profiles.iter().filter(|r| r.unit == fn_name).collect();
     println!(
         "{fn_name}: {n_insns} insns ({known_sites} with source locations), \
-         batch={batch}, profiled outputs bit-identical to unprofiled: yes"
+         batch={}, profiled outputs bit-identical to unprofiled: yes",
+        o.batch
     );
     if rows.is_empty() {
         println!("no profile recorded (telemetry not compiled in)");
         return ExitCode::SUCCESS;
     }
-    print!("{}", render_blame(&rows, &src, &input, top));
+    print!("{}", render_blame(&rows, &src, &o.req.origin, o.top));
     ExitCode::SUCCESS
 }
 
