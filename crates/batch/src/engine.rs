@@ -9,11 +9,11 @@
 //! matter which thread runs it — so [`par_map_indexed`] output is
 //! byte-for-byte the sequential output, at any thread count.
 //!
-//! The engine only maps: each index or block is computed on its own and
-//! lands in its own slot. A sum *across* items would need its combine
-//! order pinned, since interval addition is not associative at the bit
-//! level; no caller needs one, because every batched kernel sums within
-//! one item, in the scalar kernel's order.
+//! The engine only maps: each index is computed on its own and lands in
+//! its own slot. A sum *across* items would need its combine order
+//! pinned, since interval addition is not associative at the bit level;
+//! no caller needs one, because every batched program sums within one
+//! item, in the scalar program's order.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -184,53 +184,6 @@ where
     out
 }
 
-/// Splits `data` into consecutive blocks of `block_len` items (the last
-/// block may be shorter) and runs `f(block_index, block)` on every block,
-/// distributing contiguous runs of blocks across threads. Each block is
-/// handed out as a disjoint `&mut` slice, so `f` may freely mutate it.
-///
-/// # Panics
-///
-/// Panics if `block_len == 0`.
-pub fn par_for_each_block<T, F>(cfg: &BatchConfig, data: &mut [T], block_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(block_len > 0, "block_len must be positive");
-    let nblocks = data.len().div_ceil(block_len);
-    let threads = cfg.effective_threads(nblocks);
-    if threads == 1 {
-        BATCH_CHUNKS.inc();
-        for (bi, block) in data.chunks_mut(block_len).enumerate() {
-            f(bi, block);
-        }
-        return;
-    }
-    let _span = igen_telemetry::span("batch.for_each_block");
-    let ranges = split_ranges(nblocks, threads);
-    std::thread::scope(|scope| {
-        let mut rest = data;
-        let mut handles = Vec::with_capacity(threads);
-        for r in ranges {
-            let bytes = (r.len() * block_len).min(rest.len());
-            let (head, tail) = rest.split_at_mut(bytes);
-            rest = tail;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let _span = igen_telemetry::span("batch.chunk");
-                BATCH_CHUNKS.inc();
-                for (off, block) in head.chunks_mut(block_len).enumerate() {
-                    f(r.start + off, block);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("batch worker panicked");
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,18 +256,5 @@ mod tests {
     fn zero_threads_means_all_cores() {
         let cfg = BatchConfig::new().with_threads(0);
         assert_eq!(cfg.threads(), available_threads());
-    }
-
-    #[test]
-    fn blocks_visit_disjoint_slices_once() {
-        let cfg = BatchConfig::new().with_threads(3).with_seq_threshold(0);
-        let mut data = vec![0u32; 103]; // non-multiple of the block length
-        par_for_each_block(&cfg, &mut data, 10, |bi, block| {
-            for (i, v) in block.iter_mut().enumerate() {
-                *v = (bi * 10 + i) as u32 + 1;
-            }
-        });
-        let want: Vec<u32> = (1..=103).collect();
-        assert_eq!(data, want);
     }
 }

@@ -15,9 +15,8 @@
 //!
 //! Because the tile executor is bit-identical to per-group execution
 //! for every tile size and lane width, the output batch is
-//! **bit-identical at any thread count and any tile size** — the same
-//! guarantee the named kernels enjoy, now for arbitrary compiled
-//! functions.
+//! **bit-identical at any thread count and any tile size**, for any
+//! compiled function.
 
 use crate::engine::{par_map_indexed_with, BatchConfig};
 use crate::soa::{BatchDdI, BatchF64I, SoaBatch};
@@ -330,8 +329,8 @@ impl BatchProgram {
                 |lease, k| task(lease.get(), k, None),
             ),
         };
-        // Width recording only while a trace is live — same one-branch
-        // guard the named kernels use, so untraced runs pay nothing.
+        // Width recording only while a trace is live: one branch per
+        // run, so untraced runs pay nothing.
         let hist =
             (!profiled && igen_telemetry::recording()).then(|| program_width_hist(&prog.name));
         let mut result = B::with_capacity(items * prog.outputs.len());

@@ -115,21 +115,11 @@ impl BatchF64I {
     }
 
     /// Loads lanes `start, start+stride, ..` into a 4-wide lane vector —
-    /// the shape the batched kernels use to evolve four batch elements
+    /// the shape [`crate::BatchProgram`] uses to evolve four batch items
     /// per packed register. Column-to-column gather, no reassembly.
     pub fn load_x4(&self, start: usize, stride: usize) -> F64Ix4 {
         let idx = [start, start + stride, start + 2 * stride, start + 3 * stride];
         F64Ix4::from_columns(idx.map(|i| self.neg_lo[i]), idx.map(|i| self.hi[i]))
-    }
-
-    /// Loads four *consecutive* lanes starting at `start` — the
-    /// contiguous fast path (each column is one unit-stride 256-bit
-    /// load) used when batch items are adjacent, e.g. the Hénon
-    /// ensemble. Equivalent to `load_x4(start, 1)`.
-    pub fn load_x4_contig(&self, start: usize) -> F64Ix4 {
-        let nl: &[f64; 4] = self.neg_lo[start..start + 4].try_into().expect("4 lanes");
-        let h: &[f64; 4] = self.hi[start..start + 4].try_into().expect("4 lanes");
-        F64Ix4::from_columns(*nl, *h)
     }
 }
 
@@ -246,13 +236,6 @@ impl BatchDdI {
             hi_hi: idx.map(|i| self.hi_hi[i]),
             hi_lo: idx.map(|i| self.hi_lo[i]),
         })
-    }
-
-    /// Loads four consecutive lanes starting at `start` (API parity with
-    /// [`BatchF64I::load_x4_contig`]): the unit-stride [`Self::load_x4`],
-    /// four column loads.
-    pub fn load_x4_contig(&self, start: usize) -> DdIx4 {
-        self.load_x4(start, 1)
     }
 }
 

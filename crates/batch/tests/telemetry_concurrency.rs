@@ -10,10 +10,10 @@
 #![cfg(feature = "telemetry")]
 
 use igen_batch::engine::par_map_indexed;
-use igen_batch::{dot_batch, henon_ensemble, BatchConfig, BatchDdI, BatchF64I};
-use igen_interval::{DdIx4, F64Ix4, LaneOps};
+use igen_batch::{BatchConfig, BatchDdI, BatchF64I};
+use igen_interval::{DdIx4, F64Ix4, LaneOps, F64I};
 use igen_kernels::workload;
-use igen_telemetry::Snapshot;
+use igen_telemetry::{Snapshot, WidthHist};
 use proptest::prelude::*;
 
 /// Counter/hist snapshots are process-global; the tests here reset and
@@ -25,6 +25,37 @@ fn sample(seed: u64, len: usize) -> BatchF64I {
     BatchF64I::from_intervals(&workload::intervals_1ulp(&workload::random_points(
         &mut rng, len, -2.0, 2.0,
     )))
+}
+
+/// Output widths of [`dot_lanes`].
+static DOT_WIDTHS: WidthHist = WidthHist::new("width.test.dot_lanes");
+
+/// Item-major length-`n` dot products, four items per `F64Ix4` register
+/// group and a scalar tail, mapped over the engine's workers; every
+/// result's width goes into [`DOT_WIDTHS`].
+fn dot_lanes(cfg: &BatchConfig, n: usize, xs: &BatchF64I, ys: &BatchF64I) -> Vec<F64I> {
+    let items = xs.len() / n;
+    let groups = par_map_indexed(cfg, items.div_ceil(4), |g| {
+        let first = 4 * g;
+        let out: Vec<F64I> = if first + 4 <= items {
+            let mut acc = F64Ix4::splat(F64I::ZERO);
+            for j in 0..n {
+                acc = acc + xs.load_x4(first * n + j, n) * ys.load_x4(first * n + j, n);
+            }
+            (0..4).map(|l| acc.lane(l)).collect()
+        } else {
+            (first..items)
+                .map(|b| {
+                    (0..n).fold(F64I::ZERO, |acc, j| acc + xs.get(b * n + j) * ys.get(b * n + j))
+                })
+                .collect()
+        };
+        for v in &out {
+            DOT_WIDTHS.record(v.lo(), v.hi());
+        }
+        out
+    });
+    groups.into_iter().flatten().collect()
 }
 
 /// Runs `work` from a clean telemetry slate and returns the snapshot it
@@ -68,7 +99,7 @@ proptest! {
         // Lane groups for a packed sqrt/sqr/compare sweep, so the
         // unary/comparison patch-site counters are exercised too.
         let groups: Vec<F64Ix4> =
-            (0..batch * n / 4).map(|g| xs.load_x4_contig(g * 4)).collect();
+            (0..batch * n / 4).map(|g| xs.load_x4(g * 4, 1)).collect();
         // Double-double groups for the packed dd add/mul kernels
         // (nonzero low words, as in the paper's dd workload).
         let dds = BatchDdI::from_intervals(&workload::dd_intervals_1ulp(
@@ -78,11 +109,11 @@ proptest! {
             2.0,
         ));
         let dd_groups: Vec<DdIx4> =
-            (0..batch * n / 4).map(|g| dds.load_x4_contig(g * 4)).collect();
+            (0..batch * n / 4).map(|g| dds.load_x4(g * 4, 1)).collect();
         let run = |threads: usize| {
             let cfg = BatchConfig::new().with_threads(threads).with_seq_threshold(0);
             traced(|| {
-                igen_bench_sink(dot_batch(&cfg, n, &xs, &ys));
+                igen_bench_sink(dot_lanes(&cfg, n, &xs, &ys));
                 igen_bench_sink(par_map_indexed(&cfg, groups.len(), |g| {
                     let v = groups[g];
                     let root = v.abs().sqrt();
@@ -96,6 +127,11 @@ proptest! {
             })
         };
         let base = run(1);
+        prop_assert!(
+            base.hists.iter().any(|h| h.count > 0),
+            "the workload must record a width histogram: {:?}",
+            base.hists
+        );
         let base_counters = workload_counters(&base);
         prop_assert!(
             base_counters.iter().any(|(n, v)| n.starts_with("simd.") && *v > 0),
@@ -141,8 +177,8 @@ fn emitted_spans_nest_well_formed() {
     let ys = sample(8, 64);
     let cfg = BatchConfig::new().with_threads(3).with_seq_threshold(0);
     let snap = traced(|| {
-        igen_bench_sink(dot_batch(&cfg, 16, &xs, &ys));
-        igen_bench_sink(henon_ensemble(&cfg, 5, &xs, &ys));
+        // 16 items in 4 lane groups: enough to spread across 3 workers.
+        igen_bench_sink(dot_lanes(&cfg, 4, &xs, &ys));
     });
     // Round-trip through the emitted JSON, as the CLI would.
     let parsed = Snapshot::from_jsonl(&snap.to_jsonl()).expect("re-parse own trace");

@@ -1,5 +1,6 @@
-//! Thread-scaling of the `igen-batch` evaluation engine: batched dot,
-//! mvm, Hénon ensembles and FFNN inference at 1 → N worker threads.
+//! Thread-scaling of the `igen-batch` evaluation engine: the dot, mvm
+//! and Hénon kernels' C sources compiled into `BatchProgram`
+//! (`igen_bench::compiled`) at 1 → N worker threads.
 //!
 //! Besides the criterion groups, a plain run (without `--test`) records
 //! `results/batch_throughput.csv` with the median time, throughput and
@@ -9,9 +10,13 @@
 //! scaling claim is only observable on multi-core hosts.
 
 use criterion::{black_box, Criterion};
-use igen_batch::{available_threads, dot_batch, henon_ensemble, mvm_batch, BatchConfig, BatchF64I};
-use igen_bench::median_time;
+use igen_batch::{available_threads, BatchConfig, BatchF64I};
+use igen_bench::{compiled, median_time};
+use igen_core::Precision;
+use igen_interval::F64I;
 use igen_kernels::workload;
+use igen_session::CompiledUnit;
+use std::sync::Arc;
 
 /// Batched problem shapes kept small enough that the full sweep stays in
 /// CI-smoke territory.
@@ -35,57 +40,56 @@ fn cfg(threads: usize) -> BatchConfig {
     BatchConfig::new().with_threads(threads).with_seq_threshold(0)
 }
 
-fn sample(seed: u64, len: usize) -> BatchF64I {
+fn sample(seed: u64, len: usize) -> Vec<F64I> {
     let mut rng = workload::rng(seed);
-    BatchF64I::from_intervals(&workload::intervals_1ulp(&workload::random_points(
-        &mut rng, len, -2.0, 2.0,
-    )))
+    workload::intervals_1ulp(&workload::random_points(&mut rng, len, -2.0, 2.0))
+}
+
+/// The dot, mvm and Hénon input batch of `x` and `y` at `n` per item.
+fn pairs(n: usize, x: &[F64I], y: &[F64I]) -> BatchF64I {
+    BatchF64I::from_intervals(&compiled::zip_items(n, x, y))
+}
+
+/// The three swept kernels: name, batch items, interval ops per run,
+/// compiled program and its input batch.
+fn kernels() -> Vec<(&'static str, usize, u64, Arc<CompiledUnit>, BatchF64I)> {
+    let f64 = Precision::F64;
+    vec![
+        (
+            "dot",
+            DOT_BATCH,
+            DOT_BATCH as u64 * igen_kernels::linalg::dot_iops(DOT_N),
+            compiled::dot(DOT_N, f64),
+            pairs(DOT_N, &sample(1, DOT_BATCH * DOT_N), &sample(2, DOT_BATCH * DOT_N)),
+        ),
+        (
+            "mvm",
+            MVM_BATCH,
+            MVM_BATCH as u64 * 2 * (MVM_N * MVM_N) as u64,
+            compiled::mvm(&sample(3, MVM_N * MVM_N), MVM_N, f64),
+            pairs(MVM_N, &sample(4, MVM_BATCH * MVM_N), &sample(5, MVM_BATCH * MVM_N)),
+        ),
+        (
+            "henon",
+            HENON_BATCH,
+            HENON_BATCH as u64 * igen_kernels::henon_iops(HENON_ITERS),
+            compiled::henon(HENON_ITERS, f64),
+            pairs(1, &sample(6, HENON_BATCH), &sample(7, HENON_BATCH)),
+        ),
+    ]
 }
 
 fn bench_scaling(c: &mut Criterion) {
-    let xs = sample(1, DOT_BATCH * DOT_N);
-    let ys = sample(2, DOT_BATCH * DOT_N);
-    let a = sample(3, MVM_N * MVM_N).to_intervals();
-    let mx = sample(4, MVM_BATCH * MVM_N);
-    let my = sample(5, MVM_BATCH * MVM_N);
-    let hx = sample(6, HENON_BATCH);
-    let hy = sample(7, HENON_BATCH);
-
-    let mut g = c.benchmark_group("batch_dot");
-    for t in thread_counts() {
-        let cfg = cfg(t);
-        g.bench_function(&format!("threads/{t}"), |b| {
-            b.iter(|| dot_batch(black_box(&cfg), DOT_N, black_box(&xs), black_box(&ys)))
-        });
+    for (name, _, _, unit, inputs) in kernels() {
+        let mut g = c.benchmark_group(&format!("batch_{name}"));
+        for t in thread_counts() {
+            let cfg = cfg(t);
+            g.bench_function(&format!("threads/{t}"), |b| {
+                b.iter(|| unit.batch.run(black_box(&cfg), black_box(&inputs)))
+            });
+        }
+        g.finish();
     }
-    g.finish();
-
-    let mut g = c.benchmark_group("batch_mvm");
-    for t in thread_counts() {
-        let cfg = cfg(t);
-        g.bench_function(&format!("threads/{t}"), |b| {
-            b.iter(|| {
-                mvm_batch(
-                    black_box(&cfg),
-                    MVM_N,
-                    MVM_N,
-                    black_box(&a),
-                    black_box(&mx),
-                    black_box(&my),
-                )
-            })
-        });
-    }
-    g.finish();
-
-    let mut g = c.benchmark_group("batch_henon");
-    for t in thread_counts() {
-        let cfg = cfg(t);
-        g.bench_function(&format!("threads/{t}"), |b| {
-            b.iter(|| henon_ensemble(black_box(&cfg), HENON_ITERS, black_box(&hx), black_box(&hy)))
-        });
-    }
-    g.finish();
 }
 
 /// Records the scaling sweep to `results/batch_throughput.csv` at the
@@ -95,54 +99,21 @@ fn record_csv() {
     if let Some(root) = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2) {
         let _ = std::env::set_current_dir(root);
     }
-    let xs = sample(1, DOT_BATCH * DOT_N);
-    let ys = sample(2, DOT_BATCH * DOT_N);
-    let a = sample(3, MVM_N * MVM_N).to_intervals();
-    let mx = sample(4, MVM_BATCH * MVM_N);
-    let my = sample(5, MVM_BATCH * MVM_N);
-    let hx = sample(6, HENON_BATCH);
-    let hy = sample(7, HENON_BATCH);
-
     let mut rows = Vec::new();
     let cores = available_threads();
-    type Runner<'a> = (&'a str, usize, u64, Box<dyn Fn(&BatchConfig) + 'a>);
-    let kernels: Vec<Runner> = vec![
-        (
-            "dot",
-            DOT_BATCH,
-            DOT_BATCH as u64 * igen_kernels::linalg::dot_iops(DOT_N),
-            Box::new(|c: &BatchConfig| {
-                black_box(dot_batch(c, DOT_N, &xs, &ys));
-            }),
-        ),
-        (
-            "mvm",
-            MVM_BATCH,
-            MVM_BATCH as u64 * 2 * (MVM_N * MVM_N) as u64,
-            Box::new(|c: &BatchConfig| {
-                black_box(mvm_batch(c, MVM_N, MVM_N, &a, &mx, &my));
-            }),
-        ),
-        (
-            "henon",
-            HENON_BATCH,
-            HENON_BATCH as u64 * igen_kernels::henon_iops(HENON_ITERS),
-            Box::new(|c: &BatchConfig| {
-                black_box(henon_ensemble(c, HENON_ITERS, &hx, &hy));
-            }),
-        ),
-    ];
-    for (name, batch, iops, run) in &kernels {
+    for (name, batch, iops, unit, inputs) in kernels() {
         let mut t1 = None;
         for t in thread_counts() {
             let cfg = cfg(t);
-            let med = median_time(igen_bench::reps(), || run(&cfg));
+            let med = median_time(igen_bench::reps(), || {
+                black_box(unit.batch.run(&cfg, &inputs));
+            });
             let secs = med.as_secs_f64();
             let t1s = *t1.get_or_insert(secs);
             rows.push(format!(
                 "{name},{t},{cores},{batch},{:.0},{:.3e},{:.3}",
                 secs * 1e9,
-                *iops as f64 / secs,
+                iops as f64 / secs,
                 t1s / secs
             ));
         }

@@ -16,18 +16,16 @@
 //! low words.
 //!
 //! A plain run (without `--test`) records `results/simd_speedup.csv`
-//! with per-op and per-paper-kernel rows. Every kernel row routes
-//! through the lane types: `gemm` evolves four columns of `C` per
-//! packed register (`linalg::gemm_packed`) and `ffnn` forwards four
-//! batch items per register group (`Ffnn::forward_lanes`), so the
-//! `packed_path` column is `true` across the board.
+//! with per-op and per-paper-kernel rows. Each kernel row times the
+//! scalar `F64I` loop against the kernel's C source compiled into
+//! `BatchProgram` (`igen_bench::compiled`), which runs four items per
+//! packed register — `gemm` batches the mvm program over the columns of
+//! `C` — so the `packed_path` column is `true` across the board.
 
 use criterion::{black_box, Criterion};
-use igen_batch::available_threads;
-use igen_batch::{
-    dot_batch, ffnn_batch, gemm_row_blocks, henon_ensemble, mvm_batch, BatchConfig, BatchF64I,
-};
-use igen_bench::{host_line, median_time, write_csv_with_comments};
+use igen_batch::{available_threads, BatchConfig, BatchF64I};
+use igen_bench::{compiled, host_line, median_time, write_csv_with_comments};
+use igen_core::Precision;
 use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, F64I};
 use igen_kernels::ffnn::Ffnn;
 use igen_kernels::{henon_from, linalg, workload};
@@ -335,118 +333,120 @@ fn op_rows(reps: usize) -> Vec<Row> {
         .collect()
 }
 
+/// A kernel row: `scalar` is the plain `F64I` loop, `lane` the compiled
+/// kernel through `BatchProgram`, timed under Portable and under the
+/// detected backend.
+fn kernel_row(
+    name: &'static str,
+    reps: usize,
+    scalar: impl FnMut(),
+    mut lane: impl FnMut(),
+) -> Row {
+    Row {
+        name,
+        packed_path: true,
+        scalar: median_time(reps, scalar),
+        lane_portable: timed_with_backend(Backend::Portable, reps, &mut lane),
+        simd: timed_with_backend(simd::detected_backend(), reps, &mut lane),
+    }
+}
+
 fn kernel_rows(reps: usize) -> Vec<Row> {
     let cfg = cfg();
+    let f64 = Precision::F64;
 
-    // dot
     let xs = sample(21, DOT_BATCH * DOT_N);
     let ys = sample(22, DOT_BATCH * DOT_N);
-    let (bxs, bys) = (BatchF64I::from_intervals(&xs), BatchF64I::from_intervals(&ys));
-    let dot_scalar = median_time(reps, || {
-        for i in 0..DOT_BATCH {
-            black_box(linalg::dot(
-                &xs[i * DOT_N..(i + 1) * DOT_N],
-                &ys[i * DOT_N..(i + 1) * DOT_N],
-            ));
-        }
-    });
-    let mut dot_lane = || {
-        black_box(dot_batch(&cfg, DOT_N, &bxs, &bys));
-    };
-    let dot = Row {
-        name: "dot",
-        packed_path: true,
-        scalar: dot_scalar,
-        lane_portable: timed_with_backend(Backend::Portable, reps, &mut dot_lane),
-        simd: timed_with_backend(simd::detected_backend(), reps, &mut dot_lane),
-    };
+    let unit = compiled::dot(DOT_N, f64);
+    let inputs = BatchF64I::from_intervals(&compiled::zip_items(DOT_N, &xs, &ys));
+    let dot = kernel_row(
+        "dot",
+        reps,
+        || {
+            for i in 0..DOT_BATCH {
+                let r = i * DOT_N..(i + 1) * DOT_N;
+                black_box(linalg::dot(&xs[r.clone()], &ys[r]));
+            }
+        },
+        || {
+            black_box(unit.batch.run(&cfg, &inputs));
+        },
+    );
 
-    // mvm
     let a = sample(23, MVM_N * MVM_N);
     let mx = sample(24, MVM_BATCH * MVM_N);
     let my = sample(25, MVM_BATCH * MVM_N);
-    let (bmx, bmy) = (BatchF64I::from_intervals(&mx), BatchF64I::from_intervals(&my));
-    let mvm_scalar = median_time(reps, || {
-        let mut y = vec![F64I::point(0.0); MVM_N];
-        for i in 0..MVM_BATCH {
-            linalg::mvm(MVM_N, MVM_N, &a, &mx[i * MVM_N..(i + 1) * MVM_N], &mut y);
-            for (j, yj) in y.iter().enumerate() {
-                black_box(*yj + my[i * MVM_N + j]);
+    let unit = compiled::mvm(&a, MVM_N, f64);
+    let inputs = BatchF64I::from_intervals(&compiled::zip_items(MVM_N, &mx, &my));
+    let mvm = kernel_row(
+        "mvm",
+        reps,
+        || {
+            for i in 0..MVM_BATCH {
+                let r = i * MVM_N..(i + 1) * MVM_N;
+                let mut y = my[r.clone()].to_vec();
+                linalg::mvm(MVM_N, MVM_N, &a, &mx[r], &mut y);
+                black_box(&y);
             }
-        }
-    });
-    let mut mvm_lane = || {
-        black_box(mvm_batch(&cfg, MVM_N, MVM_N, &a, &bmx, &bmy));
-    };
-    let mvm = Row {
-        name: "mvm",
-        packed_path: true,
-        scalar: mvm_scalar,
-        lane_portable: timed_with_backend(Backend::Portable, reps, &mut mvm_lane),
-        simd: timed_with_backend(simd::detected_backend(), reps, &mut mvm_lane),
-    };
+        },
+        || {
+            black_box(unit.batch.run(&cfg, &inputs));
+        },
+    );
 
-    // henon
     let hx = sample(26, HENON_BATCH);
     let hy = sample(27, HENON_BATCH);
-    let (bhx, bhy) = (BatchF64I::from_intervals(&hx), BatchF64I::from_intervals(&hy));
-    let henon_scalar = median_time(reps, || {
-        for i in 0..HENON_BATCH {
-            black_box(henon_from::<F64I>(hx[i], hy[i], HENON_ITERS));
-        }
-    });
-    let mut henon_lane = || {
-        black_box(henon_ensemble(&cfg, HENON_ITERS, &bhx, &bhy));
-    };
-    let henon = Row {
-        name: "henon",
-        packed_path: true,
-        scalar: henon_scalar,
-        lane_portable: timed_with_backend(Backend::Portable, reps, &mut henon_lane),
-        simd: timed_with_backend(simd::detected_backend(), reps, &mut henon_lane),
-    };
+    let unit = compiled::henon(HENON_ITERS, f64);
+    let inputs = BatchF64I::from_intervals(&compiled::zip_items(1, &hx, &hy));
+    let henon = kernel_row(
+        "henon",
+        reps,
+        || {
+            for i in 0..HENON_BATCH {
+                black_box(henon_from::<F64I>(hx[i], hy[i], HENON_ITERS));
+            }
+        },
+        || {
+            black_box(unit.batch.run(&cfg, &inputs));
+        },
+    );
 
-    // gemm — `gemm_row_blocks` evolves four columns of C per packed
-    // register via `linalg::gemm_packed`.
+    // gemm — the mvm program batched over the columns of B and C.
     let ga = sample(28, GEMM_N * GEMM_N);
     let gb = sample(29, GEMM_N * GEMM_N);
-    let gemm_scalar = median_time(reps, || {
-        let mut gc = vec![F64I::point(0.0); GEMM_N * GEMM_N];
-        linalg::gemm(GEMM_N, GEMM_N, GEMM_N, &ga, &gb, &mut gc);
-        black_box(&gc);
-    });
-    let mut gemm_lane = || {
-        let mut gc = vec![F64I::point(0.0); GEMM_N * GEMM_N];
-        gemm_row_blocks(&cfg, GEMM_N, GEMM_N, GEMM_N, &ga, &gb, &mut gc, 8);
-        black_box(&gc);
-    };
-    let gemm = Row {
-        name: "gemm",
-        packed_path: true,
-        scalar: gemm_scalar,
-        lane_portable: timed_with_backend(Backend::Portable, reps, &mut gemm_lane),
-        simd: timed_with_backend(simd::detected_backend(), reps, &mut gemm_lane),
-    };
+    let zeros = vec![F64I::point(0.0); GEMM_N * GEMM_N];
+    let unit = compiled::mvm(&ga, GEMM_N, f64);
+    let inputs = BatchF64I::from_intervals(&compiled::gemm_items(GEMM_N, &gb, &zeros));
+    let gemm = kernel_row(
+        "gemm",
+        reps,
+        || {
+            let mut gc = zeros.clone();
+            linalg::gemm(GEMM_N, GEMM_N, GEMM_N, &ga, &gb, &mut gc);
+            black_box(&gc);
+        },
+        || {
+            let columns = unit.batch.run(&cfg, &inputs).to_intervals();
+            black_box(compiled::gemm_result(GEMM_N, &columns));
+        },
+    );
 
-    // ffnn — `ffnn_batch` forwards four batch items per register group
-    // via `Ffnn::forward_lanes`.
     let net = Ffnn::synthetic(FFNN_WIDTH, 7);
-    let inputs: Vec<Vec<f64>> = (0..FFNN_INPUTS as u64).map(Ffnn::synthetic_input).collect();
-    let ffnn_scalar = median_time(reps, || {
-        for input in &inputs {
-            black_box(net.forward::<F64I>(input));
-        }
-    });
-    let mut ffnn_lane = || {
-        black_box(ffnn_batch::<F64I>(&cfg, &net, &inputs));
-    };
-    let ffnn = Row {
-        name: "ffnn",
-        packed_path: true,
-        scalar: ffnn_scalar,
-        lane_portable: timed_with_backend(Backend::Portable, reps, &mut ffnn_lane),
-        simd: timed_with_backend(simd::detected_backend(), reps, &mut ffnn_lane),
-    };
+    let digits: Vec<Vec<f64>> = (0..FFNN_INPUTS as u64).map(Ffnn::synthetic_input).collect();
+    let unit = compiled::ffnn(&net, f64);
+    let inputs: BatchF64I = digits.iter().flatten().map(|&v| F64I::point(v)).collect();
+    let ffnn = kernel_row(
+        "ffnn",
+        reps,
+        || {
+            for input in &digits {
+                black_box(net.forward::<F64I>(input));
+            }
+        },
+        || {
+            black_box(unit.batch.run(&cfg, &inputs));
+        },
+    );
 
     vec![dot, mvm, henon, gemm, ffnn]
 }

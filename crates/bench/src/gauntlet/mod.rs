@@ -9,9 +9,9 @@
 //!   and speaks plain f64 endpoint buffers ([`IvalVec`]).
 //! * Each backend adapter is a **one-file plug-in** in this module tree
 //!   ([`numeric`] covers every `igen_kernels::Numeric` type in one
-//!   generic file; [`packed`] is the `LaneOps`/`igen-batch` SIMD path;
-//!   [`mpf`] is the 256-bit oracle), registered in the single
-//!   [`registry`] table below.
+//!   generic file; [`vm`] runs the kernels' C sources compiled onto the
+//!   packed batch engine; [`mpf`] is the 256-bit oracle), registered in
+//!   the single [`registry`] table below.
 //! * [`run`] times every backend over every [`Kernel`] on identical
 //!   inputs and returns a [`Report`]; [`check_regression`] compares two
 //!   reports for the CI gate.
@@ -29,7 +29,6 @@
 
 pub mod mpf;
 pub mod numeric;
-pub mod packed;
 pub mod vm;
 
 pub use igen_baselines::backend::{IntervalBackend, IvalVec, Kernel, KernelCase};
@@ -42,7 +41,7 @@ use igen_telemetry::json::{self, Json};
 
 /// The PR index stamped into the default trajectory file name
 /// (`results/BENCH_<pr>.json`). Bump when recording a new PR's baseline.
-pub const CURRENT_PR: u32 = 8;
+pub const CURRENT_PR: u32 = 18;
 
 /// JSON schema tag; bump on incompatible report changes.
 pub const SCHEMA: &str = "igen-bench-gauntlet/v1";
@@ -89,7 +88,6 @@ pub fn registry() -> Vec<Box<dyn IntervalBackend>> {
             "igen-dd",
             "IGen production DdI: double-double endpoints, ~2^-106 widths",
         )),
-        Box::new(packed::PackedBackend),
         Box::new(vm::VmBackend),
     ]
 }
@@ -524,15 +522,15 @@ mod tests {
     #[test]
     fn registry_covers_the_required_contenders() {
         let names = backend_names();
-        for required in
-            ["naive", "boost", "mpf", "igen-f64", "igen-dd", "igen-packed", "compiled-vm"]
-        {
+        for required in ["naive", "boost", "mpf", "igen-f64", "igen-dd", "compiled-vm"] {
             assert!(names.contains(&required), "missing backend {required}");
         }
         assert_eq!(names[0], "naive", "naive must stay the denominator");
-        // Two packed-path backends: the hand-written kernels and the
-        // bytecode VM executing the same SoA lanes.
-        assert_eq!(registry().iter().filter(|b| b.packed_path()).count(), 2);
+        // One packed-path backend: the kernels' C sources compiled onto
+        // the batch engine's SoA lanes.
+        let packed: Vec<&str> =
+            registry().iter().filter(|b| b.packed_path()).map(|b| b.name()).collect();
+        assert_eq!(packed, ["compiled-vm"]);
     }
 
     #[test]
@@ -564,7 +562,7 @@ mod tests {
                     mean_rel_width: 1.5e-15,
                 },
                 Row {
-                    backend: "igen-packed".into(),
+                    backend: "compiled-vm".into(),
                     kernel: "dot".into(),
                     packed_path: true,
                     median_ns: 100.0,
@@ -582,7 +580,7 @@ mod tests {
         let parsed = Report::from_json(&r.to_json()).unwrap();
         assert_eq!(parsed.pr, r.pr);
         assert_eq!(parsed.rows.len(), r.rows.len());
-        assert_eq!(parsed.rows[1].backend, "igen-packed");
+        assert_eq!(parsed.rows[1].backend, "compiled-vm");
         assert!(parsed.rows[1].packed_path);
         assert!((parsed.rows[1].speedup_vs_naive - 10.0).abs() < 1e-9);
         assert!((parsed.rows[1].mean_rel_width - 2.5e-16).abs() < 1e-22);
@@ -609,7 +607,7 @@ mod tests {
         slow.rows[1].speedup_vs_naive = 3.0;
         let v = check_regression(&slow, &base, DEFAULT_SPEED_TOL, DEFAULT_WIDTH_TOL);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("igen-packed/dot"), "{v:?}");
+        assert!(v[0].contains("compiled-vm/dot"), "{v:?}");
         assert!(v[0].contains("speedup"), "{v:?}");
     }
 
@@ -628,13 +626,13 @@ mod tests {
         drift.rows[1].speedup_vs_naive = 8.5; // 15% drop
                                               // Default 50% tolerance passes; a 10% override on the backend fails.
         assert!(check_regression(&drift, &base, DEFAULT_SPEED_TOL, DEFAULT_WIDTH_TOL).is_empty());
-        let overrides = vec![("igen-packed".to_string(), 0.10)];
+        let overrides = vec![("compiled-vm".to_string(), 0.10)];
         let v =
             check_regression_with(&drift, &base, DEFAULT_SPEED_TOL, DEFAULT_WIDTH_TOL, &overrides);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("tolerance 10%"), "{v:?}");
         // An override for a different backend leaves the row at the default.
-        let other = vec![("compiled-vm".to_string(), 0.10)];
+        let other = vec![("igen-f64".to_string(), 0.10)];
         assert!(check_regression_with(&drift, &base, DEFAULT_SPEED_TOL, DEFAULT_WIDTH_TOL, &other)
             .is_empty());
     }

@@ -1,169 +1,38 @@
-//! One-file gauntlet plug-in for the bytecode VM: each kernel is
-//! written as plain C, compiled through the full IGen pipeline at
-//! `-O2`, lowered to register bytecode, peepholed (endpoint-exact
-//! rewrites + liveness register renumbering), and executed by the
-//! tiled instruction-major `igen-vm` executor over `igen-batch` SoA
-//! buffers — the "compile any function" path, timed against the
-//! hand-written kernels it generalizes.
+//! One-file gauntlet plug-in for the bytecode VM: the five paper
+//! kernels as plain C ([`crate::compiled`]), compiled through the full
+//! IGen pipeline at `-O2`, lowered to register bytecode, peepholed
+//! (endpoint-exact rewrites + liveness register renumbering), and
+//! executed by the tiled instruction-major `igen-vm` executor over
+//! `igen-batch` SoA buffers — the "compile any function" path, and the
+//! gauntlet's one packed-path contender.
 //!
 //! Compilation, the peephole pass and constant hoisting happen at
 //! `instantiate` (untimed setup); the timed closure only executes
-//! prepared bytecode over per-worker tile banks. One worker thread,
-//! like `igen-packed`, so the column isolates the execution model.
-//! GEMM is a single batch item (batching is across items, and the
-//! gauntlet's GEMM case is one matrix product), so it exercises the
-//! scalar-width tail of the same tiled executor — its win comes from
-//! the renumbered register file staying cache-resident; the other
-//! kernels run the packed tile path.
+//! prepared bytecode over per-worker tile banks. One worker thread, so
+//! the column isolates the execution model from thread scaling. Every
+//! kernel runs the packed tile path: GEMM is the mvm program batched
+//! over the 16 columns of `B` and `C`, so its columns fill the lanes.
 
+use crate::compiled;
 use igen_baselines::backend::{IntervalBackend, IvalVec, Kernel, KernelCase};
 use igen_batch::{BatchConfig, BatchF64I};
-use igen_core::{Config, OptLevel};
+use igen_core::Precision;
+use igen_interval::F64I;
 use igen_kernels::ffnn::Ffnn;
-use igen_session::{BindRequest, CompileRequest, CompiledUnit, Session};
-use igen_vm::{ArgBind, BindSpec};
-use std::sync::{Arc, OnceLock};
 
 /// The compiled-bytecode backend.
 pub struct VmBackend;
 
-const DOT_SRC: &str = r#"
-double dot(double* x, double* y, int n) {
-    double s = 0.0;
-    for (int i = 0; i < n; i++) {
-        s = s + x[i] * y[i];
-    }
-    return s;
-}
-"#;
-
-const MVM_SRC: &str = r#"
-void mvm(double* a, double* x, double* y, int n) {
-    for (int i = 0; i < n; i++) {
-        double acc = y[i];
-        for (int j = 0; j < n; j++) {
-            acc = acc + a[i * n + j] * x[j];
-        }
-        y[i] = acc;
-    }
-}
-"#;
-
-const GEMM_SRC: &str = r#"
-void gemm(double* a, double* b, double* c, int n) {
-    for (int i = 0; i < n; i++) {
-        for (int j = 0; j < n; j++) {
-            double acc = c[i * n + j];
-            for (int k = 0; k < n; k++) {
-                acc = acc + a[i * n + k] * b[k * n + j];
-            }
-            c[i * n + j] = acc;
-        }
-    }
-}
-"#;
-
-const HENON_SRC: &str = r#"
-double henon(double x0, double y0, int iterations) {
-    double x = x0;
-    double y = y0;
-    for (int i = 0; i < iterations; i++) {
-        double xi = x;
-        double xn = 1.0 - 1.05 * xi * xi + y;
-        y = 0.3 * xi;
-        x = xn;
-    }
-    return x;
-}
-"#;
-
-/// Dense-network C source with literal layer bounds: the input feeds
-/// layer 0 directly, hidden activations go through `fmax(acc, 0.0)`
-/// (ReLU), the last layer writes the output array raw — the exact
-/// operation sequence of `Ffnn::forward`.
-fn ffnn_source(dims: &[usize]) -> String {
-    let layers = dims.len() - 1;
-    let mut params = vec!["double* x".to_string()];
-    for l in 0..layers {
-        params.push(format!("double* w{l}"));
-        params.push(format!("double* b{l}"));
-    }
-    params.push("double* o".to_string());
-    let mut body = String::new();
-    let mut prev = "x".to_string();
-    for l in 0..layers {
-        let (fan_in, fan_out) = (dims[l], dims[l + 1]);
-        let last = l + 1 == layers;
-        let dst = if last { "o".to_string() } else { format!("a{}", l + 1) };
-        if !last {
-            body.push_str(&format!("    double {dst}[{fan_out}];\n"));
-        }
-        body.push_str(&format!(
-            "    for (int j = 0; j < {fan_out}; j++) {{\n\
-             \x20       double acc = b{l}[j];\n\
-             \x20       for (int i = 0; i < {fan_in}; i++) {{\n\
-             \x20           acc = acc + w{l}[j * {fan_in} + i] * {prev}[i];\n\
-             \x20       }}\n"
-        ));
-        if last {
-            body.push_str(&format!("        {dst}[j] = acc;\n    }}\n"));
-        } else {
-            body.push_str(&format!("        {dst}[j] = fmax(acc, 0.0);\n    }}\n"));
-        }
-        prev = dst;
-    }
-    format!("void ffnn({}) {{\n{body}}}\n", params.join(", "))
+fn intervals(v: &IvalVec) -> Vec<F64I> {
+    v.lo.iter()
+        .zip(&v.hi)
+        .map(|(&l, &h)| F64I::new(l, h).expect("gauntlet inputs are valid intervals"))
+        .collect()
 }
 
-/// The process-wide compile session: rerunning a kernel case (or the
-/// same kernel at another size with an identical binding shape) reuses
-/// the verified program instead of re-walking the pipeline.
-fn session() -> &'static Session {
-    static SESSION: OnceLock<Session> = OnceLock::new();
-    SESSION.get_or_init(Session::default)
-}
-
-fn compile(src: &str, fn_name: &str, bind: &BindSpec) -> Arc<CompiledUnit> {
-    let req = CompileRequest {
-        source: src.into(),
-        origin: format!("gauntlet:{fn_name}"),
-        fn_name: Some(fn_name.to_string()),
-        cfg: Config { opt_level: OptLevel::O2, ..Config::default() },
-        bind: BindRequest::Explicit(bind.clone()),
-        peephole: true,
-    };
-    session().compile(&req).expect("gauntlet kernel compiles to verified bytecode")
-}
-
-fn uniform_pairs(v: &IvalVec) -> Vec<(f64, f64)> {
-    v.lo.iter().zip(&v.hi).map(|(&l, &h)| (l, h)).collect()
-}
-
-fn uniform_points(v: &[f64]) -> Vec<(f64, f64)> {
-    v.iter().map(|&p| (p, p)).collect()
-}
-
-/// Item-major flattening of per-item slices from several columns:
-/// `cols` are (buffer, per-item length) in program input order.
-fn item_major(cols: &[(&IvalVec, usize)], items: usize) -> BatchF64I {
-    let total: usize = cols.iter().map(|&(_, len)| len).sum();
-    let mut out = BatchF64I::with_capacity(items * total);
-    for item in 0..items {
-        for &(col, len) in cols {
-            for j in 0..len {
-                let (lo, hi) = col.get(item * len + j);
-                out.push(
-                    igen_interval::F64I::new(lo, hi).expect("gauntlet inputs are valid intervals"),
-                );
-            }
-        }
-    }
-    out
-}
-
-fn to_ivalvec(b: &BatchF64I) -> IvalVec {
-    let mut out = IvalVec::with_capacity(b.len());
-    for v in b.to_intervals() {
+fn to_ivalvec(xs: &[F64I]) -> IvalVec {
+    let mut out = IvalVec::with_capacity(xs.len());
+    for v in xs {
         out.push(v.lo(), v.hi());
     }
     out
@@ -183,61 +52,28 @@ impl IntervalBackend for VmBackend {
     }
 
     fn instantiate<'a>(&'a self, case: &'a KernelCase) -> Box<dyn FnMut() -> IvalVec + 'a> {
-        let (n, batch, iters) = (case.n, case.batch, case.iters);
+        let (n, iters) = (case.n, case.iters);
         let cfg = BatchConfig::new().with_threads(1);
-        match case.kernel {
-            Kernel::Dot => {
-                let bind =
-                    BindSpec::new(vec![ArgBind::In(n), ArgBind::In(n), ArgBind::Int(n as i64)]);
-                let bp = compile(DOT_SRC, "dot", &bind);
-                let inputs = item_major(&[(&case.x, n), (&case.y, n)], batch);
-                Box::new(move || to_ivalvec(&bp.batch.run(&cfg, &inputs)))
-            }
+        let f64 = Precision::F64;
+        let (x, y) = (intervals(&case.x), intervals(&case.y));
+        let (unit, items) = match case.kernel {
+            Kernel::Dot => (compiled::dot(n, f64), compiled::zip_items(n, &x, &y)),
             Kernel::Mvm => {
-                let bind = BindSpec::new(vec![
-                    ArgBind::Uniform(uniform_pairs(&case.w)),
-                    ArgBind::In(n),
-                    ArgBind::InOut(n),
-                    ArgBind::Int(n as i64),
-                ]);
-                let bp = compile(MVM_SRC, "mvm", &bind);
-                let inputs = item_major(&[(&case.x, n), (&case.y, n)], batch);
-                Box::new(move || to_ivalvec(&bp.batch.run(&cfg, &inputs)))
+                (compiled::mvm(&intervals(&case.w), n, f64), compiled::zip_items(n, &x, &y))
             }
             Kernel::Gemm => {
-                let bind = BindSpec::new(vec![
-                    ArgBind::Uniform(uniform_pairs(&case.w)),
-                    ArgBind::In(n * n),
-                    ArgBind::InOut(n * n),
-                    ArgBind::Int(n as i64),
-                ]);
-                let bp = compile(GEMM_SRC, "gemm", &bind);
-                let inputs = item_major(&[(&case.x, n * n), (&case.y, n * n)], 1);
-                Box::new(move || to_ivalvec(&bp.batch.run(&cfg, &inputs)))
+                let unit = compiled::mvm(&intervals(&case.w), n, f64);
+                let inputs = BatchF64I::from_intervals(&compiled::gemm_items(n, &x, &y));
+                return Box::new(move || {
+                    let columns = unit.batch.run(&cfg, &inputs).to_intervals();
+                    to_ivalvec(&compiled::gemm_result(n, &columns))
+                });
             }
-            Kernel::Henon => {
-                let bind =
-                    BindSpec::new(vec![ArgBind::Ival, ArgBind::Ival, ArgBind::Int(iters as i64)]);
-                let bp = compile(HENON_SRC, "henon", &bind);
-                let inputs = item_major(&[(&case.x, 1), (&case.y, 1)], batch);
-                Box::new(move || to_ivalvec(&bp.batch.run(&cfg, &inputs)))
-            }
-            Kernel::Ffnn => {
-                let net = Ffnn::synthetic(n, case.ffnn_seed);
-                let dim = case.x.len() / batch;
-                let mut dims = vec![dim];
-                dims.extend(net.biases.iter().map(Vec::len));
-                let mut binds = vec![ArgBind::In(dim)];
-                for (w, b) in net.weights.iter().zip(&net.biases) {
-                    binds.push(ArgBind::Uniform(uniform_points(w)));
-                    binds.push(ArgBind::Uniform(uniform_points(b)));
-                }
-                binds.push(ArgBind::Out(10));
-                let bp = compile(&ffnn_source(&dims), "ffnn", &BindSpec::new(binds));
-                let inputs = item_major(&[(&case.x, dim)], batch);
-                Box::new(move || to_ivalvec(&bp.batch.run(&cfg, &inputs)))
-            }
-        }
+            Kernel::Henon => (compiled::henon(iters, f64), compiled::zip_items(1, &x, &y)),
+            Kernel::Ffnn => (compiled::ffnn(&Ffnn::synthetic(n, case.ffnn_seed), f64), x),
+        };
+        let inputs = BatchF64I::from_intervals(&items);
+        Box::new(move || to_ivalvec(&unit.batch.run(&cfg, &inputs).to_intervals()))
     }
 }
 
@@ -245,11 +81,10 @@ impl IntervalBackend for VmBackend {
 mod tests {
     use super::*;
     use crate::gauntlet::numeric::NumericBackend;
-    use igen_interval::F64I;
 
-    /// The bytecode path must reproduce the hand-written kernels'
-    /// operation sequences: bit-identical outputs to the scalar F64I
-    /// backend on the shared gauntlet cases.
+    /// The bytecode path must reproduce the scalar kernels' operation
+    /// sequences: bit-identical outputs to the scalar F64I backend on
+    /// every shipped gauntlet case, gemm included.
     #[test]
     fn vm_outputs_are_bit_identical_to_scalar_f64i() {
         let scalar = NumericBackend::<F64I>::new("igen-f64", "test");

@@ -11,6 +11,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod compiled;
 pub mod gauntlet;
 pub mod trajectory;
 

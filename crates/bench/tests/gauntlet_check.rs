@@ -9,14 +9,14 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_igen-bench"))
 }
 
-/// Fast smoke invocation: the always-on naive baseline plus the packed
-/// path (skipping the multiprecision and double-double contenders keeps
-/// the debug-mode test quick).
+/// Fast smoke invocation: the naive baseline plus the packed path, the
+/// compiled kernels (skipping the multiprecision and double-double
+/// contenders keeps the debug-mode test quick).
 fn quick_args(out: &std::path::Path) -> Vec<String> {
     vec![
         "gauntlet".into(),
         "--backends".into(),
-        "igen-packed".into(),
+        "naive,compiled-vm".into(),
         "--out".into(),
         out.display().to_string(),
     ]
@@ -31,10 +31,9 @@ fn gauntlet_writes_schema_valid_json_and_self_check_passes() {
     let st = bin().args(quick_args(&out)).status().unwrap();
     assert!(st.success());
     let report = Report::from_json(&std::fs::read_to_string(&out).unwrap()).unwrap();
-    // naive is forced in as the denominator even though unlisted.
     let names: std::collections::BTreeSet<&str> =
         report.rows.iter().map(|r| r.backend.as_str()).collect();
-    assert!(names.contains("naive") && names.contains("igen-packed"), "{names:?}");
+    assert!(names.contains("naive") && names.contains("compiled-vm"), "{names:?}");
     assert_eq!(report.rows.len(), 2 * gauntlet::Kernel::ALL.len());
     assert!(report.rows.iter().any(|r| r.packed_path));
     assert_eq!(report.mode, "smoke");
@@ -90,7 +89,7 @@ fn check_fails_against_a_doctored_baseline() {
     assert!(!cmd.status.success(), "doctored baseline must fail the check");
     let stderr = String::from_utf8_lossy(&cmd.stderr);
     assert!(stderr.contains("regression"), "stderr: {stderr}");
-    assert!(stderr.contains("igen-packed"), "stderr: {stderr}");
+    assert!(stderr.contains("compiled-vm"), "stderr: {stderr}");
 }
 
 #[test]

@@ -163,11 +163,6 @@ pub trait LaneOps:
     #[must_use]
     fn sqr(self) -> Self;
 
-    /// Lane-wise rectified linear unit `max(x, [0, 0])` (exact endpoint
-    /// selections only).
-    #[must_use]
-    fn relu(self) -> Self;
-
     /// Lane-wise three-valued `self < other`.
     fn cmp_lt(self, other: Self) -> TBoolLanes;
 
@@ -399,13 +394,6 @@ impl LaneOps for F64Ix4 {
         out
     }
 
-    /// Lane-wise `max_i` against `[0, 0]` — exact endpoint min/max
-    /// selections only, so the plain lane loop is already bit-identical
-    /// to the scalar operation (and trivially autovectorizable).
-    fn relu(self) -> Self {
-        Self::from_lanes_fn(|i| self.lane(i).max_i(&F64I::ZERO))
-    }
-
     fn cmp_lt(self, other: Self) -> TBoolLanes {
         let bk = simd::active_backend();
         let m = simd::cmp_lt_4(bk, &self.neg_lo, &self.hi, &other.neg_lo, &other.hi);
@@ -537,10 +525,6 @@ impl LaneOps for DdIx4 {
 
     fn sqr(self) -> Self {
         self.map(|x| x.sqr())
-    }
-
-    fn relu(self) -> Self {
-        self.map(|x| x.max_i(&DdI::ZERO))
     }
 
     fn cmp_lt(self, other: Self) -> TBoolLanes {

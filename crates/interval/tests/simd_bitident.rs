@@ -70,7 +70,6 @@ fn check_lanes(bk: Backend, a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseEr
     let want_sqrt: Vec<F64I> = (0..4).map(|i| a[i].sqrt()).collect();
     let want_abs: Vec<F64I> = (0..4).map(|i| a[i].abs()).collect();
     let want_sqr: Vec<F64I> = (0..4).map(|i| a[i].sqr()).collect();
-    let want_relu: Vec<F64I> = (0..4).map(|i| a[i].max_i(&F64I::ZERO)).collect();
     let want_lt: Vec<TBool> = (0..4).map(|i| a[i].cmp_lt(&b[i])).collect();
     let want_le: Vec<TBool> = (0..4).map(|i| a[i].cmp_le(&b[i])).collect();
     let want_eq: Vec<TBool> = (0..4).map(|i| a[i].cmp_eq(&b[i])).collect();
@@ -79,7 +78,7 @@ fn check_lanes(bk: Backend, a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseEr
         let vb = F64Ix4::from_lanes(b);
         (
             (va + vb, va - vb, va * vb, va / vb, va.mul_add(vb, va)),
-            (va.sqrt(), va.abs(), va.sqr(), va.relu()),
+            (va.sqrt(), va.abs(), va.sqr()),
             (va.cmp_lt(vb), va.cmp_le(vb), va.cmp_eq(vb)),
         )
     });
@@ -93,7 +92,6 @@ fn check_lanes(bk: Backend, a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseEr
         prop_assert!(same(gotu4.0.lane(i), want_sqrt[i]), "x4 sqrt {ctx}");
         prop_assert!(same(gotu4.1.lane(i), want_abs[i]), "x4 abs {ctx}");
         prop_assert!(same(gotu4.2.lane(i), want_sqr[i]), "x4 sqr {ctx}");
-        prop_assert!(same(gotu4.3.lane(i), want_relu[i]), "x4 relu {ctx}");
         prop_assert!(gotc4.0.lane(i) == want_lt[i], "x4 cmp_lt {ctx}");
         prop_assert!(gotc4.1.lane(i) == want_le[i], "x4 cmp_le {ctx}");
         prop_assert!(gotc4.2.lane(i) == want_eq[i], "x4 cmp_eq {ctx}");

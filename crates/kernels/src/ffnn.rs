@@ -10,7 +10,7 @@
 //! matrix-vector products plus activations) and the error-accumulation
 //! profile of deep multiply-add chains.
 
-use crate::num::{LaneOrScalar, Numeric};
+use crate::num::Numeric;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -67,47 +67,24 @@ impl Ffnn {
             .collect()
     }
 
-    /// Forward pass, generic over the numeric type — [`forward_lanes`]
-    /// at width 1.
-    ///
-    /// [`forward_lanes`]: Ffnn::forward_lanes
+    /// Forward pass, generic over the numeric type.
     pub fn forward<T: Numeric>(&self, input: &[f64]) -> Vec<T> {
-        self.forward_lanes::<T, T>(&[input]).pop().expect("one batch item")
-    }
-
-    /// Forward pass of `L::WIDTH` inputs at once, one batch item per
-    /// lane: weights and biases are splat across the lanes (every lane
-    /// multiplies by the same point constant) and the activation vector
-    /// holds element `i` of all `WIDTH` items in one register. Each lane
-    /// therefore executes exactly the scalar [`forward`] operation
-    /// sequence for its own item, so every output is bit-identical to
-    /// the scalar pass on that input (see [`LaneOrScalar`]).
-    ///
-    /// Returns one output vector per input, in order.
-    ///
-    /// [`forward`]: Ffnn::forward
-    pub fn forward_lanes<T: Numeric, L: LaneOrScalar<T>>(&self, inputs: &[&[f64]]) -> Vec<Vec<T>> {
-        assert_eq!(inputs.len(), L::WIDTH, "forward_lanes needs exactly WIDTH inputs");
-        let dim = inputs[0].len();
-        assert!(inputs.iter().all(|x| x.len() == dim), "inputs must share a dimension");
-        let mut act: Vec<L> =
-            (0..dim).map(|i| L::from_fn_l(|l| T::from_f64(inputs[l][i]))).collect();
+        let mut act: Vec<T> = input.iter().map(|&v| T::from_f64(v)).collect();
         let layers = self.weights.len();
         for (li, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
             let fan_in = act.len();
-            let fan_out = b.len();
-            let mut next = Vec::with_capacity(fan_out);
-            for o in 0..fan_out {
-                let mut acc = L::splat_l(T::from_f64(b[o]));
+            let mut next = Vec::with_capacity(b.len());
+            for (o, &bias) in b.iter().enumerate() {
+                let mut acc = T::from_f64(bias);
                 for (i, a) in act.iter().enumerate() {
-                    acc = acc + L::splat_l(T::from_f64(w[o * fan_in + i])) * *a;
+                    acc = acc + T::from_f64(w[o * fan_in + i]) * *a;
                 }
                 // ReLU on all but the output layer.
-                next.push(if li + 1 == layers { acc } else { acc.relu_l() });
+                next.push(if li + 1 == layers { acc } else { acc.relu() });
             }
             act = next;
         }
-        (0..L::WIDTH).map(|l| act.iter().map(|v| v.lane_l(l)).collect()).collect()
+        act
     }
 
     /// Forward pass with the output-neuron loop unrolled by `LANES`.

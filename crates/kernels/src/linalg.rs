@@ -2,12 +2,12 @@
 //! `potrf` (SLinGen-style Cholesky decomposition), and `mvm`
 //! (matrix-vector product, the Section VI-B reduction benchmark).
 
-use crate::num::{LaneOrScalar, Numeric};
+use crate::num::Numeric;
 use igen_interval::{DdI, SumAcc64, SumAccDd, F64I};
 
 /// Dot product `Σ xᵢ·yᵢ` as a plain left-to-right fold — the per-row
-/// reduction shared by `mvm` and `gemm`, exposed on its own as the unit
-/// of the batched evaluation engine (`igen-batch`).
+/// reduction shared by `mvm` and `gemm`, exposed on its own as the dot
+/// benchmark.
 pub fn dot<T: Numeric>(x: &[T], y: &[T]) -> T {
     assert_eq!(x.len(), y.len());
     let mut acc = T::zero();
@@ -22,56 +22,22 @@ pub fn dot_iops(n: usize) -> u64 {
     2 * n as u64
 }
 
-/// `C += A·B` for row-major `m×k` times `k×n`, generic over the lane
-/// width `L`: for each row of `C`, `L::WIDTH` adjacent columns evolve
-/// together in one register — `acc += splat(a[i][p]) · b_cols[p]` — with
-/// a scalar tail for `n mod WIDTH` columns. At `L = T` (width 1) this
-/// *is* the classic scalar triple loop; at `L = T::Lane` each lane
-/// executes exactly that scalar sequence for its own column, so both
-/// instantiations agree bit for bit (see [`LaneOrScalar`]).
-pub fn gemm_lanes<T: Numeric, L: LaneOrScalar<T>>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[T],
-    b: &[T],
-    c: &mut [T],
-) {
+/// `C += A·B` for row-major `m×k` times `k×n` — the scalar triple loop
+/// (the `ss` configuration): each output accumulates from its own `C`
+/// entry in `p` order.
+pub fn gemm<T: Numeric>(m: usize, k: usize, n: usize, a: &[T], b: &[T], c: &mut [T]) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
     assert_eq!(c.len(), m * n);
     for i in 0..m {
-        let mut j = 0;
-        while j + L::WIDTH <= n {
-            let mut acc = L::load_l(&c[i * n + j..]);
-            for p in 0..k {
-                acc = acc + L::splat_l(a[i * k + p]) * L::load_l(&b[p * n + j..]);
-            }
-            acc.store_l(&mut c[i * n + j..]);
-            j += L::WIDTH;
-        }
-        while j < n {
+        for j in 0..n {
             let mut acc = c[i * n + j];
             for p in 0..k {
                 acc = acc + a[i * k + p] * b[p * n + j];
             }
             c[i * n + j] = acc;
-            j += 1;
         }
     }
-}
-
-/// `C += A·B` for row-major `m×k` times `k×n` — the scalar triple loop
-/// (the `ss` configuration), i.e. [`gemm_lanes`] at width 1.
-pub fn gemm<T: Numeric>(m: usize, k: usize, n: usize, a: &[T], b: &[T], c: &mut [T]) {
-    gemm_lanes::<T, T>(m, k, n, a, b, c);
-}
-
-/// `C += A·B` on the widest lane type the element has ([`Numeric::Lane`]
-/// — packed `F64Ix4`/`DdIx4` registers for the IGen interval types,
-/// plain scalar otherwise). Bit-identical to [`gemm`].
-pub fn gemm_packed<T: Numeric>(m: usize, k: usize, n: usize, a: &[T], b: &[T], c: &mut [T]) {
-    gemm_lanes::<T, T::Lane>(m, k, n, a, b, c);
 }
 
 /// `C += A·B` with the inner loop unrolled by `LANES` along `j` —

@@ -30,8 +30,8 @@ pub trait Numeric:
 {
     /// The widest lane vector available for this element type:
     /// [`F64Ix4`]/[`DdIx4`] for the IGen interval types, `Self` (one
-    /// lane) for everything without a packed representation. Kernels
-    /// written against [`LaneOrScalar`] instantiate at `T::Lane` to get
+    /// lane) for everything without a packed representation. Code
+    /// written against [`LaneOrScalar`] instantiates at `T::Lane` to get
     /// the packed path and at `T` itself to get the scalar reference.
     type Lane: LaneOrScalar<Self>;
 
@@ -102,15 +102,15 @@ pub trait Numeric:
     fn certified_bits_n(&self) -> f64;
 }
 
-/// One kernel source, two instantiations: a value that is either a
+/// One instruction loop, two instantiations: a value that is either a
 /// single [`Numeric`] element (`WIDTH == 1`) or a packed lane vector of
-/// `WIDTH` elements. The generic kernels (`linalg::gemm_lanes`,
-/// `Ffnn::forward_lanes`) are written once against this trait; at
-/// `L = T` they *are* the scalar reference loop, and at `L = T::Lane`
-/// every lane executes exactly that scalar loop's operation sequence on
-/// its own element — which, with the packed `igen_round::simd` kernels
-/// being lane-wise bit-identical to the scalar ops, makes the two
-/// instantiations bit-identical element for element.
+/// `WIDTH` elements. The bytecode VM's tile executor (`igen_vm::run_tile`)
+/// is written once against this trait; at `L = T` it runs the scalar
+/// tail, and at `L = T::Lane` every lane executes exactly that scalar
+/// operation sequence on its own item — which, with the packed
+/// `igen_round::simd` kernels being lane-wise bit-identical to the
+/// scalar ops, makes the two instantiations bit-identical element for
+/// element.
 pub trait LaneOrScalar<T: Numeric>:
     Copy
     + core::ops::Add<Output = Self>
@@ -130,18 +130,8 @@ pub trait LaneOrScalar<T: Numeric>:
     /// Builds a value lane by lane from `f(0), .., f(WIDTH - 1)`.
     fn from_fn_l(f: impl FnMut(usize) -> T) -> Self;
 
-    /// Loads `WIDTH` consecutive elements from `src`.
-    fn load_l(src: &[T]) -> Self;
-
-    /// Stores the `WIDTH` elements to the front of `dst`.
-    fn store_l(self, dst: &mut [T]);
-
     /// The `i`-th element (`i < WIDTH`).
     fn lane_l(self, i: usize) -> T;
-
-    /// Per-lane ReLU (`max(0, x)`, sound for interval types).
-    #[must_use]
-    fn relu_l(self) -> Self;
 
     /// Per-lane square root.
     #[must_use]
@@ -165,7 +155,7 @@ pub trait LaneOrScalar<T: Numeric>:
 }
 
 /// Every numeric element is itself a 1-wide "lane vector": the scalar
-/// instantiation of the generic kernels.
+/// instantiation.
 impl<T: Numeric> LaneOrScalar<T> for T {
     const WIDTH: usize = 1;
 
@@ -175,18 +165,9 @@ impl<T: Numeric> LaneOrScalar<T> for T {
     fn from_fn_l(mut f: impl FnMut(usize) -> T) -> T {
         f(0)
     }
-    fn load_l(src: &[T]) -> T {
-        src[0]
-    }
-    fn store_l(self, dst: &mut [T]) {
-        dst[0] = self;
-    }
     fn lane_l(self, i: usize) -> T {
         debug_assert!(i == 0, "scalar LaneOrScalar has exactly one lane, got index {i}");
         self
-    }
-    fn relu_l(self) -> T {
-        self.relu()
     }
     fn sqrt_l(self) -> T {
         self.sqrt_n()
@@ -214,17 +195,8 @@ impl LaneOrScalar<F64I> for F64Ix4 {
     fn from_fn_l(f: impl FnMut(usize) -> F64I) -> F64Ix4 {
         <F64Ix4 as LaneOps>::from_lanes_fn(f)
     }
-    fn load_l(src: &[F64I]) -> F64Ix4 {
-        <F64Ix4 as LaneOps>::load(src)
-    }
-    fn store_l(self, dst: &mut [F64I]) {
-        <F64Ix4 as LaneOps>::store(&self, dst);
-    }
     fn lane_l(self, i: usize) -> F64I {
         <F64Ix4 as LaneOps>::lane(&self, i)
-    }
-    fn relu_l(self) -> F64Ix4 {
-        <F64Ix4 as LaneOps>::relu(self)
     }
     fn sqrt_l(self) -> F64Ix4 {
         <F64Ix4 as LaneOps>::sqrt(self)
@@ -235,10 +207,9 @@ impl LaneOrScalar<F64I> for F64Ix4 {
     fn sqr_l(self) -> F64Ix4 {
         <F64Ix4 as LaneOps>::sqr(self)
     }
-    // min/max have no packed kernel: the lanes are independent, so the
-    // lane-wise loop is bit-identical to the scalar instantiation (the
-    // same argument as `LaneOps::relu` on the lane types without a
-    // packed ReLU).
+    // min/max have no packed kernel: the lanes are independent and the
+    // endpoint selections exact, so the lane-wise loop is bit-identical
+    // to the scalar instantiation.
     fn min_l(self, other: F64Ix4) -> F64Ix4 {
         <F64Ix4 as LaneOps>::from_lanes_fn(|i| self.lane_l(i).min_i(&other.lane_l(i)))
     }
@@ -256,17 +227,8 @@ impl LaneOrScalar<DdI> for DdIx4 {
     fn from_fn_l(f: impl FnMut(usize) -> DdI) -> DdIx4 {
         <DdIx4 as LaneOps>::from_lanes_fn(f)
     }
-    fn load_l(src: &[DdI]) -> DdIx4 {
-        <DdIx4 as LaneOps>::load(src)
-    }
-    fn store_l(self, dst: &mut [DdI]) {
-        <DdIx4 as LaneOps>::store(&self, dst);
-    }
     fn lane_l(self, i: usize) -> DdI {
         <DdIx4 as LaneOps>::lane(&self, i)
-    }
-    fn relu_l(self) -> DdIx4 {
-        <DdIx4 as LaneOps>::relu(self)
     }
     fn sqrt_l(self) -> DdIx4 {
         <DdIx4 as LaneOps>::sqrt(self)

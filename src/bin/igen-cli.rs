@@ -11,9 +11,6 @@
 //!              [--opt-level 0|1|2] [--precision f64|dd] [--arg name=INT]
 //!              [--len name=N] [--size N] [--seed N] [--emit-bytecode]
 //!              [--no-peephole] [--tile N] [--metrics] [--trace-out <path>]
-//! igen-cli batch <dot|mvm|gemm|henon|ffnn> [--threads N] [--batch N]
-//!                [--size N] [--iters N] [--seq-threshold N]
-//!                [--metrics] [--trace-out <path>]
 //! igen-cli profile <input.c> [--fn NAME] [--batch N] [--opt-level 0|1|2]
 //!                  [--precision f64|dd] [--top N] [--trace-out <path>] ...
 //! igen-cli serve [--socket <path>] [--workers N] [--deadline-ms N]
@@ -48,7 +45,7 @@ use igen::session::{
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// `--metrics` / `--trace-out` state shared by the compile and batch
+/// `--metrics` / `--trace-out` state shared by the compile and run
 /// modes: turns recording on up front, then writes/prints on `finish`.
 struct Telemetry {
     metrics: bool,
@@ -138,15 +135,6 @@ fn usage() -> ! {
                                0 = default; never changes a result bit)\n\
            --metrics, --trace-out as above\n\
          \n\
-         batch mode (parallel batch evaluation over the interval runtime):\n\
-           igen-cli batch <dot|mvm|gemm|henon|ffnn> [options]\n\
-           --threads <n>       worker threads (default: all cores; 0 = all)\n\
-           --batch <n>         batch items (default: 256)\n\
-           --size <n>          per-item problem size (default: 256)\n\
-           --iters <n>         Hénon iterations (default: 100)\n\
-           --seq-threshold <n> below this many items stay sequential\n\
-           --metrics, --trace-out as above\n\
-         \n\
          profile mode (width-provenance blame report):\n\
            igen-cli profile <input.c> [options]\n\
            --fn, --batch, --threads, --opt-level, --precision, --arg,\n\
@@ -178,15 +166,6 @@ fn usage() -> ! {
          \n\
          report mode (render recorded traces):\n\
            igen-cli report <trace.jsonl>...   merge + summarize trace files"
-    );
-    std::process::exit(2)
-}
-
-fn batch_usage() -> ! {
-    eprintln!(
-        "usage: igen-cli batch <dot|mvm|gemm|henon|ffnn> [--threads N] [--batch N]\n\
-         \x20                [--size N] [--iters N] [--seq-threshold N]\n\
-         \x20                [--metrics] [--trace-out <file>]"
     );
     std::process::exit(2)
 }
@@ -223,143 +202,6 @@ fn run_report(args: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// `igen-cli batch <kernel>`: runs one batched kernel through
-/// `igen-batch` at 1 thread and at the configured thread count, checks
-/// the two results are bit-identical, and prints the throughput.
-fn run_batch(args: &[String]) -> ExitCode {
-    use igen::batch::{self, BatchF64I};
-    use igen::kernels::ffnn::Ffnn;
-    use igen::kernels::{linalg, workload};
-
-    let mut f = Flags::new(args);
-    let Some(kernel) = f.next() else { batch_usage() };
-    let mut threads = 0usize; // 0 = all cores
-    let mut batch = 256usize;
-    let mut size = 256usize;
-    let mut iters = 100usize;
-    let mut seq_threshold: Option<usize> = None;
-    let mut metrics = false;
-    let mut trace_out: Option<String> = None;
-    // This mode's historical behavior: any missing/unparsable value
-    // prints the batch usage text, so the Flags messages are unused.
-    let num = |f: &mut Flags| -> usize { f.parse(" ", " ").unwrap_or_else(|_| batch_usage()) };
-    while let Some(a) = f.next() {
-        match a {
-            "--threads" => threads = num(&mut f),
-            "--batch" => batch = num(&mut f),
-            "--size" => size = num(&mut f),
-            "--iters" => iters = num(&mut f),
-            "--seq-threshold" => seq_threshold = Some(num(&mut f)),
-            "--metrics" => metrics = true,
-            "--trace-out" => {
-                trace_out = Some(f.next().unwrap_or_else(|| batch_usage()).to_string());
-            }
-            a => {
-                eprintln!("igen-cli: unknown batch option '{a}' (see igen-cli --help)");
-                std::process::exit(2)
-            }
-        }
-    }
-    let tel = Telemetry::start(metrics, trace_out);
-    let mut cfg = BatchConfig::new().with_threads(threads);
-    if let Some(t) = seq_threshold {
-        cfg = cfg.with_seq_threshold(t);
-    }
-    let seq = BatchConfig::new().with_threads(1);
-    let mut rng = workload::rng(0xba7c);
-    let inputs = |rng: &mut _, n: usize| {
-        BatchF64I::from_intervals(&workload::intervals_1ulp(&workload::random_points(
-            rng, n, -2.0, 2.0,
-        )))
-    };
-
-    // Each arm: (total interval ops, one-thread time, n-thread time, identical?)
-    let (iops, t1, tn, same) = match kernel {
-        "dot" => {
-            let xs = inputs(&mut rng, batch * size);
-            let ys = inputs(&mut rng, batch * size);
-            let t = Instant::now();
-            let a = batch::dot_batch(&seq, size, &xs, &ys);
-            let t1 = t.elapsed();
-            let t = Instant::now();
-            let b = batch::dot_batch(&cfg, size, &xs, &ys);
-            (batch as u64 * linalg::dot_iops(size), t1, t.elapsed(), a == b)
-        }
-        "mvm" => {
-            let a_mat = inputs(&mut rng, size * size).to_intervals();
-            let xs = inputs(&mut rng, batch * size);
-            let ys = inputs(&mut rng, batch * size);
-            let t = Instant::now();
-            let a = batch::mvm_batch(&seq, size, size, &a_mat, &xs, &ys);
-            let t1 = t.elapsed();
-            let t = Instant::now();
-            let b = batch::mvm_batch(&cfg, size, size, &a_mat, &xs, &ys);
-            (batch as u64 * 2 * (size * size) as u64, t1, t.elapsed(), a == b)
-        }
-        "gemm" => {
-            let a_mat = inputs(&mut rng, size * size).to_intervals();
-            let b_mat = inputs(&mut rng, size * size).to_intervals();
-            let c0 = inputs(&mut rng, size * size).to_intervals();
-            let mut c1 = c0.clone();
-            let t = Instant::now();
-            batch::gemm_row_blocks(&seq, size, size, size, &a_mat, &b_mat, &mut c1, 4);
-            let t1 = t.elapsed();
-            let mut cn = c0.clone();
-            let t = Instant::now();
-            batch::gemm_row_blocks(&cfg, size, size, size, &a_mat, &b_mat, &mut cn, 4);
-            (linalg::gemm_iops(size), t1, t.elapsed(), c1 == cn)
-        }
-        "henon" => {
-            let x0s = inputs(&mut rng, batch);
-            let y0s = inputs(&mut rng, batch);
-            let t = Instant::now();
-            let a = batch::henon_ensemble(&seq, iters, &x0s, &y0s);
-            let t1 = t.elapsed();
-            let t = Instant::now();
-            let b = batch::henon_ensemble(&cfg, iters, &x0s, &y0s);
-            (batch as u64 * igen::kernels::henon_iops(iters), t1, t.elapsed(), a == b)
-        }
-        "ffnn" => {
-            let width = size.clamp(4, 64);
-            let net = Ffnn::synthetic(width, 7);
-            let ins: Vec<Vec<f64>> = (0..batch as u64).map(Ffnn::synthetic_input).collect();
-            let t = Instant::now();
-            let a: Vec<Vec<igen::interval::F64I>> = batch::ffnn_batch(&seq, &net, &ins);
-            let t1 = t.elapsed();
-            let t = Instant::now();
-            let b: Vec<Vec<igen::interval::F64I>> = batch::ffnn_batch(&cfg, &net, &ins);
-            (batch as u64 * net.iops(), t1, t.elapsed(), a == b)
-        }
-        k => {
-            eprintln!(
-                "igen-cli: unknown batch kernel '{k}' (expected dot, mvm, gemm, henon or ffnn)"
-            );
-            return ExitCode::from(2);
-        }
-    };
-
-    if !same {
-        eprintln!("igen-cli: batch result diverged from the single-thread path");
-        return ExitCode::FAILURE;
-    }
-    let mops = |t: std::time::Duration| iops as f64 / t.as_secs_f64() / 1e6;
-    println!(
-        "{kernel}: batch={batch} size={size} threads={}\n\
-         1 thread : {t1:>12.3?}  {:>9.1} M iops/s\n\
-         {} threads: {tn:>12.3?}  {:>9.1} M iops/s  ({:.2}x)\n\
-         results bit-identical across thread counts: yes",
-        cfg.threads(),
-        mops(t1),
-        cfg.threads(),
-        mops(tn),
-        t1.as_secs_f64() / tn.as_secs_f64(),
-    );
-    if let Err(code) = tel.finish() {
-        return code;
-    }
-    ExitCode::SUCCESS
 }
 
 /// Prints a one-line usage error and exits 2 — the shape every
@@ -821,7 +663,6 @@ fn format_ns(ns: u64) -> String {
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("batch") => return run_batch(&args[1..]),
         Some("run") => return run_run(&args[1..]),
         Some("profile") => return run_profile(&args[1..]),
         Some("serve") => return run_serve(&args[1..]),
@@ -835,7 +676,7 @@ fn main() -> ExitCode {
         Some(a) if !a.starts_with('-') && !a.contains('.') && !a.contains('/') => {
             eprintln!(
                 "igen-cli: unknown subcommand '{a}' \
-                 (expected compile, run, batch, profile, serve or report)"
+                 (expected compile, run, profile, serve or report)"
             );
             return ExitCode::from(2);
         }

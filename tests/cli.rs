@@ -125,27 +125,22 @@ fn unknown_subcommand_is_a_one_line_error() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown subcommand 'frobnicate'"), "{stderr}");
-    assert!(stderr.contains("expected compile, run, batch, profile, serve or report"), "{stderr}");
+    assert!(stderr.contains("expected compile, run, profile, serve or report"), "{stderr}");
     assert_eq!(stderr.trim_end().lines().count(), 1, "want a one-line error, got:\n{stderr}");
 }
 
+/// The hand-written batch kernels are gone: `run <file.c> --batch N`
+/// batches any compiled function, so `batch` is no subcommand.
 #[test]
-fn unknown_batch_flag_and_kernel_fail_with_exit_2() {
+fn batch_is_an_unknown_subcommand() {
     let dir = scratch("cli_batch_err");
-    let out = run_in(&dir, &["batch", "dot", "--bogus"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("unknown batch option '--bogus'"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let out = run_in(&dir, &["batch", "frob"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("unknown batch kernel 'frob'"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    for args in [&["batch"][..], &["batch", "dot", "--threads", "2"]] {
+        let out = run_in(&dir, args);
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown subcommand 'batch'"), "{stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "want a one-line error, got:\n{stderr}");
+    }
 }
 
 #[test]
@@ -270,7 +265,7 @@ fn report_renders_a_handcrafted_trace() {
             "\n",
             r#"{"type":"counter","name":"simd.add.lanes_patched","value":3}"#,
             "\n",
-            r#"{"type":"hist","name":"width.batch.dot_batch","count":4,"buckets":[[-52,3],[-40,1]]}"#,
+            r#"{"type":"hist","name":"width.vm.dot","count":4,"buckets":[[-52,3],[-40,1]]}"#,
             "\n",
         ),
     )
@@ -280,7 +275,7 @@ fn report_renders_a_handcrafted_trace() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("compile.parse"), "{stdout}");
     assert!(stdout.contains("simd.add"), "{stdout}");
-    assert!(stdout.contains("width.batch.dot_batch"), "{stdout}");
+    assert!(stdout.contains("width.vm.dot"), "{stdout}");
 }
 
 #[test]
