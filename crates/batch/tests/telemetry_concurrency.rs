@@ -10,10 +10,12 @@
 #![cfg(feature = "telemetry")]
 
 use igen_batch::engine::par_map_indexed;
-use igen_batch::{BatchConfig, BatchDdI, BatchF64I};
+use igen_batch::{BatchConfig, BatchDdI, BatchF64I, BatchProgram};
 use igen_interval::{DdIx4, F64Ix4, LaneOps, F64I};
 use igen_kernels::workload;
+use igen_round::simd::{self, Backend};
 use igen_telemetry::{Snapshot, WidthHist};
+use igen_vm::{DebugMap, Insn, OutputSlot, Precision, Program};
 use proptest::prelude::*;
 
 /// Counter/hist snapshots are process-global; the tests here reset and
@@ -159,6 +161,86 @@ proptest! {
             prop_assert_eq!(&multi.hists, &base.hists, "width histograms diverged");
         }
     }
+}
+
+/// `s = x + y`, `d = x - y`, `p = s * d`, then `p + x * y` and
+/// `(p + x * y) - s * d` as the fused forms: every arithmetic
+/// instruction the VM runs as one bank sweep, in a compiled program's
+/// register layout.
+fn sweep_program() -> Program {
+    let p = Program {
+        name: "sweeps".into(),
+        precision: Precision::F64,
+        n_inputs: 2,
+        n_regs: 7,
+        consts: vec![],
+        insns: vec![
+            Insn::Add { dst: 2, a: 0, b: 1 },
+            Insn::Sub { dst: 3, a: 0, b: 1 },
+            Insn::Mul { dst: 4, a: 2, b: 3 },
+            Insn::MulAdd { dst: 5, a: 0, b: 1, acc: 4 },
+            Insn::MulSub { dst: 6, a: 2, b: 3, acc: 5 },
+        ],
+        inputs: vec!["x".into(), "y".into()],
+        outputs: vec![OutputSlot { label: "return".into(), reg: 6 }],
+        debug: DebugMap::default(),
+    };
+    p.validate().expect("valid sweep program");
+    p
+}
+
+fn counter(snap: &Snapshot, name: &str) -> u64 {
+    snap.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+}
+
+/// A compiled f64 program through `BatchProgram`: each sweep counts per
+/// packed group under the existing `simd.add.*`/`simd.mul.*` counters,
+/// exactly as the one-group `F64Ix4` ops count the same groups, and the
+/// totals are the same at 1 and 3 threads. Every fifth item sits near
+/// `MAX`, so sums and products overflow and lanes get patched.
+#[test]
+fn vm_sweeps_count_per_group_at_any_thread_count() {
+    let _serial = TEL_LOCK.lock().unwrap();
+    let bp = BatchProgram::new(sweep_program());
+    let items = 4 * 37 + 3; // packed groups and a scalar tail
+    let mut rng = workload::rng(11);
+    let mut xs = workload::intervals_1ulp(&workload::random_points(&mut rng, 2 * items, -2.0, 2.0));
+    for x in xs.iter_mut().step_by(5 * 2) {
+        *x = F64I::new(1e300, f64::MAX).expect("ordered");
+    }
+    let inputs = BatchF64I::from_intervals(&xs);
+    let run = |threads: usize| {
+        let cfg = BatchConfig::new().with_threads(threads).with_seq_threshold(0);
+        traced(|| igen_bench_sink(bp.run(&cfg, &inputs)))
+    };
+    let one = run(1);
+    let groups = (items / 4) as u64;
+    // Add, Sub, MulAdd and MulSub add; Mul, MulAdd and MulSub multiply.
+    // Without the AVX2 kernels an interval op is its column calls: two
+    // `add_ru_4` per add, four `mul_ru_both_4` per mul.
+    let avx2 = simd::detected_backend() == Backend::Avx2Fma;
+    let (add_calls, mul_calls) = if avx2 { (1, 1) } else { (2, 4) };
+    assert_eq!(counter(&one, "simd.add.packed_calls"), 4 * add_calls * groups);
+    assert_eq!(counter(&one, "simd.mul.packed_calls"), 3 * mul_calls * groups);
+    if avx2 {
+        assert_eq!(counter(&one, "simd.dispatch.avx2_fma"), 7 * groups);
+    }
+    assert!(counter(&one, "simd.add.lanes_patched") > 0, "{:?}", one.counters);
+    assert!(counter(&one, "simd.mul.lanes_patched") > 0, "{:?}", one.counters);
+    // The same groups through the one-group ops count the same.
+    let by_group = traced(|| {
+        for g in 0..items / 4 {
+            let (x, y) = (inputs.load_x4(8 * g, 2), inputs.load_x4(8 * g + 1, 2));
+            let (s, d) = (x + y, x - y);
+            let p = s * d;
+            igen_bench_sink((p + x * y) - s * d);
+        }
+    });
+    let simd_counters = |snap: &Snapshot| -> Vec<(String, u64)> {
+        snap.counters.iter().filter(|(n, _)| n.starts_with("simd.")).cloned().collect()
+    };
+    assert_eq!(simd_counters(&one), simd_counters(&by_group));
+    assert_eq!(workload_counters(&run(3)), workload_counters(&one), "totals diverged at 3 threads");
 }
 
 /// Keeps results observable without depending on the bench crate.

@@ -5,17 +5,18 @@
 //! register (`__m128d`) and the wider types pack 2 or 4 intervals into
 //! AVX registers. Every packed kernel here works on 4 intervals, in the
 //! same layout transposed into **SoA-in-register** form: [`F64Ix4`] holds a
-//! `neg_lo[4]` column and a `hi[4]` column, so each column is exactly one
-//! AVX register and every arithmetic operation maps onto the packed
-//! directed-rounding kernels of [`igen_round::simd`] (add/sub are two
-//! packed `add_ru` calls, mul is four packed product-pair calls plus
-//! packed NaN-max reductions — the branch-free Section II recipe, four
-//! intervals at a time). The kernels are selected once at runtime by CPU
-//! feature detection; on non-x86-64 hosts, and under
-//! [`igen_round::simd::force_backend`], the same code runs through the
-//! portable scalar lane loop. All paths are bit-identical per lane to the
-//! scalar [`F64I`] operations — the property tests pin this on random and
-//! special-value lanes.
+//! `neg_lo[4]` column and a `hi[4]` column ([`simd::F64iCols4`]), so each
+//! column is exactly one AVX register. Add, sub and mul are one interval
+//! kernel call each (`simd::f64i_add_4`/`f64i_mul_4`: on AVX2+FMA the
+//! whole branch-free Section II recipe in registers, four intervals at a
+//! time, with flagged lanes recomputed by the scalar op; elsewhere the
+//! column primitives composed in the scalar order), and the other ops map
+//! onto the packed directed-rounding kernels of [`igen_round::simd`]. The
+//! kernels are selected once at runtime by CPU feature detection; on
+//! non-x86-64 hosts, and under [`igen_round::simd::force_backend`], the
+//! same code runs through the portable scalar lane loop. All paths are
+//! bit-identical per lane to the scalar [`F64I`] operations — the
+//! property tests pin this on random and special-value lanes.
 //!
 //! [`DdIx4`] applies the same transposition to double-double intervals:
 //! four columns (high and low words of `neg_lo` and of `hi`). A `DdI`
@@ -104,18 +105,17 @@ pub trait LaneOps:
     ///
     /// # Panics
     ///
-    /// Debug-asserts `i < LANES` with a clear message (release builds
-    /// still panic through the underlying array index).
+    /// Panics with a message naming the type and index if
+    /// `i >= LANES`.
     fn lane(&self, i: usize) -> Self::Elem;
 
     /// Loads the first `LANES` elements of a slice.
     ///
     /// # Panics
     ///
-    /// Panics (debug-asserts with a clear message first) if
-    /// `s.len() < LANES`.
+    /// Panics with a message naming both lengths if `s.len() < LANES`.
     fn load(s: &[Self::Elem]) -> Self {
-        debug_assert!(
+        assert!(
             s.len() >= Self::LANES,
             "LaneOps::load: slice of {} elements cannot fill {} lanes",
             s.len(),
@@ -128,10 +128,9 @@ pub trait LaneOps:
     ///
     /// # Panics
     ///
-    /// Panics (debug-asserts with a clear message first) if
-    /// `s.len() < LANES`.
+    /// Panics with a message naming both lengths if `s.len() < LANES`.
     fn store(&self, s: &mut [Self::Elem]) {
-        debug_assert!(
+        assert!(
             s.len() >= Self::LANES,
             "LaneOps::store: {} lanes do not fit in a slice of {} elements",
             Self::LANES,
@@ -176,21 +175,24 @@ pub trait LaneOps:
 /// Four packed double-precision intervals — the counterpart of two AVX
 /// registers (`m256di_2`), the widest shape the vectorized kernels use —
 /// in SoA-in-register layout: one column of negated lower endpoints and
-/// one of upper endpoints, exactly the scalar [`F64I`] representation
-/// transposed across the lanes. Each endpoint column is one 256-bit
-/// register on the AVX2 backend.
+/// one of upper endpoints ([`simd::F64iCols4`]), exactly the scalar
+/// [`F64I`] representation transposed across the lanes. Each endpoint
+/// column is one 256-bit register on the AVX2 backend.
+///
+/// Addition, subtraction and multiplication are one call each to
+/// `simd::f64i_add_4`/`f64i_mul_4`, which run the whole interval op in
+/// registers on AVX2+FMA and recompute the lanes their validity mask
+/// flags with the scalar op. [`AsRef`]/[`AsMut`] expose the columns to
+/// `simd::f64i_sweep_4`, which runs one op over a bank of these.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct F64Ix4 {
-    /// Negated-lower-endpoint column (`-lo`, one slot per lane).
-    neg_lo: [f64; 4],
-    /// Upper-endpoint column.
-    hi: [f64; 4],
+    cols: simd::F64iCols4,
 }
 
 impl F64Ix4 {
     /// Packs four intervals.
     pub fn from_lanes(xs: [F64I; 4]) -> F64Ix4 {
-        F64Ix4 { neg_lo: xs.map(|x| x.neg_lo()), hi: xs.map(|x| x.hi()) }
+        F64Ix4 { cols: simd::F64iCols4 { neg_lo: xs.map(|x| x.neg_lo()), hi: xs.map(|x| x.hi()) } }
     }
 
     /// Builds directly from endpoint columns — the raw representation,
@@ -203,14 +205,30 @@ impl F64Ix4 {
         for i in 0..4 {
             let _ = F64I::from_neg_lo_hi(neg_lo[i], hi[i]);
         }
-        F64Ix4 { neg_lo, hi }
+        F64Ix4 { cols: simd::F64iCols4 { neg_lo, hi } }
+    }
+}
+
+impl AsRef<simd::F64iCols4> for F64Ix4 {
+    #[inline]
+    fn as_ref(&self) -> &simd::F64iCols4 {
+        &self.cols
+    }
+}
+
+impl AsMut<simd::F64iCols4> for F64Ix4 {
+    /// The raw columns, for kernels that write a result in place; the
+    /// caller keeps every lane a valid interval, as with
+    /// [`F64Ix4::from_columns`].
+    #[inline]
+    fn as_mut(&mut self) -> &mut simd::F64iCols4 {
+        &mut self.cols
     }
 }
 
 impl Default for F64Ix4 {
     fn default() -> Self {
-        let d = F64I::default();
-        F64Ix4 { neg_lo: [d.neg_lo(); 4], hi: [d.hi(); 4] }
+        Self::splat(F64I::default())
     }
 }
 
@@ -220,60 +238,40 @@ impl core::ops::Neg for F64Ix4 {
     /// rounding involved.
     #[inline]
     fn neg(self) -> F64Ix4 {
-        F64Ix4 { neg_lo: self.hi, hi: self.neg_lo }
+        let c = self.cols;
+        F64Ix4 { cols: simd::F64iCols4 { neg_lo: c.hi, hi: c.neg_lo } }
     }
 }
 
 impl core::ops::Add for F64Ix4 {
     type Output = F64Ix4;
-    /// Packed interval addition: two packed `add_ru` calls (Section II),
+    /// Packed interval addition: one `simd::f64i_add_4` call,
     /// bit-identical per lane to [`F64I::add`].
     #[inline]
     fn add(self, rhs: F64Ix4) -> F64Ix4 {
-        let bk = simd::active_backend();
-        F64Ix4 {
-            neg_lo: simd::add_ru_4(bk, &self.neg_lo, &rhs.neg_lo),
-            hi: simd::add_ru_4(bk, &self.hi, &rhs.hi),
-        }
+        F64Ix4 { cols: simd::f64i_add_4(simd::active_backend(), &self.cols, &rhs.cols) }
     }
 }
 
 impl core::ops::Sub for F64Ix4 {
     type Output = F64Ix4;
-    /// Packed interval subtraction `a + (-b)`: endpoint-column swap plus
-    /// two packed `add_ru` calls, bit-identical per lane to [`F64I::sub`].
+    /// Packed interval subtraction `a + (-b)`: [`F64I::sub`] is exactly
+    /// [`F64I::add`] with the second operand's endpoints swapped, and
+    /// the swap is exact.
     #[inline]
     fn sub(self, rhs: F64Ix4) -> F64Ix4 {
-        let bk = simd::active_backend();
-        F64Ix4 {
-            neg_lo: simd::add_ru_4(bk, &self.neg_lo, &rhs.hi),
-            hi: simd::add_ru_4(bk, &self.hi, &rhs.neg_lo),
-        }
+        self + -rhs
     }
 }
 
 impl core::ops::Mul for F64Ix4 {
     type Output = F64Ix4;
-    /// Packed branch-free interval multiplication: the same four shared
-    /// product/residual pairs and NaN-max endpoint reductions as
-    /// [`F64I::mul`], each evaluated on whole columns. Bit-identical per
-    /// lane to the scalar operation (same IEEE operation sequence; see
-    /// `igen_round::simd`).
+    /// Packed branch-free interval multiplication: one
+    /// `simd::f64i_mul_4` call, bit-identical per lane to [`F64I::mul`]
+    /// (the same four product pairs and NaN-max reductions).
     #[inline]
     fn mul(self, rhs: F64Ix4) -> F64Ix4 {
-        let bk = simd::active_backend();
-        let (u1, l1) = simd::mul_ru_both_4(bk, &self.neg_lo, &rhs.neg_lo);
-        let (l2, u2) = simd::mul_ru_both_4(bk, &self.neg_lo, &rhs.hi);
-        let (l3, u3) = simd::mul_ru_both_4(bk, &self.hi, &rhs.neg_lo);
-        let (u4, l4) = simd::mul_ru_both_4(bk, &self.hi, &rhs.hi);
-        F64Ix4 {
-            neg_lo: simd::max_nan_4(
-                bk,
-                &simd::max_nan_4(bk, &l1, &l2),
-                &simd::max_nan_4(bk, &l3, &l4),
-            ),
-            hi: simd::max_nan_4(bk, &simd::max_nan_4(bk, &u1, &u2), &simd::max_nan_4(bk, &u3, &u4)),
-        }
+        F64Ix4 { cols: simd::f64i_mul_4(simd::active_backend(), &self.cols, &rhs.cols) }
     }
 }
 
@@ -286,36 +284,39 @@ impl core::ops::Div for F64Ix4 {
     /// quotient-pair calls and NaN-max reductions mirror [`F64I::div`].
     #[inline]
     fn div(self, rhs: F64Ix4) -> F64Ix4 {
+        let (a, b) = (&self.cols, &rhs.cols);
         let mut special = false;
         for i in 0..4 {
-            special |= self.neg_lo[i].is_nan()
-                || self.hi[i].is_nan()
-                || rhs.neg_lo[i].is_nan()
-                || rhs.hi[i].is_nan()
-                || (-rhs.neg_lo[i] <= 0.0 && rhs.hi[i] >= 0.0);
+            special |= a.neg_lo[i].is_nan()
+                || a.hi[i].is_nan()
+                || b.neg_lo[i].is_nan()
+                || b.hi[i].is_nan()
+                || (-b.neg_lo[i] <= 0.0 && b.hi[i] >= 0.0);
         }
         if special {
-            let mut out = [F64I::default(); 4];
-            for (i, lane) in out.iter_mut().enumerate() {
-                *lane = self.lane(i) / rhs.lane(i);
-            }
-            return F64Ix4::from_lanes(out);
+            return Self::from_lanes_fn(|i| self.lane(i) / rhs.lane(i));
         }
         let bk = simd::active_backend();
         // bl = -neg_lo (the positive... sign-flipped low column), exactly
         // as the scalar kernel rebuilds the divisor's lower endpoint.
-        let bl = rhs.neg_lo.map(|x| -x);
-        let (l1, u1) = simd::div_ru_both_4(bk, &self.neg_lo, &bl);
-        let (l2, u2) = simd::div_ru_both_4(bk, &self.neg_lo, &rhs.hi);
-        let (u3, l3) = simd::div_ru_both_4(bk, &self.hi, &bl);
-        let (u4, l4) = simd::div_ru_both_4(bk, &self.hi, &rhs.hi);
+        let bl = b.neg_lo.map(|x| -x);
+        let (l1, u1) = simd::div_ru_both_4(bk, &a.neg_lo, &bl);
+        let (l2, u2) = simd::div_ru_both_4(bk, &a.neg_lo, &b.hi);
+        let (u3, l3) = simd::div_ru_both_4(bk, &a.hi, &bl);
+        let (u4, l4) = simd::div_ru_both_4(bk, &a.hi, &b.hi);
         F64Ix4 {
-            neg_lo: simd::max_nan_4(
-                bk,
-                &simd::max_nan_4(bk, &l1, &l2),
-                &simd::max_nan_4(bk, &l3, &l4),
-            ),
-            hi: simd::max_nan_4(bk, &simd::max_nan_4(bk, &u1, &u2), &simd::max_nan_4(bk, &u3, &u4)),
+            cols: simd::F64iCols4 {
+                neg_lo: simd::max_nan_4(
+                    bk,
+                    &simd::max_nan_4(bk, &l1, &l2),
+                    &simd::max_nan_4(bk, &l3, &l4),
+                ),
+                hi: simd::max_nan_4(
+                    bk,
+                    &simd::max_nan_4(bk, &u1, &u2),
+                    &simd::max_nan_4(bk, &u3, &u4),
+                ),
+            },
         }
     }
 }
@@ -325,7 +326,7 @@ impl LaneOps for F64Ix4 {
     const LANES: usize = 4;
 
     fn splat(v: F64I) -> Self {
-        F64Ix4 { neg_lo: [v.neg_lo(); 4], hi: [v.hi(); 4] }
+        Self::from_columns([v.neg_lo(); 4], [v.hi(); 4])
     }
 
     fn from_lanes_fn(f: impl FnMut(usize) -> F64I) -> Self {
@@ -334,8 +335,8 @@ impl LaneOps for F64Ix4 {
 
     #[inline]
     fn lane(&self, i: usize) -> F64I {
-        debug_assert!(i < 4, "F64Ix4 lane index {i} out of range (4 lanes)");
-        F64I::from_neg_lo_hi(self.neg_lo[i], self.hi[i])
+        assert!(i < 4, "F64Ix4 lane index {i} out of range (4 lanes)");
+        F64I::from_neg_lo_hi(self.cols.neg_lo[i], self.cols.hi[i])
     }
 
     /// Packed interval square root: `[RD(sqrt(lo)), RU(sqrt(hi))]` via
@@ -345,16 +346,17 @@ impl LaneOps for F64Ix4 {
     /// produce the same NaN lower bounds).
     fn sqrt(self) -> Self {
         let bk = simd::active_backend();
-        let lo = self.neg_lo.map(|x| -x);
-        F64Ix4 { neg_lo: simd::sqrt_rd_4(bk, &lo).map(|x| -x), hi: simd::sqrt_ru_4(bk, &self.hi) }
+        let c = &self.cols;
+        let lo = c.neg_lo.map(|x| -x);
+        Self::from_columns(simd::sqrt_rd_4(bk, &lo).map(|x| -x), simd::sqrt_ru_4(bk, &c.hi))
     }
 
     /// Packed interval absolute value: exact packed selects replicating
     /// `F64I::abs`' decision order per lane (see `igen_round::simd::abs_4`).
     fn abs(self) -> Self {
         let bk = simd::active_backend();
-        let (neg_lo, hi) = simd::abs_4(bk, &self.neg_lo, &self.hi);
-        F64Ix4 { neg_lo, hi }
+        let (neg_lo, hi) = simd::abs_4(bk, &self.cols.neg_lo, &self.cols.hi);
+        Self::from_columns(neg_lo, hi)
     }
 
     /// Packed dependency-aware square. The magnitude columns `m` (max)
@@ -371,9 +373,10 @@ impl LaneOps for F64Ix4 {
         let mut n = [0.0; 4];
         let mut nan = [false; 4];
         let mut straddle = [false; 4];
+        let c = &self.cols;
         for i in 0..4 {
-            let (lo, hi) = (-self.neg_lo[i], self.hi[i]);
-            nan[i] = self.neg_lo[i].is_nan() || hi.is_nan();
+            let (lo, hi) = (-c.neg_lo[i], c.hi[i]);
+            nan[i] = c.neg_lo[i].is_nan() || hi.is_nan();
             straddle[i] = lo <= 0.0 && hi >= 0.0;
             let (alo, ahi) = (lo.abs(), hi.abs());
             m[i] = if nan[i] { 1.0 } else { alo.max(ahi) };
@@ -381,7 +384,7 @@ impl LaneOps for F64Ix4 {
         }
         let (upper, _) = simd::sqr_ru_both_4(bk, &m);
         let (_, lower_neg) = simd::sqr_ru_both_4(bk, &n);
-        let mut out = F64Ix4 { neg_lo: [0.0; 4], hi: [0.0; 4] };
+        let mut out = simd::F64iCols4::default();
         for i in 0..4 {
             (out.neg_lo[i], out.hi[i]) = if nan[i] {
                 (f64::NAN, f64::NAN)
@@ -391,24 +394,27 @@ impl LaneOps for F64Ix4 {
                 (lower_neg[i], upper[i])
             };
         }
-        out
+        F64Ix4 { cols: out }
     }
 
     fn cmp_lt(self, other: Self) -> TBoolLanes {
         let bk = simd::active_backend();
-        let m = simd::cmp_lt_4(bk, &self.neg_lo, &self.hi, &other.neg_lo, &other.hi);
+        let (a, b) = (&self.cols, &other.cols);
+        let m = simd::cmp_lt_4(bk, &a.neg_lo, &a.hi, &b.neg_lo, &b.hi);
         TBoolLanes::from_trimask(m)
     }
 
     fn cmp_le(self, other: Self) -> TBoolLanes {
         let bk = simd::active_backend();
-        let m = simd::cmp_le_4(bk, &self.neg_lo, &self.hi, &other.neg_lo, &other.hi);
+        let (a, b) = (&self.cols, &other.cols);
+        let m = simd::cmp_le_4(bk, &a.neg_lo, &a.hi, &b.neg_lo, &b.hi);
         TBoolLanes::from_trimask(m)
     }
 
     fn cmp_eq(self, other: Self) -> TBoolLanes {
         let bk = simd::active_backend();
-        let m = simd::cmp_eq_4(bk, &self.neg_lo, &self.hi, &other.neg_lo, &other.hi);
+        let (a, b) = (&self.cols, &other.cols);
+        let m = simd::cmp_eq_4(bk, &a.neg_lo, &a.hi, &b.neg_lo, &b.hi);
         TBoolLanes::from_trimask(m)
     }
 }
@@ -507,7 +513,7 @@ impl LaneOps for DdIx4 {
 
     #[inline]
     fn lane(&self, i: usize) -> DdI {
-        debug_assert!(i < 4, "DdIx4 lane index {i} out of range (4 lanes)");
+        assert!(i < 4, "DdIx4 lane index {i} out of range (4 lanes)");
         let c = &self.cols;
         DdI::from_neg_lo_hi(
             Dd::from_parts_unchecked(c.neg_lo_hi[i], c.neg_lo_lo[i]),
@@ -638,6 +644,24 @@ mod tests {
             assert_eq!(diff.lane(i), a - b);
             assert_eq!(prod.lane(i), a * b);
             assert_eq!(quot.lane(i), a / b);
+        }
+    }
+
+    /// The lane that once made a release build's packed `mul_add`
+    /// differ from scalar: `[inf, NaN]` times anything gives the
+    /// canonical NaN as the product's upper bound, and adding `x` back
+    /// meets a NaN with another payload. The sum is the canonical NaN,
+    /// whichever operand order the code generator picks.
+    #[test]
+    fn nan_payload_lane_of_mul_add_matches_scalar() {
+        let x = F64I::from_neg_lo_hi(f64::NEG_INFINITY, f64::from_bits(0x7ff8_0000_dead_beef));
+        let y = F64I::new(-2.0, 3.0).unwrap();
+        let want = x * y + x;
+        assert_eq!(want.hi().to_bits(), f64::NAN.to_bits());
+        let got = F64Ix4::splat(x).mul_add(F64Ix4::splat(y), F64Ix4::splat(x));
+        for i in 0..4 {
+            assert_eq!(got.lane(i).neg_lo().to_bits(), want.neg_lo().to_bits(), "lane {i}");
+            assert_eq!(got.lane(i).hi().to_bits(), want.hi().to_bits(), "lane {i}");
         }
     }
 

@@ -11,12 +11,18 @@
 //! against scalar `DdI`: on AVX2+FMA they run the packed double-double
 //! kernels, elsewhere lane loops.
 //!
+//! The VM's sweep hook, `LaneOrScalar::sweep_l`, gets a proptest of its
+//! own: on AVX2+FMA `F64Ix4` runs a whole bank sweep in one
+//! `simd::f64i_sweep_4` call, and forced SSE2 and portable take the
+//! group-by-group loop; every path must equal scalar `F64I` op by op.
+//!
 //! The backend override is process-global, so every forced section takes
 //! a mutex; no other test in this binary touches the lane types outside
 //! of it.
 
 use igen_dd::Dd;
 use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, TBool, F64I};
+use igen_kernels::{LaneOrScalar, SweepOp};
 use igen_round::simd::{self, Backend};
 use igen_round::Ru;
 use proptest::prelude::*;
@@ -109,6 +115,88 @@ proptest! {
     ) {
         for bk in backends() {
             check_lanes(bk, [a0, a1, a2, a3], [b0, b1, b2, b3])?;
+        }
+    }
+}
+
+/// Registers in the sweep banks below, and groups per register.
+const SWEEP_REGS: usize = 4;
+const SWEEP_TILE: usize = 3;
+
+/// One sweep of `op` over a bank of `SWEEP_REGS` registers of
+/// `SWEEP_TILE` groups, through `F64Ix4`'s `sweep_l` under backend `bk`,
+/// against scalar `F64I` ops on the bank as it was: the `n` written
+/// groups of `dst` lane by lane, every other slot unchanged.
+fn check_sweep(
+    bk: Backend,
+    items: &[F64I],
+    op: usize,
+    regs: [usize; 4],
+    n: usize,
+) -> Result<(), TestCaseError> {
+    let [dst, a, b, acc] = regs.map(|r| r * SWEEP_TILE);
+    let op = match op {
+        0 => SweepOp::Add,
+        1 => SweepOp::Sub,
+        2 => SweepOp::Mul,
+        3 => SweepOp::MulAdd { acc },
+        _ => SweepOp::MulSub { acc },
+    };
+    let bank: Vec<F64Ix4> = (0..SWEEP_REGS * SWEEP_TILE)
+        .map(|k| F64Ix4::from_lanes_fn(|l| items[(4 * k + l) % items.len()]))
+        .collect();
+    let mut got = bank.clone();
+    let kernel = with_backend(bk, || {
+        let mut probe = bank.clone();
+        let kernel = simd::f64i_sweep_4(bk, op, &mut probe, n, dst, a, b);
+        <F64Ix4 as LaneOrScalar<F64I>>::sweep_l(op, &mut got, n, dst, a, b);
+        kernel
+    });
+    // Only AVX2+FMA has the one-call kernel; the forced narrower
+    // backends must take the group loop.
+    prop_assert_eq!(kernel, bk == Backend::Avx2Fma, "{:?} under {:?}", op, bk);
+    for (k, v) in got.iter().enumerate() {
+        for l in 0..4 {
+            let want = if (dst..dst + n).contains(&k) {
+                let g = k - dst;
+                let (x, y, z) = (bank[a + g].lane(l), bank[b + g].lane(l), bank[acc + g].lane(l));
+                match op {
+                    SweepOp::Add => x + y,
+                    SweepOp::Sub => x - y,
+                    SweepOp::Mul => x * y,
+                    SweepOp::MulAdd { .. } => z + x * y,
+                    SweepOp::MulSub { .. } => z - x * y,
+                }
+            } else {
+                bank[k].lane(l)
+            };
+            prop_assert!(
+                same(v.lane(l), want),
+                "{op:?} regs {regs:?} n {n} under {bk:?}: slot {k} lane {l}: got {}, want {want}",
+                v.lane(l)
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// `LaneOrScalar::sweep_l` on `F64Ix4` equals scalar `F64I`, for
+    /// every arithmetic op, any register aliasing and every backend.
+    #[test]
+    fn sweep_hook_bit_identical_all_backends(
+        items in prop::collection::vec(iv_any(), 4..64),
+        op in 0usize..5,
+        dst in 0usize..SWEEP_REGS,
+        a in 0usize..SWEEP_REGS,
+        b in 0usize..SWEEP_REGS,
+        acc in 0usize..SWEEP_REGS,
+        n in 0usize..SWEEP_TILE + 1,
+    ) {
+        for bk in backends() {
+            check_sweep(bk, &items, op, [dst, a, b, acc], n)?;
         }
     }
 }

@@ -13,6 +13,7 @@
 
 use igen_baselines::{BoostI, FilibI, GaolI, NaiveI};
 use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, F32I, F64I};
+use igen_round::simd::{self, SweepOp};
 
 /// A sound (or plain) numeric type usable by the kernels.
 pub trait Numeric:
@@ -152,6 +153,50 @@ pub trait LaneOrScalar<T: Numeric>:
     /// Per-lane pointwise maximum.
     #[must_use]
     fn max_l(self, other: Self) -> Self;
+
+    /// Runs the arithmetic `op` over groups `0..n` of a register bank:
+    /// group `g` reads `bank[a + g]` and `bank[b + g]` (and the
+    /// accumulator's) and writes `bank[dst + g]`, reading its sources
+    /// before writing, so a destination may alias any source. Every
+    /// group gets exactly the bits of the value ops (`z + x * y` for
+    /// `MulAdd`). The default runs the value ops group by group; a lane
+    /// type with a whole-sweep kernel overrides it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a range runs past the end of `bank`.
+    #[inline(always)]
+    fn sweep_l(op: SweepOp, bank: &mut [Self], n: usize, dst: usize, a: usize, b: usize) {
+        sweep_groups(op, bank, n, dst, a, b);
+    }
+}
+
+/// The group-by-group sweep behind [`LaneOrScalar::sweep_l`]: one value
+/// op per group, with the op matched once per sweep rather than once
+/// per group.
+#[inline(always)]
+fn sweep_groups<L>(op: SweepOp, bank: &mut [L], n: usize, dst: usize, a: usize, b: usize)
+where
+    L: Copy + core::ops::Add<Output = L> + core::ops::Sub<Output = L> + core::ops::Mul<Output = L>,
+{
+    let acc = match op {
+        SweepOp::MulAdd { acc } | SweepOp::MulSub { acc } => acc,
+        SweepOp::Add | SweepOp::Sub | SweepOp::Mul => dst,
+    };
+    // One bounds proof up front lets the inner loops run unchecked.
+    let len = bank.len();
+    assert!(dst + n <= len && a + n <= len && b + n <= len && acc + n <= len);
+    match op {
+        SweepOp::Add => (0..n).for_each(|g| bank[dst + g] = bank[a + g] + bank[b + g]),
+        SweepOp::Sub => (0..n).for_each(|g| bank[dst + g] = bank[a + g] - bank[b + g]),
+        SweepOp::Mul => (0..n).for_each(|g| bank[dst + g] = bank[a + g] * bank[b + g]),
+        SweepOp::MulAdd { .. } => {
+            (0..n).for_each(|g| bank[dst + g] = bank[acc + g] + bank[a + g] * bank[b + g])
+        }
+        SweepOp::MulSub { .. } => {
+            (0..n).for_each(|g| bank[dst + g] = bank[acc + g] - bank[a + g] * bank[b + g])
+        }
+    }
 }
 
 /// Every numeric element is itself a 1-wide "lane vector": the scalar
@@ -215,6 +260,15 @@ impl LaneOrScalar<F64I> for F64Ix4 {
     }
     fn max_l(self, other: F64Ix4) -> F64Ix4 {
         <F64Ix4 as LaneOps>::from_lanes_fn(|i| self.lane_l(i).max_i(&other.lane_l(i)))
+    }
+    /// One `simd::f64i_sweep_4` call for the whole sweep where the
+    /// backend has the kernel (AVX2+FMA), the group-by-group loop
+    /// elsewhere.
+    #[inline]
+    fn sweep_l(op: SweepOp, bank: &mut [F64Ix4], n: usize, dst: usize, a: usize, b: usize) {
+        if !simd::f64i_sweep_4(simd::active_backend(), op, bank, n, dst, a, b) {
+            sweep_groups(op, bank, n, dst, a, b);
+        }
     }
 }
 

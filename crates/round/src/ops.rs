@@ -132,9 +132,17 @@ pub fn add_ru(a: f64, b: f64) -> f64 {
 #[cold]
 fn add_ru_slow(a: f64, b: f64, s: f64) -> f64 {
     if !s.is_finite() {
-        if s.is_nan() || a.is_infinite() || b.is_infinite() {
+        if s.is_nan() {
+            // Invalid or NaN operand. The canonical NaN, not `s`: which
+            // operand's payload `a + b` keeps depends on whether LLVM
+            // commuted the add at this inlining site. Any NaN is an
+            // unknown bound, so the choice is sound.
             tel::SPECIALS.inc();
-            return s; // exact infinity or invalid
+            return f64::NAN;
+        }
+        if a.is_infinite() || b.is_infinite() {
+            tel::SPECIALS.inc();
+            return s; // exact infinity
         }
         // Finite operands overflowed under RN.
         tel::WIDENINGS.inc();
@@ -451,6 +459,34 @@ mod tests {
                 assert_eq!(lo, hi);
             }
         }
+    }
+
+    /// `a + b` keeps one NaN operand's payload, and which one depends on
+    /// the operand order LLVM picks at each inlining site; a NaN sum is
+    /// the canonical NaN whatever the order. The pair (NaN payload, the
+    /// canonical NaN) is the hi column of an `[inf, NaN]` lane under
+    /// `x * y + x`, which once made the packed and scalar `mul_add`
+    /// differ in release builds.
+    #[test]
+    fn nan_sums_are_canonical_in_either_operand_order() {
+        let p = f64::from_bits(0x7ff8_0000_dead_beef);
+        let q = f64::from_bits(0xfff8_0000_0000_0002);
+        let cases = [
+            (p, f64::NAN),
+            (p, q),
+            (p, 1.0),
+            (p, f64::INFINITY),
+            (f64::INFINITY, f64::NEG_INFINITY),
+        ];
+        for (a, b) in cases {
+            for (x, y) in [(a, b), (b, a)] {
+                assert_eq!(add_ru(x, y).to_bits(), f64::NAN.to_bits(), "add_ru({x:?}, {y:?})");
+                assert_eq!(add_rd(x, y).to_bits(), (-f64::NAN).to_bits(), "add_rd({x:?}, {y:?})");
+            }
+        }
+        // Infinite sums stay exact.
+        assert_eq!(add_ru(f64::INFINITY, 1.0), f64::INFINITY);
+        assert_eq!(add_ru(-1.0, f64::NEG_INFINITY), f64::NEG_INFINITY);
     }
 
     #[test]

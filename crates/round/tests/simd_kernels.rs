@@ -13,7 +13,7 @@
 //!    diverge from the FMA-free one.
 
 use igen_round as r;
-use igen_round::simd::{self, Backend};
+use igen_round::simd::{self, Backend, F64iCols4, SweepOp};
 use proptest::prelude::*;
 
 /// Every backend this host can actually run.
@@ -50,6 +50,9 @@ fn check_all_kernels(a: [f64; 4], b: [f64; 4]) -> Result<(), TestCaseError> {
         // must match the scalar column reference even on endpoint pairs
         // no valid interval would produce.
         let (an, ah) = simd::abs_4(bk, &a, &b);
+        let (ia, ib) = (F64iCols4 { neg_lo: a, hi: b }, F64iCols4 { neg_lo: b, hi: a });
+        let iadd = simd::f64i_add_4(bk, &ia, &ib);
+        let imul = simd::f64i_mul_4(bk, &ia, &ib);
         let lt = simd::cmp_lt_4(bk, &a, &b, &b, &a);
         let le = simd::cmp_le_4(bk, &a, &b, &b, &a);
         let eq = simd::cmp_eq_4(bk, &a, &b, &b, &a);
@@ -70,6 +73,12 @@ fn check_all_kernels(a: [f64; 4], b: [f64; 4]) -> Result<(), TestCaseError> {
             let (wn, wh) = simd::abs_cols(a[i], b[i]);
             assert_lane("abs_4.neg_lo", bk, i, an[i], wn)?;
             assert_lane("abs_4.hi", bk, i, ah[i], wh)?;
+            let (wn, wh) = simd::add_cols(a[i], b[i], b[i], a[i]);
+            assert_lane("f64i_add_4.neg_lo", bk, i, iadd.neg_lo[i], wn)?;
+            assert_lane("f64i_add_4.hi", bk, i, iadd.hi[i], wh)?;
+            let (wn, wh) = simd::mul_cols(a[i], b[i], b[i], a[i]);
+            assert_lane("f64i_mul_4.neg_lo", bk, i, imul.neg_lo[i], wn)?;
+            assert_lane("f64i_mul_4.hi", bk, i, imul.hi[i], wh)?;
             prop_assert!(
                 lt.lane(i) == simd::cmp_lt_cols(a[i], b[i], b[i], a[i]),
                 "cmp_lt_4 [{bk:?} lane {i}]: a={:e} b={:e}",
@@ -239,6 +248,172 @@ fn packed_kernels_bit_identical_special_grid() {
             }
         }
     }
+}
+
+/// Endpoint values for the interval-level kernels: NaN, ±∞, subnormals,
+/// ±0, values near `MAX` (sums and products that overflow), and both
+/// sides of the `2.5e-291` product guard.
+fn awkward() -> Vec<f64> {
+    let guard = 2.5e-291;
+    vec![
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.1,
+        -1.0 / 3.0,
+        0.5,
+        2.0,
+        1e16,
+        1e300,
+        -1e300,
+        f64::MAX,
+        -f64::MAX,
+        f64::MAX / 2.0,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        -f64::from_bits(0x000f_ffff_ffff_ffff),
+        guard,
+        r::next_down(guard),
+        -r::next_up(guard),
+        1.6e-145, // squares just above the guard
+        1.5e-146, // squares below it
+        // Odd significand near 2^-498: its square lies below the guard,
+        // where the FMA residual underflows to zero.
+        f64::from_bits(((1023 - 498) << 52) | 1),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ]
+}
+
+/// Raw `(neg_lo, hi)` intervals over every ordered pair of
+/// [`awkward`] values, NaN endpoints kept (unknown bounds).
+fn awkward_intervals() -> Vec<(f64, f64)> {
+    let v = awkward();
+    let mut out = Vec::new();
+    for &x in &v {
+        for &y in &v {
+            // Ordered pairs, and every pair with a NaN (unknown) bound.
+            if x.is_nan() || y.is_nan() || x <= y {
+                out.push((-x, y));
+            }
+        }
+    }
+    out
+}
+
+/// The scalar composition a sweep of `op` must reproduce on one lane:
+/// `x op y`, or `z ± x * y` for the fused forms (`Sub` is `Add` on the
+/// endpoint-swapped right operand).
+fn sweep_lane(op: SweepOp, x: (f64, f64), y: (f64, f64), z: (f64, f64)) -> (f64, f64) {
+    let add = |p: (f64, f64), q: (f64, f64)| simd::add_cols(p.0, p.1, q.0, q.1);
+    let mul = |p: (f64, f64), q: (f64, f64)| simd::mul_cols(p.0, p.1, q.0, q.1);
+    let swap = |p: (f64, f64)| (p.1, p.0);
+    match op {
+        SweepOp::Add => add(x, y),
+        SweepOp::Sub => add(x, swap(y)),
+        SweepOp::Mul => mul(x, y),
+        SweepOp::MulAdd { .. } => add(z, mul(x, y)),
+        SweepOp::MulSub { .. } => add(z, swap(mul(x, y))),
+    }
+}
+
+fn lane_of(c: &F64iCols4, l: usize) -> (f64, f64) {
+    (c.neg_lo[l], c.hi[l])
+}
+
+/// Runs one sweep over a 4-register, 8-group bank and checks every
+/// group of every register bit for bit: the `n` written groups against
+/// [`sweep_lane`] on the bank as it was before the sweep, everything
+/// else untouched. `regs` is `[dst, a, b, acc]`.
+fn check_sweep(bank: &[F64iCols4], op_of: fn(usize) -> SweepOp, regs: [usize; 4], n: usize) {
+    const TILE: usize = 8;
+    let [dst, a, b, acc] = regs.map(|r| r * TILE);
+    let op = op_of(acc);
+    let mut got = bank.to_vec();
+    let swept = simd::f64i_sweep_4(simd::detected_backend(), op, &mut got, n, dst, a, b);
+    assert_eq!(swept, simd::detected_backend() == Backend::Avx2Fma, "{op:?}");
+    if !swept {
+        assert!(got == bank, "a backend without the sweep kernel touched the bank");
+        return;
+    }
+    for (k, cols) in got.iter().enumerate() {
+        for l in 0..4 {
+            let want = if k >= dst && k < dst + n {
+                let g = k - dst;
+                let (x, y, z) = (bank[a + g], bank[b + g], bank[acc + g]);
+                sweep_lane(op, lane_of(&x, l), lane_of(&y, l), lane_of(&z, l))
+            } else {
+                lane_of(&bank[k], l)
+            };
+            let got = lane_of(cols, l);
+            assert!(
+                got.0.to_bits() == want.0.to_bits() && got.1.to_bits() == want.1.to_bits(),
+                "{op:?} regs {regs:?} n {n}: slot {k} lane {l}: got {got:?}, want {want:?}"
+            );
+        }
+    }
+}
+
+/// Every sweep op against the scalar composition, lane by lane, over
+/// every pair of awkward intervals (as `a`, `b`, with accumulators
+/// drawn from the same list), with distinct registers; then with the
+/// destination aliasing each source in turn and with `a == b`, at
+/// n = 0, 1, 3 and 8.
+#[test]
+fn sweep_matches_scalar_ops_on_awkward_grid() {
+    let ivs = awkward_intervals();
+    let ops: [fn(usize) -> SweepOp; 5] = [
+        |_| SweepOp::Add,
+        |_| SweepOp::Sub,
+        |_| SweepOp::Mul,
+        |acc| SweepOp::MulAdd { acc },
+        |acc| SweepOp::MulSub { acc },
+    ];
+    // Lane pair k of the enumeration: a = ivs[k / len], b = ivs[k % len].
+    let pairs = ivs.len() * ivs.len();
+    let lane = |k: usize, reg: usize| match reg {
+        0 => ivs[(k / ivs.len()) % ivs.len()],
+        1 => ivs[k % ivs.len()],
+        _ => ivs[(k * 7 + reg) % ivs.len()],
+    };
+    let fill = |first: usize| -> Vec<F64iCols4> {
+        (0..4 * 8)
+            .map(|slot| {
+                let (reg, g) = (slot / 8, slot % 8);
+                let mut c = F64iCols4::default();
+                for l in 0..4 {
+                    (c.neg_lo[l], c.hi[l]) = lane(first + 4 * g + l, reg);
+                }
+                c
+            })
+            .collect()
+    };
+    // [dst, a, b, acc]: dst aliasing b, acc and a in turn; a == b; one
+    // register for everything.
+    let aliased = [[1, 0, 1, 2], [2, 0, 1, 2], [0, 0, 1, 2], [3, 0, 0, 2], [0, 0, 0, 0]];
+    for (round, first) in (0..pairs).step_by(32).enumerate() {
+        let bank = fill(first);
+        for op_of in ops {
+            check_sweep(&bank, op_of, [3, 0, 1, 2], 8);
+            if round % 16 == 0 {
+                for regs in aliased {
+                    for n in [0, 1, 3, 8] {
+                        check_sweep(&bank, op_of, regs, n);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "runs past a bank")]
+fn sweep_rejects_a_range_past_the_bank() {
+    let mut bank = [F64iCols4::default(); 4];
+    simd::f64i_sweep_4(Backend::Avx2Fma, SweepOp::MulAdd { acc: 4 }, &mut bank, 1, 0, 1, 2);
 }
 
 /// The backend ladder is well-formed on this host: detection is stable,

@@ -12,6 +12,13 @@
 //! loop at tile 1 and width 1 over the raw instruction list is
 //! [`run_scalar`](crate::exec::run_scalar).
 //!
+//! The five arithmetic instructions (`Add`, `Sub`, `Mul`, `MulAdd`,
+//! `MulSub`) hand their whole sweep to the lane type's
+//! [`LaneOrScalar::sweep_l`] hook. For `F64Ix4` on AVX2+FMA that is one
+//! `igen_round::simd::f64i_sweep_4` call per instruction per tile, with
+//! each interval op kept in registers; the scalar tail, `DdIx4` and the
+//! narrower backends run the group-by-group default.
+//!
 //! Two pieces of per-call waste are also hoisted to preparation time:
 //!
 //! * [`PreparedProgram`] decodes every pool constant **once per
@@ -32,7 +39,7 @@
 
 use crate::bytecode::{Insn, Program};
 use crate::exec::{max_src_rel, VmElem, VM_INSNS_EXECUTED};
-use igen_kernels::LaneOrScalar;
+use igen_kernels::{LaneOrScalar, SweepOp};
 use igen_telemetry::profile::rel_width;
 use igen_telemetry::{Counter, UnitProfiler};
 use std::marker::PhantomData;
@@ -203,31 +210,6 @@ fn sweep2<L: Copy>(
 }
 
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn sweep3<L: Copy>(
-    bank: &mut [L],
-    tile: usize,
-    n: usize,
-    dst: u32,
-    a: u32,
-    b: u32,
-    c: u32,
-    f: impl Fn(L, L, L) -> L,
-) {
-    let (di, ai, bi, ci) =
-        (dst as usize * tile, a as usize * tile, b as usize * tile, c as usize * tile);
-    assert!(
-        di + n <= bank.len()
-            && ai + n <= bank.len()
-            && bi + n <= bank.len()
-            && ci + n <= bank.len()
-    );
-    for g in 0..n {
-        bank[di + g] = f(bank[ai + g], bank[bi + g], bank[ci + g]);
-    }
-}
-
-#[inline(always)]
 fn sweep1<L: Copy>(bank: &mut [L], tile: usize, n: usize, dst: u32, a: u32, f: impl Fn(L) -> L) {
     let (di, ai) = (dst as usize * tile, a as usize * tile);
     assert!(di + n <= bank.len() && ai + n <= bank.len());
@@ -264,6 +246,8 @@ pub(crate) fn run_body<T: VmElem, L: LaneOrScalar<T>>(
     let mut prof = prof.filter(|p| p.active());
     // Widest source width per element, `g * L::WIDTH + lane`.
     let mut max_in = Vec::new();
+    // A register's first group in the bank.
+    let col = |r: u32| r as usize * tile;
     for (bi, insn) in body.iter().enumerate() {
         let t0 = match prof.as_deref_mut() {
             Some(p) => {
@@ -292,9 +276,9 @@ pub(crate) fn run_body<T: VmElem, L: LaneOrScalar<T>>(
                 let v = L::splat_l(T::from_const(&prog.consts[idx as usize]));
                 sweep1(bank, tile, n, dst, dst, |_| v);
             }
-            Insn::Add { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x + y),
-            Insn::Sub { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x - y),
-            Insn::Mul { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x * y),
+            Insn::Add { dst, a, b } => L::sweep_l(SweepOp::Add, bank, n, col(dst), col(a), col(b)),
+            Insn::Sub { dst, a, b } => L::sweep_l(SweepOp::Sub, bank, n, col(dst), col(a), col(b)),
+            Insn::Mul { dst, a, b } => L::sweep_l(SweepOp::Mul, bank, n, col(dst), col(a), col(b)),
             Insn::Div { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x / y),
             Insn::Min { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x.min_l(y)),
             Insn::Max { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x.max_l(y)),
@@ -313,10 +297,12 @@ pub(crate) fn run_body<T: VmElem, L: LaneOrScalar<T>>(
             // product stays in a machine register instead of
             // round-tripping a temp column through the bank.
             Insn::MulAdd { dst, a, b, acc } => {
-                sweep3(bank, tile, n, dst, a, b, acc, |x, y, z| z + (x * y))
+                let op = SweepOp::MulAdd { acc: col(acc) };
+                L::sweep_l(op, bank, n, col(dst), col(a), col(b))
             }
             Insn::MulSub { dst, a, b, acc } => {
-                sweep3(bank, tile, n, dst, a, b, acc, |x, y, z| z - (x * y))
+                let op = SweepOp::MulSub { acc: col(acc) };
+                L::sweep_l(op, bank, n, col(dst), col(a), col(b))
             }
         }
         if let Some(p) = prof.as_deref_mut() {
