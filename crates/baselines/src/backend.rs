@@ -198,8 +198,9 @@ pub trait IntervalBackend: Sync {
     /// One-line description of the implementation style.
     fn style(&self) -> &'static str;
 
-    /// True when the backend routes through the packed `LaneOps` SIMD
-    /// path — the rows the CI regression gate watches.
+    /// True when the backend runs on the packed lane types (`F64Ix4`/
+    /// `DdIx4`, through the compiled-VM batch path) rather than the
+    /// scalar ones — the rows the CI regression gate watches.
     fn packed_path(&self) -> bool {
         false
     }

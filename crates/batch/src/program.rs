@@ -5,26 +5,27 @@
 //! out over a structure-of-arrays input batch through the tiled,
 //! instruction-major executor ([`igen_vm::run_tile`]): items are
 //! grouped four at a time onto the packed lane path (`F64Ix4`/`DdIx4`),
-//! tiles of [`BatchConfig::tile_groups`] groups share one instruction
-//! decode per opcode, and the scalar tail runs through the *same* tiled
-//! executor at width 1. Tiles are distributed across threads with the
+//! and tiles of [`BatchConfig::tile_groups`] groups share one
+//! instruction decode per opcode. A batch whose size is not a multiple
+//! of four ends in one padded group: the lanes it lacks hold the point
+//! interval `[1, 1]` (finite, nonzero, inside every kernel guard) and
+//! are dropped before the output batch, the width histogram or the
+//! profiler sees them. Tiles are distributed across threads with the
 //! engine's pinned, order-preserving combine, and each worker reuses
-//! one register bank across all its tiles, so per-call setup is gone
-//! from both the packed and the tail path. One generic driver serves
-//! both precisions, plain and profiled.
+//! one register bank across all its tiles, so per-call setup is gone.
+//! One generic driver serves both precisions, plain and profiled.
 //!
-//! Because the tile executor is bit-identical to per-group execution
-//! for every tile size and lane width, the output batch is
-//! **bit-identical at any thread count and any tile size**, for any
-//! compiled function.
+//! Lanes never interact, and the tile executor is bit-identical to
+//! per-group execution for every tile size, so the output batch is
+//! **bit-identical at any thread count and any tile size**, and to
+//! `igen_vm::run_scalar` item for item, for any compiled function.
 
 use crate::engine::{par_map_indexed_with, BatchConfig};
 use crate::soa::{BatchDdI, BatchF64I, SoaBatch};
-use igen_interval::{DdI, F64I};
-use igen_kernels::LaneOrScalar;
+use igen_interval::{DdI, LaneOps, F64I};
 use igen_telemetry::UnitProfiler;
 use igen_vm::{
-    program_width_hist, run_tile, Precision, PreparedProgram, Program, TileBank, VmElem,
+    program_width_hist, run_tile, PoolConst, Precision, PreparedProgram, Program, TileBank, VmElem,
 };
 use std::sync::Mutex;
 
@@ -72,26 +73,22 @@ pub struct BatchProgram {
     prepared: Prepared,
 }
 
-/// Per-worker scratch: the tile register banks and output buffers one
-/// worker thread reuses across every tile it executes. Banks are built
-/// lazily so a worker that only sees the tail never allocates the
-/// packed one (and vice versa). Scratch carries allocations only —
-/// never values — so it cannot perturb the determinism guarantee.
+/// Per-worker scratch: the tile register bank one worker thread reuses
+/// across every tile it executes, built on first use. Scratch carries
+/// allocations only — never values — so it cannot perturb the
+/// determinism guarantee.
 struct Scratch<T: VmElem> {
-    /// Tile size the packed bank was built for; a pooled scratch with a
-    /// different tile drops its packed bank and rebuilds. Banks are
-    /// sized to the tile actually *used* (never wider than the batch
-    /// has groups): a wider bank would stride its sweeps past cold
-    /// slots and waste cache-line bandwidth on every instruction.
+    /// Tile size the bank was built for; a pooled scratch with a
+    /// different tile drops its bank and rebuilds. Banks are sized to
+    /// the tile actually *used* (never wider than the batch has
+    /// groups): a wider bank would stride its sweeps past cold slots
+    /// and waste cache-line bandwidth on every instruction.
     tile: usize,
-    packed: Option<Bank<T, T::Lane>>,
-    /// Items in the scalar-tail bank (1–3); same exact-fit rationale.
-    tail_tile: usize,
-    tail: Option<Bank<T, T>>,
+    bank: Option<Bank<T>>,
 }
 
 /// A tile bank and the output buffer [`run_tile`] fills from it.
-type Bank<T, L> = (TileBank<T, L>, Vec<L>);
+type Bank<T> = (TileBank<T, <T as VmElem>::Lane>, Vec<<T as VmElem>::Lane>);
 
 /// Checks a scratch set out of a pool and returns it on drop (even on
 /// worker panic unwinding), capped at [`POOL_CAP`].
@@ -121,51 +118,56 @@ impl<T: VmElem> Typed<T> {
         Typed { prep: PreparedProgram::new(prog), pool: Mutex::new(Vec::new()) }
     }
 
-    /// Checks a scratch set out of the pool, dropping any bank built
-    /// for a different tile or tail size.
-    fn lease(&self, tile: usize, tail: usize) -> Lease<'_, Scratch<T>> {
-        let mut s = self.pool.lock().ok().and_then(|mut p| p.pop()).unwrap_or(Scratch {
-            tile,
-            packed: None,
-            tail_tile: tail,
-            tail: None,
-        });
+    /// Checks a scratch set out of the pool, dropping a bank built for
+    /// a different tile size.
+    fn lease(&self, tile: usize) -> Lease<'_, Scratch<T>> {
+        let mut s =
+            self.pool.lock().ok().and_then(|mut p| p.pop()).unwrap_or(Scratch { tile, bank: None });
         if s.tile != tile {
-            s.packed = None;
+            s.bank = None;
             s.tile = tile;
-        }
-        if s.tail_tile != tail {
-            s.tail = None;
-            s.tail_tile = tail;
         }
         Lease { scratch: Some(s), pool: &self.pool }
     }
 }
 
-/// Fills `bank`'s input columns for `ng` groups from `load(group,
-/// input)`, runs one tile and returns its outputs item-major.
-fn tile_pass<T: VmElem, L: LaneOrScalar<T>>(
+/// Runs items `first..first + items` of `inputs` as one tile: fills the
+/// input columns group by group, the lanes a short last group lacks
+/// with `[1, 1]`, and returns the outputs item-major without them.
+fn tile_pass<T: VmElem, B: SoaBatch<Elem = T>>(
     prep: &PreparedProgram<T>,
-    bank: &mut TileBank<T, L>,
-    out: &mut Vec<L>,
-    ng: usize,
-    load: impl Fn(usize, usize) -> L,
+    (bank, out): &mut Bank<T>,
+    inputs: &B,
+    first: usize,
+    items: usize,
     prof: Option<&mut UnitProfiler>,
 ) -> Vec<T> {
     let prog = prep.program();
-    for j in 0..prog.n_inputs {
-        for (g, slot) in bank.input_column(j).iter_mut().enumerate().take(ng) {
-            *slot = load(g, j as usize);
+    let (nin, lanes) = (prog.n_inputs as usize, T::Lane::LANES);
+    let groups = items.div_ceil(lanes);
+    let pad = T::from_const(&PoolConst::f64_pair(1.0, 1.0));
+    for j in 0..nin {
+        for (g, slot) in bank.input_column(j as u32).iter_mut().enumerate().take(groups) {
+            let item = |l: usize| (first + g * lanes + l) * nin + j;
+            *slot = if (g + 1) * lanes <= items {
+                inputs.load_lanes(item(0), nin)
+            } else {
+                T::Lane::from_lanes_fn(|l| {
+                    if g * lanes + l < items {
+                        inputs.get(item(l))
+                    } else {
+                        pad
+                    }
+                })
+            };
         }
     }
-    run_tile(prep, bank, ng, out, prof);
+    run_tile(prep, bank, items, out, prof);
     let nout = prog.outputs.len();
-    let mut part = Vec::with_capacity(ng * L::WIDTH * nout);
-    for g in 0..ng {
-        for l in 0..L::WIDTH {
-            for s in 0..nout {
-                part.push(out[s * ng + g].lane_l(l));
-            }
+    let mut part = Vec::with_capacity(items * nout);
+    for k in 0..items {
+        for s in 0..nout {
+            part.push(out[s * groups + k / lanes].lane(k % lanes));
         }
     }
     part
@@ -280,7 +282,7 @@ impl BatchProgram {
     }
 
     /// The one tile driver behind every entry point: task `k` is a tile
-    /// of up to `tile` packed groups, or, last, the scalar tail. A
+    /// of up to `tile` packed groups, the last of which may be padded. A
     /// profiled run keeps every task on the calling thread.
     fn execute<T: VmElem, B: SoaBatch<Elem = T> + Sync>(
         &self,
@@ -293,39 +295,26 @@ impl BatchProgram {
         let profiled = prof.is_some();
         let prefix = if profiled { "vm.batch.profiled." } else { "vm.batch." };
         let _span = igen_telemetry::span_joined(prefix, &prog.name);
-        let nin = prog.n_inputs as usize;
-        let width = <T::Lane as LaneOrScalar<T>>::WIDTH;
         let items = self.items_in(inputs.len());
-        let groups = items / width;
-        let tail = items % width;
         // Exact-fit tile: never wider than the batch has groups, so the
         // bank sweeps touch only warm, contiguous slots.
-        let tile = cfg.tile_groups().min(groups.max(1));
-        let tile_tasks = groups.div_ceil(tile);
-        let n_tasks = tile_tasks + usize::from(tail > 0);
+        let tile = cfg.tile_groups().min(items.div_ceil(T::Lane::LANES).max(1));
+        let per_task = tile * T::Lane::LANES;
+        let n_tasks = items.div_ceil(per_task);
         let task = |s: &mut Scratch<T>, k: usize, prof: Option<&mut UnitProfiler>| {
-            if k < tile_tasks {
-                let g0 = k * tile;
-                let (bank, out) =
-                    s.packed.get_or_insert_with(|| (TileBank::new(prep, tile), Vec::new()));
-                let load = |g, j| inputs.load_lanes((g0 + g) * width * nin + j, nin);
-                tile_pass(prep, bank, out, (groups - g0).min(tile), load, prof)
-            } else {
-                let (bank, out) =
-                    s.tail.get_or_insert_with(|| (TileBank::new(prep, tail), Vec::new()));
-                let load = |g, j| inputs.get((groups * width + g) * nin + j);
-                tile_pass(prep, bank, out, tail, load, prof)
-            }
+            let first = k * per_task;
+            let bank = s.bank.get_or_insert_with(|| (TileBank::new(prep, tile), Vec::new()));
+            tile_pass(prep, bank, inputs, first, (items - first).min(per_task), prof)
         };
         let parts: Vec<Vec<T>> = match prof {
             Some(prof) => {
-                let mut lease = t.lease(tile, tail);
+                let mut lease = t.lease(tile);
                 (0..n_tasks).map(|k| task(lease.get(), k, Some(&mut *prof))).collect()
             }
             None => par_map_indexed_with(
                 cfg,
                 n_tasks,
-                || t.lease(tile, tail),
+                || t.lease(tile),
                 |lease, k| task(lease.get(), k, None),
             ),
         };

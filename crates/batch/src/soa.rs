@@ -9,19 +9,21 @@
 //! interval is two plain loads with **no negation and no per-element
 //! shuffling**, and a lane type ([`igen_interval::F64Ix4`]) is filled by
 //! four strided loads per column. The columns are also exactly what an
-//! AVX gather or a future GPU port wants to touch.
+//! AVX gather or a future GPU port wants to touch. [`SoaBatch`] names
+//! its element's packed lane type through `igen_vm::VmElem::Lane`, so
+//! the program driver loads whole groups without knowing the precision.
 
 use igen_dd::Dd;
 use igen_interval::{DdI, DdIx4, F64Ix4, F64I};
-use igen_kernels::Numeric;
 use igen_round::simd::DdiCols4;
+use igen_vm::VmElem;
 
 /// A structure-of-arrays interval batch, as the generic program driver
 /// ([`crate::BatchProgram`]) reads and writes it: implemented by
 /// [`BatchF64I`] and [`BatchDdI`].
 pub trait SoaBatch: Sized {
     /// The interval type of one slot.
-    type Elem: Numeric;
+    type Elem: VmElem;
 
     /// An empty batch with room for `n` intervals.
     fn with_capacity(n: usize) -> Self;
@@ -41,8 +43,8 @@ pub trait SoaBatch: Sized {
     fn get(&self, i: usize) -> Self::Elem;
 
     /// Loads slots `start, start + stride, ..` into one packed lane
-    /// vector of the element's widest lane type.
-    fn load_lanes(&self, start: usize, stride: usize) -> <Self::Elem as Numeric>::Lane;
+    /// vector of the element's lane type.
+    fn load_lanes(&self, start: usize, stride: usize) -> <Self::Elem as VmElem>::Lane;
 
     /// The endpoint columns, in a fixed order.
     fn columns(&self) -> Vec<&[f64]>;

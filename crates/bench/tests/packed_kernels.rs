@@ -4,11 +4,11 @@
 //!
 //! Every kernel comes from `igen_bench::compiled`: its C source compiled
 //! at `-O2`, peepholed, and run by `BatchProgram` four items per packed
-//! register with a scalar tail. Each output must equal the scalar
+//! register, the last group padded. Each output must equal the scalar
 //! kernel's — `linalg::dot`, `linalg::mvm`, `linalg::gemm`, `henon_from`
 //! and `Ffnn::forward`, at `F64I` and at `DdI` — bit for bit, at 1–4
-//! threads and on every backend the host supports, including the
-//! forced-SSE2 downgrade CI exercises on AVX2 hosts.
+//! threads and on every backend the host supports: AVX2+FMA where
+//! detected, and the portable fallback forced on every host.
 //!
 //! The backend override is process-global, so every section that runs
 //! the lane types takes one mutex.
@@ -38,7 +38,7 @@ fn with_backend<T>(bk: Backend, f: impl FnOnce() -> T) -> T {
 }
 
 fn backends() -> Vec<Backend> {
-    [Backend::Portable, Backend::Sse2, Backend::Avx2Fma]
+    [Backend::Portable, Backend::Avx2Fma]
         .into_iter()
         .filter(|&bk| bk <= simd::detected_backend())
         .collect()
@@ -122,8 +122,8 @@ impl<T: Prec> Case<T> {
     }
 }
 
-/// All five kernels at shapes that leave a scalar tail after the packed
-/// groups; GEMM has n = 11 ≡ 3 (mod 4) columns.
+/// All five kernels at shapes that end in a padded group after the full
+/// ones; GEMM has n = 11 ≡ 3 (mod 4) columns.
 fn cases<T: Prec>() -> Vec<Case<T>> {
     let p = T::PRECISION;
     let mut out = Vec::new();
@@ -200,17 +200,6 @@ fn compiled_f64_kernels_bit_identical_all_backends_and_threads() {
 #[test]
 fn compiled_dd_kernels_bit_identical_all_backends_and_threads() {
     check::<DdI>(&backends(), &[1, 2, 3, 4]);
-}
-
-/// Named for the CI leg that forces the SSE2 backend on AVX2 hosts: the
-/// compiled kernels must survive the downgrade bit-identically.
-#[test]
-fn forced_sse2_compiled_kernels_bit_identical() {
-    if simd::detected_backend() < Backend::Sse2 {
-        return; // nothing to force on this host
-    }
-    check::<F64I>(&[Backend::Sse2], &[2]);
-    check::<DdI>(&[Backend::Sse2], &[2]);
 }
 
 #[test]

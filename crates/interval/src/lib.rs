@@ -12,7 +12,8 @@
 //! * three-valued booleans [`TBool`] for interval comparisons in branch
 //!   conditions;
 //! * packed lane types ([`F64Ix4`], [`DdIx4`]) mirroring the AVX
-//!   layouts of Table II;
+//!   layouts of Table II, and [`LaneOps`], the one lane trait they and
+//!   the scalar [`F64I`]/[`DdI`] implement;
 //! * rigorous elementary functions ([`elem`], the CRlibm substitute);
 //! * the accurate reduction accumulators of Section VI-B ([`SumAcc64`],
 //!   [`SumAccDd`]);
@@ -57,5 +58,6 @@ pub use cast::{f32_pair_to_f64i, f32_to_f64i, f64i_to_f32_pair, i64_to_f64i};
 pub use ddi::DdI;
 pub use f32i::F32I;
 pub use f64i::{InvalidInterval, F64I};
+pub use igen_round::simd::SweepOp;
 pub use tbool::{TBool, UnknownBranch};
-pub use vector::{DdIx4, F64Ix4, LaneOps, TBoolLanes};
+pub use vector::{DdIx4, F64Ix4, LaneOps};

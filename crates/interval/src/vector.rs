@@ -1,5 +1,6 @@
 //! Vectorized interval types (Section IV-A "Vectorized intervals" and
-//! Table II).
+//! Table II), and [`LaneOps`], the one lane trait every packed kernel
+//! and the bytecode VM are written against.
 //!
 //! In the paper's C runtime a double-precision interval occupies one SSE
 //! register (`__m128d`) and the wider types pack 2 or 4 intervals into
@@ -9,14 +10,15 @@
 //! column is exactly one AVX register. Add, sub and mul are one interval
 //! kernel call each (`simd::f64i_add_4`/`f64i_mul_4`: on AVX2+FMA the
 //! whole branch-free Section II recipe in registers, four intervals at a
-//! time, with flagged lanes recomputed by the scalar op; elsewhere the
-//! column primitives composed in the scalar order), and the other ops map
-//! onto the packed directed-rounding kernels of [`igen_round::simd`]. The
-//! kernels are selected once at runtime by CPU feature detection; on
-//! non-x86-64 hosts, and under [`igen_round::simd::force_backend`], the
-//! same code runs through the portable scalar lane loop. All paths are
-//! bit-identical per lane to the scalar [`F64I`] operations — the
-//! property tests pin this on random and special-value lanes.
+//! time, with flagged lanes recomputed by the scalar op; on the portable
+//! backend the column primitives composed in the scalar order), and the
+//! other ops map onto the packed directed-rounding kernels of
+//! [`igen_round::simd`]. The kernels are selected once at runtime by CPU
+//! feature detection; on hosts without AVX2 and FMA, and under
+//! [`igen_round::simd::force_backend`], the same code runs through the
+//! portable scalar lane loop. All paths are bit-identical per lane to the
+//! scalar [`F64I`] operations — the property tests pin this on random
+//! and special-value lanes.
 //!
 //! [`DdIx4`] applies the same transposition to double-double intervals:
 //! four columns (high and low words of `neg_lo` and of `hi`). A `DdI`
@@ -27,51 +29,21 @@
 //! are one kernel call apiece on the AVX2+FMA backend, with the lanes
 //! that leave the scalar hot path recomputed by the scalar op (see
 //! DESIGN.md §10).
+//!
+//! The scalar [`F64I`] and [`DdI`] implement [`LaneOps`] too, at one
+//! lane: that is the instantiation `igen_vm::run_scalar` runs.
 
 use crate::ddi::DdI;
 use crate::f64i::F64I;
-use crate::tbool::TBool;
 use igen_dd::Dd;
-use igen_round::simd;
+use igen_round::simd::{self, SweepOp};
 
-/// Per-lane three-valued comparison verdicts from the packed compare
-/// operations ([`LaneOps::cmp_lt`] and friends): one [`TBool`] per lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TBoolLanes {
-    vals: [TBool; 4],
-}
-
-impl TBoolLanes {
-    /// Converts the packed tri-state masks.
-    fn from_trimask(m: simd::TriMask4) -> TBoolLanes {
-        let mut vals = [TBool::Unknown; 4];
-        for (i, v) in vals.iter_mut().enumerate() {
-            *v = match m.lane(i) {
-                Some(true) => TBool::True,
-                Some(false) => TBool::False,
-                None => TBool::Unknown,
-            };
-        }
-        TBoolLanes { vals }
-    }
-
-    /// The verdict for lane `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 4`.
-    #[must_use]
-    pub fn lane(&self, i: usize) -> TBool {
-        assert!(i < 4, "TBoolLanes lane index {i} out of range (4 lanes)");
-        self.vals[i]
-    }
-}
-
-/// The unified operation surface of the packed interval lane types —
-/// every vectorized kernel in `igen-kernels`/`igen-batch` is written once
-/// against this trait and instantiated for [`F64Ix4`] and [`DdIx4`]
-/// (packed x86 kernels with scalar-patch fallback; the double-double
-/// type packs add, sub and mul and runs its other ops lane by lane).
+/// The one operation surface of the interval lane types. The bytecode
+/// VM's instruction loop and every vectorized kernel are written once
+/// against this trait and instantiated at the packed [`F64Ix4`] and
+/// [`DdIx4`] (packed x86 kernels with scalar-patch fallback; the
+/// double-double type packs add, sub and mul and runs its other ops lane
+/// by lane) and at the scalar [`F64I`] and [`DdI`] (one lane).
 ///
 /// Every method is **bit-identical per lane** to the corresponding scalar
 /// [`F64I`]/[`DdI`] operation: a lane of `a.sqrt()` equals
@@ -83,6 +55,8 @@ pub trait LaneOps:
     + core::fmt::Debug
     + PartialEq
     + Default
+    + Send
+    + Sync
     + core::ops::Add<Output = Self>
     + core::ops::Sub<Output = Self>
     + core::ops::Mul<Output = Self>
@@ -92,7 +66,7 @@ pub trait LaneOps:
     /// The scalar interval element packed in each lane.
     type Elem: Copy + core::fmt::Debug + PartialEq;
 
-    /// Number of packed intervals.
+    /// Number of packed intervals (1 for the scalar types).
     const LANES: usize;
 
     /// Broadcasts one interval to all lanes.
@@ -162,15 +136,102 @@ pub trait LaneOps:
     #[must_use]
     fn sqr(self) -> Self;
 
-    /// Lane-wise three-valued `self < other`.
-    fn cmp_lt(self, other: Self) -> TBoolLanes;
+    /// Lane-wise pointwise minimum (`[min lo, min hi]`).
+    #[must_use]
+    fn min(self, other: Self) -> Self;
 
-    /// Lane-wise three-valued `self <= other`.
-    fn cmp_le(self, other: Self) -> TBoolLanes;
+    /// Lane-wise pointwise maximum (`[max lo, max hi]`).
+    #[must_use]
+    fn max(self, other: Self) -> Self;
 
-    /// Lane-wise three-valued point equality `self == other`.
-    fn cmp_eq(self, other: Self) -> TBoolLanes;
+    /// Runs the arithmetic `op` over groups `0..n` of a register bank:
+    /// group `g` reads `bank[a + g]` and `bank[b + g]` (and the
+    /// accumulator's) and writes `bank[dst + g]`, reading its sources
+    /// before writing, so a destination may alias any source. Every
+    /// group gets exactly the bits of the value ops (`z + x * y` for
+    /// `MulAdd`). The default runs the value ops group by group; a lane
+    /// type with a whole-sweep kernel overrides it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a range runs past the end of `bank`.
+    #[inline(always)]
+    fn sweep(op: SweepOp, bank: &mut [Self], n: usize, dst: usize, a: usize, b: usize) {
+        sweep_groups(op, bank, n, dst, a, b);
+    }
 }
+
+/// The group-by-group sweep behind [`LaneOps::sweep`]: one value op per
+/// group, with the op matched once per sweep rather than once per group.
+#[inline(always)]
+fn sweep_groups<L: LaneOps>(op: SweepOp, bank: &mut [L], n: usize, dst: usize, a: usize, b: usize) {
+    let acc = match op {
+        SweepOp::MulAdd { acc } | SweepOp::MulSub { acc } => acc,
+        SweepOp::Add | SweepOp::Sub | SweepOp::Mul => dst,
+    };
+    // One bounds proof up front lets the inner loops run unchecked.
+    let len = bank.len();
+    assert!(dst + n <= len && a + n <= len && b + n <= len && acc + n <= len);
+    match op {
+        SweepOp::Add => (0..n).for_each(|g| bank[dst + g] = bank[a + g] + bank[b + g]),
+        SweepOp::Sub => (0..n).for_each(|g| bank[dst + g] = bank[a + g] - bank[b + g]),
+        SweepOp::Mul => (0..n).for_each(|g| bank[dst + g] = bank[a + g] * bank[b + g]),
+        SweepOp::MulAdd { .. } => {
+            (0..n).for_each(|g| bank[dst + g] = bank[acc + g] + bank[a + g] * bank[b + g])
+        }
+        SweepOp::MulSub { .. } => {
+            (0..n).for_each(|g| bank[dst + g] = bank[acc + g] - bank[a + g] * bank[b + g])
+        }
+    }
+}
+
+/// The scalar interval types are one-lane [`LaneOps`]: every method is
+/// the type's own scalar operation.
+macro_rules! scalar_lane {
+    ($t:ident) => {
+        impl LaneOps for $t {
+            type Elem = $t;
+            const LANES: usize = 1;
+
+            #[inline]
+            fn splat(v: $t) -> $t {
+                v
+            }
+            #[inline]
+            fn from_lanes_fn(mut f: impl FnMut(usize) -> $t) -> $t {
+                f(0)
+            }
+            #[inline]
+            fn lane(&self, i: usize) -> $t {
+                assert!(i == 0, concat!(stringify!($t), " lane index {} out of range (1 lane)"), i);
+                *self
+            }
+            #[inline]
+            fn sqrt(self) -> $t {
+                $t::sqrt(&self)
+            }
+            #[inline]
+            fn abs(self) -> $t {
+                $t::abs(&self)
+            }
+            #[inline]
+            fn sqr(self) -> $t {
+                $t::sqr(&self)
+            }
+            #[inline]
+            fn min(self, other: $t) -> $t {
+                self.min_i(&other)
+            }
+            #[inline]
+            fn max(self, other: $t) -> $t {
+                self.max_i(&other)
+            }
+        }
+    };
+}
+
+scalar_lane!(F64I);
+scalar_lane!(DdI);
 
 /// Four packed double-precision intervals — the counterpart of two AVX
 /// registers (`m256di_2`), the widest shape the vectorized kernels use —
@@ -397,25 +458,25 @@ impl LaneOps for F64Ix4 {
         F64Ix4 { cols: out }
     }
 
-    fn cmp_lt(self, other: Self) -> TBoolLanes {
-        let bk = simd::active_backend();
-        let (a, b) = (&self.cols, &other.cols);
-        let m = simd::cmp_lt_4(bk, &a.neg_lo, &a.hi, &b.neg_lo, &b.hi);
-        TBoolLanes::from_trimask(m)
+    // min/max have no packed kernel: the lanes are independent and the
+    // endpoint selections exact, so the lane loop is bit-identical to
+    // the scalar op.
+    fn min(self, other: Self) -> Self {
+        Self::from_lanes_fn(|i| self.lane(i).min_i(&other.lane(i)))
     }
 
-    fn cmp_le(self, other: Self) -> TBoolLanes {
-        let bk = simd::active_backend();
-        let (a, b) = (&self.cols, &other.cols);
-        let m = simd::cmp_le_4(bk, &a.neg_lo, &a.hi, &b.neg_lo, &b.hi);
-        TBoolLanes::from_trimask(m)
+    fn max(self, other: Self) -> Self {
+        Self::from_lanes_fn(|i| self.lane(i).max_i(&other.lane(i)))
     }
 
-    fn cmp_eq(self, other: Self) -> TBoolLanes {
-        let bk = simd::active_backend();
-        let (a, b) = (&self.cols, &other.cols);
-        let m = simd::cmp_eq_4(bk, &a.neg_lo, &a.hi, &b.neg_lo, &b.hi);
-        TBoolLanes::from_trimask(m)
+    /// One `simd::f64i_sweep_4` call for the whole sweep where the
+    /// backend has the kernel (AVX2+FMA), the group-by-group loop
+    /// elsewhere.
+    #[inline]
+    fn sweep(op: SweepOp, bank: &mut [F64Ix4], n: usize, dst: usize, a: usize, b: usize) {
+        if !simd::f64i_sweep_4(simd::active_backend(), op, bank, n, dst, a, b) {
+            sweep_groups(op, bank, n, dst, a, b);
+        }
     }
 }
 
@@ -429,10 +490,10 @@ impl LaneOps for F64Ix4 {
 /// double-double kernels of [`igen_round::simd`] on the AVX2+FMA
 /// backend: one kernel call per operation, whose validity mask names
 /// the lanes that left the scalar hot path; only those lanes are
-/// recomputed with the scalar [`DdI`] operation. On the SSE2 and
-/// portable backends (no hardware FMA for the directed products), and
-/// for every other operation, the lanes run the scalar `DdI` ops one
-/// by one. Every path is bit-identical per lane to the scalar op.
+/// recomputed with the scalar [`DdI`] operation. On the portable
+/// backend (no hardware FMA for the directed products), and for every
+/// other operation, the lanes run the scalar `DdI` ops one by one.
+/// Every path is bit-identical per lane to the scalar op.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DdIx4 {
     cols: simd::DdiCols4,
@@ -533,16 +594,12 @@ impl LaneOps for DdIx4 {
         self.map(|x| x.sqr())
     }
 
-    fn cmp_lt(self, other: Self) -> TBoolLanes {
-        TBoolLanes { vals: core::array::from_fn(|i| self.lane(i).cmp_lt(&other.lane(i))) }
+    fn min(self, other: Self) -> Self {
+        Self::from_lanes_fn(|i| self.lane(i).min_i(&other.lane(i)))
     }
 
-    fn cmp_le(self, other: Self) -> TBoolLanes {
-        TBoolLanes { vals: core::array::from_fn(|i| self.lane(i).cmp_le(&other.lane(i))) }
-    }
-
-    fn cmp_eq(self, other: Self) -> TBoolLanes {
-        TBoolLanes { vals: core::array::from_fn(|i| self.lane(i).cmp_eq(&other.lane(i))) }
+    fn max(self, other: Self) -> Self {
+        Self::from_lanes_fn(|i| self.lane(i).max_i(&other.lane(i)))
     }
 }
 

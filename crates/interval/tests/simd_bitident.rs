@@ -3,7 +3,7 @@
 //!
 //! `F64Ix4` dispatches to the packed kernels of
 //! `igen_round::simd`; this suite forces each backend in turn (portable,
-//! SSE2, AVX2+FMA where detected) and checks that every lane of every
+//! and AVX2+FMA where detected) and checks that every lane of every
 //! vector operation equals the scalar `F64I` result bit for bit —
 //! including NaN, infinite, subnormal and signed-zero endpoints, which
 //! the random generator produces and the deterministic grid guarantees.
@@ -11,9 +11,9 @@
 //! against scalar `DdI`: on AVX2+FMA they run the packed double-double
 //! kernels, elsewhere lane loops.
 //!
-//! The VM's sweep hook, `LaneOrScalar::sweep_l`, gets a proptest of its
-//! own: on AVX2+FMA `F64Ix4` runs a whole bank sweep in one
-//! `simd::f64i_sweep_4` call, and forced SSE2 and portable take the
+//! The VM's sweep hook, `LaneOps::sweep`, gets a proptest of its own:
+//! on AVX2+FMA `F64Ix4` runs a whole bank sweep in one
+//! `simd::f64i_sweep_4` call, and forced portable takes the
 //! group-by-group loop; every path must equal scalar `F64I` op by op.
 //!
 //! The backend override is process-global, so every forced section takes
@@ -21,8 +21,7 @@
 //! of it.
 
 use igen_dd::Dd;
-use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, TBool, F64I};
-use igen_kernels::{LaneOrScalar, SweepOp};
+use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, SweepOp, F64I};
 use igen_round::simd::{self, Backend};
 use igen_round::Ru;
 use proptest::prelude::*;
@@ -40,7 +39,7 @@ fn with_backend<T>(bk: Backend, f: impl FnOnce() -> T) -> T {
 }
 
 fn backends() -> Vec<Backend> {
-    [Backend::Portable, Backend::Sse2, Backend::Avx2Fma]
+    [Backend::Portable, Backend::Avx2Fma]
         .into_iter()
         .filter(|&bk| bk <= simd::detected_backend())
         .collect()
@@ -76,17 +75,10 @@ fn check_lanes(bk: Backend, a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseEr
     let want_sqrt: Vec<F64I> = (0..4).map(|i| a[i].sqrt()).collect();
     let want_abs: Vec<F64I> = (0..4).map(|i| a[i].abs()).collect();
     let want_sqr: Vec<F64I> = (0..4).map(|i| a[i].sqr()).collect();
-    let want_lt: Vec<TBool> = (0..4).map(|i| a[i].cmp_lt(&b[i])).collect();
-    let want_le: Vec<TBool> = (0..4).map(|i| a[i].cmp_le(&b[i])).collect();
-    let want_eq: Vec<TBool> = (0..4).map(|i| a[i].cmp_eq(&b[i])).collect();
-    let (got4, gotu4, gotc4) = with_backend(bk, || {
+    let (got4, gotu4) = with_backend(bk, || {
         let va = F64Ix4::from_lanes(a);
         let vb = F64Ix4::from_lanes(b);
-        (
-            (va + vb, va - vb, va * vb, va / vb, va.mul_add(vb, va)),
-            (va.sqrt(), va.abs(), va.sqr()),
-            (va.cmp_lt(vb), va.cmp_le(vb), va.cmp_eq(vb)),
-        )
+        ((va + vb, va - vb, va * vb, va / vb, va.mul_add(vb, va)), (va.sqrt(), va.abs(), va.sqr()))
     });
     for i in 0..4 {
         let ctx = format!("{bk:?} lane {i}: a={} b={}", a[i], b[i]);
@@ -98,9 +90,6 @@ fn check_lanes(bk: Backend, a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseEr
         prop_assert!(same(gotu4.0.lane(i), want_sqrt[i]), "x4 sqrt {ctx}");
         prop_assert!(same(gotu4.1.lane(i), want_abs[i]), "x4 abs {ctx}");
         prop_assert!(same(gotu4.2.lane(i), want_sqr[i]), "x4 sqr {ctx}");
-        prop_assert!(gotc4.0.lane(i) == want_lt[i], "x4 cmp_lt {ctx}");
-        prop_assert!(gotc4.1.lane(i) == want_le[i], "x4 cmp_le {ctx}");
-        prop_assert!(gotc4.2.lane(i) == want_eq[i], "x4 cmp_eq {ctx}");
     }
     Ok(())
 }
@@ -124,7 +113,7 @@ const SWEEP_REGS: usize = 4;
 const SWEEP_TILE: usize = 3;
 
 /// One sweep of `op` over a bank of `SWEEP_REGS` registers of
-/// `SWEEP_TILE` groups, through `F64Ix4`'s `sweep_l` under backend `bk`,
+/// `SWEEP_TILE` groups, through `F64Ix4`'s `sweep` under backend `bk`,
 /// against scalar `F64I` ops on the bank as it was: the `n` written
 /// groups of `dst` lane by lane, every other slot unchanged.
 fn check_sweep(
@@ -149,11 +138,11 @@ fn check_sweep(
     let kernel = with_backend(bk, || {
         let mut probe = bank.clone();
         let kernel = simd::f64i_sweep_4(bk, op, &mut probe, n, dst, a, b);
-        <F64Ix4 as LaneOrScalar<F64I>>::sweep_l(op, &mut got, n, dst, a, b);
+        F64Ix4::sweep(op, &mut got, n, dst, a, b);
         kernel
     });
-    // Only AVX2+FMA has the one-call kernel; the forced narrower
-    // backends must take the group loop.
+    // Only AVX2+FMA has the one-call kernel; forced portable must take
+    // the group loop.
     prop_assert_eq!(kernel, bk == Backend::Avx2Fma, "{:?} under {:?}", op, bk);
     for (k, v) in got.iter().enumerate() {
         for l in 0..4 {
@@ -183,7 +172,7 @@ fn check_sweep(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// `LaneOrScalar::sweep_l` on `F64Ix4` equals scalar `F64I`, for
+    /// `LaneOps::sweep` on `F64Ix4` equals scalar `F64I`, for
     /// every arithmetic op, any register aliasing and every backend.
     #[test]
     fn sweep_hook_bit_identical_all_backends(

@@ -9,7 +9,7 @@
 //! portable path incidentally. It also covers the `DdIx4` lane type on
 //! every backend: its add, sub and mul run the packed
 //! double-double kernels on AVX2+FMA (with scalar patches for flagged
-//! lanes) and lane loops on forced SSE2 and portable.
+//! lanes) and lane loops on forced portable.
 //!
 //! The backend override is process-global, so every pinned section takes
 //! a mutex; no other test in this binary touches the lane types outside
@@ -40,7 +40,7 @@ fn pinned_portable<T>(f: impl FnOnce() -> T) -> T {
 
 /// Every backend the host supports, widest last.
 fn backends() -> Vec<Backend> {
-    [Backend::Portable, Backend::Sse2, Backend::Avx2Fma]
+    [Backend::Portable, Backend::Avx2Fma]
         .into_iter()
         .filter(|&bk| bk <= simd::detected_backend())
         .collect()
@@ -89,7 +89,6 @@ fn check_portable(a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseError> {
         (
             (va + vb, va - vb, va * vb, va / vb, va.mul_add(vb, va), -va),
             (va.sqrt(), va.abs(), va.sqr()),
-            (va.cmp_lt(vb), va.cmp_le(vb), va.cmp_eq(vb)),
         )
     });
     for i in 0..4 {
@@ -103,9 +102,6 @@ fn check_portable(a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseError> {
         prop_assert!(same(got.1 .0.lane(i), a[i].sqrt()), "x4 sqrt {ctx}");
         prop_assert!(same(got.1 .1.lane(i), a[i].abs()), "x4 abs {ctx}");
         prop_assert!(same(got.1 .2.lane(i), a[i].sqr()), "x4 sqr {ctx}");
-        prop_assert!(got.2 .0.lane(i) == a[i].cmp_lt(&b[i]), "x4 cmp_lt {ctx}");
-        prop_assert!(got.2 .1.lane(i) == a[i].cmp_le(&b[i]), "x4 cmp_le {ctx}");
-        prop_assert!(got.2 .2.lane(i) == a[i].cmp_eq(&b[i]), "x4 cmp_eq {ctx}");
     }
     Ok(())
 }
@@ -224,17 +220,8 @@ fn dd_special_values() -> Vec<DdI> {
 #[test]
 fn dd_lane_ops_match_scalar_on_special_values() {
     for bk in backends() {
-        if bk != Backend::Sse2 {
-            check_dd_specials(bk);
-        }
+        check_dd_specials(bk);
     }
-}
-
-/// [`dd_lane_ops_match_scalar_on_special_values`] with SSE2 forced (the
-/// lane loop an SSE2-only host runs).
-#[test]
-fn dd_lane_ops_match_scalar_on_special_values_forced_sse2() {
-    check_dd_specials(Backend::Sse2);
 }
 
 /// Every pair of the dd special catalogue, rotated through every lane
@@ -263,10 +250,9 @@ fn check_dd_specials(bk: Backend) {
                     (
                         (va + vb, va - vb, va * vb, va.mul_add(vb, va), -va),
                         (va.sqrt(), va.abs(), va.sqr()),
-                        (va.cmp_lt(vb), va.cmp_le(vb), va.cmp_eq(vb)),
                     )
                 });
-                let ((s4, d4, p4, f4, n4), (q4, m4, r4), (lt4, le4, eq4)) = got;
+                let ((s4, d4, p4, f4, n4), (q4, m4, r4)) = got;
                 for i in 0..4 {
                     let ctx = format!("{bk} lane {i}: a={} b={}", a[i], b[i]);
                     let (ai, bi) = (a[i], b[i]);
@@ -279,9 +265,6 @@ fn check_dd_specials(bk: Backend) {
                     assert_eq!(dd_bits(&q4.lane(i)), dd_bits(&ai.sqrt()), "x4 sqrt {ctx}");
                     assert_eq!(dd_bits(&m4.lane(i)), dd_bits(&ai.abs()), "x4 abs {ctx}");
                     assert_eq!(dd_bits(&r4.lane(i)), dd_bits(&ai.sqr()), "x4 sqr {ctx}");
-                    assert_eq!(lt4.lane(i), ai.cmp_lt(&bi), "x4 cmp_lt {ctx}");
-                    assert_eq!(le4.lane(i), ai.cmp_le(&bi), "x4 cmp_le {ctx}");
-                    assert_eq!(eq4.lane(i), ai.cmp_eq(&bi), "x4 cmp_eq {ctx}");
                 }
             }
         }

@@ -29,5 +29,4 @@ pub mod workload;
 
 pub use fft::{fft, fft_iops, fft_unrolled, twiddles};
 pub use henon::{henon, henon_affine, henon_from, henon_iops};
-pub use igen_round::simd::SweepOp;
-pub use num::{LaneOrScalar, Numeric};
+pub use num::Numeric;

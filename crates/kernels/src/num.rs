@@ -9,11 +9,13 @@
 //! * `igen_baselines::{BoostI, FilibI, GaolI}` — the library baselines.
 //!
 //! This models exactly what the paper does: the same source computation
-//! compiled against different arithmetic back ends.
+//! compiled against different arithmetic back ends. [`Numeric`] is
+//! scalar only: the packed lane types and their one lane trait,
+//! `igen_interval::LaneOps`, live in `igen-interval`, and compiled
+//! programs reach them through `igen-vm`.
 
 use igen_baselines::{BoostI, FilibI, GaolI, NaiveI};
-use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, F32I, F64I};
-use igen_round::simd::{self, SweepOp};
+use igen_interval::{DdI, F32I, F64I};
 
 /// A sound (or plain) numeric type usable by the kernels.
 pub trait Numeric:
@@ -29,13 +31,6 @@ pub trait Numeric:
     + Sync
     + 'static
 {
-    /// The widest lane vector available for this element type:
-    /// [`F64Ix4`]/[`DdIx4`] for the IGen interval types, `Self` (one
-    /// lane) for everything without a packed representation. Code
-    /// written against [`LaneOrScalar`] instantiates at `T::Lane` to get
-    /// the packed path and at `T` itself to get the scalar reference.
-    type Lane: LaneOrScalar<Self>;
-
     /// Exact injection of a binary64 value (a point, for interval types).
     fn from_f64(v: f64) -> Self;
 
@@ -103,207 +98,7 @@ pub trait Numeric:
     fn certified_bits_n(&self) -> f64;
 }
 
-/// One instruction loop, two instantiations: a value that is either a
-/// single [`Numeric`] element (`WIDTH == 1`) or a packed lane vector of
-/// `WIDTH` elements. The bytecode VM's tile executor (`igen_vm::run_tile`)
-/// is written once against this trait; at `L = T` it runs the scalar
-/// tail, and at `L = T::Lane` every lane executes exactly that scalar
-/// operation sequence on its own item — which, with the packed
-/// `igen_round::simd` kernels being lane-wise bit-identical to the
-/// scalar ops, makes the two instantiations bit-identical element for
-/// element.
-pub trait LaneOrScalar<T: Numeric>:
-    Copy
-    + core::ops::Add<Output = Self>
-    + core::ops::Sub<Output = Self>
-    + core::ops::Mul<Output = Self>
-    + core::ops::Div<Output = Self>
-    + core::ops::Neg<Output = Self>
-    + Send
-    + Sync
-{
-    /// Elements per value (1 for the scalar instantiation).
-    const WIDTH: usize;
-
-    /// Broadcasts one element to every lane.
-    fn splat_l(v: T) -> Self;
-
-    /// Builds a value lane by lane from `f(0), .., f(WIDTH - 1)`.
-    fn from_fn_l(f: impl FnMut(usize) -> T) -> Self;
-
-    /// The `i`-th element (`i < WIDTH`).
-    fn lane_l(self, i: usize) -> T;
-
-    /// Per-lane square root.
-    #[must_use]
-    fn sqrt_l(self) -> Self;
-
-    /// Per-lane absolute value.
-    #[must_use]
-    fn abs_l(self) -> Self;
-
-    /// Per-lane square (the sign-tracking kernel where one exists).
-    #[must_use]
-    fn sqr_l(self) -> Self;
-
-    /// Per-lane pointwise minimum.
-    #[must_use]
-    fn min_l(self, other: Self) -> Self;
-
-    /// Per-lane pointwise maximum.
-    #[must_use]
-    fn max_l(self, other: Self) -> Self;
-
-    /// Runs the arithmetic `op` over groups `0..n` of a register bank:
-    /// group `g` reads `bank[a + g]` and `bank[b + g]` (and the
-    /// accumulator's) and writes `bank[dst + g]`, reading its sources
-    /// before writing, so a destination may alias any source. Every
-    /// group gets exactly the bits of the value ops (`z + x * y` for
-    /// `MulAdd`). The default runs the value ops group by group; a lane
-    /// type with a whole-sweep kernel overrides it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a range runs past the end of `bank`.
-    #[inline(always)]
-    fn sweep_l(op: SweepOp, bank: &mut [Self], n: usize, dst: usize, a: usize, b: usize) {
-        sweep_groups(op, bank, n, dst, a, b);
-    }
-}
-
-/// The group-by-group sweep behind [`LaneOrScalar::sweep_l`]: one value
-/// op per group, with the op matched once per sweep rather than once
-/// per group.
-#[inline(always)]
-fn sweep_groups<L>(op: SweepOp, bank: &mut [L], n: usize, dst: usize, a: usize, b: usize)
-where
-    L: Copy + core::ops::Add<Output = L> + core::ops::Sub<Output = L> + core::ops::Mul<Output = L>,
-{
-    let acc = match op {
-        SweepOp::MulAdd { acc } | SweepOp::MulSub { acc } => acc,
-        SweepOp::Add | SweepOp::Sub | SweepOp::Mul => dst,
-    };
-    // One bounds proof up front lets the inner loops run unchecked.
-    let len = bank.len();
-    assert!(dst + n <= len && a + n <= len && b + n <= len && acc + n <= len);
-    match op {
-        SweepOp::Add => (0..n).for_each(|g| bank[dst + g] = bank[a + g] + bank[b + g]),
-        SweepOp::Sub => (0..n).for_each(|g| bank[dst + g] = bank[a + g] - bank[b + g]),
-        SweepOp::Mul => (0..n).for_each(|g| bank[dst + g] = bank[a + g] * bank[b + g]),
-        SweepOp::MulAdd { .. } => {
-            (0..n).for_each(|g| bank[dst + g] = bank[acc + g] + bank[a + g] * bank[b + g])
-        }
-        SweepOp::MulSub { .. } => {
-            (0..n).for_each(|g| bank[dst + g] = bank[acc + g] - bank[a + g] * bank[b + g])
-        }
-    }
-}
-
-/// Every numeric element is itself a 1-wide "lane vector": the scalar
-/// instantiation.
-impl<T: Numeric> LaneOrScalar<T> for T {
-    const WIDTH: usize = 1;
-
-    fn splat_l(v: T) -> T {
-        v
-    }
-    fn from_fn_l(mut f: impl FnMut(usize) -> T) -> T {
-        f(0)
-    }
-    fn lane_l(self, i: usize) -> T {
-        debug_assert!(i == 0, "scalar LaneOrScalar has exactly one lane, got index {i}");
-        self
-    }
-    fn sqrt_l(self) -> T {
-        self.sqrt_n()
-    }
-    fn abs_l(self) -> T {
-        self.abs_n()
-    }
-    fn sqr_l(self) -> T {
-        self.sqr_n()
-    }
-    fn min_l(self, other: T) -> T {
-        self.min_n(other)
-    }
-    fn max_l(self, other: T) -> T {
-        self.max_n(other)
-    }
-}
-
-impl LaneOrScalar<F64I> for F64Ix4 {
-    const WIDTH: usize = 4;
-
-    fn splat_l(v: F64I) -> F64Ix4 {
-        <F64Ix4 as LaneOps>::splat(v)
-    }
-    fn from_fn_l(f: impl FnMut(usize) -> F64I) -> F64Ix4 {
-        <F64Ix4 as LaneOps>::from_lanes_fn(f)
-    }
-    fn lane_l(self, i: usize) -> F64I {
-        <F64Ix4 as LaneOps>::lane(&self, i)
-    }
-    fn sqrt_l(self) -> F64Ix4 {
-        <F64Ix4 as LaneOps>::sqrt(self)
-    }
-    fn abs_l(self) -> F64Ix4 {
-        <F64Ix4 as LaneOps>::abs(self)
-    }
-    fn sqr_l(self) -> F64Ix4 {
-        <F64Ix4 as LaneOps>::sqr(self)
-    }
-    // min/max have no packed kernel: the lanes are independent and the
-    // endpoint selections exact, so the lane-wise loop is bit-identical
-    // to the scalar instantiation.
-    fn min_l(self, other: F64Ix4) -> F64Ix4 {
-        <F64Ix4 as LaneOps>::from_lanes_fn(|i| self.lane_l(i).min_i(&other.lane_l(i)))
-    }
-    fn max_l(self, other: F64Ix4) -> F64Ix4 {
-        <F64Ix4 as LaneOps>::from_lanes_fn(|i| self.lane_l(i).max_i(&other.lane_l(i)))
-    }
-    /// One `simd::f64i_sweep_4` call for the whole sweep where the
-    /// backend has the kernel (AVX2+FMA), the group-by-group loop
-    /// elsewhere.
-    #[inline]
-    fn sweep_l(op: SweepOp, bank: &mut [F64Ix4], n: usize, dst: usize, a: usize, b: usize) {
-        if !simd::f64i_sweep_4(simd::active_backend(), op, bank, n, dst, a, b) {
-            sweep_groups(op, bank, n, dst, a, b);
-        }
-    }
-}
-
-impl LaneOrScalar<DdI> for DdIx4 {
-    const WIDTH: usize = 4;
-
-    fn splat_l(v: DdI) -> DdIx4 {
-        <DdIx4 as LaneOps>::splat(v)
-    }
-    fn from_fn_l(f: impl FnMut(usize) -> DdI) -> DdIx4 {
-        <DdIx4 as LaneOps>::from_lanes_fn(f)
-    }
-    fn lane_l(self, i: usize) -> DdI {
-        <DdIx4 as LaneOps>::lane(&self, i)
-    }
-    fn sqrt_l(self) -> DdIx4 {
-        <DdIx4 as LaneOps>::sqrt(self)
-    }
-    fn abs_l(self) -> DdIx4 {
-        <DdIx4 as LaneOps>::abs(self)
-    }
-    fn sqr_l(self) -> DdIx4 {
-        <DdIx4 as LaneOps>::sqr(self)
-    }
-    fn min_l(self, other: DdIx4) -> DdIx4 {
-        <DdIx4 as LaneOps>::from_lanes_fn(|i| self.lane_l(i).min_i(&other.lane_l(i)))
-    }
-    fn max_l(self, other: DdIx4) -> DdIx4 {
-        <DdIx4 as LaneOps>::from_lanes_fn(|i| self.lane_l(i).max_i(&other.lane_l(i)))
-    }
-}
-
 impl Numeric for f64 {
-    type Lane = f64;
-
     fn from_f64(v: f64) -> f64 {
         v
     }
@@ -337,8 +132,6 @@ impl Numeric for f64 {
 }
 
 impl Numeric for F64I {
-    type Lane = F64Ix4;
-
     fn from_f64(v: f64) -> F64I {
         F64I::point(v)
     }
@@ -383,8 +176,6 @@ impl Numeric for F64I {
 }
 
 impl Numeric for DdI {
-    type Lane = DdIx4;
-
     fn from_f64(v: f64) -> DdI {
         DdI::point_f64(v)
     }
@@ -429,8 +220,6 @@ impl Numeric for DdI {
 }
 
 impl Numeric for F32I {
-    type Lane = F32I;
-
     fn from_f64(v: f64) -> F32I {
         F32I::enclose_f64(v)
     }
@@ -463,8 +252,6 @@ impl Numeric for F32I {
 }
 
 impl Numeric for NaiveI {
-    type Lane = NaiveI;
-
     fn from_f64(v: f64) -> NaiveI {
         NaiveI::point(v)
     }
@@ -502,8 +289,6 @@ impl Numeric for NaiveI {
 }
 
 impl Numeric for BoostI {
-    type Lane = BoostI;
-
     fn from_f64(v: f64) -> BoostI {
         BoostI::point(v)
     }
@@ -541,8 +326,6 @@ impl Numeric for BoostI {
 }
 
 impl Numeric for FilibI {
-    type Lane = FilibI;
-
     fn from_f64(v: f64) -> FilibI {
         FilibI::point(v)
     }
@@ -580,8 +363,6 @@ impl Numeric for FilibI {
 }
 
 impl Numeric for GaolI {
-    type Lane = GaolI;
-
     fn from_f64(v: f64) -> GaolI {
         GaolI::point(v)
     }

@@ -37,48 +37,6 @@ pub fn fast_two_sum(a: f64, b: f64) -> (f64, f64) {
     (s, b - z)
 }
 
-/// Veltkamp splitting of `x` into high and low parts `(h, l)` with
-/// `x = h + l` exactly and both halves having at most 26 significant bits.
-///
-/// Used by multiplication EFTs on targets without FMA; retained here because
-/// the generated C runtime of IGen uses the same splitting.
-#[inline(always)]
-pub fn split(x: f64) -> (f64, f64) {
-    const FACTOR: f64 = 134_217_729.0; // 2^27 + 1
-    let c = FACTOR * x;
-    let h = c - (c - x);
-    (h, x - h)
-}
-
-/// TwoProd via Dekker's splitting: returns `(p, e)` with `p = RN(a * b)`
-/// and `p + e = a * b` *exactly*, without using an FMA.
-///
-/// Exactness holds when no intermediate over- or underflows: sufficient
-/// conditions are `|a|, |b| <= 2^996` with `|a * b| <= 2^1021` (so the
-/// Veltkamp splits and the partial products do not overflow) and
-/// `|a * b| >= 2^-967` with `|a|, |b| >= 2^-480` (so the partial
-/// products keep all their bits, even when subnormal). This is
-/// the classical pre-FMA path of the paper's generated runtime; the
-/// packed SSE2 kernels in [`crate::simd`] use it lane-wise under exactly
-/// these guards, and the test suite pins it bit-equal to [`two_prod`] on
-/// the shared validity range so the FMA fast path can never silently
-/// diverge.
-///
-/// # Example
-///
-/// ```
-/// use igen_round::{two_prod, two_prod_dekker};
-/// assert_eq!(two_prod_dekker(0.1, 0.1), two_prod(0.1, 0.1));
-/// ```
-#[inline(always)]
-pub fn two_prod_dekker(a: f64, b: f64) -> (f64, f64) {
-    let p = a * b;
-    let (ah, al) = split(a);
-    let (bh, bl) = split(b);
-    let e = ((ah * bh - p) + ah * bl + al * bh) + al * bl;
-    (p, e)
-}
-
 /// TwoProd via FMA: returns `(p, e)` with `p = RN(a * b)` and
 /// `p + e = a * b` *exactly*, provided `a * b` neither overflows nor falls
 /// into the subnormal range.
@@ -135,17 +93,6 @@ mod tests {
         for (a, b) in cases {
             assert!(a.abs() >= b.abs());
             assert_eq!(fast_two_sum(a, b), two_sum(a, b), "({a}, {b})");
-        }
-    }
-
-    #[test]
-    fn split_halves_recompose() {
-        for &x in &[std::f64::consts::PI, 1.0 / 3.0, 12345.6789, -1e-7] {
-            let (h, l) = split(x);
-            assert_eq!(h + l, x);
-            // Both halves fit in 26 bits plus sign: squaring must be exact.
-            assert_eq!(h * h - h * h, 0.0);
-            assert!(l.abs() <= h.abs() * (1.0 / 67_108_864.0) + f64::MIN_POSITIVE);
         }
     }
 

@@ -43,7 +43,7 @@ mod ops;
 pub mod simd;
 mod ulp;
 
-pub use eft::{fast_two_sum, split, two_prod, two_prod_dekker, two_sum};
+pub use eft::{fast_two_sum, two_prod, two_sum};
 pub use ops::{
     add_rd, add_ru, div_rd, div_ru, div_ru_both, fma_rd, fma_ru, mul_rd, mul_ru, mul_ru_both,
     sqrt_rd, sqrt_ru, sub_rd, sub_ru,

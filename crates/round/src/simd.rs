@@ -14,13 +14,10 @@
 //! * [`Backend::Avx2Fma`] — one 256-bit register per column, FMA-based
 //!   `two_prod` residuals (`vfmsub`), AVX2 integer ops for the
 //!   branch-free one-ulp bump.
-//! * [`Backend::Sse2`] — two 128-bit registers per column (SSE2 is the
-//!   x86-64 baseline, always available there). Product residuals use
-//!   Dekker's FMA-free `two_prod` ([`crate::two_prod_dekker`]) with
-//!   magnitude guards that keep the splitting exact.
 //! * [`Backend::Portable`] — straight lane loops over the scalar
-//!   kernels, the only backend on non-x86-64 targets and the reference
-//!   the property tests pin the packed paths against.
+//!   kernels: the backend of every host without AVX2 and FMA (all
+//!   non-x86-64 targets, and x86-64 CPUs before Haswell), and the
+//!   reference the property tests pin the packed path against.
 //!
 //! # Bit-identity contract
 //!
@@ -33,7 +30,7 @@
 //!    the scalar hot path, lane-wise (packed and scalar IEEE ops are both
 //!    correctly rounded, hence bit-equal);
 //! 2. a packed validity mask re-checks the scalar hot path's guard
-//!    conditions (plus, on the Dekker path, the split-exactness bounds);
+//!    conditions;
 //! 3. lanes whose guard fails — rare by construction — are recomputed by
 //!    calling the scalar kernel itself, cold paths included. The f64
 //!    interval kernels first settle in registers the slow-path cases
@@ -54,8 +51,8 @@
 //! fused multiply-accumulates over `n` groups of a register bank in one
 //! call — one VM instruction over a tile — on the same bodies, so the
 //! backend clamp and the call are paid once per sweep instead of once
-//! per primitive per group. Other backends keep the composition of
-//! column primitives, one group at a time.
+//! per primitive per group. The portable backend keeps the composition
+//! of column primitives, one group at a time.
 
 use core::sync::atomic::{AtomicU8, Ordering};
 
@@ -70,7 +67,6 @@ pub(crate) mod tel {
     use igen_telemetry::Counter;
 
     pub static DISPATCH_AVX2: Counter = Counter::new("simd.dispatch.avx2_fma");
-    pub static DISPATCH_SSE2: Counter = Counter::new("simd.dispatch.sse2");
     pub static DISPATCH_PORTABLE: Counter = Counter::new("simd.dispatch.portable");
     pub static ADD_PACKED: Counter = Counter::new("simd.add.packed_calls");
     pub static ADD_PATCHED: Counter = Counter::new("simd.add.lanes_patched");
@@ -84,8 +80,6 @@ pub(crate) mod tel {
     pub static SQR_PACKED: Counter = Counter::new("simd.sqr.packed_calls");
     pub static SQR_PATCHED: Counter = Counter::new("simd.sqr.lanes_patched");
     pub static ABS_PACKED: Counter = Counter::new("simd.abs.packed_calls");
-    pub static CMP_PACKED: Counter = Counter::new("simd.cmp.packed_calls");
-    pub static CMP_PATCHED: Counter = Counter::new("simd.cmp.lanes_patched");
     pub static DD_ADD_PACKED: Counter = Counter::new("simd.dd_add.packed_calls");
     pub static DD_ADD_PATCHED: Counter = Counter::new("simd.dd_add.lanes_patched");
     pub static DD_MUL_PACKED: Counter = Counter::new("simd.dd_mul.packed_calls");
@@ -99,19 +93,17 @@ fn note_dispatch(bk: Backend, op_calls: &'static Counter) {
     op_calls.inc();
     match bk {
         Backend::Avx2Fma => tel::DISPATCH_AVX2.inc(),
-        Backend::Sse2 => tel::DISPATCH_SSE2.inc(),
         Backend::Portable => tel::DISPATCH_PORTABLE.inc(),
     }
 }
 
 /// A packed-kernel implementation level, ordered from narrowest to
-/// widest. `Backend::Sse2 < Backend::Avx2Fma`.
+/// widest: `Backend::Portable < Backend::Avx2Fma`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Backend {
-    /// Scalar lane loops (always available; the only level off x86-64).
+    /// Scalar lane loops (always available; the only level on hosts
+    /// without AVX2 and FMA).
     Portable,
-    /// Packed 128-bit kernels, FMA-free (x86-64 baseline).
-    Sse2,
     /// Packed 256-bit kernels using AVX2 integer ops and FMA residuals.
     Avx2Fma,
 }
@@ -120,8 +112,7 @@ impl Backend {
     fn from_tag(tag: u8) -> Option<Backend> {
         match tag {
             1 => Some(Backend::Portable),
-            2 => Some(Backend::Sse2),
-            3 => Some(Backend::Avx2Fma),
+            2 => Some(Backend::Avx2Fma),
             _ => None,
         }
     }
@@ -129,8 +120,7 @@ impl Backend {
     fn tag(self) -> u8 {
         match self {
             Backend::Portable => 1,
-            Backend::Sse2 => 2,
-            Backend::Avx2Fma => 3,
+            Backend::Avx2Fma => 2,
         }
     }
 }
@@ -139,7 +129,6 @@ impl core::fmt::Display for Backend {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(match self {
             Backend::Portable => "portable",
-            Backend::Sse2 => "sse2",
             Backend::Avx2Fma => "avx2+fma",
         })
     }
@@ -166,7 +155,7 @@ fn probe() -> Backend {
     if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
         Backend::Avx2Fma
     } else {
-        Backend::Sse2
+        Backend::Portable
     }
 }
 
@@ -235,9 +224,6 @@ pub fn add_ru_4(bk: Backend, a: &[f64; 4], b: &[f64; 4]) -> [f64; 4] {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
         Backend::Avx2Fma => unsafe { x86::add_ru_4_avx2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-        Backend::Sse2 => unsafe { x86::add_ru_4_sse2(a, b) },
         _ => core::array::from_fn(|i| crate::add_ru(a[i], b[i])),
     }
 }
@@ -252,9 +238,6 @@ pub fn mul_ru_both_4(bk: Backend, a: &[f64; 4], b: &[f64; 4]) -> ([f64; 4], [f64
         #[cfg(target_arch = "x86_64")]
         // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
         Backend::Avx2Fma => unsafe { x86::mul_ru_both_4_avx2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-        Backend::Sse2 => unsafe { x86::mul_ru_both_4_sse2(a, b) },
         _ => {
             let mut hi = [0.0; 4];
             let mut lo = [0.0; 4];
@@ -276,9 +259,6 @@ pub fn div_ru_both_4(bk: Backend, a: &[f64; 4], b: &[f64; 4]) -> ([f64; 4], [f64
         #[cfg(target_arch = "x86_64")]
         // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
         Backend::Avx2Fma => unsafe { x86::div_ru_both_4_avx2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-        Backend::Sse2 => unsafe { x86::div_ru_both_4_sse2(a, b) },
         _ => {
             let mut hi = [0.0; 4];
             let mut lo = [0.0; 4];
@@ -300,9 +280,6 @@ pub fn max_nan_4(bk: Backend, a: &[f64; 4], b: &[f64; 4]) -> [f64; 4] {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
         Backend::Avx2Fma => unsafe { x86::max_nan_4_avx2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-        Backend::Sse2 => unsafe { x86::max_nan_4_sse2(a, b) },
         _ => core::array::from_fn(|i| max_nan(a[i], b[i])),
     }
 }
@@ -318,9 +295,6 @@ pub fn sqrt_ru_4(bk: Backend, a: &[f64; 4]) -> [f64; 4] {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
         Backend::Avx2Fma => unsafe { x86::sqrt_ru_4_avx2(a) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-        Backend::Sse2 => unsafe { x86::sqrt_ru_4_sse2(a) },
         _ => core::array::from_fn(|i| crate::sqrt_ru(a[i])),
     }
 }
@@ -334,9 +308,6 @@ pub fn sqrt_rd_4(bk: Backend, a: &[f64; 4]) -> [f64; 4] {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
         Backend::Avx2Fma => unsafe { x86::sqrt_rd_4_avx2(a) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-        Backend::Sse2 => unsafe { x86::sqrt_rd_4_sse2(a) },
         _ => core::array::from_fn(|i| crate::sqrt_rd(a[i])),
     }
 }
@@ -356,9 +327,6 @@ pub fn sqr_ru_both_4(bk: Backend, a: &[f64; 4]) -> ([f64; 4], [f64; 4]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
         Backend::Avx2Fma => unsafe { x86::sqr_ru_both_4_avx2(a) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-        Backend::Sse2 => unsafe { x86::sqr_ru_both_4_sse2(a) },
         _ => {
             let mut hi = [0.0; 4];
             let mut lo = [0.0; 4];
@@ -395,8 +363,8 @@ pub struct DdiCols4 {
 /// IEEE operation sequence.
 ///
 /// Returns `None` when `bk` has no packed double-double kernel
-/// (`Sse2` and `Portable` lack the hardware FMA the directed products
-/// need; the caller evaluates its lanes with the scalar op). Otherwise
+/// (`Portable` has no hardware FMA for the directed products; the
+/// caller evaluates its lanes with the scalar op). Otherwise
 /// returns the result columns and a validity mask: bit `i` set means
 /// lane `i` passed every guard of the scalar hot path, so its bits are
 /// the scalar op's; a clear bit means the lane left the hot path
@@ -493,7 +461,8 @@ pub fn mul_cols(a_neg_lo: f64, a_hi: f64, b_neg_lo: f64, b_hi: f64) -> (f64, f64
 ///
 /// On AVX2+FMA the whole op runs in registers: two TwoSum-and-bump
 /// columns and one validity mask; lanes the mask flags are recomputed
-/// with [`add_cols`]. Other backends run [`add_ru_4`] on each column.
+/// with [`add_cols`]. The portable backend runs [`add_ru_4`] on each
+/// column.
 pub fn f64i_add_4(bk: Backend, a: &F64iCols4, b: &F64iCols4) -> F64iCols4 {
     match clamp(bk) {
         #[cfg(target_arch = "x86_64")]
@@ -513,8 +482,9 @@ pub fn f64i_add_4(bk: Backend, a: &F64iCols4, b: &F64iCols4) -> F64iCols4 {
 ///
 /// On AVX2+FMA the whole op runs in registers: the four `mul_ru_both`
 /// cores and the six selections, with one validity mask; lanes the mask
-/// flags are recomputed with [`mul_cols`]. Other backends compose four
-/// [`mul_ru_both_4`] and six [`max_nan_4`] calls in the scalar order.
+/// flags are recomputed with [`mul_cols`]. The portable backend composes
+/// four [`mul_ru_both_4`] and six [`max_nan_4`] calls in the scalar
+/// order.
 pub fn f64i_mul_4(bk: Backend, a: &F64iCols4, b: &F64iCols4) -> F64iCols4 {
     match clamp(bk) {
         #[cfg(target_arch = "x86_64")]
@@ -647,9 +617,6 @@ pub fn abs_4(bk: Backend, neg_lo: &[f64; 4], hi: &[f64; 4]) -> ([f64; 4], [f64; 
         #[cfg(target_arch = "x86_64")]
         // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
         Backend::Avx2Fma => unsafe { x86::abs_4_avx2(neg_lo, hi) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-        Backend::Sse2 => unsafe { x86::abs_4_sse2(neg_lo, hi) },
         _ => {
             let mut out_n = [0.0; 4];
             let mut out_h = [0.0; 4];
@@ -661,220 +628,14 @@ pub fn abs_4(bk: Backend, neg_lo: &[f64; 4], hi: &[f64; 4]) -> ([f64; 4], [f64; 
     }
 }
 
-/// Tri-state result of a packed 4-lane interval comparison: per lane
-/// *certainly true*, *certainly false*, or *unknown* (overlapping
-/// intervals, or a NaN endpoint). This is the branch-free lane-mask form
-/// of the interval layer's three-valued booleans; the two masks are kept
-/// disjoint with *true* taking priority, matching the scalar `if`/`else
-/// if` decision order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TriMask4 {
-    true_mask: u8,
-    false_mask: u8,
-}
-
-impl TriMask4 {
-    /// Builds the mask pair from 4-bit lane masks; `true` wins where both
-    /// bits are set (the scalar references test the *true* condition
-    /// first).
-    pub(crate) fn new(true_mask: u8, false_mask: u8) -> TriMask4 {
-        let t = true_mask & 0xf;
-        TriMask4 { true_mask: t, false_mask: false_mask & 0xf & !t }
-    }
-
-    /// The lane verdict: `Some(true)`, `Some(false)`, or `None` (unknown).
-    #[must_use]
-    pub fn lane(self, i: usize) -> Option<bool> {
-        assert!(i < 4, "TriMask4 lane index {i} out of range (4 lanes)");
-        if self.true_mask >> i & 1 == 1 {
-            Some(true)
-        } else if self.false_mask >> i & 1 == 1 {
-            Some(false)
-        } else {
-            None
-        }
-    }
-
-    /// True if lane `i` is certainly true.
-    #[must_use]
-    pub fn is_true(self, i: usize) -> bool {
-        self.lane(i) == Some(true)
-    }
-
-    /// True if lane `i` is certainly false.
-    #[must_use]
-    pub fn is_false(self, i: usize) -> bool {
-        self.lane(i) == Some(false)
-    }
-
-    /// True if lane `i` is undecided.
-    #[must_use]
-    pub fn is_unknown(self, i: usize) -> bool {
-        self.lane(i).is_none()
-    }
-}
-
-/// Scalar reference for [`cmp_lt_4`]: `a < b` on raw `(neg_lo, hi)`
-/// endpoint pairs. `Some(true)` when every point of `a` is below every
-/// point of `b`, `Some(false)` when none is, `None` otherwise (overlap or
-/// NaN). Mirrors `F64I::cmp_lt` with `True/False/Unknown` mapped to
-/// `Some(true)/Some(false)/None`.
-pub fn cmp_lt_cols(a_neg_lo: f64, a_hi: f64, b_neg_lo: f64, b_hi: f64) -> Option<bool> {
-    if a_neg_lo.is_nan() || a_hi.is_nan() || b_neg_lo.is_nan() || b_hi.is_nan() {
-        None
-    } else if a_hi < -b_neg_lo {
-        Some(true)
-    } else if -a_neg_lo >= b_hi {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Scalar reference for [`cmp_le_4`]: `a <= b` (see [`cmp_lt_cols`]).
-pub fn cmp_le_cols(a_neg_lo: f64, a_hi: f64, b_neg_lo: f64, b_hi: f64) -> Option<bool> {
-    if a_neg_lo.is_nan() || a_hi.is_nan() || b_neg_lo.is_nan() || b_hi.is_nan() {
-        None
-    } else if a_hi <= -b_neg_lo {
-        Some(true)
-    } else if -a_neg_lo > b_hi {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Scalar reference for [`cmp_eq_4`]: point equality — `Some(true)` only
-/// when both intervals are the same single point, `Some(false)` when they
-/// are disjoint (see [`cmp_lt_cols`]).
-pub fn cmp_eq_cols(a_neg_lo: f64, a_hi: f64, b_neg_lo: f64, b_hi: f64) -> Option<bool> {
-    if a_neg_lo.is_nan() || a_hi.is_nan() || b_neg_lo.is_nan() || b_hi.is_nan() {
-        None
-    } else if -a_neg_lo == a_hi && -b_neg_lo == b_hi && a_hi == b_hi {
-        Some(true)
-    } else if a_hi < -b_neg_lo || b_hi < -a_neg_lo {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Packed interval `a < b` on raw endpoint columns: lane-wise
-/// [`cmp_lt_cols`], identical verdict in every lane. The comparisons are
-/// exact (no rounding), so there is no recompute patch; lanes holding a
-/// NaN endpoint are resolved by the packed NaN screen and counted under
-/// `simd.cmp.lanes_patched` (the special-lane analogue of the arithmetic
-/// kernels' guard failures).
-pub fn cmp_lt_4(
-    bk: Backend,
-    a_neg_lo: &[f64; 4],
-    a_hi: &[f64; 4],
-    b_neg_lo: &[f64; 4],
-    b_hi: &[f64; 4],
-) -> TriMask4 {
-    let bk = clamp(bk);
-    note_dispatch(bk, &tel::CMP_PACKED);
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
-        Backend::Avx2Fma => unsafe { x86::cmp_lt_4_avx2(a_neg_lo, a_hi, b_neg_lo, b_hi) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-        Backend::Sse2 => unsafe { x86::cmp_lt_4_sse2(a_neg_lo, a_hi, b_neg_lo, b_hi) },
-        _ => cmp_cols_portable(a_neg_lo, a_hi, b_neg_lo, b_hi, cmp_lt_cols),
-    }
-}
-
-/// Packed interval `a <= b` on raw endpoint columns: lane-wise
-/// [`cmp_le_cols`] (see [`cmp_lt_4`]).
-pub fn cmp_le_4(
-    bk: Backend,
-    a_neg_lo: &[f64; 4],
-    a_hi: &[f64; 4],
-    b_neg_lo: &[f64; 4],
-    b_hi: &[f64; 4],
-) -> TriMask4 {
-    let bk = clamp(bk);
-    note_dispatch(bk, &tel::CMP_PACKED);
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
-        Backend::Avx2Fma => unsafe { x86::cmp_le_4_avx2(a_neg_lo, a_hi, b_neg_lo, b_hi) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-        Backend::Sse2 => unsafe { x86::cmp_le_4_sse2(a_neg_lo, a_hi, b_neg_lo, b_hi) },
-        _ => cmp_cols_portable(a_neg_lo, a_hi, b_neg_lo, b_hi, cmp_le_cols),
-    }
-}
-
-/// Packed interval point equality on raw endpoint columns: lane-wise
-/// [`cmp_eq_cols`] (see [`cmp_lt_4`]).
-pub fn cmp_eq_4(
-    bk: Backend,
-    a_neg_lo: &[f64; 4],
-    a_hi: &[f64; 4],
-    b_neg_lo: &[f64; 4],
-    b_hi: &[f64; 4],
-) -> TriMask4 {
-    let bk = clamp(bk);
-    note_dispatch(bk, &tel::CMP_PACKED);
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
-        Backend::Avx2Fma => unsafe { x86::cmp_eq_4_avx2(a_neg_lo, a_hi, b_neg_lo, b_hi) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-        Backend::Sse2 => unsafe { x86::cmp_eq_4_sse2(a_neg_lo, a_hi, b_neg_lo, b_hi) },
-        _ => cmp_cols_portable(a_neg_lo, a_hi, b_neg_lo, b_hi, cmp_eq_cols),
-    }
-}
-
-/// Shared portable lane loop for the packed comparisons.
-fn cmp_cols_portable(
-    a_neg_lo: &[f64; 4],
-    a_hi: &[f64; 4],
-    b_neg_lo: &[f64; 4],
-    b_hi: &[f64; 4],
-    op: fn(f64, f64, f64, f64) -> Option<bool>,
-) -> TriMask4 {
-    let mut t = 0u8;
-    let mut f = 0u8;
-    for i in 0..4 {
-        match op(a_neg_lo[i], a_hi[i], b_neg_lo[i], b_hi[i]) {
-            Some(true) => t |= 1 << i,
-            Some(false) => f |= 1 << i,
-            None => {}
-        }
-    }
-    TriMask4::new(t, f)
-}
-
-/// Largest operand magnitude for which Veltkamp splitting cannot
-/// overflow: `2^996` (the split multiplies by `2^27 + 1`).
-pub(crate) const DEKKER_OP_MAX: f64 = f64::from_bits((1023 + 996) << 52);
-
-/// Smallest operand magnitude the Dekker product path accepts: `2^-480`.
-/// With both operands at least this large the partial products carry at
-/// most 53 significant bits above `2^-1064`, so they are exact even when
-/// subnormal and the FMA-free residual equals the FMA residual bit for
-/// bit.
-pub(crate) const DEKKER_OP_MIN: f64 = f64::from_bits((1023 - 480) << 52);
-
-/// Largest rounded-product magnitude the Dekker path accepts: `2^1021`.
-/// The high partial product `ah*bh` can exceed `|a*b|` by a couple of
-/// ulps of the split halves; capping `|RN(a*b)|` three binades below
-/// overflow guarantees every partial product stays finite.
-pub(crate) const DEKKER_PROD_MAX: f64 = f64::from_bits((1023 + 1021) << 52);
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The packed x86-64 kernel bodies. Everything here is `unsafe fn`:
-    //! the AVX2+FMA functions require those CPU features (enforced by the
-    //! dispatchers via `clamp`), the SSE2 ones only the x86-64 baseline.
+    //! they require AVX2 and FMA, which the dispatchers enforce via
+    //! `clamp`.
 
     use super::{
-        DdiCols4, F64iCols4, SweepOp, TriMask4, DEKKER_OP_MAX, DEKKER_OP_MIN, DEKKER_PROD_MAX,
-        DIV_EXACT_MIN_A, FMA_RESIDUAL_EXACT_MIN, SQRT_EXACT_MIN_A,
+        DdiCols4, F64iCols4, SweepOp, DIV_EXACT_MIN_A, FMA_RESIDUAL_EXACT_MIN, SQRT_EXACT_MIN_A,
     };
     use core::arch::x86_64::*;
 
@@ -1164,87 +925,6 @@ mod x86 {
         _mm256_storeu_pd(res_n.as_mut_ptr(), _mm256_blendv_pd(out_n, nanv, unord));
         _mm256_storeu_pd(res_h.as_mut_ptr(), _mm256_blendv_pd(out_h, nanv, unord));
         (res_n, res_h)
-    }
-
-    /// NaN screen for the packed comparisons: lanes where either interval
-    /// carries a NaN endpoint (counted as patched special lanes).
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn cmp_nan_256(anl: __m256d, ah: __m256d, bnl: __m256d, bh: __m256d) -> __m256d {
-        _mm256_or_pd(_mm256_cmp_pd::<_CMP_UNORD_Q>(anl, ah), _mm256_cmp_pd::<_CMP_UNORD_Q>(bnl, bh))
-    }
-
-    /// Folds packed true/false/nan lane masks into a [`TriMask4`], noting
-    /// the NaN-screened lanes under the comparison patch counter.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn trimask(t: __m256d, f: __m256d, nan: __m256d) -> TriMask4 {
-        let nm = _mm256_movemask_pd(nan);
-        if nm != 0 {
-            note_patched(&super::tel::CMP_PATCHED, !nm);
-        }
-        TriMask4::new(
-            (_mm256_movemask_pd(_mm256_andnot_pd(nan, t)) & ALL4) as u8,
-            (_mm256_movemask_pd(_mm256_andnot_pd(nan, f)) & ALL4) as u8,
-        )
-    }
-
-    /// Packed `a < b` on raw endpoint columns (lane-wise `cmp_lt_cols`).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn cmp_lt_4_avx2(
-        anl: &[f64; 4],
-        ah: &[f64; 4],
-        bnl: &[f64; 4],
-        bh: &[f64; 4],
-    ) -> TriMask4 {
-        let vanl = _mm256_loadu_pd(anl.as_ptr());
-        let vah = _mm256_loadu_pd(ah.as_ptr());
-        let vbnl = _mm256_loadu_pd(bnl.as_ptr());
-        let vbh = _mm256_loadu_pd(bh.as_ptr());
-        let t = _mm256_cmp_pd::<_CMP_LT_OQ>(vah, neg_256(vbnl)); // a.hi < b.lo
-        let f = _mm256_cmp_pd::<_CMP_GE_OQ>(neg_256(vanl), vbh); // a.lo >= b.hi
-        trimask(t, f, cmp_nan_256(vanl, vah, vbnl, vbh))
-    }
-
-    /// Packed `a <= b` on raw endpoint columns (lane-wise `cmp_le_cols`).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn cmp_le_4_avx2(
-        anl: &[f64; 4],
-        ah: &[f64; 4],
-        bnl: &[f64; 4],
-        bh: &[f64; 4],
-    ) -> TriMask4 {
-        let vanl = _mm256_loadu_pd(anl.as_ptr());
-        let vah = _mm256_loadu_pd(ah.as_ptr());
-        let vbnl = _mm256_loadu_pd(bnl.as_ptr());
-        let vbh = _mm256_loadu_pd(bh.as_ptr());
-        let t = _mm256_cmp_pd::<_CMP_LE_OQ>(vah, neg_256(vbnl)); // a.hi <= b.lo
-        let f = _mm256_cmp_pd::<_CMP_GT_OQ>(neg_256(vanl), vbh); // a.lo > b.hi
-        trimask(t, f, cmp_nan_256(vanl, vah, vbnl, vbh))
-    }
-
-    /// Packed point equality on raw endpoint columns (lane-wise
-    /// `cmp_eq_cols`).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn cmp_eq_4_avx2(
-        anl: &[f64; 4],
-        ah: &[f64; 4],
-        bnl: &[f64; 4],
-        bh: &[f64; 4],
-    ) -> TriMask4 {
-        let vanl = _mm256_loadu_pd(anl.as_ptr());
-        let vah = _mm256_loadu_pd(ah.as_ptr());
-        let vbnl = _mm256_loadu_pd(bnl.as_ptr());
-        let vbh = _mm256_loadu_pd(bh.as_ptr());
-        let point_a = _mm256_cmp_pd::<_CMP_EQ_OQ>(neg_256(vanl), vah);
-        let point_b = _mm256_cmp_pd::<_CMP_EQ_OQ>(neg_256(vbnl), vbh);
-        let t =
-            _mm256_and_pd(_mm256_and_pd(point_a, point_b), _mm256_cmp_pd::<_CMP_EQ_OQ>(vah, vbh));
-        let f = _mm256_or_pd(
-            _mm256_cmp_pd::<_CMP_LT_OQ>(vah, neg_256(vbnl)),
-            _mm256_cmp_pd::<_CMP_LT_OQ>(vbh, neg_256(vanl)),
-        );
-        trimask(t, f, cmp_nan_256(vanl, vah, vbnl, vbh))
     }
 
     /// Packed `div_ru_both`: quotient + `two_prod` residual check + two
@@ -1851,399 +1531,6 @@ mod x86 {
     }
 
     // ------------------------------------------------------------------
-    // SSE2 baseline: two 128-bit registers per column, no FMA — product
-    // residuals use Dekker's splitting under magnitude guards.
-    // ------------------------------------------------------------------
-
-    #[inline]
-    unsafe fn abs_128(x: __m128d) -> __m128d {
-        _mm_andnot_pd(_mm_set1_pd(-0.0), x)
-    }
-
-    #[inline]
-    unsafe fn neg_128(x: __m128d) -> __m128d {
-        _mm_xor_pd(_mm_set1_pd(-0.0), x)
-    }
-
-    #[inline]
-    unsafe fn is_finite_128(x: __m128d) -> __m128d {
-        _mm_cmplt_pd(abs_128(x), _mm_set1_pd(f64::INFINITY))
-    }
-
-    #[inline]
-    unsafe fn abs_in_range_128(x: __m128d, lo: f64, hi: f64) -> __m128d {
-        let ax = abs_128(x);
-        _mm_and_pd(_mm_cmpge_pd(ax, _mm_set1_pd(lo)), _mm_cmple_pd(ax, _mm_set1_pd(hi)))
-    }
-
-    /// Mask-select `if mask { x } else { y }` without SSE4.1 `blendv`.
-    #[inline]
-    unsafe fn select_128(mask: __m128d, x: __m128d, y: __m128d) -> __m128d {
-        _mm_or_pd(_mm_and_pd(mask, x), _mm_andnot_pd(mask, y))
-    }
-
-    /// Per-64-bit-lane arithmetic sign mask (all-ones where the lane is
-    /// negative as a signed integer) — SSE2 has no 64-bit compare, so the
-    /// 32-bit arithmetic shift of the high dword is broadcast down.
-    #[inline]
-    unsafe fn sign_mask_epi64_128(v: __m128i) -> __m128i {
-        _mm_shuffle_epi32::<0b11_11_01_01>(_mm_srai_epi32::<31>(v))
-    }
-
-    /// Packed branch-free directed bump, 2 lanes: lane-wise
-    /// `ops::bump_up` on every lane, through the same monotone
-    /// signed-integer encoding of the float order.
-    #[inline]
-    unsafe fn bump_up_128(s: __m128d, up: __m128d) -> __m128d {
-        let bits = _mm_castpd_si128(s);
-        let mask = _mm_srli_epi64::<1>(sign_mask_epi64_128(bits));
-        let inc = _mm_srli_epi64::<63>(_mm_castpd_si128(up));
-        let key = _mm_add_epi64(_mm_xor_si128(bits, mask), inc);
-        let mask2 = _mm_srli_epi64::<1>(sign_mask_epi64_128(key));
-        _mm_castsi128_pd(_mm_xor_si128(key, mask2))
-    }
-
-    /// One `add_ru` half-column: TwoSum + bump on 2 lanes, returning the
-    /// 2-bit validity mask alongside the packed result.
-    #[inline]
-    unsafe fn add_ru_2_sse2(va: __m128d, vb: __m128d) -> (__m128d, i32) {
-        let s = _mm_add_pd(va, vb);
-        let a1 = _mm_sub_pd(s, vb);
-        let b1 = _mm_sub_pd(s, a1);
-        let da = _mm_sub_pd(va, a1);
-        let db = _mm_sub_pd(vb, b1);
-        let e = _mm_add_pd(da, db);
-        let up = _mm_cmpgt_pd(e, _mm_setzero_pd());
-        let ok = _mm_movemask_pd(_mm_and_pd(is_finite_128(s), is_finite_128(e)));
-        (bump_up_128(s, up), ok)
-    }
-
-    pub(super) unsafe fn add_ru_4_sse2(a: &[f64; 4], b: &[f64; 4]) -> [f64; 4] {
-        let (lo, ok_lo) = add_ru_2_sse2(_mm_loadu_pd(a.as_ptr()), _mm_loadu_pd(b.as_ptr()));
-        let (hi, ok_hi) =
-            add_ru_2_sse2(_mm_loadu_pd(a.as_ptr().add(2)), _mm_loadu_pd(b.as_ptr().add(2)));
-        let mut out = [0.0; 4];
-        _mm_storeu_pd(out.as_mut_ptr(), lo);
-        _mm_storeu_pd(out.as_mut_ptr().add(2), hi);
-        let ok = ok_lo | (ok_hi << 2);
-        if ok != ALL4 {
-            note_patched(&super::tel::ADD_PATCHED, ok);
-            patch(ok, &mut out, |i| crate::add_ru(a[i], b[i]));
-        }
-        out
-    }
-
-    /// Dekker `two_prod` on 2 lanes: returns `(p, e)` with the validity
-    /// mask of the splitting bounds (`2^-480 <= |a|, |b| <= 2^996` and
-    /// `|p| <= 2^1021`) under which `e` is exactly the FMA residual.
-    #[inline]
-    unsafe fn two_prod_dekker_2(va: __m128d, vb: __m128d) -> (__m128d, __m128d, __m128d) {
-        const FACTOR: f64 = 134_217_729.0; // 2^27 + 1
-        let f = _mm_set1_pd(FACTOR);
-        let p = _mm_mul_pd(va, vb);
-        let ca = _mm_mul_pd(f, va);
-        let ah = _mm_sub_pd(ca, _mm_sub_pd(ca, va));
-        let al = _mm_sub_pd(va, ah);
-        let cb = _mm_mul_pd(f, vb);
-        let bh = _mm_sub_pd(cb, _mm_sub_pd(cb, vb));
-        let bl = _mm_sub_pd(vb, bh);
-        // e = ((ah*bh - p) + ah*bl + al*bh) + al*bl, as in two_prod_dekker.
-        let e = _mm_add_pd(
-            _mm_add_pd(
-                _mm_add_pd(_mm_sub_pd(_mm_mul_pd(ah, bh), p), _mm_mul_pd(ah, bl)),
-                _mm_mul_pd(al, bh),
-            ),
-            _mm_mul_pd(al, bl),
-        );
-        let split_ok = _mm_and_pd(
-            _mm_and_pd(
-                abs_in_range_128(va, DEKKER_OP_MIN, DEKKER_OP_MAX),
-                abs_in_range_128(vb, DEKKER_OP_MIN, DEKKER_OP_MAX),
-            ),
-            _mm_cmple_pd(abs_128(p), _mm_set1_pd(DEKKER_PROD_MAX)),
-        );
-        (p, e, split_ok)
-    }
-
-    #[inline]
-    unsafe fn mul_ru_both_2_sse2(va: __m128d, vb: __m128d) -> (__m128d, __m128d, i32) {
-        let (p, e, split_ok) = two_prod_dekker_2(va, vb);
-        let zero = _mm_setzero_pd();
-        let hi = bump_up_128(p, _mm_cmpgt_pd(e, zero));
-        let lo = bump_up_128(neg_128(p), _mm_cmplt_pd(e, zero));
-        let ok = _mm_movemask_pd(_mm_and_pd(
-            _mm_and_pd(abs_in_range_128(p, FMA_RESIDUAL_EXACT_MIN, f64::MAX), is_finite_128(e)),
-            split_ok,
-        ));
-        (hi, lo, ok)
-    }
-
-    pub(super) unsafe fn mul_ru_both_4_sse2(a: &[f64; 4], b: &[f64; 4]) -> ([f64; 4], [f64; 4]) {
-        let (hi0, lo0, ok0) =
-            mul_ru_both_2_sse2(_mm_loadu_pd(a.as_ptr()), _mm_loadu_pd(b.as_ptr()));
-        let (hi1, lo1, ok1) =
-            mul_ru_both_2_sse2(_mm_loadu_pd(a.as_ptr().add(2)), _mm_loadu_pd(b.as_ptr().add(2)));
-        let mut out_hi = [0.0; 4];
-        let mut out_lo = [0.0; 4];
-        _mm_storeu_pd(out_hi.as_mut_ptr(), hi0);
-        _mm_storeu_pd(out_hi.as_mut_ptr().add(2), hi1);
-        _mm_storeu_pd(out_lo.as_mut_ptr(), lo0);
-        _mm_storeu_pd(out_lo.as_mut_ptr().add(2), lo1);
-        let ok = ok0 | (ok1 << 2);
-        if ok != ALL4 {
-            note_patched(&super::tel::MUL_PATCHED, ok);
-            patch_pair(ok, &mut out_hi, &mut out_lo, |i| crate::mul_ru_both(a[i], b[i]));
-        }
-        (out_hi, out_lo)
-    }
-
-    #[inline]
-    unsafe fn div_ru_both_2_sse2(va: __m128d, vb: __m128d) -> (__m128d, __m128d, i32) {
-        let q = _mm_div_pd(va, vb);
-        let (h, l, split_ok) = two_prod_dekker_2(q, vb);
-        let r = _mm_sub_pd(_mm_sub_pd(va, h), l);
-        let zero = _mm_setzero_pd();
-        let b_pos = _mm_cmpgt_pd(vb, zero);
-        let b_neg = _mm_cmplt_pd(vb, zero);
-        let r_pos = _mm_cmpgt_pd(r, zero);
-        let r_neg = _mm_cmplt_pd(r, zero);
-        let up = _mm_or_pd(_mm_and_pd(b_pos, r_pos), _mm_and_pd(b_neg, r_neg));
-        let dn = _mm_or_pd(_mm_and_pd(b_pos, r_neg), _mm_and_pd(b_neg, r_pos));
-        let hi = bump_up_128(q, up);
-        let lo = bump_up_128(neg_128(q), dn);
-        let ok1 = _mm_and_pd(
-            abs_in_range_128(q, f64::MIN_POSITIVE, f64::MAX),
-            abs_in_range_128(va, DIV_EXACT_MIN_A, f64::MAX),
-        );
-        let ok2 = abs_in_range_128(h, f64::MIN_POSITIVE, f64::MAX);
-        let ok = _mm_movemask_pd(_mm_and_pd(_mm_and_pd(ok1, ok2), split_ok));
-        (hi, lo, ok)
-    }
-
-    pub(super) unsafe fn div_ru_both_4_sse2(a: &[f64; 4], b: &[f64; 4]) -> ([f64; 4], [f64; 4]) {
-        let (hi0, lo0, ok0) =
-            div_ru_both_2_sse2(_mm_loadu_pd(a.as_ptr()), _mm_loadu_pd(b.as_ptr()));
-        let (hi1, lo1, ok1) =
-            div_ru_both_2_sse2(_mm_loadu_pd(a.as_ptr().add(2)), _mm_loadu_pd(b.as_ptr().add(2)));
-        let mut out_hi = [0.0; 4];
-        let mut out_lo = [0.0; 4];
-        _mm_storeu_pd(out_hi.as_mut_ptr(), hi0);
-        _mm_storeu_pd(out_hi.as_mut_ptr().add(2), hi1);
-        _mm_storeu_pd(out_lo.as_mut_ptr(), lo0);
-        _mm_storeu_pd(out_lo.as_mut_ptr().add(2), lo1);
-        let ok = ok0 | (ok1 << 2);
-        if ok != ALL4 {
-            note_patched(&super::tel::DIV_PATCHED, ok);
-            patch_pair(ok, &mut out_hi, &mut out_lo, |i| crate::div_ru_both(a[i], b[i]));
-        }
-        (out_hi, out_lo)
-    }
-
-    pub(super) unsafe fn max_nan_4_sse2(a: &[f64; 4], b: &[f64; 4]) -> [f64; 4] {
-        let mut out = [0.0; 4];
-        for half in 0..2 {
-            let va = _mm_loadu_pd(a.as_ptr().add(2 * half));
-            let vb = _mm_loadu_pd(b.as_ptr().add(2 * half));
-            let sel = select_128(_mm_cmpge_pd(va, vb), va, vb);
-            let res = select_128(_mm_cmpunord_pd(va, vb), _mm_set1_pd(f64::NAN), sel);
-            _mm_storeu_pd(out.as_mut_ptr().add(2 * half), res);
-        }
-        out
-    }
-
-    /// Packed `mul_ru_both(a, a)` on the SSE2 path: the multiply halves
-    /// with both operands the same column, patched under the square's
-    /// counter.
-    pub(super) unsafe fn sqr_ru_both_4_sse2(a: &[f64; 4]) -> ([f64; 4], [f64; 4]) {
-        let va0 = _mm_loadu_pd(a.as_ptr());
-        let va1 = _mm_loadu_pd(a.as_ptr().add(2));
-        let (hi0, lo0, ok0) = mul_ru_both_2_sse2(va0, va0);
-        let (hi1, lo1, ok1) = mul_ru_both_2_sse2(va1, va1);
-        let mut out_hi = [0.0; 4];
-        let mut out_lo = [0.0; 4];
-        _mm_storeu_pd(out_hi.as_mut_ptr(), hi0);
-        _mm_storeu_pd(out_hi.as_mut_ptr().add(2), hi1);
-        _mm_storeu_pd(out_lo.as_mut_ptr(), lo0);
-        _mm_storeu_pd(out_lo.as_mut_ptr().add(2), lo1);
-        let ok = ok0 | (ok1 << 2);
-        if ok != ALL4 {
-            note_patched(&super::tel::SQR_PATCHED, ok);
-            patch_pair(ok, &mut out_hi, &mut out_lo, |i| crate::mul_ru_both(a[i], a[i]));
-        }
-        (out_hi, out_lo)
-    }
-
-    /// The FMA-free sqrt hot path on 2 lanes: `s = sqrt(a)` (packed sqrt
-    /// is correctly rounded, bit-equal to scalar `a.sqrt()`), then the
-    /// residual sign via Dekker: with `(p, e) = two_prod(s, s)`,
-    /// `d = (p - a) + e`. Under the guard `a >= SQRT_EXACT_MIN_A` the
-    /// rounded square `p` lies within `[a/2, 2a]` (s is within a few ulps
-    /// of √a), so `p - a` is exact by Sterbenz and `(p - a) + e` rounds
-    /// the exact value `s² - a` once — the very value the scalar FMA
-    /// residual `RN(s·s - a)` rounds. The two residuals are therefore
-    /// bit-equal, and every bump decision matches the scalar kernel's.
-    /// The validity mask additionally requires the Dekker split bounds on
-    /// `(s, s, p)` (lanes with `a` within a binade of `f64::MAX`, or with
-    /// `s` below the `2^-480` split floor near `a ≈ 1e-290`, patch).
-    #[inline]
-    unsafe fn sqrt_sd_2_sse2(va: __m128d) -> (__m128d, __m128d, i32) {
-        let s = _mm_sqrt_pd(va);
-        let (p, e, split_ok) = two_prod_dekker_2(s, s);
-        let d = _mm_add_pd(_mm_sub_pd(p, va), e);
-        let ok = _mm_movemask_pd(_mm_and_pd(
-            _mm_and_pd(
-                _mm_cmpge_pd(va, _mm_set1_pd(SQRT_EXACT_MIN_A)),
-                _mm_cmple_pd(s, _mm_set1_pd(f64::MAX)),
-            ),
-            split_ok,
-        ));
-        (s, d, ok)
-    }
-
-    pub(super) unsafe fn sqrt_ru_4_sse2(a: &[f64; 4]) -> [f64; 4] {
-        let zero = _mm_setzero_pd();
-        let (s0, d0, ok0) = sqrt_sd_2_sse2(_mm_loadu_pd(a.as_ptr()));
-        let (s1, d1, ok1) = sqrt_sd_2_sse2(_mm_loadu_pd(a.as_ptr().add(2)));
-        let mut out = [0.0; 4];
-        _mm_storeu_pd(out.as_mut_ptr(), bump_up_128(s0, _mm_cmplt_pd(d0, zero)));
-        _mm_storeu_pd(out.as_mut_ptr().add(2), bump_up_128(s1, _mm_cmplt_pd(d1, zero)));
-        let ok = ok0 | (ok1 << 2);
-        if ok != ALL4 {
-            note_patched(&super::tel::SQRT_PATCHED, ok);
-            patch(ok, &mut out, |i| crate::sqrt_ru(a[i]));
-        }
-        out
-    }
-
-    pub(super) unsafe fn sqrt_rd_4_sse2(a: &[f64; 4]) -> [f64; 4] {
-        let zero = _mm_setzero_pd();
-        let (s0, d0, ok0) = sqrt_sd_2_sse2(_mm_loadu_pd(a.as_ptr()));
-        let (s1, d1, ok1) = sqrt_sd_2_sse2(_mm_loadu_pd(a.as_ptr().add(2)));
-        let mut out = [0.0; 4];
-        let b0 = neg_128(bump_up_128(neg_128(s0), _mm_cmpgt_pd(d0, zero)));
-        let b1 = neg_128(bump_up_128(neg_128(s1), _mm_cmpgt_pd(d1, zero)));
-        _mm_storeu_pd(out.as_mut_ptr(), b0);
-        _mm_storeu_pd(out.as_mut_ptr().add(2), b1);
-        let ok = ok0 | (ok1 << 2);
-        if ok != ALL4 {
-            note_patched(&super::tel::SQRT_PATCHED, ok);
-            patch(ok, &mut out, |i| crate::sqrt_rd(a[i]));
-        }
-        out
-    }
-
-    /// Packed interval absolute value, SSE2 halves (see [`abs_4_avx2`]).
-    pub(super) unsafe fn abs_4_sse2(neg_lo: &[f64; 4], hi: &[f64; 4]) -> ([f64; 4], [f64; 4]) {
-        let mut res_n = [0.0; 4];
-        let mut res_h = [0.0; 4];
-        let zero = _mm_setzero_pd();
-        let nanv = _mm_set1_pd(f64::NAN);
-        for half in 0..2 {
-            let vn = _mm_loadu_pd(neg_lo.as_ptr().add(2 * half));
-            let vh = _mm_loadu_pd(hi.as_ptr().add(2 * half));
-            let nonneg = _mm_cmpge_pd(neg_128(vn), zero);
-            let nonpos = _mm_cmple_pd(vh, zero);
-            let unord = _mm_cmpunord_pd(vn, vh);
-            let mx = select_128(_mm_cmpge_pd(vn, vh), vn, vh);
-            let out_n = select_128(nonneg, vn, select_128(nonpos, vh, _mm_set1_pd(-0.0)));
-            let out_h = select_128(nonneg, vh, select_128(nonpos, vn, mx));
-            _mm_storeu_pd(res_n.as_mut_ptr().add(2 * half), select_128(unord, nanv, out_n));
-            _mm_storeu_pd(res_h.as_mut_ptr().add(2 * half), select_128(unord, nanv, out_h));
-        }
-        (res_n, res_h)
-    }
-
-    /// One packed-comparison half: true/false/nan 2-lane movemasks from
-    /// the compare closure applied to the loaded columns.
-    type Cmp2 = unsafe fn(__m128d, __m128d, __m128d, __m128d) -> (__m128d, __m128d);
-
-    /// Shared SSE2 comparison driver: runs `op` on both halves, screens
-    /// NaN lanes, and folds the masks into a [`TriMask4`].
-    #[inline]
-    unsafe fn cmp_4_sse2(
-        anl: &[f64; 4],
-        ah: &[f64; 4],
-        bnl: &[f64; 4],
-        bh: &[f64; 4],
-        op: Cmp2,
-    ) -> TriMask4 {
-        let mut t = 0i32;
-        let mut f = 0i32;
-        let mut nan = 0i32;
-        for half in 0..2 {
-            let vanl = _mm_loadu_pd(anl.as_ptr().add(2 * half));
-            let vah = _mm_loadu_pd(ah.as_ptr().add(2 * half));
-            let vbnl = _mm_loadu_pd(bnl.as_ptr().add(2 * half));
-            let vbh = _mm_loadu_pd(bh.as_ptr().add(2 * half));
-            let nm = _mm_or_pd(_mm_cmpunord_pd(vanl, vah), _mm_cmpunord_pd(vbnl, vbh));
-            let (tm, fm) = op(vanl, vah, vbnl, vbh);
-            t |= _mm_movemask_pd(_mm_andnot_pd(nm, tm)) << (2 * half);
-            f |= _mm_movemask_pd(_mm_andnot_pd(nm, fm)) << (2 * half);
-            nan |= _mm_movemask_pd(nm) << (2 * half);
-        }
-        if nan != 0 {
-            note_patched(&super::tel::CMP_PATCHED, !nan);
-        }
-        TriMask4::new(t as u8, f as u8)
-    }
-
-    pub(super) unsafe fn cmp_lt_4_sse2(
-        anl: &[f64; 4],
-        ah: &[f64; 4],
-        bnl: &[f64; 4],
-        bh: &[f64; 4],
-    ) -> TriMask4 {
-        unsafe fn op(
-            vanl: __m128d,
-            vah: __m128d,
-            vbnl: __m128d,
-            vbh: __m128d,
-        ) -> (__m128d, __m128d) {
-            (_mm_cmplt_pd(vah, neg_128(vbnl)), _mm_cmpge_pd(neg_128(vanl), vbh))
-        }
-        cmp_4_sse2(anl, ah, bnl, bh, op)
-    }
-
-    pub(super) unsafe fn cmp_le_4_sse2(
-        anl: &[f64; 4],
-        ah: &[f64; 4],
-        bnl: &[f64; 4],
-        bh: &[f64; 4],
-    ) -> TriMask4 {
-        unsafe fn op(
-            vanl: __m128d,
-            vah: __m128d,
-            vbnl: __m128d,
-            vbh: __m128d,
-        ) -> (__m128d, __m128d) {
-            (_mm_cmple_pd(vah, neg_128(vbnl)), _mm_cmpgt_pd(neg_128(vanl), vbh))
-        }
-        cmp_4_sse2(anl, ah, bnl, bh, op)
-    }
-
-    pub(super) unsafe fn cmp_eq_4_sse2(
-        anl: &[f64; 4],
-        ah: &[f64; 4],
-        bnl: &[f64; 4],
-        bh: &[f64; 4],
-    ) -> TriMask4 {
-        unsafe fn op(
-            vanl: __m128d,
-            vah: __m128d,
-            vbnl: __m128d,
-            vbh: __m128d,
-        ) -> (__m128d, __m128d) {
-            let t = _mm_and_pd(
-                _mm_and_pd(_mm_cmpeq_pd(neg_128(vanl), vah), _mm_cmpeq_pd(neg_128(vbnl), vbh)),
-                _mm_cmpeq_pd(vah, vbh),
-            );
-            let f = _mm_or_pd(_mm_cmplt_pd(vah, neg_128(vbnl)), _mm_cmplt_pd(vbh, neg_128(vanl)));
-            (t, f)
-        }
-        cmp_4_sse2(anl, ah, bnl, bh, op)
-    }
-
-    // ------------------------------------------------------------------
     // Rare-lane scalar patching.
     // ------------------------------------------------------------------
 
@@ -2279,7 +1566,7 @@ mod tests {
     use super::*;
 
     fn backends() -> Vec<Backend> {
-        let mut bks = vec![Backend::Portable, Backend::Sse2, Backend::Avx2Fma];
+        let mut bks = vec![Backend::Portable, Backend::Avx2Fma];
         bks.retain(|&bk| bk <= detected_backend());
         bks
     }
@@ -2341,9 +1628,6 @@ mod tests {
                     let srd = sqrt_rd_4(bk, &a);
                     let (qqh, qql) = sqr_ru_both_4(bk, &a);
                     let (an, ah) = abs_4(bk, &a, &b);
-                    let clt = cmp_lt_4(bk, &a, &b, &b, &a);
-                    let cle = cmp_le_4(bk, &a, &b, &b, &a);
-                    let ceq = cmp_eq_4(bk, &a, &b, &b, &a);
                     for i in 0..4 {
                         let ctx = format!("{bk} a={} b={y}", a[i]);
                         assert_lane_bits(s[i], crate::add_ru(a[i], y), &format!("add {ctx}"));
@@ -2362,9 +1646,6 @@ mod tests {
                         let (wn, wh2) = abs_cols(a[i], y);
                         assert_lane_bits(an[i], wn, &format!("abs neg_lo {ctx}"));
                         assert_lane_bits(ah[i], wh2, &format!("abs hi {ctx}"));
-                        assert_eq!(clt.lane(i), cmp_lt_cols(a[i], y, y, a[i]), "lt {ctx}");
-                        assert_eq!(cle.lane(i), cmp_le_cols(a[i], y, y, a[i]), "le {ctx}");
-                        assert_eq!(ceq.lane(i), cmp_eq_cols(a[i], y, y, a[i]), "eq {ctx}");
                     }
                 }
             }

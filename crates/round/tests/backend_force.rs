@@ -2,17 +2,12 @@
 //! telemetry PR).
 //!
 //! Forcing a backend can only *downgrade* from the detected level, never
-//! enable instructions the host lacks; and a forced `Sse2` on an
-//! AVX2+FMA host must route through the FMA-free Dekker product path
-//! while staying bit-identical to the scalar kernels — including on
-//! operands that violate the packed Dekker guards and therefore take the
-//! per-lane scalar patch.
+//! enable instructions the host lacks.
 //!
 //! With the `telemetry` feature on, the dispatch counters additionally
-//! pin *where* the forced calls went: `simd.dispatch.sse2` moves,
-//! `simd.dispatch.avx2_fma` does not.
+//! pin *where* forced calls go: under a forced `Portable`,
+//! `simd.dispatch.portable` moves and `simd.dispatch.avx2_fma` does not.
 
-use igen_round as r;
 use igen_round::simd::{self, Backend};
 
 /// `force_backend` mutates process-global state, so the tests in this
@@ -27,60 +22,15 @@ impl Drop for ForceGuard {
     }
 }
 
-/// 2^n as an exact f64 (|n| <= 1023).
-fn pow2(n: i64) -> f64 {
-    f64::from_bits(((1023 + n) as u64) << 52)
-}
-
-/// Operand vectors chosen to violate the packed kernels' Dekker/FMA
-/// guards (operands below the 2^-480 Dekker floor, products below the
-/// 2.5e-291 residual quantum, dividends below the 1e-270 division
-/// floor, specials), mixed with in-range lanes so both the packed fast
-/// path and the scalar patch path run in one call.
-fn guard_stress_pairs() -> Vec<([f64; 4], [f64; 4])> {
-    let tiny = pow2(-500); // below DEKKER_OP_MIN = 2^-480
-    let huge = pow2(1000); // above DEKKER_OP_MAX = 2^996
-    vec![
-        ([tiny, 1.5, tiny, 0.1], [tiny, tiny, 2.0, 3.0]),
-        ([huge, huge, 1.0, -huge], [2.0, huge, huge, 0.5]),
-        ([1e-280, 1.0 / 3.0, -1e-280, 1.0], [7.0, 1e-280, -3.0, 1e-300]),
-        ([f64::from_bits(1), f64::MIN_POSITIVE, 1.0, -0.0], [3.0, 0.1, f64::from_bits(1), 5.0]),
-        ([f64::NAN, f64::INFINITY, -1.0, 0.0], [1.0, f64::NEG_INFINITY, f64::MAX, -0.0]),
-        ([2.5e-291, 1e-270, pow2(-480), pow2(996)], [1.0, 1.0, 1.0, 1.0]),
-    ]
-}
-
-/// Runs every packed kernel on `bk` and asserts per-lane bit-identity
-/// with the scalar reference.
-fn assert_bit_identical(bk: Backend, a: &[f64; 4], b: &[f64; 4]) {
-    let s = simd::add_ru_4(bk, a, b);
-    let (mh, ml) = simd::mul_ru_both_4(bk, a, b);
-    let (dh, dl) = simd::div_ru_both_4(bk, a, b);
-    let mx = simd::max_nan_4(bk, a, b);
-    for i in 0..4 {
-        let (ai, bi) = (a[i], b[i]);
-        assert_eq!(s[i].to_bits(), r::add_ru(ai, bi).to_bits(), "add {ai:e}+{bi:e} [{bk:?}]");
-        let (wh, wl) = r::mul_ru_both(ai, bi);
-        assert_eq!(mh[i].to_bits(), wh.to_bits(), "mul.hi {ai:e}*{bi:e} [{bk:?}]");
-        assert_eq!(ml[i].to_bits(), wl.to_bits(), "mul.lo {ai:e}*{bi:e} [{bk:?}]");
-        let (qh, ql) = r::div_ru_both(ai, bi);
-        assert_eq!(dh[i].to_bits(), qh.to_bits(), "div.hi {ai:e}/{bi:e} [{bk:?}]");
-        assert_eq!(dl[i].to_bits(), ql.to_bits(), "div.lo {ai:e}/{bi:e} [{bk:?}]");
-        assert_eq!(mx[i].to_bits(), simd::max_nan(ai, bi).to_bits(), "max [{bk:?}]");
-    }
-}
-
 #[test]
 fn force_backend_only_downgrades() {
     let _serial = FORCE_LOCK.lock().unwrap();
     let _restore = ForceGuard;
     let det = simd::detected_backend();
-    // Forcing below (or at) the detected level takes effect verbatim...
-    let eff = simd::force_backend(Some(Backend::Sse2));
-    assert_eq!(eff, Backend::Sse2.min(det));
-    assert_eq!(simd::active_backend(), eff);
-    assert!(eff <= det, "force_backend must never exceed the detected level");
-    // ...forcing above it clamps to what the host has...
+    // Forcing the narrowest level takes effect verbatim on every host...
+    assert_eq!(simd::force_backend(Some(Backend::Portable)), Backend::Portable);
+    assert_eq!(simd::active_backend(), Backend::Portable);
+    // ...forcing the widest clamps to what the host has...
     assert_eq!(simd::force_backend(Some(Backend::Avx2Fma)), det);
     assert_eq!(simd::active_backend(), det);
     // ...and clearing the force restores detection.
@@ -88,65 +38,43 @@ fn force_backend_only_downgrades() {
     assert_eq!(simd::active_backend(), det);
 }
 
-#[test]
-fn forced_sse2_dekker_path_is_bit_identical() {
-    let _serial = FORCE_LOCK.lock().unwrap();
-    let _restore = ForceGuard;
-    let eff = simd::force_backend(Some(Backend::Sse2));
-    for (a, b) in guard_stress_pairs() {
-        assert_bit_identical(eff, &a, &b);
-        // The downgrade must also hold per lane position.
-        for i in 0..4 {
-            let mut av = [1.0; 4];
-            let mut bv = [3.0; 4];
-            av[i] = a[i];
-            bv[i] = b[i];
-            assert_bit_identical(eff, &av, &bv);
-        }
-    }
-}
-
 /// With telemetry compiled in, the dispatch counters prove the forced
-/// calls ran on the SSE2 path (AVX2 counter untouched, even on an
-/// AVX2+FMA host) and that the guard-violating operands really took the
-/// per-lane scalar patch.
+/// calls ran on the portable path: the AVX2 counter stays put, even on
+/// an AVX2+FMA host.
 #[cfg(feature = "telemetry")]
 #[test]
-fn forced_sse2_routes_dispatch_to_sse2() {
+fn forced_portable_routes_dispatch_to_portable() {
     use igen_telemetry::counters_snapshot;
     fn counter(name: &str) -> u64 {
         counters_snapshot().iter().find(|(n, _)| *n == name).map_or(0, |&(_, v)| v)
     }
     let _serial = FORCE_LOCK.lock().unwrap();
     let _restore = ForceGuard;
-    let eff = simd::force_backend(Some(Backend::Sse2));
-    let (sse_0, avx_0) = (counter("simd.dispatch.sse2"), counter("simd.dispatch.avx2_fma"));
-    let (packed_0, patched_0) =
-        (counter("simd.mul.packed_calls"), counter("simd.mul.lanes_patched"));
-    let pairs = guard_stress_pairs();
-    let mut calls = 0u64;
+    let eff = simd::force_backend(Some(Backend::Portable));
+    let (portable_0, avx_0) =
+        (counter("simd.dispatch.portable"), counter("simd.dispatch.avx2_fma"));
+    let packed_0 = counter("simd.mul.packed_calls");
+    let pairs = [
+        ([1e-280, 1.0 / 3.0, -1e-280, 1.0], [7.0, 1e-280, -3.0, 1e-300]),
+        ([f64::NAN, f64::INFINITY, -1.0, 0.0], [1.0, f64::NEG_INFINITY, f64::MAX, -0.0]),
+    ];
     for (a, b) in &pairs {
-        let _ = simd::mul_ru_both_4(eff, a, b);
-        calls += 1;
+        let (hi, lo) = simd::mul_ru_both_4(eff, a, b);
+        for i in 0..4 {
+            let (wh, wl) = igen_round::mul_ru_both(a[i], b[i]);
+            assert_eq!((hi[i].to_bits(), lo[i].to_bits()), (wh.to_bits(), wl.to_bits()));
+        }
     }
-    if eff == Backend::Sse2 {
-        assert_eq!(
-            counter("simd.dispatch.sse2") - sse_0,
-            calls,
-            "every forced call must dispatch to SSE2"
-        );
-        assert_eq!(
-            counter("simd.dispatch.avx2_fma"),
-            avx_0,
-            "a forced SSE2 run must never touch the AVX2 path"
-        );
-        assert!(
-            counter("simd.mul.lanes_patched") > patched_0,
-            "the guard-violating lanes must take the scalar patch"
-        );
-    } else {
-        // Portable-only host: the calls land on the portable dispatcher.
-        assert!(counter("simd.dispatch.portable") >= calls);
-    }
+    let calls = pairs.len() as u64;
+    assert_eq!(
+        counter("simd.dispatch.portable") - portable_0,
+        calls,
+        "every forced call must dispatch to the portable loops"
+    );
+    assert_eq!(
+        counter("simd.dispatch.avx2_fma"),
+        avx_0,
+        "a forced portable run must never touch the AVX2 path"
+    );
     assert_eq!(counter("simd.mul.packed_calls") - packed_0, calls);
 }

@@ -1,16 +1,10 @@
 //! Property tests for the packed directed-rounding kernels.
 //!
-//! Two contracts are pinned here:
-//!
-//! 1. **Bit-identity**: every packed kernel in `igen_round::simd` returns,
-//!    in each lane, exactly the bits of the corresponding scalar kernel —
-//!    on every backend the host supports, for random full-range operands
-//!    (the generator emits NaNs, infinities, subnormals and signed zeros)
-//!    and for an exhaustive special-value grid.
-//! 2. **FMA vs. Dekker exactness** (the SSE2 backend's product residual):
-//!    inside the documented guard range, `two_prod_dekker` equals the FMA
-//!    `two_prod` bit for bit, so the FMA fast path can never silently
-//!    diverge from the FMA-free one.
+//! **Bit-identity**: every packed kernel in `igen_round::simd` returns,
+//! in each lane, exactly the bits of the corresponding scalar kernel —
+//! on every backend the host supports, for random full-range operands
+//! (the generator emits NaNs, infinities, subnormals and signed zeros)
+//! and for an exhaustive special-value grid.
 
 use igen_round as r;
 use igen_round::simd::{self, Backend, F64iCols4, SweepOp};
@@ -18,7 +12,7 @@ use proptest::prelude::*;
 
 /// Every backend this host can actually run.
 fn backends() -> Vec<Backend> {
-    [Backend::Portable, Backend::Sse2, Backend::Avx2Fma]
+    [Backend::Portable, Backend::Avx2Fma]
         .into_iter()
         .filter(|&bk| bk <= simd::detected_backend())
         .collect()
@@ -53,9 +47,6 @@ fn check_all_kernels(a: [f64; 4], b: [f64; 4]) -> Result<(), TestCaseError> {
         let (ia, ib) = (F64iCols4 { neg_lo: a, hi: b }, F64iCols4 { neg_lo: b, hi: a });
         let iadd = simd::f64i_add_4(bk, &ia, &ib);
         let imul = simd::f64i_mul_4(bk, &ia, &ib);
-        let lt = simd::cmp_lt_4(bk, &a, &b, &b, &a);
-        let le = simd::cmp_le_4(bk, &a, &b, &b, &a);
-        let eq = simd::cmp_eq_4(bk, &a, &b, &b, &a);
         for i in 0..4 {
             assert_lane("add_ru_4", bk, i, s[i], r::add_ru(a[i], b[i]))?;
             let (wh, wl) = r::mul_ru_both(a[i], b[i]);
@@ -79,24 +70,6 @@ fn check_all_kernels(a: [f64; 4], b: [f64; 4]) -> Result<(), TestCaseError> {
             let (wn, wh) = simd::mul_cols(a[i], b[i], b[i], a[i]);
             assert_lane("f64i_mul_4.neg_lo", bk, i, imul.neg_lo[i], wn)?;
             assert_lane("f64i_mul_4.hi", bk, i, imul.hi[i], wh)?;
-            prop_assert!(
-                lt.lane(i) == simd::cmp_lt_cols(a[i], b[i], b[i], a[i]),
-                "cmp_lt_4 [{bk:?} lane {i}]: a={:e} b={:e}",
-                a[i],
-                b[i]
-            );
-            prop_assert!(
-                le.lane(i) == simd::cmp_le_cols(a[i], b[i], b[i], a[i]),
-                "cmp_le_4 [{bk:?} lane {i}]: a={:e} b={:e}",
-                a[i],
-                b[i]
-            );
-            prop_assert!(
-                eq.lane(i) == simd::cmp_eq_cols(a[i], b[i], b[i], a[i]),
-                "cmp_eq_4 [{bk:?} lane {i}]: a={:e} b={:e}",
-                a[i],
-                b[i]
-            );
         }
     }
     Ok(())
@@ -138,69 +111,6 @@ fn pow2(n: i64) -> f64 {
     f64::from_bits(((1023 + n) as u64) << 52)
 }
 
-/// The documented `two_prod_dekker` exactness range (matches the guards
-/// the packed SSE2 kernels apply before trusting the Dekker residual).
-fn dekker_guard_ok(a: f64, b: f64) -> bool {
-    let p = a * b;
-    a.abs() >= pow2(-480)
-        && a.abs() <= pow2(996)
-        && b.abs() >= pow2(-480)
-        && b.abs() <= pow2(996)
-        && p.abs() <= pow2(1021)
-        && p.abs() >= 2.5e-291 // residual quantum stays representable (> 2^-966)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4000))]
-
-    /// Satellite: FMA `two_prod` fast path vs. the Dekker-split path.
-    /// Inside the guard range the two must agree bit for bit (both
-    /// components); the packed SSE2 kernels rely on exactly this.
-    #[test]
-    fn fma_and_dekker_two_prod_agree_in_guard_range(a in any::<f64>(), b in any::<f64>()) {
-        prop_assume!(dekker_guard_ok(a, b));
-        let (pf, ef) = r::two_prod(a, b);
-        let (pd, ed) = r::two_prod_dekker(a, b);
-        prop_assert_eq!(pf.to_bits(), pd.to_bits(), "product {a:e} * {b:e}");
-        prop_assert_eq!(
-            ef.to_bits(), ed.to_bits(),
-            "residual for {a:e} * {b:e}: fma {ef:e} vs dekker {ed:e}"
-        );
-    }
-}
-
-/// Deterministic boundary operands for the FMA/Dekker comparison: the
-/// guard-range edges and classic hard cases.
-#[test]
-fn fma_and_dekker_two_prod_agree_on_boundaries() {
-    let vals = [
-        pow2(-480), // smallest guarded operand magnitude
-        -pow2(-480),
-        pow2(996),          // largest guarded operand magnitude
-        pow2(-240),         // products right at 2^-480 * 2^996 scale
-        1.0 + f64::EPSILON, // full-significand neighbours of one
-        1.0 - f64::EPSILON / 2.0,
-        0.1,
-        1.0 / 3.0,
-        6.02214076e23,
-        1.0 + 2f64.powi(-26), // split boundary: 27 significant bits
-        134_217_729.0,        // the Veltkamp factor itself
-        f64::from_bits(0x3fefffffffffffff),
-        f64::from_bits(0x4340000000000001), // 2^53 + 2
-    ];
-    for &a in &vals {
-        for &b in &vals {
-            if !dekker_guard_ok(a, b) {
-                continue;
-            }
-            let (pf, ef) = r::two_prod(a, b);
-            let (pd, ed) = r::two_prod_dekker(a, b);
-            assert_eq!(pf.to_bits(), pd.to_bits(), "product {a:e} * {b:e}");
-            assert_eq!(ef.to_bits(), ed.to_bits(), "residual {a:e} * {b:e}");
-        }
-    }
-}
-
 /// Exhaustive special-value grid: every pair from a catalogue of IEEE
 /// edge cases, checked through every packed kernel on every backend and
 /// in every lane position (the grid is placed in each lane in turn).
@@ -229,8 +139,8 @@ fn packed_kernels_bit_identical_special_grid() {
         1e-270,                                // division dividend guard boundary
         1e-290,                                // sqrt radicand guard boundary
         -1e-290,                               // negative radicand at the guard
-        pow2(-480),                            // Dekker operand guard boundary
-        pow2(996),
+        pow2(-480),                            // square just above the product guard
+        pow2(996),                             // square overflows
         f64::INFINITY,
         f64::NEG_INFINITY,
         f64::NAN,
@@ -416,14 +326,11 @@ fn sweep_rejects_a_range_past_the_bank() {
     simd::f64i_sweep_4(Backend::Avx2Fma, SweepOp::MulAdd { acc: 4 }, &mut bank, 1, 0, 1, 2);
 }
 
-/// The backend ladder is well-formed on this host: detection is stable,
-/// forcing clamps to the detected level, and `Portable` is always
-/// available.
+/// The backend ladder is well-formed on this host: detection is stable
+/// and `Portable` is always available.
 #[test]
 fn backend_detection_and_clamp() {
     let det = simd::detected_backend();
     assert_eq!(det, simd::detected_backend());
     assert!(backends().contains(&Backend::Portable));
-    #[cfg(target_arch = "x86_64")]
-    assert!(det >= Backend::Sse2, "SSE2 is baseline on x86-64");
 }

@@ -1,6 +1,7 @@
 //! A `profile` request takes explicit `"inputs"` as `run` does: every
 //! site is executed once per given item, not once per default seeded
-//! item. Only runs under `--features telemetry` (the profiler records
+//! item — and never for the padding lanes of a batch's last packed
+//! group. Only runs under `--features telemetry` (the profiler records
 //! nothing otherwise).
 #![cfg(feature = "telemetry")]
 
@@ -23,7 +24,13 @@ fn site_counts(resp: &str) -> Vec<u64> {
 fn profile_counts_the_explicit_inputs_at_both_precisions() {
     let svc = Service::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
     for precision in ["f64", "dd"] {
-        for inputs in ["[[1.0,2.0]]", "[[1.0,2.0],[3.0,4.0]]", "[[1.0,2.0],[3.0,4.0],[-1.0,0.5]]"] {
+        for inputs in [
+            "[[1.0,2.0]]",
+            "[[1.0,2.0],[3.0,4.0]]",
+            "[[1.0,2.0],[3.0,4.0],[-1.0,0.5]]",
+            // One full packed group, then one padded group.
+            "[[1.0,2.0],[3.0,4.0],[-1.0,0.5],[0.5,0.75],[-2.0,-1.0]]",
+        ] {
             let items = inputs.matches('[').count() as u64 - 1;
             let line = format!(
                 r#"{{"kind":"profile","source":"{SQ}","precision":"{precision}","inputs":{inputs}}}"#

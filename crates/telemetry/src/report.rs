@@ -85,7 +85,7 @@ fn counter(snap: &Snapshot, name: &str) -> Option<u64> {
 fn render_simd(out: &mut String, snap: &Snapshot) {
     // Guard-failure rate per packed op.
     let mut rows: Vec<(&str, u64, u64)> = Vec::new();
-    for op in ["add", "mul", "div", "max", "sqrt", "sqr", "abs", "cmp", "dd_add", "dd_mul"] {
+    for op in ["add", "mul", "div", "max", "sqrt", "sqr", "abs", "dd_add", "dd_mul"] {
         let packed = counter(snap, &format!("simd.{op}.packed_calls"));
         let patched = counter(snap, &format!("simd.{op}.lanes_patched"));
         if let Some(packed) = packed {
@@ -299,11 +299,11 @@ mod tests {
                 ("simd.add.packed_calls".into(), 1000),
                 ("simd.sqrt.lanes_patched".into(), 2),
                 ("simd.sqrt.packed_calls".into(), 100),
-                ("simd.cmp.packed_calls".into(), 50),
+                ("simd.abs.packed_calls".into(), 50),
                 ("simd.dd_mul.lanes_patched".into(), 7),
                 ("simd.dd_mul.packed_calls".into(), 10),
                 ("simd.dispatch.avx2_fma".into(), 3),
-                ("simd.dispatch.sse2".into(), 1),
+                ("simd.dispatch.portable".into(), 1),
                 ("vm.peephole.dedup".into(), 4),
                 ("vm.peephole.neg_fold".into(), 2),
                 ("vm.peephole.dce".into(), 5),
@@ -331,10 +331,10 @@ mod tests {
         assert!(r.contains("compile.lower"), "{r}");
         // 8 / 4000 lanes = 0.2%.
         assert!(r.contains("(0.2000%)"), "{r}");
-        // 2 / 400 lanes = 0.5%; cmp shows up with zero patched lanes.
+        // 2 / 400 lanes = 0.5%; abs shows up with zero patched lanes.
         assert!(r.contains("(0.5000%)"), "{r}");
         assert!(r.contains("sqrt"), "{r}");
-        assert!(r.contains("cmp"), "{r}");
+        assert!(r.contains("abs") && r.contains("(0.0000%)"), "{r}");
         // The packed double-double kernels: 7 / 40 lanes = 17.5%.
         assert!(r.contains("dd_mul"), "{r}");
         assert!(r.contains("(17.5000%)"), "{r}");

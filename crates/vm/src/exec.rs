@@ -2,16 +2,16 @@
 //! [`run_scalar`] and the per-program output-width histograms.
 //!
 //! There is one instruction loop, in [`crate::prepared`]; `run_scalar`
-//! is its instantiation at tile 1 and lane width 1. Because every packed
-//! operation is lane-wise bit-identical to its scalar counterpart (the
-//! contract pinned in `igen-interval`), every instantiation produces
-//! the same endpoints item for item — the same argument that makes the
+//! is its instantiation at tile 1 and lane width 1, over the scalar
+//! element's own [`LaneOps`] impl. Because every packed operation is
+//! lane-wise bit-identical to its scalar counterpart (the contract
+//! pinned in `igen-interval`), every instantiation produces the same
+//! endpoints item for item — the same argument that makes the
 //! hand-written batch kernels thread-count invariant extends to every
 //! compiled program.
 
 use crate::bytecode::{Insn, PoolConst, Precision, Program};
-use igen_interval::{DdI, F64I};
-use igen_kernels::Numeric;
+use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, F64I};
 use igen_telemetry::{Counter, WidthHist};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -21,10 +21,14 @@ use std::sync::{Mutex, OnceLock};
 /// width).
 pub static VM_INSNS_EXECUTED: Counter = Counter::new("vm.insns_executed");
 
-/// An interval element the bytecode executor can run over: a
-/// [`Numeric`] type plus constant-pool decoding and the clamped
-/// integer power the `ia_pow_*` builtins implement.
-pub trait VmElem: Numeric {
+/// An interval element the bytecode executor can run over: a one-lane
+/// [`LaneOps`] type (what [`run_scalar`] runs) that names its packed
+/// lane type, plus constant-pool decoding and the clamped integer power
+/// the `ia_pow_*` builtins implement.
+pub trait VmElem: LaneOps<Elem = Self> {
+    /// The packed lane type a batch runs this element at.
+    type Lane: LaneOps<Elem = Self>;
+
     /// The bytecode precision this element executes.
     const PRECISION: Precision;
 
@@ -41,6 +45,7 @@ pub trait VmElem: Numeric {
 }
 
 impl VmElem for F64I {
+    type Lane = F64Ix4;
     const PRECISION: Precision = Precision::F64;
 
     fn from_const(c: &PoolConst) -> F64I {
@@ -57,6 +62,7 @@ impl VmElem for F64I {
 }
 
 impl VmElem for DdI {
+    type Lane = DdIx4;
     const PRECISION: Precision = Precision::Dd;
 
     fn from_const(c: &PoolConst) -> DdI {
@@ -86,7 +92,7 @@ impl VmElem for DdI {
 pub fn run_scalar<T: VmElem>(p: &Program, inputs: &[T]) -> Vec<T> {
     assert_eq!(T::PRECISION, p.precision, "element precision does not match program");
     assert_eq!(inputs.len(), p.n_inputs as usize, "program expects {} inputs", p.n_inputs);
-    let mut regs = vec![T::zero(); p.n_regs as usize];
+    let mut regs = vec![T::default(); p.n_regs as usize];
     regs[..inputs.len()].copy_from_slice(inputs);
     crate::prepared::run_body::<T, T>(p, &p.insns, |i| i, &mut regs, 1, 1, None);
     p.outputs.iter().map(|o| regs[o.reg as usize]).collect()

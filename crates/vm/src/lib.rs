@@ -8,8 +8,8 @@
 //! (a tile of groups of items) and [`run_scalar`] (one item).
 //!
 //! The same program runs at scalar width (`F64I`, `DdI`) and at packed
-//! width (`F64Ix4`, `DdIx4` via the `LaneOps` kernels) from one code
-//! path. Because every packed kernel is lane-wise bit-identical to its
+//! width (`F64Ix4`, `DdIx4`) from one code path, written against the one
+//! lane trait `igen_interval::LaneOps` that all four types implement. Because every packed kernel is lane-wise bit-identical to its
 //! scalar counterpart, the packed execution of a compiled program is
 //! bit-identical, endpoint for endpoint, to the scalar one, and both
 //! are pinned against the independent reference, the differential IR

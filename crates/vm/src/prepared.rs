@@ -14,10 +14,16 @@
 //!
 //! The five arithmetic instructions (`Add`, `Sub`, `Mul`, `MulAdd`,
 //! `MulSub`) hand their whole sweep to the lane type's
-//! [`LaneOrScalar::sweep_l`] hook. For `F64Ix4` on AVX2+FMA that is one
+//! [`LaneOps::sweep`] hook. For `F64Ix4` on AVX2+FMA that is one
 //! `igen_round::simd::f64i_sweep_4` call per instruction per tile, with
-//! each interval op kept in registers; the scalar tail, `DdIx4` and the
-//! narrower backends run the group-by-group default.
+//! each interval op kept in registers; `run_scalar`, `DdIx4` and the
+//! portable backend run the group-by-group default.
+//!
+//! A tile runs whole groups only. When its item count is not a multiple
+//! of the lane width, the caller fills the lanes the last group lacks
+//! with any valid interval; those lanes are computed and then dropped,
+//! because [`run_tile`] and its profiler hooks take the tile's live item
+//! count and never look past it.
 //!
 //! Two pieces of per-call waste are also hoisted to preparation time:
 //!
@@ -39,7 +45,7 @@
 
 use crate::bytecode::{Insn, Program};
 use crate::exec::{max_src_rel, VmElem, VM_INSNS_EXECUTED};
-use igen_kernels::{LaneOrScalar, SweepOp};
+use igen_interval::{LaneOps, SweepOp};
 use igen_telemetry::profile::rel_width;
 use igen_telemetry::{Counter, UnitProfiler};
 use std::marker::PhantomData;
@@ -138,7 +144,7 @@ impl<T: VmElem> PreparedProgram<T> {
 /// construction and never touched by [`run_tile`]; build one bank per
 /// worker thread and reuse it across every tile that worker executes.
 #[derive(Debug)]
-pub struct TileBank<T: VmElem, L: LaneOrScalar<T>> {
+pub struct TileBank<T: VmElem, L: LaneOps<Elem = T>> {
     bank: Vec<L>,
     tile: usize,
     n_inputs: usize,
@@ -146,7 +152,7 @@ pub struct TileBank<T: VmElem, L: LaneOrScalar<T>> {
     _elem: PhantomData<T>,
 }
 
-impl<T: VmElem, L: LaneOrScalar<T>> TileBank<T, L> {
+impl<T: VmElem, L: LaneOps<Elem = T>> TileBank<T, L> {
     /// Builds a bank of `tile` groups per register for `prep`,
     /// pre-filling the hoisted constant columns.
     ///
@@ -156,9 +162,9 @@ impl<T: VmElem, L: LaneOrScalar<T>> TileBank<T, L> {
     pub fn new(prep: &PreparedProgram<T>, tile: usize) -> TileBank<T, L> {
         assert!(tile > 0, "tile must be at least one group");
         let n_regs = prep.prog.n_regs as usize;
-        let mut bank = vec![L::splat_l(T::zero()); n_regs * tile];
+        let mut bank = vec![L::default(); n_regs * tile];
         for &(reg, c) in &prep.consts {
-            let v = L::splat_l(c);
+            let v = L::splat(c);
             bank[reg as usize * tile..(reg as usize + 1) * tile].fill(v);
         }
         TileBank {
@@ -176,8 +182,9 @@ impl<T: VmElem, L: LaneOrScalar<T>> TileBank<T, L> {
     }
 
     /// The mutable input column for register `reg`: `tile` lane
-    /// vectors, group-major. Fill `0..n_groups` before [`run_tile`];
-    /// groups past `n_groups` are ignored.
+    /// vectors, group-major. Fill the groups that hold the tile's items
+    /// before [`run_tile`], every lane of each; groups past them are
+    /// ignored.
     ///
     /// # Panics
     ///
@@ -218,33 +225,38 @@ fn sweep1<L: Copy>(bank: &mut [L], tile: usize, n: usize, dst: u32, a: u32, f: i
     }
 }
 
-/// The instruction loop: executes `body` over the first `n` group
-/// columns of a bank `tile` groups wide. `site(i)` is body instruction
-/// `i`'s index in `prog.insns`, the key into the program's
+/// The instruction loop: executes `body` over the first `items`
+/// elements (`items.div_ceil(L::LANES)` group columns) of a bank `tile`
+/// groups wide. `site(i)` is body instruction `i`'s index in
+/// `prog.insns`, the key into the program's
 /// [`DebugMap`](crate::bytecode::DebugMap) and the profiler's site
 /// table.
 ///
 /// A live `prof` times each sweep as one sample and takes one
-/// input/output width sample per element the sweep produced. It reads
-/// the bank between sweeps, never inside one, so a profiled run is
+/// input/output width sample per live element the sweep produced; the
+/// lanes past `items` in the last group are never sampled. It reads the
+/// bank between sweeps, never inside one, so a profiled run is
 /// bit-identical to a plain one.
 ///
-/// Inlined into both callers, so `run_scalar`'s constant tile and group
-/// count of 1 fold every sweep down to a single operation.
+/// Inlined into both callers, so `run_scalar`'s constant tile, lane
+/// width and item count of 1 fold every sweep down to a single
+/// operation.
 #[inline(always)]
-pub(crate) fn run_body<T: VmElem, L: LaneOrScalar<T>>(
+pub(crate) fn run_body<T: VmElem, L: LaneOps<Elem = T>>(
     prog: &Program,
     body: &[Insn],
     site: impl Fn(usize) -> usize,
     bank: &mut [L],
     tile: usize,
-    n: usize,
+    items: usize,
     prof: Option<&mut UnitProfiler>,
 ) {
+    let n = items.div_ceil(L::LANES);
     // `active()` is a constant `false` without the telemetry feature,
     // so every hook below folds away.
     let mut prof = prof.filter(|p| p.active());
-    // Widest source width per element, `g * L::WIDTH + lane`.
+    // Widest source width per live element `k`, lane `k % L::LANES` of
+    // group `k / L::LANES`.
     let mut max_in = Vec::new();
     // A register's first group in the bank.
     let col = |r: u32| r as usize * tile;
@@ -257,12 +269,11 @@ pub(crate) fn run_body<T: VmElem, L: LaneOrScalar<T>>(
                 // Source widths are read before the sweep: the peephole
                 // reuses registers, so dst may alias a source.
                 max_in.clear();
-                for g in 0..n {
-                    for l in 0..L::WIDTH {
-                        max_in.push(max_src_rel(insn, |r| {
-                            bank[r as usize * tile + g].lane_l(l).endpoints_f64()
-                        }));
-                    }
+                for k in 0..items {
+                    let (g, l) = (k / L::LANES, k % L::LANES);
+                    max_in.push(max_src_rel(insn, |r| {
+                        bank[r as usize * tile + g].lane(l).endpoints_f64()
+                    }));
                 }
                 p.now_ns()
             }
@@ -273,23 +284,23 @@ pub(crate) fn run_body<T: VmElem, L: LaneOrScalar<T>>(
             // (rewritten register or input-register destination); the
             // raw instruction list decodes every constant here.
             Insn::Const { dst, idx } => {
-                let v = L::splat_l(T::from_const(&prog.consts[idx as usize]));
+                let v = L::splat(T::from_const(&prog.consts[idx as usize]));
                 sweep1(bank, tile, n, dst, dst, |_| v);
             }
-            Insn::Add { dst, a, b } => L::sweep_l(SweepOp::Add, bank, n, col(dst), col(a), col(b)),
-            Insn::Sub { dst, a, b } => L::sweep_l(SweepOp::Sub, bank, n, col(dst), col(a), col(b)),
-            Insn::Mul { dst, a, b } => L::sweep_l(SweepOp::Mul, bank, n, col(dst), col(a), col(b)),
+            Insn::Add { dst, a, b } => L::sweep(SweepOp::Add, bank, n, col(dst), col(a), col(b)),
+            Insn::Sub { dst, a, b } => L::sweep(SweepOp::Sub, bank, n, col(dst), col(a), col(b)),
+            Insn::Mul { dst, a, b } => L::sweep(SweepOp::Mul, bank, n, col(dst), col(a), col(b)),
             Insn::Div { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x / y),
-            Insn::Min { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x.min_l(y)),
-            Insn::Max { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x.max_l(y)),
+            Insn::Min { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x.min(y)),
+            Insn::Max { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x.max(y)),
             Insn::Neg { dst, a } => sweep1(bank, tile, n, dst, a, |x| -x),
-            Insn::Sqrt { dst, a } => sweep1(bank, tile, n, dst, a, |x| x.sqrt_l()),
-            Insn::Abs { dst, a } => sweep1(bank, tile, n, dst, a, |x| x.abs_l()),
-            Insn::Sqr { dst, a } => sweep1(bank, tile, n, dst, a, |x| x.sqr_l()),
+            Insn::Sqrt { dst, a } => sweep1(bank, tile, n, dst, a, |x| x.sqrt()),
+            Insn::Abs { dst, a } => sweep1(bank, tile, n, dst, a, |x| x.abs()),
+            Insn::Sqr { dst, a } => sweep1(bank, tile, n, dst, a, |x| x.sqr()),
             Insn::Pow { dst, a, n: e } => {
                 // No packed powi kernel: lane-wise is bit-identical
                 // because the lanes are independent.
-                sweep1(bank, tile, n, dst, a, |x| L::from_fn_l(|i| x.lane_l(i).powi_e(e)))
+                sweep1(bank, tile, n, dst, a, |x| L::from_lanes_fn(|i| x.lane(i).powi_e(e)))
             }
             // Dispatch-fused multiply-accumulate: the same two rounded
             // interval ops as the Mul+Add/Sub pair it replaced, product
@@ -298,11 +309,11 @@ pub(crate) fn run_body<T: VmElem, L: LaneOrScalar<T>>(
             // round-tripping a temp column through the bank.
             Insn::MulAdd { dst, a, b, acc } => {
                 let op = SweepOp::MulAdd { acc: col(acc) };
-                L::sweep_l(op, bank, n, col(dst), col(a), col(b))
+                L::sweep(op, bank, n, col(dst), col(a), col(b))
             }
             Insn::MulSub { dst, a, b, acc } => {
                 let op = SweepOp::MulSub { acc: col(acc) };
-                L::sweep_l(op, bank, n, col(dst), col(a), col(b))
+                L::sweep(op, bank, n, col(dst), col(a), col(b))
             }
         }
         if let Some(p) = prof.as_deref_mut() {
@@ -310,7 +321,7 @@ pub(crate) fn run_body<T: VmElem, L: LaneOrScalar<T>>(
             p.add_time(oi, p.now_ns().saturating_sub(t0));
             let di = insn.dst() as usize * tile;
             for (k, &w) in max_in.iter().enumerate() {
-                let (lo, hi) = bank[di + k / L::WIDTH].lane_l(k % L::WIDTH).endpoints_f64();
+                let (lo, hi) = bank[di + k / L::LANES].lane(k % L::LANES).endpoints_f64();
                 p.add_sample(oi, w, rel_width(lo, hi));
             }
         }
@@ -319,33 +330,37 @@ pub(crate) fn run_body<T: VmElem, L: LaneOrScalar<T>>(
     VM_TILES.inc();
 }
 
-/// Executes `prep` over the first `n_groups` group columns of `bank`
-/// (inputs already written via [`TileBank::input_column`]). Declared
-/// outputs land in `outputs` slot-major: `outputs[slot * n_groups + g]`
-/// is output `slot` for group `g`.
+/// Executes `prep` over the first `items` elements of `bank`, in
+/// `n_groups = items.div_ceil(L::LANES)` group columns (inputs already
+/// written via [`TileBank::input_column`], padding lanes included).
+/// Declared outputs land in `outputs` slot-major:
+/// `outputs[slot * n_groups + g]` is output `slot` for group `g`, and
+/// the caller reads only the lanes of its `items` elements.
 ///
 /// With a live `prof`, each body instruction's sweep is profiled
 /// against its *original* instruction index (the hoisted-constant split
 /// shifts body positions, so the prepared program carries the index
-/// map). Bit-identical to running each group alone at tile 1, for every
-/// tile size and lane width, profiled or not — see the module docs.
+/// map), and only the live elements are sampled. Bit-identical to
+/// running each group alone at tile 1, for every tile size and lane
+/// width, profiled or not — see the module docs.
 ///
 /// # Panics
 ///
 /// Panics if `bank` was built for a different [`PreparedProgram`] or if
-/// `n_groups` exceeds the bank's tile.
-pub fn run_tile<T: VmElem, L: LaneOrScalar<T>>(
+/// the items need more groups than the bank's tile.
+pub fn run_tile<T: VmElem, L: LaneOps<Elem = T>>(
     prep: &PreparedProgram<T>,
     bank: &mut TileBank<T, L>,
-    n_groups: usize,
+    items: usize,
     outputs: &mut Vec<L>,
     prof: Option<&mut UnitProfiler>,
 ) {
     assert_eq!(bank.prep_id, prep.id, "tile bank was built for a different program");
-    assert!(n_groups <= bank.tile, "n_groups {} exceeds tile {}", n_groups, bank.tile);
+    let n_groups = items.div_ceil(L::LANES);
+    assert!(n_groups <= bank.tile, "{items} items need {n_groups} groups, tile is {}", bank.tile);
     let tile = bank.tile;
     let site = |bi: usize| prep.body_idx[bi] as usize;
-    run_body(&prep.prog, &prep.body, site, &mut bank.bank, tile, n_groups, prof);
+    run_body(&prep.prog, &prep.body, site, &mut bank.bank, tile, items, prof);
     outputs.clear();
     for o in &prep.prog.outputs {
         let oi = o.reg as usize * tile;
@@ -432,24 +447,28 @@ mod tests {
         let mut out = Vec::new();
         // Two consecutive calls through the same bank: the second must
         // not observe anything from the first (constants persist,
-        // scratch is dead by validation).
-        for call in 0..2usize {
-            let n_groups = if call == 0 { 3 } else { 2 };
+        // scratch is dead by validation). Both end in a padded group.
+        for (call, items) in [(0usize, 11usize), (1, 6)] {
+            let n_groups = items.div_ceil(4);
             for g in 0..n_groups {
                 for r in 0..3u32 {
-                    bank.input_column(r)[g] = <F64Ix4 as LaneOrScalar<F64I>>::from_fn_l(|l| {
-                        item(100 * call + 4 * g + l)[r as usize]
+                    bank.input_column(r)[g] = F64Ix4::from_lanes_fn(|l| {
+                        let k = 4 * g + l;
+                        if k < items {
+                            item(100 * call + k)[r as usize]
+                        } else {
+                            F64I::ONE
+                        }
                     });
                 }
             }
-            run_tile(&prep, &mut bank, n_groups, &mut out, None);
-            for (g, group) in out.iter().enumerate().take(n_groups) {
-                for l in 0..4 {
-                    let want = run_scalar(&p, &item(100 * call + 4 * g + l))[0];
-                    let got = group.lane_l(l);
-                    assert_eq!(got.lo().to_bits(), want.lo().to_bits(), "call {call} g{g} l{l}");
-                    assert_eq!(got.hi().to_bits(), want.hi().to_bits(), "call {call} g{g} l{l}");
-                }
+            run_tile(&prep, &mut bank, items, &mut out, None);
+            assert_eq!(out.len(), n_groups);
+            for k in 0..items {
+                let want = run_scalar(&p, &item(100 * call + k))[0];
+                let got = out[k / 4].lane(k % 4);
+                assert_eq!(got.lo().to_bits(), want.lo().to_bits(), "call {call} item {k}");
+                assert_eq!(got.hi().to_bits(), want.hi().to_bits(), "call {call} item {k}");
             }
         }
     }
@@ -485,33 +504,35 @@ mod tests {
     }
 
     /// Plain and profiled runs over the same bank, at the lane width `L`.
-    fn check_profiled_tile<L: LaneOrScalar<F64I>>() {
+    fn check_profiled_tile<L: LaneOps<Elem = F64I>>() {
         let p = quad();
         let prep = PreparedProgram::<F64I>::new(p.clone());
         let mut bank = TileBank::<F64I, L>::new(&prep, 4);
         let fill = |bank: &mut TileBank<F64I, L>| {
             for g in 0..4 {
                 for r in 0..3u32 {
-                    bank.input_column(r)[g] = L::from_fn_l(|l| item(L::WIDTH * g + l)[r as usize]);
+                    bank.input_column(r)[g] =
+                        L::from_lanes_fn(|l| item(L::LANES * g + l)[r as usize]);
                 }
             }
         };
+        let items = 4 * L::LANES;
         fill(&mut bank);
         let mut plain = Vec::new();
-        run_tile(&prep, &mut bank, 4, &mut plain, None);
+        run_tile(&prep, &mut bank, items, &mut plain, None);
         // Recording on makes the profiler live under the telemetry
         // feature; without it this pins the folded-away hooks.
         igen_telemetry::set_recording(true);
         let mut prof = igen_telemetry::UnitProfiler::start(&p.name, p.insns.len());
         fill(&mut bank);
         let mut profiled = Vec::new();
-        run_tile(&prep, &mut bank, 4, &mut profiled, Some(&mut prof));
+        run_tile(&prep, &mut bank, items, &mut profiled, Some(&mut prof));
         prof.finish();
         igen_telemetry::set_recording(false);
         assert_eq!(plain.len(), profiled.len());
         for (w, g) in plain.iter().zip(&profiled) {
-            for l in 0..L::WIDTH {
-                let (w, g) = (w.lane_l(l), g.lane_l(l));
+            for l in 0..L::LANES {
+                let (w, g) = (w.lane(l), g.lane(l));
                 assert_eq!(w.lo().to_bits(), g.lo().to_bits());
                 assert_eq!(w.hi().to_bits(), g.hi().to_bits());
             }

@@ -6,8 +6,9 @@
 //!    `BatchProgram`) is bit-identical to the scalar reference
 //!    (`run_scalar`) for every batch-size tail shape — fewer items
 //!    than a packed group, fewer groups than a tile, and non-multiples
-//!    of the tile — at `-O0/-O1/-O2`, both precisions, 1/3/8 threads,
-//!    and several tile sizes.
+//!    of the tile, each ending in a padded group — at `-O0/-O1/-O2`,
+//!    both precisions, 1/3/8 threads, and several tile sizes, including
+//!    a Hénon@20 leg whose real lanes go non-finite.
 //! 2. The peephole pass preserves every endpoint bit of every output on
 //!    the full `vm_identity` program set: the raw lowering and the
 //!    peepholed program are run side by side over random inputs and
@@ -135,25 +136,88 @@ fn tiled_batch_is_bit_identical_to_scalar_for_every_tail_shape() {
             }
         }
     }
+    // Hénon@20 over [-2, 2]: many items leave the attractor's basin and
+    // go non-finite, so padded last groups carry NaN real lanes next to
+    // their [1, 1] padding lanes.
+    let bind = BindSpec::new(vec![ArgBind::Ival, ArgBind::Ival, ArgBind::Int(20)]);
+    let mut padded_nonfinite = [0usize; 2];
+    let out = compile(&henon, OptLevel::O2, Precision::F64);
+    let prog = compile_to_program(&out, "henon_map", &bind).expect("lowers");
+    let nin = prog.n_inputs as usize;
+    let bp = BatchProgram::new(prog.clone());
+    for &items in &[1usize, 2, 3, 5, 33] {
+        let mut rng = workload::rng(0x20 ^ items as u64);
+        let points = workload::random_points(&mut rng, items * nin, -2.0, 2.0);
+        let inputs = workload::intervals_1ulp(&points);
+        let want: Vec<F64I> = (0..items)
+            .flat_map(|i| run_scalar::<F64I>(&prog, &inputs[i * nin..(i + 1) * nin]))
+            .collect();
+        padded_nonfinite[0] += want[items / 4 * 4..]
+            .iter()
+            .filter(|w| !(w.lo().is_finite() && w.hi().is_finite()))
+            .count();
+        let soa = BatchF64I::from_intervals(&inputs);
+        for (threads, tile) in [(1usize, 1usize), (3, 8)] {
+            let cfg = BatchConfig::new()
+                .with_threads(threads)
+                .with_seq_threshold(0)
+                .with_tile_groups(tile);
+            let got = bp.run(&cfg, &soa).to_intervals();
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                let ctx = format!("f64 henon@20 items={items} threads={threads} tile={tile}");
+                assert_f64_bits(g, w, &ctx);
+            }
+        }
+    }
+    let out = compile(&henon, OptLevel::O2, Precision::Dd);
+    let prog = compile_to_program(&out, "henon_map", &bind).expect("lowers dd");
+    let bp = BatchProgram::new(prog.clone());
+    for &items in &[1usize, 2, 3, 5, 33] {
+        let mut rng = workload::rng(0xDD20 ^ items as u64);
+        let inputs = workload::dd_intervals_1ulp(&mut rng, items * nin, -2.0, 2.0);
+        let want: Vec<DdI> = (0..items)
+            .flat_map(|i| run_scalar::<DdI>(&prog, &inputs[i * nin..(i + 1) * nin]))
+            .collect();
+        padded_nonfinite[1] += want[items / 4 * 4..]
+            .iter()
+            .filter(|w| !(w.lo().hi().is_finite() && w.hi().hi().is_finite()))
+            .count();
+        let soa = BatchDdI::from_intervals(&inputs);
+        for (threads, tile) in [(1usize, 1usize), (3, 8)] {
+            let cfg = BatchConfig::new()
+                .with_threads(threads)
+                .with_seq_threshold(0)
+                .with_tile_groups(tile);
+            let got = bp.run_dd(&cfg, &soa).to_intervals();
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                let ctx = format!("dd henon@20 items={items} threads={threads} tile={tile}");
+                assert_dd_bits(g, w, &ctx);
+            }
+        }
+    }
+    assert!(
+        padded_nonfinite.iter().all(|&n| n > 0),
+        "the leg must put non-finite real lanes in padded groups: {padded_nonfinite:?}"
+    );
 }
 
-/// Named for the CI leg that forces the SSE2 backend on AVX2 hosts: the
-/// tiled executor's packed sweeps must survive the downgrade
-/// bit-identically. Safe to run alongside the other tests here — the
-/// whole point of the backend contract is that every backend produces
-/// the same bits, so a concurrently-downgraded test still passes.
+/// The portable backend, forced: on an AVX2+FMA host the tiled
+/// executor's packed sweeps otherwise never run the portable path, which
+/// every host without AVX2 and FMA takes. Safe to run alongside the
+/// other tests here — the whole point of the backend contract is that
+/// every backend produces the same bits, so a concurrently-downgraded
+/// test still passes.
 #[test]
-fn forced_sse2_tiled_batch_bit_identical() {
-    if simd::detected_backend() < Backend::Sse2 {
-        return; // nothing to force on this host
-    }
+fn forced_portable_tiled_batch_bit_identical() {
     let henon = henon_src();
     let bind = BindSpec::new(vec![ArgBind::Ival, ArgBind::Ival, ArgBind::Int(8)]);
     let out = compile(&henon, OptLevel::O2, Precision::F64);
     let prog = compile_to_program(&out, "henon_map", &bind).expect("lowers");
     let nin = prog.n_inputs as usize;
     let bp = BatchProgram::new(prog.clone());
-    let items = 33usize; // one over a full default tile: packed body + scalar tail
+    let items = 33usize; // one over a full default tile: a padded last group
     let mut rng = workload::rng(0x55E2);
     let points = workload::random_points(&mut rng, items * nin, -1.0, 1.0);
     let inputs = workload::intervals_1ulp(&points);
@@ -162,12 +226,12 @@ fn forced_sse2_tiled_batch_bit_identical() {
         .collect();
     let soa = BatchF64I::from_intervals(&inputs);
     let cfg = BatchConfig::new().with_threads(2).with_seq_threshold(0);
-    simd::force_backend(Some(Backend::Sse2));
+    simd::force_backend(Some(Backend::Portable));
     let got = bp.run(&cfg, &soa).to_intervals();
     simd::force_backend(None);
     assert_eq!(got.len(), want.len());
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-        assert_f64_bits(g, w, &format!("forced sse2, output {i}"));
+        assert_f64_bits(g, w, &format!("forced portable, output {i}"));
     }
 }
 
