@@ -8,7 +8,7 @@
 //! style faithfully enough to serve as the gauntlet's universal
 //! baseline:
 //!
-//! * every operation performs two mode switches ([`set_rounding_mode`]:
+//! * every operation performs two mode switches (`set_rounding_mode`:
 //!   an `#[inline(never)]` call around a sequentially-consistent store —
 //!   the software stand-in for the serializing `LDMXCSR`), and
 //! * each "directed" endpoint result is the round-to-nearest value

@@ -7,10 +7,11 @@
 //! products, many initial conditions, many inference inputs — so this
 //! crate adds the missing throughput layer:
 //!
-//! * [`soa`] — structure-of-arrays interval buffers ([`BatchF64I`],
-//!   [`BatchDdI`], both [`SoaBatch`]): endpoint columns stored in the
-//!   intervals' internal (negated-low) representation, feeding the
-//!   `vector.rs` lane types with plain strided loads.
+//! * [`soa`] — structure-of-arrays interval buffers: one struct,
+//!   [`SoaBatch`], generic over the element, with the aliases
+//!   [`BatchF64I`] and [`BatchDdI`]. Its columns hold the element's
+//!   words in the intervals' internal (negated-low) representation,
+//!   feeding the `vector.rs` lane types with plain strided loads.
 //! * [`engine`] — a chunked multi-threaded ordered map
 //!   ([`engine::par_map_indexed`]) built on `std::thread::scope`
 //!   (`rayon` is unavailable offline — documented substitution), with a

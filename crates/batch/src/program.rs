@@ -13,7 +13,9 @@
 //! profiler sees them. Tiles are distributed across threads with the
 //! engine's pinned, order-preserving combine, and each worker reuses
 //! one register bank across all its tiles, so per-call setup is gone.
-//! One generic driver serves both precisions, plain and profiled.
+//! One generic tile loop serves both precisions, plain and profiled: the
+//! entry points take a [`SoaBatch`] of either element and panic when it
+//! does not match the program's precision.
 //!
 //! Lanes never interact, and the tile executor is bit-identical to
 //! per-group execution for every tile size, so the output batch is
@@ -21,12 +23,13 @@
 //! `igen_vm::run_scalar` item for item, for any compiled function.
 
 use crate::engine::{par_map_indexed_with, BatchConfig};
-use crate::soa::{BatchDdI, BatchF64I, SoaBatch};
+use crate::soa::{BatchDdI, SoaBatch};
 use igen_interval::{DdI, LaneOps, F64I};
 use igen_telemetry::UnitProfiler;
 use igen_vm::{
     program_width_hist, run_tile, PoolConst, Precision, PreparedProgram, Program, TileBank, VmElem,
 };
+use std::any::Any;
 use std::sync::Mutex;
 
 /// Upper bound on pooled scratch sets kept across calls — enough for
@@ -134,10 +137,10 @@ impl<T: VmElem> Typed<T> {
 /// Runs items `first..first + items` of `inputs` as one tile: fills the
 /// input columns group by group, the lanes a short last group lacks
 /// with `[1, 1]`, and returns the outputs item-major without them.
-fn tile_pass<T: VmElem, B: SoaBatch<Elem = T>>(
+fn tile_pass<T: VmElem>(
     prep: &PreparedProgram<T>,
     (bank, out): &mut Bank<T>,
-    inputs: &B,
+    inputs: &SoaBatch<T>,
     first: usize,
     items: usize,
     prof: Option<&mut UnitProfiler>,
@@ -150,7 +153,7 @@ fn tile_pass<T: VmElem, B: SoaBatch<Elem = T>>(
         for (g, slot) in bank.input_column(j as u32).iter_mut().enumerate().take(groups) {
             let item = |l: usize| (first + g * lanes + l) * nin + j;
             *slot = if (g + 1) * lanes <= items {
-                inputs.load_lanes(item(0), nin)
+                inputs.load_x4(item(0), nin)
             } else {
                 T::Lane::from_lanes_fn(|l| {
                     if g * lanes + l < items {
@@ -209,35 +212,25 @@ impl BatchProgram {
         len / nin
     }
 
-    /// Runs an `f64` program over an item-major input batch; returns
-    /// the item-major output batch.
+    /// Runs the program over an item-major input batch of its element;
+    /// returns the item-major output batch.
     ///
     /// # Panics
     ///
-    /// Panics if the program is not `f64` precision or the batch
-    /// length is not a multiple of the input count.
-    pub fn run(&self, cfg: &BatchConfig, inputs: &BatchF64I) -> BatchF64I {
-        let Prepared::F64(t) = &self.prepared else {
-            panic!("run_dd executes dd programs");
-        };
-        self.execute(t, cfg, inputs, None)
+    /// Panics if the batch's element does not match the program's
+    /// precision or the batch length is not a multiple of the input
+    /// count.
+    pub fn run<T: VmElem>(&self, cfg: &BatchConfig, inputs: &SoaBatch<T>) -> SoaBatch<T> {
+        self.execute(cfg, inputs, None)
     }
 
-    /// Runs a `dd` program over an item-major input batch; returns the
-    /// item-major output batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program is not `dd` precision or the batch length
-    /// is not a multiple of the input count.
+    /// [`BatchProgram::run`] at double-double, under the name the
+    /// `igen-ledger` benchmark still calls.
     pub fn run_dd(&self, cfg: &BatchConfig, inputs: &BatchDdI) -> BatchDdI {
-        let Prepared::Dd(t) = &self.prepared else {
-            panic!("run executes f64 programs");
-        };
-        self.execute(t, cfg, inputs, None)
+        self.run(cfg, inputs)
     }
 
-    /// Runs an `f64` program with per-instruction width-provenance
+    /// [`BatchProgram::run`] with per-instruction width-provenance
     /// profiling into `prof` (see [`igen_vm::run_tile`]).
     ///
     /// Sequential by design: profiling wants undistorted per-site
@@ -248,49 +241,37 @@ impl BatchProgram {
     ///
     /// # Panics
     ///
-    /// Panics if the program is not `f64` precision or the batch
-    /// length is not a multiple of the input count.
-    pub fn run_profiled(
+    /// Same as [`BatchProgram::run`].
+    pub fn run_profiled<T: VmElem>(
         &self,
         cfg: &BatchConfig,
-        inputs: &BatchF64I,
+        inputs: &SoaBatch<T>,
         prof: &mut UnitProfiler,
-    ) -> BatchF64I {
-        let Prepared::F64(t) = &self.prepared else {
-            panic!("run_dd_profiled executes dd programs");
-        };
-        self.execute(t, cfg, inputs, Some(prof))
+    ) -> SoaBatch<T> {
+        self.execute(cfg, inputs, Some(prof))
     }
 
-    /// [`BatchProgram::run_profiled`] for `dd` programs — sequential,
-    /// bit-identical to [`BatchProgram::run_dd`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program is not `dd` precision or the batch length
-    /// is not a multiple of the input count.
-    pub fn run_dd_profiled(
-        &self,
-        cfg: &BatchConfig,
-        inputs: &BatchDdI,
-        prof: &mut UnitProfiler,
-    ) -> BatchDdI {
-        let Prepared::Dd(t) = &self.prepared else {
-            panic!("run_profiled executes f64 programs");
+    /// The prepared program of element `T`.
+    fn typed<T: VmElem>(&self) -> &Typed<T> {
+        let typed: &dyn Any = match &self.prepared {
+            Prepared::F64(t) => t,
+            Prepared::Dd(t) => t,
         };
-        self.execute(t, cfg, inputs, Some(prof))
+        typed.downcast_ref().unwrap_or_else(|| {
+            panic!("{:?} inputs for a {:?} program", T::PRECISION, self.program().precision)
+        })
     }
 
     /// The one tile driver behind every entry point: task `k` is a tile
     /// of up to `tile` packed groups, the last of which may be padded. A
     /// profiled run keeps every task on the calling thread.
-    fn execute<T: VmElem, B: SoaBatch<Elem = T> + Sync>(
+    fn execute<T: VmElem>(
         &self,
-        t: &Typed<T>,
         cfg: &BatchConfig,
-        inputs: &B,
+        inputs: &SoaBatch<T>,
         prof: Option<&mut UnitProfiler>,
-    ) -> B {
+    ) -> SoaBatch<T> {
+        let t = self.typed::<T>();
         let (prep, prog) = (&t.prep, t.prep.program());
         let profiled = prof.is_some();
         let prefix = if profiled { "vm.batch.profiled." } else { "vm.batch." };
@@ -322,7 +303,7 @@ impl BatchProgram {
         // run, so untraced runs pay nothing.
         let hist =
             (!profiled && igen_telemetry::recording()).then(|| program_width_hist(&prog.name));
-        let mut result = B::with_capacity(items * prog.outputs.len());
+        let mut result = SoaBatch::with_capacity(items * prog.outputs.len());
         for v in parts.into_iter().flatten() {
             if let Some(hist) = hist {
                 let (lo, hi) = v.endpoints_f64();

@@ -2,281 +2,127 @@
 //!
 //! A `Vec<F64I>` stores intervals as `(neg_lo, hi)` pairs — fine for one
 //! kernel invocation, but a batch of thousands of intervals is better
-//! stored as *columns*: one slice of negated lower endpoints and one of
-//! upper endpoints. The columns are the interval types' internal
-//! representation verbatim (the lower endpoint is stored negated so every
-//! operation rounds upward — see `igen-interval`), so reassembling an
-//! interval is two plain loads with **no negation and no per-element
-//! shuffling**, and a lane type ([`igen_interval::F64Ix4`]) is filled by
-//! four strided loads per column. The columns are also exactly what an
-//! AVX gather or a future GPU port wants to touch. [`SoaBatch`] names
-//! its element's packed lane type through `igen_vm::VmElem::Lane`, so
-//! the program driver loads whole groups without knowing the precision.
+//! stored as *columns*, one per f64 word of the element in
+//! [`VmElem`]'s word order: `neg_lo` and `hi` for `F64I`, the high and
+//! low words of both for `DdI`. The columns are the interval types'
+//! internal representation verbatim (the lower endpoint is stored
+//! negated so every operation rounds upward — see `igen-interval`), so
+//! reassembling an interval is plain loads with **no negation and no
+//! per-element shuffling**, and a packed lane vector is filled by four
+//! strided loads per column. The columns are also exactly what an AVX
+//! gather or a future GPU port wants to touch. One struct,
+//! [`SoaBatch`], serves both elements, so [`crate::BatchProgram`]
+//! loads whole groups without knowing the precision.
 
-use igen_dd::Dd;
-use igen_interval::{DdI, DdIx4, F64Ix4, F64I};
-use igen_round::simd::DdiCols4;
+use igen_interval::{DdI, F64I};
 use igen_vm::VmElem;
+use std::marker::PhantomData;
 
-/// A structure-of-arrays interval batch, as the generic program driver
-/// ([`crate::BatchProgram`]) reads and writes it: implemented by
-/// [`BatchF64I`] and [`BatchDdI`].
-pub trait SoaBatch: Sized {
-    /// The interval type of one slot.
-    type Elem: VmElem;
+/// A batch of intervals of element `T` in structure-of-arrays layout:
+/// one column per f64 word of `T`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SoaBatch<T: VmElem> {
+    cols: Vec<Vec<f64>>,
+    elem: PhantomData<T>,
+}
 
-    /// An empty batch with room for `n` intervals.
-    fn with_capacity(n: usize) -> Self;
+/// A batch of double-precision intervals: a column of negated lower
+/// endpoints and one of upper endpoints.
+pub type BatchF64I = SoaBatch<F64I>;
 
-    /// Appends one interval.
-    fn push(&mut self, v: Self::Elem);
+/// A batch of double-double intervals: four columns, the high and low
+/// words of the negated lower endpoint and of the upper endpoint.
+pub type BatchDdI = SoaBatch<DdI>;
 
-    /// Number of intervals in the batch.
-    fn len(&self) -> usize;
-
-    /// True when the batch holds no intervals.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i`-th interval.
-    fn get(&self, i: usize) -> Self::Elem;
-
-    /// Loads slots `start, start + stride, ..` into one packed lane
-    /// vector of the element's lane type.
-    fn load_lanes(&self, start: usize, stride: usize) -> <Self::Elem as VmElem>::Lane;
-
-    /// The endpoint columns, in a fixed order.
-    fn columns(&self) -> Vec<&[f64]>;
-
-    /// True when both batches hold the same bits in every endpoint
-    /// column. Unlike the derived `==`, a NaN endpoint equals itself,
-    /// so batches that went non-finite compare as the bit-identity
-    /// contract means.
-    fn bits_eq(&self, other: &Self) -> bool {
-        let (a, b) = (self.columns(), other.columns());
-        a.len() == b.len()
-            && a.iter().zip(&b).all(|(x, y)| {
-                x.len() == y.len() && x.iter().zip(*y).all(|(p, q)| p.to_bits() == q.to_bits())
-            })
+impl<T: VmElem> Default for SoaBatch<T> {
+    fn default() -> SoaBatch<T> {
+        SoaBatch::with_capacity(0)
     }
 }
 
-/// A batch of double-precision intervals in structure-of-arrays layout:
-/// one column of negated lower endpoints, one of upper endpoints.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchF64I {
-    neg_lo: Vec<f64>,
-    hi: Vec<f64>,
-}
-
-impl BatchF64I {
+impl<T: VmElem> SoaBatch<T> {
     /// An empty batch.
-    pub fn new() -> BatchF64I {
-        BatchF64I::default()
+    pub fn new() -> SoaBatch<T> {
+        SoaBatch::default()
     }
 
     /// An empty batch with room for `n` intervals per column.
-    pub fn with_capacity(n: usize) -> BatchF64I {
-        BatchF64I { neg_lo: Vec::with_capacity(n), hi: Vec::with_capacity(n) }
+    pub fn with_capacity(n: usize) -> SoaBatch<T> {
+        let words = T::Words::default().as_ref().len();
+        SoaBatch { cols: (0..words).map(|_| Vec::with_capacity(n)).collect(), elem: PhantomData }
     }
 
     /// Columnizes a slice of intervals.
-    pub fn from_intervals(xs: &[F64I]) -> BatchF64I {
-        BatchF64I {
-            neg_lo: xs.iter().map(F64I::neg_lo).collect(),
-            hi: xs.iter().map(F64I::hi).collect(),
-        }
+    pub fn from_intervals(xs: &[T]) -> SoaBatch<T> {
+        xs.iter().copied().collect()
     }
 
     /// Number of intervals in the batch.
     pub fn len(&self) -> usize {
-        self.neg_lo.len()
+        self.cols[0].len()
     }
 
     /// True when the batch holds no intervals.
     pub fn is_empty(&self) -> bool {
-        self.neg_lo.is_empty()
+        self.len() == 0
     }
 
     /// Appends one interval.
-    pub fn push(&mut self, v: F64I) {
-        self.neg_lo.push(v.neg_lo());
-        self.hi.push(v.hi());
+    pub fn push(&mut self, v: T) {
+        for (col, w) in self.cols.iter_mut().zip(v.to_words().as_ref()) {
+            col.push(*w);
+        }
     }
 
-    /// The `i`-th interval, reassembled from the columns (two loads, no
-    /// negation).
-    pub fn get(&self, i: usize) -> F64I {
-        F64I::from_neg_lo_hi(self.neg_lo[i], self.hi[i])
+    /// The `i`-th interval, reassembled from the columns (one load per
+    /// word, no negation).
+    pub fn get(&self, i: usize) -> T {
+        let mut w = T::Words::default();
+        for (x, col) in w.as_mut().iter_mut().zip(&self.cols) {
+            *x = col[i];
+        }
+        T::from_words(w)
     }
 
     /// Materializes the batch back to array-of-structs form.
-    pub fn to_intervals(&self) -> Vec<F64I> {
+    pub fn to_intervals(&self) -> Vec<T> {
         (0..self.len()).map(|i| self.get(i)).collect()
     }
 
-    /// Loads lanes `start, start+stride, ..` into a 4-wide lane vector —
-    /// the shape [`crate::BatchProgram`] uses to evolve four batch items
-    /// per packed register. Column-to-column gather, no reassembly.
-    pub fn load_x4(&self, start: usize, stride: usize) -> F64Ix4 {
+    /// Loads slots `start, start + stride, ..` into one packed lane
+    /// vector — the shape [`crate::BatchProgram`] uses to evolve four
+    /// batch items per packed register. Column-to-column gather, no
+    /// reassembly.
+    pub fn load_x4(&self, start: usize, stride: usize) -> T::Lane {
         let idx = [start, start + stride, start + 2 * stride, start + 3 * stride];
-        F64Ix4::from_columns(idx.map(|i| self.neg_lo[i]), idx.map(|i| self.hi[i]))
-    }
-}
-
-impl FromIterator<F64I> for BatchF64I {
-    fn from_iter<I: IntoIterator<Item = F64I>>(iter: I) -> BatchF64I {
-        let mut b = BatchF64I::new();
-        for v in iter {
-            b.push(v);
-        }
-        b
-    }
-}
-
-impl SoaBatch for BatchF64I {
-    type Elem = F64I;
-
-    fn with_capacity(n: usize) -> BatchF64I {
-        BatchF64I::with_capacity(n)
-    }
-    fn push(&mut self, v: F64I) {
-        BatchF64I::push(self, v);
-    }
-    fn len(&self) -> usize {
-        BatchF64I::len(self)
-    }
-    fn get(&self, i: usize) -> F64I {
-        BatchF64I::get(self, i)
-    }
-    fn load_lanes(&self, start: usize, stride: usize) -> F64Ix4 {
-        self.load_x4(start, stride)
-    }
-    fn columns(&self) -> Vec<&[f64]> {
-        vec![&self.neg_lo, &self.hi]
-    }
-}
-
-/// A batch of double-double intervals in structure-of-arrays layout.
-///
-/// A `DdI` endpoint is itself a double-double pair, so the batch carries
-/// four columns: the hi/lo components of the negated lower endpoint and
-/// of the upper endpoint.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchDdI {
-    neg_lo_hi: Vec<f64>,
-    neg_lo_lo: Vec<f64>,
-    hi_hi: Vec<f64>,
-    hi_lo: Vec<f64>,
-}
-
-impl BatchDdI {
-    /// An empty batch.
-    pub fn new() -> BatchDdI {
-        BatchDdI::default()
+        T::lane_from_columns(|w| idx.map(|i| self.cols[w][i]))
     }
 
-    /// An empty batch with component capacity reserved for `n` items.
-    pub fn with_capacity(n: usize) -> BatchDdI {
-        BatchDdI {
-            neg_lo_hi: Vec::with_capacity(n),
-            neg_lo_lo: Vec::with_capacity(n),
-            hi_hi: Vec::with_capacity(n),
-            hi_lo: Vec::with_capacity(n),
-        }
-    }
-
-    /// Columnizes a slice of double-double intervals.
-    pub fn from_intervals(xs: &[DdI]) -> BatchDdI {
-        let mut b = BatchDdI::new();
-        for x in xs {
-            b.push(*x);
-        }
-        b
-    }
-
-    /// Number of intervals in the batch.
-    pub fn len(&self) -> usize {
-        self.neg_lo_hi.len()
-    }
-
-    /// True when the batch holds no intervals.
-    pub fn is_empty(&self) -> bool {
-        self.neg_lo_hi.is_empty()
-    }
-
-    /// Appends one interval.
-    pub fn push(&mut self, v: DdI) {
-        let (nl, h) = (v.neg_lo(), v.hi());
-        self.neg_lo_hi.push(nl.hi());
-        self.neg_lo_lo.push(nl.lo());
-        self.hi_hi.push(h.hi());
-        self.hi_lo.push(h.lo());
-    }
-
-    /// The `i`-th interval, reassembled from the four columns.
-    pub fn get(&self, i: usize) -> DdI {
-        DdI::from_neg_lo_hi(
-            Dd::from_parts_unchecked(self.neg_lo_hi[i], self.neg_lo_lo[i]),
-            Dd::from_parts_unchecked(self.hi_hi[i], self.hi_lo[i]),
-        )
-    }
-
-    /// Materializes the batch back to array-of-structs form.
-    pub fn to_intervals(&self) -> Vec<DdI> {
-        (0..self.len()).map(|i| self.get(i)).collect()
-    }
-
-    /// Loads lanes `start, start+stride, ..` into a 4-wide lane vector:
-    /// four column-to-column gathers, no interval reassembly.
-    pub fn load_x4(&self, start: usize, stride: usize) -> DdIx4 {
-        let idx = [start, start + stride, start + 2 * stride, start + 3 * stride];
-        DdIx4::from_columns(DdiCols4 {
-            neg_lo_hi: idx.map(|i| self.neg_lo_hi[i]),
-            neg_lo_lo: idx.map(|i| self.neg_lo_lo[i]),
-            hi_hi: idx.map(|i| self.hi_hi[i]),
-            hi_lo: idx.map(|i| self.hi_lo[i]),
+    /// True when both batches hold the same bits in every column.
+    /// Unlike the derived `==`, a NaN endpoint equals itself, so batches
+    /// that went non-finite compare as the bit-identity contract means.
+    pub fn bits_eq(&self, other: &SoaBatch<T>) -> bool {
+        self.cols.iter().zip(&other.cols).all(|(x, y)| {
+            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
         })
     }
 }
 
-impl FromIterator<DdI> for BatchDdI {
-    fn from_iter<I: IntoIterator<Item = DdI>>(iter: I) -> BatchDdI {
-        let mut b = BatchDdI::new();
+impl<T: VmElem> FromIterator<T> for SoaBatch<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> SoaBatch<T> {
+        let iter = iter.into_iter();
+        let mut b = SoaBatch::with_capacity(iter.size_hint().0);
         for v in iter {
             b.push(v);
         }
         b
-    }
-}
-
-impl SoaBatch for BatchDdI {
-    type Elem = DdI;
-
-    fn with_capacity(n: usize) -> BatchDdI {
-        BatchDdI::with_capacity(n)
-    }
-    fn push(&mut self, v: DdI) {
-        BatchDdI::push(self, v);
-    }
-    fn len(&self) -> usize {
-        BatchDdI::len(self)
-    }
-    fn get(&self, i: usize) -> DdI {
-        BatchDdI::get(self, i)
-    }
-    fn load_lanes(&self, start: usize, stride: usize) -> DdIx4 {
-        self.load_x4(start, stride)
-    }
-    fn columns(&self) -> Vec<&[f64]> {
-        vec![&self.neg_lo_hi, &self.neg_lo_lo, &self.hi_hi, &self.hi_lo]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use igen_dd::Dd;
     use igen_interval::LaneOps;
 
     fn sample_f64i(n: usize) -> Vec<F64I> {
@@ -305,7 +151,7 @@ mod tests {
         let b = BatchF64I::from_intervals(&[x]);
         // neg_lo column stores the *negated* lower endpoint: no shuffle
         // between batch memory and the interval representation.
-        assert_eq!(b.columns(), [&[2.0][..], &[5.0][..]]);
+        assert_eq!(b.cols, [vec![2.0], vec![5.0]]);
     }
 
     #[test]

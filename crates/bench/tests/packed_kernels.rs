@@ -22,6 +22,7 @@ use igen_kernels::linalg::{dot, gemm, mvm};
 use igen_kernels::{henon_from, workload, Numeric};
 use igen_round::simd::{self, Backend};
 use igen_session::CompiledUnit;
+use igen_vm::VmElem;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -54,64 +55,45 @@ fn sample(seed: u64, len: usize, lo: f64, hi: f64) -> Vec<F64I> {
     workload::intervals_1ulp(&workload::random_points(&mut rng, len, lo, hi))
 }
 
-/// One endpoint precision: its interval type, SoA batch and entry point.
-trait Prec: Numeric {
-    type Batch: SoaBatch<Elem = Self> + FromIterator<Self>;
-    const PRECISION: Precision;
+/// One endpoint precision, beyond what the library's element trait
+/// gives (batch type, promotion, entry point): the compiler setting
+/// that emits it and a seeded sampler over any range.
+trait Prec: Numeric + VmElem {
+    const CONFIG: Precision;
     /// Seeded 1-ulp inputs (double-double ones with nonzero low words).
     fn sample(seed: u64, len: usize, lo: f64, hi: f64) -> Vec<Self>;
-    fn widen(v: F64I) -> Self;
-    fn run(unit: &CompiledUnit, cfg: &BatchConfig, inputs: &Self::Batch) -> Self::Batch;
 }
 
 impl Prec for F64I {
-    type Batch = BatchF64I;
-    const PRECISION: Precision = Precision::F64;
+    const CONFIG: Precision = Precision::F64;
     fn sample(seed: u64, len: usize, lo: f64, hi: f64) -> Vec<F64I> {
         sample(seed, len, lo, hi)
-    }
-    fn widen(v: F64I) -> F64I {
-        v
-    }
-    fn run(unit: &CompiledUnit, cfg: &BatchConfig, inputs: &BatchF64I) -> BatchF64I {
-        unit.batch.run(cfg, inputs)
     }
 }
 
 impl Prec for DdI {
-    type Batch = BatchDdI;
-    const PRECISION: Precision = Precision::Dd;
+    const CONFIG: Precision = Precision::Dd;
     fn sample(seed: u64, len: usize, lo: f64, hi: f64) -> Vec<DdI> {
         workload::dd_intervals_1ulp(&mut workload::rng(seed), len, lo, hi)
     }
-    fn widen(v: F64I) -> DdI {
-        DdI::from_f64i(&v)
-    }
-    fn run(unit: &CompiledUnit, cfg: &BatchConfig, inputs: &BatchDdI) -> BatchDdI {
-        unit.batch.run_dd(cfg, inputs)
-    }
-}
-
-fn items<B: SoaBatch>(b: &B) -> Vec<B::Elem> {
-    (0..b.len()).map(|i| b.get(i)).collect()
 }
 
 /// One compiled kernel instance with its scalar reference outputs.
 struct Case<T: Prec> {
     kernel: &'static str,
     unit: Arc<CompiledUnit>,
-    inputs: T::Batch,
-    want: T::Batch,
+    inputs: SoaBatch<T>,
+    want: SoaBatch<T>,
     /// GEMM's order: its items are columns, so results come back
     /// row-major through `compiled::gemm_result`.
     gemm_n: Option<usize>,
 }
 
 impl<T: Prec> Case<T> {
-    fn run(&self, cfg: &BatchConfig) -> T::Batch {
-        let out = T::run(&self.unit, cfg, &self.inputs);
+    fn run(&self, cfg: &BatchConfig) -> SoaBatch<T> {
+        let out = self.unit.batch.run(cfg, &self.inputs);
         match self.gemm_n {
-            Some(n) => compiled::gemm_result(n, &items(&out)).into_iter().collect(),
+            Some(n) => compiled::gemm_result(n, &out.to_intervals()).into_iter().collect(),
             None => out,
         }
     }
@@ -125,7 +107,7 @@ impl<T: Prec> Case<T> {
 /// All five kernels at shapes that end in a padded group after the full
 /// ones; GEMM has n = 11 ≡ 3 (mod 4) columns.
 fn cases<T: Prec>() -> Vec<Case<T>> {
-    let p = T::PRECISION;
+    let p = T::CONFIG;
     let mut out = Vec::new();
 
     let (batch, n) = (7, 9);
@@ -135,7 +117,7 @@ fn cases<T: Prec>() -> Vec<Case<T>> {
 
     let (batch, n) = (6, 5);
     let a = sample(3, n * n, -2.0, 2.0);
-    let wide: Vec<T> = a.iter().map(|&v| T::widen(v)).collect();
+    let wide: Vec<T> = a.iter().map(|&v| T::from_f64i(v)).collect();
     let (x, y) = (T::sample(4, batch * n, -2.0, 2.0), T::sample(5, batch * n, -2.0, 2.0));
     let mut want = y.clone();
     for b in 0..batch {
@@ -146,7 +128,7 @@ fn cases<T: Prec>() -> Vec<Case<T>> {
 
     let n = 11;
     let a = sample(6, n * n, -2.0, 2.0);
-    let wide: Vec<T> = a.iter().map(|&v| T::widen(v)).collect();
+    let wide: Vec<T> = a.iter().map(|&v| T::from_f64i(v)).collect();
     let (b, c) = (T::sample(7, n * n, -2.0, 2.0), T::sample(8, n * n, -2.0, 2.0));
     let mut want = c.clone();
     gemm(n, n, n, &wide, &b, &mut want);
@@ -225,7 +207,7 @@ fn empty_batches_stay_empty_at_every_thread_count() {
                 assert!(case.unit.batch.run(&cfg(threads), &BatchF64I::new()).is_empty());
             }
             for case in &dds {
-                assert!(case.unit.batch.run_dd(&cfg(threads), &BatchDdI::new()).is_empty());
+                assert!(case.unit.batch.run(&cfg(threads), &BatchDdI::new()).is_empty());
             }
         }
     });

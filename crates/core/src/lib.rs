@@ -62,7 +62,7 @@ pub use reduce::ReductionInfo;
 pub use simd::{compile_intrinsics, hand_optimized, HAND_OPTIMIZED};
 pub use vm_bridge::{
     compile_to_program, compile_to_program_raw, interp_reference, interp_reference_dd,
-    verify_bit_identity, verify_bit_identity_dd, VmBridgeError,
+    verify_bit_identity, verify_bit_identity_dd, RefElem, VmBridgeError,
 };
 
 use igen_cfront::TranslationUnit;

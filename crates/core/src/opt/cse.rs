@@ -2,7 +2,7 @@
 //!
 //! Classic local value numbering, adapted to the IR's SSA temporaries:
 //! within each statement list, a `Def` whose initializer is a pure,
-//! [`OpKind::cse_safe`] operation is fingerprinted; a later `Def` with an
+//! [`OpKind::cse_safe`](igen_ir::OpKind::cse_safe) operation is fingerprinted; a later `Def` with an
 //! identical fingerprint is recorded as an alias of the first and every
 //! use is rewritten to the canonical temporary (the duplicate definition
 //! becomes dead and is removed by the following `dce` pass).

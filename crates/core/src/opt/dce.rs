@@ -2,7 +2,7 @@
 //!
 //! Removes `Def`s whose temporary is never used and whose initializer
 //! can be safely discarded: pure interval operations marked
-//! [`OpKind::removable_if_dead`] (notably *not* `ia_cvt2bool_tb`, which
+//! [`OpKind::removable_if_dead`](igen_ir::OpKind::removable_if_dead) (notably *not* `ia_cvt2bool_tb`, which
 //! signals on the unknown state, nor `isum_*`/store intrinsics), plain
 //! reads, and pure arithmetic. Unknown calls and assignments are never
 //! removed. Runs to a fixpoint so copy/fold/CSE residue chains collapse

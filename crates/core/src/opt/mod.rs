@@ -17,7 +17,7 @@
 //! surfaced by `--dump-passes`) and, when
 //! [`Config::verify_passes`](crate::Config) is set, differentially
 //! verifies each pass with the reference interpreter
-//! ([`crate::verify`]).
+//! (the `verify` module).
 
 pub mod copyprop;
 pub mod cse;

@@ -7,14 +7,16 @@
 //! [`interp_reference`] runs the *same* bindings through the
 //! `igen-interp` evaluator over the transformed C unit — consuming
 //! inputs and producing outputs in exactly the VM's declared order —
-//! so [`verify_bit_identity`] can compare the two endpoint streams bit
-//! for bit. The pair is the trust anchor for every compiled program:
-//! the VM is only believed because this check passes per function.
+//! so [`verify_bit_identity`] can compare the two streams bit for bit,
+//! every f64 word of both endpoints. The pair is the trust anchor for
+//! every compiled program: the VM is only believed because this check
+//! passes per function. Both are written once, generic over the
+//! interval element ([`RefElem`]: `F64I` or `DdI`).
 
 use crate::Output;
 use igen_interp::{Interp, RtError, Value};
 use igen_interval::{capi, DdI, F64I};
-use igen_vm::{lower, ArgBind, BindSpec, Precision, Program};
+use igen_vm::{lower, ArgBind, BindSpec, Program, VmElem};
 
 /// Why a compiler output could not be turned into (or checked against)
 /// a bytecode program.
@@ -118,81 +120,130 @@ pub fn compile_to_program_raw(
     Ok(lower(f, bind)?)
 }
 
+/// An interval element the reference interpreter runs: the [`Value`]
+/// it travels as and its heap arrays.
+pub trait RefElem: VmElem {
+    /// The interpreter value holding `self`.
+    fn into_value(self) -> Value;
+
+    /// The element a returned value holds, if it is of this precision.
+    fn from_value(v: &Value) -> Option<Self>;
+
+    /// Allocates a heap array of elements; returns the pointer value.
+    fn alloc(interp: &mut Interp, xs: &[Self]) -> Value;
+
+    /// Reads back `len` elements of a heap array.
+    fn read(interp: &Interp, ptr: &Value, len: usize) -> Vec<Self>;
+}
+
+impl RefElem for F64I {
+    fn into_value(self) -> Value {
+        Value::Interval(self)
+    }
+    fn from_value(v: &Value) -> Option<F64I> {
+        match v {
+            Value::Interval(x) => Some(*x),
+            _ => None,
+        }
+    }
+    fn alloc(interp: &mut Interp, xs: &[F64I]) -> Value {
+        interp.alloc_interval(xs)
+    }
+    fn read(interp: &Interp, ptr: &Value, len: usize) -> Vec<F64I> {
+        interp.read_interval(ptr, len)
+    }
+}
+
+impl RefElem for DdI {
+    fn into_value(self) -> Value {
+        Value::DdInterval(self)
+    }
+    fn from_value(v: &Value) -> Option<DdI> {
+        match v {
+            Value::DdInterval(x) => Some(*x),
+            _ => None,
+        }
+    }
+    fn alloc(interp: &mut Interp, xs: &[DdI]) -> Value {
+        interp.alloc_ddi(xs)
+    }
+    fn read(interp: &Interp, ptr: &Value, len: usize) -> Vec<DdI> {
+        interp.read_ddi(ptr, len)
+    }
+}
+
 /// Runs one item through the `igen-interp` evaluator over the
 /// transformed unit, consuming `inputs` and producing outputs in the
 /// VM's declared order (inputs: interval scalars and `In`/`InOut`
 /// array cells in parameter order; outputs: return value first, then
-/// `Out`/`InOut` cells in parameter order).
+/// `Out`/`InOut` cells in parameter order). `Uniform` pairs promote
+/// through [`VmElem::from_f64i`] exactly like the lowering pass does.
 ///
 /// # Errors
 ///
 /// Propagates interpreter runtime errors; [`VmBridgeError::Shape`] if
-/// a declared output is not an interval.
+/// a declared output is not an interval of the element's precision.
 ///
 /// # Panics
 ///
 /// Panics if `inputs` is shorter than the bindings require.
-pub fn interp_reference(
+pub fn interp_reference<T: RefElem>(
     interp: &mut Interp,
     fn_name: &str,
     bind: &BindSpec,
-    inputs: &[F64I],
-) -> Result<Vec<F64I>, VmBridgeError> {
+    inputs: &[T],
+) -> Result<Vec<T>, VmBridgeError> {
     interp.reset();
-    let mut cursor = 0usize;
+    let mut rest = inputs;
     let mut take = |n: usize| {
-        let s = &inputs[cursor..cursor + n];
-        cursor += n;
-        s.to_vec()
+        let (head, tail) = rest.split_at(n);
+        rest = tail;
+        head
     };
     let mut args = Vec::with_capacity(bind.args.len());
-    // (parameter index among pointer args, heap pointer, length)
+    // (heap pointer, length) of every array the call writes back.
     let mut harvest: Vec<(Value, usize)> = Vec::new();
     for b in &bind.args {
         match b {
-            ArgBind::Ival => args.push(Value::Interval(take(1)[0])),
+            ArgBind::Ival => args.push(take(1)[0].into_value()),
             ArgBind::Int(v) => args.push(Value::Int(*v)),
-            ArgBind::In(len) => args.push(interp.alloc_interval(&take(*len))),
+            ArgBind::In(len) => args.push(T::alloc(interp, take(*len))),
             ArgBind::InOut(len) => {
-                let ptr = interp.alloc_interval(&take(*len));
+                let ptr = T::alloc(interp, take(*len));
                 harvest.push((ptr.clone(), *len));
                 args.push(ptr);
             }
             ArgBind::Out(len) => {
-                let ptr = interp.alloc_interval(&vec![F64I::ZERO; *len]);
+                let ptr = T::alloc(interp, &vec![T::default(); *len]);
                 harvest.push((ptr.clone(), *len));
                 args.push(ptr);
             }
             ArgBind::Uniform(pairs) => {
-                let vals: Vec<F64I> =
-                    pairs.iter().map(|&(lo, hi)| capi::ia_set_f64(lo, hi)).collect();
-                args.push(interp.alloc_interval(&vals));
+                let vals: Vec<T> =
+                    pairs.iter().map(|&(lo, hi)| T::from_f64i(capi::ia_set_f64(lo, hi))).collect();
+                args.push(T::alloc(interp, &vals));
             }
         }
     }
     let ret = interp.call(fn_name, args)?;
     let mut outputs = Vec::new();
     match ret {
-        Value::Interval(v) => outputs.push(v),
         Value::Unit => {}
-        other => {
-            return Err(VmBridgeError::Shape(format!("return value is {other:?}")));
-        }
+        v => match T::from_value(&v) {
+            Some(x) => outputs.push(x),
+            None => return Err(VmBridgeError::Shape(format!("return value is {v:?}"))),
+        },
     }
     for (ptr, len) in harvest {
-        outputs.extend(interp.read_interval(&ptr, len));
+        outputs.extend(T::read(interp, &ptr, len));
     }
     Ok(outputs)
 }
 
-/// Double-double twin of [`interp_reference`]; `Uniform` pairs promote
-/// through `DdI::from_f64i` exactly like the lowering pass does.
+/// [`interp_reference`] at double-double, under the name the
+/// `igen-ledger` benchmark still calls.
 ///
 /// # Errors
-///
-/// Same as [`interp_reference`].
-///
-/// # Panics
 ///
 /// Same as [`interp_reference`].
 pub fn interp_reference_dd(
@@ -201,57 +252,13 @@ pub fn interp_reference_dd(
     bind: &BindSpec,
     inputs: &[DdI],
 ) -> Result<Vec<DdI>, VmBridgeError> {
-    interp.reset();
-    let mut cursor = 0usize;
-    let mut take = |n: usize| {
-        let s = &inputs[cursor..cursor + n];
-        cursor += n;
-        s.to_vec()
-    };
-    let mut args = Vec::with_capacity(bind.args.len());
-    let mut harvest: Vec<(Value, usize)> = Vec::new();
-    for b in &bind.args {
-        match b {
-            ArgBind::Ival => args.push(Value::DdInterval(take(1)[0])),
-            ArgBind::Int(v) => args.push(Value::Int(*v)),
-            ArgBind::In(len) => args.push(interp.alloc_ddi(&take(*len))),
-            ArgBind::InOut(len) => {
-                let ptr = interp.alloc_ddi(&take(*len));
-                harvest.push((ptr.clone(), *len));
-                args.push(ptr);
-            }
-            ArgBind::Out(len) => {
-                let ptr = interp.alloc_ddi(&vec![DdI::ZERO; *len]);
-                harvest.push((ptr.clone(), *len));
-                args.push(ptr);
-            }
-            ArgBind::Uniform(pairs) => {
-                let vals: Vec<DdI> = pairs
-                    .iter()
-                    .map(|&(lo, hi)| DdI::from_f64i(&capi::ia_set_f64(lo, hi)))
-                    .collect();
-                args.push(interp.alloc_ddi(&vals));
-            }
-        }
-    }
-    let ret = interp.call(fn_name, args)?;
-    let mut outputs = Vec::new();
-    match ret {
-        Value::DdInterval(v) => outputs.push(v),
-        Value::Unit => {}
-        other => {
-            return Err(VmBridgeError::Shape(format!("return value is {other:?}")));
-        }
-    }
-    for (ptr, len) in harvest {
-        outputs.extend(interp.read_ddi(&ptr, len));
-    }
-    Ok(outputs)
+    interp_reference(interp, fn_name, bind, inputs)
 }
 
 /// Runs every item through both the bytecode VM (scalar width) and the
 /// transformed-unit interpreter and demands bit-identical endpoints on
-/// every declared output.
+/// every declared output: every f64 word of both endpoints, two for
+/// `F64I` and four for `DdI`.
 ///
 /// `items` is item-major flattened VM input data: `items.len()` must be
 /// a multiple of `program.n_inputs`.
@@ -263,25 +270,30 @@ pub fn interp_reference_dd(
 ///
 /// # Panics
 ///
-/// Panics if `items.len()` is not a multiple of the program's input
-/// count (for programs with at least one input).
-pub fn verify_bit_identity(
+/// Panics if the element precision does not match the program's, or if
+/// `items.len()` is not a multiple of the program's input count (for
+/// programs with at least one input).
+pub fn verify_bit_identity<T: RefElem>(
     out: &Output,
     program: &Program,
     bind: &BindSpec,
-    items: &[F64I],
+    items: &[T],
 ) -> Result<(), VmBridgeError> {
-    assert_eq!(program.precision, Precision::F64, "use verify_bit_identity_dd for dd programs");
+    assert_eq!(program.precision, T::PRECISION, "element precision does not match program");
     let _span = igen_telemetry::span("vm.verify");
     let nin = program.n_inputs as usize;
     let n_items = items.len().checked_div(nin).unwrap_or(1);
     if nin > 0 {
         assert_eq!(items.len() % nin, 0, "items must be a multiple of n_inputs");
     }
+    let same = |a: &T, b: &T| {
+        let (a, b) = (a.to_words(), b.to_words());
+        a.as_ref().iter().zip(b.as_ref()).all(|(x, y)| x.to_bits() == y.to_bits())
+    };
     let mut interp = Interp::new(&out.unit);
     for item in 0..n_items {
         let inputs = &items[item * nin..(item + 1) * nin];
-        let got = igen_vm::run_scalar::<F64I>(program, inputs);
+        let got = igen_vm::run_scalar::<T>(program, inputs);
         let want = interp_reference(&mut interp, &program.name, bind, inputs)?;
         if got.len() != want.len() {
             return Err(VmBridgeError::Shape(format!(
@@ -291,13 +303,12 @@ pub fn verify_bit_identity(
             )));
         }
         for (slot, (g, w)) in program.outputs.iter().zip(got.iter().zip(&want)) {
-            let same = g.lo().to_bits() == w.lo().to_bits() && g.hi().to_bits() == w.hi().to_bits();
-            if !same {
+            if !same(g, w) {
                 return Err(VmBridgeError::Mismatch {
                     label: slot.label.clone(),
                     item,
-                    got: (g.lo(), g.hi()),
-                    want: (w.lo(), w.hi()),
+                    got: g.endpoints_f64(),
+                    want: w.endpoints_f64(),
                 });
             }
         }
@@ -305,14 +316,10 @@ pub fn verify_bit_identity(
     Ok(())
 }
 
-/// Double-double twin of [`verify_bit_identity`]: compares both
-/// double-double components of each endpoint.
+/// [`verify_bit_identity`] at double-double, under the name the
+/// `igen-ledger` benchmark still calls.
 ///
 /// # Errors
-///
-/// Same as [`verify_bit_identity`].
-///
-/// # Panics
 ///
 /// Same as [`verify_bit_identity`].
 pub fn verify_bit_identity_dd(
@@ -321,41 +328,5 @@ pub fn verify_bit_identity_dd(
     bind: &BindSpec,
     items: &[DdI],
 ) -> Result<(), VmBridgeError> {
-    assert_eq!(program.precision, Precision::Dd, "use verify_bit_identity for f64 programs");
-    let _span = igen_telemetry::span("vm.verify");
-    let nin = program.n_inputs as usize;
-    let n_items = items.len().checked_div(nin).unwrap_or(1);
-    if nin > 0 {
-        assert_eq!(items.len() % nin, 0, "items must be a multiple of n_inputs");
-    }
-    let bits = |d: &DdI| {
-        let (lo, hi) = (d.lo(), d.hi());
-        [lo.hi().to_bits(), lo.lo().to_bits(), hi.hi().to_bits(), hi.lo().to_bits()]
-    };
-    let mut interp = Interp::new(&out.unit);
-    for item in 0..n_items {
-        let inputs = &items[item * nin..(item + 1) * nin];
-        let got = igen_vm::run_scalar::<DdI>(program, inputs);
-        let want = interp_reference_dd(&mut interp, &program.name, bind, inputs)?;
-        if got.len() != want.len() {
-            return Err(VmBridgeError::Shape(format!(
-                "vm produced {} outputs, interpreter {}",
-                got.len(),
-                want.len()
-            )));
-        }
-        for (slot, (g, w)) in program.outputs.iter().zip(got.iter().zip(&want)) {
-            if bits(g) != bits(w) {
-                let gf = g.to_f64i();
-                let wf = w.to_f64i();
-                return Err(VmBridgeError::Mismatch {
-                    label: slot.label.clone(),
-                    item,
-                    got: (gf.lo(), gf.hi()),
-                    want: (wf.lo(), wf.hi()),
-                });
-            }
-        }
-    }
-    Ok(())
+    verify_bit_identity(out, program, bind, items)
 }

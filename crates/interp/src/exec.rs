@@ -1,6 +1,8 @@
 //! The evaluator over the resolved form (see [`crate::resolve`]):
 //! statement execution, expression evaluation, lvalues, the heap and
-//! the call machinery.
+//! the call machinery. It has no profiling hooks: width provenance is
+//! recorded by the VM's profiler, so an interval operation here costs
+//! no more than the operation itself.
 
 use crate::builtins;
 use crate::resolve::{Callee, Function, Program, RExpr, RStmt, Var};
@@ -61,46 +63,6 @@ enum Place<'a> {
     UnionWhole(Box<Place<'a>>),
 }
 
-/// Width-provenance profiling state. Unlike the VM, whose instruction
-/// count is known before execution, the interpreter discovers its rows
-/// dynamically: each resolved site (source location, operation) that
-/// performs interval arithmetic is assigned the next dense row on first
-/// use.
-struct ProfState {
-    prof: igen_telemetry::UnitProfiler,
-    /// Site index → row, once assigned.
-    rows: Vec<Option<usize>>,
-    n_rows: usize,
-}
-
-/// Relative width of an interval-valued `Value`, `None` for scalars.
-fn value_rel_width(v: &Value) -> Option<f64> {
-    let iv = match v {
-        Value::Interval(i) => *i,
-        Value::Interval32(i) => i.to_f64i(),
-        Value::DdInterval(d) => d.to_f64i(),
-        _ => return None,
-    };
-    Some(igen_telemetry::profile::rel_width(iv.lo(), iv.hi()))
-}
-
-/// Widest relative width across `vals` (NaN if any interval input has a
-/// NaN endpoint; 0.0 when no input carries width).
-fn max_rel_width(vals: &[Value]) -> f64 {
-    let mut max_in = 0.0_f64;
-    for v in vals {
-        if let Some(w) = value_rel_width(v) {
-            if w.is_nan() {
-                return f64::NAN;
-            }
-            if w > max_in {
-                max_in = w;
-            }
-        }
-    }
-    max_in
-}
-
 /// The interpreter: owns the resolved program, a heap of arrays,
 /// accumulator stores and the frames of the active calls.
 pub struct Interp {
@@ -118,7 +80,6 @@ pub struct Interp {
     steps: u64,
     /// Maximum evaluation steps before aborting (defaults to 200M).
     pub step_budget: u64,
-    prof: Option<ProfState>,
 }
 
 impl Interp {
@@ -137,7 +98,6 @@ impl Interp {
             args: Vec::new(),
             steps: 0,
             step_budget: 200_000_000,
-            prof: None,
         }
     }
 
@@ -157,8 +117,7 @@ impl Interp {
     }
 
     /// Drops all heap arrays and accumulators and resets the step
-    /// counter, keeping the loaded functions (and any active profile,
-    /// which spans calls). Lets one interpreter be reused across many
+    /// counter, keeping the loaded functions. Lets one interpreter be reused across many
     /// independent calls (e.g. per-item differential checks) without
     /// cross-item heap growth or budget carry-over.
     pub fn reset(&mut self) {
@@ -167,47 +126,6 @@ impl Interp {
         self.accsdd.clear();
         self.stack.clear();
         self.steps = 0;
-    }
-
-    /// Begins recording a width-provenance profile under `unit`. Every
-    /// interval operation evaluated until [`Interp::profile_finish`] —
-    /// `ia_*` builtin calls and direct operators on interval values —
-    /// records its execution time and width amplification against its
-    /// source location. Inert unless telemetry recording is on; never
-    /// changes computed values.
-    pub fn profile_start(&mut self, unit: &str) {
-        self.prof = Some(ProfState {
-            prof: igen_telemetry::UnitProfiler::start(unit, 0),
-            rows: Vec::new(),
-            n_rows: 0,
-        });
-    }
-
-    /// Stops profiling and merges the recorded rows into the global
-    /// telemetry profile registry. No-op if profiling was never started.
-    pub fn profile_finish(&mut self) {
-        if let Some(ps) = self.prof.take() {
-            ps.prof.finish();
-        }
-    }
-
-    /// Profile row of a resolved site, assigning the next row (and
-    /// growing the profiler) on first sight.
-    fn prof_row(&mut self, site: usize) -> usize {
-        let ps = self.prof.as_mut().expect("prof_row requires active profiling");
-        if ps.rows.len() <= site {
-            ps.rows.resize(site + 1, None);
-        }
-        if let Some(row) = ps.rows[site] {
-            return row;
-        }
-        let row = ps.n_rows;
-        ps.n_rows += 1;
-        ps.rows[site] = Some(row);
-        let (loc, op) = &self.prog.sites[site];
-        ps.prof.grow(row + 1);
-        ps.prof.set_meta(row, loc.line, loc.col, op);
-        row
     }
 
     /// Allocates a heap array of doubles; returns the pointer value.
@@ -550,7 +468,7 @@ impl Interp {
                 self.store(place, new)?;
                 Ok(old)
             }
-            RExpr::Binary(op, lhs, rhs, site) => {
+            RExpr::Binary(op, lhs, rhs) => {
                 // Short-circuit logicals.
                 if *op == BinOp::And {
                     return Ok(Value::Int((self.eval_cond(lhs)? && self.eval_cond(rhs)?) as i64));
@@ -560,22 +478,22 @@ impl Interp {
                 }
                 let l = self.eval(lhs)?;
                 let r = self.eval(rhs)?;
-                self.eval_binop_at(*op, l, r, *site)
+                self.eval_binop(*op, l, r)
             }
-            RExpr::Assign(op, lhs, rhs, site) => {
+            RExpr::Assign(op, lhs, rhs) => {
                 let rv = self.eval(rhs)?;
                 let new = match op {
                     None => rv,
                     Some(bop) => {
                         let old = self.eval(lhs)?;
-                        self.eval_binop_at(*bop, old, rv, *site)?
+                        self.eval_binop(*bop, old, rv)?
                     }
                 };
                 let place = self.resolve_place(lhs)?;
                 self.store(place, new.clone())?;
                 Ok(new)
             }
-            RExpr::Call(callee, args, site) => self.eval_call(callee, args, *site),
+            RExpr::Call(callee, args) => self.eval_call(callee, args),
             RExpr::Index(base, idx) => {
                 let i = self
                     .eval(idx)?
@@ -706,47 +624,6 @@ impl Interp {
         }
     }
 
-    /// [`Interp::eval_binop`] at a resolved site, recording a profile
-    /// sample when profiling is on and the operands carry intervals
-    /// (direct operator arithmetic on interval values).
-    fn eval_binop_at(
-        &mut self,
-        op: BinOp,
-        l: Value,
-        r: Value,
-        site: Option<usize>,
-    ) -> Result<Value, RtError> {
-        let interval_args =
-            matches!(l, Value::Interval(_) | Value::Interval32(_) | Value::DdInterval(_))
-                || matches!(r, Value::Interval(_) | Value::Interval32(_) | Value::DdInterval(_));
-        let Some(site) = site.filter(|_| self.prof.is_some() && interval_args) else {
-            return self.eval_binop(op, l, r);
-        };
-        let wl = value_rel_width(&l).unwrap_or(0.0);
-        let wr = value_rel_width(&r).unwrap_or(0.0);
-        let max_in = if wl.is_nan() || wr.is_nan() { f64::NAN } else { wl.max(wr) };
-        let row = self.prof_row(site);
-        let t0 = self.now_ns();
-        let out = self.eval_binop(op, l, r)?;
-        self.record(row, t0, max_in, &out);
-        Ok(out)
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.prof.as_ref().map_or(0, |ps| ps.prof.now_ns())
-    }
-
-    /// Adds one timed sample to profile row `row`.
-    fn record(&mut self, row: usize, t0: u64, max_in: f64, out: &Value) {
-        if let Some(ps) = self.prof.as_mut() {
-            let dt = ps.prof.now_ns().saturating_sub(t0);
-            ps.prof.add_time(row, dt);
-            if let Some(out_rel) = value_rel_width(out) {
-                ps.prof.add_sample(row, max_in, out_rel);
-            }
-        }
-    }
-
     fn eval_binop(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, RtError> {
         use BinOp::*;
         // Interval arithmetic via operators happens when kernels are
@@ -819,12 +696,7 @@ impl Interp {
         }
     }
 
-    fn eval_call(
-        &mut self,
-        callee: &Callee,
-        args: &[RExpr],
-        site: Option<usize>,
-    ) -> Result<Value, RtError> {
+    fn eval_call(&mut self, callee: &Callee, args: &[RExpr]) -> Result<Value, RtError> {
         if let Callee::Acc(f, var) = callee {
             return f(self, var, args);
         }
@@ -844,18 +716,13 @@ impl Interp {
             let v = self.eval(a)?;
             self.args.push(v);
         }
-        let row = site.filter(|_| self.prof.is_some()).map(|s| self.prof_row(s));
         let out = match callee {
             Callee::Builtin(f) => {
                 // Builtins never evaluate expressions, so the argument
                 // buffer can be lent out for the duration of the call.
                 let vals = std::mem::take(&mut self.args);
-                let timing = row.map(|row| (row, max_rel_width(&vals[mark..]), self.now_ns()));
                 let out = f(self, &vals[mark..]);
                 self.args = vals;
-                if let (Some((row, max_in, t0)), Ok(v)) = (timing, &out) {
-                    self.record(row, t0, max_in, v);
-                }
                 out
             }
             Callee::User(id) => match self.prog.symbols[*id].1.clone() {

@@ -1,6 +1,6 @@
 //! Load-time resolution: every cfront `Function` becomes a [`Function`]
-//! body in which identifiers are frame slots bound lexically, call sites
-//! are pre-bound [`Callee`]s and profiling sites carry dense indices.
+//! body in which identifiers are frame slots bound lexically and call
+//! sites are pre-bound [`Callee`]s.
 //!
 //! Only names are resolved here. Values, the heap, accumulators and the
 //! step count stay dynamic, and resolution never fails: a name nothing
@@ -9,7 +9,7 @@
 
 use crate::builtins::{self, AccFn, Builtin};
 use crate::exec::RtError;
-use igen_cfront::{BinOp, Expr, Loc, Stmt, TranslationUnit, Type, UnOp};
+use igen_cfront::{BinOp, Expr, Stmt, TranslationUnit, Type, UnOp};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
@@ -43,13 +43,12 @@ pub(crate) enum RExpr {
     Var(Var),
     Unary(UnOp, Box<RExpr>),
     PostIncDec(Box<RExpr>, bool),
-    /// Operator, operands and the profiling site of interval
-    /// arithmetic (`+ - * /`).
-    Binary(BinOp, Box<RExpr>, Box<RExpr>, Option<usize>),
-    /// Compound operator (`None` for plain `=`), target, value, site.
-    Assign(Option<BinOp>, Box<RExpr>, Box<RExpr>, Option<usize>),
-    /// Callee, arguments and, for `ia_*` callees, the profiling site.
-    Call(Callee, Vec<RExpr>, Option<usize>),
+    /// Operator and operands.
+    Binary(BinOp, Box<RExpr>, Box<RExpr>),
+    /// Compound operator (`None` for plain `=`), target, value.
+    Assign(Option<BinOp>, Box<RExpr>, Box<RExpr>),
+    /// Callee and arguments.
+    Call(Callee, Vec<RExpr>),
     Index(Box<RExpr>, Box<RExpr>),
     Member(Box<RExpr>, String),
     Cast(Type, Box<RExpr>),
@@ -83,16 +82,12 @@ pub(crate) struct Function {
     pub body: Vec<RStmt>,
 }
 
-/// The loaded program: user functions by symbol and the profiling
-/// sites of every unit added so far.
+/// The loaded program: user functions by symbol.
 #[derive(Default)]
 pub(crate) struct Program {
     /// Symbol index → name and definition (`None` while undefined).
     pub symbols: Vec<(String, Option<Rc<Function>>)>,
     symbol_ids: HashMap<String, usize>,
-    /// Site index → (location, operation mnemonic).
-    pub sites: Vec<(Loc, String)>,
-    site_ids: HashMap<(Loc, String), usize>,
 }
 
 impl Program {
@@ -121,14 +116,6 @@ impl Program {
         *self.symbol_ids.entry(name.to_string()).or_insert_with(|| {
             symbols.push((name.to_string(), None));
             symbols.len() - 1
-        })
-    }
-
-    fn site(&mut self, loc: Loc, op: &str) -> usize {
-        let sites = &mut self.sites;
-        *self.site_ids.entry((loc, op.to_string())).or_insert_with_key(|key| {
-            sites.push(key.clone());
-            sites.len() - 1
         })
     }
 }
@@ -225,18 +212,6 @@ impl Resolver<'_> {
         Box::new(self.expr(e))
     }
 
-    /// Profiling site of interval arithmetic through a C operator.
-    fn arith_site(&mut self, op: BinOp, loc: Loc) -> Option<usize> {
-        let name = match op {
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
-            BinOp::Mul => "mul",
-            BinOp::Div => "div",
-            _ => return None,
-        };
-        Some(self.prog.site(loc, name))
-    }
-
     fn expr(&mut self, e: &Expr) -> RExpr {
         match e {
             Expr::IntLit { value, .. } => RExpr::Int(*value),
@@ -244,14 +219,11 @@ impl Resolver<'_> {
             Expr::Ident(name, _) => RExpr::Var(self.var(name)),
             Expr::Unary(op, inner) => RExpr::Unary(*op, self.sub(inner)),
             Expr::PostIncDec(inner, inc) => RExpr::PostIncDec(self.sub(inner), *inc),
-            Expr::Binary { op, lhs, rhs, loc } => {
-                RExpr::Binary(*op, self.sub(lhs), self.sub(rhs), self.arith_site(*op, *loc))
+            Expr::Binary { op, lhs, rhs, .. } => RExpr::Binary(*op, self.sub(lhs), self.sub(rhs)),
+            Expr::Assign { op, lhs, rhs, .. } => {
+                RExpr::Assign(op.bin_op(), self.sub(lhs), self.sub(rhs))
             }
-            Expr::Assign { op, lhs, rhs, loc } => {
-                let site = op.bin_op().and_then(|b| self.arith_site(b, *loc));
-                RExpr::Assign(op.bin_op(), self.sub(lhs), self.sub(rhs), site)
-            }
-            Expr::Call { name, args, loc } => self.call(name, args, *loc),
+            Expr::Call { name, args, .. } => self.call(name, args),
             Expr::Index(base, idx) => RExpr::Index(self.sub(base), self.sub(idx)),
             Expr::Member { base, field, .. } => RExpr::Member(self.sub(base), field.clone()),
             Expr::Cast(ty, inner) => RExpr::Cast(ty.clone(), self.sub(inner)),
@@ -261,7 +233,7 @@ impl Resolver<'_> {
 
     /// Binds a call site: accumulator calls first (their first argument
     /// is taken by address), then builtins, then user functions.
-    fn call(&mut self, name: &str, args: &[Expr], loc: Loc) -> RExpr {
+    fn call(&mut self, name: &str, args: &[Expr]) -> RExpr {
         if name.starts_with("isum_") {
             let target = match args.first() {
                 Some(Expr::Unary(UnOp::Addr, inner)) => match &**inner {
@@ -281,30 +253,14 @@ impl Resolver<'_> {
                 Callee::Acc(..) => args[1..].iter().map(|a| self.expr(a)).collect(),
                 _ => Vec::new(),
             };
-            return RExpr::Call(callee, args, None);
+            return RExpr::Call(callee, args);
         }
         let args = args.iter().map(|a| self.expr(a)).collect();
-        // In a transformed unit the `ia_*` calls ARE the interval
-        // operations, carrying the location of the expression they
-        // replaced.
-        let site = name.starts_with("ia_").then(|| self.prog.site(loc, ia_mnemonic(name)));
         let callee = match builtins::lookup(name) {
             Some(Ok(f)) => Callee::Builtin(f),
             Some(Err(e)) => Callee::Error(e),
             None => Callee::User(self.prog.symbol(name)),
         };
-        RExpr::Call(callee, args, site)
+        RExpr::Call(callee, args)
     }
-}
-
-/// Mnemonic for an `ia_*` builtin: the `ia_` prefix and precision
-/// suffix stripped, so interpreter profile rows line up with the VM's
-/// instruction names (`ia_mul_f64` and the `mul` bytecode both say
-/// `mul`).
-fn ia_mnemonic(name: &str) -> &str {
-    let s = name.strip_prefix("ia_").unwrap_or(name);
-    s.strip_suffix("_f64")
-        .or_else(|| s.strip_suffix("_f32"))
-        .or_else(|| s.strip_suffix("_dd"))
-        .unwrap_or(s)
 }

@@ -72,7 +72,7 @@ impl DdI {
     /// `[0, 0]`.
     pub const ZERO: DdI = DdI { neg_lo: Dd::ZERO, hi: Dd::ZERO };
     /// `[1, 1]`.
-    pub const ONE: DdI = DdI { neg_lo: Dd::ZERO, hi: Dd::ONE };
+    pub const ONE: DdI = DdI { neg_lo: Dd::NEG_ONE, hi: Dd::ONE };
     /// The whole line.
     pub const ENTIRE: DdI = DdI { neg_lo: Dd::INFINITY, hi: Dd::INFINITY };
 
@@ -515,6 +515,17 @@ impl core::fmt::Display for DdI {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_is_the_point_one_at_both_precisions() {
+        let bits = |d: Dd| (d.hi().to_bits(), d.lo().to_bits());
+        let (one, point) = (DdI::ONE, DdI::point_f64(1.0));
+        assert_eq!(bits(one.lo()), bits(point.lo()));
+        assert_eq!(bits(one.hi()), bits(point.hi()));
+        let (one, point) = (F64I::ONE, F64I::point(1.0));
+        assert_eq!(one.lo().to_bits(), point.lo().to_bits());
+        assert_eq!(one.hi().to_bits(), point.hi().to_bits());
+    }
 
     #[test]
     fn sqr_and_powi_dependency_aware() {

@@ -58,6 +58,6 @@ pub use cast::{f32_pair_to_f64i, f32_to_f64i, f64i_to_f32_pair, i64_to_f64i};
 pub use ddi::DdI;
 pub use f32i::F32I;
 pub use f64i::{InvalidInterval, F64I};
-pub use igen_round::simd::SweepOp;
+pub use igen_round::simd::{DdiCols4, SweepOp};
 pub use tbool::{TBool, UnknownBranch};
 pub use vector::{DdIx4, F64Ix4, LaneOps};

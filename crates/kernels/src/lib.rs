@@ -4,7 +4,7 @@
 //!
 //! | Benchmark | Paper's base implementation | Here |
 //! |-----------|------------------------------|------|
-//! | `fft`     | Spiral-generated             | [`fft`] iterative radix-2 (+ unrolled variants) |
+//! | `fft`     | Spiral-generated             | [`fft`](mod@fft) iterative radix-2 (+ unrolled variants) |
 //! | `gemm`    | ATLAS                        | [`linalg::gemm`] (+ unrolled) |
 //! | `potrf`   | SLinGen                      | [`linalg::potrf`] (+ unrolled) |
 //! | `ffnn`    | MNIST-trained dense network  | [`ffnn::Ffnn`] synthetic (documented substitution) |

@@ -4,7 +4,7 @@
 //! intervals", Table II, Fig. 8) comes from *packed* interval arithmetic:
 //! one SSE/AVX register holds 1–4 intervals and every directed-rounding
 //! operation is a handful of packed instructions. The scalar kernels in
-//! [`crate::ops`] implement directed rounding in software via error-free
+//! the crate's `ops` module implement directed rounding in software via error-free
 //! transformations; this module provides the same functions over four
 //! binary64 lanes at a time, written with `core::arch::x86_64`
 //! intrinsics, selected once at runtime by CPU-feature detection.

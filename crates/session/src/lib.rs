@@ -32,8 +32,8 @@ mod shortest;
 pub use cache::{CacheStats, CompileCache};
 pub use flags::Flags;
 pub use pipeline::{
-    compile_uncached, workload_dd, workload_f64, BindRequest, CompileRequest, CompiledUnit,
-    SessionError,
+    compile_uncached, workload, workload_dd, workload_f64, BindRequest, CompileRequest,
+    CompiledUnit, SessionElem, SessionError,
 };
 #[cfg(unix)]
 pub use service::serve_unix;

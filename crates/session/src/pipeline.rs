@@ -7,12 +7,17 @@
 //! the peephole pass are deterministic; see DESIGN.md §14/§15). That
 //! is what makes the compiled unit safe to cache and share across
 //! threads.
+//!
+//! The insert-time self-check and the seeded input batches are written
+//! once, generic over the interval element ([`SessionElem`]: `F64I` or
+//! `DdI`); the request's precision only picks the element.
 
-use igen_batch::{BatchDdI, BatchF64I, BatchProgram};
+use igen_batch::{BatchDdI, BatchF64I, BatchProgram, SoaBatch};
 use igen_core::{
-    compile_to_program, compile_to_program_raw, verify_bit_identity, verify_bit_identity_dd,
-    CompileError, Compiler, Config, Output, Precision,
+    compile_to_program, compile_to_program_raw, verify_bit_identity, CompileError, Compiler,
+    Config, Output, Precision, RefElem,
 };
+use igen_interval::{DdI, F64I};
 use igen_kernels::workload;
 use igen_vm::{ArgBind, BindSpec};
 use std::fmt;
@@ -236,25 +241,13 @@ const SELF_CHECK_SEED: u64 = 0x5e55;
 /// Differentially verifies `prog` against the reference interpreter on
 /// a small deterministic workload — the "verified" in "the cache holds
 /// verified programs".
-fn self_check(
+fn self_check<T: SessionElem>(
     out: &Output,
     prog: &igen_vm::Program,
     bind: &BindSpec,
-    precision: Precision,
 ) -> Result<(), String> {
-    let nin = prog.n_inputs as usize;
-    let mut rng = workload::rng(SELF_CHECK_SEED);
-    match precision {
-        Precision::Dd => {
-            let ivals = workload::dd_intervals_1ulp(&mut rng, SELF_CHECK_ITEMS * nin, -2.0, 2.0);
-            verify_bit_identity_dd(out, prog, bind, &ivals).map_err(|e| e.to_string())
-        }
-        _ => {
-            let pts = workload::random_points(&mut rng, SELF_CHECK_ITEMS * nin, -2.0, 2.0);
-            let ivals = workload::intervals_1ulp(&pts);
-            verify_bit_identity(out, prog, bind, &ivals).map_err(|e| e.to_string())
-        }
-    }
+    let ivals = T::draw_1ulp(SELF_CHECK_SEED, SELF_CHECK_ITEMS * prog.n_inputs as usize);
+    verify_bit_identity(out, prog, bind, &ivals).map_err(|e| e.to_string())
 }
 
 /// Runs the full pipeline once, bypassing any cache: compile the
@@ -291,28 +284,53 @@ pub fn compile_uncached(req: &CompileRequest, verify: bool) -> Result<CompiledUn
         return Err(SessionError::NoInputs { fn_name });
     }
     if verify {
-        self_check(&out, &prog, &bind, req.cfg.precision)
+        let check = match req.cfg.precision {
+            Precision::Dd => self_check::<DdI>,
+            _ => self_check::<F64I>,
+        };
+        check(&out, &prog, &bind)
             .map_err(|err| SessionError::Verify { fn_name: fn_name.clone(), err })?;
     }
     Ok(CompiledUnit { out, fn_name, bind, batch: BatchProgram::new(prog) })
 }
 
-/// Deterministic f64 workload for `items` batch items of `unit` (the
-/// generator `igen-cli run` uses, shared so the service's seeded runs
-/// and the CLI produce identical inputs for identical seeds).
-pub fn workload_f64(unit: &CompiledUnit, items: usize, seed: u64) -> BatchF64I {
-    let mut rng = workload::rng(seed);
-    let pts = workload::random_points(&mut rng, items * unit.n_inputs(), -2.0, 2.0);
-    BatchF64I::from_intervals(&workload::intervals_1ulp(&pts))
+/// An interval element the session runs: the reference check's
+/// element plus its seeded input draw.
+pub trait SessionElem: RefElem {
+    /// `n` intervals of width 1 ulp around points drawn in `[-2, 2)`
+    /// from a generator seeded with `seed` (the paper's inputs,
+    /// Section VII; a double-double point has a nonzero low word).
+    fn draw_1ulp(seed: u64, n: usize) -> Vec<Self>;
 }
 
-/// Deterministic double-double workload for `items` batch items.
+impl SessionElem for F64I {
+    fn draw_1ulp(seed: u64, n: usize) -> Vec<F64I> {
+        let mut rng = workload::rng(seed);
+        workload::intervals_1ulp(&workload::random_points(&mut rng, n, -2.0, 2.0))
+    }
+}
+
+impl SessionElem for DdI {
+    fn draw_1ulp(seed: u64, n: usize) -> Vec<DdI> {
+        workload::dd_intervals_1ulp(&mut workload::rng(seed), n, -2.0, 2.0)
+    }
+}
+
+/// Deterministic workload for `items` batch items of `unit` (the
+/// generator `igen-cli run` uses, shared so the service's seeded runs
+/// and the CLI produce identical inputs for identical seeds).
+pub fn workload<T: SessionElem>(unit: &CompiledUnit, items: usize, seed: u64) -> SoaBatch<T> {
+    SoaBatch::from_intervals(&T::draw_1ulp(seed, items * unit.n_inputs()))
+}
+
+/// [`workload()`] at f64, under the name the `igen-ledger` benchmark
+/// still calls.
+pub fn workload_f64(unit: &CompiledUnit, items: usize, seed: u64) -> BatchF64I {
+    workload(unit, items, seed)
+}
+
+/// [`workload()`] at double-double, under the name the `igen-ledger`
+/// benchmark still calls.
 pub fn workload_dd(unit: &CompiledUnit, items: usize, seed: u64) -> BatchDdI {
-    let mut rng = workload::rng(seed);
-    BatchDdI::from_intervals(&workload::dd_intervals_1ulp(
-        &mut rng,
-        items * unit.n_inputs(),
-        -2.0,
-        2.0,
-    ))
+    workload(unit, items, seed)
 }

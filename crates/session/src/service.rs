@@ -38,7 +38,13 @@
 //! runs 1 worker or 16 and whether the cache is cold or warm — pinned
 //! by the service determinism tests. `metrics` is the deliberate
 //! exception (it reports live counters) and is excluded from
-//! byte-identity goldens.
+//! byte-identity goldens. A `profile` records into its own profiler
+//! rows and never turns the process-wide telemetry recording on, so it
+//! neither reads nor leaves anything in the global trace.
+//!
+//! `run` and `profile` are each written once, generic over the
+//! interval element: the request's `"precision"` only picks `F64I` or
+//! `DdI`.
 //!
 //! # Deadlines and backpressure
 //!
@@ -55,13 +61,14 @@
 //! `session.worker.panics` counter is bumped, and the worker goes on
 //! serving.
 
-use crate::pipeline::{workload_dd, workload_f64, BindRequest, CompileRequest, CompiledUnit};
+use crate::pipeline::{workload, BindRequest, CompileRequest, CompiledUnit, SessionElem};
 use crate::{shortest, Session};
-use igen_batch::{BatchConfig, BatchDdI, BatchF64I};
+use igen_batch::{BatchConfig, SoaBatch};
 use igen_core::{Config, OptLevel, Precision};
 use igen_interval::{DdI, F64I};
 use igen_telemetry::json::{self, Json};
-use igen_telemetry::Counter;
+use igen_telemetry::{Counter, UnitProfiler};
+use igen_vm::VmElem;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
@@ -71,11 +78,6 @@ use std::time::{Duration, Instant};
 
 static QUEUE_DEPTH_MAX: Counter = Counter::new("session.queue.depth_max");
 static WORKER_PANICS: Counter = Counter::new("session.worker.panics");
-
-/// Serializes profile handling: the telemetry profile registry is
-/// global, so concurrent profiled runs of the same unit would blur
-/// each other's before/after diffs.
-static PROFILE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Hard ceiling on per-request batch sizes (a service must not let one
 /// request allocate unbounded memory).
@@ -458,24 +460,8 @@ fn handle_run(session: &Session, body: &Json, out: &mut String) -> Result<(), St
         inputs.items
     );
     match req.cfg.precision {
-        Precision::Dd => {
-            let soa = inputs.dd(&unit);
-            let res = unit.batch.run_dd(&bcfg, &soa);
-            // Each endpoint as its exact [hi, lo] component pair.
-            push_intervals(out, res.len(), |i| {
-                let v = res.get(i);
-                let (lo, hi) = (v.lo(), v.hi());
-                [lo.hi(), lo.lo(), hi.hi(), hi.lo()]
-            });
-        }
-        _ => {
-            let soa = inputs.f64(&unit);
-            let res = unit.batch.run(&bcfg, &soa);
-            push_intervals(out, res.len(), |i| {
-                let v = res.get(i);
-                [v.lo(), v.hi()]
-            });
-        }
+        Precision::Dd => push_intervals(out, &unit.batch.run(&bcfg, &inputs.batch::<DdI>(&unit))),
+        _ => push_intervals(out, &unit.batch.run(&bcfg, &inputs.batch::<F64I>(&unit))),
     }
     Ok(())
 }
@@ -487,64 +473,38 @@ fn handle_profile(session: &Session, body: &Json, out: &mut String) -> Result<()
     let n_insns = unit.batch.program().insns.len();
     let bcfg = BatchConfig::new().with_threads(1).with_seq_threshold(0);
 
-    // The profile registry is global and accumulates across requests,
-    // so diff this run's contribution under a lock and restore the
-    // recording flag — responses stay a pure function of the request.
-    let _guard = PROFILE_LOCK.lock().expect("profile lock poisoned");
-    let before = igen_telemetry::snapshot().profiles;
-    let was_recording = igen_telemetry::recording();
-    igen_telemetry::set_recording(true);
-    let mut prof = igen_telemetry::UnitProfiler::start(&unit.fn_name, n_insns);
+    // The profiler records into its own rows, not the process-wide
+    // registry, so concurrent requests cannot blur each other's counts
+    // and the response stays a pure function of the request.
+    let mut prof = UnitProfiler::start(&unit.fn_name, n_insns);
     match req.cfg.precision {
         Precision::Dd => {
-            unit.batch.run_dd_profiled(&bcfg, &inputs.dd(&unit), &mut prof);
+            unit.batch.run_profiled(&bcfg, &inputs.batch::<DdI>(&unit), &mut prof);
         }
         _ => {
-            unit.batch.run_profiled(&bcfg, &inputs.f64(&unit), &mut prof);
+            unit.batch.run_profiled(&bcfg, &inputs.batch::<F64I>(&unit), &mut prof);
         }
     }
-    prof.finish();
-    igen_telemetry::set_recording(was_recording);
-    let after = igen_telemetry::snapshot().profiles;
-
     let _ = write!(
         out,
         "\"kind\":\"profile\",\"fn\":{},\"insns\":{n_insns},\"telemetry\":{},\"sites\":[",
         json::escape(&unit.fn_name),
         igen_telemetry::COMPILED_IN,
     );
-    for rec in after.iter().filter(|r| r.unit == unit.fn_name) {
-        let prev = before.iter().find(|r| r.site == rec.site && r.unit == rec.unit);
-        let count = rec.count - prev.map_or(0, |r| r.count);
-        if count == 0 {
-            continue;
-        }
-        // Width amplification of *this* run: subtract the previous
-        // bucket counts, then reuse the standard mean.
-        let amp: Vec<(i32, u64)> = rec
-            .amp
-            .iter()
-            .map(|&(i, v)| {
-                let prior = prev
-                    .and_then(|p| p.amp.iter().find(|(pi, _)| *pi == i))
-                    .map_or(0, |(_, pv)| *pv);
-                (i, v - prior)
-            })
-            .filter(|(_, v)| *v > 0)
-            .collect();
-        let diff = igen_telemetry::ProfileRec { amp, count, ..rec.clone() };
+    for rec in prof.finish().iter().filter(|r| r.count > 0) {
         if !out.ends_with('[') {
             out.push(',');
         }
         let _ = write!(
             out,
-            "{{\"site\":{},\"op\":{},\"line\":{},\"col\":{},\"count\":{count},\"amp\":",
+            "{{\"site\":{},\"op\":{},\"line\":{},\"col\":{},\"count\":{},\"amp\":",
             rec.site,
             json::escape(&rec.op),
             rec.line,
             rec.col,
+            rec.count,
         );
-        match diff.mean_amp_log2() {
+        match rec.mean_amp_log2() {
             Some(a) => push_endpoint(out, a),
             None => out.push_str("null"),
         }
@@ -638,19 +598,12 @@ impl Inputs {
         Ok(Inputs { items, explicit, seed })
     }
 
-    fn f64(&self, unit: &CompiledUnit) -> BatchF64I {
+    /// The input batch at element `T`: the explicit pairs promoted
+    /// exactly, or the seeded workload.
+    fn batch<T: SessionElem>(&self, unit: &CompiledUnit) -> SoaBatch<T> {
         match &self.explicit {
-            Some(pairs) => BatchF64I::from_intervals(pairs),
-            None => workload_f64(unit, self.items, self.seed),
-        }
-    }
-
-    fn dd(&self, unit: &CompiledUnit) -> BatchDdI {
-        match &self.explicit {
-            Some(pairs) => {
-                BatchDdI::from_intervals(&pairs.iter().map(DdI::from_f64i).collect::<Vec<_>>())
-            }
-            None => workload_dd(unit, self.items, self.seed),
+            Some(pairs) => pairs.iter().map(|&x| T::from_f64i(x)).collect(),
+            None => workload(unit, self.items, self.seed),
         }
     }
 }
@@ -689,20 +642,19 @@ fn parse_input_pairs(v: &Json, nin: usize) -> Result<Vec<F64I>, String> {
         .collect()
 }
 
-/// Appends `[[e,…],…]`: one array of `N` endpoints per interval. The
-/// reservation is an upper bound, so the line never grows mid-write.
-fn push_intervals<const N: usize>(
-    out: &mut String,
-    len: usize,
-    endpoints: impl Fn(usize) -> [f64; N],
-) {
-    out.reserve(2 + len * (N * (shortest::MAX_LEN + 1) + 2));
+/// Appends `[[e,…],…]`: one array per interval of its endpoint words,
+/// `[lo, hi]` at f64 and each endpoint as its exact `[hi, lo]` component
+/// pair at dd. The reservation is an upper bound, so the line never
+/// grows mid-write.
+fn push_intervals<T: VmElem>(out: &mut String, batch: &SoaBatch<T>) {
+    let words = T::Words::default().as_ref().len();
+    out.reserve(2 + batch.len() * (words * (shortest::MAX_LEN + 1) + 2));
     out.push('[');
-    for i in 0..len {
+    for i in 0..batch.len() {
         if i > 0 {
             out.push(',');
         }
-        for (k, v) in endpoints(i).into_iter().enumerate() {
+        for (k, &v) in batch.get(i).endpoint_words().as_ref().iter().enumerate() {
             out.push(if k == 0 { '[' } else { ',' });
             push_endpoint(out, v);
         }

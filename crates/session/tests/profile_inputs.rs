@@ -1,8 +1,10 @@
 //! A `profile` request takes explicit `"inputs"` as `run` does: every
 //! site is executed once per given item, not once per default seeded
 //! item — and never for the padding lanes of a batch's last packed
-//! group. Only runs under `--features telemetry` (the profiler records
-//! nothing otherwise).
+//! group. The profiled run records into its own rows: the process-wide
+//! recording flag stays off and no span reaches the global trace. Only
+//! runs under `--features telemetry` (the profiler records nothing
+//! otherwise).
 #![cfg(feature = "telemetry")]
 
 use igen_session::{Service, ServiceConfig};
@@ -45,4 +47,7 @@ fn profile_counts_the_explicit_inputs_at_both_precisions() {
             );
         }
     }
+    assert!(!igen_telemetry::recording(), "a profile request turned recording on");
+    let spans = igen_telemetry::snapshot().spans;
+    assert!(spans.is_empty(), "profile requests leaked spans into the global trace: {spans:?}");
 }

@@ -2,7 +2,7 @@
 //!
 //! The build environment is offline (no serde), and the workspace's JSON
 //! formats are small and self-controlled, so this module implements just
-//! enough of RFC 8259 to parse what [`crate::trace`] emits — objects,
+//! enough of RFC 8259 to parse what [`crate::Snapshot::to_jsonl`] emits — objects,
 //! arrays, strings with the standard escapes, integers/floats, booleans
 //! and null. It is always compiled (trace *reading* must work in builds
 //! without the `enabled` feature) and public: other workspace tools with

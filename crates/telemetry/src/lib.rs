@@ -6,7 +6,7 @@
 //! (`igen-round::simd`) and the threaded batch engine (`igen-batch`) —
 //! report through this one substrate:
 //!
-//! * **Spans** ([`span`], [`span_joined`]) — nestable, monotonic-clock
+//! * **Spans** ([`span`](fn@span), [`span_joined`]) — nestable, monotonic-clock
 //!   timed scopes. A span is recorded when its [`SpanGuard`] drops;
 //!   records carry the thread, nesting depth and start/duration in
 //!   nanoseconds relative to a process-wide epoch. Span recording is
@@ -93,7 +93,7 @@ pub const COMPILED_IN: bool = false;
 
 /// Records a timed scope: `span!("name")` or `span!("prefix.", detail)`.
 ///
-/// Expands to [`span`]/[`span_joined`]; bind the result to keep the
+/// Expands to [`span`](fn@span)/[`span_joined`]; bind the result to keep the
 /// scope open (`let _g = span!(...)`). Compiles to nothing without the
 /// `enabled` feature.
 #[macro_export]

@@ -1,12 +1,12 @@
 //! Per-instruction-site width-provenance profiles.
 //!
 //! The profiler answers "*why* is my interval this wide?": for every
-//! bytecode instruction (or interpreter expression) *site* it records
-//! how often the site executed, how long it took, the relative widths
-//! flowing in and out, and a **width-amplification** statistic — the
-//! log2 ratio of the output's relative width to the widest input's.
-//! Amplification reuses the histogram idea of [`crate::hist`]: samples
-//! land in 64 power-of-two buckets centered on "no amplification"
+//! bytecode instruction *site* it records how often the site executed,
+//! how long it took, the relative widths flowing in and out, and a
+//! **width-amplification** statistic — the log2 ratio of the output's
+//! relative width to the widest input's. Amplification reuses the
+//! histogram idea of [`crate::WidthHist`]: samples land in 64
+//! power-of-two buckets centered on "no amplification"
 //! ([`AMP_ZERO`]), so bucket 33 means "this operation doubled the
 //! relative width", bucket 31 means it halved it, and the top bucket
 //! collects unbounded blow-ups (a wide output from point inputs, or a
@@ -14,13 +14,16 @@
 //!
 //! Recording is two-phase so the executor hot loop never takes a lock:
 //! a [`UnitProfiler`] accumulates rows locally (plain `u64`/`f64`
-//! fields, one row per site) and merges them into the global profile
-//! registry once, when [`UnitProfiler::finish`] is called. With the
-//! `enabled` feature off the profiler is a zero-sized type whose
+//! fields, one row per site) and hands them back once, when
+//! [`UnitProfiler::finish`] is called. A profiler is live whenever the
+//! `enabled` feature is compiled in, without the process-wide
+//! [`crate::recording`] flag: its rows belong to the caller, and reach
+//! the global profile registry (and so a trace) only while recording is
+//! on. With the feature off the profiler is a zero-sized type whose
 //! methods are empty `#[inline(always)]` functions and whose
 //! constructor reports inactive, so guarded call sites fold away.
 
-/// Number of amplification buckets (mirrors [`crate::hist::BUCKETS`]).
+/// Number of amplification buckets (as many as a [`crate::WidthHist`] has).
 pub const AMP_BUCKETS: usize = 64;
 
 /// The bucket meaning "relative width unchanged" (amplification 2^0).
@@ -116,6 +119,27 @@ mod imp {
         fn touched(&self) -> bool {
             self.count > 0 || self.total_ns > 0
         }
+
+        fn to_rec(&self, unit: &str, site: u32) -> ProfileRec {
+            ProfileRec {
+                unit: unit.to_string(),
+                site,
+                line: self.line,
+                col: self.col,
+                op: self.op.clone(),
+                count: self.count,
+                total_ns: self.total_ns,
+                in_width_sum: self.in_width_sum,
+                out_width_sum: self.out_width_sum,
+                amp: self
+                    .amp
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| **v > 0)
+                    .map(|(i, v)| (i as i32, *v))
+                    .collect(),
+            }
+        }
     }
 
     struct GlobalRow {
@@ -130,41 +154,29 @@ mod imp {
     }
 
     /// A per-execution profile accumulator for one *unit* (a compiled
-    /// program or interpreted function). Lock-free while recording;
-    /// merges into the global registry on [`UnitProfiler::finish`].
+    /// program). Lock-free while recording; hands its rows back on
+    /// [`UnitProfiler::finish`].
     pub struct UnitProfiler {
         unit: String,
         rows: Vec<SiteRow>,
-        active: bool,
         t0: Instant,
     }
 
     impl UnitProfiler {
-        /// Starts profiling `n_sites` sites of `unit`. Inactive (and
-        /// allocation-free) unless [`crate::recording`] is on.
+        /// Starts profiling `n_sites` sites of `unit`. Live in this
+        /// build, whether or not [`crate::recording`] is on.
         pub fn start(unit: &str, n_sites: usize) -> UnitProfiler {
-            let active = crate::recording();
             UnitProfiler {
-                unit: if active { unit.to_string() } else { String::new() },
-                rows: if active { vec![SiteRow::new(); n_sites] } else { Vec::new() },
-                active,
+                unit: unit.to_string(),
+                rows: vec![SiteRow::new(); n_sites],
                 t0: Instant::now(),
             }
         }
 
-        /// Whether this profiler is live (recording was on at start).
+        /// Whether this profiler is live: always in this build.
         #[inline]
         pub fn active(&self) -> bool {
-            self.active
-        }
-
-        /// Ensures at least `n_sites` rows exist. Used by callers that
-        /// discover sites dynamically (the interpreter) instead of
-        /// knowing the count up front like the VM executors do.
-        pub fn grow(&mut self, n_sites: usize) {
-            if self.active && self.rows.len() < n_sites {
-                self.rows.resize_with(n_sites, SiteRow::new);
-            }
+            true
         }
 
         /// Monotonic nanoseconds since the profiler started — the
@@ -207,18 +219,23 @@ mod imp {
             }
         }
 
-        /// Merges the local rows into the global profile registry (rows
-        /// never touched are skipped).
-        pub fn finish(self) {
-            if !self.active {
-                return;
+        /// The rows this profiler recorded, by site (rows never touched
+        /// are skipped). While [`crate::recording`] is on they are also
+        /// merged into the global profile registry, for the trace.
+        pub fn finish(self) -> Vec<ProfileRec> {
+            let recs: Vec<ProfileRec> = (0..)
+                .zip(&self.rows)
+                .filter(|(_, row)| row.touched())
+                .map(|(site, row)| row.to_rec(&self.unit, site))
+                .collect();
+            if !crate::recording() {
+                return recs;
             }
             let mut reg = registry().lock().expect("telemetry profile registry poisoned");
-            for (site, row) in self.rows.into_iter().enumerate() {
+            for (site, row) in (0..).zip(self.rows) {
                 if !row.touched() {
                     continue;
                 }
-                let site = site as u32;
                 match reg.iter_mut().find(|g| g.unit == self.unit && g.site == site) {
                     Some(g) => {
                         g.row.count += row.count;
@@ -237,34 +254,14 @@ mod imp {
                     None => reg.push(GlobalRow { unit: self.unit.clone(), site, row }),
                 }
             }
+            recs
         }
     }
 
     /// Every recorded profile row, sorted by unit then site index.
     pub fn profiles_snapshot() -> Vec<ProfileRec> {
         let reg = registry().lock().expect("telemetry profile registry poisoned");
-        let mut out: Vec<ProfileRec> = reg
-            .iter()
-            .map(|g| ProfileRec {
-                unit: g.unit.clone(),
-                site: g.site,
-                line: g.row.line,
-                col: g.row.col,
-                op: g.row.op.clone(),
-                count: g.row.count,
-                total_ns: g.row.total_ns,
-                in_width_sum: g.row.in_width_sum,
-                out_width_sum: g.row.out_width_sum,
-                amp: g
-                    .row
-                    .amp
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| **v > 0)
-                    .map(|(i, v)| (i as i32, *v))
-                    .collect(),
-            })
-            .collect();
+        let mut out: Vec<ProfileRec> = reg.iter().map(|g| g.row.to_rec(&g.unit, g.site)).collect();
         out.sort_unstable_by(|a, b| a.unit.cmp(&b.unit).then(a.site.cmp(&b.site)));
         out
     }
@@ -304,10 +301,6 @@ mod imp {
             0
         }
 
-        /// Ensures at least `n_sites` rows exist. No-op in this build.
-        #[inline(always)]
-        pub fn grow(&mut self, _n_sites: usize) {}
-
         /// Attaches source metadata to a site. No-op in this build.
         #[inline(always)]
         pub fn set_meta(&mut self, _site: usize, _line: u32, _col: u32, _op: &str) {}
@@ -320,9 +313,11 @@ mod imp {
         #[inline(always)]
         pub fn add_sample(&mut self, _site: usize, _max_in_rel: f64, _out_rel: f64) {}
 
-        /// Merges into the global registry. No-op in this build.
+        /// The recorded rows — none in this build.
         #[inline(always)]
-        pub fn finish(self) {}
+        pub fn finish(self) -> Vec<ProfileRec> {
+            Vec::new()
+        }
     }
 
     /// Every recorded profile row — empty in this build.
@@ -370,15 +365,22 @@ mod tests {
 
     #[cfg(feature = "enabled")]
     #[test]
-    fn profiler_inactive_without_recording_flag() {
+    fn profiler_is_live_without_recording_flag() {
         // Never turn recording on here: other tests share the registry.
-        let mut p = UnitProfiler::start("test.unit.inactive", 4);
-        assert!(!p.active() || crate::recording());
-        if !p.active() {
-            p.add_sample(0, 1e-10, 2e-10);
-            p.add_time(0, 100);
-            p.finish();
-            assert!(!profiles_snapshot().iter().any(|r| r.unit == "test.unit.inactive"));
+        let mut p = UnitProfiler::start("test.unit.live", 4);
+        assert!(p.active());
+        p.set_meta(1, 3, 7, "mul");
+        p.add_sample(1, 1e-10, 2e-10);
+        p.add_time(1, 100);
+        let was_recording = crate::recording();
+        let rows = p.finish();
+        assert_eq!(rows.len(), 1, "untouched sites are skipped");
+        let r = &rows[0];
+        assert_eq!((r.unit.as_str(), r.site, r.line, r.col), ("test.unit.live", 1, 3, 7));
+        assert_eq!((r.op.as_str(), r.count, r.total_ns), ("mul", 1, 100));
+        assert_eq!(r.amp, [(AMP_ZERO as i32 + 1, 1)]);
+        if !was_recording && !crate::recording() {
+            assert!(!profiles_snapshot().iter().any(|r| r.unit == "test.unit.live"));
         }
     }
 }

@@ -39,7 +39,7 @@ pub struct SpanRec {
 }
 
 /// One histogram: sample count plus nonzero `(bucket_index, count)`
-/// pairs. Bucket indices follow [`crate::hist`]'s layout.
+/// pairs. Bucket indices follow [`crate::WidthHist`]'s layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistRec {
     /// Histogram name, e.g. `"width.batch.dot"`.
@@ -55,7 +55,7 @@ pub struct HistRec {
 /// (see [`crate::profile`] for the amplification bucket layout).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileRec {
-    /// Profiled unit: a compiled program or interpreted function name.
+    /// Profiled unit: the compiled program's name.
     pub unit: String,
     /// Instruction-site index within the unit (bytecode insn index).
     pub site: u32,

@@ -1,4 +1,5 @@
-//! Interval elements the executor runs over, the one-item entry point
+//! Interval elements the executor runs over, with the f64 word layout
+//! every layer above shares ([`VmElem`]), the one-item entry point
 //! [`run_scalar`] and the per-program output-width histograms.
 //!
 //! There is one instruction loop, in [`crate::prepared`]; `run_scalar`
@@ -11,7 +12,8 @@
 //! compiled program.
 
 use crate::bytecode::{Insn, PoolConst, Precision, Program};
-use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, F64I};
+use igen_dd::Dd;
+use igen_interval::{DdI, DdIx4, DdiCols4, F64Ix4, LaneOps, F64I};
 use igen_telemetry::{Counter, WidthHist};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -23,11 +25,22 @@ pub static VM_INSNS_EXECUTED: Counter = Counter::new("vm.insns_executed");
 
 /// An interval element the bytecode executor can run over: a one-lane
 /// [`LaneOps`] type (what [`run_scalar`] runs) that names its packed
-/// lane type, plus constant-pool decoding and the clamped integer power
-/// the `ia_pow_*` builtins implement.
-pub trait VmElem: LaneOps<Elem = Self> {
+/// lane type, plus constant-pool decoding, the clamped integer power
+/// the `ia_pow_*` builtins implement, and the element's f64 words.
+///
+/// The words are the element's representation verbatim, in one fixed
+/// order: the words of the *negated* lower endpoint, then those of the
+/// upper endpoint, each endpoint high word first. `F64I` has two,
+/// `[neg_lo, hi]`; `DdI` has four, `[neg_lo.hi, neg_lo.lo, hi.hi,
+/// hi.lo]`. Every layer that stores, compares or prints an element by
+/// its words (the batch columns, the reference check, the `serve`
+/// response) goes through this layout, so it is written only here.
+pub trait VmElem: LaneOps<Elem = Self> + 'static {
     /// The packed lane type a batch runs this element at.
     type Lane: LaneOps<Elem = Self>;
+
+    /// The element's f64 words: `[f64; 2]` or `[f64; 4]`.
+    type Words: Copy + Default + AsRef<[f64]> + AsMut<[f64]>;
 
     /// The bytecode precision this element executes.
     const PRECISION: Precision;
@@ -40,12 +53,39 @@ pub trait VmElem: LaneOps<Elem = Self> {
     fn powi_e(self, n: i32) -> Self;
 
     /// Tightest enclosing f64 endpoint pair (for width telemetry and
-    /// endpoint comparisons).
+    /// mismatch reports).
     fn endpoints_f64(&self) -> (f64, f64);
+
+    /// Exact promotion of a double-precision interval.
+    fn from_f64i(x: F64I) -> Self;
+
+    /// The element's words, in the order documented on the trait.
+    fn to_words(self) -> Self::Words;
+
+    /// Reassembles an element from its words (two or four plain moves).
+    fn from_words(w: Self::Words) -> Self;
+
+    /// Builds a packed lane vector from word columns: `col(w)` holds
+    /// word `w` of the four lanes. A column-to-column move, with no
+    /// per-lane reassembly.
+    fn lane_from_columns(col: impl Fn(usize) -> [f64; 4]) -> Self::Lane;
+
+    /// The words of `[lo, hi]` as the endpoints read: the lower half of
+    /// [`VmElem::to_words`] negated back.
+    fn endpoint_words(self) -> Self::Words {
+        let mut w = self.to_words();
+        let words = w.as_mut();
+        let half = words.len() / 2;
+        for x in &mut words[..half] {
+            *x = -*x;
+        }
+        w
+    }
 }
 
 impl VmElem for F64I {
     type Lane = F64Ix4;
+    type Words = [f64; 2];
     const PRECISION: Precision = Precision::F64;
 
     fn from_const(c: &PoolConst) -> F64I {
@@ -59,15 +99,28 @@ impl VmElem for F64I {
     fn endpoints_f64(&self) -> (f64, f64) {
         (self.lo(), self.hi())
     }
+    fn from_f64i(x: F64I) -> F64I {
+        x
+    }
+    fn to_words(self) -> [f64; 2] {
+        [self.neg_lo(), self.hi()]
+    }
+    fn from_words([neg_lo, hi]: [f64; 2]) -> F64I {
+        F64I::from_neg_lo_hi(neg_lo, hi)
+    }
+    fn lane_from_columns(col: impl Fn(usize) -> [f64; 4]) -> F64Ix4 {
+        F64Ix4::from_columns(col(0), col(1))
+    }
 }
 
 impl VmElem for DdI {
     type Lane = DdIx4;
+    type Words = [f64; 4];
     const PRECISION: Precision = Precision::Dd;
 
     fn from_const(c: &PoolConst) -> DdI {
         // Same as `ia_set_ddx(lo_hi, lo_lo, hi_hi, hi_lo)`.
-        DdI::new(igen_dd::Dd::new(c.lo_hi, c.lo_lo), igen_dd::Dd::new(c.hi_hi, c.hi_lo))
+        DdI::new(Dd::new(c.lo_hi, c.lo_lo), Dd::new(c.hi_hi, c.hi_lo))
             .expect("pool constant is ordered")
     }
     fn powi_e(self, n: i32) -> DdI {
@@ -76,6 +129,27 @@ impl VmElem for DdI {
     fn endpoints_f64(&self) -> (f64, f64) {
         let f = self.to_f64i();
         (f.lo(), f.hi())
+    }
+    fn from_f64i(x: F64I) -> DdI {
+        DdI::from_f64i(&x)
+    }
+    fn to_words(self) -> [f64; 4] {
+        let (nl, h) = (self.neg_lo(), self.hi());
+        [nl.hi(), nl.lo(), h.hi(), h.lo()]
+    }
+    fn from_words([nl_hi, nl_lo, h_hi, h_lo]: [f64; 4]) -> DdI {
+        DdI::from_neg_lo_hi(
+            Dd::from_parts_unchecked(nl_hi, nl_lo),
+            Dd::from_parts_unchecked(h_hi, h_lo),
+        )
+    }
+    fn lane_from_columns(col: impl Fn(usize) -> [f64; 4]) -> DdIx4 {
+        DdIx4::from_columns(DdiCols4 {
+            neg_lo_hi: col(0),
+            neg_lo_lo: col(1),
+            hi_hi: col(2),
+            hi_lo: col(3),
+        })
     }
 }
 
@@ -134,7 +208,7 @@ fn width_hist_table() -> &'static Mutex<HashMap<String, &'static WidthHist>> {
 ///
 /// The telemetry registry holds `'static` histograms, so per-program
 /// instances are interned and leaked on first use, up to
-/// [`WIDTH_HIST_CAP`] programs; in non-telemetry builds the histogram
+/// `WIDTH_HIST_CAP` programs; in non-telemetry builds the histogram
 /// is a zero-sized no-op. Callers look it up only while recording.
 pub fn program_width_hist(name: &str) -> &'static WidthHist {
     let mut t = width_hist_table().lock().expect("vm hist table poisoned");
@@ -195,7 +269,6 @@ mod tests {
 
     #[test]
     fn dd_constants_roundtrip_through_the_pool() {
-        use igen_dd::Dd;
         let c = PoolConst { lo_hi: 1.05, lo_lo: -4.44e-17, hi_hi: 1.05, hi_lo: -4.4e-17 };
         let v = DdI::from_const(&c);
         assert_eq!(v.lo().hi(), 1.05);

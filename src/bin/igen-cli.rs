@@ -37,13 +37,17 @@
 //! more trace files — concatenated traces merge, so a compile trace and
 //! a run trace can be reported together.
 
-use igen::batch::{BatchConfig, SoaBatch};
-use igen::compiler::{BranchPolicy, Config, OptLevel, OutputVec, Precision};
-use igen::session::{
-    compile_uncached, workload_dd, workload_f64, BindRequest, CompileRequest, Flags,
+use igen::batch::BatchConfig;
+use igen::compiler::{
+    verify_bit_identity, BranchPolicy, Config, OptLevel, OutputVec, Precision, VmBridgeError,
 };
+use igen::interval::{DdI, F64I};
+use igen::session::{
+    compile_uncached, workload, BindRequest, CompileRequest, CompiledUnit, Flags, SessionElem,
+};
+use igen::telemetry::{ProfileRec, UnitProfiler};
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// `--metrics` / `--trace-out` state shared by the compile and run
 /// modes: turns recording on up front, then writes/prints on `finish`.
@@ -373,49 +377,19 @@ fn run_run(args: &[String]) -> ExitCode {
     let nout = unit.n_outputs();
     let n_insns = unit.batch.program().insns.len();
     let check_items = o.batch.min(8);
-    let checked = 0..check_items * nin;
 
     // Execute: differential interpreter check on a prefix, then the
     // 1-thread vs N-thread bit-identity run over the full batch.
     let (seq, par) = o.configs();
-    let (t1, tn, same) = match o.req.cfg.precision {
-        Precision::Dd => {
-            let soa = workload_dd(&unit, o.batch, o.seed);
-            let prefix: Vec<_> = checked.map(|i| soa.get(i)).collect();
-            if let Err(e) = igen::compiler::verify_bit_identity_dd(
-                &unit.out,
-                unit.batch.program(),
-                &unit.bind,
-                &prefix,
-            ) {
-                eprintln!("igen-cli: {fn_name}: {e}");
-                return ExitCode::FAILURE;
-            }
-            let t = Instant::now();
-            let a = unit.batch.run_dd(&seq, &soa);
-            let t1 = t.elapsed();
-            let t = Instant::now();
-            let b = unit.batch.run_dd(&par, &soa);
-            (t1, t.elapsed(), a.bits_eq(&b))
-        }
-        _ => {
-            let soa = workload_f64(&unit, o.batch, o.seed);
-            let prefix: Vec<_> = checked.map(|i| soa.get(i)).collect();
-            if let Err(e) = igen::compiler::verify_bit_identity(
-                &unit.out,
-                unit.batch.program(),
-                &unit.bind,
-                &prefix,
-            ) {
-                eprintln!("igen-cli: {fn_name}: {e}");
-                return ExitCode::FAILURE;
-            }
-            let t = Instant::now();
-            let a = unit.batch.run(&seq, &soa);
-            let t1 = t.elapsed();
-            let t = Instant::now();
-            let b = unit.batch.run(&par, &soa);
-            (t1, t.elapsed(), a.bits_eq(&b))
+    let runs = match o.req.cfg.precision {
+        Precision::Dd => checked_runs::<DdI>,
+        _ => checked_runs::<F64I>,
+    };
+    let (t1, tn, same) = match runs(&o, &unit, check_items, &seq, &par) {
+        Ok(timed) => timed,
+        Err(e) => {
+            eprintln!("igen-cli: {fn_name}: {e}");
+            return ExitCode::FAILURE;
         }
     };
     if !same {
@@ -461,52 +435,30 @@ fn run_profile(args: &[String]) -> ExitCode {
         Ok(compiled) => compiled,
         Err(code) => return code,
     };
-    let fn_name = unit.fn_name.clone();
+    let fn_name = &unit.fn_name;
     let prog = unit.batch.program();
     let known_sites = prog.debug.sites.iter().filter(|s| s.is_known()).count();
     let n_insns = prog.insns.len();
 
-    // Reference runs first (unprofiled, recording off): 1 thread and
-    // --threads; then the profiled sequential run, which must match
-    // both bit for bit.
     let (seq, par) = o.configs();
-    let same = match o.req.cfg.precision {
-        Precision::Dd => {
-            let soa = workload_dd(&unit, o.batch, o.seed);
-            let a = unit.batch.run_dd(&seq, &soa);
-            let b = unit.batch.run_dd(&par, &soa);
-            igen::telemetry::set_recording(true);
-            let mut prof = igen::telemetry::UnitProfiler::start(&fn_name, n_insns);
-            let c = unit.batch.run_dd_profiled(&seq, &soa, &mut prof);
-            prof.finish();
-            a.bits_eq(&b) && a.bits_eq(&c)
-        }
-        _ => {
-            let soa = workload_f64(&unit, o.batch, o.seed);
-            let a = unit.batch.run(&seq, &soa);
-            let b = unit.batch.run(&par, &soa);
-            igen::telemetry::set_recording(true);
-            let mut prof = igen::telemetry::UnitProfiler::start(&fn_name, n_insns);
-            let c = unit.batch.run_profiled(&seq, &soa, &mut prof);
-            prof.finish();
-            a.bits_eq(&b) && a.bits_eq(&c)
-        }
+    let runs = match o.req.cfg.precision {
+        Precision::Dd => profiled_runs::<DdI>,
+        _ => profiled_runs::<F64I>,
     };
+    let (same, rows) = runs(&o, &unit, &seq, &par);
     igen::telemetry::set_recording(false);
     if !same {
         eprintln!("igen-cli: profiled run diverged from the unprofiled run");
         return ExitCode::FAILURE;
     }
 
-    let snap = igen::telemetry::snapshot();
     if let Some(path) = &o.trace_out {
-        if let Err(e) = std::fs::write(path, snap.to_jsonl()) {
+        if let Err(e) = std::fs::write(path, igen::telemetry::snapshot().to_jsonl()) {
             eprintln!("igen-cli: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
         eprintln!("wrote {path}");
     }
-    let rows: Vec<_> = snap.profiles.iter().filter(|r| r.unit == fn_name).collect();
     println!(
         "{fn_name}: {n_insns} insns ({known_sites} with source locations), \
          batch={}, profiled outputs bit-identical to unprofiled: yes",
@@ -518,6 +470,47 @@ fn run_profile(args: &[String]) -> ExitCode {
     }
     print!("{}", render_blame(&rows, &src, &o.req.origin, o.top));
     ExitCode::SUCCESS
+}
+
+/// `run` at element `T`: the differential interpreter check on the
+/// first `check_items` items, then the timed 1-thread and `--threads`
+/// runs over the whole batch. Returns both times and whether the two
+/// results are bit-identical.
+fn checked_runs<T: SessionElem>(
+    o: &RunOpts,
+    unit: &CompiledUnit,
+    check_items: usize,
+    seq: &BatchConfig,
+    par: &BatchConfig,
+) -> Result<(Duration, Duration, bool), VmBridgeError> {
+    let soa = workload::<T>(unit, o.batch, o.seed);
+    let prefix: Vec<T> = (0..check_items * unit.n_inputs()).map(|i| soa.get(i)).collect();
+    verify_bit_identity(&unit.out, unit.batch.program(), &unit.bind, &prefix)?;
+    let t = Instant::now();
+    let a = unit.batch.run(seq, &soa);
+    let t1 = t.elapsed();
+    let t = Instant::now();
+    let b = unit.batch.run(par, &soa);
+    Ok((t1, t.elapsed(), a.bits_eq(&b)))
+}
+
+/// `profile` at element `T`: the reference runs first (unprofiled,
+/// recording off) at 1 thread and `--threads`, then the profiled
+/// sequential run with recording on, which must match both bit for
+/// bit. Returns whether all three agree, and the profile rows.
+fn profiled_runs<T: SessionElem>(
+    o: &RunOpts,
+    unit: &CompiledUnit,
+    seq: &BatchConfig,
+    par: &BatchConfig,
+) -> (bool, Vec<ProfileRec>) {
+    let soa = workload::<T>(unit, o.batch, o.seed);
+    let a = unit.batch.run(seq, &soa);
+    let b = unit.batch.run(par, &soa);
+    igen::telemetry::set_recording(true);
+    let mut prof = UnitProfiler::start(&unit.fn_name, unit.batch.program().insns.len());
+    let c = unit.batch.run_profiled(seq, &soa, &mut prof);
+    (a.bits_eq(&b) && a.bits_eq(&c), prof.finish())
 }
 
 /// `igen-cli serve`: the always-on interval service — a persistent
@@ -577,12 +570,7 @@ fn run_serve(args: &[String]) -> ExitCode {
 /// Renders the ranked blame tables: top sites by execution-time share
 /// and by mean width amplification, each naming (and excerpting) the
 /// source line it came from.
-fn render_blame(
-    rows: &[&igen::telemetry::ProfileRec],
-    src: &str,
-    input: &str,
-    top: usize,
-) -> String {
+fn render_blame(rows: &[ProfileRec], src: &str, input: &str, top: usize) -> String {
     use std::fmt::Write as _;
     let lines: Vec<&str> = src.lines().collect();
     let file = std::path::Path::new(input)
@@ -599,7 +587,7 @@ fn render_blame(
         }
         t
     };
-    let source = |r: &igen::telemetry::ProfileRec| -> String {
+    let source = |r: &ProfileRec| -> String {
         if r.line > 0 {
             format!("{file}:{}:{}  {}", r.line, r.col, excerpt(r.line))
         } else {
@@ -609,7 +597,7 @@ fn render_blame(
     let total_ns: u64 = rows.iter().map(|r| r.total_ns).sum();
     let mut out = String::new();
 
-    let mut by_time: Vec<&&igen::telemetry::ProfileRec> = rows.iter().collect();
+    let mut by_time: Vec<&ProfileRec> = rows.iter().collect();
     by_time.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.site.cmp(&b.site)));
     let _ = writeln!(out, "hot sites by time:");
     let _ = writeln!(out, "  rank  time%      time  op       count  source");
@@ -627,7 +615,7 @@ fn render_blame(
         );
     }
 
-    let mut by_amp: Vec<&&igen::telemetry::ProfileRec> =
+    let mut by_amp: Vec<&ProfileRec> =
         rows.iter().filter(|r| r.mean_amp_log2().is_some()).collect();
     by_amp.sort_by(|a, b| {
         let (wa, wb) = (a.mean_amp_log2().unwrap_or(0.0), b.mean_amp_log2().unwrap_or(0.0));

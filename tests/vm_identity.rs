@@ -4,16 +4,18 @@
 //! differential interpreter running the transformed C unit. Endpoints
 //! must match bit for bit — no tolerance — at every opt level; the
 //! batched packed path must additionally be bit-identical to the
-//! scalar path at every thread count.
+//! scalar path at every thread count. A tampered program must fail the
+//! same check, at the output and item where it first differs.
 
 use igen::batch::{BatchConfig, BatchF64I, BatchProgram};
 use igen::compiler::{
-    compile_to_program, verify_bit_identity, verify_bit_identity_dd, Compiler, Config, OptLevel,
-    Output, Precision,
+    compile_to_program, verify_bit_identity, Compiler, Config, OptLevel, Output, Precision,
+    RefElem, VmBridgeError,
 };
-use igen::interval::F64I;
+use igen::dd::Dd;
+use igen::interval::{DdI, F64I};
 use igen::kernels::workload;
-use igen::vm::{ArgBind, BindSpec};
+use igen::vm::{ArgBind, BindSpec, Insn, Program};
 
 fn compile(src: &str, opt: OptLevel) -> Output {
     let cfg = Config { opt_level: opt, ..Config::default() };
@@ -166,7 +168,7 @@ fn henon_dd_precision() {
             .unwrap_or_else(|e| panic!("henon dd at {opt:?}: {e}"));
         let mut rng = workload::rng(77 ^ opt as u64);
         let inputs = workload::dd_intervals_1ulp(&mut rng, 10 * 2, -0.5, 0.5);
-        verify_bit_identity_dd(&out, &prog, &bind, &inputs)
+        verify_bit_identity(&out, &prog, &bind, &inputs)
             .unwrap_or_else(|e| panic!("henon dd at {opt:?}: {e}"));
     }
 }
@@ -221,4 +223,109 @@ fn batch_layout_matches_per_item_runs() {
         assert_eq!(g.lo().to_bits(), w.lo().to_bits());
         assert_eq!(g.hi().to_bits(), w.hi().to_bits());
     }
+}
+
+/// Compiles `src` at `-O2` and `precision`, checks that the program
+/// passes the reference check over `inputs`, then applies `tamper` and
+/// returns the check's error.
+fn tampered<T: RefElem>(
+    src: &str,
+    fn_name: &str,
+    bind: &BindSpec,
+    precision: Precision,
+    inputs: &[T],
+    tamper: impl FnOnce(&mut Program),
+) -> VmBridgeError {
+    let cfg = Config { opt_level: OptLevel::O2, precision, ..Config::default() };
+    let out = Compiler::new(cfg).compile_str(src).expect("compiles");
+    let mut prog = compile_to_program(&out, fn_name, bind).expect("lowers");
+    verify_bit_identity(&out, &prog, bind, inputs).expect("the compiled program passes");
+    tamper(&mut prog);
+    verify_bit_identity(&out, &prog, bind, inputs).expect_err("the tampered program fails")
+}
+
+/// Turns the program's one `Add` into a `Sub` of the same operands.
+fn add_to_sub(p: &mut Program) {
+    let mut adds = p.insns.iter_mut().filter(|i| matches!(i, Insn::Add { .. }));
+    let add = adds.next().expect("an add");
+    assert!(adds.next().is_none(), "one add");
+    if let Insn::Add { dst, a, b } = *add {
+        *add = Insn::Sub { dst, a, b };
+    }
+}
+
+/// The program's one pool constant.
+fn only_const(p: &mut Program) -> &mut igen::vm::PoolConst {
+    assert_eq!(p.consts.len(), 1, "one pooled constant");
+    &mut p.consts[0]
+}
+
+#[test]
+fn a_swapped_opcode_is_reported_at_its_output() {
+    let src = "void split(double x, double y, double* o) { o[0] = x * y; o[1] = x + y; }";
+    let bind = BindSpec::new(vec![ArgBind::Ival, ArgBind::Ival, ArgBind::Out(2)]);
+    let f64s =
+        workload::intervals_1ulp(&workload::random_points(&mut workload::rng(7), 6, 0.5, 2.0));
+    let dds = workload::dd_intervals_1ulp(&mut workload::rng(8), 6, 0.5, 2.0);
+    for err in [
+        tampered::<F64I>(src, "split", &bind, Precision::F64, &f64s, add_to_sub),
+        tampered::<DdI>(src, "split", &bind, Precision::Dd, &dds, add_to_sub),
+    ] {
+        let VmBridgeError::Mismatch { label, item, got, want } = err else {
+            panic!("expected a mismatch, got {err}");
+        };
+        // x - y against x + y: the lower endpoints differ by 2y.
+        assert_eq!((label.as_str(), item), ("o[1]", 0));
+        assert!(got.0 < want.0, "{got:?} vs {want:?}");
+    }
+}
+
+#[test]
+fn a_nudged_constant_is_reported_at_the_first_item_it_changes() {
+    let src = "double lift(double x) { return fmax(x, 0.5); }";
+    let bind = BindSpec::new(vec![ArgBind::Ival]);
+    // fmax(x, 0.5) ignores the constant while x lies above it.
+    let inputs: Vec<F64I> = [(1.0, 1.25), (0.75, 0.875), (-1.0, -0.5), (-2.0, 0.25)]
+        .iter()
+        .map(|&(lo, hi)| F64I::new(lo, hi).expect("ordered"))
+        .collect();
+    let up = igen::round::next_up;
+    let err = tampered(src, "lift", &bind, Precision::F64, &inputs, |p| {
+        let c = only_const(p);
+        (c.lo_hi, c.hi_hi) = (up(c.lo_hi), up(c.hi_hi));
+    });
+    let msg = err.to_string();
+    let VmBridgeError::Mismatch { label, item, got, want } = err else {
+        panic!("expected a mismatch, got {err}");
+    };
+    assert_eq!((label.as_str(), item), ("return", 2));
+    assert_eq!(got, (up(want.0), up(want.1)));
+    assert_eq!(
+        msg,
+        format!(
+            "bit mismatch at item 2, output `return`: vm [{:?}, {:?}] vs interp [{:?}, {:?}]",
+            got.0, got.1, want.0, want.1
+        )
+    );
+}
+
+/// A constant nudged in its low words moves only the low words of the
+/// output: the outward-rounded f64 endpoints the error reports agree,
+/// so only the four-word compare catches it.
+#[test]
+fn a_low_word_change_at_dd_is_caught() {
+    let src = "double shift(double x) { return x + 1.0; }";
+    let bind = BindSpec::new(vec![ArgBind::Ival]);
+    let tiny = 2f64.powi(-80);
+    let x =
+        DdI::new(Dd::new(0.25, 2f64.powi(-60)), Dd::new(0.25, 2f64.powi(-59))).expect("ordered");
+    let err = tampered(src, "shift", &bind, Precision::Dd, &[x], |p| {
+        let c = only_const(p);
+        (c.lo_lo, c.hi_lo) = (c.lo_lo + tiny, c.hi_lo + tiny);
+    });
+    let VmBridgeError::Mismatch { label, item, got, want } = err else {
+        panic!("expected a mismatch, got {err}");
+    };
+    assert_eq!((label.as_str(), item), ("return", 0));
+    assert_eq!((got.0.to_bits(), got.1.to_bits()), (want.0.to_bits(), want.1.to_bits()));
 }

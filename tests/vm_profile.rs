@@ -4,12 +4,12 @@
 //! lowering, the IR passes, peephole rewriting and register renumbering
 //! — so the blame report can name real source lines at `-O2`.
 
-use igen::batch::{BatchConfig, BatchDdI, BatchF64I, BatchProgram};
+use igen::batch::{BatchConfig, BatchProgram, SoaBatch};
 use igen::compiler::{
     compile_to_program, compile_to_program_raw, Compiler, Config, OptLevel, Output, Precision,
 };
-use igen::interval::DdI;
-use igen::kernels::workload;
+use igen::interval::{DdI, F64I};
+use igen::session::SessionElem;
 use igen::vm::{ArgBind, BindSpec};
 
 const OPT_LEVELS: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
@@ -26,25 +26,16 @@ fn compile(src: &str, opt: OptLevel, precision: Precision) -> Output {
     Compiler::new(cfg).compile_str(src).expect("compiles")
 }
 
-/// All four components of a dd interval, as bits: a NaN equals itself,
-/// and the low words are compared too.
-fn dd_bits(d: &DdI) -> [u64; 4] {
-    let (lo, hi) = (d.lo(), d.hi());
-    [lo.hi().to_bits(), lo.lo().to_bits(), hi.hi().to_bits(), hi.lo().to_bits()]
-}
-
-/// Runs plain and profiled over the same batch and asserts every
-/// endpoint matches bit for bit. With telemetry compiled in (and
-/// recording turned on here) the profiled run records live samples; in
-/// a default build the profiler is a zero-sized stub and this pins the
-/// loop with its hooks folded away instead — both must hold. Returns
-/// how many outputs had a NaN endpoint, over all opt levels.
-fn check_profiled_identity(
-    src: &str,
-    fn_name: &str,
-    bind: &BindSpec,
-    precision: Precision,
-) -> usize {
+/// Runs plain and profiled over the same batch of element `T` and
+/// asserts every endpoint word matches bit for bit (a NaN equals
+/// itself, and the dd low words are compared too). With telemetry
+/// compiled in the profiled run records live samples; in a default
+/// build the profiler is a zero-sized stub and this pins the loop with
+/// its hooks folded away instead — both must hold. Returns how many
+/// outputs had a NaN word, over all opt levels.
+fn check_profiled_identity<T: SessionElem>(src: &str, fn_name: &str, bind: &BindSpec) -> usize {
+    let precision =
+        if T::PRECISION == igen::vm::Precision::Dd { Precision::Dd } else { Precision::F64 };
     let mut nan = 0;
     for opt in OPT_LEVELS {
         let out = compile(src, opt, precision);
@@ -53,43 +44,21 @@ fn check_profiled_identity(
         let nin = prog.n_inputs as usize;
         let n_sites = prog.insns.len();
         let items = 13usize;
-        let mut rng = workload::rng(0x9e0f ^ opt as u64);
         let bp = BatchProgram::new(prog);
         let cfg = BatchConfig::new().with_threads(1).with_seq_threshold(0);
-        igen::telemetry::set_recording(true);
         let unit = format!("test.profile.{fn_name}.{opt:?}");
-        match precision {
-            Precision::Dd => {
-                let ivals = workload::dd_intervals_1ulp(&mut rng, items * nin, -2.0, 2.0);
-                let soa = BatchDdI::from_intervals(&ivals);
-                let plain = bp.run_dd(&cfg, &soa).to_intervals();
-                let mut prof = igen::telemetry::UnitProfiler::start(&unit, n_sites);
-                let profiled = bp.run_dd_profiled(&cfg, &soa, &mut prof).to_intervals();
-                prof.finish();
-                assert_eq!(plain.len(), profiled.len());
-                for (a, b) in plain.iter().zip(&profiled) {
-                    assert_eq!(dd_bits(a), dd_bits(b), "{fn_name} {opt:?} dd");
-                }
-                nan +=
-                    plain.iter().filter(|a| a.lo().hi().is_nan() || a.hi().hi().is_nan()).count();
-            }
-            _ => {
-                let pts = workload::random_points(&mut rng, items * nin, -2.0, 2.0);
-                let ivals = workload::intervals_1ulp(&pts);
-                let soa = BatchF64I::from_intervals(&ivals);
-                let plain = bp.run(&cfg, &soa).to_intervals();
-                let mut prof = igen::telemetry::UnitProfiler::start(&unit, n_sites);
-                let profiled = bp.run_profiled(&cfg, &soa, &mut prof).to_intervals();
-                prof.finish();
-                assert_eq!(plain.len(), profiled.len());
-                for (a, b) in plain.iter().zip(&profiled) {
-                    assert_eq!(a.lo().to_bits(), b.lo().to_bits(), "{fn_name} {opt:?} lo");
-                    assert_eq!(a.hi().to_bits(), b.hi().to_bits(), "{fn_name} {opt:?} hi");
-                }
-                nan += plain.iter().filter(|a| a.lo().is_nan() || a.hi().is_nan()).count();
-            }
-        }
-        igen::telemetry::set_recording(false);
+        let soa = SoaBatch::<T>::from_intervals(&T::draw_1ulp(0x9e0f ^ opt as u64, items * nin));
+        let plain = bp.run(&cfg, &soa);
+        let mut prof = igen::telemetry::UnitProfiler::start(&unit, n_sites);
+        let profiled = bp.run_profiled(&cfg, &soa, &mut prof);
+        prof.finish();
+        assert_eq!(plain.len(), profiled.len());
+        assert!(plain.bits_eq(&profiled), "{fn_name} {opt:?} {precision:?}");
+        nan += plain
+            .to_intervals()
+            .iter()
+            .filter(|a| a.to_words().as_ref().iter().any(|w| w.is_nan()))
+            .count();
     }
     nan
 }
@@ -97,7 +66,7 @@ fn check_profiled_identity(
 #[test]
 fn profiled_henon_is_bit_identical_f64() {
     let bind = BindSpec::new(vec![ArgBind::Ival, ArgBind::Ival, ArgBind::Int(12)]);
-    check_profiled_identity(&henon_src(), "henon_map", &bind, Precision::F64);
+    check_profiled_identity::<F64I>(&henon_src(), "henon_map", &bind);
 }
 
 /// Hénon@8 stays finite on [-2, 2] inputs; @20 goes NaN, so the
@@ -106,7 +75,7 @@ fn profiled_henon_is_bit_identical_f64() {
 fn profiled_henon_is_bit_identical_dd() {
     for (iterations, goes_nan) in [(8, false), (20, true)] {
         let bind = BindSpec::new(vec![ArgBind::Ival, ArgBind::Ival, ArgBind::Int(iterations)]);
-        let nan = check_profiled_identity(&henon_src(), "henon_map", &bind, Precision::Dd);
+        let nan = check_profiled_identity::<DdI>(&henon_src(), "henon_map", &bind);
         assert_eq!(nan > 0, goes_nan, "Hénon@{iterations}: {nan} outputs with a NaN endpoint");
     }
 }
@@ -124,7 +93,7 @@ fn profiled_dot_is_bit_identical_f64() {
     "#;
     let n = 7;
     let bind = BindSpec::new(vec![ArgBind::In(n), ArgBind::In(n), ArgBind::Int(n as i64)]);
-    check_profiled_identity(src, "dot", &bind, Precision::F64);
+    check_profiled_identity::<F64I>(src, "dot", &bind);
 }
 
 /// The tentpole structural claim: at `-O2` with the peephole pass on
@@ -177,19 +146,14 @@ fn blame_ranking_names_real_source_lines() {
     let nin = prog.n_inputs as usize;
     let n_sites = prog.insns.len();
     let bp = BatchProgram::new(prog);
-    let mut rng = workload::rng(0xb1a3);
-    let pts = workload::random_points(&mut rng, 16 * nin, -2.0, 2.0);
-    let soa = BatchF64I::from_intervals(&workload::intervals_1ulp(&pts));
-    igen::telemetry::set_recording(true);
+    let soa = SoaBatch::from_intervals(&F64I::draw_1ulp(0xb1a3, 16 * nin));
+    // The profiler is live without the process-wide recording flag.
     let mut prof = igen::telemetry::UnitProfiler::start("test.blame.henon", n_sites);
     bp.run_profiled(&BatchConfig::new().with_threads(1), &soa, &mut prof);
-    prof.finish();
-    igen::telemetry::set_recording(false);
+    assert!(!igen::telemetry::recording());
 
-    let mut rows: Vec<_> = igen::telemetry::profiles_snapshot()
-        .into_iter()
-        .filter(|r| r.unit == "test.blame.henon" && r.mean_amp_log2().is_some())
-        .collect();
+    let mut rows: Vec<_> =
+        prof.finish().into_iter().filter(|r| r.mean_amp_log2().is_some()).collect();
     assert!(rows.len() >= 3, "expected at least 3 profiled sites, got {}", rows.len());
     rows.sort_by(|a, b| {
         b.mean_amp_log2()

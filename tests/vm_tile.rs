@@ -14,14 +14,14 @@
 //!    peepholed program are run side by side over random inputs and
 //!    compared bitwise.
 
-use igen::batch::{BatchConfig, BatchDdI, BatchF64I, BatchProgram};
+use igen::batch::{BatchConfig, BatchF64I, BatchProgram, SoaBatch};
 use igen::compiler::{
     compile_to_program, compile_to_program_raw, Compiler, Config, OptLevel, Output, Precision,
 };
 use igen::interval::{DdI, F64I};
 use igen::kernels::workload;
 use igen::round::simd::{self, Backend};
-use igen::vm::{peephole, run_scalar, ArgBind, BindSpec};
+use igen::vm::{peephole, run_scalar, ArgBind, BindSpec, Program, VmElem};
 use proptest::prelude::*;
 
 const OPT_LEVELS: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
@@ -59,12 +59,32 @@ fn assert_f64_bits(a: &F64I, b: &F64I, ctx: &str) {
     assert_eq!(a.hi().to_bits(), b.hi().to_bits(), "hi {ctx}");
 }
 
-fn assert_dd_bits(a: &DdI, b: &DdI, ctx: &str) {
-    let bits = |d: &DdI| {
-        let (lo, hi) = (d.lo(), d.hi());
-        [lo.hi().to_bits(), lo.lo().to_bits(), hi.hi().to_bits(), hi.lo().to_bits()]
-    };
-    assert_eq!(bits(a), bits(b), "{ctx}");
+/// `run_scalar` over every item of `inputs`, outputs item-major.
+fn scalar_outputs<T: VmElem>(prog: &Program, inputs: &[T]) -> Vec<T> {
+    inputs.chunks(prog.n_inputs as usize).flat_map(|item| run_scalar::<T>(prog, item)).collect()
+}
+
+/// Runs `bp` over `inputs` at every `(threads, tile)` setting and
+/// asserts every word of every output equals `want`'s, bit for bit.
+fn assert_batch_bits<T: VmElem>(
+    bp: &BatchProgram,
+    inputs: &[T],
+    want: &[T],
+    settings: &[(usize, usize)],
+    ctx: &str,
+) {
+    let (soa, want) = (SoaBatch::from_intervals(inputs), SoaBatch::from_intervals(want));
+    for &(threads, tile) in settings {
+        let cfg =
+            BatchConfig::new().with_threads(threads).with_seq_threshold(0).with_tile_groups(tile);
+        let got = bp.run(&cfg, &soa);
+        assert!(got.bits_eq(&want), "{ctx} threads={threads} tile={tile}");
+    }
+}
+
+/// Every `(threads, tile)` pair of the two lists.
+fn settings(threads: &[usize], tiles: &[usize]) -> Vec<(usize, usize)> {
+    threads.iter().flat_map(|&t| tiles.iter().map(move |&g| (t, g))).collect()
 }
 
 /// The fixed matrix: opt level × precision × items × threads × tile.
@@ -82,27 +102,9 @@ fn tiled_batch_is_bit_identical_to_scalar_for_every_tail_shape() {
             let mut rng = workload::rng(0xA11CE ^ items as u64 ^ opt as u64);
             let points = workload::random_points(&mut rng, items * nin, -1.0, 1.0);
             let inputs = workload::intervals_1ulp(&points);
-            let want: Vec<F64I> = (0..items)
-                .flat_map(|i| run_scalar::<F64I>(&prog, &inputs[i * nin..(i + 1) * nin]))
-                .collect();
-            let soa = BatchF64I::from_intervals(&inputs);
-            for threads in [1usize, 3, 8] {
-                for tile in [1usize, 2, 8, 16] {
-                    let cfg = BatchConfig::new()
-                        .with_threads(threads)
-                        .with_seq_threshold(0)
-                        .with_tile_groups(tile);
-                    let got = bp.run(&cfg, &soa).to_intervals();
-                    assert_eq!(got.len(), want.len());
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_f64_bits(
-                            g,
-                            w,
-                            &format!("f64 {opt:?} items={items} threads={threads} tile={tile}"),
-                        );
-                    }
-                }
-            }
+            let want = scalar_outputs(&prog, &inputs);
+            let runs = settings(&[1, 3, 8], &[1, 2, 8, 16]);
+            assert_batch_bits(&bp, &inputs, &want, &runs, &format!("f64 {opt:?} items={items}"));
         }
 
         // dd
@@ -113,27 +115,9 @@ fn tiled_batch_is_bit_identical_to_scalar_for_every_tail_shape() {
         for &items in &[1usize, 3, 5, 33] {
             let mut rng = workload::rng(0xDD ^ items as u64 ^ opt as u64);
             let inputs = workload::dd_intervals_1ulp(&mut rng, items * nin, -0.5, 0.5);
-            let want: Vec<DdI> = (0..items)
-                .flat_map(|i| run_scalar::<DdI>(&prog, &inputs[i * nin..(i + 1) * nin]))
-                .collect();
-            let soa = BatchDdI::from_intervals(&inputs);
-            for threads in [1usize, 3, 8] {
-                for tile in [1usize, 8] {
-                    let cfg = BatchConfig::new()
-                        .with_threads(threads)
-                        .with_seq_threshold(0)
-                        .with_tile_groups(tile);
-                    let got = bp.run_dd(&cfg, &soa).to_intervals();
-                    assert_eq!(got.len(), want.len());
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_dd_bits(
-                            g,
-                            w,
-                            &format!("dd {opt:?} items={items} threads={threads} tile={tile}"),
-                        );
-                    }
-                }
-            }
+            let want = scalar_outputs(&prog, &inputs);
+            let runs = settings(&[1, 3, 8], &[1, 8]);
+            assert_batch_bits(&bp, &inputs, &want, &runs, &format!("dd {opt:?} items={items}"));
         }
     }
     // Hénon@20 over [-2, 2]: many items leave the attractor's basin and
@@ -141,6 +125,7 @@ fn tiled_batch_is_bit_identical_to_scalar_for_every_tail_shape() {
     // their [1, 1] padding lanes.
     let bind = BindSpec::new(vec![ArgBind::Ival, ArgBind::Ival, ArgBind::Int(20)]);
     let mut padded_nonfinite = [0usize; 2];
+    let runs = [(1usize, 1usize), (3, 8)];
     let out = compile(&henon, OptLevel::O2, Precision::F64);
     let prog = compile_to_program(&out, "henon_map", &bind).expect("lowers");
     let nin = prog.n_inputs as usize;
@@ -149,26 +134,12 @@ fn tiled_batch_is_bit_identical_to_scalar_for_every_tail_shape() {
         let mut rng = workload::rng(0x20 ^ items as u64);
         let points = workload::random_points(&mut rng, items * nin, -2.0, 2.0);
         let inputs = workload::intervals_1ulp(&points);
-        let want: Vec<F64I> = (0..items)
-            .flat_map(|i| run_scalar::<F64I>(&prog, &inputs[i * nin..(i + 1) * nin]))
-            .collect();
+        let want = scalar_outputs(&prog, &inputs);
         padded_nonfinite[0] += want[items / 4 * 4..]
             .iter()
             .filter(|w| !(w.lo().is_finite() && w.hi().is_finite()))
             .count();
-        let soa = BatchF64I::from_intervals(&inputs);
-        for (threads, tile) in [(1usize, 1usize), (3, 8)] {
-            let cfg = BatchConfig::new()
-                .with_threads(threads)
-                .with_seq_threshold(0)
-                .with_tile_groups(tile);
-            let got = bp.run(&cfg, &soa).to_intervals();
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                let ctx = format!("f64 henon@20 items={items} threads={threads} tile={tile}");
-                assert_f64_bits(g, w, &ctx);
-            }
-        }
+        assert_batch_bits(&bp, &inputs, &want, &runs, &format!("f64 henon@20 items={items}"));
     }
     let out = compile(&henon, OptLevel::O2, Precision::Dd);
     let prog = compile_to_program(&out, "henon_map", &bind).expect("lowers dd");
@@ -176,26 +147,12 @@ fn tiled_batch_is_bit_identical_to_scalar_for_every_tail_shape() {
     for &items in &[1usize, 2, 3, 5, 33] {
         let mut rng = workload::rng(0xDD20 ^ items as u64);
         let inputs = workload::dd_intervals_1ulp(&mut rng, items * nin, -2.0, 2.0);
-        let want: Vec<DdI> = (0..items)
-            .flat_map(|i| run_scalar::<DdI>(&prog, &inputs[i * nin..(i + 1) * nin]))
-            .collect();
+        let want: Vec<DdI> = scalar_outputs(&prog, &inputs);
         padded_nonfinite[1] += want[items / 4 * 4..]
             .iter()
             .filter(|w| !(w.lo().hi().is_finite() && w.hi().hi().is_finite()))
             .count();
-        let soa = BatchDdI::from_intervals(&inputs);
-        for (threads, tile) in [(1usize, 1usize), (3, 8)] {
-            let cfg = BatchConfig::new()
-                .with_threads(threads)
-                .with_seq_threshold(0)
-                .with_tile_groups(tile);
-            let got = bp.run_dd(&cfg, &soa).to_intervals();
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                let ctx = format!("dd henon@20 items={items} threads={threads} tile={tile}");
-                assert_dd_bits(g, w, &ctx);
-            }
-        }
+        assert_batch_bits(&bp, &inputs, &want, &runs, &format!("dd henon@20 items={items}"));
     }
     assert!(
         padded_nonfinite.iter().all(|&n| n > 0),
@@ -394,14 +351,8 @@ fn peephole_preserves_dd_bits_on_henon() {
         let nin = raw.n_inputs as usize;
         let mut rng = workload::rng(0xDDD ^ opt as u64);
         let inputs = workload::dd_intervals_1ulp(&mut rng, 10 * nin, -0.5, 0.5);
-        for i in 0..10 {
-            let item = &inputs[i * nin..(i + 1) * nin];
-            let want = run_scalar::<DdI>(&raw, item);
-            let got = run_scalar::<DdI>(&peep, item);
-            assert_eq!(want.len(), got.len());
-            for (w, g) in want.iter().zip(&got) {
-                assert_dd_bits(g, w, &format!("dd henon at {opt:?}, item {i}"));
-            }
-        }
+        let want = SoaBatch::from_intervals(&scalar_outputs(&raw, &inputs));
+        let got = SoaBatch::from_intervals(&scalar_outputs(&peep, &inputs));
+        assert!(got.bits_eq(&want), "dd henon at {opt:?}");
     }
 }
