@@ -11,7 +11,7 @@
 
 use igen_batch::engine::par_map_indexed;
 use igen_batch::{BatchConfig, BatchDdI, BatchF64I, BatchProgram};
-use igen_interval::{DdIx4, F64Ix4, LaneOps, F64I};
+use igen_interval::{DdIx4, F64Ix4, LaneOps, SweepOp, F64I};
 use igen_kernels::workload;
 use igen_round::simd::{self, Backend};
 use igen_telemetry::{Snapshot, WidthHist};
@@ -32,6 +32,21 @@ fn sample(seed: u64, len: usize) -> BatchF64I {
 /// Output widths of [`dot_lanes`].
 static DOT_WIDTHS: WidthHist = WidthHist::new("width.test.dot_lanes");
 
+/// `op` on one group through `L::sweep`, the hook the VM calls.
+fn swept<L: LaneOps>(op: SweepOp, src: [L; 3]) -> L {
+    let mut bank = [src[0], src[1], src[2], L::default()];
+    L::sweep(op, &mut bank, 1, 3, [0, 1, 2]);
+    bank[3]
+}
+
+/// Every backend the host supports.
+fn backends() -> Vec<Backend> {
+    [Backend::Portable, Backend::Avx2Fma]
+        .into_iter()
+        .filter(|&bk| bk <= simd::detected_backend())
+        .collect()
+}
+
 /// Item-major length-`n` dot products, four items per `F64Ix4` register
 /// group and a scalar tail, mapped over the engine's workers; every
 /// result's width goes into [`DOT_WIDTHS`].
@@ -42,7 +57,8 @@ fn dot_lanes(cfg: &BatchConfig, n: usize, xs: &BatchF64I, ys: &BatchF64I) -> Vec
         let out: Vec<F64I> = if first + 4 <= items {
             let mut acc = F64Ix4::splat(F64I::ZERO);
             for j in 0..n {
-                acc = acc + xs.load_x4(first * n + j, n) * ys.load_x4(first * n + j, n);
+                let (x, y) = (xs.load_x4(first * n + j, n), ys.load_x4(first * n + j, n));
+                acc = swept(SweepOp::MulAdd, [x, y, acc]);
             }
             (0..4).map(|l| acc.lane(l)).collect()
         } else {
@@ -88,7 +104,8 @@ proptest! {
 
     /// The same workload run at 1, 2 and 3 worker threads produces
     /// identical workload-counter totals (SIMD dispatches, guard
-    /// patches, ulp bumps, ...) and identical width histograms.
+    /// patches, ulp bumps, ...) and identical width histograms, on every
+    /// backend.
     #[test]
     fn counters_are_thread_count_invariant(
         batch in 4usize..32,
@@ -98,8 +115,8 @@ proptest! {
         let _serial = TEL_LOCK.lock().unwrap();
         let xs = sample(seed, batch * n);
         let ys = sample(seed ^ 0x9e37_79b9, batch * n);
-        // Lane groups for a packed abs/sqrt/sqr sweep, so the unary
-        // patch-site counters are exercised too.
+        // Lane groups for every op through the sweep hook, so the
+        // packed kernels' patch-site counters are exercised too.
         let groups: Vec<F64Ix4> =
             (0..batch * n / 4).map(|g| xs.load_x4(g * 4, 1)).collect();
         // Double-double groups for the packed dd add/mul kernels
@@ -112,51 +129,52 @@ proptest! {
         ));
         let dd_groups: Vec<DdIx4> =
             (0..batch * n / 4).map(|g| dds.load_x4(g * 4, 1)).collect();
-        let run = |threads: usize| {
+        let run = |bk: Backend, threads: usize| {
             let cfg = BatchConfig::new().with_threads(threads).with_seq_threshold(0);
             traced(|| {
+                simd::force_backend(Some(bk));
                 igen_bench_sink(dot_lanes(&cfg, n, &xs, &ys));
                 igen_bench_sink(par_map_indexed(&cfg, groups.len(), |g| {
                     let v = groups[g];
-                    (v.abs().sqrt(), v.sqr())
+                    SweepOp::ALL.map(|op| swept(op, [v, groups[(g + 1) % groups.len()], v]))
                 }));
                 igen_bench_sink(par_map_indexed(&cfg, dd_groups.len(), |g| {
                     let v = dd_groups[g];
-                    (v * v - v).mul_add(v, v)
+                    SweepOp::ALL.map(|op| swept(op, [v, dd_groups[(g + 1) % dd_groups.len()], v]))
                 }));
+                simd::force_backend(None);
             })
         };
-        let base = run(1);
-        prop_assert!(
-            base.hists.iter().any(|h| h.count > 0),
-            "the workload must record a width histogram: {:?}",
-            base.hists
-        );
-        let base_counters = workload_counters(&base);
-        prop_assert!(
-            base_counters.iter().any(|(n, v)| n.starts_with("simd.") && *v > 0),
-            "the workload must actually exercise the instrumented kernels: {base_counters:?}"
-        );
-        let mut ops = vec!["sqrt", "sqr", "abs"];
-        if igen_round::simd::detected_backend() == igen_round::simd::Backend::Avx2Fma {
-            ops.extend(["dd_add", "dd_mul"]);
-        }
-        for op in ops {
-            let name = format!("simd.{op}.packed_calls");
+        for bk in backends() {
+            let base = run(bk, 1);
             prop_assert!(
-                base_counters.iter().any(|(n, v)| *n == name && *v > 0),
-                "the sweep must tick {name}: {base_counters:?}"
+                base.hists.iter().any(|h| h.count > 0),
+                "the workload must record a width histogram: {:?}",
+                base.hists
             );
-        }
-        for threads in [2usize, 3] {
-            let multi = run(threads);
-            prop_assert_eq!(
-                &workload_counters(&multi),
-                &base_counters,
-                "counter totals diverged at {} threads",
-                threads
-            );
-            prop_assert_eq!(&multi.hists, &base.hists, "width histograms diverged");
+            let base_counters = workload_counters(&base);
+            let mut ops = vec!["div", "sqrt", "sqr", "abs"];
+            if bk == Backend::Avx2Fma {
+                ops.extend(["add", "mul", "dd_add", "dd_mul"]);
+            }
+            for op in ops {
+                let name = format!("simd.{op}.packed_calls");
+                prop_assert!(
+                    base_counters.iter().any(|(n, v)| *n == name && *v > 0),
+                    "the sweeps under {} must tick {}: {:?}", bk, name, base_counters
+                );
+            }
+            for threads in [2usize, 3] {
+                let multi = run(bk, threads);
+                prop_assert_eq!(
+                    &workload_counters(&multi),
+                    &base_counters,
+                    "counter totals diverged at {} threads under {}",
+                    threads,
+                    bk
+                );
+                prop_assert_eq!(&multi.hists, &base.hists, "width histograms diverged");
+            }
         }
     }
 }
@@ -191,12 +209,13 @@ fn counter(snap: &Snapshot, name: &str) -> u64 {
     snap.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
 }
 
-/// A compiled f64 program through `BatchProgram`: each sweep counts per
-/// packed group under the existing `simd.add.*`/`simd.mul.*` counters,
-/// exactly as the one-group `F64Ix4` ops count the same groups (the
-/// padded last group included, its missing lanes `[1, 1]`), and the
-/// totals are the same at 1 and 3 threads. Every fifth item sits near
-/// `MAX`, so sums and products overflow and lanes get patched.
+/// A compiled f64 program through `BatchProgram`: on AVX2+FMA each
+/// sweep counts per packed group under the `simd.add.*`/`simd.mul.*`
+/// counters (the padded last group included, its missing lanes
+/// `[1, 1]`), and the totals are the same at 1 and 3 threads. Every
+/// fifth item sits near `MAX`, so sums and products overflow and lanes
+/// get patched. The portable backend runs add, sub and mul as the scalar
+/// op on each lane, which ticks no packed counter.
 #[test]
 fn vm_sweeps_count_per_group_at_any_thread_count() {
     let _serial = TEL_LOCK.lock().unwrap();
@@ -213,42 +232,16 @@ fn vm_sweeps_count_per_group_at_any_thread_count() {
         traced(|| igen_bench_sink(bp.run(&cfg, &inputs)))
     };
     let one = run(1);
-    let groups = items.div_ceil(4) as u64;
     // Add, Sub, MulAdd and MulSub add; Mul, MulAdd and MulSub multiply.
-    // Without the AVX2 kernels an interval op is its column calls: two
-    // `add_ru_4` per add, four `mul_ru_both_4` per mul.
     let avx2 = simd::detected_backend() == Backend::Avx2Fma;
-    let (add_calls, mul_calls) = if avx2 { (1, 1) } else { (2, 4) };
-    assert_eq!(counter(&one, "simd.add.packed_calls"), 4 * add_calls * groups);
-    assert_eq!(counter(&one, "simd.mul.packed_calls"), 3 * mul_calls * groups);
+    let groups = if avx2 { items.div_ceil(4) as u64 } else { 0 };
+    assert_eq!(counter(&one, "simd.add.packed_calls"), 4 * groups);
+    assert_eq!(counter(&one, "simd.mul.packed_calls"), 3 * groups);
     if avx2 {
         assert_eq!(counter(&one, "simd.dispatch.avx2_fma"), 7 * groups);
+        assert!(counter(&one, "simd.add.lanes_patched") > 0, "{:?}", one.counters);
+        assert!(counter(&one, "simd.mul.lanes_patched") > 0, "{:?}", one.counters);
     }
-    assert!(counter(&one, "simd.add.lanes_patched") > 0, "{:?}", one.counters);
-    assert!(counter(&one, "simd.mul.lanes_patched") > 0, "{:?}", one.counters);
-    // The same groups through the one-group ops count the same.
-    let lanes = |g: usize, j: usize| {
-        F64Ix4::from_lanes_fn(|l| {
-            let item = 4 * g + l;
-            if item < items {
-                inputs.get(2 * item + j)
-            } else {
-                F64I::point(1.0)
-            }
-        })
-    };
-    let by_group = traced(|| {
-        for g in 0..items.div_ceil(4) {
-            let (x, y) = (lanes(g, 0), lanes(g, 1));
-            let (s, d) = (x + y, x - y);
-            let p = s * d;
-            igen_bench_sink((p + x * y) - s * d);
-        }
-    });
-    let simd_counters = |snap: &Snapshot| -> Vec<(String, u64)> {
-        snap.counters.iter().filter(|(n, _)| n.starts_with("simd.")).cloned().collect()
-    };
-    assert_eq!(simd_counters(&one), simd_counters(&by_group));
     assert_eq!(workload_counters(&run(3)), workload_counters(&one), "totals diverged at 3 threads");
 }
 

@@ -3,36 +3,41 @@
 //!
 //! Three variants per measurement:
 //!
-//! - `scalar`: plain `F64I` element loops (the bit-identity reference);
-//! - `lane_portable`: the `F64Ix4` lane types with the backend forced to
-//!   `Portable`, i.e. the compiler-autovectorized lane loops;
-//! - `simd`: the same lane types dispatching to the packed
-//!   `igen_round::simd` kernels on the host's detected backend.
+//! - `scalar`: the scalar `F64I`/`DdI` elements (the bit-identity
+//!   reference);
+//! - `lane_portable`: the `F64Ix4`/`DdIx4` lane types with the backend
+//!   forced to `Portable`;
+//! - `simd`: the same lane types on the host's detected backend (the
+//!   packed `igen_round::simd` kernels on AVX2+FMA).
 //!
-//! The `dd_add`/`dd_mul` op rows measure the same three variants for
-//! double-double intervals: scalar `DdI` loops, `DdIx4` lane loops
-//! (forced `Portable`) and `DdIx4` on the detected backend (the packed
-//! double-double kernels on AVX2+FMA), on 1-ulp dd inputs with nonzero
-//! low words.
+//! An op row times what the VM runs for one instruction over a bank:
+//! one `LaneOps::sweep` call of the op over `OP_N` intervals per source
+//! (`OP_N` slots at the scalar element, `OP_N / 4` groups at the lane
+//! type), one row per `SweepOp`, at f64 and at dd (`dd_` rows, 1-ulp dd
+//! inputs with nonzero low words). The first two sources are 1-ulp
+//! intervals on [0.5, 2], so the unary ops and the divisor stay on the
+//! packed hot paths; the accumulator is on [-2, 2].
 //!
 //! A plain run (without `--test`) records `results/simd_speedup.csv`
-//! with per-op and per-paper-kernel rows. Each kernel row times the
-//! scalar `F64I` loop against the kernel's C source compiled into
-//! `BatchProgram` (`igen_bench::compiled`), which runs four items per
-//! packed register — `gemm` batches the mvm program over the columns of
-//! `C` — so the `packed_path` column is `true` across the board.
+//! with per-op and per-paper-kernel rows: every timing is the median of
+//! `reps` runs, with its first and third quartile beside it. Each kernel
+//! row times the scalar `F64I` loop against the kernel's C source
+//! compiled into `BatchProgram` (`igen_bench::compiled`), which runs
+//! four items per packed register — `gemm` batches the mvm program over
+//! the columns of `C` — so the `packed_path` column is `true` across
+//! the board.
 
 use criterion::{black_box, Criterion};
 use igen_batch::{available_threads, BatchConfig, BatchF64I};
-use igen_bench::{compiled, host_line, median_time, write_csv_with_comments};
+use igen_bench::{compiled, host_line, quartile_times, write_csv_with_comments};
 use igen_core::Precision;
-use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, F64I};
+use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, SweepOp, F64I};
 use igen_kernels::ffnn::Ffnn;
 use igen_kernels::{henon_from, linalg, workload};
 use igen_round::simd::{self, Backend};
 use std::time::Duration;
 
-/// Lanes per element-wise op measurement (multiple of 4).
+/// Intervals per source of an op measurement (multiple of 4).
 const OP_N: usize = 4096;
 const DOT_BATCH: usize = 256;
 const DOT_N: usize = 256;
@@ -54,298 +59,92 @@ fn sample(seed: u64, len: usize) -> Vec<F64I> {
     workload::intervals_1ulp(&workload::random_points(&mut rng, len, -2.0, 2.0))
 }
 
-/// Zero-free intervals (for division benchmarks that should stay on the
-/// packed path rather than the per-lane screening fallback).
+/// Zero-free positive intervals: square roots and divisors that stay on
+/// the packed path rather than the per-lane fallbacks.
 fn sample_positive(seed: u64, len: usize) -> Vec<F64I> {
     let mut rng = workload::rng(seed);
     workload::intervals_1ulp(&workload::random_points(&mut rng, len, 0.5, 2.0))
 }
 
-fn to_lanes(xs: &[F64I]) -> Vec<F64Ix4> {
-    xs.chunks_exact(4).map(|c| F64Ix4::from_lanes([c[0], c[1], c[2], c[3]])).collect()
+/// Double-double intervals of width `ulp(x_lo)` on `[lo, hi)` (the
+/// paper's dd inputs).
+fn dd_sample(seed: u64, len: usize, lo: f64, hi: f64) -> Vec<DdI> {
+    workload::dd_intervals_1ulp(&mut workload::rng(seed), len, lo, hi)
 }
 
-/// Double-double intervals of width `ulp(x_lo)` (the paper's dd inputs).
-fn dd_sample(seed: u64, len: usize) -> Vec<DdI> {
-    workload::dd_intervals_1ulp(&mut workload::rng(seed), len, -2.0, 2.0)
+/// A bank of four registers of `OP_N / L::LANES` groups: the sources
+/// `srcs` packed `L::LANES` to a group, then the destination. Returns
+/// the bank and its groups per register.
+fn bank<L: LaneOps>(srcs: [&[L::Elem]; 3]) -> (Vec<L>, usize) {
+    let n = OP_N / L::LANES;
+    let mut bank: Vec<L> = srcs
+        .iter()
+        .flat_map(|s| s.chunks_exact(L::LANES).map(|c| L::from_lanes_fn(|l| c[l])))
+        .collect();
+    bank.resize(4 * n, L::default());
+    (bank, n)
 }
 
-fn to_dd_lanes(xs: &[DdI]) -> Vec<DdIx4> {
-    xs.chunks_exact(4).map(|c| DdIx4::from_lanes([c[0], c[1], c[2], c[3]])).collect()
+/// One `L::sweep` of `op` from the three source registers into the
+/// fourth.
+fn sweep<L: LaneOps>(op: SweepOp, bank: &mut [L], n: usize) {
+    L::sweep(op, black_box(bank), n, 3 * n, [0, n, 2 * n]);
 }
 
-/// Runs `f` with the dispatch pinned to `bk` (clamped to the host).
-fn timed_with_backend(bk: Backend, reps: usize, mut f: impl FnMut()) -> Duration {
+/// Quartiles of `f` with the dispatch pinned to `bk` (clamped to the
+/// host).
+fn timed_with_backend(bk: Backend, reps: usize, f: impl FnMut()) -> [Duration; 3] {
     simd::force_backend(Some(bk));
-    let t = median_time(reps, &mut f);
+    let t = quartile_times(reps, f);
     simd::force_backend(None);
     t
 }
 
+/// One measurement's three variants, each as first quartile, median
+/// and third quartile.
 struct Row {
-    name: &'static str,
+    name: String,
     packed_path: bool,
-    scalar: Duration,
-    lane_portable: Duration,
-    simd: Duration,
+    scalar: [Duration; 3],
+    lane_portable: [Duration; 3],
+    simd: [Duration; 3],
+}
+
+/// The op row of `op` at lane type `L` over the sources `srcs`.
+fn op_row<L: LaneOps>(name: String, op: SweepOp, reps: usize, srcs: [&[L::Elem]; 3]) -> Row
+where
+    L::Elem: LaneOps<Elem = L::Elem>,
+{
+    let (mut scalar, n1) = bank::<L::Elem>(srcs);
+    let (mut lanes, n) = bank::<L>(srcs);
+    Row {
+        name,
+        packed_path: true,
+        scalar: quartile_times(reps, || sweep(op, &mut scalar, n1)),
+        lane_portable: timed_with_backend(Backend::Portable, reps, || sweep(op, &mut lanes, n)),
+        simd: timed_with_backend(simd::detected_backend(), reps, || sweep(op, &mut lanes, n)),
+    }
 }
 
 fn op_rows(reps: usize) -> Vec<Row> {
-    let a = sample(11, OP_N);
-    let b = sample_positive(12, OP_N);
-    let c = sample(13, OP_N);
-    let (va, vb, vc) = (to_lanes(&a), to_lanes(&b), to_lanes(&c));
-    let (da, db) = (dd_sample(14, OP_N), dd_sample(15, OP_N));
-    let (vda, vdb) = (to_dd_lanes(&da), to_dd_lanes(&db));
-
-    type OpSpec<'a> = (&'static str, Box<dyn FnMut() + 'a>, Box<dyn FnMut() + 'a>);
-    let specs: Vec<OpSpec> = {
-        // Each op gets a scalar closure and a lane closure (each owning
-        // its output buffer); the lane one is timed twice, under
-        // Portable and under the native backend.
-        macro_rules! op {
-            ($name:literal, $scalar:expr, $lane:expr) => {
-                ($name, Box::new($scalar) as Box<dyn FnMut()>, Box::new($lane) as Box<dyn FnMut()>)
-            };
-        }
-        vec![
-            op!(
-                "add",
-                {
-                    let mut out = vec![F64I::point(0.0); OP_N];
-                    let (a, b) = (&a, &b);
-                    move || {
-                        for i in 0..OP_N {
-                            out[i] = a[i] + b[i];
-                        }
-                        black_box(&out);
-                    }
-                },
-                {
-                    let mut out = vec![F64Ix4::default(); OP_N / 4];
-                    let (va, vb) = (&va, &vb);
-                    move || {
-                        for i in 0..OP_N / 4 {
-                            out[i] = va[i] + vb[i];
-                        }
-                        black_box(&out);
-                    }
-                }
-            ),
-            op!(
-                "sub",
-                {
-                    let mut out = vec![F64I::point(0.0); OP_N];
-                    let (a, b) = (&a, &b);
-                    move || {
-                        for i in 0..OP_N {
-                            out[i] = a[i] - b[i];
-                        }
-                        black_box(&out);
-                    }
-                },
-                {
-                    let mut out = vec![F64Ix4::default(); OP_N / 4];
-                    let (va, vb) = (&va, &vb);
-                    move || {
-                        for i in 0..OP_N / 4 {
-                            out[i] = va[i] - vb[i];
-                        }
-                        black_box(&out);
-                    }
-                }
-            ),
-            op!(
-                "mul",
-                {
-                    let mut out = vec![F64I::point(0.0); OP_N];
-                    let (a, b) = (&a, &b);
-                    move || {
-                        for i in 0..OP_N {
-                            out[i] = a[i] * b[i];
-                        }
-                        black_box(&out);
-                    }
-                },
-                {
-                    let mut out = vec![F64Ix4::default(); OP_N / 4];
-                    let (va, vb) = (&va, &vb);
-                    move || {
-                        for i in 0..OP_N / 4 {
-                            out[i] = va[i] * vb[i];
-                        }
-                        black_box(&out);
-                    }
-                }
-            ),
-            op!(
-                "div",
-                {
-                    let mut out = vec![F64I::point(0.0); OP_N];
-                    let (a, b) = (&a, &b);
-                    move || {
-                        for i in 0..OP_N {
-                            out[i] = a[i] / b[i];
-                        }
-                        black_box(&out);
-                    }
-                },
-                {
-                    let mut out = vec![F64Ix4::default(); OP_N / 4];
-                    let (va, vb) = (&va, &vb);
-                    move || {
-                        for i in 0..OP_N / 4 {
-                            out[i] = va[i] / vb[i];
-                        }
-                        black_box(&out);
-                    }
-                }
-            ),
-            op!(
-                "mul_add",
-                {
-                    let mut out = vec![F64I::point(0.0); OP_N];
-                    let (a, b, c) = (&a, &b, &c);
-                    move || {
-                        for i in 0..OP_N {
-                            out[i] = a[i] * b[i] + c[i];
-                        }
-                        black_box(&out);
-                    }
-                },
-                {
-                    let mut out = vec![F64Ix4::default(); OP_N / 4];
-                    let (va, vb, vc) = (&va, &vb, &vc);
-                    move || {
-                        for i in 0..OP_N / 4 {
-                            out[i] = va[i].mul_add(vb[i], vc[i]);
-                        }
-                        black_box(&out);
-                    }
-                }
-            ),
-            // sqrt over positive intervals (the guarded packed path; a
-            // negative radicand would patch the lane scalar-side).
-            op!(
-                "sqrt",
-                {
-                    let mut out = vec![F64I::point(0.0); OP_N];
-                    let b = &b;
-                    move || {
-                        for i in 0..OP_N {
-                            out[i] = b[i].sqrt();
-                        }
-                        black_box(&out);
-                    }
-                },
-                {
-                    let mut out = vec![F64Ix4::default(); OP_N / 4];
-                    let vb = &vb;
-                    move || {
-                        for i in 0..OP_N / 4 {
-                            out[i] = vb[i].sqrt();
-                        }
-                        black_box(&out);
-                    }
-                }
-            ),
-            op!(
-                "sqr",
-                {
-                    let mut out = vec![F64I::point(0.0); OP_N];
-                    let a = &a;
-                    move || {
-                        for i in 0..OP_N {
-                            out[i] = a[i].sqr();
-                        }
-                        black_box(&out);
-                    }
-                },
-                {
-                    let mut out = vec![F64Ix4::default(); OP_N / 4];
-                    let va = &va;
-                    move || {
-                        for i in 0..OP_N / 4 {
-                            out[i] = va[i].sqr();
-                        }
-                        black_box(&out);
-                    }
-                }
-            ),
-            op!(
-                "dd_add",
-                {
-                    let mut out = vec![DdI::ZERO; OP_N];
-                    let (a, b) = (&da, &db);
-                    move || {
-                        for i in 0..OP_N {
-                            out[i] = a[i] + b[i];
-                        }
-                        black_box(&out);
-                    }
-                },
-                {
-                    let mut out = vec![DdIx4::default(); OP_N / 4];
-                    let (va, vb) = (&vda, &vdb);
-                    move || {
-                        for i in 0..OP_N / 4 {
-                            out[i] = va[i] + vb[i];
-                        }
-                        black_box(&out);
-                    }
-                }
-            ),
-            op!(
-                "dd_mul",
-                {
-                    let mut out = vec![DdI::ZERO; OP_N];
-                    let (a, b) = (&da, &db);
-                    move || {
-                        for i in 0..OP_N {
-                            out[i] = a[i] * b[i];
-                        }
-                        black_box(&out);
-                    }
-                },
-                {
-                    let mut out = vec![DdIx4::default(); OP_N / 4];
-                    let (va, vb) = (&vda, &vdb);
-                    move || {
-                        for i in 0..OP_N / 4 {
-                            out[i] = va[i] * vb[i];
-                        }
-                        black_box(&out);
-                    }
-                }
-            ),
-        ]
-    };
-
-    specs
-        .into_iter()
-        .map(|(name, mut scalar, mut lane)| Row {
-            name,
-            packed_path: true,
-            scalar: median_time(reps, &mut scalar),
-            lane_portable: timed_with_backend(Backend::Portable, reps, &mut lane),
-            simd: timed_with_backend(simd::detected_backend(), reps, &mut lane),
-        })
-        .collect()
+    let (a, b, c) = (sample_positive(11, OP_N), sample_positive(12, OP_N), sample(13, OP_N));
+    let (da, db) = (dd_sample(14, OP_N, 0.5, 2.0), dd_sample(15, OP_N, 0.5, 2.0));
+    let dc = dd_sample(16, OP_N, -2.0, 2.0);
+    let f64_rows =
+        SweepOp::ALL.map(|op| op_row::<F64Ix4>(op.name().into(), op, reps, [&a, &b, &c]));
+    let dd_rows = SweepOp::ALL
+        .map(|op| op_row::<DdIx4>(format!("dd_{}", op.name()), op, reps, [&da, &db, &dc]));
+    f64_rows.into_iter().chain(dd_rows).collect()
 }
 
 /// A kernel row: `scalar` is the plain `F64I` loop, `lane` the compiled
 /// kernel through `BatchProgram`, timed under Portable and under the
 /// detected backend.
-fn kernel_row(
-    name: &'static str,
-    reps: usize,
-    scalar: impl FnMut(),
-    mut lane: impl FnMut(),
-) -> Row {
+fn kernel_row(name: &str, reps: usize, scalar: impl FnMut(), mut lane: impl FnMut()) -> Row {
     Row {
-        name,
+        name: name.into(),
         packed_path: true,
-        scalar: median_time(reps, scalar),
+        scalar: quartile_times(reps, scalar),
         lane_portable: timed_with_backend(Backend::Portable, reps, &mut lane),
         simd: timed_with_backend(simd::detected_backend(), reps, &mut lane),
     }
@@ -458,88 +257,63 @@ fn record_csv() {
     }
     let reps = igen_bench::reps();
     let detected = simd::detected_backend();
-    let mut rows = Vec::new();
-    let mut emit = |kind: &str, r: &Row| {
-        let s = r.scalar.as_secs_f64();
-        rows.push(format!(
-            "{},{kind},{detected},{},{:.0},{:.0},{:.0},{:.3},{:.3}",
-            r.name,
-            r.packed_path,
-            s * 1e9,
-            r.lane_portable.as_secs_f64() * 1e9,
-            r.simd.as_secs_f64() * 1e9,
-            s / r.lane_portable.as_secs_f64(),
-            s / r.simd.as_secs_f64(),
-        ));
-    };
-    for r in &op_rows(reps) {
-        emit("op", r);
-    }
-    for r in &kernel_rows(reps) {
-        emit("kernel", r);
-    }
+    let ns = |t: &[Duration; 3]| t.map(|d| d.as_secs_f64() * 1e9);
+    let (ops, kernels) = (op_rows(reps), kernel_rows(reps));
+    let rows: Vec<String> = (ops.iter().map(|r| ("op", r)))
+        .chain(kernels.iter().map(|r| ("kernel", r)))
+        .map(|(kind, r)| {
+            let (s, p, v) = (ns(&r.scalar), ns(&r.lane_portable), ns(&r.simd));
+            format!(
+                "{},{kind},{detected},{},{:.0},{:.0},{:.0},{:.0},{:.0},{:.0},{:.0},{:.0},{:.0},{:.3},{:.3}",
+                r.name,
+                r.packed_path,
+                s[1],
+                s[0],
+                s[2],
+                p[1],
+                p[0],
+                p[2],
+                v[1],
+                v[0],
+                v[2],
+                s[1] / p[1],
+                s[1] / v[1],
+            )
+        })
+        .collect();
     write_csv_with_comments(
         "simd_speedup.csv",
-        &[host_line(available_threads())],
-        "name,kind,detected_backend,packed_path,scalar_ns,lane_portable_ns,simd_ns,\
+        &[host_line(available_threads()), format!("medians of {reps} runs, with quartiles")],
+        "name,kind,detected_backend,packed_path,scalar_ns,scalar_q1_ns,scalar_q3_ns,\
+         lane_portable_ns,lane_portable_q1_ns,lane_portable_q3_ns,simd_ns,simd_q1_ns,simd_q3_ns,\
          speedup_lane_vs_scalar,speedup_simd_vs_scalar",
         &rows,
     );
 }
 
+/// The multiply-accumulate sweep at f64 and at dd as criterion
+/// benchmarks: the CI smoke (`--test`) runs each variant once, so the
+/// packed kernels of the host's backend run on every push.
 fn bench_ops(c: &mut Criterion) {
-    let a = sample(11, OP_N);
-    let b = sample_positive(12, OP_N);
-    let (va, vb) = (to_lanes(&a), to_lanes(&b));
-    let mut g = c.benchmark_group("simd_speedup_mul");
-    g.bench_function("scalar", |bch| {
-        bch.iter(|| {
-            let mut acc = F64I::point(0.0);
-            for i in 0..OP_N {
-                acc = acc + black_box(a[i]) * black_box(b[i]);
-            }
-            black_box(acc)
-        })
-    });
-    for (tag, bk) in [("lane_portable", Backend::Portable), ("simd", simd::detected_backend())] {
-        g.bench_function(tag, |bch| {
-            simd::force_backend(Some(bk));
-            bch.iter(|| {
-                let mut acc = F64Ix4::default();
-                for i in 0..OP_N / 4 {
-                    acc = acc + black_box(va[i]) * black_box(vb[i]);
-                }
-                black_box(acc)
-            });
-            simd::force_backend(None);
-        });
-    }
-    g.finish();
+    let (a, b, acc) = (sample_positive(11, OP_N), sample_positive(12, OP_N), sample(13, OP_N));
+    bench_mul_add::<F64Ix4>(c, "simd_speedup_mul_add", [&a, &b, &acc]);
+    let (da, db) = (dd_sample(14, OP_N, 0.5, 2.0), dd_sample(15, OP_N, 0.5, 2.0));
+    let dacc = dd_sample(16, OP_N, -2.0, 2.0);
+    bench_mul_add::<DdIx4>(c, "simd_speedup_dd_mul_add", [&da, &db, &dacc]);
+}
 
-    // The double-double counterpart: the `simd` variant runs the packed
-    // dd kernels on AVX2+FMA hosts (so the CI smoke exercises them).
-    let (da, db) = (dd_sample(14, OP_N), dd_sample(15, OP_N));
-    let (vda, vdb) = (to_dd_lanes(&da), to_dd_lanes(&db));
-    let mut g = c.benchmark_group("simd_speedup_dd_mul");
-    g.bench_function("scalar", |bch| {
-        bch.iter(|| {
-            let mut acc = DdI::ZERO;
-            for i in 0..OP_N {
-                acc = acc + black_box(da[i]) * black_box(db[i]);
-            }
-            black_box(acc)
-        })
-    });
+fn bench_mul_add<L: LaneOps>(c: &mut Criterion, group: &str, srcs: [&[L::Elem]; 3])
+where
+    L::Elem: LaneOps<Elem = L::Elem>,
+{
+    let mut g = c.benchmark_group(group);
+    let (mut scalar, n1) = bank::<L::Elem>(srcs);
+    g.bench_function("scalar", |bch| bch.iter(|| sweep(SweepOp::MulAdd, &mut scalar, n1)));
+    let (mut lanes, n) = bank::<L>(srcs);
     for (tag, bk) in [("lane_portable", Backend::Portable), ("simd", simd::detected_backend())] {
         g.bench_function(tag, |bch| {
             simd::force_backend(Some(bk));
-            bch.iter(|| {
-                let mut acc = DdIx4::default();
-                for i in 0..OP_N / 4 {
-                    acc = acc + black_box(vda[i]) * black_box(vdb[i]);
-                }
-                black_box(acc)
-            });
+            bch.iter(|| sweep(SweepOp::MulAdd, &mut lanes, n));
             simd::force_backend(None);
         });
     }

@@ -26,7 +26,14 @@ pub const NOMINAL_GHZ: f64 = 2.7;
 /// measurement was repeated 30 times … and the median of the runtime is
 /// taken"; the default here is smaller to keep the harness fast — pass
 /// `--full` to the binaries for 30).
-pub fn median_time<F: FnMut()>(reps: usize, mut f: F) -> Duration {
+pub fn median_time<F: FnMut()>(reps: usize, f: F) -> Duration {
+    quartile_times(reps, f)[1]
+}
+
+/// First quartile, median and third quartile of `reps` wall-clock
+/// timings of `f`: the sorted times at ranks `reps / 4`, `reps / 2` and
+/// `3 * reps / 4`.
+pub fn quartile_times<F: FnMut()>(reps: usize, mut f: F) -> [Duration; 3] {
     assert!(reps >= 1);
     // Warm cache (the paper: "all tests are run with warm cache").
     f();
@@ -38,7 +45,7 @@ pub fn median_time<F: FnMut()>(reps: usize, mut f: F) -> Duration {
         })
         .collect();
     times.sort();
-    times[times.len() / 2]
+    [times[reps / 4], times[reps / 2], times[3 * reps / 4]]
 }
 
 /// Interval-ops-per-cycle estimate at the nominal clock.

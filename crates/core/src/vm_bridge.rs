@@ -37,11 +37,20 @@ pub enum VmBridgeError {
         label: String,
         /// Item index within the supplied batch.
         item: usize,
-        /// VM endpoints.
-        got: (f64, f64),
-        /// Interpreter endpoints.
-        want: (f64, f64),
+        /// VM endpoint words ([`VmElem::endpoint_words`]): `[lo, hi]`
+        /// at f64, `[lo.hi, lo.lo, hi.hi, hi.lo]` at double-double.
+        got: Vec<f64>,
+        /// Interpreter endpoint words, in the same order.
+        want: Vec<f64>,
     },
+}
+
+/// Endpoint words as `[lo, hi]`, the words of one endpoint separated by
+/// spaces: `[a, b]` at f64, `[a_hi a_lo, b_hi b_lo]` at double-double.
+fn endpoint_text(words: &[f64]) -> String {
+    let (lo, hi) = words.split_at(words.len() / 2);
+    let side = |ws: &[f64]| ws.iter().map(|w| format!("{w:?}")).collect::<Vec<_>>().join(" ");
+    format!("[{}, {}]", side(lo), side(hi))
 }
 
 impl core::fmt::Display for VmBridgeError {
@@ -55,8 +64,9 @@ impl core::fmt::Display for VmBridgeError {
             VmBridgeError::Shape(m) => write!(f, "reference shape mismatch: {m}"),
             VmBridgeError::Mismatch { label, item, got, want } => write!(
                 f,
-                "bit mismatch at item {item}, output `{label}`: vm [{:?}, {:?}] vs interp [{:?}, {:?}]",
-                got.0, got.1, want.0, want.1
+                "bit mismatch at item {item}, output `{label}`: vm {} vs interp {}",
+                endpoint_text(got),
+                endpoint_text(want)
             ),
         }
     }
@@ -307,8 +317,8 @@ pub fn verify_bit_identity<T: RefElem>(
                 return Err(VmBridgeError::Mismatch {
                     label: slot.label.clone(),
                     item,
-                    got: g.endpoints_f64(),
-                    want: w.endpoints_f64(),
+                    got: g.endpoint_words().as_ref().to_vec(),
+                    want: w.endpoint_words().as_ref().to_vec(),
                 });
             }
         }

@@ -7,18 +7,23 @@
 //! AVX registers. Every packed kernel here works on 4 intervals, in the
 //! same layout transposed into **SoA-in-register** form: [`F64Ix4`] holds a
 //! `neg_lo[4]` column and a `hi[4]` column ([`simd::F64iCols4`]), so each
-//! column is exactly one AVX register. Add, sub and mul are one interval
-//! kernel call each (`simd::f64i_add_4`/`f64i_mul_4`: on AVX2+FMA the
-//! whole branch-free Section II recipe in registers, four intervals at a
-//! time, with flagged lanes recomputed by the scalar op; on the portable
-//! backend the column primitives composed in the scalar order), and the
-//! other ops map onto the packed directed-rounding kernels of
-//! [`igen_round::simd`]. The kernels are selected once at runtime by CPU
-//! feature detection; on hosts without AVX2 and FMA, and under
-//! [`igen_round::simd::force_backend`], the same code runs through the
-//! portable scalar lane loop. All paths are bit-identical per lane to the
-//! scalar [`F64I`] operations — the property tests pin this on random
-//! and special-value lanes.
+//! column is exactly one AVX register.
+//!
+//! A lane type has one op surface: [`LaneOps::apply`] runs one
+//! [`SweepOp`] on one group, and [`LaneOps::sweep`], the hook the VM
+//! calls for every arithmetic instruction, runs it over a register bank.
+//! On AVX2+FMA, `F64Ix4` sweeps add, sub, mul and the fused
+//! multiply-accumulates in one `simd::f64i_sweep_4` call (the whole
+//! branch-free Section II recipe in registers, four intervals at a time,
+//! with flagged lanes recomputed by the scalar op); its div, sqrt, abs
+//! and sqr map onto the packed directed-rounding kernels of
+//! [`igen_round::simd`], its neg is the exact column swap, and every
+//! other op is the scalar [`F64I`] op on each lane. The kernels are
+//! selected once at runtime by CPU feature detection; on hosts without
+//! AVX2 and FMA, and under [`igen_round::simd::force_backend`], the same
+//! code runs the portable arms. All paths are bit-identical per lane to
+//! the scalar [`F64I`] operations — the property tests pin this on
+//! random and special-value lanes, for every op.
 //!
 //! [`DdIx4`] applies the same transposition to double-double intervals:
 //! four columns (high and low words of `neg_lo` and of `hi`). A `DdI`
@@ -26,9 +31,9 @@
 //! directed product — longer than the out-of-order window, so
 //! independent scalar lanes barely overlap — and the packed kernels run
 //! the four chains side by side in one register each: add, sub and mul
-//! are one kernel call apiece on the AVX2+FMA backend, with the lanes
-//! that leave the scalar hot path recomputed by the scalar op (see
-//! DESIGN.md §10).
+//! (the fused forms included) are one kernel call per step on the
+//! AVX2+FMA backend, with the lanes that leave the scalar hot path
+//! recomputed by the scalar op (see DESIGN.md §10).
 //!
 //! The scalar [`F64I`] and [`DdI`] implement [`LaneOps`] too, at one
 //! lane: that is the instantiation `igen_vm::run_scalar` runs.
@@ -41,28 +46,15 @@ use igen_round::simd::{self, SweepOp};
 /// The one operation surface of the interval lane types. The bytecode
 /// VM's instruction loop and every vectorized kernel are written once
 /// against this trait and instantiated at the packed [`F64Ix4`] and
-/// [`DdIx4`] (packed x86 kernels with scalar-patch fallback; the
-/// double-double type packs add, sub and mul and runs its other ops lane
-/// by lane) and at the scalar [`F64I`] and [`DdI`] (one lane).
+/// [`DdIx4`] (packed x86 kernels with scalar-patch fallback) and at the
+/// scalar [`F64I`] and [`DdI`] (one lane).
 ///
-/// Every method is **bit-identical per lane** to the corresponding scalar
-/// [`F64I`]/[`DdI`] operation: a lane of `a.sqrt()` equals
-/// `a.lane(i).sqrt()` exactly, for all inputs including NaN, infinities,
-/// subnormals and signed zeros (see DESIGN.md §10/§12 for why the packed
-/// paths preserve this).
-pub trait LaneOps:
-    Copy
-    + core::fmt::Debug
-    + PartialEq
-    + Default
-    + Send
-    + Sync
-    + core::ops::Add<Output = Self>
-    + core::ops::Sub<Output = Self>
-    + core::ops::Mul<Output = Self>
-    + core::ops::Div<Output = Self>
-    + core::ops::Neg<Output = Self>
-{
+/// Every op is **bit-identical per lane** to the scalar [`F64I`]/[`DdI`]
+/// operation: lane `i` of `L::apply(op, [a, b, c])` equals
+/// `L::Elem::apply(op, [a.lane(i), b.lane(i), c.lane(i)])` exactly, for
+/// all inputs including NaN, infinities, subnormals and signed zeros
+/// (see DESIGN.md §10/§12 for why the packed paths preserve this).
+pub trait LaneOps: Copy + core::fmt::Debug + PartialEq + Default + Send + Sync {
     /// The scalar interval element packed in each lane.
     type Elem: Copy + core::fmt::Debug + PartialEq;
 
@@ -83,110 +75,62 @@ pub trait LaneOps:
     /// `i >= LANES`.
     fn lane(&self, i: usize) -> Self::Elem;
 
-    /// Loads the first `LANES` elements of a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a message naming both lengths if `s.len() < LANES`.
-    fn load(s: &[Self::Elem]) -> Self {
-        assert!(
-            s.len() >= Self::LANES,
-            "LaneOps::load: slice of {} elements cannot fill {} lanes",
-            s.len(),
-            Self::LANES
-        );
-        Self::from_lanes_fn(|i| s[i])
-    }
-
-    /// Stores the lanes to the first `LANES` slots of a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a message naming both lengths if `s.len() < LANES`.
-    fn store(&self, s: &mut [Self::Elem]) {
-        assert!(
-            s.len() >= Self::LANES,
-            "LaneOps::store: {} lanes do not fit in a slice of {} elements",
-            Self::LANES,
-            s.len()
-        );
-        for (i, out) in s.iter_mut().enumerate().take(Self::LANES) {
-            *out = self.lane(i);
-        }
-    }
-
-    /// Lane-wise multiply-accumulate `self * b + c`: the packed multiply
-    /// followed by the packed add — the same operation sequence as the
-    /// scalar `x * b + c` per lane.
+    /// Runs `op` on one group. The sources are `[a, b, acc]`, of which
+    /// `op` reads the first [`SweepOp::arity`].
     #[must_use]
-    fn mul_add(self, b: Self, c: Self) -> Self {
-        self * b + c
-    }
+    fn apply(op: SweepOp, src: [Self; 3]) -> Self;
 
-    /// Lane-wise interval square root.
-    #[must_use]
-    fn sqrt(self) -> Self;
-
-    /// Lane-wise interval absolute value.
-    #[must_use]
-    fn abs(self) -> Self;
-
-    /// Lane-wise dependency-aware interval square (`sqr`, never
-    /// negative — unlike `self * self`).
-    #[must_use]
-    fn sqr(self) -> Self;
-
-    /// Lane-wise pointwise minimum (`[min lo, min hi]`).
-    #[must_use]
-    fn min(self, other: Self) -> Self;
-
-    /// Lane-wise pointwise maximum (`[max lo, max hi]`).
-    #[must_use]
-    fn max(self, other: Self) -> Self;
-
-    /// Runs the arithmetic `op` over groups `0..n` of a register bank:
-    /// group `g` reads `bank[a + g]` and `bank[b + g]` (and the
-    /// accumulator's) and writes `bank[dst + g]`, reading its sources
-    /// before writing, so a destination may alias any source. Every
-    /// group gets exactly the bits of the value ops (`z + x * y` for
-    /// `MulAdd`). The default runs the value ops group by group; a lane
-    /// type with a whole-sweep kernel overrides it.
+    /// Runs `op` over groups `0..n` of a register bank: group `g` reads
+    /// `bank[s + g]` for each source `s` of `src = [a, b, acc]` and
+    /// writes `bank[dst + g]`, reading its sources before writing, so a
+    /// destination may alias any source. Every group gets exactly the
+    /// bits of [`LaneOps::apply`]. The default applies the op group by
+    /// group; a lane type with a whole-sweep kernel overrides it.
     ///
     /// # Panics
     ///
     /// Panics if a range runs past the end of `bank`.
     #[inline(always)]
-    fn sweep(op: SweepOp, bank: &mut [Self], n: usize, dst: usize, a: usize, b: usize) {
-        sweep_groups(op, bank, n, dst, a, b);
+    fn sweep(op: SweepOp, bank: &mut [Self], n: usize, dst: usize, src: [usize; 3]) {
+        sweep_groups(op, bank, n, dst, src);
     }
 }
 
-/// The group-by-group sweep behind [`LaneOps::sweep`]: one value op per
-/// group, with the op matched once per sweep rather than once per group.
+/// The group-by-group sweep behind [`LaneOps::sweep`]: [`LaneOps::apply`]
+/// on each group, with the op matched once per sweep rather than once
+/// per group.
 #[inline(always)]
-fn sweep_groups<L: LaneOps>(op: SweepOp, bank: &mut [L], n: usize, dst: usize, a: usize, b: usize) {
-    let acc = match op {
-        SweepOp::MulAdd { acc } | SweepOp::MulSub { acc } => acc,
-        SweepOp::Add | SweepOp::Sub | SweepOp::Mul => dst,
-    };
-    // One bounds proof up front lets the inner loops run unchecked.
-    let len = bank.len();
-    assert!(dst + n <= len && a + n <= len && b + n <= len && acc + n <= len);
+fn sweep_groups<L: LaneOps>(op: SweepOp, bank: &mut [L], n: usize, dst: usize, src: [usize; 3]) {
+    // Each arm below passes a constant op, so `apply` folds to that op.
+    #[inline(always)]
+    fn each<L: LaneOps>(op: SweepOp, bank: &mut [L], n: usize, dst: usize, [a, b, c]: [usize; 3]) {
+        // One bounds proof up front lets the loop run unchecked.
+        let len = bank.len();
+        assert!(dst + n <= len && a + n <= len && b + n <= len && c + n <= len);
+        for g in 0..n {
+            bank[dst + g] = L::apply(op, [bank[a + g], bank[b + g], bank[c + g]]);
+        }
+    }
     match op {
-        SweepOp::Add => (0..n).for_each(|g| bank[dst + g] = bank[a + g] + bank[b + g]),
-        SweepOp::Sub => (0..n).for_each(|g| bank[dst + g] = bank[a + g] - bank[b + g]),
-        SweepOp::Mul => (0..n).for_each(|g| bank[dst + g] = bank[a + g] * bank[b + g]),
-        SweepOp::MulAdd { .. } => {
-            (0..n).for_each(|g| bank[dst + g] = bank[acc + g] + bank[a + g] * bank[b + g])
-        }
-        SweepOp::MulSub { .. } => {
-            (0..n).for_each(|g| bank[dst + g] = bank[acc + g] - bank[a + g] * bank[b + g])
-        }
+        SweepOp::Add => each(SweepOp::Add, bank, n, dst, src),
+        SweepOp::Sub => each(SweepOp::Sub, bank, n, dst, src),
+        SweepOp::Mul => each(SweepOp::Mul, bank, n, dst, src),
+        SweepOp::Div => each(SweepOp::Div, bank, n, dst, src),
+        SweepOp::Min => each(SweepOp::Min, bank, n, dst, src),
+        SweepOp::Max => each(SweepOp::Max, bank, n, dst, src),
+        SweepOp::Neg => each(SweepOp::Neg, bank, n, dst, src),
+        SweepOp::Sqrt => each(SweepOp::Sqrt, bank, n, dst, src),
+        SweepOp::Abs => each(SweepOp::Abs, bank, n, dst, src),
+        SweepOp::Sqr => each(SweepOp::Sqr, bank, n, dst, src),
+        SweepOp::Pow(e) => each(SweepOp::Pow(e), bank, n, dst, src),
+        SweepOp::MulAdd => each(SweepOp::MulAdd, bank, n, dst, src),
+        SweepOp::MulSub => each(SweepOp::MulSub, bank, n, dst, src),
     }
 }
 
-/// The scalar interval types are one-lane [`LaneOps`]: every method is
-/// the type's own scalar operation.
+/// The scalar interval types are one-lane [`LaneOps`]: `apply` is one
+/// match over the type's own operators and methods, the reference every
+/// packed op is compared against.
 macro_rules! scalar_lane {
     ($t:ident) => {
         impl LaneOps for $t {
@@ -206,25 +150,23 @@ macro_rules! scalar_lane {
                 assert!(i == 0, concat!(stringify!($t), " lane index {} out of range (1 lane)"), i);
                 *self
             }
-            #[inline]
-            fn sqrt(self) -> $t {
-                $t::sqrt(&self)
-            }
-            #[inline]
-            fn abs(self) -> $t {
-                $t::abs(&self)
-            }
-            #[inline]
-            fn sqr(self) -> $t {
-                $t::sqr(&self)
-            }
-            #[inline]
-            fn min(self, other: $t) -> $t {
-                self.min_i(&other)
-            }
-            #[inline]
-            fn max(self, other: $t) -> $t {
-                self.max_i(&other)
+            #[inline(always)]
+            fn apply(op: SweepOp, [a, b, c]: [$t; 3]) -> $t {
+                match op {
+                    SweepOp::Add => a + b,
+                    SweepOp::Sub => a - b,
+                    SweepOp::Mul => a * b,
+                    SweepOp::Div => a / b,
+                    SweepOp::Min => a.min_i(&b),
+                    SweepOp::Max => a.max_i(&b),
+                    SweepOp::Neg => -a,
+                    SweepOp::Sqrt => a.sqrt(),
+                    SweepOp::Abs => a.abs(),
+                    SweepOp::Sqr => a.sqr(),
+                    SweepOp::Pow(n) => a.powi(n),
+                    SweepOp::MulAdd => c + a * b,
+                    SweepOp::MulSub => c - a * b,
+                }
             }
         }
     };
@@ -240,11 +182,10 @@ scalar_lane!(DdI);
 /// [`F64I`] representation transposed across the lanes. Each endpoint
 /// column is one 256-bit register on the AVX2 backend.
 ///
-/// Addition, subtraction and multiplication are one call each to
-/// `simd::f64i_add_4`/`f64i_mul_4`, which run the whole interval op in
-/// registers on AVX2+FMA and recompute the lanes their validity mask
-/// flags with the scalar op. [`AsRef`]/[`AsMut`] expose the columns to
-/// `simd::f64i_sweep_4`, which runs one op over a bank of these.
+/// [`AsRef`]/[`AsMut`] expose the columns to `simd::f64i_sweep_4`, which
+/// runs add, sub, mul and the fused forms over a bank of these in one
+/// call, with the whole interval op in registers on AVX2+FMA and the
+/// lanes its validity mask flags recomputed with the scalar op.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct F64Ix4 {
     cols: simd::F64iCols4,
@@ -268,33 +209,7 @@ impl F64Ix4 {
         }
         F64Ix4 { cols: simd::F64iCols4 { neg_lo, hi } }
     }
-}
 
-impl AsRef<simd::F64iCols4> for F64Ix4 {
-    #[inline]
-    fn as_ref(&self) -> &simd::F64iCols4 {
-        &self.cols
-    }
-}
-
-impl AsMut<simd::F64iCols4> for F64Ix4 {
-    /// The raw columns, for kernels that write a result in place; the
-    /// caller keeps every lane a valid interval, as with
-    /// [`F64Ix4::from_columns`].
-    #[inline]
-    fn as_mut(&mut self) -> &mut simd::F64iCols4 {
-        &mut self.cols
-    }
-}
-
-impl Default for F64Ix4 {
-    fn default() -> Self {
-        Self::splat(F64I::default())
-    }
-}
-
-impl core::ops::Neg for F64Ix4 {
-    type Output = F64Ix4;
     /// Exact per-lane endpoint swap — free in the `(-lo, hi)` layout, no
     /// rounding involved.
     #[inline]
@@ -302,42 +217,7 @@ impl core::ops::Neg for F64Ix4 {
         let c = self.cols;
         F64Ix4 { cols: simd::F64iCols4 { neg_lo: c.hi, hi: c.neg_lo } }
     }
-}
 
-impl core::ops::Add for F64Ix4 {
-    type Output = F64Ix4;
-    /// Packed interval addition: one `simd::f64i_add_4` call,
-    /// bit-identical per lane to [`F64I::add`].
-    #[inline]
-    fn add(self, rhs: F64Ix4) -> F64Ix4 {
-        F64Ix4 { cols: simd::f64i_add_4(simd::active_backend(), &self.cols, &rhs.cols) }
-    }
-}
-
-impl core::ops::Sub for F64Ix4 {
-    type Output = F64Ix4;
-    /// Packed interval subtraction `a + (-b)`: [`F64I::sub`] is exactly
-    /// [`F64I::add`] with the second operand's endpoints swapped, and
-    /// the swap is exact.
-    #[inline]
-    fn sub(self, rhs: F64Ix4) -> F64Ix4 {
-        self + -rhs
-    }
-}
-
-impl core::ops::Mul for F64Ix4 {
-    type Output = F64Ix4;
-    /// Packed branch-free interval multiplication: one
-    /// `simd::f64i_mul_4` call, bit-identical per lane to [`F64I::mul`]
-    /// (the same four product pairs and NaN-max reductions).
-    #[inline]
-    fn mul(self, rhs: F64Ix4) -> F64Ix4 {
-        F64Ix4 { cols: simd::f64i_mul_4(simd::active_backend(), &self.cols, &rhs.cols) }
-    }
-}
-
-impl core::ops::Div for F64Ix4 {
-    type Output = F64Ix4;
     /// Packed interval division. Lanes are first screened for the scalar
     /// special cases (NaN endpoints → NAI, zero-straddling divisor →
     /// ENTIRE); if any lane is special the whole vector takes the scalar
@@ -358,46 +238,17 @@ impl core::ops::Div for F64Ix4 {
             return Self::from_lanes_fn(|i| self.lane(i) / rhs.lane(i));
         }
         let bk = simd::active_backend();
-        // bl = -neg_lo (the positive... sign-flipped low column), exactly
-        // as the scalar kernel rebuilds the divisor's lower endpoint.
+        // bl = -neg_lo, the divisor's lower endpoint, rebuilt exactly as
+        // the scalar kernel does.
         let bl = b.neg_lo.map(|x| -x);
         let (l1, u1) = simd::div_ru_both_4(bk, &a.neg_lo, &bl);
         let (l2, u2) = simd::div_ru_both_4(bk, &a.neg_lo, &b.hi);
         let (u3, l3) = simd::div_ru_both_4(bk, &a.hi, &bl);
         let (u4, l4) = simd::div_ru_both_4(bk, &a.hi, &b.hi);
-        F64Ix4 {
-            cols: simd::F64iCols4 {
-                neg_lo: simd::max_nan_4(
-                    bk,
-                    &simd::max_nan_4(bk, &l1, &l2),
-                    &simd::max_nan_4(bk, &l3, &l4),
-                ),
-                hi: simd::max_nan_4(
-                    bk,
-                    &simd::max_nan_4(bk, &u1, &u2),
-                    &simd::max_nan_4(bk, &u3, &u4),
-                ),
-            },
-        }
-    }
-}
-
-impl LaneOps for F64Ix4 {
-    type Elem = F64I;
-    const LANES: usize = 4;
-
-    fn splat(v: F64I) -> Self {
-        Self::from_columns([v.neg_lo(); 4], [v.hi(); 4])
-    }
-
-    fn from_lanes_fn(f: impl FnMut(usize) -> F64I) -> Self {
-        Self::from_lanes(core::array::from_fn(f))
-    }
-
-    #[inline]
-    fn lane(&self, i: usize) -> F64I {
-        assert!(i < 4, "F64Ix4 lane index {i} out of range (4 lanes)");
-        F64I::from_neg_lo_hi(self.cols.neg_lo[i], self.cols.hi[i])
+        let max4 = |w: [f64; 4], x, y, z| {
+            simd::max_nan_4(bk, &simd::max_nan_4(bk, &w, &x), &simd::max_nan_4(bk, &y, &z))
+        };
+        F64Ix4 { cols: simd::F64iCols4 { neg_lo: max4(l1, l2, l3, l4), hi: max4(u1, u2, u3, u4) } }
     }
 
     /// Packed interval square root: `[RD(sqrt(lo)), RU(sqrt(hi))]` via
@@ -405,7 +256,7 @@ impl LaneOps for F64Ix4 {
     /// mirrors through the exact column negation, exactly like the
     /// scalar `F64I::sqrt`. Bit-identical per lane (negative radicands
     /// produce the same NaN lower bounds).
-    fn sqrt(self) -> Self {
+    fn sqrt(self) -> F64Ix4 {
         let bk = simd::active_backend();
         let c = &self.cols;
         let lo = c.neg_lo.map(|x| -x);
@@ -414,7 +265,7 @@ impl LaneOps for F64Ix4 {
 
     /// Packed interval absolute value: exact packed selects replicating
     /// `F64I::abs`' decision order per lane (see `igen_round::simd::abs_4`).
-    fn abs(self) -> Self {
+    fn abs(self) -> F64Ix4 {
         let bk = simd::active_backend();
         let (neg_lo, hi) = simd::abs_4(bk, &self.cols.neg_lo, &self.cols.hi);
         Self::from_columns(neg_lo, hi)
@@ -428,7 +279,7 @@ impl LaneOps for F64Ix4 {
     /// bit-for-bit, see `igen_round::simd::sqr_ru_both_4`). Lanes whose
     /// square is discarded (NaN lanes; the lower square of lanes
     /// straddling zero) compute on a guard-friendly stand-in of `1.0`.
-    fn sqr(self) -> Self {
+    fn sqr(self) -> F64Ix4 {
         let bk = simd::active_backend();
         let mut m = [0.0; 4];
         let mut n = [0.0; 4];
@@ -457,25 +308,73 @@ impl LaneOps for F64Ix4 {
         }
         F64Ix4 { cols: out }
     }
+}
 
-    // min/max have no packed kernel: the lanes are independent and the
-    // endpoint selections exact, so the lane loop is bit-identical to
-    // the scalar op.
-    fn min(self, other: Self) -> Self {
-        Self::from_lanes_fn(|i| self.lane(i).min_i(&other.lane(i)))
+impl AsRef<simd::F64iCols4> for F64Ix4 {
+    #[inline]
+    fn as_ref(&self) -> &simd::F64iCols4 {
+        &self.cols
+    }
+}
+
+impl AsMut<simd::F64iCols4> for F64Ix4 {
+    /// The raw columns, for kernels that write a result in place; the
+    /// caller keeps every lane a valid interval, as with
+    /// [`F64Ix4::from_columns`].
+    #[inline]
+    fn as_mut(&mut self) -> &mut simd::F64iCols4 {
+        &mut self.cols
+    }
+}
+
+impl Default for F64Ix4 {
+    fn default() -> Self {
+        Self::splat(F64I::default())
+    }
+}
+
+impl LaneOps for F64Ix4 {
+    type Elem = F64I;
+    const LANES: usize = 4;
+
+    fn splat(v: F64I) -> Self {
+        Self::from_columns([v.neg_lo(); 4], [v.hi(); 4])
     }
 
-    fn max(self, other: Self) -> Self {
-        Self::from_lanes_fn(|i| self.lane(i).max_i(&other.lane(i)))
+    fn from_lanes_fn(f: impl FnMut(usize) -> F64I) -> Self {
+        Self::from_lanes(core::array::from_fn(f))
+    }
+
+    #[inline]
+    fn lane(&self, i: usize) -> F64I {
+        assert!(i < 4, "F64Ix4 lane index {i} out of range (4 lanes)");
+        F64I::from_neg_lo_hi(self.cols.neg_lo[i], self.cols.hi[i])
+    }
+
+    /// Div, sqrt, abs and sqr run their packed bodies and neg is the
+    /// column swap; every other op is the scalar `F64I` op on each lane.
+    /// On AVX2+FMA the sweep runs add, sub, mul and the fused forms
+    /// before they get here.
+    #[inline(always)]
+    fn apply(op: SweepOp, [a, b, c]: [F64Ix4; 3]) -> F64Ix4 {
+        match op {
+            SweepOp::Div => a.div(b),
+            SweepOp::Neg => a.neg(),
+            SweepOp::Sqrt => a.sqrt(),
+            SweepOp::Abs => a.abs(),
+            SweepOp::Sqr => a.sqr(),
+            _ => Self::from_lanes_fn(|i| F64I::apply(op, [a.lane(i), b.lane(i), c.lane(i)])),
+        }
     }
 
     /// One `simd::f64i_sweep_4` call for the whole sweep where the
-    /// backend has the kernel (AVX2+FMA), the group-by-group loop
-    /// elsewhere.
-    #[inline]
-    fn sweep(op: SweepOp, bank: &mut [F64Ix4], n: usize, dst: usize, a: usize, b: usize) {
-        if !simd::f64i_sweep_4(simd::active_backend(), op, bank, n, dst, a, b) {
-            sweep_groups(op, bank, n, dst, a, b);
+    /// backend has a body for `op`, the group-by-group loop elsewhere.
+    /// Inlined into each of the executor's arms, where `op` is a
+    /// constant, so the fallback folds to that op's loop.
+    #[inline(always)]
+    fn sweep(op: SweepOp, bank: &mut [F64Ix4], n: usize, dst: usize, src: [usize; 3]) {
+        if !simd::f64i_sweep_4(simd::active_backend(), op, bank, n, dst, src) {
+            sweep_groups(op, bank, n, dst, src);
         }
     }
 }
@@ -486,14 +385,15 @@ impl LaneOps for F64Ix4 {
 /// exactly the column layout of `igen-batch`'s `BatchDdI`, so each
 /// column is one AVX register.
 ///
-/// Addition, subtraction and multiplication run the packed
+/// Addition, subtraction and multiplication, and the fused forms as a
+/// multiplication and then an addition or subtraction, run the packed
 /// double-double kernels of [`igen_round::simd`] on the AVX2+FMA
-/// backend: one kernel call per operation, whose validity mask names
-/// the lanes that left the scalar hot path; only those lanes are
-/// recomputed with the scalar [`DdI`] operation. On the portable
-/// backend (no hardware FMA for the directed products), and for every
-/// other operation, the lanes run the scalar `DdI` ops one by one.
-/// Every path is bit-identical per lane to the scalar op.
+/// backend: one kernel call per step, whose validity mask names the
+/// lanes that left the scalar hot path; only those lanes are recomputed
+/// with the scalar [`DdI`] operation. On the portable backend (no
+/// hardware FMA for the directed products), and for every other
+/// operation but the exact negation, the lanes run the scalar `DdI` ops
+/// one by one. Every path is bit-identical per lane to the scalar op.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DdIx4 {
     cols: simd::DdiCols4,
@@ -523,10 +423,34 @@ impl DdIx4 {
         DdIx4 { cols }
     }
 
-    /// Applies a scalar op to every lane.
+    /// Packed interval addition: one `simd::ddi_add_4` call, flagged
+    /// lanes patched with [`DdI::add`].
     #[inline]
-    fn map(self, f: impl Fn(DdI) -> DdI) -> DdIx4 {
-        Self::from_lanes_fn(|i| f(self.lane(i)))
+    fn add(self, rhs: DdIx4) -> DdIx4 {
+        let res = simd::ddi_add_4(simd::active_backend(), &self.cols, &rhs.cols);
+        Self::packed_or_scalar(res, |i| self.lane(i) + rhs.lane(i))
+    }
+
+    /// Packed interval multiplication: one `simd::ddi_mul_4` call,
+    /// flagged lanes patched with [`DdI::mul`].
+    #[inline]
+    fn mul(self, rhs: DdIx4) -> DdIx4 {
+        let res = simd::ddi_mul_4(simd::active_backend(), &self.cols, &rhs.cols);
+        Self::packed_or_scalar(res, |i| self.lane(i) * rhs.lane(i))
+    }
+
+    /// Exact per-lane endpoint swap, as [`DdI::neg`].
+    #[inline]
+    fn neg(self) -> DdIx4 {
+        let c = self.cols;
+        DdIx4 {
+            cols: simd::DdiCols4 {
+                neg_lo_hi: c.hi_hi,
+                neg_lo_lo: c.hi_lo,
+                hi_hi: c.neg_lo_hi,
+                hi_lo: c.neg_lo_lo,
+            },
+        }
     }
 
     /// Takes a packed kernel's result, recomputing with the scalar op
@@ -582,81 +506,21 @@ impl LaneOps for DdIx4 {
         )
     }
 
-    fn sqrt(self) -> Self {
-        self.map(|x| x.sqrt())
-    }
-
-    fn abs(self) -> Self {
-        self.map(|x| x.abs())
-    }
-
-    fn sqr(self) -> Self {
-        self.map(|x| x.sqr())
-    }
-
-    fn min(self, other: Self) -> Self {
-        Self::from_lanes_fn(|i| self.lane(i).min_i(&other.lane(i)))
-    }
-
-    fn max(self, other: Self) -> Self {
-        Self::from_lanes_fn(|i| self.lane(i).max_i(&other.lane(i)))
-    }
-}
-
-impl core::ops::Add for DdIx4 {
-    type Output = DdIx4;
-    /// Packed interval addition: one `simd::ddi_add_4` call, flagged
-    /// lanes patched with [`DdI::add`].
-    #[inline]
-    fn add(self, rhs: DdIx4) -> DdIx4 {
-        let res = simd::ddi_add_4(simd::active_backend(), &self.cols, &rhs.cols);
-        Self::packed_or_scalar(res, |i| self.lane(i) + rhs.lane(i))
-    }
-}
-
-impl core::ops::Sub for DdIx4 {
-    type Output = DdIx4;
-    /// Packed interval subtraction `a + (-b)`: [`DdI::sub`] is exactly
-    /// [`DdI::add`] with the second operand's endpoints swapped, and the
-    /// swap (negation) is exact.
-    #[inline]
-    fn sub(self, rhs: DdIx4) -> DdIx4 {
-        self + -rhs
-    }
-}
-
-impl core::ops::Mul for DdIx4 {
-    type Output = DdIx4;
-    /// Packed interval multiplication: one `simd::ddi_mul_4` call,
-    /// flagged lanes patched with [`DdI::mul`].
-    #[inline]
-    fn mul(self, rhs: DdIx4) -> DdIx4 {
-        let res = simd::ddi_mul_4(simd::active_backend(), &self.cols, &rhs.cols);
-        Self::packed_or_scalar(res, |i| self.lane(i) * rhs.lane(i))
-    }
-}
-
-impl core::ops::Div for DdIx4 {
-    type Output = DdIx4;
-    #[inline]
-    fn div(self, rhs: DdIx4) -> DdIx4 {
-        Self::from_lanes_fn(|i| self.lane(i) / rhs.lane(i))
-    }
-}
-
-impl core::ops::Neg for DdIx4 {
-    type Output = DdIx4;
-    /// Exact per-lane endpoint swap, as [`DdI::neg`].
-    #[inline]
-    fn neg(self) -> DdIx4 {
-        let c = self.cols;
-        DdIx4 {
-            cols: simd::DdiCols4 {
-                neg_lo_hi: c.hi_hi,
-                neg_lo_lo: c.hi_lo,
-                hi_hi: c.neg_lo_hi,
-                hi_lo: c.neg_lo_lo,
-            },
+    /// Add, sub and mul run the packed kernels, the fused forms as a mul
+    /// and then an add or sub. Sub is the add on the endpoint-swapped
+    /// right operand ([`DdI::sub`] is exactly [`DdI::add`] of the
+    /// negation, and the swap is exact). Neg is the column swap; every
+    /// other op is the scalar `DdI` op on each lane.
+    #[inline(always)]
+    fn apply(op: SweepOp, [a, b, c]: [DdIx4; 3]) -> DdIx4 {
+        match op {
+            SweepOp::Add => a.add(b),
+            SweepOp::Sub => a.add(b.neg()),
+            SweepOp::Mul => a.mul(b),
+            SweepOp::MulAdd => c.add(a.mul(b)),
+            SweepOp::MulSub => c.add(a.mul(b).neg()),
+            SweepOp::Neg => a.neg(),
+            _ => Self::from_lanes_fn(|i| DdI::apply(op, [a.lane(i), b.lane(i), c.lane(i)])),
         }
     }
 }
@@ -664,6 +528,61 @@ impl core::ops::Neg for DdIx4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use igen_round::simd::Backend;
+    use std::sync::Mutex;
+
+    /// Serializes forced-backend sections (the override is
+    /// process-global).
+    static BACKEND_LOCK: Mutex<()> = Mutex::new(());
+
+    fn backends() -> Vec<Backend> {
+        [Backend::Portable, Backend::Avx2Fma]
+            .into_iter()
+            .filter(|&bk| bk <= simd::detected_backend())
+            .collect()
+    }
+
+    /// `op` on one group through `L::sweep` under backend `bk`, from a
+    /// bank of the three sources, into a fresh slot or over the first
+    /// source.
+    fn swept<L: LaneOps>(bk: Backend, op: SweepOp, src: [L; 3], alias: bool) -> L {
+        let _guard = BACKEND_LOCK.lock().unwrap();
+        simd::force_backend(Some(bk));
+        let mut bank = [src[0], src[1], src[2], L::default()];
+        let dst = if alias { 0 } else { 3 };
+        L::sweep(op, &mut bank, 1, dst, [0, 1, 2]);
+        simd::force_backend(None);
+        bank[dst]
+    }
+
+    /// Every op through `L::sweep` on every backend, lane by lane
+    /// against the scalar op; `bits` names an element's words.
+    fn check_every_op<L: LaneOps>(src: [L; 3], bits: impl Fn(L::Elem) -> Vec<u64>)
+    where
+        L::Elem: LaneOps<Elem = L::Elem>,
+    {
+        let ops = SweepOp::ALL.into_iter().chain([SweepOp::Pow(-2), SweepOp::Pow(0)]);
+        for bk in backends() {
+            for op in ops.clone() {
+                for alias in [false, true] {
+                    let got = swept(bk, op, src, alias);
+                    for i in 0..L::LANES {
+                        let want = <L::Elem as LaneOps>::apply(op, src.map(|v| v.lane(i)));
+                        assert_eq!(bits(got.lane(i)), bits(want), "{op:?} under {bk} lane {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    fn f64_bits(x: F64I) -> Vec<u64> {
+        vec![x.neg_lo().to_bits(), x.hi().to_bits()]
+    }
+
+    fn dd_bits(x: DdI) -> Vec<u64> {
+        let (nl, h) = (x.neg_lo(), x.hi());
+        [nl.hi(), nl.lo(), h.hi(), h.lo()].map(f64::to_bits).to_vec()
+    }
 
     #[test]
     #[should_panic(expected = "lane index 4 out of range")]
@@ -673,38 +592,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "4 lanes do not fit in a slice of 3 elements")]
-    fn store_into_short_slice_panics() {
-        let v = F64Ix4::splat(F64I::point(1.0));
-        let mut out = [F64I::ZERO; 3];
-        v.store(&mut out);
+    fn every_op_sweeps_like_the_scalar_op() {
+        let iv = |lo: f64, hi: f64| F64I::new(lo, hi).unwrap();
+        let a = [F64I::point(0.1), iv(-2.0, 3.0), iv(1e300, f64::MAX), F64I::NAI];
+        let b = [iv(1.0, 2.0), iv(-1.0, 1.0), iv(0.5, 4.0), iv(-0.0, 0.0)];
+        let c = [iv(-3.0, -2.0), F64I::ENTIRE, iv(f64::MIN_POSITIVE, 1.0), F64I::point(7.0)];
+        check_every_op([a, b, c].map(F64Ix4::from_lanes), f64_bits);
+        // The same lanes promoted to double-double, with one low word
+        // nonzero.
+        let dd = |x: F64I| DdI::from_f64i(&x);
+        let tenth = DdI::point(Dd::new(0.1, -5.551115123125783e-18));
+        let da = [tenth, dd(a[1]), dd(a[2]), dd(a[3])];
+        check_every_op([da, b.map(dd), c.map(dd)].map(DdIx4::from_lanes), dd_bits);
     }
 
-    #[test]
-    #[should_panic(expected = "slice of 2 elements cannot fill 4 lanes")]
-    fn load_from_short_slice_panics() {
-        let _ = F64Ix4::load(&[F64I::ZERO; 2]);
-    }
-
-    #[test]
-    fn lanes_match_scalar() {
-        let a = F64I::point(0.1);
-        let b = F64I::new(1.0, 2.0).unwrap();
-        let va = F64Ix4::splat(a);
-        let vb = F64Ix4::splat(b);
-        let sum = va + vb;
-        let diff = va - vb;
-        let prod = va * vb;
-        let quot = va / vb;
-        for i in 0..4 {
-            assert_eq!(sum.lane(i), a + b);
-            assert_eq!(diff.lane(i), a - b);
-            assert_eq!(prod.lane(i), a * b);
-            assert_eq!(quot.lane(i), a / b);
-        }
-    }
-
-    /// The lane that once made a release build's packed `mul_add`
+    /// The lane that once made a release build's packed multiply-add
     /// differ from scalar: `[inf, NaN]` times anything gives the
     /// canonical NaN as the product's upper bound, and adding `x` back
     /// meets a NaN with another payload. The sum is the canonical NaN,
@@ -713,12 +615,14 @@ mod tests {
     fn nan_payload_lane_of_mul_add_matches_scalar() {
         let x = F64I::from_neg_lo_hi(f64::NEG_INFINITY, f64::from_bits(0x7ff8_0000_dead_beef));
         let y = F64I::new(-2.0, 3.0).unwrap();
-        let want = x * y + x;
+        let want = x + x * y;
         assert_eq!(want.hi().to_bits(), f64::NAN.to_bits());
-        let got = F64Ix4::splat(x).mul_add(F64Ix4::splat(y), F64Ix4::splat(x));
-        for i in 0..4 {
-            assert_eq!(got.lane(i).neg_lo().to_bits(), want.neg_lo().to_bits(), "lane {i}");
-            assert_eq!(got.lane(i).hi().to_bits(), want.hi().to_bits(), "lane {i}");
+        for bk in backends() {
+            let [vx, vy] = [x, y].map(F64Ix4::splat);
+            let got = swept(bk, SweepOp::MulAdd, [vx, vy, vx], false);
+            for i in 0..4 {
+                assert_eq!(f64_bits(got.lane(i)), f64_bits(want), "{bk} lane {i}");
+            }
         }
     }
 
@@ -729,7 +633,8 @@ mod tests {
         let nums = [F64I::point(1.0), F64I::new(-2.0, 3.0).unwrap(), F64I::NAI, F64I::point(4.0)];
         let dens =
             [F64I::new(-1.0, 1.0).unwrap(), F64I::point(2.0), F64I::point(1.0), F64I::point(0.5)];
-        let q = F64Ix4::from_lanes(nums) / F64Ix4::from_lanes(dens);
+        let [n, d] = [nums, dens].map(F64Ix4::from_lanes);
+        let q = F64Ix4::apply(SweepOp::Div, [n, d, n]);
         for i in 0..4 {
             let want = nums[i] / dens[i];
             if want.has_nan() {
@@ -741,16 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn load_store_roundtrip() {
-        let xs =
-            [F64I::point(1.0), F64I::point(2.0), F64I::new(-1.0, 1.0).unwrap(), F64I::point(4.0)];
-        let v = F64Ix4::load(&xs);
-        let mut out = [F64I::ZERO; 4];
-        v.store(&mut out);
-        assert_eq!(xs, out);
-    }
-
-    #[test]
     fn columns_hold_raw_representation() {
         // The first column holds the *negated* lower endpoints.
         let v = F64Ix4::from_columns([2.0; 4], [5.0; 4]);
@@ -758,33 +653,12 @@ mod tests {
     }
 
     #[test]
-    fn mul_add_and_reduce() {
-        let a = F64Ix4::splat(F64I::point(2.0));
-        let b = F64Ix4::splat(F64I::point(3.0));
-        let c = F64Ix4::splat(F64I::point(1.0));
-        let r = a.mul_add(b, c);
-        assert_eq!(r.lane(0).hi(), 7.0);
-        let mut out = [F64I::ZERO; 4];
-        r.store(&mut out);
-        assert_eq!(out.into_iter().fold(F64I::ZERO, |acc, x| acc + x).hi(), 28.0);
-    }
-
-    #[test]
-    fn neg_is_exact_swap() {
-        let v = F64Ix4::splat(F64I::new(-1.5, 2.5).unwrap());
-        let n = -v;
-        for i in 0..4 {
-            assert_eq!(n.lane(i), -v.lane(i));
-        }
-    }
-
-    #[test]
     fn dd_lanes() {
         let x = DdI::point_f64(0.1);
         let v = DdIx4::splat(x);
-        let s = v + v;
+        let s = DdIx4::apply(SweepOp::Add, [v; 3]);
         assert!(s.lane(0).contains_f64(0.2));
-        let p = v * v;
+        let p = DdIx4::apply(SweepOp::Mul, [v; 3]);
         // The dd interval is tighter than the f64-rounded product; it
         // contains the exact square of the double 0.1.
         let exact_sq = igen_dd::Dd::from(0.1) * igen_dd::Dd::from(0.1);

@@ -1,20 +1,15 @@
 //! Bit-identity of the packed lane types against the scalar interval
 //! operations, across every backend the host supports.
 //!
-//! `F64Ix4` dispatches to the packed kernels of
-//! `igen_round::simd`; this suite forces each backend in turn (portable,
-//! and AVX2+FMA where detected) and checks that every lane of every
-//! vector operation equals the scalar `F64I` result bit for bit —
-//! including NaN, infinite, subnormal and signed-zero endpoints, which
-//! the random generator produces and the deterministic grid guarantees.
-//! `DdIx4` add, sub, mul and `mul_add` get the same treatment
-//! against scalar `DdI`: on AVX2+FMA they run the packed double-double
-//! kernels, elsewhere lane loops.
-//!
-//! The VM's sweep hook, `LaneOps::sweep`, gets a proptest of its own:
-//! on AVX2+FMA `F64Ix4` runs a whole bank sweep in one
-//! `simd::f64i_sweep_4` call, and forced portable takes the
-//! group-by-group loop; every path must equal scalar `F64I` op by op.
+//! Every check runs each `SweepOp` through `LaneOps::sweep`, the one
+//! hook the VM calls, and compares every lane with the scalar op bit for
+//! bit — including NaN, infinite, subnormal and signed-zero endpoints,
+//! which the random generators produce and the deterministic grid
+//! guarantees. This suite forces each backend in turn (portable, and
+//! AVX2+FMA where detected): on AVX2+FMA `F64Ix4` runs add, sub, mul and
+//! the fused forms as one `simd::f64i_sweep_4` call per sweep and
+//! `DdIx4` its packed double-double kernels; forced portable takes the
+//! group-by-group loop over `LaneOps::apply`.
 //!
 //! The backend override is process-global, so every forced section takes
 //! a mutex; no other test in this binary touches the lane types outside
@@ -58,38 +53,67 @@ fn iv_any() -> impl Strategy<Value = F64I> {
     })
 }
 
-fn same(got: F64I, want: F64I) -> bool {
-    got.neg_lo().to_bits() == want.neg_lo().to_bits() && got.hi().to_bits() == want.hi().to_bits()
+/// The ops every check runs: each `SweepOp`, and `Pow` at more
+/// exponents.
+fn ops() -> Vec<SweepOp> {
+    let pows = [-3, 0, 1, 2].map(SweepOp::Pow);
+    SweepOp::ALL.into_iter().chain(pows).collect()
 }
 
-/// Checks every `F64Ix4` operation lane-wise against the
-/// scalar ops, under the given backend.
-fn check_lanes(bk: Backend, a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseError> {
-    // Scalar references, computed outside the forced section (scalar ops
-    // never dispatch).
-    let want_add: Vec<F64I> = (0..4).map(|i| a[i] + b[i]).collect();
-    let want_sub: Vec<F64I> = (0..4).map(|i| a[i] - b[i]).collect();
-    let want_mul: Vec<F64I> = (0..4).map(|i| a[i] * b[i]).collect();
-    let want_div: Vec<F64I> = (0..4).map(|i| a[i] / b[i]).collect();
-    let want_fma: Vec<F64I> = (0..4).map(|i| a[i] * b[i] + a[i]).collect();
-    let want_sqrt: Vec<F64I> = (0..4).map(|i| a[i].sqrt()).collect();
-    let want_abs: Vec<F64I> = (0..4).map(|i| a[i].abs()).collect();
-    let want_sqr: Vec<F64I> = (0..4).map(|i| a[i].sqr()).collect();
-    let (got4, gotu4) = with_backend(bk, || {
-        let va = F64Ix4::from_lanes(a);
-        let vb = F64Ix4::from_lanes(b);
-        ((va + vb, va - vb, va * vb, va / vb, va.mul_add(vb, va)), (va.sqrt(), va.abs(), va.sqr()))
-    });
-    for i in 0..4 {
-        let ctx = format!("{bk:?} lane {i}: a={} b={}", a[i], b[i]);
-        prop_assert!(same(got4.0.lane(i), want_add[i]), "x4 add {ctx}");
-        prop_assert!(same(got4.1.lane(i), want_sub[i]), "x4 sub {ctx}");
-        prop_assert!(same(got4.2.lane(i), want_mul[i]), "x4 mul {ctx}");
-        prop_assert!(same(got4.3.lane(i), want_div[i]), "x4 div {ctx}");
-        prop_assert!(same(got4.4.lane(i), want_fma[i]), "x4 mul_add {ctx}");
-        prop_assert!(same(gotu4.0.lane(i), want_sqrt[i]), "x4 sqrt {ctx}");
-        prop_assert!(same(gotu4.1.lane(i), want_abs[i]), "x4 abs {ctx}");
-        prop_assert!(same(gotu4.2.lane(i), want_sqr[i]), "x4 sqr {ctx}");
+fn f64_bits(x: F64I) -> Vec<u64> {
+    vec![x.neg_lo().to_bits(), x.hi().to_bits()]
+}
+
+/// One sweep of `op` through `L::sweep` under backend `bk`: `n` groups
+/// from the sources at bank offsets `[a, b, acc]` into offset `dst`,
+/// against the scalar op on the bank as it was: the written groups lane
+/// by lane, every other slot unchanged. `bits` names an element's words.
+fn check_sweep<L: LaneOps>(
+    bk: Backend,
+    bank: &[L],
+    op: SweepOp,
+    [dst, a, b, acc]: [usize; 4],
+    n: usize,
+    bits: fn(L::Elem) -> Vec<u64>,
+) -> Result<(), TestCaseError>
+where
+    L::Elem: LaneOps<Elem = L::Elem> + core::fmt::Display,
+{
+    let mut got = bank.to_vec();
+    with_backend(bk, || L::sweep(op, &mut got, n, dst, [a, b, acc]));
+    for (k, v) in got.iter().enumerate() {
+        for l in 0..L::LANES {
+            let want = if (dst..dst + n).contains(&k) {
+                let g = k - dst;
+                let src = [bank[a + g].lane(l), bank[b + g].lane(l), bank[acc + g].lane(l)];
+                <L::Elem as LaneOps>::apply(op, src)
+            } else {
+                bank[k].lane(l)
+            };
+            prop_assert!(
+                bits(v.lane(l)) == bits(want),
+                "{op:?} into {dst} from {:?} n {n} under {bk:?}: slot {k} lane {l}: \
+                 got {}, want {want}",
+                [a, b, acc],
+                v.lane(l)
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Every op on one group, `a` and `b` the operands and `a` the
+/// accumulator.
+fn check_group<L: LaneOps>(
+    bk: Backend,
+    [a, b]: [L; 2],
+    bits: fn(L::Elem) -> Vec<u64>,
+) -> Result<(), TestCaseError>
+where
+    L::Elem: LaneOps<Elem = L::Elem> + core::fmt::Display,
+{
+    for op in ops() {
+        check_sweep(bk, &[a, b, a, L::default()], op, [3, 0, 1, 2], 1, bits)?;
     }
     Ok(())
 }
@@ -102,8 +126,9 @@ proptest! {
         a0 in iv_any(), a1 in iv_any(), a2 in iv_any(), a3 in iv_any(),
         b0 in iv_any(), b1 in iv_any(), b2 in iv_any(), b3 in iv_any(),
     ) {
+        let group = [[a0, a1, a2, a3], [b0, b1, b2, b3]].map(F64Ix4::from_lanes);
         for bk in backends() {
-            check_lanes(bk, [a0, a1, a2, a3], [b0, b1, b2, b3])?;
+            check_group(bk, group, f64_bits)?;
         }
     }
 }
@@ -112,80 +137,35 @@ proptest! {
 const SWEEP_REGS: usize = 4;
 const SWEEP_TILE: usize = 3;
 
-/// One sweep of `op` over a bank of `SWEEP_REGS` registers of
-/// `SWEEP_TILE` groups, through `F64Ix4`'s `sweep` under backend `bk`,
-/// against scalar `F64I` ops on the bank as it was: the `n` written
-/// groups of `dst` lane by lane, every other slot unchanged.
-fn check_sweep(
-    bk: Backend,
-    items: &[F64I],
-    op: usize,
-    regs: [usize; 4],
-    n: usize,
-) -> Result<(), TestCaseError> {
-    let [dst, a, b, acc] = regs.map(|r| r * SWEEP_TILE);
-    let op = match op {
-        0 => SweepOp::Add,
-        1 => SweepOp::Sub,
-        2 => SweepOp::Mul,
-        3 => SweepOp::MulAdd { acc },
-        _ => SweepOp::MulSub { acc },
-    };
-    let bank: Vec<F64Ix4> = (0..SWEEP_REGS * SWEEP_TILE)
-        .map(|k| F64Ix4::from_lanes_fn(|l| items[(4 * k + l) % items.len()]))
-        .collect();
-    let mut got = bank.clone();
-    let kernel = with_backend(bk, || {
-        let mut probe = bank.clone();
-        let kernel = simd::f64i_sweep_4(bk, op, &mut probe, n, dst, a, b);
-        F64Ix4::sweep(op, &mut got, n, dst, a, b);
-        kernel
-    });
-    // Only AVX2+FMA has the one-call kernel; forced portable must take
-    // the group loop.
-    prop_assert_eq!(kernel, bk == Backend::Avx2Fma, "{:?} under {:?}", op, bk);
-    for (k, v) in got.iter().enumerate() {
-        for l in 0..4 {
-            let want = if (dst..dst + n).contains(&k) {
-                let g = k - dst;
-                let (x, y, z) = (bank[a + g].lane(l), bank[b + g].lane(l), bank[acc + g].lane(l));
-                match op {
-                    SweepOp::Add => x + y,
-                    SweepOp::Sub => x - y,
-                    SweepOp::Mul => x * y,
-                    SweepOp::MulAdd { .. } => z + x * y,
-                    SweepOp::MulSub { .. } => z - x * y,
-                }
-            } else {
-                bank[k].lane(l)
-            };
-            prop_assert!(
-                same(v.lane(l), want),
-                "{op:?} regs {regs:?} n {n} under {bk:?}: slot {k} lane {l}: got {}, want {want}",
-                v.lane(l)
-            );
-        }
-    }
-    Ok(())
+/// A bank of `SWEEP_REGS` registers of `SWEEP_TILE` groups, its lanes
+/// drawn from `items` in turn.
+fn bank_of<L: LaneOps>(items: &[L::Elem]) -> Vec<L> {
+    (0..SWEEP_REGS * SWEEP_TILE)
+        .map(|k| L::from_lanes_fn(|l| items[(L::LANES * k + l) % items.len()]))
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// `LaneOps::sweep` on `F64Ix4` equals scalar `F64I`, for
-    /// every arithmetic op, any register aliasing and every backend.
+    /// `LaneOps::sweep` equals the scalar op for every op, any register
+    /// aliasing and every backend, at `F64Ix4` and at `DdIx4`.
     #[test]
     fn sweep_hook_bit_identical_all_backends(
         items in prop::collection::vec(iv_any(), 4..64),
-        op in 0usize..5,
+        dd_items in prop::collection::vec(dd_iv(), 4..32),
+        op in 0..ops().len(),
         dst in 0usize..SWEEP_REGS,
         a in 0usize..SWEEP_REGS,
         b in 0usize..SWEEP_REGS,
         acc in 0usize..SWEEP_REGS,
         n in 0usize..SWEEP_TILE + 1,
     ) {
+        let regs = [dst, a, b, acc].map(|r| r * SWEEP_TILE);
+        let (f64_bank, dd_bank) = (bank_of::<F64Ix4>(&items), bank_of::<DdIx4>(&dd_items));
         for bk in backends() {
-            check_sweep(bk, &items, op, [dst, a, b, acc], n)?;
+            check_sweep(bk, &f64_bank, ops()[op], regs, n, f64_bits)?;
+            check_sweep(bk, &dd_bank, ops()[op], regs, n, dd_bits)?;
         }
     }
 }
@@ -220,7 +200,7 @@ fn vector_ops_bit_identical_special_grid() {
                     let mut b = [benign; 4];
                     a[pos] = x;
                     b[pos] = y;
-                    if let Err(e) = check_lanes(bk, a, b) {
+                    if let Err(e) = check_group(bk, [a, b].map(F64Ix4::from_lanes), f64_bits) {
                         panic!("special grid ({x}, {y}) pos {pos}: {e:?}");
                     }
                 }
@@ -258,28 +238,9 @@ fn dd_iv() -> impl Strategy<Value = DdI> {
     ]
 }
 
-fn dd_same(got: DdI, want: DdI) -> bool {
-    let bits =
-        |x: DdI| [x.neg_lo().hi(), x.neg_lo().lo(), x.hi().hi(), x.hi().lo()].map(f64::to_bits);
-    bits(got) == bits(want)
-}
-
-/// Checks `DdIx4` add, sub, mul and `mul_add` lane-wise against
-/// the scalar `DdI` ops, under the given backend.
-fn check_dd_lanes(bk: Backend, a: [DdI; 4], b: [DdI; 4]) -> Result<(), TestCaseError> {
-    let want: Vec<[DdI; 4]> =
-        (0..4).map(|i| [a[i] + b[i], a[i] - b[i], a[i] * b[i], a[i] * b[i] + a[i]]).collect();
-    let got4 = with_backend(bk, || {
-        let (va, vb) = (DdIx4::from_lanes(a), DdIx4::from_lanes(b));
-        [va + vb, va - vb, va * vb, va.mul_add(vb, va)]
-    });
-    for (k, op) in ["add", "sub", "mul", "mul_add"].iter().enumerate() {
-        for i in 0..4 {
-            let ctx = format!("{bk:?} lane {i}: a={} b={}", a[i], b[i]);
-            prop_assert!(dd_same(got4[k].lane(i), want[i][k]), "ddx4 {op} {ctx}");
-        }
-    }
-    Ok(())
+fn dd_bits(x: DdI) -> Vec<u64> {
+    let (nl, h) = (x.neg_lo(), x.hi());
+    [nl.hi(), nl.lo(), h.hi(), h.lo()].map(f64::to_bits).to_vec()
 }
 
 proptest! {
@@ -290,8 +251,9 @@ proptest! {
         a0 in dd_iv(), a1 in dd_iv(), a2 in dd_iv(), a3 in dd_iv(),
         b0 in dd_iv(), b1 in dd_iv(), b2 in dd_iv(), b3 in dd_iv(),
     ) {
+        let group = [[a0, a1, a2, a3], [b0, b1, b2, b3]].map(DdIx4::from_lanes);
         for bk in backends() {
-            check_dd_lanes(bk, [a0, a1, a2, a3], [b0, b1, b2, b3])?;
+            check_group(bk, group, dd_bits)?;
         }
     }
 }

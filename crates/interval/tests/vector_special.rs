@@ -2,21 +2,22 @@
 //! fallback pinned.
 //!
 //! This suite is deliberately independent of the SIMD bit-identity
-//! tests: it forces `Backend::Portable` for every check, so the
-//! lane-loop fallback's handling of NaN, infinite, subnormal and
-//! signed-zero endpoints is pinned on every host — including ones where
-//! no packed backend exists and `simd_bitident` would only ever see the
-//! portable path incidentally. It also covers the `DdIx4` lane type on
-//! every backend: its add, sub and mul run the packed
+//! tests: it forces `Backend::Portable` for every `F64Ix4` check, so the
+//! portable handling of NaN, infinite, subnormal and signed-zero
+//! endpoints is pinned on every host — including ones where no packed
+//! backend exists and `simd_bitident` would only ever see the portable
+//! path incidentally. It also covers the `DdIx4` lane type on every
+//! backend: its add, sub, mul and fused forms run the packed
 //! double-double kernels on AVX2+FMA (with scalar patches for flagged
-//! lanes) and lane loops on forced portable.
+//! lanes) and lane loops on forced portable. Every check runs each
+//! `SweepOp` through `LaneOps::sweep`, the hook the VM calls.
 //!
 //! The backend override is process-global, so every pinned section takes
 //! a mutex; no other test in this binary touches the lane types outside
 //! of it.
 
 use igen_dd::Dd;
-use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, F64I};
+use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, SweepOp, F64I};
 use igen_round::simd::{self, Backend};
 use igen_round::Ru;
 use proptest::prelude::*;
@@ -48,6 +49,19 @@ fn backends() -> Vec<Backend> {
 
 fn same(got: F64I, want: F64I) -> bool {
     got.neg_lo().to_bits() == want.neg_lo().to_bits() && got.hi().to_bits() == want.hi().to_bits()
+}
+
+/// Every op, `Pow` at more exponents.
+fn ops() -> impl Iterator<Item = SweepOp> {
+    SweepOp::ALL.into_iter().chain([-2, 0].map(SweepOp::Pow))
+}
+
+/// `op` on one group through `L::sweep`, `a` and `b` the operands and
+/// `a` the accumulator.
+fn swept<L: LaneOps>(op: SweepOp, a: L, b: L) -> L {
+    let mut bank = [a, b, a, L::default()];
+    L::sweep(op, &mut bank, 1, 3, [0, 1, 2]);
+    bank[3]
 }
 
 /// Endpoint catalogue skewed towards IEEE edge cases.
@@ -83,25 +97,18 @@ fn iv_special() -> impl Strategy<Value = F64I> {
 }
 
 fn check_portable(a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseError> {
-    let got = pinned_portable(|| {
-        let va = F64Ix4::from_lanes(a);
-        let vb = F64Ix4::from_lanes(b);
-        (
-            (va + vb, va - vb, va * vb, va / vb, va.mul_add(vb, va), -va),
-            (va.sqrt(), va.abs(), va.sqr()),
-        )
-    });
-    for i in 0..4 {
-        let ctx = format!("portable lane {i}: a={} b={}", a[i], b[i]);
-        prop_assert!(same(got.0 .0.lane(i), a[i] + b[i]), "x4 add {ctx}");
-        prop_assert!(same(got.0 .1.lane(i), a[i] - b[i]), "x4 sub {ctx}");
-        prop_assert!(same(got.0 .2.lane(i), a[i] * b[i]), "x4 mul {ctx}");
-        prop_assert!(same(got.0 .3.lane(i), a[i] / b[i]), "x4 div {ctx}");
-        prop_assert!(same(got.0 .4.lane(i), a[i] * b[i] + a[i]), "x4 mul_add {ctx}");
-        prop_assert!(same(got.0 .5.lane(i), -a[i]), "x4 neg {ctx}");
-        prop_assert!(same(got.1 .0.lane(i), a[i].sqrt()), "x4 sqrt {ctx}");
-        prop_assert!(same(got.1 .1.lane(i), a[i].abs()), "x4 abs {ctx}");
-        prop_assert!(same(got.1 .2.lane(i), a[i].sqr()), "x4 sqr {ctx}");
+    let (va, vb) = (F64Ix4::from_lanes(a), F64Ix4::from_lanes(b));
+    for op in ops() {
+        let got = pinned_portable(|| swept(op, va, vb));
+        for i in 0..4 {
+            let want = F64I::apply(op, [a[i], b[i], a[i]]);
+            prop_assert!(
+                same(got.lane(i), want),
+                "x4 {op:?} portable lane {i}: a={} b={}",
+                a[i],
+                b[i]
+            );
+        }
     }
     Ok(())
 }
@@ -127,11 +134,9 @@ fn portable_special_lanes_stay_isolated() {
     for pos in 0..4 {
         let mut a = [benign; 4];
         a[pos] = F64I::NAI;
-        let (sum, quot) = pinned_portable(|| {
-            let va = F64Ix4::from_lanes(a);
-            let vb = F64Ix4::splat(benign);
-            (va + vb, vb / va)
-        });
+        let (va, vb) = (F64Ix4::from_lanes(a), F64Ix4::splat(benign));
+        let (sum, quot) =
+            pinned_portable(|| (swept(SweepOp::Add, va, vb), swept(SweepOp::Div, vb, va)));
         for i in 0..4 {
             assert_eq!(sum.lane(i).has_nan(), i == pos, "add lane {i}, NaN at {pos}");
             assert_eq!(quot.lane(i).has_nan(), i == pos, "div lane {i}, NaN at {pos}");
@@ -139,7 +144,8 @@ fn portable_special_lanes_stay_isolated() {
 
         let mut d = [benign; 4];
         d[pos] = F64I::new(-1.0, 1.0).unwrap();
-        let quot = pinned_portable(|| F64Ix4::splat(benign) / F64Ix4::from_lanes(d));
+        let quot =
+            pinned_portable(|| swept(SweepOp::Div, F64Ix4::splat(benign), F64Ix4::from_lanes(d)));
         for i in 0..4 {
             let q = quot.lane(i);
             if i == pos {
@@ -214,9 +220,9 @@ fn dd_special_values() -> Vec<DdI> {
     vals
 }
 
-/// Double-double lane types: lane ops match scalar `DdI` ops bit for bit
-/// on special values, on the detected backend (the packed add/sub/mul
-/// kernels on AVX2+FMA) and on the portable lane loops.
+/// Double-double lane types: every op matches the scalar `DdI` op bit
+/// for bit on special values, on the detected backend (the packed
+/// add/sub/mul kernels on AVX2+FMA) and on the portable lane loops.
 #[test]
 fn dd_lane_ops_match_scalar_on_special_values() {
     for bk in backends() {
@@ -244,27 +250,19 @@ fn check_dd_specials(bk: Backend) {
                 let mut b = [benign; 4];
                 a[pos] = x;
                 b[pos] = y;
-                let got = pinned(bk, || {
-                    let va = DdIx4::from_lanes(a);
-                    let vb = DdIx4::from_lanes(b);
-                    (
-                        (va + vb, va - vb, va * vb, va.mul_add(vb, va), -va),
-                        (va.sqrt(), va.abs(), va.sqr()),
-                    )
-                });
-                let ((s4, d4, p4, f4, n4), (q4, m4, r4)) = got;
-                for i in 0..4 {
-                    let ctx = format!("{bk} lane {i}: a={} b={}", a[i], b[i]);
-                    let (ai, bi) = (a[i], b[i]);
-                    assert_eq!(dd_bits(&s4.lane(i)), dd_bits(&(ai + bi)), "x4 add {ctx}");
-                    assert_eq!(dd_bits(&d4.lane(i)), dd_bits(&(ai - bi)), "x4 sub {ctx}");
-                    assert_eq!(dd_bits(&p4.lane(i)), dd_bits(&(ai * bi)), "x4 mul {ctx}");
-                    let fma = ai * bi + ai;
-                    assert_eq!(dd_bits(&f4.lane(i)), dd_bits(&fma), "x4 mul_add {ctx}");
-                    assert_eq!(dd_bits(&n4.lane(i)), dd_bits(&-ai), "x4 neg {ctx}");
-                    assert_eq!(dd_bits(&q4.lane(i)), dd_bits(&ai.sqrt()), "x4 sqrt {ctx}");
-                    assert_eq!(dd_bits(&m4.lane(i)), dd_bits(&ai.abs()), "x4 abs {ctx}");
-                    assert_eq!(dd_bits(&r4.lane(i)), dd_bits(&ai.sqr()), "x4 sqr {ctx}");
+                let (va, vb) = (DdIx4::from_lanes(a), DdIx4::from_lanes(b));
+                let got: Vec<DdIx4> = pinned(bk, || ops().map(|op| swept(op, va, vb)).collect());
+                for (op, got) in ops().zip(got) {
+                    for i in 0..4 {
+                        let want = DdI::apply(op, [a[i], b[i], a[i]]);
+                        assert_eq!(
+                            dd_bits(&got.lane(i)),
+                            dd_bits(&want),
+                            "x4 {op:?} {bk} lane {i}: a={} b={}",
+                            a[i],
+                            b[i]
+                        );
+                    }
                 }
             }
         }

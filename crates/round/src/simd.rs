@@ -42,17 +42,16 @@
 //!
 //! # Interval kernels and the bank sweep
 //!
-//! Above the rounding primitives sit whole interval operations on
-//! column groups: [`f64i_add_4`]/[`f64i_mul_4`] on [`F64iCols4`] and
-//! [`ddi_add_4`]/[`ddi_mul_4`] on [`DdiCols4`]. On AVX2+FMA each is one
-//! call that keeps the whole op in registers and returns one combined
+//! Above the rounding primitives sit whole interval operations:
+//! [`ddi_add_4`]/[`ddi_mul_4`] on one group of [`DdiCols4`], and
+//! [`f64i_sweep_4`], the one entry into the f64 interval bodies, which
+//! runs one VM instruction ([`SweepOp`]) over `n` groups of a register
+//! bank of [`F64iCols4`] in one call. On AVX2+FMA each op keeps the
+//! whole interval op in registers and folds its guards into one
 //! validity mask; the lanes it flags are recomputed with the scalar
-//! interval op. [`f64i_sweep_4`] runs the f64 add, sub, mul and the
-//! fused multiply-accumulates over `n` groups of a register bank in one
-//! call — one VM instruction over a tile — on the same bodies, so the
-//! backend clamp and the call are paid once per sweep instead of once
-//! per primitive per group. The portable backend keeps the composition
-//! of column primitives, one group at a time.
+//! interval op. The sweep has bodies for add, sub, mul and the fused
+//! multiply-accumulates; for any other op, and on the portable backend,
+//! it returns `false` and the caller applies the op group by group.
 
 use core::sync::atomic::{AtomicU8, Ordering};
 
@@ -212,40 +211,6 @@ pub fn max_nan(a: f64, b: f64) -> f64 {
         a
     } else {
         b
-    }
-}
-
-/// Packed upward-rounded addition: lane-wise [`crate::add_ru`],
-/// bit-identical in every lane.
-pub fn add_ru_4(bk: Backend, a: &[f64; 4], b: &[f64; 4]) -> [f64; 4] {
-    let bk = clamp(bk);
-    note_dispatch(bk, &tel::ADD_PACKED);
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
-        Backend::Avx2Fma => unsafe { x86::add_ru_4_avx2(a, b) },
-        _ => core::array::from_fn(|i| crate::add_ru(a[i], b[i])),
-    }
-}
-
-/// Packed paired upward products: lane-wise [`crate::mul_ru_both`]
-/// (returns `(RU(a*b), RU(-(a*b)))` per lane), bit-identical in every
-/// lane.
-pub fn mul_ru_both_4(bk: Backend, a: &[f64; 4], b: &[f64; 4]) -> ([f64; 4], [f64; 4]) {
-    let bk = clamp(bk);
-    note_dispatch(bk, &tel::MUL_PACKED);
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
-        Backend::Avx2Fma => unsafe { x86::mul_ru_both_4_avx2(a, b) },
-        _ => {
-            let mut hi = [0.0; 4];
-            let mut lo = [0.0; 4];
-            for i in 0..4 {
-                (hi[i], lo[i]) = crate::mul_ru_both(a[i], b[i]);
-            }
-            (hi, lo)
-        }
     }
 }
 
@@ -434,17 +399,18 @@ impl AsMut<F64iCols4> for F64iCols4 {
     }
 }
 
-/// Scalar reference for [`f64i_add_4`]: `F64I::add` on one raw
-/// `(neg_lo, hi)` endpoint pair per operand — one upward addition per
-/// column, exactly as the negated-low representation defines it.
+/// Scalar reference for the f64 interval add on one raw `(neg_lo, hi)`
+/// endpoint pair per operand: `F64I::add`, one upward addition per
+/// column, exactly as the negated-low representation defines it. The
+/// sweep recomputes the lanes it flags with this.
 #[inline]
 pub fn add_cols(a_neg_lo: f64, a_hi: f64, b_neg_lo: f64, b_hi: f64) -> (f64, f64) {
     (crate::add_ru(a_neg_lo, b_neg_lo), crate::add_ru(a_hi, b_hi))
 }
 
-/// Scalar reference for [`f64i_mul_4`]: `F64I::mul` on raw endpoint
-/// pairs — the four paired products [`crate::mul_ru_both`] and the six
-/// [`max_nan`] selections, in the scalar order.
+/// Scalar reference for the f64 interval mul on raw endpoint pairs:
+/// `F64I::mul`, the four paired products [`crate::mul_ru_both`] and the
+/// six [`max_nan`] selections, in the scalar order.
 #[inline]
 pub fn mul_cols(a_neg_lo: f64, a_hi: f64, b_neg_lo: f64, b_hi: f64) -> (f64, f64) {
     let (u1, l1) = crate::mul_ru_both(a_neg_lo, b_neg_lo);
@@ -454,135 +420,143 @@ pub fn mul_cols(a_neg_lo: f64, a_hi: f64, b_neg_lo: f64, b_hi: f64) -> (f64, f64
     (max_nan(max_nan(l1, l2), max_nan(l3, l4)), max_nan(max_nan(u1, u2), max_nan(u3, u4)))
 }
 
-/// Packed f64 interval addition: lane-wise [`add_cols`], bit-identical
-/// in every lane. Subtraction is this kernel on the endpoint-swapped
-/// right operand (`F64I::sub(a, b)` is `F64I::add(a, -b)`, and the swap
-/// is exact).
-///
-/// On AVX2+FMA the whole op runs in registers: two TwoSum-and-bump
-/// columns and one validity mask; lanes the mask flags are recomputed
-/// with [`add_cols`]. The portable backend runs [`add_ru_4`] on each
-/// column.
-pub fn f64i_add_4(bk: Backend, a: &F64iCols4, b: &F64iCols4) -> F64iCols4 {
-    match clamp(bk) {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2Fma => {
-            note_dispatch(Backend::Avx2Fma, &tel::ADD_PACKED);
-            // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
-            unsafe { x86::f64i_add_4_avx2(a, b) }
-        }
-        bk => {
-            F64iCols4 { neg_lo: add_ru_4(bk, &a.neg_lo, &b.neg_lo), hi: add_ru_4(bk, &a.hi, &b.hi) }
-        }
-    }
-}
-
-/// Packed f64 interval multiplication: lane-wise [`mul_cols`],
-/// bit-identical in every lane.
-///
-/// On AVX2+FMA the whole op runs in registers: the four `mul_ru_both`
-/// cores and the six selections, with one validity mask; lanes the mask
-/// flags are recomputed with [`mul_cols`]. The portable backend composes
-/// four [`mul_ru_both_4`] and six [`max_nan_4`] calls in the scalar
-/// order.
-pub fn f64i_mul_4(bk: Backend, a: &F64iCols4, b: &F64iCols4) -> F64iCols4 {
-    match clamp(bk) {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2Fma => {
-            note_dispatch(Backend::Avx2Fma, &tel::MUL_PACKED);
-            // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
-            unsafe { x86::f64i_mul_4_avx2(a, b) }
-        }
-        bk => {
-            let (u1, l1) = mul_ru_both_4(bk, &a.neg_lo, &b.neg_lo);
-            let (l2, u2) = mul_ru_both_4(bk, &a.neg_lo, &b.hi);
-            let (l3, u3) = mul_ru_both_4(bk, &a.hi, &b.neg_lo);
-            let (u4, l4) = mul_ru_both_4(bk, &a.hi, &b.hi);
-            F64iCols4 {
-                neg_lo: max_nan_4(bk, &max_nan_4(bk, &l1, &l2), &max_nan_4(bk, &l3, &l4)),
-                hi: max_nan_4(bk, &max_nan_4(bk, &u1, &u2), &max_nan_4(bk, &u3, &u4)),
-            }
-        }
-    }
-}
-
-/// One arithmetic sweep of a register bank (see [`f64i_sweep_4`]): the
-/// interval op applied to each group, with the accumulator's bank offset
-/// for the fused forms.
+/// One arithmetic VM instruction: the interval op a sweep applies to
+/// each group of a register bank (see [`f64i_sweep_4`] and
+/// `igen_interval::LaneOps::sweep`). A sweep takes its sources as one
+/// array `[a, b, acc]`, of which the op reads the first
+/// [`SweepOp::arity`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepOp {
-    /// `dst = a + b`.
+    /// `a + b`.
     Add,
-    /// `dst = a - b`.
+    /// `a - b`.
     Sub,
-    /// `dst = a * b`.
+    /// `a * b`.
     Mul,
-    /// `dst = acc + a * b`: the product rounded as a `Mul`, then added
-    /// as an `Add` with the product on the right.
-    MulAdd {
-        /// Bank offset of the accumulator's first group.
-        acc: usize,
-    },
-    /// `dst = acc - a * b`, rounded as a `Mul` and then a `Sub`.
-    MulSub {
-        /// Bank offset of the accumulator's first group.
-        acc: usize,
-    },
+    /// `a / b`.
+    Div,
+    /// Pointwise `min(a, b)`.
+    Min,
+    /// Pointwise `max(a, b)`.
+    Max,
+    /// `-a`.
+    Neg,
+    /// `sqrt(a)`.
+    Sqrt,
+    /// `|a|`.
+    Abs,
+    /// `a²`, the dependency-aware square.
+    Sqr,
+    /// `aⁿ` for the integer exponent `n`.
+    Pow(i32),
+    /// `acc + a * b`: the product rounded as a `Mul`, then added as an
+    /// `Add` with the product on the right.
+    MulAdd,
+    /// `acc - a * b`, rounded as a `Mul` and then a `Sub`.
+    MulSub,
+}
+
+impl SweepOp {
+    /// Every op once, `Pow` at exponent 3.
+    pub const ALL: [SweepOp; 13] = [
+        SweepOp::Add,
+        SweepOp::Sub,
+        SweepOp::Mul,
+        SweepOp::Div,
+        SweepOp::Min,
+        SweepOp::Max,
+        SweepOp::Neg,
+        SweepOp::Sqrt,
+        SweepOp::Abs,
+        SweepOp::Sqr,
+        SweepOp::Pow(3),
+        SweepOp::MulAdd,
+        SweepOp::MulSub,
+    ];
+
+    /// How many of the sources `[a, b, acc]` the op reads.
+    pub fn arity(self) -> usize {
+        match self {
+            SweepOp::Neg | SweepOp::Sqrt | SweepOp::Abs | SweepOp::Sqr | SweepOp::Pow(_) => 1,
+            SweepOp::Add
+            | SweepOp::Sub
+            | SweepOp::Mul
+            | SweepOp::Div
+            | SweepOp::Min
+            | SweepOp::Max => 2,
+            SweepOp::MulAdd | SweepOp::MulSub => 3,
+        }
+    }
+
+    /// The op's lower-case mnemonic, as bytecode listings print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            SweepOp::Add => "add",
+            SweepOp::Sub => "sub",
+            SweepOp::Mul => "mul",
+            SweepOp::Div => "div",
+            SweepOp::Min => "min",
+            SweepOp::Max => "max",
+            SweepOp::Neg => "neg",
+            SweepOp::Sqrt => "sqrt",
+            SweepOp::Abs => "abs",
+            SweepOp::Sqr => "sqr",
+            SweepOp::Pow(_) => "pow",
+            SweepOp::MulAdd => "muladd",
+            SweepOp::MulSub => "mulsub",
+        }
+    }
 }
 
 /// Runs `op` over groups `0..n` of a bank of packed f64 intervals in
-/// one call: group `g` reads `bank[a + g]`, `bank[b + g]` (and
-/// `bank[acc + g]`) and writes `bank[dst + g]`. Each group's sources are
-/// read before its destination is written, so a destination that
-/// aliases a source is exact, and every group's bits are those of the
-/// one-group kernels ([`f64i_add_4`], [`f64i_mul_4`]) applied in the
-/// instruction's order — flagged lanes included, which are recomputed
-/// with the scalar op.
+/// one call: group `g` reads `bank[s + g]` for each source `s` of
+/// `src = [a, b, acc]` and writes `bank[dst + g]`. Each group's sources
+/// are read before its destination is written, so a destination that
+/// aliases a source is exact, and every lane's bits are those of the
+/// scalar `F64I` op — flagged lanes included, which are recomputed with
+/// [`add_cols`] or [`mul_cols`].
 ///
-/// Telemetry counts per group, as the one-group kernels would: one
-/// `simd.mul` call per `Mul`, `MulAdd` or `MulSub` group, one `simd.add`
-/// call per `Add`, `Sub`, `MulAdd` or `MulSub` group.
+/// Telemetry counts per group: one `simd.mul` call per `Mul`, `MulAdd`
+/// or `MulSub` group, one `simd.add` call per `Add`, `Sub`, `MulAdd` or
+/// `MulSub` group.
 ///
-/// Returns `false`, touching nothing, when `bk` has no sweep kernel
-/// (only AVX2+FMA has one); the caller then runs the groups one by one.
+/// Returns `false`, touching nothing, when the sweep has no body for
+/// `op` on `bk`: only AVX2+FMA has bodies, for add, sub, mul and the
+/// fused forms. The caller then applies the op group by group.
 ///
 /// # Panics
 ///
-/// Panics if a source, accumulator or destination range runs past the
-/// end of `bank`.
+/// Panics if a source or destination range runs past the end of
+/// `bank`.
 pub fn f64i_sweep_4<C: AsRef<F64iCols4> + AsMut<F64iCols4>>(
     bk: Backend,
     op: SweepOp,
     bank: &mut [C],
     n: usize,
     dst: usize,
-    a: usize,
-    b: usize,
+    src: [usize; 3],
 ) -> bool {
-    let acc = match op {
-        SweepOp::MulAdd { acc } | SweepOp::MulSub { acc } => acc,
-        SweepOp::Add | SweepOp::Sub | SweepOp::Mul => dst,
-    };
     let fits = |base: usize| base.checked_add(n).is_some_and(|end| end <= bank.len());
+    let [a, b, acc] = src;
     assert!(
         fits(dst) && fits(a) && fits(b) && fits(acc),
         "sweep of {n} groups runs past a bank of {}",
         bank.len()
     );
-    match clamp(bk) {
+    match (clamp(bk), op) {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2Fma => {
+        (
+            Backend::Avx2Fma,
+            SweepOp::Add | SweepOp::Sub | SweepOp::Mul | SweepOp::MulAdd | SweepOp::MulSub,
+        ) => {
             let groups = n as u64;
-            let (muls, adds) = match op {
-                SweepOp::Add | SweepOp::Sub => (0, groups),
-                SweepOp::Mul => (groups, 0),
-                SweepOp::MulAdd { .. } | SweepOp::MulSub { .. } => (groups, groups),
-            };
+            let muls = if matches!(op, SweepOp::Add | SweepOp::Sub) { 0 } else { groups };
+            let adds = if op == SweepOp::Mul { 0 } else { groups };
             tel::MUL_PACKED.add(muls);
             tel::ADD_PACKED.add(adds);
             tel::DISPATCH_AVX2.add(muls + adds);
             // SAFETY: clamp() guarantees the detected CPU has AVX2 and FMA.
-            unsafe { x86::f64i_sweep_4_avx2(op, bank, n, dst, a, b, acc) };
+            unsafe { x86::f64i_sweep_4_avx2(op, bank, n, dst, src) };
             true
         }
         _ => false,
@@ -790,44 +764,6 @@ mod x86 {
         g.ok = _mm256_and_pd(g.ok, big);
         let hi = bump_up_256(p, _mm256_cmp_pd::<_CMP_GT_OQ>(e, zero));
         (hi, bump_up_256(neg_256(p), _mm256_cmp_pd::<_CMP_LT_OQ>(e, zero)))
-    }
-
-    /// Packed `add_ru`: TwoSum + directed bump on all four lanes; lanes
-    /// whose sum or residual leaves the finite range are recomputed with
-    /// the scalar kernel (which handles overflow and invalid operations).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn add_ru_4_avx2(a: &[f64; 4], b: &[f64; 4]) -> [f64; 4] {
-        let mut g = Guard::new();
-        let r = add_ru_256(_mm256_loadu_pd(a.as_ptr()), _mm256_loadu_pd(b.as_ptr()), &mut g);
-        let ok = g.mask();
-        let mut out = [0.0; 4];
-        _mm256_storeu_pd(out.as_mut_ptr(), r);
-        if ok != ALL4 {
-            note_patched(&super::tel::ADD_PATCHED, ok);
-            patch(ok, &mut out, |i| crate::add_ru(a[i], b[i]));
-        }
-        out
-    }
-
-    /// Packed `mul_ru_both`: product + FMA residual + two directed bumps;
-    /// lanes outside the residual-exactness range fall back to the scalar
-    /// kernel.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn mul_ru_both_4_avx2(a: &[f64; 4], b: &[f64; 4]) -> ([f64; 4], [f64; 4]) {
-        let va = _mm256_loadu_pd(a.as_ptr());
-        let vb = _mm256_loadu_pd(b.as_ptr());
-        let mut g = Guard::new();
-        let (hi, lo) = mul_ru_both_256(va, vb, &mut g);
-        let ok = g.mask();
-        let mut out_hi = [0.0; 4];
-        let mut out_lo = [0.0; 4];
-        _mm256_storeu_pd(out_hi.as_mut_ptr(), hi);
-        _mm256_storeu_pd(out_lo.as_mut_ptr(), lo);
-        if ok != ALL4 {
-            note_patched(&super::tel::MUL_PATCHED, ok);
-            patch_pair(ok, &mut out_hi, &mut out_lo, |i| crate::mul_ru_both(a[i], b[i]));
-        }
-        (out_hi, out_lo)
     }
 
     /// Packed `mul_ru_both(a, a)`: the multiply hot path with both
@@ -1237,8 +1173,7 @@ mod x86 {
 
     // ------------------------------------------------------------------
     // AVX2 + FMA f64 intervals: `F64I::add` and `F64I::mul` with the
-    // whole op in registers. The one-group kernels and the bank sweep
-    // share these bodies.
+    // whole op in registers, run by the bank sweep.
     // ------------------------------------------------------------------
 
     /// Four f64 intervals in registers: the negated-lower and the upper
@@ -1441,30 +1376,6 @@ mod x86 {
         }
     }
 
-    /// Packed `F64I::add`.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn f64i_add_4_avx2(a: &F64iCols4, b: &F64iCols4) -> F64iCols4 {
-        let mut out = F64iCols4::default();
-        store_iv(f64i_add_iv(load_iv(a), load_iv(b)), &mut out);
-        out
-    }
-
-    /// Packed `F64I::mul`.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn f64i_mul_4_avx2(a: &F64iCols4, b: &F64iCols4) -> F64iCols4 {
-        let mut out = F64iCols4::default();
-        store_iv(f64i_mul_iv(load_iv(a), load_iv(b)), &mut out);
-        out
-    }
-
     /// Loads group `i` of a bank.
     #[target_feature(enable = "avx2")]
     #[inline]
@@ -1492,9 +1403,7 @@ mod x86 {
         bank: &mut [C],
         n: usize,
         dst: usize,
-        a: usize,
-        b: usize,
-        acc: usize,
+        [a, b, acc]: [usize; 3],
     ) {
         match op {
             SweepOp::Add => {
@@ -1515,18 +1424,19 @@ mod x86 {
                     st(bank, dst + g, r);
                 }
             }
-            SweepOp::MulAdd { .. } => {
+            SweepOp::MulAdd => {
                 for g in 0..n {
                     let (x, y, z) = (ld(bank, a + g), ld(bank, b + g), ld(bank, acc + g));
                     st(bank, dst + g, f64i_add_iv(z, f64i_mul_iv(x, y)));
                 }
             }
-            SweepOp::MulSub { .. } => {
+            SweepOp::MulSub => {
                 for g in 0..n {
                     let (x, y, z) = (ld(bank, a + g), ld(bank, b + g), ld(bank, acc + g));
                     st(bank, dst + g, f64i_add_iv(z, f64i_mul_iv(x, y).swap()));
                 }
             }
+            _ => unreachable!("f64i_sweep_4 dispatches only add, sub, mul and the fused forms"),
         }
     }
 
@@ -1620,8 +1530,6 @@ mod tests {
                 a[..c.len()].copy_from_slice(c);
                 for &y in &g {
                     let b = [y; 4];
-                    let s = add_ru_4(bk, &a, &b);
-                    let (mh, ml) = mul_ru_both_4(bk, &a, &b);
                     let (dh, dl) = div_ru_both_4(bk, &a, &b);
                     let mx = max_nan_4(bk, &a, &b);
                     let sru = sqrt_ru_4(bk, &a);
@@ -1630,10 +1538,6 @@ mod tests {
                     let (an, ah) = abs_4(bk, &a, &b);
                     for i in 0..4 {
                         let ctx = format!("{bk} a={} b={y}", a[i]);
-                        assert_lane_bits(s[i], crate::add_ru(a[i], y), &format!("add {ctx}"));
-                        let (wh, wl) = crate::mul_ru_both(a[i], y);
-                        assert_lane_bits(mh[i], wh, &format!("mul hi {ctx}"));
-                        assert_lane_bits(ml[i], wl, &format!("mul lo {ctx}"));
                         let (qh, ql) = crate::div_ru_both(a[i], y);
                         assert_lane_bits(dh[i], qh, &format!("div hi {ctx}"));
                         assert_lane_bits(dl[i], ql, &format!("div lo {ctx}"));

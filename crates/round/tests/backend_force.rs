@@ -53,15 +53,15 @@ fn forced_portable_routes_dispatch_to_portable() {
     let eff = simd::force_backend(Some(Backend::Portable));
     let (portable_0, avx_0) =
         (counter("simd.dispatch.portable"), counter("simd.dispatch.avx2_fma"));
-    let packed_0 = counter("simd.mul.packed_calls");
+    let packed_0 = counter("simd.div.packed_calls");
     let pairs = [
         ([1e-280, 1.0 / 3.0, -1e-280, 1.0], [7.0, 1e-280, -3.0, 1e-300]),
         ([f64::NAN, f64::INFINITY, -1.0, 0.0], [1.0, f64::NEG_INFINITY, f64::MAX, -0.0]),
     ];
     for (a, b) in &pairs {
-        let (hi, lo) = simd::mul_ru_both_4(eff, a, b);
+        let (hi, lo) = simd::div_ru_both_4(eff, a, b);
         for i in 0..4 {
-            let (wh, wl) = igen_round::mul_ru_both(a[i], b[i]);
+            let (wh, wl) = igen_round::div_ru_both(a[i], b[i]);
             assert_eq!((hi[i].to_bits(), lo[i].to_bits()), (wh.to_bits(), wl.to_bits()));
         }
     }
@@ -76,5 +76,5 @@ fn forced_portable_routes_dispatch_to_portable() {
         avx_0,
         "a forced portable run must never touch the AVX2 path"
     );
-    assert_eq!(counter("simd.mul.packed_calls") - packed_0, calls);
+    assert_eq!(counter("simd.div.packed_calls") - packed_0, calls);
 }

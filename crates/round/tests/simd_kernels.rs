@@ -4,7 +4,8 @@
 //! in each lane, exactly the bits of the corresponding scalar kernel —
 //! on every backend the host supports, for random full-range operands
 //! (the generator emits NaNs, infinities, subnormals and signed zeros)
-//! and for an exhaustive special-value grid.
+//! and for an exhaustive special-value grid. The f64 interval bodies are
+//! reached through their one entry, `f64i_sweep_4`.
 
 use igen_round as r;
 use igen_round::simd::{self, Backend, F64iCols4, SweepOp};
@@ -28,10 +29,12 @@ fn assert_lane(tag: &str, bk: Backend, i: usize, got: f64, want: f64) -> Result<
     Ok(())
 }
 
+/// The ops `f64i_sweep_4` has bodies for.
+const SWEPT: [SweepOp; 5] =
+    [SweepOp::Add, SweepOp::Sub, SweepOp::Mul, SweepOp::MulAdd, SweepOp::MulSub];
+
 fn check_all_kernels(a: [f64; 4], b: [f64; 4]) -> Result<(), TestCaseError> {
     for bk in backends() {
-        let s = simd::add_ru_4(bk, &a, &b);
-        let (mh, ml) = simd::mul_ru_both_4(bk, &a, &b);
         let (dh, dl) = simd::div_ru_both_4(bk, &a, &b);
         let mx = simd::max_nan_4(bk, &a, &b);
         // Unary kernels over `a` (random lanes include negative
@@ -44,14 +47,7 @@ fn check_all_kernels(a: [f64; 4], b: [f64; 4]) -> Result<(), TestCaseError> {
         // must match the scalar column reference even on endpoint pairs
         // no valid interval would produce.
         let (an, ah) = simd::abs_4(bk, &a, &b);
-        let (ia, ib) = (F64iCols4 { neg_lo: a, hi: b }, F64iCols4 { neg_lo: b, hi: a });
-        let iadd = simd::f64i_add_4(bk, &ia, &ib);
-        let imul = simd::f64i_mul_4(bk, &ia, &ib);
         for i in 0..4 {
-            assert_lane("add_ru_4", bk, i, s[i], r::add_ru(a[i], b[i]))?;
-            let (wh, wl) = r::mul_ru_both(a[i], b[i]);
-            assert_lane("mul_ru_both_4.hi", bk, i, mh[i], wh)?;
-            assert_lane("mul_ru_both_4.lo", bk, i, ml[i], wl)?;
             let (qh, ql) = r::div_ru_both(a[i], b[i]);
             assert_lane("div_ru_both_4.hi", bk, i, dh[i], qh)?;
             assert_lane("div_ru_both_4.lo", bk, i, dl[i], ql)?;
@@ -64,12 +60,21 @@ fn check_all_kernels(a: [f64; 4], b: [f64; 4]) -> Result<(), TestCaseError> {
             let (wn, wh) = simd::abs_cols(a[i], b[i]);
             assert_lane("abs_4.neg_lo", bk, i, an[i], wn)?;
             assert_lane("abs_4.hi", bk, i, ah[i], wh)?;
-            let (wn, wh) = simd::add_cols(a[i], b[i], b[i], a[i]);
-            assert_lane("f64i_add_4.neg_lo", bk, i, iadd.neg_lo[i], wn)?;
-            assert_lane("f64i_add_4.hi", bk, i, iadd.hi[i], wh)?;
-            let (wn, wh) = simd::mul_cols(a[i], b[i], b[i], a[i]);
-            assert_lane("f64i_mul_4.neg_lo", bk, i, imul.neg_lo[i], wn)?;
-            assert_lane("f64i_mul_4.hi", bk, i, imul.hi[i], wh)?;
+        }
+        // The interval bodies on one group: `a` and `b` as raw
+        // `(neg_lo, hi)` columns, crossed for the second operand, and
+        // the first operand again as the accumulator.
+        let (ia, ib) = (F64iCols4 { neg_lo: a, hi: b }, F64iCols4 { neg_lo: b, hi: a });
+        for op in SWEPT {
+            let mut bank = [ia, ib, ia, F64iCols4::default()];
+            if !simd::f64i_sweep_4(bk, op, &mut bank, 1, 3, [0, 1, 2]) {
+                continue;
+            }
+            for i in 0..4 {
+                let want = sweep_lane(op, (a[i], b[i]), (b[i], a[i]), (a[i], b[i]));
+                assert_lane(&format!("{op:?}.neg_lo"), bk, i, bank[3].neg_lo[i], want.0)?;
+                assert_lane(&format!("{op:?}.hi"), bk, i, bank[3].hi[i], want.1)?;
+            }
         }
     }
     Ok(())
@@ -225,8 +230,9 @@ fn sweep_lane(op: SweepOp, x: (f64, f64), y: (f64, f64), z: (f64, f64)) -> (f64,
         SweepOp::Add => add(x, y),
         SweepOp::Sub => add(x, swap(y)),
         SweepOp::Mul => mul(x, y),
-        SweepOp::MulAdd { .. } => add(z, mul(x, y)),
-        SweepOp::MulSub { .. } => add(z, swap(mul(x, y))),
+        SweepOp::MulAdd => add(z, mul(x, y)),
+        SweepOp::MulSub => add(z, swap(mul(x, y))),
+        _ => unreachable!("{op:?} has no sweep body"),
     }
 }
 
@@ -237,16 +243,21 @@ fn lane_of(c: &F64iCols4, l: usize) -> (f64, f64) {
 /// Runs one sweep over a 4-register, 8-group bank and checks every
 /// group of every register bit for bit: the `n` written groups against
 /// [`sweep_lane`] on the bank as it was before the sweep, everything
-/// else untouched. `regs` is `[dst, a, b, acc]`.
-fn check_sweep(bank: &[F64iCols4], op_of: fn(usize) -> SweepOp, regs: [usize; 4], n: usize) {
+/// else untouched. An op without a sweep body, or a host without the
+/// kernel, must leave the whole bank as it was. `regs` is
+/// `[dst, a, b, acc]`.
+fn check_sweep(bank: &[F64iCols4], op: SweepOp, regs: [usize; 4], n: usize) {
     const TILE: usize = 8;
     let [dst, a, b, acc] = regs.map(|r| r * TILE);
-    let op = op_of(acc);
     let mut got = bank.to_vec();
-    let swept = simd::f64i_sweep_4(simd::detected_backend(), op, &mut got, n, dst, a, b);
-    assert_eq!(swept, simd::detected_backend() == Backend::Avx2Fma, "{op:?}");
+    let swept = simd::f64i_sweep_4(simd::detected_backend(), op, &mut got, n, dst, [a, b, acc]);
+    let has_body = SWEPT.contains(&op);
+    assert_eq!(swept, has_body && simd::detected_backend() == Backend::Avx2Fma, "{op:?}");
     if !swept {
-        assert!(got == bank, "a backend without the sweep kernel touched the bank");
+        let bits = |b: &[F64iCols4]| -> Vec<u64> {
+            b.iter().flat_map(|c| c.neg_lo.iter().chain(&c.hi).map(|x| x.to_bits())).collect()
+        };
+        assert!(bits(&got) == bits(bank), "{op:?}: a sweep without a kernel touched the bank");
         return;
     }
     for (k, cols) in got.iter().enumerate() {
@@ -267,21 +278,30 @@ fn check_sweep(bank: &[F64iCols4], op_of: fn(usize) -> SweepOp, regs: [usize; 4]
     }
 }
 
+/// A 4-register, 8-group bank whose lane `l` of group `g` of register
+/// `reg` is `lane(4 * g + l, reg)`.
+fn bank_from(lane: impl Fn(usize, usize) -> (f64, f64)) -> Vec<F64iCols4> {
+    (0..4 * 8)
+        .map(|slot| {
+            let (reg, g) = (slot / 8, slot % 8);
+            let mut c = F64iCols4::default();
+            for l in 0..4 {
+                (c.neg_lo[l], c.hi[l]) = lane(4 * g + l, reg);
+            }
+            c
+        })
+        .collect()
+}
+
 /// Every sweep op against the scalar composition, lane by lane, over
 /// every pair of awkward intervals (as `a`, `b`, with accumulators
 /// drawn from the same list), with distinct registers; then with the
 /// destination aliasing each source in turn and with `a == b`, at
-/// n = 0, 1, 3 and 8.
+/// n = 0, 1, 3 and 8. The ops without a sweep body must leave the bank
+/// alone.
 #[test]
 fn sweep_matches_scalar_ops_on_awkward_grid() {
     let ivs = awkward_intervals();
-    let ops: [fn(usize) -> SweepOp; 5] = [
-        |_| SweepOp::Add,
-        |_| SweepOp::Sub,
-        |_| SweepOp::Mul,
-        |acc| SweepOp::MulAdd { acc },
-        |acc| SweepOp::MulSub { acc },
-    ];
     // Lane pair k of the enumeration: a = ivs[k / len], b = ivs[k % len].
     let pairs = ivs.len() * ivs.len();
     let lane = |k: usize, reg: usize| match reg {
@@ -289,29 +309,52 @@ fn sweep_matches_scalar_ops_on_awkward_grid() {
         1 => ivs[k % ivs.len()],
         _ => ivs[(k * 7 + reg) % ivs.len()],
     };
-    let fill = |first: usize| -> Vec<F64iCols4> {
-        (0..4 * 8)
-            .map(|slot| {
-                let (reg, g) = (slot / 8, slot % 8);
-                let mut c = F64iCols4::default();
-                for l in 0..4 {
-                    (c.neg_lo[l], c.hi[l]) = lane(first + 4 * g + l, reg);
-                }
-                c
-            })
-            .collect()
-    };
     // [dst, a, b, acc]: dst aliasing b, acc and a in turn; a == b; one
     // register for everything.
     let aliased = [[1, 0, 1, 2], [2, 0, 1, 2], [0, 0, 1, 2], [3, 0, 0, 2], [0, 0, 0, 0]];
+    for op in SweepOp::ALL.into_iter().filter(|op| !SWEPT.contains(op)) {
+        check_sweep(&bank_from(lane), op, [3, 0, 1, 2], 8);
+    }
     for (round, first) in (0..pairs).step_by(32).enumerate() {
-        let bank = fill(first);
-        for op_of in ops {
-            check_sweep(&bank, op_of, [3, 0, 1, 2], 8);
+        let bank = bank_from(|k, reg| lane(first + k, reg));
+        for op in SWEPT {
+            check_sweep(&bank, op, [3, 0, 1, 2], 8);
             if round % 16 == 0 {
                 for regs in aliased {
                     for n in [0, 1, 3, 8] {
-                        check_sweep(&bank, op_of, regs, n);
+                        check_sweep(&bank, op, regs, n);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Groups with exactly one, two and four NaN lanes, in every lane
+/// position and in each source register in turn, the other lanes
+/// awkward finite intervals: a diverged item's NaN lane shares its
+/// group with live ones.
+#[test]
+fn sweep_matches_scalar_ops_on_nan_lane_groups() {
+    let finite: Vec<(f64, f64)> =
+        awkward_intervals().into_iter().filter(|(x, y)| !x.is_nan() && !y.is_nan()).collect();
+    let nans = [(f64::NAN, f64::NAN), (f64::NAN, 2.0), (-0.5, f64::NAN)];
+    for nan_lanes in [1usize, 2, 4] {
+        for pattern in 0..4 {
+            // Lane l of every group is NaN when it falls in the
+            // pattern's run of `nan_lanes` lanes starting at `pattern`.
+            let is_nan = |l: usize| (l + 4 - pattern) % 4 < nan_lanes;
+            for nan_reg in 0..3 {
+                for (round, first) in (0..finite.len()).step_by(7).enumerate() {
+                    let bank = bank_from(|k, reg| {
+                        if reg == nan_reg && is_nan(k % 4) {
+                            nans[(k + round) % nans.len()]
+                        } else {
+                            finite[(first + 5 * k + 3 * reg) % finite.len()]
+                        }
+                    });
+                    for op in SWEPT {
+                        check_sweep(&bank, op, [3, 0, 1, 2], 8);
                     }
                 }
             }
@@ -323,7 +366,7 @@ fn sweep_matches_scalar_ops_on_awkward_grid() {
 #[should_panic(expected = "runs past a bank")]
 fn sweep_rejects_a_range_past_the_bank() {
     let mut bank = [F64iCols4::default(); 4];
-    simd::f64i_sweep_4(Backend::Avx2Fma, SweepOp::MulAdd { acc: 4 }, &mut bank, 1, 0, 1, 2);
+    simd::f64i_sweep_4(Backend::Avx2Fma, SweepOp::MulAdd, &mut bank, 1, 0, [1, 2, 4]);
 }
 
 /// The backend ladder is well-formed on this host: detection is stable

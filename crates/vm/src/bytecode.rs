@@ -10,6 +10,14 @@
 //! lives in the pool as four binary64 components — enough to hold a
 //! double-double interval exactly, with the low components zero for
 //! `f64` programs.
+//!
+//! One table maps an instruction to what it does: its destination and
+//! its `Action`, a pool constant or a [`SweepOp`] over its sources.
+//! `Insn::decode` returns that pair, for the peephole pass, validation
+//! and the listing; the executor expands the same table in place
+//! (`decoded!`), so each instruction kind runs its op from its own arm.
+
+use igen_interval::SweepOp;
 
 /// Target endpoint precision of a program. The bytecode deliberately
 /// has no `f32` variant: the lowering pass rejects `f32i` functions.
@@ -200,45 +208,147 @@ pub enum Insn {
     },
 }
 
+/// What one instruction writes to its destination: a pool constant, or
+/// an arithmetic op over its sources.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Action {
+    /// Pool constant `idx`.
+    Const(u32),
+    /// `op` over the sources `[a, b, acc]`; an entry the op does not
+    /// read repeats `a`.
+    Op(SweepOp, [u32; 3]),
+}
+
+impl Action {
+    /// The source registers the action reads, in operand order.
+    pub(crate) fn srcs(&self) -> &[u32] {
+        match self {
+            Action::Const(_) => &[],
+            Action::Op(op, src) => &src[..op.arity()],
+        }
+    }
+
+    /// The same action with every source register renamed by `f`.
+    pub(crate) fn map_srcs(self, f: impl FnMut(u32) -> u32) -> Action {
+        match self {
+            Action::Const(_) => self,
+            Action::Op(op, src) => Action::Op(op, src.map(f)),
+        }
+    }
+}
+
+/// The one table from instructions to what they do: evaluates `$body`
+/// in the arm of each instruction kind, with `$dst` bound to the
+/// destination register and `$action` to the [`Action`]. A `$body` that
+/// matches on the action sees a constant op in each arm, so the
+/// executor dispatches with one match per instruction.
+macro_rules! decoded {
+    ($insn:expr, |$dst:ident, $action:ident| $body:expr) => {{
+        use igen_interval::SweepOp as Op;
+        use $crate::bytecode::{Action::Op as A, Insn};
+        match *$insn {
+            Insn::Const { dst: $dst, idx } => {
+                let $action = $crate::bytecode::Action::Const(idx);
+                $body
+            }
+            Insn::Add { dst: $dst, a, b } => {
+                let $action = A(Op::Add, [a, b, a]);
+                $body
+            }
+            Insn::Sub { dst: $dst, a, b } => {
+                let $action = A(Op::Sub, [a, b, a]);
+                $body
+            }
+            Insn::Mul { dst: $dst, a, b } => {
+                let $action = A(Op::Mul, [a, b, a]);
+                $body
+            }
+            Insn::Div { dst: $dst, a, b } => {
+                let $action = A(Op::Div, [a, b, a]);
+                $body
+            }
+            Insn::Min { dst: $dst, a, b } => {
+                let $action = A(Op::Min, [a, b, a]);
+                $body
+            }
+            Insn::Max { dst: $dst, a, b } => {
+                let $action = A(Op::Max, [a, b, a]);
+                $body
+            }
+            Insn::Neg { dst: $dst, a } => {
+                let $action = A(Op::Neg, [a; 3]);
+                $body
+            }
+            Insn::Sqrt { dst: $dst, a } => {
+                let $action = A(Op::Sqrt, [a; 3]);
+                $body
+            }
+            Insn::Abs { dst: $dst, a } => {
+                let $action = A(Op::Abs, [a; 3]);
+                $body
+            }
+            Insn::Sqr { dst: $dst, a } => {
+                let $action = A(Op::Sqr, [a; 3]);
+                $body
+            }
+            Insn::Pow { dst: $dst, a, n } => {
+                let $action = A(Op::Pow(n), [a; 3]);
+                $body
+            }
+            Insn::MulAdd { dst: $dst, a, b, acc } => {
+                let $action = A(Op::MulAdd, [a, b, acc]);
+                $body
+            }
+            Insn::MulSub { dst: $dst, a, b, acc } => {
+                let $action = A(Op::MulSub, [a, b, acc]);
+                $body
+            }
+        }
+    }};
+}
+pub(crate) use decoded;
+
 impl Insn {
+    /// The instruction's destination register and [`Action`].
+    pub(crate) fn decode(&self) -> (u32, Action) {
+        decoded!(self, |dst, action| (dst, action))
+    }
+
+    /// The instruction that writes `action` to `dst`: the inverse of
+    /// [`Insn::decode`].
+    pub(crate) fn encode(dst: u32, action: Action) -> Insn {
+        let (op, [a, b, acc]) = match action {
+            Action::Const(idx) => return Insn::Const { dst, idx },
+            Action::Op(op, src) => (op, src),
+        };
+        match op {
+            SweepOp::Add => Insn::Add { dst, a, b },
+            SweepOp::Sub => Insn::Sub { dst, a, b },
+            SweepOp::Mul => Insn::Mul { dst, a, b },
+            SweepOp::Div => Insn::Div { dst, a, b },
+            SweepOp::Min => Insn::Min { dst, a, b },
+            SweepOp::Max => Insn::Max { dst, a, b },
+            SweepOp::Neg => Insn::Neg { dst, a },
+            SweepOp::Sqrt => Insn::Sqrt { dst, a },
+            SweepOp::Abs => Insn::Abs { dst, a },
+            SweepOp::Sqr => Insn::Sqr { dst, a },
+            SweepOp::Pow(n) => Insn::Pow { dst, a, n },
+            SweepOp::MulAdd => Insn::MulAdd { dst, a, b, acc },
+            SweepOp::MulSub => Insn::MulSub { dst, a, b, acc },
+        }
+    }
+
     /// The instruction's lower-case mnemonic (matches [`Program::dump`]).
     pub fn op_name(&self) -> &'static str {
-        match self {
-            Insn::Const { .. } => "const",
-            Insn::Add { .. } => "add",
-            Insn::Sub { .. } => "sub",
-            Insn::Mul { .. } => "mul",
-            Insn::Div { .. } => "div",
-            Insn::Min { .. } => "min",
-            Insn::Max { .. } => "max",
-            Insn::Neg { .. } => "neg",
-            Insn::Sqrt { .. } => "sqrt",
-            Insn::Abs { .. } => "abs",
-            Insn::Sqr { .. } => "sqr",
-            Insn::Pow { .. } => "pow",
-            Insn::MulAdd { .. } => "muladd",
-            Insn::MulSub { .. } => "mulsub",
+        match self.decode().1 {
+            Action::Const(_) => "const",
+            Action::Op(op, _) => op.name(),
         }
     }
 
     /// The destination register.
     pub fn dst(&self) -> u32 {
-        match *self {
-            Insn::Const { dst, .. }
-            | Insn::Add { dst, .. }
-            | Insn::Sub { dst, .. }
-            | Insn::Mul { dst, .. }
-            | Insn::Div { dst, .. }
-            | Insn::Min { dst, .. }
-            | Insn::Max { dst, .. }
-            | Insn::Neg { dst, .. }
-            | Insn::Sqrt { dst, .. }
-            | Insn::Abs { dst, .. }
-            | Insn::Sqr { dst, .. }
-            | Insn::Pow { dst, .. }
-            | Insn::MulAdd { dst, .. }
-            | Insn::MulSub { dst, .. } => dst,
-        }
+        self.decode().0
     }
 }
 
@@ -353,25 +463,16 @@ impl Program {
             let _ = writeln!(s, "  in r{i} = {label}");
         }
         for insn in &self.insns {
-            let line = match *insn {
-                Insn::Const { dst, idx } => format!("r{dst} = const c{idx}"),
-                Insn::Add { dst, a, b } => format!("r{dst} = add r{a}, r{b}"),
-                Insn::Sub { dst, a, b } => format!("r{dst} = sub r{a}, r{b}"),
-                Insn::Mul { dst, a, b } => format!("r{dst} = mul r{a}, r{b}"),
-                Insn::Div { dst, a, b } => format!("r{dst} = div r{a}, r{b}"),
-                Insn::Min { dst, a, b } => format!("r{dst} = min r{a}, r{b}"),
-                Insn::Max { dst, a, b } => format!("r{dst} = max r{a}, r{b}"),
-                Insn::Neg { dst, a } => format!("r{dst} = neg r{a}"),
-                Insn::Sqrt { dst, a } => format!("r{dst} = sqrt r{a}"),
-                Insn::Abs { dst, a } => format!("r{dst} = abs r{a}"),
-                Insn::Sqr { dst, a } => format!("r{dst} = sqr r{a}"),
-                Insn::Pow { dst, a, n } => format!("r{dst} = pow r{a}, {n}"),
-                Insn::MulAdd { dst, a, b, acc } => {
-                    format!("r{dst} = muladd r{acc}, r{a}, r{b}")
+            let line = match insn.decode() {
+                (dst, Action::Const(idx)) => format!("r{dst} = const c{idx}"),
+                (dst, Action::Op(SweepOp::Pow(n), [a, ..])) => format!("r{dst} = pow r{a}, {n}"),
+                (dst, Action::Op(op @ (SweepOp::MulAdd | SweepOp::MulSub), [a, b, acc])) => {
+                    format!("r{dst} = {} r{acc}, r{a}, r{b}", op.name())
                 }
-                Insn::MulSub { dst, a, b, acc } => {
-                    format!("r{dst} = mulsub r{acc}, r{a}, r{b}")
+                (dst, Action::Op(op, [a, b, _])) if op.arity() == 2 => {
+                    format!("r{dst} = {} r{a}, r{b}", op.name())
                 }
+                (dst, Action::Op(op, [a, ..])) => format!("r{dst} = {} r{a}", op.name()),
             };
             let _ = writeln!(s, "  {line}");
         }
@@ -427,33 +528,16 @@ impl Program {
             }
         };
         for insn in &self.insns {
-            match *insn {
-                Insn::Const { idx, .. } => {
-                    if idx as usize >= self.consts.len() {
-                        return Err(format!("constant c{idx} out of range"));
-                    }
-                }
-                Insn::Add { a, b, .. }
-                | Insn::Sub { a, b, .. }
-                | Insn::Mul { a, b, .. }
-                | Insn::Div { a, b, .. }
-                | Insn::Min { a, b, .. }
-                | Insn::Max { a, b, .. } => {
-                    read_ok(&written, a)?;
-                    read_ok(&written, b)?;
-                }
-                Insn::Neg { a, .. }
-                | Insn::Sqrt { a, .. }
-                | Insn::Abs { a, .. }
-                | Insn::Sqr { a, .. }
-                | Insn::Pow { a, .. } => read_ok(&written, a)?,
-                Insn::MulAdd { a, b, acc, .. } | Insn::MulSub { a, b, acc, .. } => {
-                    read_ok(&written, a)?;
-                    read_ok(&written, b)?;
-                    read_ok(&written, acc)?;
+            let (dst, action) = insn.decode();
+            if let Action::Const(idx) = action {
+                if idx as usize >= self.consts.len() {
+                    return Err(format!("constant c{idx} out of range"));
                 }
             }
-            let dst = insn.dst() as usize;
+            for &r in action.srcs() {
+                read_ok(&written, r)?;
+            }
+            let dst = dst as usize;
             if dst >= n {
                 return Err(format!("destination r{dst} out of range (regs={n})"));
             }
@@ -487,6 +571,32 @@ mod tests {
             inputs: vec!["a".into(), "b".into()],
             outputs: vec![OutputSlot { label: "return".into(), reg: 3 }],
             debug: DebugMap::default(),
+        }
+    }
+
+    #[test]
+    fn encode_inverts_decode_and_srcs_are_the_operands() {
+        let (dst, a, b, acc) = (9, 1, 2, 3);
+        let kinds = [
+            (Insn::Const { dst, idx: 4 }, vec![]),
+            (Insn::Add { dst, a, b }, vec![a, b]),
+            (Insn::Sub { dst, a, b }, vec![a, b]),
+            (Insn::Mul { dst, a, b }, vec![a, b]),
+            (Insn::Div { dst, a, b }, vec![a, b]),
+            (Insn::Min { dst, a, b }, vec![a, b]),
+            (Insn::Max { dst, a, b }, vec![a, b]),
+            (Insn::Neg { dst, a }, vec![a]),
+            (Insn::Sqrt { dst, a }, vec![a]),
+            (Insn::Abs { dst, a }, vec![a]),
+            (Insn::Sqr { dst, a }, vec![a]),
+            (Insn::Pow { dst, a, n: -3 }, vec![a]),
+            (Insn::MulAdd { dst, a, b, acc }, vec![a, b, acc]),
+            (Insn::MulSub { dst, a, b, acc }, vec![a, b, acc]),
+        ];
+        for (insn, srcs) in kinds {
+            let (d, action) = insn.decode();
+            assert_eq!((d, action.srcs()), (dst, &srcs[..]), "{insn:?}");
+            assert_eq!(Insn::encode(d, action), insn);
         }
     }
 

@@ -4,14 +4,15 @@
 //!
 //! There is one instruction loop, in [`crate::prepared`]; `run_scalar`
 //! is its instantiation at tile 1 and lane width 1, over the scalar
-//! element's own [`LaneOps`] impl. Because every packed operation is
+//! element's own [`LaneOps`] impl, whose `apply` is one match over the
+//! scalar interval operators. Because every packed operation is
 //! lane-wise bit-identical to its scalar counterpart (the contract
 //! pinned in `igen-interval`), every instantiation produces the same
 //! endpoints item for item — the same argument that makes the
 //! hand-written batch kernels thread-count invariant extends to every
 //! compiled program.
 
-use crate::bytecode::{Insn, PoolConst, Precision, Program};
+use crate::bytecode::{PoolConst, Precision, Program};
 use igen_dd::Dd;
 use igen_interval::{DdI, DdIx4, DdiCols4, F64Ix4, LaneOps, F64I};
 use igen_telemetry::{Counter, WidthHist};
@@ -25,8 +26,7 @@ pub static VM_INSNS_EXECUTED: Counter = Counter::new("vm.insns_executed");
 
 /// An interval element the bytecode executor can run over: a one-lane
 /// [`LaneOps`] type (what [`run_scalar`] runs) that names its packed
-/// lane type, plus constant-pool decoding, the clamped integer power
-/// the `ia_pow_*` builtins implement, and the element's f64 words.
+/// lane type, plus constant-pool decoding and the element's f64 words.
 ///
 /// The words are the element's representation verbatim, in one fixed
 /// order: the words of the *negated* lower endpoint, then those of the
@@ -48,9 +48,6 @@ pub trait VmElem: LaneOps<Elem = Self> + 'static {
     /// Decodes a pooled constant (exact: the pool stores full
     /// double-double components).
     fn from_const(c: &PoolConst) -> Self;
-
-    /// Integer power, matching `ia_pow_f64`/`ia_pow_dd` bit for bit.
-    fn powi_e(self, n: i32) -> Self;
 
     /// Tightest enclosing f64 endpoint pair (for width telemetry and
     /// mismatch reports).
@@ -93,9 +90,6 @@ impl VmElem for F64I {
         // ordered pair.
         F64I::new(c.lo_hi, c.hi_hi).expect("pool constant is ordered")
     }
-    fn powi_e(self, n: i32) -> F64I {
-        self.powi(n)
-    }
     fn endpoints_f64(&self) -> (f64, f64) {
         (self.lo(), self.hi())
     }
@@ -122,9 +116,6 @@ impl VmElem for DdI {
         // Same as `ia_set_ddx(lo_hi, lo_lo, hi_hi, hi_lo)`.
         DdI::new(Dd::new(c.lo_hi, c.lo_lo), Dd::new(c.hi_hi, c.hi_lo))
             .expect("pool constant is ordered")
-    }
-    fn powi_e(self, n: i32) -> DdI {
-        self.powi(n)
     }
     fn endpoints_f64(&self) -> (f64, f64) {
         let f = self.to_f64i();
@@ -172,13 +163,13 @@ pub fn run_scalar<T: VmElem>(p: &Program, inputs: &[T]) -> Vec<T> {
     p.outputs.iter().map(|o| regs[o.reg as usize]).collect()
 }
 
-/// Largest relative input width of `insn`'s source registers, or `0.0`
-/// for a zero-operand instruction (a `Const` is a width *source*: any
-/// width at its output is width introduced, not amplified).
-pub(crate) fn max_src_rel(insn: &Insn, at: impl Fn(u32) -> (f64, f64)) -> f64 {
+/// Largest relative input width of the source registers `srcs`, or
+/// `0.0` for none (a `Const` is a width *source*: any width at its
+/// output is width introduced, not amplified).
+pub(crate) fn max_src_rel(srcs: &[u32], at: impl Fn(u32) -> (f64, f64)) -> f64 {
     use igen_telemetry::profile::rel_width;
     let mut max_in = 0.0f64;
-    for r in crate::peephole::srcs(insn) {
+    for &r in srcs {
         let (lo, hi) = at(r);
         let w = rel_width(lo, hi);
         // NaN operands poison the max (NaN.max keeps the other side,
@@ -239,7 +230,7 @@ mod tests {
         // Names interned before the cap keep their own histogram.
         assert!(!std::ptr::eq(program_width_hist("cap-test-0"), &OTHER_WIDTHS));
     }
-    use crate::bytecode::OutputSlot;
+    use crate::bytecode::{Insn, OutputSlot};
 
     fn quad() -> Program {
         // return -b + sqrt(b² - 4ac) with a=r0, b=r1, c=r2.

@@ -79,7 +79,7 @@
 //! The lattice is deliberately tiny: it exists to make the rewrite
 //! *provably* exact, not to maximize hit rate.
 
-use crate::bytecode::{DebugMap, Insn, PoolConst, Precision, Program, SrcLoc};
+use crate::bytecode::{Action, DebugMap, Insn, PoolConst, Precision, Program, SrcLoc};
 use igen_telemetry::Counter;
 
 /// Constant-pool entries merged plus redundant `Const` materializations
@@ -181,28 +181,12 @@ pub fn peephole(p: &Program) -> (Program, PeepholeStats) {
     let mut insns: Vec<Insn> = Vec::with_capacity(p.insns.len());
     let mut sites: Vec<SrcLoc> = Vec::with_capacity(p.insns.len());
     for (insn, site) in p.insns.iter().zip(&in_sites) {
-        let fwd = |r: u32, alias: &[u32]| alias[r as usize];
-        let mut rewritten = match *insn {
-            Insn::Const { dst, idx } => Insn::Const { dst, idx: pool_remap[idx as usize] },
-            Insn::Add { dst, a, b } => Insn::Add { dst, a: fwd(a, &alias), b: fwd(b, &alias) },
-            Insn::Sub { dst, a, b } => Insn::Sub { dst, a: fwd(a, &alias), b: fwd(b, &alias) },
-            Insn::Mul { dst, a, b } => Insn::Mul { dst, a: fwd(a, &alias), b: fwd(b, &alias) },
-            Insn::Div { dst, a, b } => Insn::Div { dst, a: fwd(a, &alias), b: fwd(b, &alias) },
-            Insn::Min { dst, a, b } => Insn::Min { dst, a: fwd(a, &alias), b: fwd(b, &alias) },
-            Insn::Max { dst, a, b } => Insn::Max { dst, a: fwd(a, &alias), b: fwd(b, &alias) },
-            Insn::Neg { dst, a } => Insn::Neg { dst, a: fwd(a, &alias) },
-            Insn::Sqrt { dst, a } => Insn::Sqrt { dst, a: fwd(a, &alias) },
-            Insn::Abs { dst, a } => Insn::Abs { dst, a: fwd(a, &alias) },
-            Insn::Sqr { dst, a } => Insn::Sqr { dst, a: fwd(a, &alias) },
-            Insn::Pow { dst, a, n } => Insn::Pow { dst, a: fwd(a, &alias), n },
-            // Never produced by lowering, but forwarded for closure
-            // (running the pass on its own output must be sound).
-            Insn::MulAdd { dst, a, b, acc } => {
-                Insn::MulAdd { dst, a: fwd(a, &alias), b: fwd(b, &alias), acc: fwd(acc, &alias) }
-            }
-            Insn::MulSub { dst, a, b, acc } => {
-                Insn::MulSub { dst, a: fwd(a, &alias), b: fwd(b, &alias), acc: fwd(acc, &alias) }
-            }
+        // Sources forward through `alias`. Lowering never emits the
+        // fused forms, but they are forwarded too, so the pass can run
+        // on its own output.
+        let mut rewritten = match insn.decode() {
+            (dst, Action::Const(idx)) => Insn::Const { dst, idx: pool_remap[idx as usize] },
+            (dst, action) => Insn::encode(dst, action.map_srcs(|r| alias[r as usize])),
         };
 
         // Redundant Const: forward to the first materialization.
@@ -283,7 +267,7 @@ pub fn peephole(p: &Program) -> (Program, PeepholeStats) {
             continue;
         }
         keep[i] = true;
-        for r in srcs(insn) {
+        for &r in insn.decode().1.srcs() {
             live[r as usize] = true;
         }
     }
@@ -302,7 +286,7 @@ pub fn peephole(p: &Program) -> (Program, PeepholeStats) {
     //    are unchanged — see the module docs.
     let mut uses = vec![0usize; n];
     for insn in &insns {
-        for r in srcs(insn) {
+        for &r in insn.decode().1.srcs() {
             uses[r as usize] += 1;
         }
     }
@@ -364,7 +348,7 @@ pub fn peephole(p: &Program) -> (Program, PeepholeStats) {
     // Last read of each (old) register over the body + outputs.
     let mut last_use = vec![0usize; n];
     for (i, insn) in body.iter().enumerate() {
-        for r in srcs(insn) {
+        for &r in insn.decode().1.srcs() {
             last_use[r as usize] = i + 1; // body positions are 1-based;
         }
     }
@@ -388,12 +372,10 @@ pub fn peephole(p: &Program) -> (Program, PeepholeStats) {
     let mut new_body: Vec<Insn> = Vec::with_capacity(body.len());
     for (i, insn) in body.iter().enumerate() {
         let pos = i + 1;
-        let mapped: Vec<u32> = srcs(insn)
-            .into_iter()
-            .map(|r| map[r as usize].expect("validated: read after write"))
-            .collect();
+        let (dst, action) = insn.decode();
+        let mapped = action.map_srcs(|r| map[r as usize].expect("validated: read after write"));
         // Release scratch slots whose old register dies at this read.
-        for r in srcs(insn) {
+        for &r in action.srcs() {
             if last_use[r as usize] == pos {
                 if let Some(slot) = map[r as usize] {
                     if slot >= scratch_base {
@@ -408,8 +390,8 @@ pub fn peephole(p: &Program) -> (Program, PeepholeStats) {
             high_water += 1;
             s
         });
-        map[insn.dst() as usize] = Some(dst_slot);
-        new_body.push(with_regs(insn, dst_slot, &mapped));
+        map[dst as usize] = Some(dst_slot);
+        new_body.push(Insn::encode(dst_slot, mapped));
     }
 
     let out = Program {
@@ -463,46 +445,6 @@ fn dedup_pool(pool: &[PoolConst]) -> (Vec<PoolConst>, Vec<u32>, usize) {
     }
     let merged = pool.len() - out.len();
     (out, remap, merged)
-}
-
-/// Source registers of an instruction, in operand order.
-pub(crate) fn srcs(insn: &Insn) -> Vec<u32> {
-    match *insn {
-        Insn::Const { .. } => vec![],
-        Insn::Add { a, b, .. }
-        | Insn::Sub { a, b, .. }
-        | Insn::Mul { a, b, .. }
-        | Insn::Div { a, b, .. }
-        | Insn::Min { a, b, .. }
-        | Insn::Max { a, b, .. } => vec![a, b],
-        Insn::Neg { a, .. }
-        | Insn::Sqrt { a, .. }
-        | Insn::Abs { a, .. }
-        | Insn::Sqr { a, .. }
-        | Insn::Pow { a, .. } => vec![a],
-        Insn::MulAdd { a, b, acc, .. } | Insn::MulSub { a, b, acc, .. } => vec![a, b, acc],
-    }
-}
-
-/// Rebuilds `insn` with a new destination and remapped sources (in the
-/// order [`srcs`] returned them).
-fn with_regs(insn: &Insn, dst: u32, s: &[u32]) -> Insn {
-    match *insn {
-        Insn::Const { idx, .. } => Insn::Const { dst, idx },
-        Insn::Add { .. } => Insn::Add { dst, a: s[0], b: s[1] },
-        Insn::Sub { .. } => Insn::Sub { dst, a: s[0], b: s[1] },
-        Insn::Mul { .. } => Insn::Mul { dst, a: s[0], b: s[1] },
-        Insn::Div { .. } => Insn::Div { dst, a: s[0], b: s[1] },
-        Insn::Min { .. } => Insn::Min { dst, a: s[0], b: s[1] },
-        Insn::Max { .. } => Insn::Max { dst, a: s[0], b: s[1] },
-        Insn::Neg { .. } => Insn::Neg { dst, a: s[0] },
-        Insn::Sqrt { .. } => Insn::Sqrt { dst, a: s[0] },
-        Insn::Abs { .. } => Insn::Abs { dst, a: s[0] },
-        Insn::Sqr { .. } => Insn::Sqr { dst, a: s[0] },
-        Insn::Pow { n, .. } => Insn::Pow { dst, a: s[0], n },
-        Insn::MulAdd { .. } => Insn::MulAdd { dst, a: s[0], b: s[1], acc: s[2] },
-        Insn::MulSub { .. } => Insn::MulSub { dst, a: s[0], b: s[1], acc: s[2] },
-    }
 }
 
 #[cfg(test)]

@@ -12,12 +12,14 @@
 //! loop at tile 1 and width 1 over the raw instruction list is
 //! [`run_scalar`](crate::exec::run_scalar).
 //!
-//! The five arithmetic instructions (`Add`, `Sub`, `Mul`, `MulAdd`,
-//! `MulSub`) hand their whole sweep to the lane type's
-//! [`LaneOps::sweep`] hook. For `F64Ix4` on AVX2+FMA that is one
-//! `igen_round::simd::f64i_sweep_4` call per instruction per tile, with
-//! each interval op kept in registers; `run_scalar`, `DdIx4` and the
-//! portable backend run the group-by-group default.
+//! Every arithmetic instruction hands its whole sweep to the lane
+//! type's one hook, [`LaneOps::sweep`], as the op, destination and
+//! sources the instruction decodes to; a `Const` fills its column. For
+//! `F64Ix4` on AVX2+FMA, `Add`, `Sub`, `Mul`, `MulAdd` and `MulSub` are
+//! one `igen_round::simd::f64i_sweep_4` call per instruction per tile,
+//! with each interval op kept in registers; every other instruction,
+//! and `run_scalar`, `DdIx4` and the portable backend, run the
+//! group-by-group default over `LaneOps::apply`.
 //!
 //! A tile runs whole groups only. When its item count is not a multiple
 //! of the lane width, the caller fills the lanes the last group lacks
@@ -43,9 +45,9 @@
 //! for any tile size. That keeps the batch determinism guarantee: tile
 //! size, like thread count, cannot change a single endpoint bit.
 
-use crate::bytecode::{Insn, Program};
+use crate::bytecode::{decoded, Action, Insn, Program};
 use crate::exec::{max_src_rel, VmElem, VM_INSNS_EXECUTED};
-use igen_interval::{LaneOps, SweepOp};
+use igen_interval::LaneOps;
 use igen_telemetry::profile::rel_width;
 use igen_telemetry::{Counter, UnitProfiler};
 use std::marker::PhantomData;
@@ -196,35 +198,6 @@ impl<T: VmElem, L: LaneOps<Elem = T>> TileBank<T, L> {
     }
 }
 
-#[inline(always)]
-fn sweep2<L: Copy>(
-    bank: &mut [L],
-    tile: usize,
-    n: usize,
-    dst: u32,
-    a: u32,
-    b: u32,
-    f: impl Fn(L, L) -> L,
-) {
-    let (di, ai, bi) = (dst as usize * tile, a as usize * tile, b as usize * tile);
-    // One bounds proof up front lets the inner loop run unchecked.
-    assert!(di + n <= bank.len() && ai + n <= bank.len() && bi + n <= bank.len());
-    for g in 0..n {
-        // Read-before-write per element, so dst == a or dst == b (the
-        // peephole reuses registers) is still exact.
-        bank[di + g] = f(bank[ai + g], bank[bi + g]);
-    }
-}
-
-#[inline(always)]
-fn sweep1<L: Copy>(bank: &mut [L], tile: usize, n: usize, dst: u32, a: u32, f: impl Fn(L) -> L) {
-    let (di, ai) = (dst as usize * tile, a as usize * tile);
-    assert!(di + n <= bank.len() && ai + n <= bank.len());
-    for g in 0..n {
-        bank[di + g] = f(bank[ai + g]);
-    }
-}
-
 /// The instruction loop: executes `body` over the first `items`
 /// elements (`items.div_ceil(L::LANES)` group columns) of a bank `tile`
 /// groups wide. `site(i)` is body instruction `i`'s index in
@@ -263,65 +236,43 @@ pub(crate) fn run_body<T: VmElem, L: LaneOps<Elem = T>>(
     for (bi, insn) in body.iter().enumerate() {
         let t0 = match prof.as_deref_mut() {
             Some(p) => {
+                let (_, action) = insn.decode();
                 let oi = site(bi);
                 let loc = prog.debug.site(oi);
                 p.set_meta(oi, loc.line, loc.col, insn.op_name());
                 // Source widths are read before the sweep: the peephole
                 // reuses registers, so dst may alias a source.
                 max_in.clear();
+                let srcs = action.srcs();
                 for k in 0..items {
                     let (g, l) = (k / L::LANES, k % L::LANES);
-                    max_in.push(max_src_rel(insn, |r| {
-                        bank[r as usize * tile + g].lane(l).endpoints_f64()
-                    }));
+                    max_in.push(max_src_rel(srcs, |r| bank[col(r) + g].lane(l).endpoints_f64()));
                 }
                 p.now_ns()
             }
             None => 0,
         };
-        match *insn {
+        // One match per instruction: the sweep runs in the decode's own
+        // arm, with a constant op.
+        decoded!(insn, |dst, action| match action {
             // Only non-hoistable constants reach a prepared body
             // (rewritten register or input-register destination); the
             // raw instruction list decodes every constant here.
-            Insn::Const { dst, idx } => {
+            Action::Const(idx) => {
                 let v = L::splat(T::from_const(&prog.consts[idx as usize]));
-                sweep1(bank, tile, n, dst, dst, |_| v);
+                bank[col(dst)..col(dst) + n].fill(v);
             }
-            Insn::Add { dst, a, b } => L::sweep(SweepOp::Add, bank, n, col(dst), col(a), col(b)),
-            Insn::Sub { dst, a, b } => L::sweep(SweepOp::Sub, bank, n, col(dst), col(a), col(b)),
-            Insn::Mul { dst, a, b } => L::sweep(SweepOp::Mul, bank, n, col(dst), col(a), col(b)),
-            Insn::Div { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x / y),
-            Insn::Min { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x.min(y)),
-            Insn::Max { dst, a, b } => sweep2(bank, tile, n, dst, a, b, |x, y| x.max(y)),
-            Insn::Neg { dst, a } => sweep1(bank, tile, n, dst, a, |x| -x),
-            Insn::Sqrt { dst, a } => sweep1(bank, tile, n, dst, a, |x| x.sqrt()),
-            Insn::Abs { dst, a } => sweep1(bank, tile, n, dst, a, |x| x.abs()),
-            Insn::Sqr { dst, a } => sweep1(bank, tile, n, dst, a, |x| x.sqr()),
-            Insn::Pow { dst, a, n: e } => {
-                // No packed powi kernel: lane-wise is bit-identical
-                // because the lanes are independent.
-                sweep1(bank, tile, n, dst, a, |x| L::from_lanes_fn(|i| x.lane(i).powi_e(e)))
-            }
-            // Dispatch-fused multiply-accumulate: the same two rounded
-            // interval ops as the Mul+Add/Sub pair it replaced, product
-            // on the right of the accumulate, so bit-identical; the
-            // product stays in a machine register instead of
-            // round-tripping a temp column through the bank.
-            Insn::MulAdd { dst, a, b, acc } => {
-                let op = SweepOp::MulAdd { acc: col(acc) };
-                L::sweep(op, bank, n, col(dst), col(a), col(b))
-            }
-            Insn::MulSub { dst, a, b, acc } => {
-                let op = SweepOp::MulSub { acc: col(acc) };
-                L::sweep(op, bank, n, col(dst), col(a), col(b))
-            }
-        }
+            // `MulAdd`/`MulSub` are dispatch-fused multiply-accumulates:
+            // the same two rounded interval ops as the Mul+Add/Sub pair
+            // they replaced, product on the right of the accumulate, so
+            // bit-identical; the product never round-trips the bank.
+            Action::Op(op, [a, b, c]) => L::sweep(op, bank, n, col(dst), [col(a), col(b), col(c)]),
+        });
         if let Some(p) = prof.as_deref_mut() {
-            let oi = site(bi);
+            let (oi, dst) = (site(bi), insn.dst());
             p.add_time(oi, p.now_ns().saturating_sub(t0));
-            let di = insn.dst() as usize * tile;
             for (k, &w) in max_in.iter().enumerate() {
-                let (lo, hi) = bank[di + k / L::LANES].lane(k % L::LANES).endpoints_f64();
+                let (lo, hi) = bank[col(dst) + k / L::LANES].lane(k % L::LANES).endpoints_f64();
                 p.add_sample(oi, w, rel_width(lo, hi));
             }
         }

@@ -276,7 +276,7 @@ fn a_swapped_opcode_is_reported_at_its_output() {
         };
         // x - y against x + y: the lower endpoints differ by 2y.
         assert_eq!((label.as_str(), item), ("o[1]", 0));
-        assert!(got.0 < want.0, "{got:?} vs {want:?}");
+        assert!(got[0] < want[0], "{got:?} vs {want:?}");
     }
 }
 
@@ -299,19 +299,20 @@ fn a_nudged_constant_is_reported_at_the_first_item_it_changes() {
         panic!("expected a mismatch, got {err}");
     };
     assert_eq!((label.as_str(), item), ("return", 2));
-    assert_eq!(got, (up(want.0), up(want.1)));
+    assert_eq!(got, [up(want[0]), up(want[1])]);
     assert_eq!(
         msg,
         format!(
             "bit mismatch at item 2, output `return`: vm [{:?}, {:?}] vs interp [{:?}, {:?}]",
-            got.0, got.1, want.0, want.1
+            got[0], got[1], want[0], want[1]
         )
     );
 }
 
 /// A constant nudged in its low words moves only the low words of the
-/// output: the outward-rounded f64 endpoints the error reports agree,
-/// so only the four-word compare catches it.
+/// output: the outward-rounded f64 endpoints agree, so only the
+/// four-word compare catches it, and the error reports every word of
+/// both sides, the differing low words included.
 #[test]
 fn a_low_word_change_at_dd_is_caught() {
     let src = "double shift(double x) { return x + 1.0; }";
@@ -323,9 +324,14 @@ fn a_low_word_change_at_dd_is_caught() {
         let c = only_const(p);
         (c.lo_lo, c.hi_lo) = (c.lo_lo + tiny, c.hi_lo + tiny);
     });
+    let msg = err.to_string();
     let VmBridgeError::Mismatch { label, item, got, want } = err else {
         panic!("expected a mismatch, got {err}");
     };
     assert_eq!((label.as_str(), item), ("return", 0));
-    assert_eq!((got.0.to_bits(), got.1.to_bits()), (want.0.to_bits(), want.1.to_bits()));
+    let bits = |w: &[f64], i: usize| w[i].to_bits();
+    assert_eq!((got.len(), want.len()), (4, 4));
+    assert_eq!((bits(&got, 0), bits(&got, 2)), (bits(&want, 0), bits(&want, 2)), "high words");
+    assert_ne!((bits(&got, 1), bits(&got, 3)), (bits(&want, 1), bits(&want, 3)), "low words");
+    assert!(msg.contains(&format!("vm [{:?} {:?}, {:?} {:?}]", got[0], got[1], got[2], got[3])));
 }
