@@ -130,10 +130,11 @@ fn op_rows(reps: usize) -> Vec<Row> {
     let (a, b, c) = (sample_positive(11, OP_N), sample_positive(12, OP_N), sample(13, OP_N));
     let (da, db) = (dd_sample(14, OP_N, 0.5, 2.0), dd_sample(15, OP_N, 0.5, 2.0));
     let dc = dd_sample(16, OP_N, -2.0, 2.0);
-    let f64_rows =
-        SweepOp::ALL.map(|op| op_row::<F64Ix4>(op.name().into(), op, reps, [&a, &b, &c]));
+    // Rows are named by the op in lower case: `add`, `pow(3)`, `dd_muladd`.
+    let name = |op: SweepOp| format!("{op:?}").to_lowercase();
+    let f64_rows = SweepOp::ALL.map(|op| op_row::<F64Ix4>(name(op), op, reps, [&a, &b, &c]));
     let dd_rows = SweepOp::ALL
-        .map(|op| op_row::<DdIx4>(format!("dd_{}", op.name()), op, reps, [&da, &db, &dc]));
+        .map(|op| op_row::<DdIx4>(format!("dd_{}", name(op)), op, reps, [&da, &db, &dc]));
     f64_rows.into_iter().chain(dd_rows).collect()
 }
 

@@ -108,7 +108,11 @@ fn sweep_groups<L: LaneOps>(op: SweepOp, bank: &mut [L], n: usize, dst: usize, s
         let len = bank.len();
         assert!(dst + n <= len && a + n <= len && b + n <= len && c + n <= len);
         for g in 0..n {
-            bank[dst + g] = L::apply(op, [bank[a + g], bank[b + g], bank[c + g]]);
+            // Only the sources `op` reads are loaded; the rest repeat `a`.
+            let x = bank[a + g];
+            let y = if op.arity() > 1 { bank[b + g] } else { x };
+            let z = if op.arity() > 2 { bank[c + g] } else { x };
+            bank[dst + g] = L::apply(op, [x, y, z]);
         }
     }
     match op {
@@ -126,6 +130,25 @@ fn sweep_groups<L: LaneOps>(op: SweepOp, bank: &mut [L], n: usize, dst: usize, s
         SweepOp::MulAdd => each(SweepOp::MulAdd, bank, n, dst, src),
         SweepOp::MulSub => each(SweepOp::MulSub, bank, n, dst, src),
     }
+}
+
+/// `op` as the scalar op on each of four lanes: the packed types' path
+/// for the ops they have no packed body for. Each lane is a direct call
+/// of the forced-inline scalar `apply`, so the op stays the constant a
+/// sweep arm made it; a closure through `from_lanes_fn` is left out of
+/// line and matches the op again on every lane.
+#[inline(always)]
+fn scalar_lanes<L: LaneOps>(op: SweepOp, [a, b, c]: [L; 3]) -> [L::Elem; 4]
+where
+    L::Elem: LaneOps<Elem = L::Elem>,
+{
+    let f = <L::Elem as LaneOps>::apply;
+    [
+        f(op, [a.lane(0), b.lane(0), c.lane(0)]),
+        f(op, [a.lane(1), b.lane(1), c.lane(1)]),
+        f(op, [a.lane(2), b.lane(2), c.lane(2)]),
+        f(op, [a.lane(3), b.lane(3), c.lane(3)]),
+    ]
 }
 
 /// The scalar interval types are one-lane [`LaneOps`]: `apply` is one
@@ -363,7 +386,7 @@ impl LaneOps for F64Ix4 {
             SweepOp::Sqrt => a.sqrt(),
             SweepOp::Abs => a.abs(),
             SweepOp::Sqr => a.sqr(),
-            _ => Self::from_lanes_fn(|i| F64I::apply(op, [a.lane(i), b.lane(i), c.lane(i)])),
+            _ => Self::from_lanes(scalar_lanes(op, [a, b, c])),
         }
     }
 
@@ -520,7 +543,7 @@ impl LaneOps for DdIx4 {
             SweepOp::MulAdd => c.add(a.mul(b)),
             SweepOp::MulSub => c.add(a.mul(b).neg()),
             SweepOp::Neg => a.neg(),
-            _ => Self::from_lanes_fn(|i| DdI::apply(op, [a.lane(i), b.lane(i), c.lane(i)])),
+            _ => Self::from_lanes(scalar_lanes(op, [a, b, c])),
         }
     }
 }

@@ -475,6 +475,7 @@ impl SweepOp {
     ];
 
     /// How many of the sources `[a, b, acc]` the op reads.
+    #[inline]
     pub fn arity(self) -> usize {
         match self {
             SweepOp::Neg | SweepOp::Sqrt | SweepOp::Abs | SweepOp::Sqr | SweepOp::Pow(_) => 1,
@@ -485,25 +486,6 @@ impl SweepOp {
             | SweepOp::Min
             | SweepOp::Max => 2,
             SweepOp::MulAdd | SweepOp::MulSub => 3,
-        }
-    }
-
-    /// The op's lower-case mnemonic, as bytecode listings print it.
-    pub fn name(self) -> &'static str {
-        match self {
-            SweepOp::Add => "add",
-            SweepOp::Sub => "sub",
-            SweepOp::Mul => "mul",
-            SweepOp::Div => "div",
-            SweepOp::Min => "min",
-            SweepOp::Max => "max",
-            SweepOp::Neg => "neg",
-            SweepOp::Sqrt => "sqrt",
-            SweepOp::Abs => "abs",
-            SweepOp::Sqr => "sqr",
-            SweepOp::Pow(_) => "pow",
-            SweepOp::MulAdd => "muladd",
-            SweepOp::MulSub => "mulsub",
         }
     }
 }

@@ -33,6 +33,11 @@ fn assert_lane(tag: &str, bk: Backend, i: usize, got: f64, want: f64) -> Result<
 const SWEPT: [SweepOp; 5] =
     [SweepOp::Add, SweepOp::Sub, SweepOp::Mul, SweepOp::MulAdd, SweepOp::MulSub];
 
+/// Every endpoint of a bank as raw bits, so NaN lanes compare equal.
+fn bank_bits(bank: &[F64iCols4]) -> Vec<u64> {
+    bank.iter().flat_map(|c| c.neg_lo.iter().chain(&c.hi).map(|x| x.to_bits())).collect()
+}
+
 fn check_all_kernels(a: [f64; 4], b: [f64; 4]) -> Result<(), TestCaseError> {
     for bk in backends() {
         let (dh, dl) = simd::div_ru_both_4(bk, &a, &b);
@@ -66,8 +71,14 @@ fn check_all_kernels(a: [f64; 4], b: [f64; 4]) -> Result<(), TestCaseError> {
         // the first operand again as the accumulator.
         let (ia, ib) = (F64iCols4 { neg_lo: a, hi: b }, F64iCols4 { neg_lo: b, hi: a });
         for op in SWEPT {
-            let mut bank = [ia, ib, ia, F64iCols4::default()];
-            if !simd::f64i_sweep_4(bk, op, &mut bank, 1, 3, [0, 1, 2]) {
+            let before = [ia, ib, ia, F64iCols4::default()];
+            let mut bank = before;
+            let swept = simd::f64i_sweep_4(bk, op, &mut bank, 1, 3, [0, 1, 2]);
+            // Only AVX2+FMA has the bodies: a portable sweep, forced on an
+            // AVX2 host included, must report none and leave the bank.
+            prop_assert_eq!(swept, bk == Backend::Avx2Fma, "{:?} on {:?}", op, bk);
+            if !swept {
+                prop_assert!(bank_bits(&bank) == bank_bits(&before), "{:?}: bank touched", op);
                 continue;
             }
             for i in 0..4 {
@@ -240,40 +251,40 @@ fn lane_of(c: &F64iCols4, l: usize) -> (f64, f64) {
     (c.neg_lo[l], c.hi[l])
 }
 
-/// Runs one sweep over a 4-register, 8-group bank and checks every
-/// group of every register bit for bit: the `n` written groups against
-/// [`sweep_lane`] on the bank as it was before the sweep, everything
-/// else untouched. An op without a sweep body, or a host without the
-/// kernel, must leave the whole bank as it was. `regs` is
-/// `[dst, a, b, acc]`.
+/// Runs one sweep over a 4-register, 8-group bank on every backend the
+/// host runs, and checks every group of every register bit for bit: the
+/// `n` written groups against [`sweep_lane`] on the bank as it was
+/// before the sweep, everything else untouched. An op without a sweep
+/// body, or a backend without the kernel (portable, forced on an AVX2
+/// host included), must report so and leave the whole bank as it was.
+/// `regs` is `[dst, a, b, acc]`.
 fn check_sweep(bank: &[F64iCols4], op: SweepOp, regs: [usize; 4], n: usize) {
     const TILE: usize = 8;
     let [dst, a, b, acc] = regs.map(|r| r * TILE);
-    let mut got = bank.to_vec();
-    let swept = simd::f64i_sweep_4(simd::detected_backend(), op, &mut got, n, dst, [a, b, acc]);
-    let has_body = SWEPT.contains(&op);
-    assert_eq!(swept, has_body && simd::detected_backend() == Backend::Avx2Fma, "{op:?}");
-    if !swept {
-        let bits = |b: &[F64iCols4]| -> Vec<u64> {
-            b.iter().flat_map(|c| c.neg_lo.iter().chain(&c.hi).map(|x| x.to_bits())).collect()
-        };
-        assert!(bits(&got) == bits(bank), "{op:?}: a sweep without a kernel touched the bank");
-        return;
-    }
-    for (k, cols) in got.iter().enumerate() {
-        for l in 0..4 {
-            let want = if k >= dst && k < dst + n {
-                let g = k - dst;
-                let (x, y, z) = (bank[a + g], bank[b + g], bank[acc + g]);
-                sweep_lane(op, lane_of(&x, l), lane_of(&y, l), lane_of(&z, l))
-            } else {
-                lane_of(&bank[k], l)
-            };
-            let got = lane_of(cols, l);
-            assert!(
-                got.0.to_bits() == want.0.to_bits() && got.1.to_bits() == want.1.to_bits(),
-                "{op:?} regs {regs:?} n {n}: slot {k} lane {l}: got {got:?}, want {want:?}"
-            );
+    for bk in backends() {
+        let mut got = bank.to_vec();
+        let swept = simd::f64i_sweep_4(bk, op, &mut got, n, dst, [a, b, acc]);
+        assert_eq!(swept, SWEPT.contains(&op) && bk == Backend::Avx2Fma, "{op:?} on {bk:?}");
+        if !swept {
+            assert!(bank_bits(&got) == bank_bits(bank), "{op:?} on {bk:?}: the bank was touched");
+            continue;
+        }
+        for (k, cols) in got.iter().enumerate() {
+            for l in 0..4 {
+                let want = if k >= dst && k < dst + n {
+                    let g = k - dst;
+                    let (x, y, z) = (bank[a + g], bank[b + g], bank[acc + g]);
+                    sweep_lane(op, lane_of(&x, l), lane_of(&y, l), lane_of(&z, l))
+                } else {
+                    lane_of(&bank[k], l)
+                };
+                let got = lane_of(cols, l);
+                assert!(
+                    got.0.to_bits() == want.0.to_bits() && got.1.to_bits() == want.1.to_bits(),
+                    "{op:?} on {bk:?} regs {regs:?} n {n}: slot {k} lane {l}: \
+                     got {got:?}, want {want:?}"
+                );
+            }
         }
     }
 }
@@ -297,8 +308,8 @@ fn bank_from(lane: impl Fn(usize, usize) -> (f64, f64)) -> Vec<F64iCols4> {
 /// every pair of awkward intervals (as `a`, `b`, with accumulators
 /// drawn from the same list), with distinct registers; then with the
 /// destination aliasing each source in turn and with `a == b`, at
-/// n = 0, 1, 3 and 8. The ops without a sweep body must leave the bank
-/// alone.
+/// n = 0, 1, 3 and 8, on every backend. The ops without a sweep body,
+/// and every op on the portable backend, must leave the bank alone.
 #[test]
 fn sweep_matches_scalar_ops_on_awkward_grid() {
     let ivs = awkward_intervals();

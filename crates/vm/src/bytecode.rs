@@ -342,13 +342,32 @@ impl Insn {
     pub fn op_name(&self) -> &'static str {
         match self.decode().1 {
             Action::Const(_) => "const",
-            Action::Op(op, _) => op.name(),
+            Action::Op(op, _) => mnemonic(op),
         }
     }
 
     /// The destination register.
     pub fn dst(&self) -> u32 {
         self.decode().0
+    }
+}
+
+/// The mnemonic [`Program::dump`] prints for an instruction running `op`.
+fn mnemonic(op: SweepOp) -> &'static str {
+    match op {
+        SweepOp::Add => "add",
+        SweepOp::Sub => "sub",
+        SweepOp::Mul => "mul",
+        SweepOp::Div => "div",
+        SweepOp::Min => "min",
+        SweepOp::Max => "max",
+        SweepOp::Neg => "neg",
+        SweepOp::Sqrt => "sqrt",
+        SweepOp::Abs => "abs",
+        SweepOp::Sqr => "sqr",
+        SweepOp::Pow(_) => "pow",
+        SweepOp::MulAdd => "muladd",
+        SweepOp::MulSub => "mulsub",
     }
 }
 
@@ -467,12 +486,12 @@ impl Program {
                 (dst, Action::Const(idx)) => format!("r{dst} = const c{idx}"),
                 (dst, Action::Op(SweepOp::Pow(n), [a, ..])) => format!("r{dst} = pow r{a}, {n}"),
                 (dst, Action::Op(op @ (SweepOp::MulAdd | SweepOp::MulSub), [a, b, acc])) => {
-                    format!("r{dst} = {} r{acc}, r{a}, r{b}", op.name())
+                    format!("r{dst} = {} r{acc}, r{a}, r{b}", mnemonic(op))
                 }
                 (dst, Action::Op(op, [a, b, _])) if op.arity() == 2 => {
-                    format!("r{dst} = {} r{a}, r{b}", op.name())
+                    format!("r{dst} = {} r{a}, r{b}", mnemonic(op))
                 }
-                (dst, Action::Op(op, [a, ..])) => format!("r{dst} = {} r{a}", op.name()),
+                (dst, Action::Op(op, [a, ..])) => format!("r{dst} = {} r{a}", mnemonic(op)),
             };
             let _ = writeln!(s, "  {line}");
         }
