@@ -15,7 +15,7 @@ use igen_interval::{DdIx4, F64Ix4, LaneOps, SweepOp, F64I};
 use igen_kernels::workload;
 use igen_round::simd::{self, Backend};
 use igen_telemetry::{Snapshot, WidthHist};
-use igen_vm::{DebugMap, Insn, OutputSlot, Precision, Program};
+use igen_vm::{DebugMap, Insn, OutputSlot, PoolConst, Precision, Program};
 use proptest::prelude::*;
 
 /// Counter/hist snapshots are process-global; the tests here reset and
@@ -213,9 +213,12 @@ fn counter(snap: &Snapshot, name: &str) -> u64 {
 /// sweep counts per packed group under the `simd.add.*`/`simd.mul.*`
 /// counters (the padded last group included, its missing lanes
 /// `[1, 1]`), and the totals are the same at 1 and 3 threads. Every
-/// fifth item sits near `MAX`, so sums and products overflow and lanes
-/// get patched. The portable backend runs add, sub and mul as the scalar
-/// op on each lane, which ticks no packed counter.
+/// fifth item has its `x` near `MAX`, so sums and products overflow;
+/// those lanes settle in registers, and no add lane is ever patched.
+/// Every seventh has both inputs near `1e-150`, so `x * y` falls below
+/// the `2.5e-291` product guard and its lane is patched. The portable
+/// backend runs add, sub and mul as the scalar op on each lane, which
+/// ticks no packed counter.
 #[test]
 fn vm_sweeps_count_per_group_at_any_thread_count() {
     let _serial = TEL_LOCK.lock().unwrap();
@@ -225,6 +228,9 @@ fn vm_sweeps_count_per_group_at_any_thread_count() {
     let mut xs = workload::intervals_1ulp(&workload::random_points(&mut rng, 2 * items, -2.0, 2.0));
     for x in xs.iter_mut().step_by(5 * 2) {
         *x = F64I::new(1e300, f64::MAX).expect("ordered");
+    }
+    for item in xs.chunks_mut(2).skip(3).step_by(7) {
+        item.copy_from_slice(&workload::intervals_1ulp(&[1e-150, -3e-150]));
     }
     let inputs = BatchF64I::from_intervals(&xs);
     let run = |threads: usize| {
@@ -239,10 +245,85 @@ fn vm_sweeps_count_per_group_at_any_thread_count() {
     assert_eq!(counter(&one, "simd.mul.packed_calls"), 3 * groups);
     if avx2 {
         assert_eq!(counter(&one, "simd.dispatch.avx2_fma"), 7 * groups);
-        assert!(counter(&one, "simd.add.lanes_patched") > 0, "{:?}", one.counters);
+        assert_eq!(counter(&one, "simd.add.lanes_patched"), 0, "{:?}", one.counters);
         assert!(counter(&one, "simd.mul.lanes_patched") > 0, "{:?}", one.counters);
     }
     assert_eq!(workload_counters(&run(3)), workload_counters(&one), "totals diverged at 3 threads");
+}
+
+/// Hénon@`iterations` as the compiler lowers it (`examples/henon.c` at
+/// `-O2`): per iteration `t = a * x`, `x' = 1 - t * x + y` as a
+/// `MulSub` and an `Add`, and `y' = b * x`, with the compiler's
+/// enclosures of `a = 1.05` and `b = 0.3`.
+fn henon_program(precision: Precision, iterations: u32) -> Program {
+    let mut insns = vec![
+        Insn::Const { dst: 2, idx: 0 },
+        Insn::Const { dst: 3, idx: 1 },
+        Insn::Const { dst: 4, idx: 2 },
+    ];
+    let (mut x, mut y) = (0, 1);
+    for i in 0..iterations {
+        let r = 5 + 3 * i;
+        insns.extend([
+            Insn::Mul { dst: r, a: 2, b: x },
+            Insn::MulSub { dst: r + 1, a: r, b: x, acc: 4 },
+            Insn::Add { dst: r + 2, a: r + 1, b: y },
+            Insn::Mul { dst: r, a: 3, b: x },
+        ]);
+        (x, y) = (r + 2, r);
+    }
+    let p = Program {
+        name: "henon_map".into(),
+        precision,
+        n_inputs: 2,
+        n_regs: 5 + 3 * iterations,
+        consts: vec![
+            PoolConst::f64_pair(1.0499999999999998, 1.05),
+            PoolConst::f64_pair(0.3, 0.30000000000000004),
+            PoolConst::f64_pair(1.0, 1.0),
+        ],
+        insns,
+        inputs: vec!["x".into(), "y".into()],
+        outputs: vec![OutputSlot { label: "return".into(), reg: x }],
+        debug: DebugMap::default(),
+    };
+    p.validate().expect("valid Hénon program");
+    p
+}
+
+/// Hénon@20 over 1-ulp inputs on [-2, 2], the inputs `serve` draws:
+/// about two in five orbits diverge, to `[-inf, -MAX]` at f64 and to
+/// NaN at dd. On AVX2+FMA no f64 add or mul lane and no dd add lane is
+/// patched: every one of them settles in registers.
+#[test]
+fn diverged_henon_lanes_settle_in_registers() {
+    let _serial = TEL_LOCK.lock().unwrap();
+    let bp = BatchProgram::new(henon_program(Precision::F64, 20));
+    let xs = sample(17, 2 * 512);
+    let f64_run = traced(|| {
+        let out = bp.run(&BatchConfig::new().with_threads(1), &xs);
+        let diverged = (0..out.len()).filter(|&i| !out.get(i).lo().is_finite()).count();
+        assert!(diverged > 100, "{diverged} of {} orbits diverged", out.len());
+    });
+    let bp_dd = BatchProgram::new(henon_program(Precision::Dd, 20));
+    let dds = BatchDdI::from_intervals(&workload::dd_intervals_1ulp(
+        &mut workload::rng(17),
+        2 * 256,
+        -2.0,
+        2.0,
+    ));
+    let dd_run = traced(|| {
+        let out = bp_dd.run(&BatchConfig::new().with_threads(1), &dds);
+        let diverged = (0..out.len()).filter(|&i| out.get(i).hi().is_nan()).count();
+        assert!(diverged > 50, "{diverged} of {} dd orbits diverged", out.len());
+    });
+    if simd::detected_backend() == Backend::Avx2Fma {
+        assert!(counter(&f64_run, "simd.mul.packed_calls") > 0, "{:?}", f64_run.counters);
+        assert_eq!(counter(&f64_run, "simd.add.lanes_patched"), 0, "{:?}", f64_run.counters);
+        assert_eq!(counter(&f64_run, "simd.mul.lanes_patched"), 0, "{:?}", f64_run.counters);
+        assert!(counter(&dd_run, "simd.dd_add.packed_calls") > 0, "{:?}", dd_run.counters);
+        assert_eq!(counter(&dd_run, "simd.dd_add.lanes_patched"), 0, "{:?}", dd_run.counters);
+    }
 }
 
 /// Keeps results observable without depending on the bench crate.

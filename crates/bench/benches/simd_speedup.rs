@@ -16,7 +16,10 @@
 //! type), one row per `SweepOp`, at f64 and at dd (`dd_` rows, 1-ulp dd
 //! inputs with nonzero low words). The first two sources are 1-ulp
 //! intervals on [0.5, 2], so the unary ops and the divisor stay on the
-//! packed hot paths; the accumulator is on [-2, 2].
+//! packed hot paths; the accumulator is on [-2, 2]. The `_diverged`
+//! rows time add and mul again with lane 0 of every group of both
+//! sources diverged, as a Hénon batch is once some orbits leave the
+//! finite range: `[-inf, -MAX]` at f64 and `(NaN, NaN)` at dd.
 //!
 //! A plain run (without `--test`) records `results/simd_speedup.csv`
 //! with per-op and per-paper-kernel rows: every timing is the median of
@@ -126,6 +129,11 @@ where
     }
 }
 
+/// `src` with lane 0 of every group replaced by `bad`.
+fn diverged<T: Copy>(src: &[T], bad: T) -> Vec<T> {
+    src.iter().enumerate().map(|(i, &x)| if i % 4 == 0 { bad } else { x }).collect()
+}
+
 fn op_rows(reps: usize) -> Vec<Row> {
     let (a, b, c) = (sample_positive(11, OP_N), sample_positive(12, OP_N), sample(13, OP_N));
     let (da, db) = (dd_sample(14, OP_N, 0.5, 2.0), dd_sample(15, OP_N, 0.5, 2.0));
@@ -135,7 +143,16 @@ fn op_rows(reps: usize) -> Vec<Row> {
     let f64_rows = SweepOp::ALL.map(|op| op_row::<F64Ix4>(name(op), op, reps, [&a, &b, &c]));
     let dd_rows = SweepOp::ALL
         .map(|op| op_row::<DdIx4>(format!("dd_{}", name(op)), op, reps, [&da, &db, &dc]));
-    f64_rows.into_iter().chain(dd_rows).collect()
+    let orbit_end = F64I::new(f64::NEG_INFINITY, -f64::MAX).expect("ordered");
+    let (xa, xb) = (diverged(&a, orbit_end), diverged(&b, orbit_end));
+    let (dxa, dxb) = (diverged(&da, DdI::nai()), diverged(&db, DdI::nai()));
+    let diverged_rows = [SweepOp::Add, SweepOp::Mul].into_iter().flat_map(|op| {
+        [
+            op_row::<F64Ix4>(format!("{}_diverged", name(op)), op, reps, [&xa, &xb, &c]),
+            op_row::<DdIx4>(format!("dd_{}_diverged", name(op)), op, reps, [&dxa, &dxb, &dc]),
+        ]
+    });
+    f64_rows.into_iter().chain(dd_rows).chain(diverged_rows).collect()
 }
 
 /// A kernel row: `scalar` is the plain `F64I` loop, `lane` the compiled

@@ -230,17 +230,18 @@ fn dd_lane_ops_match_scalar_on_special_values() {
     }
 }
 
+fn dd_bits(x: &DdI) -> [u64; 4] {
+    [
+        x.neg_lo().hi().to_bits(),
+        x.neg_lo().lo().to_bits(),
+        x.hi().hi().to_bits(),
+        x.hi().lo().to_bits(),
+    ]
+}
+
 /// Every pair of the dd special catalogue, rotated through every lane
 /// position, under backend `bk`.
 fn check_dd_specials(bk: Backend) {
-    fn dd_bits(x: &DdI) -> [u64; 4] {
-        [
-            x.neg_lo().hi().to_bits(),
-            x.neg_lo().lo().to_bits(),
-            x.hi().hi().to_bits(),
-            x.hi().lo().to_bits(),
-        ]
-    }
     let vals = dd_special_values();
     let benign = DdI::point_f64(2.0);
     for &x in &vals {
@@ -264,6 +265,72 @@ fn check_dd_specials(bk: Backend) {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The packed dd kernels settle a NaN operand word in registers. With
+/// a NaN (of either sign) in each of the eight operand words in turn,
+/// in each lane of a group of finite 1-ulp intervals, `ddi_add_4` and
+/// `ddi_mul_4` report every lane valid, write the canonical
+/// `(NaN, NaN)` into each endpoint the NaN reaches (the add's one
+/// column, both of the mul's), and return the scalar op's bits on every
+/// lane. A NaN low word gets a zero high word: `Dd`'s invariant bounds
+/// the low word by the high word's ulp, which a NaN meets only there.
+#[test]
+fn dd_kernels_settle_nan_operand_words() {
+    type Kernel = fn(Backend, &simd::DdiCols4, &simd::DdiCols4) -> Option<(simd::DdiCols4, u8)>;
+    type Scalar = fn(&DdI, &DdI) -> DdI;
+    let cols = |xs: &[DdI]| simd::DdiCols4 {
+        neg_lo_hi: core::array::from_fn(|i| xs[i].neg_lo().hi()),
+        neg_lo_lo: core::array::from_fn(|i| xs[i].neg_lo().lo()),
+        hi_hi: core::array::from_fn(|i| xs[i].hi().hi()),
+        hi_lo: core::array::from_fn(|i| xs[i].hi().lo()),
+    };
+    let lane = |c: &simd::DdiCols4, i: usize| {
+        DdI::from_neg_lo_hi(
+            Dd::from_parts_unchecked(c.neg_lo_hi[i], c.neg_lo_lo[i]),
+            Dd::from_parts_unchecked(c.hi_hi[i], c.hi_lo[i]),
+        )
+    };
+    let kernels: [(&str, Kernel, Scalar); 2] =
+        [("add", simd::ddi_add_4, DdI::add), ("mul", simd::ddi_mul_4, DdI::mul)];
+    let finite = dd_intervals_1ulp(7, 8, -2.0, 2.0);
+    let nan = f64::NAN.to_bits();
+    for word in 0..8 {
+        for pos in 0..4 {
+            let (mut a, mut b) = (cols(&finite[..4]), cols(&finite[4..]));
+            let x = if word < 4 { &mut a } else { &mut b };
+            let (hi, lo) = match word % 4 {
+                0 | 1 => (&mut x.neg_lo_hi, &mut x.neg_lo_lo),
+                _ => (&mut x.hi_hi, &mut x.hi_lo),
+            };
+            let x_nan = if pos % 2 == 0 { f64::NAN } else { -f64::NAN };
+            if word % 2 == 0 {
+                hi[pos] = x_nan;
+            } else {
+                (hi[pos], lo[pos]) = (0.0, x_nan);
+            }
+            for (name, kernel, scalar) in kernels {
+                let Some((out, ok)) = kernel(Backend::Avx2Fma, &a, &b) else {
+                    return; // no packed dd kernel on this host
+                };
+                let ctx = format!("{name} with a NaN in word {word}, lane {pos}");
+                assert_eq!(ok, 0b1111, "{ctx}: a lane was left for the scalar patch");
+                for i in 0..4 {
+                    let want = scalar(&lane(&a, i), &lane(&b, i));
+                    assert_eq!(dd_bits(&lane(&out, i)), dd_bits(&want), "{ctx}: lane {i}");
+                }
+                let got = dd_bits(&lane(&out, pos));
+                let (nl_nan, h_nan) =
+                    (name == "mul" || word % 4 < 2, name == "mul" || word % 4 >= 2);
+                assert_eq!(
+                    got[..2] == [nan, nan],
+                    nl_nan,
+                    "{ctx}: negated lower endpoint {got:x?}"
+                );
+                assert_eq!(got[2..] == [nan, nan], h_nan, "{ctx}: upper endpoint {got:x?}");
             }
         }
     }

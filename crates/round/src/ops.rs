@@ -520,6 +520,22 @@ mod tests {
     }
 
     #[test]
+    fn add_two_sum_intermediate_overflow() {
+        // RN(MAX - 3·2^970) rounds a tie up to the finite MAX - 2^971,
+        // but TwoSum's `s - b` is then MAX + 2^970, a tie that rounds to
+        // +inf: the error is NaN and `add_ru` widens to `next_up(s)`.
+        let b = -3.0 * pow2(970);
+        let s = f64::MAX + b;
+        assert_eq!(s, next_down(f64::MAX));
+        assert!(two_sum(f64::MAX, b).1.is_nan());
+        assert_eq!(add_ru(f64::MAX, b), f64::MAX);
+        assert_eq!(add_rd(-f64::MAX, -b), -f64::MAX);
+        // In the other operand order TwoSum stays exact (error -2^970).
+        assert_eq!(two_sum(b, f64::MAX), (s, -pow2(970)));
+        assert_eq!(add_ru(b, f64::MAX), s);
+    }
+
+    #[test]
     fn mul_directed_one_third_squared() {
         let x = 1.0 / 3.0;
         let lo = mul_rd(x, x);

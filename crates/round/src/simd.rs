@@ -32,10 +32,13 @@
 //! 2. a packed validity mask re-checks the scalar hot path's guard
 //!    conditions;
 //! 3. lanes whose guard fails — rare by construction — are recomputed by
-//!    calling the scalar kernel itself, cold paths included. The f64
-//!    interval kernels first settle in registers the slow-path cases
-//!    whose scalar result is the canonical NaN or the unbumped IEEE
-//!    result (NaN sums and products, infinite or zero operands).
+//!    calling the scalar kernel itself, cold paths included. The
+//!    interval kernels first *settle* in registers, out of line, the
+//!    slow-path cases whose scalar result is a directed bump of the
+//!    registers' IEEE result or the canonical NaN: every f64 add lane,
+//!    every f64 mul lane but a product below `2.5e-291` from nonzero
+//!    operands, and every dd add or mul column whose operand words hold
+//!    a NaN.
 //!
 //! Soundness therefore never rests on new reasoning: the packed kernels
 //! are the scalar kernels, evaluated four lanes at a time.
@@ -48,8 +51,9 @@
 //! runs one VM instruction ([`SweepOp`]) over `n` groups of a register
 //! bank of [`F64iCols4`] in one call. On AVX2+FMA each op keeps the
 //! whole interval op in registers and folds its guards into one
-//! validity mask; the lanes it flags are recomputed with the scalar
-//! interval op. The sweep has bodies for add, sub, mul and the fused
+//! validity mask; the lanes it flags are settled, and the few a settle
+//! cannot make exact are recomputed with the scalar interval op. The
+//! sweep has bodies for add, sub, mul and the fused
 //! multiply-accumulates; for any other op, and on the portable backend,
 //! it returns `false` and the caller applies the op group by group.
 
@@ -60,15 +64,16 @@ use igen_telemetry::Counter;
 
 /// Telemetry counters for the packed kernels: per-op packed-call and
 /// patched-lane counts plus backend-dispatch outcomes. Zero-sized no-ops
-/// unless the `telemetry` feature is enabled; the guard-failure *rate*
-/// per op is `lanes_patched / (4 * packed_calls)`.
+/// unless the `telemetry` feature is enabled; the scalar-patch *rate*
+/// per op is `lanes_patched / (4 * packed_calls)`. Lanes settled in
+/// registers are not patched, so the f64 add, which settles every lane,
+/// has no `lanes_patched` counter.
 pub(crate) mod tel {
     use igen_telemetry::Counter;
 
     pub static DISPATCH_AVX2: Counter = Counter::new("simd.dispatch.avx2_fma");
     pub static DISPATCH_PORTABLE: Counter = Counter::new("simd.dispatch.portable");
     pub static ADD_PACKED: Counter = Counter::new("simd.add.packed_calls");
-    pub static ADD_PATCHED: Counter = Counter::new("simd.add.lanes_patched");
     pub static MUL_PACKED: Counter = Counter::new("simd.mul.packed_calls");
     pub static MUL_PATCHED: Counter = Counter::new("simd.mul.lanes_patched");
     pub static DIV_PACKED: Counter = Counter::new("simd.div.packed_calls");
@@ -331,11 +336,13 @@ pub struct DdiCols4 {
 /// (`Portable` has no hardware FMA for the directed products; the
 /// caller evaluates its lanes with the scalar op). Otherwise
 /// returns the result columns and a validity mask: bit `i` set means
-/// lane `i` passed every guard of the scalar hot path, so its bits are
-/// the scalar op's; a clear bit means the lane left the hot path
-/// (non-finite sums, overflow in the final renormalization) and its
-/// columns are meaningless — the caller must recompute that lane with
-/// the scalar `DdI` operation.
+/// lane `i`'s bits are the scalar op's — it passed every guard of the
+/// scalar hot path, or an endpoint column that failed one has a NaN
+/// operand word and holds the canonical `(NaN, NaN)` the scalar op
+/// returns. A clear bit means the lane left the hot path otherwise
+/// (infinite or overflowing sums, overflow in the final
+/// renormalization) and its columns are meaningless — the caller must
+/// recompute that lane with the scalar `DdI` operation.
 pub fn ddi_add_4(bk: Backend, a: &DdiCols4, b: &DdiCols4) -> Option<(DdiCols4, u8)> {
     match clamp(bk) {
         #[cfg(target_arch = "x86_64")]
@@ -355,11 +362,12 @@ pub fn ddi_add_4(bk: Backend, a: &DdiCols4, b: &DdiCols4) -> Option<(DdiCols4, u
 ///
 /// Same contract as [`ddi_add_4`]: `None` on backends without a packed
 /// double-double kernel, otherwise the result columns plus a validity
-/// mask whose clear bits name the lanes that left the scalar hot path
-/// (products below the FMA-residual range or underflowing to zero,
-/// non-finite residuals or ErrFma terms, a `-0.0` FMA result that
-/// `next_up` would step, non-finite results) and must be recomputed
-/// with the scalar `DdI` operation.
+/// mask. A NaN in any of a lane's eight operand words reaches every
+/// product, so both endpoints are the canonical `(NaN, NaN)` and the
+/// lane is valid. The clear bits name the other lanes that left the
+/// scalar hot path (products below the FMA-residual range or
+/// underflowing to zero, infinite or overflowing products and sums)
+/// and must be recomputed with the scalar `DdI` operation.
 pub fn ddi_mul_4(bk: Backend, a: &DdiCols4, b: &DdiCols4) -> Option<(DdiCols4, u8)> {
     match clamp(bk) {
         #[cfg(target_arch = "x86_64")]
@@ -399,18 +407,11 @@ impl AsMut<F64iCols4> for F64iCols4 {
     }
 }
 
-/// Scalar reference for the f64 interval add on one raw `(neg_lo, hi)`
-/// endpoint pair per operand: `F64I::add`, one upward addition per
-/// column, exactly as the negated-low representation defines it. The
-/// sweep recomputes the lanes it flags with this.
-#[inline]
-pub fn add_cols(a_neg_lo: f64, a_hi: f64, b_neg_lo: f64, b_hi: f64) -> (f64, f64) {
-    (crate::add_ru(a_neg_lo, b_neg_lo), crate::add_ru(a_hi, b_hi))
-}
-
-/// Scalar reference for the f64 interval mul on raw endpoint pairs:
-/// `F64I::mul`, the four paired products [`crate::mul_ru_both`] and the
-/// six [`max_nan`] selections, in the scalar order.
+/// Scalar reference for the f64 interval mul on one raw `(neg_lo, hi)`
+/// endpoint pair per operand: `F64I::mul`, the four paired products
+/// [`crate::mul_ru_both`] and the six [`max_nan`] selections, in the
+/// scalar order. The sweep recomputes with this the lanes it cannot
+/// settle in registers.
 #[inline]
 pub fn mul_cols(a_neg_lo: f64, a_hi: f64, b_neg_lo: f64, b_hi: f64) -> (f64, f64) {
     let (u1, l1) = crate::mul_ru_both(a_neg_lo, b_neg_lo);
@@ -495,8 +496,10 @@ impl SweepOp {
 /// `src = [a, b, acc]` and writes `bank[dst + g]`. Each group's sources
 /// are read before its destination is written, so a destination that
 /// aliases a source is exact, and every lane's bits are those of the
-/// scalar `F64I` op — flagged lanes included, which are recomputed with
-/// [`add_cols`] or [`mul_cols`].
+/// scalar `F64I` op, flagged lanes included. A flagged add lane is
+/// always settled in registers; a flagged mul lane is too, unless one of
+/// its products is below `2.5e-291` from nonzero operands, and then it
+/// is recomputed with [`mul_cols`].
 ///
 /// Telemetry counts per group: one `simd.mul` call per `Mul`, `MulAdd`
 /// or `MulSub` group, one `simd.add` call per `Add`, `Sub`, `MulAdd` or
@@ -599,10 +602,13 @@ mod x86 {
     const ALL4: i32 = 0b1111;
 
     /// Counts the lanes whose validity bit is clear in `ok` (the lanes
-    /// about to be recomputed by a scalar patch).
+    /// about to be recomputed by a scalar patch), if there are any.
     #[inline]
     fn note_patched(c: &'static igen_telemetry::Counter, ok: i32) {
-        c.add((!ok & ALL4).count_ones() as u64);
+        let patched = (!ok & ALL4).count_ones();
+        if patched > 0 {
+            c.add(patched as u64);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -651,8 +657,10 @@ mod x86 {
     /// and `+0.0` in `ops::bump_up`. No lane a kernel accepts asks for
     /// that step. A sum or product that rounds to zero is exact, so its
     /// residual never sets `up`; a zero quotient or square root fails its
-    /// kernel's range guard; and `fma_ru` flags a `-0.0` result stepped
-    /// up. The rare paths keep only lanes whose `up` is clear.
+    /// kernel's range guard; an `fma_ru` result is `-0.0` only from a
+    /// zero product, whose ErrFma terms are zeros (DESIGN §10); and the
+    /// add settle steps only a finite sum beside a non-finite TwoSum
+    /// error, which is never `-0.0`, or a `-inf` sum.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn bump_up_256(s: __m256d, up: __m256d) -> __m256d {
@@ -968,9 +976,11 @@ mod x86 {
     /// scalar kernel, operation for operation. Its guards: `r`, the
     /// product `u1` and both ErrFma terms finite (a non-finite `r` or
     /// `u1` makes `e1` non-finite, so `e1` and `e2` go into the guard
-    /// sum), the product guard on `u1`, and one lane the integer bump
-    /// gets wrong — `r == -0.0` stepped up, where `next_up` yields the
-    /// smallest subnormal but [`bump_up_256`] a NaN.
+    /// sum), and the product guard on `u1`. Under that guard a `-0.0`
+    /// result is never stepped up, so [`bump_up_256`] is exact: a
+    /// product of at least `2.5e-291` makes `a*b + c` a nonzero multiple
+    /// of `2^-1074` or an exact zero that rounds to `+0.0`, and a zero
+    /// product leaves every ErrFma term zero (DESIGN §10).
     #[target_feature(enable = "avx2,fma")]
     #[inline]
     unsafe fn fma_ru_256(a: __m256d, b: __m256d, c: __m256d, g: &mut Guard) -> __m256d {
@@ -985,17 +995,9 @@ mod x86 {
         let e1 = _mm256_add_pd(gg, a2);
         let e2 = _mm256_sub_pd(a2, _mm256_sub_pd(e1, gg));
         g.sum = _mm256_add_pd(_mm256_add_pd(g.sum, e1), e2);
+        g.ok = _mm256_and_pd(g.ok, product_ok_256(a, b, u1));
         let sign = _mm256_blendv_pd(e2, e1, _mm256_cmp_pd::<_CMP_NEQ_UQ>(e1, zero));
-        let up = _mm256_cmp_pd::<_CMP_GT_OQ>(sign, zero);
-        let neg_zero = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
-            _mm256_castpd_si256(r),
-            _mm256_set1_epi64x(i64::MIN),
-        ));
-        g.ok = _mm256_andnot_pd(
-            _mm256_and_pd(neg_zero, up),
-            _mm256_and_pd(g.ok, product_ok_256(a, b, u1)),
-        );
-        bump_up_256(r, up)
+        bump_up_256(r, _mm256_cmp_pd::<_CMP_GT_OQ>(sign, zero))
     }
 
     /// `igen_dd::arith::two_sum_dir::<Ru>`.
@@ -1093,26 +1095,44 @@ mod x86 {
         )
     }
 
-    /// Stores an endpoint pair and reports the lanes the caller must
-    /// patch under `patched`.
+    /// Stores an endpoint pair.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn store_ddi(
-        neg_lo: Dd256,
-        hi: Dd256,
-        g: Guard,
-        patched: &'static igen_telemetry::Counter,
-    ) -> (DdiCols4, u8) {
+    unsafe fn store_ddi(neg_lo: Dd256, hi: Dd256) -> DdiCols4 {
         let mut out = DdiCols4::default();
         _mm256_storeu_pd(out.neg_lo_hi.as_mut_ptr(), neg_lo.hi);
         _mm256_storeu_pd(out.neg_lo_lo.as_mut_ptr(), neg_lo.lo);
         _mm256_storeu_pd(out.hi_hi.as_mut_ptr(), hi.hi);
         _mm256_storeu_pd(out.hi_lo.as_mut_ptr(), hi.lo);
-        let ok = g.mask();
-        if ok != ALL4 {
-            note_patched(patched, ok);
+        out
+    }
+
+    /// Lane mask: a word of `x` or of `y` is NaN.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn nan_words(x: Dd256, y: Dd256) -> __m256d {
+        _mm256_or_pd(
+            _mm256_cmp_pd::<_CMP_UNORD_Q>(x.hi, x.lo),
+            _mm256_cmp_pd::<_CMP_UNORD_Q>(y.hi, y.lo),
+        )
+    }
+
+    /// Settles the NaN columns of a dd op's result: writes the canonical
+    /// `(NaN, NaN)` into the lanes `nan_nl` of the negated lower endpoint
+    /// and `nan_h` of the upper one.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn settle_nan(out: &mut DdiCols4, nan_nl: __m256d, nan_h: __m256d) {
+        let nanv = _mm256_set1_pd(f64::NAN);
+        for (col, nan) in [
+            (&mut out.neg_lo_hi, nan_nl),
+            (&mut out.neg_lo_lo, nan_nl),
+            (&mut out.hi_hi, nan_h),
+            (&mut out.hi_lo, nan_h),
+        ] {
+            let v = _mm256_blendv_pd(_mm256_loadu_pd(col.as_ptr()), nanv, nan);
+            _mm256_storeu_pd(col.as_mut_ptr(), v);
         }
-        (out, ok as u8)
     }
 
     /// Packed `DdI::add`: `add_dir::<Ru>` on both endpoint columns.
@@ -1126,7 +1146,36 @@ mod x86 {
         let (b_nl, b_h) = load_ddi(b);
         let (nl, g_nl) = add_dir_256(a_nl, b_nl);
         let (h, g_h) = add_dir_256(a_h, b_h);
-        store_ddi(nl, h, g_nl.merge(g_h), &super::tel::DD_ADD_PATCHED)
+        let mut out = store_ddi(nl, h);
+        let mut ok = g_nl.merge(g_h).mask();
+        if ok != ALL4 {
+            ok = ddi_add_rare(a, b, &mut out, g_nl.mask(), g_h.mask());
+        }
+        (out, ok as u8)
+    }
+
+    /// The lanes of a dd interval add that failed a guard, given each
+    /// endpoint column's own validity mask. A NaN in an operand word of
+    /// a column reaches `add_dir`'s `zh` or `zl`, so `finish` returns
+    /// `(NaN, NaN)` for that column; those columns are settled. A lane
+    /// is valid when each of its columns is settled or passed its
+    /// guards; the rest are left for the scalar patch.
+    #[target_feature(enable = "avx2")]
+    #[cold]
+    unsafe fn ddi_add_rare(
+        a: &DdiCols4,
+        b: &DdiCols4,
+        out: &mut DdiCols4,
+        ok_nl: i32,
+        ok_h: i32,
+    ) -> i32 {
+        let (a_nl, a_h) = load_ddi(a);
+        let (b_nl, b_h) = load_ddi(b);
+        let (nan_nl, nan_h) = (nan_words(a_nl, b_nl), nan_words(a_h, b_h));
+        settle_nan(out, nan_nl, nan_h);
+        let ok = (ok_nl | _mm256_movemask_pd(nan_nl)) & (ok_h | _mm256_movemask_pd(nan_h));
+        note_patched(&super::tel::DD_ADD_PATCHED, ok);
+        ok
     }
 
     /// Packed `DdI::mul`: the eight directed products and the `dd_max`
@@ -1150,7 +1199,29 @@ mod x86 {
         let neg_lo = dd_max_256(dd_max_256(l1, l2), dd_max_256(l3, l4));
         let hi = dd_max_256(dd_max_256(u1, u2), dd_max_256(u3, u4));
         let g = g1.merge(g2).merge(g3.merge(g4)).merge(g5.merge(g6).merge(g7.merge(g8)));
-        store_ddi(neg_lo, hi, g, &super::tel::DD_MUL_PATCHED)
+        let mut out = store_ddi(neg_lo, hi);
+        let mut ok = g.mask();
+        if ok != ALL4 {
+            ok = ddi_mul_rare(a, b, &mut out, ok);
+        }
+        (out, ok as u8)
+    }
+
+    /// The lanes of a dd interval mul that failed a guard. Each endpoint
+    /// is a maximum over four products that together read all eight
+    /// operand words, so one NaN word makes both endpoints `(NaN, NaN)`
+    /// through `dd_max`; those lanes are settled, and the rest are left
+    /// for the scalar patch.
+    #[target_feature(enable = "avx2")]
+    #[cold]
+    unsafe fn ddi_mul_rare(a: &DdiCols4, b: &DdiCols4, out: &mut DdiCols4, ok: i32) -> i32 {
+        let (na, ah) = load_ddi(a);
+        let (nb, bh) = load_ddi(b);
+        let nan = _mm256_or_pd(nan_words(na, ah), nan_words(nb, bh));
+        settle_nan(out, nan, nan);
+        let ok = ok | _mm256_movemask_pd(nan);
+        note_patched(&super::tel::DD_MUL_PATCHED, ok);
+        ok
     }
 
     // ------------------------------------------------------------------
@@ -1188,13 +1259,6 @@ mod x86 {
         _mm256_store_pd(out.hi.as_mut_ptr(), v.h);
     }
 
-    /// Lane mask: `|x|` is infinite.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn is_inf_256(x: __m256d) -> __m256d {
-        _mm256_cmp_pd::<_CMP_EQ_OQ>(abs_256(x), _mm256_set1_pd(f64::INFINITY))
-    }
-
     /// [`max_nan`](super::max_nan) on lanes without a NaN operand:
     /// `a >= b` selects `a`, so ties keep `a`.
     #[target_feature(enable = "avx2")]
@@ -1219,7 +1283,8 @@ mod x86 {
 
     /// Runs the cold `rare` on the operands and the hot-path result,
     /// spilled to memory only on this path: passing the register values
-    /// to a call would keep them in memory on the hot path too.
+    /// to a call would keep them in memory on the hot path too. `rare`
+    /// leaves the op's result in place of the hot-path one.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn via_memory(
@@ -1237,39 +1302,33 @@ mod x86 {
         load_iv(&cr)
     }
 
-    /// The lanes of an interval add that left `add_ru`'s hot path. Two
-    /// cases of its slow path are exact in registers: a NaN sum, which
-    /// becomes the canonical NaN, and a sum with an infinite operand,
-    /// which is the hot path's unbumped `s` (the TwoSum error is NaN).
-    /// What is left — finite operands that overflow, and TwoSum's
-    /// intermediate overflow — is recomputed with [`add_cols`].
+    /// An interval add with a lane outside `add_ru`'s hot path, settled
+    /// on every lane: [`add_ru_settled`] on both columns.
     #[target_feature(enable = "avx2,fma")]
     #[cold]
     unsafe fn add_rare(a: &F64iCols4, b: &F64iCols4, r: &mut F64iCols4) {
-        let (va, vb, vr) = (load_iv(a), load_iv(b), load_iv(r));
-        let (nl, ok_nl) = add_col_special(va.nl, vb.nl, vr.nl);
-        let (h, ok_h) = add_col_special(va.h, vb.h, vr.h);
-        store_iv(Iv256 { nl, h }, r);
-        let ok = _mm256_movemask_pd(_mm256_and_pd(ok_nl, ok_h));
-        if ok != ALL4 {
-            note_patched(&super::tel::ADD_PATCHED, ok);
-            patch_cols(ok, a, b, r, super::add_cols);
-        }
+        let (va, vb) = (load_iv(a), load_iv(b));
+        store_iv(Iv256 { nl: add_ru_settled(va.nl, vb.nl), h: add_ru_settled(va.h, vb.h) }, r);
     }
 
-    /// One column of [`add_rare`]: the hot-path result `r` with NaN sums
-    /// made canonical, and the mask of the lanes now exact.
+    /// `add_ru` on four lanes, slow path included: each return of
+    /// `add_ru_slow` is the sum `s` stepped up once or left alone, or
+    /// the canonical NaN. Finite operands with a non-finite TwoSum error
+    /// step `s` up unless it is `+inf`: a finite `s` (TwoSum's
+    /// intermediate overflow) to `next_up(s)`, a `-inf` one to `-MAX`,
+    /// the saturation. An infinite operand leaves `s` alone, as its
+    /// error is NaN. A stepped `s` is never `-0.0`: only two `-0.0`
+    /// operands sum to it, with a zero error.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn add_col_special(x: __m256d, y: __m256d, r: __m256d) -> (__m256d, __m256d) {
-        let mut hot = Guard::new();
-        add_ru_256(x, y, &mut hot);
-        let hot = hot.lanes();
-        // r is NaN exactly where the sum is: the bump steps no NaN, and
-        // makes none because a zero sum never asks for a step.
-        let nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(r, r);
-        let ok = _mm256_or_pd(_mm256_or_pd(hot, nan), _mm256_or_pd(is_inf_256(x), is_inf_256(y)));
-        (_mm256_blendv_pd(r, _mm256_set1_pd(f64::NAN), nan), ok)
+    unsafe fn add_ru_settled(x: __m256d, y: __m256d) -> __m256d {
+        let (s, e) = two_sum_256(x, y);
+        let finite_ops = _mm256_and_pd(is_finite_256(x), is_finite_256(y));
+        let below_inf = _mm256_cmp_pd::<_CMP_LT_OQ>(s, _mm256_set1_pd(f64::INFINITY));
+        let slow_up = _mm256_andnot_pd(is_finite_256(e), _mm256_and_pd(finite_ops, below_inf));
+        let up = _mm256_or_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(e, _mm256_setzero_pd()), slow_up);
+        let nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(s, s);
+        _mm256_blendv_pd(bump_up_256(s, up), _mm256_set1_pd(f64::NAN), nan)
     }
 
     /// `F64I::mul` with its flagged lanes resolved: the four
@@ -1296,66 +1355,50 @@ mod x86 {
     }
 
     /// The lanes of an interval mul where some `mul_ru_both` core left
-    /// its hot path. Two cases are exact in registers. A NaN product
-    /// makes both endpoints the canonical NaN, as `max_nan` does in the
-    /// scalar op. A core with a zero or infinite operand gives the
-    /// rounded product and its negation, which is what `mul_ru`'s slow
-    /// path returns there, and the bump leaves them alone because the
-    /// residual is zero or NaN. The other lanes (products that overflow,
-    /// underflow or fall below the residual guard) are recomputed with
-    /// [`mul_cols`].
+    /// its hot path. The hot path's pair `(bump(p, e > 0), bump(-p,
+    /// e < 0))` is `mul_ru_both`'s slow-path result on every core but
+    /// one whose product is below `2.5e-291` from nonzero operands. A
+    /// zero or infinite operand leaves a zero or NaN residual, so
+    /// nothing is bumped; a finite product that overflows to `±inf`
+    /// leaves the residual `∓inf`, which bumps the `-inf` side to
+    /// `-MAX`, `mul_ru`'s saturation. So the selections are exact too,
+    /// but on a lane with a NaN product, where both endpoints become the
+    /// canonical NaN, as `max_nan` makes them. Lanes with a tiny product
+    /// are recomputed with [`mul_cols`](super::mul_cols).
     #[target_feature(enable = "avx2,fma")]
     #[cold]
     unsafe fn mul_rare(a: &F64iCols4, b: &F64iCols4, r: &mut F64iCols4) {
         let (va, vb, vr) = (load_iv(a), load_iv(b), load_iv(r));
-        let (n1, ok1) = mul_core_special(va.nl, vb.nl);
-        let (n2, ok2) = mul_core_special(va.nl, vb.h);
-        let (n3, ok3) = mul_core_special(va.h, vb.nl);
-        let (n4, ok4) = mul_core_special(va.h, vb.h);
+        let (n1, t1) = mul_core_rare(va.nl, vb.nl);
+        let (n2, t2) = mul_core_rare(va.nl, vb.h);
+        let (n3, t3) = mul_core_rare(va.h, vb.nl);
+        let (n4, t4) = mul_core_rare(va.h, vb.h);
         let nan = _mm256_or_pd(_mm256_or_pd(n1, n2), _mm256_or_pd(n3, n4));
         let nanv = _mm256_set1_pd(f64::NAN);
         let nl = _mm256_blendv_pd(vr.nl, nanv, nan);
         store_iv(Iv256 { nl, h: _mm256_blendv_pd(vr.h, nanv, nan) }, r);
-        let ok = _mm256_or_pd(nan, _mm256_and_pd(_mm256_and_pd(ok1, ok2), _mm256_and_pd(ok3, ok4)));
-        let ok = _mm256_movemask_pd(ok);
-        if ok != ALL4 {
-            note_patched(&super::tel::MUL_PATCHED, ok);
-            patch_cols(ok, a, b, r, super::mul_cols);
+        let tiny = _mm256_or_pd(_mm256_or_pd(t1, t2), _mm256_or_pd(t3, t4));
+        let ok = !_mm256_movemask_pd(_mm256_andnot_pd(nan, tiny)) & ALL4;
+        note_patched(&super::tel::MUL_PATCHED, ok);
+        for i in (0..4).filter(|i| ok & (1 << i) == 0) {
+            (r.neg_lo[i], r.hi[i]) = super::mul_cols(a.neg_lo[i], a.hi[i], b.neg_lo[i], b.hi[i]);
         }
     }
 
-    /// One core of [`mul_rare`]: the lanes whose product is NaN, and the
-    /// lanes whose in-register pair is exact (hot guard, or a zero or
-    /// infinite operand).
-    #[target_feature(enable = "avx2,fma")]
+    /// One core of [`mul_rare`]: the lanes whose product is NaN, and
+    /// the lanes whose product is below `2.5e-291` from nonzero
+    /// operands.
+    #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn mul_core_special(x: __m256d, y: __m256d) -> (__m256d, __m256d) {
-        let mut hot = Guard::new();
-        mul_ru_both_256(x, y, &mut hot);
-        let hot = hot.lanes();
+    unsafe fn mul_core_rare(x: __m256d, y: __m256d) -> (__m256d, __m256d) {
         let p = _mm256_mul_pd(x, y);
         let zero = _mm256_setzero_pd();
-        let special = _mm256_or_pd(
-            _mm256_or_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(x, zero), is_inf_256(x)),
-            _mm256_or_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(y, zero), is_inf_256(y)),
+        let nonzero = _mm256_and_pd(
+            _mm256_cmp_pd::<_CMP_NEQ_UQ>(x, zero),
+            _mm256_cmp_pd::<_CMP_NEQ_UQ>(y, zero),
         );
-        (_mm256_cmp_pd::<_CMP_UNORD_Q>(p, p), _mm256_or_pd(hot, special))
-    }
-
-    /// Recomputes the lanes whose bit is clear in `ok` with the scalar
-    /// interval op `f` on raw endpoint pairs.
-    fn patch_cols(
-        ok: i32,
-        a: &F64iCols4,
-        b: &F64iCols4,
-        r: &mut F64iCols4,
-        f: fn(f64, f64, f64, f64) -> (f64, f64),
-    ) {
-        for i in 0..4 {
-            if ok & (1 << i) == 0 {
-                (r.neg_lo[i], r.hi[i]) = f(a.neg_lo[i], a.hi[i], b.neg_lo[i], b.hi[i]);
-            }
-        }
+        let small = _mm256_cmp_pd::<_CMP_LT_OQ>(abs_256(p), _mm256_set1_pd(FMA_RESIDUAL_EXACT_MIN));
+        (_mm256_cmp_pd::<_CMP_UNORD_Q>(p, p), _mm256_and_pd(small, nonzero))
     }
 
     /// Loads group `i` of a bank.

@@ -196,6 +196,9 @@ fn awkward() -> Vec<f64> {
         f64::MAX,
         -f64::MAX,
         f64::MAX / 2.0,
+        // Beside `MAX`, a finite sum whose TwoSum overflows inside
+        // (`s - b` rounds past `MAX`): `add_ru`'s `next_up(s)` branch.
+        -3.0 * pow2(970),
         f64::MIN_POSITIVE,
         -f64::MIN_POSITIVE,
         f64::from_bits(1),
@@ -234,7 +237,7 @@ fn awkward_intervals() -> Vec<(f64, f64)> {
 /// `x op y`, or `z ± x * y` for the fused forms (`Sub` is `Add` on the
 /// endpoint-swapped right operand).
 fn sweep_lane(op: SweepOp, x: (f64, f64), y: (f64, f64), z: (f64, f64)) -> (f64, f64) {
-    let add = |p: (f64, f64), q: (f64, f64)| simd::add_cols(p.0, p.1, q.0, q.1);
+    let add = |p: (f64, f64), q: (f64, f64)| (r::add_ru(p.0, q.0), r::add_ru(p.1, q.1));
     let mul = |p: (f64, f64), q: (f64, f64)| simd::mul_cols(p.0, p.1, q.0, q.1);
     let swap = |p: (f64, f64)| (p.1, p.0);
     match op {

@@ -1,11 +1,12 @@
 //! Human-readable rendering of a [`Snapshot`] (`igen-cli report`).
 //!
 //! The report derives the headline soundness diagnostics from raw
-//! counters — notably the per-op SIMD *guard-failure rate*: packed
-//! kernels process 4 lanes per call and fall back to a `#[cold]` scalar
-//! patch for each lane whose operands violate the backend's exactness
-//! guards, so `lanes_patched / (4 * packed_calls)` is the fraction of
-//! lanes that left the fast path.
+//! counters — notably the per-op SIMD *patch rate*: packed kernels
+//! process 4 lanes per call, and a lane whose operands violate the
+//! backend's exactness guards goes to a `#[cold]` path that settles it
+//! in registers where it can and otherwise recomputes it with the
+//! scalar op, so `lanes_patched / (4 * packed_calls)` is the fraction of
+//! lanes the scalar op recomputed.
 //!
 //! Always compiled: reporting works on traces read from disk even in
 //! builds without the `enabled` recording feature.
@@ -83,7 +84,7 @@ fn counter(snap: &Snapshot, name: &str) -> Option<u64> {
 }
 
 fn render_simd(out: &mut String, snap: &Snapshot) {
-    // Guard-failure rate per packed op.
+    // Scalar-patch rate per packed op.
     let mut rows: Vec<(&str, u64, u64)> = Vec::new();
     for op in ["add", "mul", "div", "max", "sqrt", "sqr", "abs", "dd_add", "dd_mul"] {
         let packed = counter(snap, &format!("simd.{op}.packed_calls"));
@@ -93,7 +94,7 @@ fn render_simd(out: &mut String, snap: &Snapshot) {
         }
     }
     if !rows.is_empty() {
-        out.push_str("simd guard failures (lanes patched / 4-wide packed calls)\n");
+        out.push_str("simd scalar patches (lanes patched / 4-wide packed calls)\n");
         for (op, packed, patched) in &rows {
             let lanes = packed * 4;
             let rate = if lanes > 0 { *patched as f64 / lanes as f64 * 100.0 } else { 0.0 };
