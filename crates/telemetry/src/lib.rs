@@ -14,7 +14,7 @@
 //!   build pays nothing until a trace is requested.
 //! * **Counters** ([`Counter`]) — lock-free `static` atomic counters for
 //!   runtime hot paths (packed-kernel invocations, per-lane scalar
-//!   patches, directed-rounding ulp bumps, backend-dispatch outcomes).
+//!   patches, directed-rounding ulp bumps).
 //!   Increments are a single relaxed `fetch_add`; counters register
 //!   themselves in a global registry on first use.
 //! * **Width histograms** ([`WidthHist`]) — log2-bucketed histograms of

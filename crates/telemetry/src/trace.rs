@@ -381,7 +381,7 @@ mod tests {
             ],
             counters: vec![
                 ("simd.add.packed_calls".into(), 4096),
-                ("simd.dispatch.portable".into(), 7),
+                ("simd.mul.packed_calls".into(), 7),
             ],
             hists: vec![HistRec {
                 name: "width.batch.dot".into(),
