@@ -194,11 +194,11 @@ fn sweep_program() -> Program {
         n_regs: 7,
         consts: vec![],
         insns: vec![
-            Insn::Add { dst: 2, a: 0, b: 1 },
-            Insn::Sub { dst: 3, a: 0, b: 1 },
-            Insn::Mul { dst: 4, a: 2, b: 3 },
-            Insn::MulAdd { dst: 5, a: 0, b: 1, acc: 4 },
-            Insn::MulSub { dst: 6, a: 2, b: 3, acc: 5 },
+            Insn::op(SweepOp::Add, 2, &[0, 1]),
+            Insn::op(SweepOp::Sub, 3, &[0, 1]),
+            Insn::op(SweepOp::Mul, 4, &[2, 3]),
+            Insn::op(SweepOp::MulAdd, 5, &[0, 1, 4]),
+            Insn::op(SweepOp::MulSub, 6, &[2, 3, 5]),
         ],
         inputs: vec!["x".into(), "y".into()],
         outputs: vec![OutputSlot { label: "return".into(), reg: 6 }],
@@ -267,10 +267,10 @@ fn henon_program(precision: Precision, iterations: u32) -> Program {
     for i in 0..iterations {
         let r = 5 + 3 * i;
         insns.extend([
-            Insn::Mul { dst: r, a: 2, b: x },
-            Insn::MulSub { dst: r + 1, a: r, b: x, acc: 4 },
-            Insn::Add { dst: r + 2, a: r + 1, b: y },
-            Insn::Mul { dst: r, a: 3, b: x },
+            Insn::op(SweepOp::Mul, r, &[2, x]),
+            Insn::op(SweepOp::MulSub, r + 1, &[r, x, 4]),
+            Insn::op(SweepOp::Add, r + 2, &[r + 1, y]),
+            Insn::op(SweepOp::Mul, r, &[3, x]),
         ]);
         (x, y) = (r + 2, r);
     }

@@ -41,7 +41,7 @@ use igen_telemetry::json::{self, Json};
 
 /// The PR index stamped into the default trajectory file name
 /// (`results/BENCH_<pr>.json`). Bump when recording a new PR's baseline.
-pub const CURRENT_PR: u32 = 18;
+pub const CURRENT_PR: u32 = 26;
 
 /// JSON schema tag; bump on incompatible report changes.
 pub const SCHEMA: &str = "igen-bench-gauntlet/v1";

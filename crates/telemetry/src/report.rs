@@ -112,7 +112,6 @@ fn render_peephole(out: &mut String, snap: &Snapshot) {
     let rules = [
         ("dedup", "constant pool entries deduplicated"),
         ("neg_fold", "add/sub-of-neg folded"),
-        ("sqr", "mul(x,x) strengthened to sqr"),
         ("dce", "dead instructions removed"),
         ("fuse", "mul+acc fused to muladd/mulsub"),
         ("renumber", "registers reclaimed by renumbering"),

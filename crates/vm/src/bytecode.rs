@@ -11,11 +11,11 @@
 //! double-double interval exactly, with the low components zero for
 //! `f64` programs.
 //!
-//! One table maps an instruction to what it does: its destination and
-//! its `Action`, a pool constant or a [`SweepOp`] over its sources.
-//! `Insn::decode` returns that pair, for the peephole pass, validation
-//! and the listing; the executor expands the same table in place
-//! (`decoded!`), so each instruction kind runs its op from its own arm.
+//! An arithmetic instruction names its op with the [`SweepOp`] the lane
+//! types run, so an instruction is exactly what the executor hands to
+//! `LaneOps::sweep`: the op, a destination and the sources `[a, b,
+//! acc]`. The peephole pass, validation, the listing and the profiler
+//! read the op and its sources from the instruction itself.
 
 use igen_interval::SweepOp;
 
@@ -76,7 +76,11 @@ impl PoolConst {
 
 /// One bytecode instruction. Operands are virtual register indices;
 /// `dst` is always a previously unwritten register (single assignment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Two instructions are equal when they write the same register with
+/// the same constant, or run the same op over the same sources: the
+/// source slots an op does not read never take part.
+#[derive(Debug, Clone, Copy)]
 pub enum Insn {
     /// `dst ← consts[idx]`
     Const {
@@ -85,270 +89,91 @@ pub enum Insn {
         /// Constant-pool index.
         idx: u32,
     },
-    /// `dst ← a + b`
-    Add {
+    /// `dst ← op(a, b, acc)`, the op every lane type runs through
+    /// `LaneOps::sweep`. `MulAdd`/`MulSub` are *dispatch-fused*
+    /// multiply-accumulates: the product is rounded exactly as a
+    /// standalone `Mul` and the accumulate exactly as a standalone
+    /// `Add`/`Sub` with the product as the **right** operand, so the
+    /// result is bit-identical to the unfused pair. This is not an FMA
+    /// (which would round once); only the temporary register and the
+    /// second dispatch are eliminated.
+    Op {
+        /// The operation.
+        op: SweepOp,
         /// Destination register.
         dst: u32,
-        /// Left operand register.
-        a: u32,
-        /// Right operand register.
-        b: u32,
-    },
-    /// `dst ← a - b`
-    Sub {
-        /// Destination register.
-        dst: u32,
-        /// Left operand register.
-        a: u32,
-        /// Right operand register.
-        b: u32,
-    },
-    /// `dst ← a * b`
-    Mul {
-        /// Destination register.
-        dst: u32,
-        /// Left operand register.
-        a: u32,
-        /// Right operand register.
-        b: u32,
-    },
-    /// `dst ← a / b`
-    Div {
-        /// Destination register.
-        dst: u32,
-        /// Left operand register.
-        a: u32,
-        /// Right operand register.
-        b: u32,
-    },
-    /// `dst ← min(a, b)` pointwise
-    Min {
-        /// Destination register.
-        dst: u32,
-        /// Left operand register.
-        a: u32,
-        /// Right operand register.
-        b: u32,
-    },
-    /// `dst ← max(a, b)` pointwise
-    Max {
-        /// Destination register.
-        dst: u32,
-        /// Left operand register.
-        a: u32,
-        /// Right operand register.
-        b: u32,
-    },
-    /// `dst ← -a`
-    Neg {
-        /// Destination register.
-        dst: u32,
-        /// Operand register.
-        a: u32,
-    },
-    /// `dst ← sqrt(a)`
-    Sqrt {
-        /// Destination register.
-        dst: u32,
-        /// Operand register.
-        a: u32,
-    },
-    /// `dst ← |a|`
-    Abs {
-        /// Destination register.
-        dst: u32,
-        /// Operand register.
-        a: u32,
-    },
-    /// `dst ← a²` (the dependency-aware square)
-    Sqr {
-        /// Destination register.
-        dst: u32,
-        /// Operand register.
-        a: u32,
-    },
-    /// `dst ← aⁿ` (integer exponent, clamped to `i32` like the
-    /// `ia_pow_*` builtins)
-    Pow {
-        /// Destination register.
-        dst: u32,
-        /// Operand register.
-        a: u32,
-        /// Exponent.
-        n: i32,
-    },
-    /// `dst ← acc + (a * b)` — a *dispatch-fused* multiply-accumulate:
-    /// the product is rounded exactly as a standalone `Mul` and the sum
-    /// exactly as a standalone `Add` with the product as the **right**
-    /// operand, so the result is bit-identical to the unfused pair.
-    /// This is not an FMA (which would round once); only the temporary
-    /// register and the second dispatch are eliminated.
-    MulAdd {
-        /// Destination register.
-        dst: u32,
-        /// Product left operand register.
-        a: u32,
-        /// Product right operand register.
-        b: u32,
-        /// Accumulator register (left operand of the add).
-        acc: u32,
-    },
-    /// `dst ← acc - (a * b)` — the subtracting twin of [`Insn::MulAdd`],
-    /// with the product as the subtrahend. Same exactness argument:
-    /// both roundings are preserved, only the dispatch is fused.
-    MulSub {
-        /// Destination register.
-        dst: u32,
-        /// Product left operand register.
-        a: u32,
-        /// Product right operand register.
-        b: u32,
-        /// Accumulator register (minuend of the sub).
-        acc: u32,
+        /// Source registers `[a, b, acc]`: `op` reads the first
+        /// [`SweepOp::arity`], and the slots it does not read repeat
+        /// `a` ([`Program::validate`] checks this).
+        src: [u32; 3],
     },
 }
-
-/// What one instruction writes to its destination: a pool constant, or
-/// an arithmetic op over its sources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Action {
-    /// Pool constant `idx`.
-    Const(u32),
-    /// `op` over the sources `[a, b, acc]`; an entry the op does not
-    /// read repeats `a`.
-    Op(SweepOp, [u32; 3]),
-}
-
-impl Action {
-    /// The source registers the action reads, in operand order.
-    pub(crate) fn srcs(&self) -> &[u32] {
-        match self {
-            Action::Const(_) => &[],
-            Action::Op(op, src) => &src[..op.arity()],
-        }
-    }
-
-    /// The same action with every source register renamed by `f`.
-    pub(crate) fn map_srcs(self, f: impl FnMut(u32) -> u32) -> Action {
-        match self {
-            Action::Const(_) => self,
-            Action::Op(op, src) => Action::Op(op, src.map(f)),
-        }
-    }
-}
-
-/// The one table from instructions to what they do: evaluates `$body`
-/// in the arm of each instruction kind, with `$dst` bound to the
-/// destination register and `$action` to the [`Action`]. A `$body` that
-/// matches on the action sees a constant op in each arm, so the
-/// executor dispatches with one match per instruction.
-macro_rules! decoded {
-    ($insn:expr, |$dst:ident, $action:ident| $body:expr) => {{
-        use igen_interval::SweepOp as Op;
-        use $crate::bytecode::{Action::Op as A, Insn};
-        match *$insn {
-            Insn::Const { dst: $dst, idx } => {
-                let $action = $crate::bytecode::Action::Const(idx);
-                $body
-            }
-            Insn::Add { dst: $dst, a, b } => {
-                let $action = A(Op::Add, [a, b, a]);
-                $body
-            }
-            Insn::Sub { dst: $dst, a, b } => {
-                let $action = A(Op::Sub, [a, b, a]);
-                $body
-            }
-            Insn::Mul { dst: $dst, a, b } => {
-                let $action = A(Op::Mul, [a, b, a]);
-                $body
-            }
-            Insn::Div { dst: $dst, a, b } => {
-                let $action = A(Op::Div, [a, b, a]);
-                $body
-            }
-            Insn::Min { dst: $dst, a, b } => {
-                let $action = A(Op::Min, [a, b, a]);
-                $body
-            }
-            Insn::Max { dst: $dst, a, b } => {
-                let $action = A(Op::Max, [a, b, a]);
-                $body
-            }
-            Insn::Neg { dst: $dst, a } => {
-                let $action = A(Op::Neg, [a; 3]);
-                $body
-            }
-            Insn::Sqrt { dst: $dst, a } => {
-                let $action = A(Op::Sqrt, [a; 3]);
-                $body
-            }
-            Insn::Abs { dst: $dst, a } => {
-                let $action = A(Op::Abs, [a; 3]);
-                $body
-            }
-            Insn::Sqr { dst: $dst, a } => {
-                let $action = A(Op::Sqr, [a; 3]);
-                $body
-            }
-            Insn::Pow { dst: $dst, a, n } => {
-                let $action = A(Op::Pow(n), [a; 3]);
-                $body
-            }
-            Insn::MulAdd { dst: $dst, a, b, acc } => {
-                let $action = A(Op::MulAdd, [a, b, acc]);
-                $body
-            }
-            Insn::MulSub { dst: $dst, a, b, acc } => {
-                let $action = A(Op::MulSub, [a, b, acc]);
-                $body
-            }
-        }
-    }};
-}
-pub(crate) use decoded;
 
 impl Insn {
-    /// The instruction's destination register and [`Action`].
-    pub(crate) fn decode(&self) -> (u32, Action) {
-        decoded!(self, |dst, action| (dst, action))
+    /// `dst ← op(srcs)`, with `srcs` the op's sources in operand order:
+    /// `[a]`, `[a, b]` or `[a, b, acc]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `srcs` does not hold exactly [`SweepOp::arity`]
+    /// registers.
+    pub fn op(op: SweepOp, dst: u32, srcs: &[u32]) -> Insn {
+        assert_eq!(srcs.len(), op.arity(), "{op:?} reads {} sources", op.arity());
+        let mut src = [srcs[0]; 3];
+        src[..srcs.len()].copy_from_slice(srcs);
+        Insn::Op { op, dst, src }
     }
 
-    /// The instruction that writes `action` to `dst`: the inverse of
-    /// [`Insn::decode`].
-    pub(crate) fn encode(dst: u32, action: Action) -> Insn {
-        let (op, [a, b, acc]) = match action {
-            Action::Const(idx) => return Insn::Const { dst, idx },
-            Action::Op(op, src) => (op, src),
-        };
-        match op {
-            SweepOp::Add => Insn::Add { dst, a, b },
-            SweepOp::Sub => Insn::Sub { dst, a, b },
-            SweepOp::Mul => Insn::Mul { dst, a, b },
-            SweepOp::Div => Insn::Div { dst, a, b },
-            SweepOp::Min => Insn::Min { dst, a, b },
-            SweepOp::Max => Insn::Max { dst, a, b },
-            SweepOp::Neg => Insn::Neg { dst, a },
-            SweepOp::Sqrt => Insn::Sqrt { dst, a },
-            SweepOp::Abs => Insn::Abs { dst, a },
-            SweepOp::Sqr => Insn::Sqr { dst, a },
-            SweepOp::Pow(n) => Insn::Pow { dst, a, n },
-            SweepOp::MulAdd => Insn::MulAdd { dst, a, b, acc },
-            SweepOp::MulSub => Insn::MulSub { dst, a, b, acc },
+    /// The destination register.
+    pub fn dst(&self) -> u32 {
+        match *self {
+            Insn::Const { dst, .. } | Insn::Op { dst, .. } => dst,
+        }
+    }
+
+    /// The source registers the instruction reads, in operand order.
+    pub(crate) fn srcs(&self) -> &[u32] {
+        match self {
+            Insn::Const { .. } => &[],
+            Insn::Op { op, src, .. } => &src[..op.arity()],
         }
     }
 
     /// The instruction's lower-case mnemonic (matches [`Program::dump`]).
     pub fn op_name(&self) -> &'static str {
-        match self.decode().1 {
-            Action::Const(_) => "const",
-            Action::Op(op, _) => mnemonic(op),
+        match *self {
+            Insn::Const { .. } => "const",
+            Insn::Op { op, .. } => mnemonic(op),
         }
     }
+}
 
-    /// The destination register.
-    pub fn dst(&self) -> u32 {
-        self.decode().0
+impl PartialEq for Insn {
+    fn eq(&self, other: &Insn) -> bool {
+        let kind = match (self, other) {
+            (Insn::Const { idx: i, .. }, Insn::Const { idx: j, .. }) => i == j,
+            (Insn::Op { op: p, .. }, Insn::Op { op: q, .. }) => p == q,
+            _ => false,
+        };
+        kind && self.dst() == other.dst() && self.srcs() == other.srcs()
+    }
+}
+
+impl Eq for Insn {}
+
+/// The listing line [`Program::dump`] prints, such as `r3 = add r0, r2`.
+impl core::fmt::Display for Insn {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "r{} = {}", self.dst(), self.op_name())?;
+        match *self {
+            Insn::Const { idx, .. } => write!(f, " c{idx}"),
+            Insn::Op { op: SweepOp::Pow(n), src: [a, ..], .. } => write!(f, " r{a}, {n}"),
+            Insn::Op { op, src: [a, b, acc], .. } => match op.arity() {
+                1 => write!(f, " r{a}"),
+                2 => write!(f, " r{a}, r{b}"),
+                _ => write!(f, " r{acc}, r{a}, r{b}"),
+            },
+        }
     }
 }
 
@@ -482,18 +307,7 @@ impl Program {
             let _ = writeln!(s, "  in r{i} = {label}");
         }
         for insn in &self.insns {
-            let line = match insn.decode() {
-                (dst, Action::Const(idx)) => format!("r{dst} = const c{idx}"),
-                (dst, Action::Op(SweepOp::Pow(n), [a, ..])) => format!("r{dst} = pow r{a}, {n}"),
-                (dst, Action::Op(op @ (SweepOp::MulAdd | SweepOp::MulSub), [a, b, acc])) => {
-                    format!("r{dst} = {} r{acc}, r{a}, r{b}", mnemonic(op))
-                }
-                (dst, Action::Op(op, [a, b, _])) if op.arity() == 2 => {
-                    format!("r{dst} = {} r{a}, r{b}", mnemonic(op))
-                }
-                (dst, Action::Op(op, [a, ..])) => format!("r{dst} = {} r{a}", mnemonic(op)),
-            };
-            let _ = writeln!(s, "  {line}");
+            let _ = writeln!(s, "  {insn}");
         }
         for o in &self.outputs {
             let _ = writeln!(s, "  out {} = r{}", o.label, o.reg);
@@ -547,16 +361,19 @@ impl Program {
             }
         };
         for insn in &self.insns {
-            let (dst, action) = insn.decode();
-            if let Action::Const(idx) = action {
-                if idx as usize >= self.consts.len() {
+            match *insn {
+                Insn::Const { idx, .. } if idx as usize >= self.consts.len() => {
                     return Err(format!("constant c{idx} out of range"));
                 }
+                Insn::Op { op, src, .. } if src[op.arity()..].iter().any(|&r| r != src[0]) => {
+                    return Err(format!("`{insn}`: an unread source slot does not repeat a"));
+                }
+                _ => {}
             }
-            for &r in action.srcs() {
+            for &r in insn.srcs() {
                 read_ok(&written, r)?;
             }
-            let dst = dst as usize;
+            let dst = insn.dst() as usize;
             if dst >= n {
                 return Err(format!("destination r{dst} out of range (regs={n})"));
             }
@@ -586,36 +403,74 @@ mod tests {
             n_inputs: 2,
             n_regs: 4,
             consts: vec![PoolConst::f64_pair(1.0, 1.0)],
-            insns: vec![Insn::Const { dst: 2, idx: 0 }, Insn::Add { dst: 3, a: 0, b: 2 }],
+            insns: vec![Insn::Const { dst: 2, idx: 0 }, Insn::op(SweepOp::Add, 3, &[0, 2])],
             inputs: vec!["a".into(), "b".into()],
             outputs: vec![OutputSlot { label: "return".into(), reg: 3 }],
             debug: DebugMap::default(),
         }
     }
 
+    /// One program running `insn` over the inputs `r0..r3` into `r9`.
+    fn one(insn: Insn) -> Program {
+        Program {
+            name: "one".into(),
+            precision: Precision::F64,
+            n_inputs: 4,
+            n_regs: 10,
+            consts: vec![],
+            insns: vec![insn],
+            inputs: (0..4).map(|i| format!("x{i}")).collect(),
+            outputs: vec![OutputSlot { label: "return".into(), reg: 9 }],
+            debug: DebugMap::default(),
+        }
+    }
+
     #[test]
-    fn encode_inverts_decode_and_srcs_are_the_operands() {
-        let (dst, a, b, acc) = (9, 1, 2, 3);
-        let kinds = [
-            (Insn::Const { dst, idx: 4 }, vec![]),
-            (Insn::Add { dst, a, b }, vec![a, b]),
-            (Insn::Sub { dst, a, b }, vec![a, b]),
-            (Insn::Mul { dst, a, b }, vec![a, b]),
-            (Insn::Div { dst, a, b }, vec![a, b]),
-            (Insn::Min { dst, a, b }, vec![a, b]),
-            (Insn::Max { dst, a, b }, vec![a, b]),
-            (Insn::Neg { dst, a }, vec![a]),
-            (Insn::Sqrt { dst, a }, vec![a]),
-            (Insn::Abs { dst, a }, vec![a]),
-            (Insn::Sqr { dst, a }, vec![a]),
-            (Insn::Pow { dst, a, n: -3 }, vec![a]),
-            (Insn::MulAdd { dst, a, b, acc }, vec![a, b, acc]),
-            (Insn::MulSub { dst, a, b, acc }, vec![a, b, acc]),
+    fn every_sweep_op_is_one_instruction_over_its_sources() {
+        // The listing line of every op over a = r1, b = r2, acc = r3, in
+        // the golden listing's layout.
+        let cases = [
+            (SweepOp::Add, "r9 = add r1, r2"),
+            (SweepOp::Sub, "r9 = sub r1, r2"),
+            (SweepOp::Mul, "r9 = mul r1, r2"),
+            (SweepOp::Div, "r9 = div r1, r2"),
+            (SweepOp::Min, "r9 = min r1, r2"),
+            (SweepOp::Max, "r9 = max r1, r2"),
+            (SweepOp::Neg, "r9 = neg r1"),
+            (SweepOp::Sqrt, "r9 = sqrt r1"),
+            (SweepOp::Abs, "r9 = abs r1"),
+            (SweepOp::Sqr, "r9 = sqr r1"),
+            (SweepOp::Pow(3), "r9 = pow r1, 3"),
+            (SweepOp::MulAdd, "r9 = muladd r3, r1, r2"),
+            (SweepOp::MulSub, "r9 = mulsub r3, r1, r2"),
+            (SweepOp::Pow(-2), "r9 = pow r1, -2"),
+            (SweepOp::Pow(0), "r9 = pow r1, 0"),
         ];
-        for (insn, srcs) in kinds {
-            let (d, action) = insn.decode();
-            assert_eq!((d, action.srcs()), (dst, &srcs[..]), "{insn:?}");
-            assert_eq!(Insn::encode(d, action), insn);
+        assert_eq!(cases[..13].iter().map(|c| c.0).collect::<Vec<_>>(), SweepOp::ALL);
+        for (op, line) in cases {
+            let srcs = &[1, 2, 3][..op.arity()];
+            let insn = Insn::op(op, 9, srcs);
+            assert_eq!((insn.dst(), insn.srcs()), (9, srcs), "{op:?}");
+            assert_eq!(one(insn).validate(), Ok(()), "{op:?}");
+            assert!(one(insn).dump().contains(&format!("\n  {line}\n")), "{op:?}");
+            // Every slot the op reads is checked, the accumulator too.
+            for k in 0..op.arity() {
+                let mut unwritten = srcs.to_vec();
+                unwritten[k] = 8;
+                let err = one(Insn::op(op, 9, &unwritten)).validate().unwrap_err();
+                assert!(err.contains("r8 read before written"), "{op:?} slot {k}: {err}");
+            }
+            // The slots the op does not read neither compare nor print,
+            // and a program must repeat `a` in them.
+            let mut src = [1, 2, 3];
+            src[op.arity()..].fill(7);
+            let stray = Insn::Op { op, dst: 9, src };
+            assert_eq!(stray, insn, "{op:?}");
+            assert_eq!(stray.to_string(), line, "{op:?}");
+            if op.arity() < 3 {
+                assert!(one(stray).validate().unwrap_err().contains("unread source slot"));
+            }
+            assert_ne!(Insn::op(op, 9, &[0, 2, 3][..op.arity()]), insn, "{op:?}");
         }
     }
 
@@ -635,7 +490,7 @@ mod tests {
     fn validate_catches_structural_bugs() {
         assert!(toy().validate().is_ok());
         let mut p = toy();
-        p.insns[1] = Insn::Add { dst: 3, a: 0, b: 3 };
+        p.insns[1] = Insn::op(SweepOp::Add, 3, &[0, 3]);
         assert!(p.validate().unwrap_err().contains("read before written"));
         let mut p = toy();
         p.outputs[0].reg = 9;
@@ -659,7 +514,7 @@ mod tests {
     #[test]
     fn ssa_validation_rejects_register_reuse_but_validate_allows_it() {
         let mut p = toy();
-        p.insns[1] = Insn::Add { dst: 2, a: 0, b: 1 };
+        p.insns[1] = Insn::op(SweepOp::Add, 2, &[0, 1]);
         p.outputs[0].reg = 2;
         assert!(p.validate().is_ok(), "relaxed form permits reuse");
         assert!(p.validate_ssa().unwrap_err().contains("written twice"));

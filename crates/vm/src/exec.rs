@@ -231,6 +231,7 @@ mod tests {
         assert!(!std::ptr::eq(program_width_hist("cap-test-0"), &OTHER_WIDTHS));
     }
     use crate::bytecode::{Insn, OutputSlot};
+    use igen_interval::SweepOp;
 
     fn quad() -> Program {
         // return -b + sqrt(b² - 4ac) with a=r0, b=r1, c=r2.
@@ -241,14 +242,14 @@ mod tests {
             n_regs: 11,
             consts: vec![PoolConst::f64_pair(4.0, 4.0)],
             insns: vec![
-                Insn::Sqr { dst: 3, a: 1 },
+                Insn::op(SweepOp::Sqr, 3, &[1]),
                 Insn::Const { dst: 4, idx: 0 },
-                Insn::Mul { dst: 5, a: 4, b: 0 },
-                Insn::Mul { dst: 6, a: 5, b: 2 },
-                Insn::Sub { dst: 7, a: 3, b: 6 },
-                Insn::Sqrt { dst: 8, a: 7 },
-                Insn::Neg { dst: 9, a: 1 },
-                Insn::Add { dst: 10, a: 9, b: 8 },
+                Insn::op(SweepOp::Mul, 5, &[4, 0]),
+                Insn::op(SweepOp::Mul, 6, &[5, 2]),
+                Insn::op(SweepOp::Sub, 7, &[3, 6]),
+                Insn::op(SweepOp::Sqrt, 8, &[7]),
+                Insn::op(SweepOp::Neg, 9, &[1]),
+                Insn::op(SweepOp::Add, 10, &[9, 8]),
             ],
             inputs: vec!["a".into(), "b".into(), "c".into()],
             outputs: vec![OutputSlot { label: "return".into(), reg: 10 }],

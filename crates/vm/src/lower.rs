@@ -23,7 +23,7 @@
 use crate::bytecode::{DebugMap, Insn, OutputSlot, PoolConst, Precision, Program, SrcLoc};
 use igen_cfront::{AssignOp, BinOp, Loc, Type, UnOp};
 use igen_interval::capi;
-use igen_interval::{DdI, F64I};
+use igen_interval::{DdI, SweepOp, F64I};
 use igen_ir::{IrExpr, IrFunction, IrStmt, OpKind, Sfx};
 use std::collections::HashMap;
 
@@ -441,6 +441,13 @@ impl Lowerer {
         Ok(dst)
     }
 
+    /// Emits `op` over the source registers `srcs` into a fresh register.
+    fn emit_op(&mut self, op: SweepOp, srcs: &[u32], loc: SrcLoc) -> Result<Av, LowerError> {
+        let dst = self.fresh();
+        self.emit(Insn::op(op, dst, srcs), loc)?;
+        Ok(Av::Iv(dst))
+    }
+
     /// Materializes a pooled constant into a register, deduplicating
     /// both the pool entry and the `Const` instruction by bit pattern.
     /// A deduplicated constant keeps the site of its *first* use.
@@ -655,39 +662,17 @@ impl Lowerer {
             }
             _ => {}
         }
-        let bin = |lw: &mut Self, args: &[IrExpr], f: fn(u32, u32, u32) -> Insn| {
-            let a = {
-                let v = lw.eval(&args[0])?;
-                lw.want_iv(v, "operand")?
-            };
-            let b = {
-                let v = lw.eval(&args[1])?;
-                lw.want_iv(v, "operand")?
-            };
-            let dst = lw.fresh();
-            lw.emit(f(dst, a, b), loc)?;
-            Ok(Av::Iv(dst))
-        };
-        let un = |lw: &mut Self, args: &[IrExpr], f: fn(u32, u32) -> Insn| {
-            let a = {
-                let v = lw.eval(&args[0])?;
-                lw.want_iv(v, "operand")?
-            };
-            let dst = lw.fresh();
-            lw.emit(f(dst, a), loc)?;
-            Ok(Av::Iv(dst))
-        };
         match op {
-            Add => bin(self, args, |dst, a, b| Insn::Add { dst, a, b }),
-            Sub => bin(self, args, |dst, a, b| Insn::Sub { dst, a, b }),
-            Mul => bin(self, args, |dst, a, b| Insn::Mul { dst, a, b }),
-            Div => bin(self, args, |dst, a, b| Insn::Div { dst, a, b }),
-            Min => bin(self, args, |dst, a, b| Insn::Min { dst, a, b }),
-            Max => bin(self, args, |dst, a, b| Insn::Max { dst, a, b }),
-            Neg => un(self, args, |dst, a| Insn::Neg { dst, a }),
-            Sqrt => un(self, args, |dst, a| Insn::Sqrt { dst, a }),
-            Abs => un(self, args, |dst, a| Insn::Abs { dst, a }),
-            Sqr => un(self, args, |dst, a| Insn::Sqr { dst, a }),
+            Add => self.arith(SweepOp::Add, args, loc),
+            Sub => self.arith(SweepOp::Sub, args, loc),
+            Mul => self.arith(SweepOp::Mul, args, loc),
+            Div => self.arith(SweepOp::Div, args, loc),
+            Min => self.arith(SweepOp::Min, args, loc),
+            Max => self.arith(SweepOp::Max, args, loc),
+            Neg => self.arith(SweepOp::Neg, args, loc),
+            Sqrt => self.arith(SweepOp::Sqrt, args, loc),
+            Abs => self.arith(SweepOp::Abs, args, loc),
+            Sqr => self.arith(SweepOp::Sqr, args, loc),
             Pow => {
                 let a = {
                     let v = self.eval(&args[0])?;
@@ -699,9 +684,7 @@ impl Lowerer {
                 };
                 // Same clamp as the ia_pow_* builtins.
                 let n = n.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
-                let dst = self.fresh();
-                self.emit(Insn::Pow { dst, a, n }, loc)?;
-                Ok(Av::Iv(dst))
+                self.emit_op(SweepOp::Pow(n), &[a], loc)
             }
             Set => {
                 if args.len() != 2 {
@@ -757,6 +740,16 @@ impl Lowerer {
         }
     }
 
+    /// Emits `op` over its evaluated interval operands `args`.
+    fn arith(&mut self, op: SweepOp, args: &[IrExpr], loc: SrcLoc) -> Result<Av, LowerError> {
+        let mut src = [0; 2];
+        for (s, arg) in src.iter_mut().zip(&args[..op.arity()]) {
+            let v = self.eval(arg)?;
+            *s = self.want_iv(v, "operand")?;
+        }
+        self.emit_op(op, &src[..op.arity()], loc)
+    }
+
     fn eval_unary(&mut self, op: UnOp, inner: &IrExpr) -> Result<Av, LowerError> {
         match op {
             UnOp::Deref => {
@@ -783,11 +776,7 @@ impl Lowerer {
                     Av::Int(i) => Ok(Av::Int(i.wrapping_neg())),
                     // Unary minus on intervals lowers to ia_neg before
                     // this pass, but stay permissive.
-                    Av::Iv(r) => {
-                        let dst = self.fresh();
-                        self.emit(Insn::Neg { dst, a: r }, expr_site(inner))?;
-                        Ok(Av::Iv(dst))
-                    }
+                    Av::Iv(r) => self.emit_op(SweepOp::Neg, &[r], expr_site(inner)),
                     _ => Err(LowerError::Unsupported("unary minus operand".into())),
                 }
             }
@@ -894,20 +883,18 @@ impl Lowerer {
                         self.fold_int(bop, a, b)?
                     }
                     (Av::Iv(a), Av::Iv(b)) => {
-                        let dst = self.fresh();
-                        let insn = match bop {
-                            BinOp::Add => Insn::Add { dst, a, b },
-                            BinOp::Sub => Insn::Sub { dst, a, b },
-                            BinOp::Mul => Insn::Mul { dst, a, b },
-                            BinOp::Div => Insn::Div { dst, a, b },
+                        let op = match bop {
+                            BinOp::Add => SweepOp::Add,
+                            BinOp::Sub => SweepOp::Sub,
+                            BinOp::Mul => SweepOp::Mul,
+                            BinOp::Div => SweepOp::Div,
                             _ => {
                                 return Err(LowerError::Unsupported(
                                     "compound interval assignment".into(),
                                 ))
                             }
                         };
-                        self.emit(insn, loc)?;
-                        Av::Iv(dst)
+                        self.emit_op(op, &[a, b], loc)?
                     }
                     _ => return Err(LowerError::Unsupported("compound assignment".into())),
                 }

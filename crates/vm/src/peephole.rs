@@ -19,18 +19,6 @@
 //!   value-commutative (two NaN operands with different payloads may
 //!   propagate differently), and "almost bit-identical" is not a
 //!   rewrite this pass is allowed to make.
-//! * **`Mul(x, x) → Sqr(x)`** — only when `x` is *statically strictly
-//!   positive* (see [`strict-positive lattice`](#strict-positive-lattice)
-//!   below). The dependency-aware square differs from self-multiplication
-//!   on zero-straddling intervals (`[-1,2]² = [0,4]` vs `[-2,4]`) and
-//!   even at `lo == 0` the two produce differently signed zero lower
-//!   endpoints; for `0 < lo ≤ hi < ∞` both reduce to
-//!   `[RD(lo·lo), RU(hi·hi)]` computed by the same directed-rounding
-//!   primitives, which is pinned by this module's property tests. The
-//!   rewrite is **f64-only**: the double-double kernels agree in value
-//!   but can disagree in the zero *sign* of the low residual component
-//!   (`mul` of `[1,1]` carries a `-0.0` low word where `sqr` carries
-//!   `+0.0`), and a signed-zero bit is still a bit.
 //! * **duplicate-constant dedup** — pool entries are merged by bit
 //!   pattern and redundant `Const` materializations forward to the
 //!   first; reading the same pool bits from a different register index
@@ -60,36 +48,17 @@
 //! emphatically not that: it fuses the *dispatch*, never the rounding.
 //! The same goes for reassociation: interval `add` is not associative
 //! at the bit level.
-//!
-//! # Strict-positive lattice
-//!
-//! `Mul(x,x) → Sqr(x)` needs `0 < lo(x)` *and* NaN/∞-freedom (an
-//! infinite endpoint can turn an EFT residual into a NaN on one side
-//! but not the other). The pass proves it with a tiny forward
-//! analysis; a register is strictly positive iff it is defined by:
-//!
-//! * `Const` whose four pool components are finite with `lo_hi > 0`;
-//! * `Sqrt(a)`, `Min(a,b)`, `Max(a,b)`, `Add(a,b)`, `Mul(a,b)` of
-//!   strictly positive operands are **not all admitted**: only `Sqrt`,
-//!   `Min` and `Max` are closed under (0, ∞) *without overflow or
-//!   underflow to zero*. `Add` can overflow to `[MAX, +∞]` and `Mul`
-//!   can round its lower product down to `+0`, both of which exit the
-//!   provable region, so they stay out of the lattice.
-//!
-//! The lattice is deliberately tiny: it exists to make the rewrite
-//! *provably* exact, not to maximize hit rate.
 
-use crate::bytecode::{Action, DebugMap, Insn, PoolConst, Precision, Program, SrcLoc};
+use crate::bytecode::{DebugMap, Insn, PoolConst, Program, SrcLoc};
+use igen_interval::SweepOp;
 use igen_telemetry::Counter;
 
 /// Constant-pool entries merged plus redundant `Const` materializations
 /// forwarded, across all [`peephole`] calls. Zero-sized no-op unless
-/// the `telemetry` feature is on — as are the five counters below.
+/// the `telemetry` feature is on — as are the four counters below.
 pub static VM_PEEPHOLE_DEDUP: Counter = Counter::new("vm.peephole.dedup");
 /// `Add`/`Sub`-of-`Neg` strength reductions applied.
 pub static VM_PEEPHOLE_NEG_FOLD: Counter = Counter::new("vm.peephole.neg_fold");
-/// `Mul(x,x)` → `Sqr(x)` strength reductions applied.
-pub static VM_PEEPHOLE_SQR: Counter = Counter::new("vm.peephole.sqr");
 /// Dead instructions removed.
 pub static VM_PEEPHOLE_DCE: Counter = Counter::new("vm.peephole.dce");
 /// `Mul`+accumulate pairs fused into `MulAdd`/`MulSub`.
@@ -104,9 +73,6 @@ pub struct PeepholeStats {
     pub neg_add_to_sub: usize,
     /// `Sub(y, Neg(x))` strength-reduced to `Add(y, x)`.
     pub neg_sub_to_add: usize,
-    /// `Mul(x, x)` with provably strictly positive `x` reduced to
-    /// `Sqr(x)`.
-    pub mul_to_sqr: usize,
     /// Adjacent `Mul`+`Add`/`Sub` pairs fused into `MulAdd`/`MulSub`
     /// superinstructions (dispatch fusion; both roundings preserved).
     pub mul_acc_fused: usize,
@@ -126,7 +92,6 @@ impl PeepholeStats {
     pub fn rewrites(&self) -> usize {
         self.neg_add_to_sub
             + self.neg_sub_to_add
-            + self.mul_to_sqr
             + self.mul_acc_fused
             + self.consts_deduped
             + self.insns_removed
@@ -167,89 +132,57 @@ pub fn peephole(p: &Program) -> (Program, PeepholeStats) {
     stats.consts_deduped += pool_merged;
 
     // 2. Forward rewrite pass: operand forwarding for redundant Const
-    //    materializations, Neg+Add/Sub strength reduction, guarded
-    //    Mul(x,x)→Sqr. `alias` forwards a register to an equivalent
-    //    earlier one; `def` remembers each register's *current*
-    //    defining instruction (registers are single-assignment on
-    //    input, so "current" is unambiguous).
+    //    materializations and Neg+Add/Sub strength reduction. `alias`
+    //    forwards a register to an equivalent earlier one; `negated`
+    //    names the operand of the `Neg` that defines a register
+    //    (registers are single-assignment on input, so the defining
+    //    instruction is unambiguous).
     let n = p.n_regs as usize;
     let mut alias: Vec<u32> = (0..p.n_regs).collect();
-    let mut def: Vec<Option<Insn>> = vec![None; n];
+    let mut negated: Vec<Option<u32>> = vec![None; n];
     // First materialization of each (deduped) pool index.
     let mut first_const: Vec<Option<u32>> = vec![None; consts.len()];
-    let mut strict_pos = vec![false; n];
     let mut insns: Vec<Insn> = Vec::with_capacity(p.insns.len());
     let mut sites: Vec<SrcLoc> = Vec::with_capacity(p.insns.len());
     for (insn, site) in p.insns.iter().zip(&in_sites) {
         // Sources forward through `alias`. Lowering never emits the
         // fused forms, but they are forwarded too, so the pass can run
         // on its own output.
-        let mut rewritten = match insn.decode() {
-            (dst, Action::Const(idx)) => Insn::Const { dst, idx: pool_remap[idx as usize] },
-            (dst, action) => Insn::encode(dst, action.map_srcs(|r| alias[r as usize])),
-        };
-
-        // Redundant Const: forward to the first materialization.
-        if let Insn::Const { dst, idx } = rewritten {
-            match first_const[idx as usize] {
-                Some(reg) => {
+        let mut rewritten = match *insn {
+            Insn::Const { dst, idx } => {
+                // A redundant Const forwards to the first
+                // materialization and is itself dropped.
+                let idx = pool_remap[idx as usize];
+                if let Some(reg) = first_const[idx as usize] {
                     alias[dst as usize] = reg;
                     stats.consts_deduped += 1;
-                    continue; // the instruction itself is dropped
+                    continue;
                 }
-                None => first_const[idx as usize] = Some(dst),
+                first_const[idx as usize] = Some(dst);
+                Insn::Const { dst, idx }
             }
-        }
+            Insn::Op { op, dst, src } => Insn::Op { op, dst, src: src.map(|r| alias[r as usize]) },
+        };
 
-        // Strength reductions.
-        match rewritten {
-            // a + (-x) → a - x: `sub` is `add` with the subtrahend's
-            // columns swapped, bit for bit, in this operand order.
-            Insn::Add { dst, a, b } => {
-                if let Some(Insn::Neg { a: x, .. }) = def[b as usize] {
-                    rewritten = Insn::Sub { dst, a, b: x };
+        // a + (-x) → a - x and a - (-x) → a + x: `sub` is `add` with the
+        // subtrahend's columns swapped, bit for bit, in this operand order.
+        if let Insn::Op { op, dst, src: [a, b, _] } = rewritten {
+            match (op, negated[b as usize]) {
+                (SweepOp::Add, Some(x)) => {
+                    rewritten = Insn::op(SweepOp::Sub, dst, &[a, x]);
                     stats.neg_add_to_sub += 1;
                 }
-            }
-            // a - (-x) → a + x, by the same column-swap identity.
-            Insn::Sub { dst, a, b } => {
-                if let Some(Insn::Neg { a: x, .. }) = def[b as usize] {
-                    rewritten = Insn::Add { dst, a, b: x };
+                (SweepOp::Sub, Some(x)) => {
+                    rewritten = Insn::op(SweepOp::Add, dst, &[a, x]);
                     stats.neg_sub_to_add += 1;
                 }
+                _ => {}
             }
-            // x * x → sqr(x) only under the strict-positive proof, and
-            // only at f64 precision: the double-double kernels disagree
-            // in the *low* component's zero sign (mul's directed
-            // product of [1,1] carries a -0.0 residual where sqr's
-            // carries +0.0), so the rewrite is not bit-exact for dd.
-            Insn::Mul { dst, a, b }
-                if a == b && strict_pos[a as usize] && p.precision == Precision::F64 =>
-            {
-                rewritten = Insn::Sqr { dst, a };
-                stats.mul_to_sqr += 1;
-            }
-            _ => {}
         }
-
-        // Strict-positive transfer function (see the module docs).
-        let sp = match rewritten {
-            Insn::Const { idx, .. } => {
-                let c = &consts[idx as usize];
-                c.lo_hi > 0.0
-                    && c.lo_hi.is_finite()
-                    && c.lo_lo.is_finite()
-                    && c.hi_hi.is_finite()
-                    && c.hi_lo.is_finite()
-            }
-            Insn::Sqrt { a, .. } => strict_pos[a as usize],
-            Insn::Min { a, b, .. } | Insn::Max { a, b, .. } => {
-                strict_pos[a as usize] && strict_pos[b as usize]
-            }
-            _ => false,
+        negated[rewritten.dst() as usize] = match rewritten {
+            Insn::Op { op: SweepOp::Neg, src: [x, ..], .. } => Some(x),
+            _ => None,
         };
-        strict_pos[rewritten.dst() as usize] = sp;
-        def[rewritten.dst() as usize] = Some(rewritten);
         insns.push(rewritten);
         sites.push(*site);
     }
@@ -267,7 +200,7 @@ pub fn peephole(p: &Program) -> (Program, PeepholeStats) {
             continue;
         }
         keep[i] = true;
-        for &r in insn.decode().1.srcs() {
+        for &r in insn.srcs() {
             live[r as usize] = true;
         }
     }
@@ -286,7 +219,7 @@ pub fn peephole(p: &Program) -> (Program, PeepholeStats) {
     //    are unchanged — see the module docs.
     let mut uses = vec![0usize; n];
     for insn in &insns {
-        for &r in insn.decode().1.srcs() {
+        for &r in insn.srcs() {
             uses[r as usize] += 1;
         }
     }
@@ -298,14 +231,15 @@ pub fn peephole(p: &Program) -> (Program, PeepholeStats) {
     let mut fused_sites: Vec<SrcLoc> = Vec::with_capacity(sites.len());
     let mut i = 0;
     while i < insns.len() {
-        if let Insn::Mul { dst: t, a, b } = insns[i] {
+        if let Insn::Op { op: SweepOp::Mul, dst: t, src: [a, b, _] } = insns[i] {
             if i + 1 < insns.len() && uses[t as usize] == 1 && !is_output[t as usize] {
                 let fuse = match insns[i + 1] {
-                    Insn::Add { dst, a: acc, b: prod } if prod == t && acc != t => {
-                        Some(Insn::MulAdd { dst, a, b, acc })
-                    }
-                    Insn::Sub { dst, a: acc, b: prod } if prod == t && acc != t => {
-                        Some(Insn::MulSub { dst, a, b, acc })
+                    Insn::Op { op, dst, src: [acc, prod, _] } if prod == t && acc != t => {
+                        match op {
+                            SweepOp::Add => Some(Insn::op(SweepOp::MulAdd, dst, &[a, b, acc])),
+                            SweepOp::Sub => Some(Insn::op(SweepOp::MulSub, dst, &[a, b, acc])),
+                            _ => None,
+                        }
                     }
                     _ => None,
                 };
@@ -348,7 +282,7 @@ pub fn peephole(p: &Program) -> (Program, PeepholeStats) {
     // Last read of each (old) register over the body + outputs.
     let mut last_use = vec![0usize; n];
     for (i, insn) in body.iter().enumerate() {
-        for &r in insn.decode().1.srcs() {
+        for &r in insn.srcs() {
             last_use[r as usize] = i + 1; // body positions are 1-based;
         }
     }
@@ -372,10 +306,10 @@ pub fn peephole(p: &Program) -> (Program, PeepholeStats) {
     let mut new_body: Vec<Insn> = Vec::with_capacity(body.len());
     for (i, insn) in body.iter().enumerate() {
         let pos = i + 1;
-        let (dst, action) = insn.decode();
-        let mapped = action.map_srcs(|r| map[r as usize].expect("validated: read after write"));
+        let Insn::Op { op, dst, src } = *insn else { unreachable!("partitioned") };
+        let src = src.map(|r| map[r as usize].expect("validated: read after write"));
         // Release scratch slots whose old register dies at this read.
-        for &r in action.srcs() {
+        for &r in insn.srcs() {
             if last_use[r as usize] == pos {
                 if let Some(slot) = map[r as usize] {
                     if slot >= scratch_base {
@@ -391,7 +325,7 @@ pub fn peephole(p: &Program) -> (Program, PeepholeStats) {
             s
         });
         map[dst as usize] = Some(dst_slot);
-        new_body.push(Insn::encode(dst_slot, mapped));
+        new_body.push(Insn::Op { op, dst: dst_slot, src });
     }
 
     let out = Program {
@@ -419,7 +353,6 @@ pub fn peephole(p: &Program) -> (Program, PeepholeStats) {
     debug_assert_eq!(out.validate(), Ok(()));
     VM_PEEPHOLE_DEDUP.add(stats.consts_deduped as u64);
     VM_PEEPHOLE_NEG_FOLD.add((stats.neg_add_to_sub + stats.neg_sub_to_add) as u64);
-    VM_PEEPHOLE_SQR.add(stats.mul_to_sqr as u64);
     VM_PEEPHOLE_DCE.add(stats.insns_removed as u64);
     VM_PEEPHOLE_FUSE.add(stats.mul_acc_fused as u64);
     VM_PEEPHOLE_RENUMBER.add(stats.regs_saved as u64);
@@ -452,7 +385,7 @@ mod tests {
     use super::*;
     use crate::bytecode::{OutputSlot, Precision};
     use crate::exec::run_scalar;
-    use igen_interval::{DdI, F64I};
+    use igen_interval::F64I;
 
     fn prog(
         n_inputs: u32,
@@ -487,10 +420,10 @@ mod tests {
             7,
             vec![],
             vec![
-                Insn::Neg { dst: 2, a: 1 },
-                Insn::Add { dst: 3, a: 0, b: 2 },
-                Insn::Mul { dst: 4, a: 0, b: 1 },
-                Insn::Add { dst: 5, a: 3, b: 4 },
+                Insn::op(SweepOp::Neg, 2, &[1]),
+                Insn::op(SweepOp::Add, 3, &[0, 2]),
+                Insn::op(SweepOp::Mul, 4, &[0, 1]),
+                Insn::op(SweepOp::Add, 5, &[3, 4]),
             ],
             5,
         );
@@ -504,12 +437,14 @@ mod tests {
         assert_eq!(q.debug.sites.len(), q.insns.len());
         // The strength-reduced Sub keeps the Add's own site; the fused
         // MulAdd takes the accumulate's site, not the Mul's.
-        let sub_at = q.insns.iter().position(|i| matches!(i, Insn::Sub { .. })).unwrap();
+        let sub_at =
+            q.insns.iter().position(|i| matches!(i, Insn::Op { op: SweepOp::Sub, .. })).unwrap();
         assert_eq!(q.debug.site(sub_at), s(7, 5));
-        let fused_at = q.insns.iter().position(|i| matches!(i, Insn::MulAdd { .. })).unwrap();
+        let fused_at =
+            q.insns.iter().position(|i| matches!(i, Insn::Op { op: SweepOp::MulAdd, .. })).unwrap();
         assert_eq!(q.debug.site(fused_at), s(9, 5));
         // A program without a debug map stays without one.
-        let bare = prog(2, 3, vec![], vec![Insn::Add { dst: 2, a: 0, b: 1 }], 2);
+        let bare = prog(2, 3, vec![], vec![Insn::op(SweepOp::Add, 2, &[0, 1])], 2);
         let (q, _) = peephole(&bare);
         assert!(q.debug.sites.is_empty());
     }
@@ -521,13 +456,13 @@ mod tests {
             2,
             4,
             vec![],
-            vec![Insn::Neg { dst: 2, a: 1 }, Insn::Add { dst: 3, a: 0, b: 2 }],
+            vec![Insn::op(SweepOp::Neg, 2, &[1]), Insn::op(SweepOp::Add, 3, &[0, 2])],
             3,
         );
         let (q, st) = peephole(&p);
         assert_eq!(st.neg_add_to_sub, 1);
         assert_eq!(st.insns_removed, 1, "the Neg is dead after the rewrite");
-        assert_eq!(q.insns, vec![Insn::Sub { dst: 2, a: 0, b: 1 }]);
+        assert_eq!(q.insns, vec![Insn::op(SweepOp::Sub, 2, &[0, 1])]);
         for (a, b) in [(1.5, 2.5), (-3.0, 0.25), (0.0, -0.0)] {
             let x = [F64I::new(a, a.max(b)).unwrap(), F64I::new(b.min(a), b.max(a)).unwrap()];
             let want = run_scalar::<F64I>(&p, &x)[0];
@@ -545,12 +480,12 @@ mod tests {
             2,
             4,
             vec![],
-            vec![Insn::Neg { dst: 2, a: 1 }, Insn::Add { dst: 3, a: 2, b: 0 }],
+            vec![Insn::op(SweepOp::Neg, 2, &[1]), Insn::op(SweepOp::Add, 3, &[2, 0])],
             3,
         );
         let (q, st) = peephole(&p);
         assert_eq!(st.neg_add_to_sub, 0);
-        assert!(q.insns.iter().any(|i| matches!(i, Insn::Neg { .. })));
+        assert!(q.insns.iter().any(|i| matches!(i, Insn::Op { op: SweepOp::Neg, .. })));
     }
 
     #[test]
@@ -559,102 +494,12 @@ mod tests {
             2,
             4,
             vec![],
-            vec![Insn::Neg { dst: 2, a: 1 }, Insn::Sub { dst: 3, a: 0, b: 2 }],
+            vec![Insn::op(SweepOp::Neg, 2, &[1]), Insn::op(SweepOp::Sub, 3, &[0, 2])],
             3,
         );
         let (q, st) = peephole(&p);
         assert_eq!(st.neg_sub_to_add, 1);
-        assert_eq!(q.insns, vec![Insn::Add { dst: 2, a: 0, b: 1 }]);
-    }
-
-    #[test]
-    fn mul_self_rewrites_only_under_the_strict_positive_proof() {
-        // sqrt(c) with c = [2, 3] is strictly positive ⇒ rewrite fires.
-        let pos = prog(
-            0,
-            3,
-            vec![PoolConst::f64_pair(2.0, 3.0)],
-            vec![
-                Insn::Const { dst: 0, idx: 0 },
-                Insn::Sqrt { dst: 1, a: 0 },
-                Insn::Mul { dst: 2, a: 1, b: 1 },
-            ],
-            2,
-        );
-        let (q, st) = peephole(&pos);
-        assert_eq!(st.mul_to_sqr, 1);
-        assert!(q.insns.iter().any(|i| matches!(i, Insn::Sqr { .. })));
-
-        // An input has unknown sign ⇒ no rewrite (mul(x,x) ≠ sqr(x)
-        // on zero-straddling intervals).
-        let unknown = prog(1, 2, vec![], vec![Insn::Mul { dst: 1, a: 0, b: 0 }], 1);
-        let (q, st) = peephole(&unknown);
-        assert_eq!(st.mul_to_sqr, 0);
-        assert!(q.insns.iter().any(|i| matches!(i, Insn::Mul { .. })));
-
-        // A constant touching zero ⇒ no rewrite (signed-zero endpoints
-        // differ between mul(x,x) and sqr(x)).
-        let zero = prog(
-            0,
-            2,
-            vec![PoolConst::f64_pair(0.0, 2.0)],
-            vec![Insn::Const { dst: 0, idx: 0 }, Insn::Mul { dst: 1, a: 0, b: 0 }],
-            1,
-        );
-        let (_, st) = peephole(&zero);
-        assert_eq!(st.mul_to_sqr, 0);
-    }
-
-    /// The exactness claim behind Mul(x,x)→Sqr: for `0 < lo ≤ hi < ∞`,
-    /// f64 self-multiplication and the dependency-aware square agree
-    /// bit for bit, across magnitude extremes (subnormal underflow on
-    /// the low product, overflow on the high). The dd pair does NOT —
-    /// `mul([1,1],[1,1])` carries a `-0.0` low residual where `sqr`
-    /// carries `+0.0` — which is why the pass gates the rewrite to f64;
-    /// that counterexample is pinned below.
-    #[test]
-    fn mul_self_equals_sqr_bitwise_on_strictly_positive_intervals() {
-        let mut xs: Vec<(f64, f64)> = vec![
-            (1.0, 1.0),
-            (0.5, 2.0),
-            (1e-200, 1e-150),
-            (4.9e-324, 1e-300), // lo² underflows to zero
-            (1e150, 1.7e308),   // hi² overflows to +∞
-            (f64::MIN_POSITIVE, f64::MAX),
-            (0.1, 0.30000000000000004),
-        ];
-        // A deterministic pseudo-random sweep.
-        let mut s = 0x9e3779b97f4a7c15u64;
-        for _ in 0..500 {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let a = f64::from_bits(0x3FF0000000000000 | (s >> 12)) - 1.0; // [0,1)
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let b = f64::from_bits(0x3FF0000000000000 | (s >> 12)) - 1.0;
-            let lo = 1e-3 + a * 10.0;
-            let hi = lo + b * 10.0;
-            xs.push((lo, hi));
-        }
-        for (lo, hi) in xs {
-            let x = F64I::new(lo, hi).unwrap();
-            let m = x.mul(&x);
-            let q = x.sqr();
-            assert_eq!(
-                (m.lo().to_bits(), m.hi().to_bits()),
-                (q.lo().to_bits(), q.hi().to_bits()),
-                "f64 [{lo:e}, {hi:e}]"
-            );
-        }
-        // The dd counterexample that keeps the rewrite f64-only: same
-        // value, different low-word zero sign.
-        let one = DdI::from_f64i(&F64I::new(1.0, 1.0).unwrap());
-        let m = one.mul(&one);
-        let q = one.sqr();
-        assert_eq!(m.lo().hi().to_bits(), q.lo().hi().to_bits());
-        assert_ne!(
-            m.lo().lo().to_bits(),
-            q.lo().lo().to_bits(),
-            "if the dd kernels ever agree bitwise, the pass could admit dd Mul(x,x)→Sqr"
-        );
+        assert_eq!(q.insns, vec![Insn::op(SweepOp::Add, 2, &[0, 1])]);
     }
 
     #[test]
@@ -667,7 +512,7 @@ mod tests {
             vec![
                 Insn::Const { dst: 1, idx: 0 },
                 Insn::Const { dst: 2, idx: 1 },
-                Insn::Mul { dst: 3, a: 1, b: 2 },
+                Insn::op(SweepOp::Mul, 3, &[1, 2]),
             ],
             3,
         );
@@ -677,10 +522,6 @@ mod tests {
         assert_eq!(st.consts_deduped, 2);
         let const_count = q.insns.iter().filter(|i| matches!(i, Insn::Const { .. })).count();
         assert_eq!(const_count, 1);
-        // Both operands now read the single materialization, which
-        // makes the Mul self-referential; the constant is strictly
-        // positive, so the Sqr strength reduction fires on top.
-        assert!(q.insns.iter().any(|i| matches!(i, Insn::Sqr { .. })));
         let x = [F64I::new(-1.0, 2.0).unwrap()];
         let want = run_scalar::<F64I>(&p, &x)[0];
         let got = run_scalar::<F64I>(&q, &x)[0];
@@ -696,19 +537,19 @@ mod tests {
             8,
             vec![],
             vec![
-                Insn::Add { dst: 3, a: 0, b: 1 }, // seed accumulator
-                Insn::Mul { dst: 4, a: 0, b: 1 },
-                Insn::Add { dst: 5, a: 3, b: 4 },
-                Insn::Mul { dst: 6, a: 2, b: 0 },
-                Insn::Sub { dst: 7, a: 5, b: 6 },
+                Insn::op(SweepOp::Add, 3, &[0, 1]), // seed accumulator
+                Insn::op(SweepOp::Mul, 4, &[0, 1]),
+                Insn::op(SweepOp::Add, 5, &[3, 4]),
+                Insn::op(SweepOp::Mul, 6, &[2, 0]),
+                Insn::op(SweepOp::Sub, 7, &[5, 6]),
             ],
             7,
         );
         let (q, st) = peephole(&p);
         assert_eq!(st.mul_acc_fused, 2);
-        assert!(q.insns.iter().any(|i| matches!(i, Insn::MulAdd { .. })));
-        assert!(q.insns.iter().any(|i| matches!(i, Insn::MulSub { .. })));
-        assert!(!q.insns.iter().any(|i| matches!(i, Insn::Mul { .. })));
+        assert!(q.insns.iter().any(|i| matches!(i, Insn::Op { op: SweepOp::MulAdd, .. })));
+        assert!(q.insns.iter().any(|i| matches!(i, Insn::Op { op: SweepOp::MulSub, .. })));
+        assert!(!q.insns.iter().any(|i| matches!(i, Insn::Op { op: SweepOp::Mul, .. })));
         for (a, b, c) in [(1.5f64, -2.0f64, 0.25f64), (0.0, 1e300, -4.0), (-0.5, -0.5, 3.0)] {
             let x = [
                 F64I::new(a.min(b), a.max(b)).unwrap(),
@@ -729,12 +570,12 @@ mod tests {
             3,
             5,
             vec![],
-            vec![Insn::Mul { dst: 3, a: 0, b: 1 }, Insn::Add { dst: 4, a: 3, b: 2 }],
+            vec![Insn::op(SweepOp::Mul, 3, &[0, 1]), Insn::op(SweepOp::Add, 4, &[3, 2])],
             4,
         );
         let (q, st) = peephole(&p);
         assert_eq!(st.mul_acc_fused, 0);
-        assert!(q.insns.iter().any(|i| matches!(i, Insn::Mul { .. })));
+        assert!(q.insns.iter().any(|i| matches!(i, Insn::Op { op: SweepOp::Mul, .. })));
     }
 
     #[test]
@@ -746,9 +587,9 @@ mod tests {
             6,
             vec![],
             vec![
-                Insn::Mul { dst: 3, a: 0, b: 1 },
-                Insn::Add { dst: 4, a: 2, b: 3 },
-                Insn::Abs { dst: 5, a: 3 },
+                Insn::op(SweepOp::Mul, 3, &[0, 1]),
+                Insn::op(SweepOp::Add, 4, &[2, 3]),
+                Insn::op(SweepOp::Abs, 5, &[3]),
             ],
             4,
         );
@@ -756,7 +597,7 @@ mod tests {
         p.validate().expect("two-output program validates");
         let (q, st) = peephole(&p);
         assert_eq!(st.mul_acc_fused, 0);
-        assert!(q.insns.iter().any(|i| matches!(i, Insn::Mul { .. })));
+        assert!(q.insns.iter().any(|i| matches!(i, Insn::Op { op: SweepOp::Mul, .. })));
         let x = [
             F64I::new(-1.0, 2.0).unwrap(),
             F64I::new(0.5, 0.75).unwrap(),
@@ -779,7 +620,7 @@ mod tests {
         let mut cur = 0u32;
         for step in 0..16u32 {
             let dst = 1 + step;
-            insns.push(Insn::Add { dst, a: cur, b: 0 });
+            insns.push(Insn::op(SweepOp::Add, dst, &[cur, 0]));
             cur = dst;
         }
         let p = prog(1, 17, vec![], insns, 16);
@@ -801,9 +642,9 @@ mod tests {
             4,
             vec![PoolConst::f64_pair(1.0, 1.0)],
             vec![
-                Insn::Neg { dst: 1, a: 0 },
+                Insn::op(SweepOp::Neg, 1, &[0]),
                 Insn::Const { dst: 2, idx: 0 },
-                Insn::Add { dst: 3, a: 1, b: 2 },
+                Insn::op(SweepOp::Add, 3, &[1, 2]),
             ],
             3,
         );
@@ -821,10 +662,10 @@ mod tests {
             5,
             vec![],
             vec![
-                Insn::Sqr { dst: 1, a: 0 },
-                Insn::Neg { dst: 2, a: 0 },
-                Insn::Add { dst: 3, a: 2, b: 1 },
-                Insn::Abs { dst: 4, a: 3 },
+                Insn::op(SweepOp::Sqr, 1, &[0]),
+                Insn::op(SweepOp::Neg, 2, &[0]),
+                Insn::op(SweepOp::Add, 3, &[2, 1]),
+                Insn::op(SweepOp::Abs, 4, &[3]),
             ],
             4,
         );

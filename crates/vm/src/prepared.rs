@@ -12,14 +12,14 @@
 //! loop at tile 1 and width 1 over the raw instruction list is
 //! [`run_scalar`](crate::exec::run_scalar).
 //!
-//! Every arithmetic instruction hands its whole sweep to the lane
-//! type's one hook, [`LaneOps::sweep`], as the op, destination and
-//! sources the instruction decodes to; a `Const` fills its column. For
-//! `F64Ix4` on AVX2+FMA, `Add`, `Sub`, `Mul`, `MulAdd` and `MulSub` are
-//! one `igen_round::simd::f64i_sweep_4` call per instruction per tile,
-//! with each interval op kept in registers; every other instruction,
-//! and `run_scalar`, `DdIx4` and the portable backend, run the
-//! group-by-group default over `LaneOps::apply`.
+//! An arithmetic instruction is already what the lane type's one hook,
+//! [`LaneOps::sweep`], takes: its `SweepOp`, destination and sources.
+//! The loop matches each instruction once and hands over its whole
+//! sweep with the op as a constant; a `Const` fills its column. For `F64Ix4` on AVX2+FMA, `Add`, `Sub`, `Mul`, `MulAdd` and
+//! `MulSub` are one `igen_round::simd::f64i_sweep_4` call per
+//! instruction per tile, with each interval op kept in registers; every
+//! other op, and `run_scalar`, `DdIx4` and the portable backend, run
+//! the group-by-group default over `LaneOps::apply`.
 //!
 //! A tile runs whole groups only. When its item count is not a multiple
 //! of the lane width, the caller fills the lanes the last group lacks
@@ -45,9 +45,9 @@
 //! for any tile size. That keeps the batch determinism guarantee: tile
 //! size, like thread count, cannot change a single endpoint bit.
 
-use crate::bytecode::{decoded, Action, Insn, Program};
+use crate::bytecode::{Insn, Program};
 use crate::exec::{max_src_rel, VmElem, VM_INSNS_EXECUTED};
-use igen_interval::LaneOps;
+use igen_interval::{LaneOps, SweepOp};
 use igen_telemetry::profile::rel_width;
 use igen_telemetry::{Counter, UnitProfiler};
 use std::marker::PhantomData;
@@ -236,14 +236,13 @@ pub(crate) fn run_body<T: VmElem, L: LaneOps<Elem = T>>(
     for (bi, insn) in body.iter().enumerate() {
         let t0 = match prof.as_deref_mut() {
             Some(p) => {
-                let (_, action) = insn.decode();
                 let oi = site(bi);
                 let loc = prog.debug.site(oi);
                 p.set_meta(oi, loc.line, loc.col, insn.op_name());
                 // Source widths are read before the sweep: the peephole
                 // reuses registers, so dst may alias a source.
                 max_in.clear();
-                let srcs = action.srcs();
+                let srcs = insn.srcs();
                 for k in 0..items {
                     let (g, l) = (k / L::LANES, k % L::LANES);
                     max_in.push(max_src_rel(srcs, |r| bank[col(r) + g].lane(l).endpoints_f64()));
@@ -252,22 +251,33 @@ pub(crate) fn run_body<T: VmElem, L: LaneOps<Elem = T>>(
             }
             None => 0,
         };
-        // One match per instruction: the sweep runs in the decode's own
-        // arm, with a constant op.
-        decoded!(insn, |dst, action| match action {
+        // The instruction's one dispatch: one arm per op, each handing
+        // `L::sweep` a constant op (DESIGN §15).
+        let sweep = |bank: &mut [L], op, dst, src: [u32; 3]| {
+            L::sweep(op, bank, n, col(dst), src.map(col));
+        };
+        match *insn {
             // Only non-hoistable constants reach a prepared body
             // (rewritten register or input-register destination); the
             // raw instruction list decodes every constant here.
-            Action::Const(idx) => {
+            Insn::Const { dst, idx } => {
                 let v = L::splat(T::from_const(&prog.consts[idx as usize]));
                 bank[col(dst)..col(dst) + n].fill(v);
             }
-            // `MulAdd`/`MulSub` are dispatch-fused multiply-accumulates:
-            // the same two rounded interval ops as the Mul+Add/Sub pair
-            // they replaced, product on the right of the accumulate, so
-            // bit-identical; the product never round-trips the bank.
-            Action::Op(op, [a, b, c]) => L::sweep(op, bank, n, col(dst), [col(a), col(b), col(c)]),
-        });
+            Insn::Op { op: SweepOp::Add, dst, src } => sweep(bank, SweepOp::Add, dst, src),
+            Insn::Op { op: SweepOp::Sub, dst, src } => sweep(bank, SweepOp::Sub, dst, src),
+            Insn::Op { op: SweepOp::Mul, dst, src } => sweep(bank, SweepOp::Mul, dst, src),
+            Insn::Op { op: SweepOp::Div, dst, src } => sweep(bank, SweepOp::Div, dst, src),
+            Insn::Op { op: SweepOp::Min, dst, src } => sweep(bank, SweepOp::Min, dst, src),
+            Insn::Op { op: SweepOp::Max, dst, src } => sweep(bank, SweepOp::Max, dst, src),
+            Insn::Op { op: SweepOp::Neg, dst, src } => sweep(bank, SweepOp::Neg, dst, src),
+            Insn::Op { op: SweepOp::Sqrt, dst, src } => sweep(bank, SweepOp::Sqrt, dst, src),
+            Insn::Op { op: SweepOp::Abs, dst, src } => sweep(bank, SweepOp::Abs, dst, src),
+            Insn::Op { op: SweepOp::Sqr, dst, src } => sweep(bank, SweepOp::Sqr, dst, src),
+            Insn::Op { op: SweepOp::Pow(e), dst, src } => sweep(bank, SweepOp::Pow(e), dst, src),
+            Insn::Op { op: SweepOp::MulAdd, dst, src } => sweep(bank, SweepOp::MulAdd, dst, src),
+            Insn::Op { op: SweepOp::MulSub, dst, src } => sweep(bank, SweepOp::MulSub, dst, src),
+        }
         if let Some(p) = prof.as_deref_mut() {
             let (oi, dst) = (site(bi), insn.dst());
             p.add_time(oi, p.now_ns().saturating_sub(t0));
@@ -335,14 +345,14 @@ mod tests {
             n_regs: 11,
             consts: vec![PoolConst::f64_pair(4.0, 4.0)],
             insns: vec![
-                Insn::Sqr { dst: 3, a: 1 },
+                Insn::op(SweepOp::Sqr, 3, &[1]),
                 Insn::Const { dst: 4, idx: 0 },
-                Insn::Mul { dst: 5, a: 4, b: 0 },
-                Insn::Mul { dst: 6, a: 5, b: 2 },
-                Insn::Sub { dst: 7, a: 3, b: 6 },
-                Insn::Sqrt { dst: 8, a: 7 },
-                Insn::Neg { dst: 9, a: 1 },
-                Insn::Add { dst: 10, a: 9, b: 8 },
+                Insn::op(SweepOp::Mul, 5, &[4, 0]),
+                Insn::op(SweepOp::Mul, 6, &[5, 2]),
+                Insn::op(SweepOp::Sub, 7, &[3, 6]),
+                Insn::op(SweepOp::Sqrt, 8, &[7]),
+                Insn::op(SweepOp::Neg, 9, &[1]),
+                Insn::op(SweepOp::Add, 10, &[9, 8]),
             ],
             inputs: vec!["a".into(), "b".into(), "c".into()],
             outputs: vec![OutputSlot { label: "return".into(), reg: 10 }],
@@ -433,7 +443,7 @@ mod tests {
             n_inputs: 1,
             n_regs: 2,
             consts: vec![],
-            insns: vec![Insn::Add { dst: 1, a: 0, b: 0 }, Insn::Mul { dst: 1, a: 1, b: 1 }],
+            insns: vec![Insn::op(SweepOp::Add, 1, &[0, 0]), Insn::op(SweepOp::Mul, 1, &[1, 1])],
             inputs: vec!["x".into()],
             outputs: vec![OutputSlot { label: "return".into(), reg: 1 }],
             debug: crate::bytecode::DebugMap::default(),

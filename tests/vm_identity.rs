@@ -13,7 +13,7 @@ use igen::compiler::{
     RefElem, VmBridgeError,
 };
 use igen::dd::Dd;
-use igen::interval::{DdI, F64I};
+use igen::interval::{DdI, SweepOp, F64I};
 use igen::kernels::workload;
 use igen::vm::{ArgBind, BindSpec, Insn, Program};
 
@@ -246,12 +246,12 @@ fn tampered<T: RefElem>(
 
 /// Turns the program's one `Add` into a `Sub` of the same operands.
 fn add_to_sub(p: &mut Program) {
-    let mut adds = p.insns.iter_mut().filter(|i| matches!(i, Insn::Add { .. }));
-    let add = adds.next().expect("an add");
+    let mut adds = p.insns.iter_mut().filter_map(|i| match i {
+        Insn::Op { op: op @ SweepOp::Add, .. } => Some(op),
+        _ => None,
+    });
+    *adds.next().expect("an add") = SweepOp::Sub;
     assert!(adds.next().is_none(), "one add");
-    if let Insn::Add { dst, a, b } = *add {
-        *add = Insn::Sub { dst, a, b };
-    }
 }
 
 /// The program's one pool constant.
