@@ -30,7 +30,6 @@ static BATCH_CHUNKS: Counter = Counter::new("batch.chunks");
 pub struct BatchConfig {
     threads: usize,
     seq_threshold: usize,
-    tile_groups: usize,
 }
 
 /// Below this many work items the engine stays sequential by default —
@@ -39,11 +38,7 @@ pub const DEFAULT_SEQ_THRESHOLD: usize = 32;
 
 impl Default for BatchConfig {
     fn default() -> BatchConfig {
-        BatchConfig {
-            threads: available_threads(),
-            seq_threshold: DEFAULT_SEQ_THRESHOLD,
-            tile_groups: igen_vm::DEFAULT_TILE_GROUPS,
-        }
+        BatchConfig { threads: available_threads(), seq_threshold: DEFAULT_SEQ_THRESHOLD }
     }
 }
 
@@ -74,25 +69,9 @@ impl BatchConfig {
         self
     }
 
-    /// Sets the tiled-executor tile size in packed groups per tile
-    /// (`0` means the default, [`igen_vm::DEFAULT_TILE_GROUPS`]). Tile
-    /// size never changes a result bit — only how much instruction
-    /// decode is amortized per sweep.
-    #[must_use]
-    pub fn with_tile_groups(mut self, tile_groups: usize) -> BatchConfig {
-        self.tile_groups =
-            if tile_groups == 0 { igen_vm::DEFAULT_TILE_GROUPS } else { tile_groups };
-        self
-    }
-
     /// Configured worker thread count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Configured packed groups per executor tile.
-    pub fn tile_groups(&self) -> usize {
-        self.tile_groups
     }
 
     /// Configured sequential fallback threshold.
@@ -232,16 +211,6 @@ mod tests {
         for t in [2, 3, 8] {
             assert_eq!(one, run(t), "threads = {t}");
         }
-    }
-
-    #[test]
-    fn tile_groups_default_and_zero_roundtrip() {
-        assert_eq!(BatchConfig::new().tile_groups(), igen_vm::DEFAULT_TILE_GROUPS);
-        assert_eq!(
-            BatchConfig::new().with_tile_groups(0).tile_groups(),
-            igen_vm::DEFAULT_TILE_GROUPS
-        );
-        assert_eq!(BatchConfig::new().with_tile_groups(16).tile_groups(), 16);
     }
 
     #[test]

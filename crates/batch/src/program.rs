@@ -5,21 +5,22 @@
 //! out over a structure-of-arrays input batch through the tiled,
 //! instruction-major executor ([`igen_vm::run_tile`]): items are
 //! grouped four at a time onto the packed lane path (`F64Ix4`/`DdIx4`),
-//! and tiles of [`BatchConfig::tile_groups`] groups share one
-//! instruction decode per opcode. A batch whose size is not a multiple
-//! of four ends in one padded group: the lanes it lacks hold the point
-//! interval `[1, 1]` (finite, nonzero, inside every kernel guard) and
-//! are dropped before the output batch, the width histogram or the
-//! profiler sees them. Tiles are distributed across threads with the
-//! engine's pinned, order-preserving combine, and each worker reuses
-//! one register bank across all its tiles, so per-call setup is gone.
+//! and tiles of [`igen_vm::DEFAULT_TILE_GROUPS`] groups (fewer when the
+//! batch has fewer) share one instruction decode per opcode. A batch
+//! whose size is not a multiple of four ends in one padded group: the
+//! lanes it lacks hold the point interval `[1, 1]` (finite, nonzero,
+//! inside every kernel guard) and are dropped before the output batch,
+//! the width histogram or the profiler sees them. Tiles are distributed
+//! across threads with the engine's pinned, order-preserving combine,
+//! and each worker reuses one register bank across all its tiles, so
+//! per-call setup is gone.
 //! One generic tile loop serves both precisions, plain and profiled: the
 //! entry points take a [`SoaBatch`] of either element and panic when it
 //! does not match the program's precision.
 //!
 //! Lanes never interact, and the tile executor is bit-identical to
 //! per-group execution for every tile size, so the output batch is
-//! **bit-identical at any thread count and any tile size**, and to
+//! **bit-identical at any thread count and batch size**, and to
 //! `igen_vm::run_scalar` item for item, for any compiled function.
 
 use crate::engine::{par_map_indexed_with, BatchConfig};
@@ -28,6 +29,7 @@ use igen_interval::{DdI, LaneOps, F64I};
 use igen_telemetry::UnitProfiler;
 use igen_vm::{
     program_width_hist, run_tile, PoolConst, Precision, PreparedProgram, Program, TileBank, VmElem,
+    DEFAULT_TILE_GROUPS,
 };
 use std::any::Any;
 use std::sync::Mutex;
@@ -279,7 +281,7 @@ impl BatchProgram {
         let items = self.items_in(inputs.len());
         // Exact-fit tile: never wider than the batch has groups, so the
         // bank sweeps touch only warm, contiguous slots.
-        let tile = cfg.tile_groups().min(items.div_ceil(T::Lane::LANES).max(1));
+        let tile = DEFAULT_TILE_GROUPS.min(items.div_ceil(T::Lane::LANES).max(1));
         let per_task = tile * T::Lane::LANES;
         let n_tasks = items.div_ceil(per_task);
         let task = |s: &mut Scratch<T>, k: usize, prof: Option<&mut UnitProfiler>| {

@@ -5,10 +5,11 @@
 //! folds across temporaries: a `Def` whose initializer is an interval
 //! constant (`ia_set_f64(lo, hi)`) is recorded, and any pure operation
 //! whose operands are all such constants is evaluated at compile time
-//! through [`igen_interval::capi`] — the *same* soundly-rounded kernels
-//! the runtime and the reference interpreter execute, so the folded
-//! endpoints are bit-identical to what the runtime would produce (the
-//! invariant the differential verifier checks).
+//! by the [`F64I`] methods and [`igen_interval::elem`] functions — the
+//! *same* soundly-rounded kernels the runtime and the reference
+//! interpreter execute, so the folded endpoints are bit-identical to
+//! what the runtime would produce (the invariant the differential
+//! verifier checks).
 //!
 //! Only `f64` operations fold, mirroring the lowering layer (its
 //! constant arithmetic is double-precision too); `f32`/`dd` operations
@@ -18,7 +19,7 @@
 use super::{Pass, PassCtx};
 use crate::lower::CompileError;
 use igen_cfront::{fmt_f64, Loc};
-use igen_interval::{capi, F64I};
+use igen_interval::{elem, F64I};
 use igen_ir::{IrExpr, IrStmt, IrUnit, OpKind, Sfx};
 use std::collections::HashMap;
 
@@ -97,14 +98,15 @@ fn fold_stmt(s: &mut IrStmt, consts: &mut HashMap<u32, F64I>, changed: &mut bool
     }
 }
 
-/// The constant value of an operand, if known: an inline
-/// `ia_set_f64(lo, hi)` or a temporary recorded as constant.
+/// The constant value of an operand, if known: an inline ordered
+/// `ia_set_f64(lo, hi)` or a temporary recorded as constant. An
+/// inverted pair is no constant: the runtime call stays and fails.
 fn const_of(e: &IrExpr, consts: &HashMap<u32, F64I>) -> Option<F64I> {
     match e {
         IrExpr::Temp(n) => consts.get(n).copied(),
         IrExpr::Op { op: OpKind::Set, sfx: Sfx::F64, args, .. } => match &args[..] {
             [IrExpr::Float { value: lo, .. }, IrExpr::Float { value: hi, .. }] => {
-                Some(capi::ia_set_f64(*lo, *hi))
+                F64I::new(*lo, *hi).ok()
             }
             _ => None,
         },
@@ -169,13 +171,13 @@ fn eval(e: &IrExpr, consts: &HashMap<u32, F64I>) -> Option<F64I> {
         Add | Sub | Mul | Div | Min | Max | Join => {
             let (a, b) = (const_of(&args[0], consts)?, const_of(&args[1], consts)?);
             match op {
-                Add => capi::ia_add_f64(a, b),
-                Sub => capi::ia_sub_f64(a, b),
-                Mul => capi::ia_mul_f64(a, b),
-                Div => capi::ia_div_f64(a, b),
-                Min => capi::ia_min_f64(a, b),
-                Max => capi::ia_max_f64(a, b),
-                Join => capi::ia_join_f64(a, b),
+                Add => a + b,
+                Sub => a - b,
+                Mul => a * b,
+                Div => a / b,
+                Min => a.min_i(&b),
+                Max => a.max_i(&b),
+                Join => a.join(&b),
                 _ => unreachable!(),
             }
         }
@@ -183,20 +185,20 @@ fn eval(e: &IrExpr, consts: &HashMap<u32, F64I>) -> Option<F64I> {
         | Acos => {
             let a = const_of(&args[0], consts)?;
             match op {
-                Neg => capi::ia_neg_f64(a),
-                Sqr => capi::ia_sqr_f64(a),
-                Sqrt => capi::ia_sqrt_f64(a),
-                Abs => capi::ia_abs_f64(a),
-                Floor => capi::ia_floor_f64(a),
-                Ceil => capi::ia_ceil_f64(a),
-                Exp => capi::ia_exp_f64(a),
-                Log => capi::ia_log_f64(a),
-                Sin => capi::ia_sin_f64(a),
-                Cos => capi::ia_cos_f64(a),
-                Tan => capi::ia_tan_f64(a),
-                Atan => capi::ia_atan_f64(a),
-                Asin => capi::ia_asin_f64(a),
-                Acos => capi::ia_acos_f64(a),
+                Neg => -a,
+                Sqr => a.sqr(),
+                Sqrt => a.sqrt(),
+                Abs => a.abs(),
+                Floor => a.floor(),
+                Ceil => a.ceil(),
+                Exp => elem::exp_interval(&a),
+                Log => elem::log_interval(&a),
+                Sin => elem::sin_interval(&a),
+                Cos => elem::cos_interval(&a),
+                Tan => elem::tan_interval(&a),
+                Atan => elem::atan_interval(&a),
+                Asin => elem::asin_interval(&a),
+                Acos => elem::acos_interval(&a),
                 _ => unreachable!(),
             }
         }
@@ -206,13 +208,13 @@ fn eval(e: &IrExpr, consts: &HashMap<u32, F64I>) -> Option<F64I> {
                 return None;
             };
             let n = i32::try_from(*value).ok()?;
-            capi::ia_pow_f64(a, n)
+            a.powi(n)
         }
         SetInt => {
             let IrExpr::Int { value, .. } = &args[0] else {
                 return None;
             };
-            capi::ia_set_int_f64(*value)
+            F64I::from_i64(*value)
         }
         _ => return None,
     })

@@ -6,8 +6,8 @@
 //! pseudo-random inputs and requires identical observable results —
 //! interval endpoints bit-for-bit, and runtime exceptions (unknown
 //! branches, missing symbols, …) alike. This is sound because the
-//! interpreter executes the same `igen_interval::capi` kernels the
-//! folding pass evaluates at compile time.
+//! interpreter executes the same `igen_interval` methods the folding
+//! pass evaluates at compile time.
 //!
 //! Functions are verified when every parameter has a scalar type the
 //! driver can synthesize (`f64i`, `double`, integers); pointer, SIMD and

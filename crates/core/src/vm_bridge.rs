@@ -15,7 +15,7 @@
 
 use crate::Output;
 use igen_interp::{Interp, RtError, Value};
-use igen_interval::{capi, DdI, F64I};
+use igen_interval::{DdI, F64I};
 use igen_vm::{lower, ArgBind, BindSpec, Program, VmElem};
 
 /// Why a compiler output could not be turned into (or checked against)
@@ -229,8 +229,10 @@ pub fn interp_reference<T: RefElem>(
                 args.push(ptr);
             }
             ArgBind::Uniform(pairs) => {
-                let vals: Vec<T> =
-                    pairs.iter().map(|&(lo, hi)| T::from_f64i(capi::ia_set_f64(lo, hi))).collect();
+                let vals = pairs.iter().map(|&(lo, hi)| F64I::new(lo, hi).map(T::from_f64i));
+                let vals: Vec<T> = vals
+                    .collect::<Result<_, _>>()
+                    .map_err(|e| VmBridgeError::Shape(format!("uniform pair: {e}")))?;
                 args.push(T::alloc(interp, &vals));
             }
         }

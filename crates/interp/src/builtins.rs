@@ -7,7 +7,7 @@ use crate::exec::{Interp, RtError};
 use crate::resolve::{RExpr, Var};
 use crate::value::Value;
 use igen_cfront::BinOp;
-use igen_interval::{capi, DdI, SumAcc64, SumAccDd, TBool, F32I, F64I};
+use igen_interval::{elem, Dd, DdI, InvalidInterval, SumAcc64, SumAccDd, TBool, F32I, F64I};
 
 /// A value-level builtin over the evaluated arguments.
 pub(crate) type Builtin = fn(&mut Interp, &[Value]) -> Result<Value, RtError>;
@@ -91,6 +91,11 @@ fn int(v: &[Value], k: usize) -> Result<i64, RtError> {
     v[k].as_int().ok_or_else(|| RtError::Type(format!("expected int, got {}", v[k].tag())))
 }
 
+/// The error of an `ia_set_*` call whose endpoints are inverted.
+fn inverted(name: &str) -> impl FnOnce(InvalidInterval) -> RtError + '_ {
+    move |e| RtError::Type(format!("{name}: {e}"))
+}
+
 fn tbool(v: &[Value], k: usize) -> Result<TBool, RtError> {
     match &v[k] {
         Value::TBool(t) => Ok(*t),
@@ -166,11 +171,12 @@ pub(crate) fn lookup_acc(name: &str) -> Option<AccFn> {
 pub(crate) fn lookup(name: &str) -> Option<Result<Builtin, RtError>> {
     // --- interval runtime: f64i ---------------------------------------
     let f: Builtin = match name {
-        "ia_set_f64" => |_, v| Ok(Value::Interval(capi::ia_set_f64(real(v, 0)?, real(v, 1)?))),
-        "ia_set_tol_f64" => {
-            |_, v| Ok(Value::Interval(capi::ia_set_tol_f64(real(v, 0)?, real(v, 1)?)))
-        }
-        "ia_set_int_f64" => |_, v| Ok(Value::Interval(capi::ia_set_int_f64(int(v, 0)?))),
+        "ia_set_f64" => |_, v| {
+            let (lo, hi) = (real(v, 0)?, real(v, 1)?);
+            Ok(Value::Interval(F64I::new(lo, hi).map_err(inverted("ia_set_f64"))?))
+        },
+        "ia_set_tol_f64" => |_, v| Ok(Value::Interval(F64I::with_tol(real(v, 0)?, real(v, 1)?))),
+        "ia_set_int_f64" => |_, v| Ok(Value::Interval(F64I::from_i64(int(v, 0)?))),
         "ia_add_f64" => |_, v| Ok(Value::Interval(ival(v, 0)? + ival(v, 1)?)),
         "ia_sub_f64" => |_, v| Ok(Value::Interval(ival(v, 0)? - ival(v, 1)?)),
         "ia_mul_f64" => |_, v| Ok(Value::Interval(ival(v, 0)? * ival(v, 1)?)),
@@ -182,25 +188,25 @@ pub(crate) fn lookup(name: &str) -> Option<Result<Builtin, RtError>> {
         "ia_ceil_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.ceil())),
         "ia_min_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.min_i(&ival(v, 1)?))),
         "ia_max_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.max_i(&ival(v, 1)?))),
-        "ia_exp_f64" => |_, v| Ok(Value::Interval(capi::ia_exp_f64(ival(v, 0)?))),
-        "ia_log_f64" => |_, v| Ok(Value::Interval(capi::ia_log_f64(ival(v, 0)?))),
-        "ia_sin_f64" => |_, v| Ok(Value::Interval(capi::ia_sin_f64(ival(v, 0)?))),
-        "ia_cos_f64" => |_, v| Ok(Value::Interval(capi::ia_cos_f64(ival(v, 0)?))),
-        "ia_tan_f64" => |_, v| Ok(Value::Interval(capi::ia_tan_f64(ival(v, 0)?))),
-        "ia_atan_f64" => |_, v| Ok(Value::Interval(capi::ia_atan_f64(ival(v, 0)?))),
-        "ia_asin_f64" => |_, v| Ok(Value::Interval(capi::ia_asin_f64(ival(v, 0)?))),
-        "ia_acos_f64" => |_, v| Ok(Value::Interval(capi::ia_acos_f64(ival(v, 0)?))),
+        "ia_exp_f64" => |_, v| Ok(Value::Interval(elem::exp_interval(&ival(v, 0)?))),
+        "ia_log_f64" => |_, v| Ok(Value::Interval(elem::log_interval(&ival(v, 0)?))),
+        "ia_sin_f64" => |_, v| Ok(Value::Interval(elem::sin_interval(&ival(v, 0)?))),
+        "ia_cos_f64" => |_, v| Ok(Value::Interval(elem::cos_interval(&ival(v, 0)?))),
+        "ia_tan_f64" => |_, v| Ok(Value::Interval(elem::tan_interval(&ival(v, 0)?))),
+        "ia_atan_f64" => |_, v| Ok(Value::Interval(elem::atan_interval(&ival(v, 0)?))),
+        "ia_asin_f64" => |_, v| Ok(Value::Interval(elem::asin_interval(&ival(v, 0)?))),
+        "ia_acos_f64" => |_, v| Ok(Value::Interval(elem::acos_interval(&ival(v, 0)?))),
         "ia_sqr_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.sqr())),
         "ia_pow_f64" => |_, v| {
             Ok(Value::Interval(
                 ival(v, 0)?.powi(int(v, 1)?.clamp(i32::MIN as i64, i32::MAX as i64) as i32),
             ))
         },
-        "ia_and_f64" => |_, v| Ok(Value::Interval(capi::ia_and_f64(ival(v, 0)?, ival(v, 1)?))),
-        "ia_or_f64" => |_, v| Ok(Value::Interval(capi::ia_or_f64(ival(v, 0)?, ival(v, 1)?))),
-        "ia_not_f64" => |_, v| Ok(Value::Interval(capi::ia_not_f64(ival(v, 0)?))),
-        "ia_xor_f64" => |_, v| Ok(Value::Interval(capi::ia_xor_f64(ival(v, 0)?, ival(v, 1)?))),
-        "ia_join_f64" => |_, v| Ok(Value::Interval(capi::ia_join_f64(ival(v, 0)?, ival(v, 1)?))),
+        "ia_and_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.bitand_mask(&ival(v, 1)?))),
+        "ia_or_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.bitor_mask(&ival(v, 1)?))),
+        "ia_not_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.bitnot_mask())),
+        "ia_xor_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.bitxor_mask(&ival(v, 1)?))),
+        "ia_join_f64" => |_, v| Ok(Value::Interval(ival(v, 0)?.join(&ival(v, 1)?))),
         "ia_cmplt_f64" => |_, v| Ok(Value::TBool(ival(v, 0)?.cmp_lt(&ival(v, 1)?))),
         "ia_cmple_f64" => |_, v| Ok(Value::TBool(ival(v, 0)?.cmp_le(&ival(v, 1)?))),
         "ia_cmpgt_f64" => |_, v| Ok(Value::TBool(ival(v, 0)?.cmp_gt(&ival(v, 1)?))),
@@ -209,12 +215,13 @@ pub(crate) fn lookup(name: &str) -> Option<Result<Builtin, RtError>> {
         "ia_cmpne_f64" => |_, v| Ok(Value::TBool(ival(v, 0)?.cmp_ne(&ival(v, 1)?))),
 
         // --- f32i (single-precision target) ----------------------------
-        "ia_set_f32" => {
-            |_, v| Ok(Value::Interval32(capi::ia_set_f32(real(v, 0)? as f32, real(v, 1)? as f32)))
-        }
-        "ia_set_tol_f32" => |_, v| {
-            Ok(Value::Interval32(capi::ia_set_tol_f32(real(v, 0)? as f32, real(v, 1)? as f32)))
+        "ia_set_f32" => |_, v| {
+            let (lo, hi) = (real(v, 0)? as f32, real(v, 1)? as f32);
+            Ok(Value::Interval32(F32I::new(lo, hi).map_err(inverted("ia_set_f32"))?))
         },
+        "ia_set_tol_f32" => {
+            |_, v| Ok(Value::Interval32(F32I::with_tol(real(v, 0)? as f32, real(v, 1)? as f32)))
+        }
         "ia_set_int_f32" => |_, v| Ok(Value::Interval32(F32I::enclose_f64(int(v, 0)? as f64))),
         "ia_add_f32" => |_, v| Ok(Value::Interval32(ival32(v, 0)? + ival32(v, 1)?)),
         "ia_sub_f32" => |_, v| Ok(Value::Interval32(ival32(v, 0)? - ival32(v, 1)?)),
@@ -232,28 +239,28 @@ pub(crate) fn lookup(name: &str) -> Option<Result<Builtin, RtError>> {
         // enclosure and demote outward (sound; CRlibm would do the same
         // at higher precision).
         "ia_exp_f32" => |_, v| {
-            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_exp_f64(ival32(v, 0)?.to_f64i()))))
+            Ok(Value::Interval32(F32I::from_f64i(&elem::exp_interval(&ival32(v, 0)?.to_f64i()))))
         },
         "ia_log_f32" => |_, v| {
-            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_log_f64(ival32(v, 0)?.to_f64i()))))
+            Ok(Value::Interval32(F32I::from_f64i(&elem::log_interval(&ival32(v, 0)?.to_f64i()))))
         },
         "ia_sin_f32" => |_, v| {
-            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_sin_f64(ival32(v, 0)?.to_f64i()))))
+            Ok(Value::Interval32(F32I::from_f64i(&elem::sin_interval(&ival32(v, 0)?.to_f64i()))))
         },
         "ia_cos_f32" => |_, v| {
-            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_cos_f64(ival32(v, 0)?.to_f64i()))))
+            Ok(Value::Interval32(F32I::from_f64i(&elem::cos_interval(&ival32(v, 0)?.to_f64i()))))
         },
         "ia_tan_f32" => |_, v| {
-            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_tan_f64(ival32(v, 0)?.to_f64i()))))
+            Ok(Value::Interval32(F32I::from_f64i(&elem::tan_interval(&ival32(v, 0)?.to_f64i()))))
         },
         "ia_atan_f32" => |_, v| {
-            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_atan_f64(ival32(v, 0)?.to_f64i()))))
+            Ok(Value::Interval32(F32I::from_f64i(&elem::atan_interval(&ival32(v, 0)?.to_f64i()))))
         },
         "ia_asin_f32" => |_, v| {
-            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_asin_f64(ival32(v, 0)?.to_f64i()))))
+            Ok(Value::Interval32(F32I::from_f64i(&elem::asin_interval(&ival32(v, 0)?.to_f64i()))))
         },
         "ia_acos_f32" => |_, v| {
-            Ok(Value::Interval32(F32I::from_f64i(&capi::ia_acos_f64(ival32(v, 0)?.to_f64i()))))
+            Ok(Value::Interval32(F32I::from_f64i(&elem::acos_interval(&ival32(v, 0)?.to_f64i()))))
         },
         "ia_pow_f32" => |_, v| {
             Ok(Value::Interval32(F32I::from_f64i(
@@ -296,19 +303,21 @@ pub(crate) fn lookup(name: &str) -> Option<Result<Builtin, RtError>> {
         "ia_is_false_tb" => |_, v| Ok(Value::Int(tbool(v, 0)?.is_false() as i64)),
 
         // --- interval runtime: ddi ------------------------------------
-        "ia_set_dd" => |_, v| Ok(Value::DdInterval(capi::ia_set_dd(real(v, 0)?, real(v, 1)?))),
+        "ia_set_dd" => |_, v| {
+            let (lo, hi) = (Dd::from(real(v, 0)?), Dd::from(real(v, 1)?));
+            Ok(Value::DdInterval(DdI::new(lo, hi).map_err(inverted("ia_set_dd"))?))
+        },
         "ia_set_ddx" => |_, v| {
-            Ok(Value::DdInterval(capi::ia_set_ddx(
-                real(v, 0)?,
-                real(v, 1)?,
-                real(v, 2)?,
-                real(v, 3)?,
-            )))
+            let lo = Dd::new(real(v, 0)?, real(v, 1)?);
+            let hi = Dd::new(real(v, 2)?, real(v, 3)?);
+            Ok(Value::DdInterval(DdI::new(lo, hi).map_err(inverted("ia_set_ddx"))?))
         },
-        "ia_set_tol_dd" => |_, v| {
-            Ok(Value::DdInterval(DdI::from_f64i(&capi::ia_set_tol_f64(real(v, 0)?, real(v, 1)?))))
-        },
-        "ia_set_int_dd" => |_, v| Ok(Value::DdInterval(capi::ia_set_int_dd(int(v, 0)?))),
+        "ia_set_tol_dd" => {
+            |_, v| Ok(Value::DdInterval(DdI::from_f64i(&F64I::with_tol(real(v, 0)?, real(v, 1)?))))
+        }
+        "ia_set_int_dd" => {
+            |_, v| Ok(Value::DdInterval(DdI::from_f64i(&F64I::from_i64(int(v, 0)?))))
+        }
         "ia_add_dd" => |_, v| Ok(Value::DdInterval(ddi(v, 0)? + ddi(v, 1)?)),
         "ia_sub_dd" => |_, v| Ok(Value::DdInterval(ddi(v, 0)? - ddi(v, 1)?)),
         "ia_mul_dd" => |_, v| Ok(Value::DdInterval(ddi(v, 0)? * ddi(v, 1)?)),

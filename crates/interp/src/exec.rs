@@ -460,7 +460,7 @@ impl Interp {
                 let old = self.eval(inner)?;
                 let delta = if *inc { 1 } else { -1 };
                 let new = match &old {
-                    Value::Int(v) => Value::Int(v + delta),
+                    Value::Int(v) => Value::Int(v.wrapping_add(delta)),
                     Value::F64(v) => Value::F64(v + delta as f64),
                     other => return Err(RtError::Type(format!("increment of {}", other.tag()))),
                 };
@@ -599,7 +599,7 @@ impl Interp {
                 let old = self.eval(inner)?;
                 let delta = if op == UnOp::PreInc { 1 } else { -1 };
                 let new = match old {
-                    Value::Int(v) => Value::Int(v + delta),
+                    Value::Int(v) => Value::Int(v.wrapping_add(delta)),
                     other => return Err(RtError::Type(format!("++ on {}", other.tag()))),
                 };
                 let place = self.resolve_place(inner)?;
@@ -609,7 +609,7 @@ impl Interp {
             _ => {
                 let v = self.eval(inner)?;
                 match (op, v) {
-                    (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(-i)),
+                    (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(i.wrapping_neg())),
                     (UnOp::Neg, Value::F64(f)) => Ok(Value::F64(-f)),
                     (UnOp::Neg, Value::Interval(i)) => Ok(Value::Interval(-i)),
                     (UnOp::Neg, Value::Interval32(i)) => Ok(Value::Interval32(-i)),
@@ -639,6 +639,10 @@ impl Interp {
             }
         }
         match (op, &l, &r) {
+            // Two's-complement wrapping throughout, and `>>` shifts the
+            // bit pattern logically, as the generated intrinsics shift
+            // their `unsigned long` lane views. igen-vm's lowering
+            // evaluates integers the same way (semantics_pin.rs pins it).
             (_, Value::Int(a), Value::Int(b)) => {
                 let (a, b) = (*a, *b);
                 Ok(match op {
@@ -649,13 +653,13 @@ impl Interp {
                         if b == 0 {
                             return Err(RtError::Type("integer division by zero".into()));
                         }
-                        Value::Int(a / b)
+                        Value::Int(a.wrapping_div(b))
                     }
                     Rem => {
                         if b == 0 {
                             return Err(RtError::Type("integer remainder by zero".into()));
                         }
-                        Value::Int(a % b)
+                        Value::Int(a.wrapping_rem(b))
                     }
                     Shl => Value::Int(a.wrapping_shl(b as u32)),
                     Shr => Value::Int(((a as u64) >> (b as u32 & 63)) as i64),

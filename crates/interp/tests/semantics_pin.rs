@@ -364,6 +364,25 @@ fn corpus() -> Vec<Case> {
         cases.push(case(format!("reduce {prec:?}"), unit, "dot", args));
     }
 
+    // Integer edges past the range of `long`: every operator wraps, and
+    // `>>` shifts the bit pattern logically. igen-vm's lowering
+    // evaluates integer control flow the same way (tests/vm_identity.rs).
+    let min = "long m = -9223372036854775807 - n;";
+    let int_edges = [
+        ("-8 >> 1", "return n >> 1;".to_string(), -8),
+        ("MIN / -1", format!("{min} return m / -1;"), 1),
+        ("MIN % -1", format!("{min} return m % -1;"), 1),
+        ("MIN /= -1", format!("{min} m /= -1; return m;"), 1),
+        ("-MIN", format!("{min} return -m;"), 1),
+        ("MAX++", "long p = 9223372036854775806 + n; p++; return p;".to_string(), 1),
+        ("++MAX", "long p = 9223372036854775806 + n; return ++p;".to_string(), 1),
+        ("MIN--", format!("{min} m--; return m;"), 1),
+    ];
+    for (name, body, n) in int_edges {
+        let unit = parse(&format!("long f(long n) {{ {body} }}"));
+        cases.push(case(format!("int {name}"), unit, "f", vec![Arg::Val(Value::Int(n))]));
+    }
+
     // Error programs: each fails lazily, at the step that reaches it.
     let iv = |lo, hi| Arg::Val(Value::Interval(ival(lo, hi)));
     let branch =

@@ -218,6 +218,15 @@ mod tests {
     }
 
     #[test]
+    fn f64_accumulator_encloses_the_rounded_sum() {
+        let mut acc = SumAcc64::new(F64I::ZERO);
+        for _ in 0..100 {
+            acc.accumulate(&F64I::point(0.1));
+        }
+        assert!(acc.reduce().contains(10.000000000000002)); // RN sum of a hundred 0.1s
+    }
+
+    #[test]
     fn exact_acc_insert_is_exact() {
         let mut acc = ExactAcc::new();
         // Insert values that would lose bits in naive summation.

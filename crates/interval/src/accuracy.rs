@@ -5,22 +5,12 @@
 //! > 106 bits for double and double-double). The loss of accuracy is the
 //! > base-2 logarithm of the number of double precision floating-point
 //! > values contained in an interval."
+//!
+//! The double-precision metric is [`crate::F64I::certified_bits`]; this
+//! module holds the double-double one behind [`crate::DdI::certified_bits`].
 
 use igen_dd::Dd;
-use igen_round::{exponent, ulps_between};
-
-/// Certified bits of a double-precision interval `[lo, hi]` out of 53.
-///
-/// A point interval certifies 53 bits; each doubling of the number of
-/// contained binary64 values costs one bit; non-finite or NaN bounds
-/// certify nothing.
-pub fn certified_bits_f64(lo: f64, hi: f64) -> f64 {
-    if lo.is_nan() || hi.is_nan() || !lo.is_finite() || !hi.is_finite() || lo > hi {
-        return 0.0;
-    }
-    let steps = ulps_between(lo, hi);
-    (53.0 - ((steps + 1) as f64).log2()).max(0.0)
-}
+use igen_round::exponent;
 
 /// Certified bits of a double-double interval out of 106.
 ///
@@ -64,21 +54,6 @@ fn pow2(n: i32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn f64_metric_basics() {
-        assert_eq!(certified_bits_f64(1.0, 1.0), 53.0);
-        assert_eq!(certified_bits_f64(1.0, 1.0 + f64::EPSILON), 52.0);
-        // 2^k ulps -> 53 - log2(2^k + 1) ≈ 53 - k.
-        let mut hi = 1.0f64;
-        for _ in 0..16 {
-            hi = igen_round::next_up(hi);
-        }
-        let bits = certified_bits_f64(1.0, hi);
-        assert!((bits - (53.0 - (17f64).log2())).abs() < 1e-12);
-        assert_eq!(certified_bits_f64(f64::NEG_INFINITY, 1.0), 0.0);
-        assert_eq!(certified_bits_f64(f64::NAN, 1.0), 0.0);
-    }
 
     #[test]
     fn dd_metric_basics() {

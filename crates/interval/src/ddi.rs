@@ -626,6 +626,13 @@ mod tests {
     }
 
     #[test]
+    fn f64i_roundtrip_through_dd() {
+        let d = DdI::from_f64i(&F64I::point(0.1));
+        let q = d / DdI::new(Dd::from(3.0), Dd::from(3.0)).unwrap();
+        assert!(q.to_f64i().contains(0.1 / 3.0));
+    }
+
+    #[test]
     fn demotion_to_f64i_is_outward() {
         let x = DdI::point_f64(1.0) / DdI::point_f64(3.0);
         let f = x.to_f64i();

@@ -394,6 +394,25 @@ mod tests {
     }
 
     #[test]
+    fn demotion_from_f64i_is_outward() {
+        // 0.1 is not an f32: demotion brackets it by two f32s.
+        let d = F32I::from_f64i(&crate::F64I::point(0.1));
+        assert!((d.lo() as f64) <= 0.1 && 0.1 <= (d.hi() as f64));
+        assert!(d.lo() < d.hi());
+        // Exact f32 values stay points, and promotion is exact.
+        let half = F32I::from_f64i(&crate::F64I::point(0.5));
+        assert_eq!((half.lo(), half.hi()), (0.5, 0.5));
+        let p = F32I::point(0.1).to_f64i();
+        assert!(p.is_point() && p.hi() == 0.1f32 as f64);
+        assert!(F32I::from_f64i(&p).is_point());
+        // Beyond the f32 range, the outer side overflows to infinity.
+        let big = F32I::from_f64i(&crate::F64I::point(1e300));
+        assert!(big.lo().is_finite() && big.hi() == f32::INFINITY);
+        let neg = F32I::from_f64i(&crate::F64I::point(-1e300));
+        assert!(neg.lo() == f32::NEG_INFINITY && neg.hi().is_finite());
+    }
+
+    #[test]
     fn comparisons_and_bits() {
         let a = F32I::new(0.0, 1.0).unwrap();
         let b = F32I::new(2.0, 3.0).unwrap();

@@ -146,6 +146,18 @@ impl F64I {
         F64I { neg_lo: -r::next_down(v), hi: r::next_up(v) }
     }
 
+    /// An integer as an interval (`ia_set_int_f64`): the point `[x, x]`
+    /// within the 53-bit significand, beyond it the two doubles around
+    /// `x as f64`.
+    pub fn from_i64(x: i64) -> F64I {
+        let v = x as f64;
+        if x.unsigned_abs() <= 1 << 53 {
+            F64I::point(v)
+        } else {
+            F64I::enclose_decimal(v)
+        }
+    }
+
     /// Lower endpoint.
     #[inline]
     pub fn lo(&self) -> f64 {
@@ -810,6 +822,39 @@ mod tests {
         assert_eq!(one_ulp.certified_bits(), 52.0);
         assert_eq!(F64I::ENTIRE.certified_bits(), 0.0);
         assert_eq!(F64I::NAI.certified_bits(), 0.0);
+        // 2^k ulps -> 53 - log2(2^k + 1).
+        let mut hi = 1.0f64;
+        for _ in 0..16 {
+            hi = r::next_up(hi);
+        }
+        let bits = F64I::new(1.0, hi).unwrap().certified_bits();
+        assert!((bits - (53.0 - 17f64.log2())).abs() < 1e-12);
+    }
+
+    #[test]
+    fn from_i64_is_exact_within_the_significand() {
+        assert!(F64I::from_i64(42).is_point());
+        assert!(F64I::from_i64(1 << 53).is_point());
+        assert!(F64I::from_i64(-(1 << 53)).is_point());
+        let big = F64I::from_i64((1 << 53) + 1);
+        assert!(!big.is_point());
+        assert!(big.contains(((1i64 << 53) + 1) as f64));
+        for x in [i64::MIN, i64::MAX] {
+            let i = F64I::from_i64(x);
+            assert!(!i.is_point() && i.contains(x as f64), "{x}: {i}");
+        }
+    }
+
+    #[test]
+    fn fig2_pipeline() {
+        // The computation of Fig. 2: c = a + b + 0.1; if (c > a) c = a*c.
+        let a = F64I::point(1.0);
+        let b = F64I::point(2.0);
+        #[allow(clippy::excessive_precision)] // the exact 1-ulp pair around 0.1
+        let tenth = F64I::new(0.099999999999999992, 0.100000000000000006).unwrap();
+        let c = a + b + tenth;
+        assert!(c.cmp_gt(&a).to_bool().expect("decidable"));
+        assert!((a * c).contains(3.1));
     }
 
     #[test]

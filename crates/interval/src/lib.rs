@@ -17,9 +17,11 @@
 //! * rigorous elementary functions ([`elem`], the CRlibm substitute);
 //! * the accurate reduction accumulators of Section VI-B ([`SumAcc64`],
 //!   [`SumAccDd`]);
-//! * the accuracy metric of the evaluation section ([`accuracy`]);
-//! * and the C-runtime facade ([`capi`]) exposing everything under the
-//!   `ia_*` names used by generated code.
+//! * and the accuracy metric of the evaluation section ([`accuracy`]).
+//!
+//! Each `ia_*` function of the generated C (`igen_lib.h`) is one method
+//! of these types: `ia_add_f64` is `F64I + F64I`, `ia_set_int_f64` is
+//! [`F64I::from_i64`], `ia_exp_f64` is [`elem::exp_interval`].
 //!
 //! # Example
 //!
@@ -44,8 +46,6 @@
 
 mod acc;
 pub mod accuracy;
-pub mod capi;
-mod cast;
 mod ddi;
 pub mod elem;
 mod f32i;
@@ -54,10 +54,10 @@ mod tbool;
 mod vector;
 
 pub use acc::{SumAcc64, SumAccDd, EXACT_ACC_SLOTS};
-pub use cast::{f32_pair_to_f64i, f32_to_f64i, f64i_to_f32_pair, i64_to_f64i};
 pub use ddi::DdI;
 pub use f32i::F32I;
 pub use f64i::{InvalidInterval, F64I};
+pub use igen_dd::Dd;
 pub use igen_round::simd::{DdiCols4, SweepOp};
 pub use tbool::{TBool, UnknownBranch};
 pub use vector::{DdIx4, F64Ix4, LaneOps};

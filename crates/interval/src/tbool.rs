@@ -147,6 +147,13 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_comparison_signals_on_conversion() {
+        let a = crate::F64I::new(0.0, 2.0).unwrap();
+        let b = crate::F64I::new(1.0, 3.0).unwrap();
+        assert_eq!(a.cmp_gt(&b).to_bool(), Err(UnknownBranch));
+    }
+
+    #[test]
     fn de_morgan_holds() {
         use TBool::*;
         for a in [True, False, Unknown] {

@@ -134,7 +134,7 @@ pub enum OpKind {
 impl OpKind {
     /// The `_`-separated middle tag of suffixed `ia_` names, if this
     /// opcode uses that naming scheme.
-    fn ia_tag(&self) -> Option<&'static str> {
+    fn name_tag(&self) -> Option<&'static str> {
         use OpKind::*;
         Some(match self {
             Add => "add",
@@ -176,7 +176,7 @@ impl OpKind {
         })
     }
 
-    fn from_ia_tag(tag: &str) -> Option<OpKind> {
+    fn from_name_tag(tag: &str) -> Option<OpKind> {
         use OpKind::*;
         Some(match tag {
             "add" => Add,
@@ -247,7 +247,7 @@ impl OpKind {
         let rest = name.strip_prefix("ia_")?;
         let (tag, sfx) = rest.rsplit_once('_')?;
         let sfx = Sfx::parse(sfx)?;
-        Some((OpKind::from_ia_tag(tag)?, sfx))
+        Some((OpKind::from_name_tag(tag)?, sfx))
     }
 
     /// The exact C runtime name of this operation at the given precision
@@ -263,7 +263,7 @@ impl OpKind {
             OpKind::SumAccumulate => format!("isum_accumulate_{}", sfx.as_str()),
             OpKind::SumReduce => format!("isum_reduce_{}", sfx.as_str()),
             other => {
-                let tag = other.ia_tag().expect("suffixed ia_ op");
+                let tag = other.name_tag().expect("suffixed ia_ op");
                 format!("ia_{tag}_{}", sfx.as_str())
             }
         }

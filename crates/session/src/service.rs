@@ -447,11 +447,9 @@ fn handle_run(session: &Session, body: &Json, out: &mut String) -> Result<(), St
     // No result bit depends on the thread count; the clamp keeps a
     // request from asking for one OS thread per tile.
     let threads = (get_u64(body, "threads", 1)? as usize).min(igen_batch::available_threads());
-    let tile = get_u64(body, "tile", 0)? as usize;
     // seq_threshold 0 + the engine's bit-identity invariant: the same
-    // request yields the same output bits at any thread/tile setting.
-    let bcfg =
-        BatchConfig::new().with_threads(threads).with_seq_threshold(0).with_tile_groups(tile);
+    // request yields the same output bits at any thread count.
+    let bcfg = BatchConfig::new().with_threads(threads).with_seq_threshold(0);
     let inputs = Inputs::parse(&unit, body)?;
     let _ = write!(
         out,

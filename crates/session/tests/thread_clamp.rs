@@ -24,9 +24,8 @@ fn a_run_uses_at_most_one_chunk_per_core_whatever_threads_it_asks_for() {
     let compiled = svc.submit(&format!(r#"{{"kind":"compile","source":"{SQ}"}}"#)).wait();
     assert!(compiled.starts_with(r#"{"ok":true,"kind":"compile""#), "{compiled}");
     let before = chunks();
-    // One group of four items per tile: 16384 tiles to spread.
-    let run =
-        format!(r#"{{"kind":"run","source":"{SQ}","batch":65536,"tile":1,"threads":1000000}}"#);
+    // Eight groups of four items per tile: 2048 tiles to spread.
+    let run = format!(r#"{{"kind":"run","source":"{SQ}","batch":65536,"threads":1000000}}"#);
     let resp = svc.submit(&run).wait();
     assert!(resp.starts_with(r#"{"ok":true,"kind":"run""#), "{}", &resp[..resp.len().min(200)]);
     let used = chunks() - before;

@@ -22,7 +22,7 @@
 
 use crate::bytecode::{DebugMap, Insn, OutputSlot, PoolConst, Precision, Program, SrcLoc};
 use igen_cfront::{AssignOp, BinOp, Loc, Type, UnOp};
-use igen_interval::capi;
+use igen_dd::Dd;
 use igen_interval::{DdI, SweepOp, F64I};
 use igen_ir::{IrExpr, IrFunction, IrStmt, OpKind, Sfx};
 use std::collections::HashMap;
@@ -102,6 +102,8 @@ pub enum LowerError {
     Budget,
     /// The program exceeds [`MAX_INSNS`].
     TooLarge(usize),
+    /// The bindings hold more interval cells than [`MAX_INSNS`].
+    TooManyCells(usize),
     /// Integer evaluation error (division by zero, bad shift).
     IntEval(String),
 }
@@ -127,6 +129,9 @@ impl core::fmt::Display for LowerError {
             LowerError::Budget => write!(f, "lowering step budget exhausted"),
             LowerError::TooLarge(n) => {
                 write!(f, "program too large: {n} instructions (max {MAX_INSNS})")
+            }
+            LowerError::TooManyCells(n) => {
+                write!(f, "bindings too large: {n} interval cells (max {MAX_INSNS})")
             }
             LowerError::IntEval(msg) => write!(f, "integer evaluation: {msg}"),
         }
@@ -213,6 +218,21 @@ pub fn lower(f: &IrFunction, bind: &BindSpec) -> Result<Program, LowerError> {
             f.params.len(),
             bind.args.len()
         )));
+    }
+
+    // Each interval cell of the bindings costs a register, a label or a
+    // slot before any instruction is emitted, so the instruction cap
+    // bounds the cells too, before any of them is allocated.
+    let cells = bind.args.iter().fold(0usize, |n, b| {
+        n.saturating_add(match b {
+            ArgBind::Ival => 1,
+            ArgBind::Int(_) => 0,
+            ArgBind::In(len) | ArgBind::Out(len) | ArgBind::InOut(len) => *len,
+            ArgBind::Uniform(pairs) => pairs.len(),
+        })
+    });
+    if cells > MAX_INSNS {
+        return Err(LowerError::TooManyCells(cells));
     }
 
     // Bind parameters: interval scalars and in/inout array cells become
@@ -362,6 +382,41 @@ fn expr_site(e: &IrExpr) -> SrcLoc {
         IrExpr::Index(base, _) => expr_site(base),
         _ => SrcLoc::default(),
     }
+}
+
+/// A non-short-circuit C binary operator on concrete integers, as the
+/// reference interpreter evaluates it: two's-complement wrapping, and
+/// `>>` a logical shift of the bit pattern.
+fn int_binop(op: BinOp, a: i64, b: i64) -> Result<i64, LowerError> {
+    Ok(match op {
+        BinOp::Add => a.wrapping_add(b),
+        BinOp::Sub => a.wrapping_sub(b),
+        BinOp::Mul => a.wrapping_mul(b),
+        BinOp::Div => {
+            if b == 0 {
+                return Err(LowerError::IntEval("division by zero".into()));
+            }
+            a.wrapping_div(b)
+        }
+        BinOp::Rem => {
+            if b == 0 {
+                return Err(LowerError::IntEval("remainder by zero".into()));
+            }
+            a.wrapping_rem(b)
+        }
+        BinOp::Shl => a.wrapping_shl(b as u32),
+        BinOp::Shr => (a as u64).wrapping_shr(b as u32) as i64,
+        BinOp::Lt => (a < b) as i64,
+        BinOp::Le => (a <= b) as i64,
+        BinOp::Gt => (a > b) as i64,
+        BinOp::Ge => (a >= b) as i64,
+        BinOp::Eq => (a == b) as i64,
+        BinOp::Ne => (a != b) as i64,
+        BinOp::BitAnd => a & b,
+        BinOp::BitOr => a | b,
+        BinOp::BitXor => a ^ b,
+        BinOp::And | BinOp::Or => unreachable!("short-circuited by the caller"),
+    })
 }
 
 fn bad_bind(name: &str, want: &str, got: &Type) -> LowerError {
@@ -525,19 +580,17 @@ impl Lowerer {
         }
         if let Some(pairs) = &self.arrays[arr].uniform {
             let (lo, hi) = pairs[i];
+            let v = F64I::new(lo, hi).map_err(|_| {
+                let name = &self.arrays[arr].name;
+                LowerError::BadBinding(format!("uniform cell {name}[{i}] is [{lo}, {hi}]"))
+            })?;
             // Uniform cells have no single source expression; their
             // `Const` carries an unknown site.
             let r = match self.precision {
-                Precision::F64 => {
-                    let v = capi::ia_set_f64(lo, hi);
-                    self.f64i_const(&v, SrcLoc::default())?
-                }
-                Precision::Dd => {
-                    // Uniform pairs promote exactly like the interp
-                    // reference: a full-width f64 interval.
-                    let v = DdI::from_f64i(&capi::ia_set_f64(lo, hi));
-                    self.ddi_const(&v, SrcLoc::default())?
-                }
+                Precision::F64 => self.f64i_const(&v, SrcLoc::default())?,
+                // Uniform pairs promote exactly like the interp
+                // reference: a full-width f64 interval.
+                Precision::Dd => self.ddi_const(&DdI::from_f64i(&v), SrcLoc::default())?,
             };
             self.arrays[arr].cells[i] = Some(r);
             return Ok(r);
@@ -692,16 +745,14 @@ impl Lowerer {
                 }
                 let lo = self.float_arg(&args[0])?;
                 let hi = self.float_arg(&args[1])?;
-                if lo > hi {
-                    return Err(LowerError::Unsupported(format!("inverted set [{lo}, {hi}]")));
-                }
+                let inverted = |_| LowerError::Unsupported(format!("inverted set [{lo}, {hi}]"));
                 let r = match self.precision {
                     Precision::F64 => {
-                        let v = capi::ia_set_f64(lo, hi);
+                        let v = F64I::new(lo, hi).map_err(inverted)?;
                         self.f64i_const(&v, loc)?
                     }
                     Precision::Dd => {
-                        let v = capi::ia_set_dd(lo, hi);
+                        let v = DdI::new(Dd::from(lo), Dd::from(hi)).map_err(inverted)?;
                         self.ddi_const(&v, loc)?
                     }
                 };
@@ -715,7 +766,9 @@ impl Lowerer {
                 let lo_lo = self.float_arg(&args[1])?;
                 let hi_hi = self.float_arg(&args[2])?;
                 let hi_lo = self.float_arg(&args[3])?;
-                let v = capi::ia_set_ddx(lo_hi, lo_lo, hi_hi, hi_lo);
+                let v = DdI::new(Dd::new(lo_hi, lo_lo), Dd::new(hi_hi, hi_lo)).map_err(|_| {
+                    LowerError::Unsupported(format!("inverted set_ddx [{lo_hi}, {hi_hi}]"))
+                })?;
                 let r = self.ddi_const(&v, loc)?;
                 Ok(Av::Iv(r))
             }
@@ -724,15 +777,10 @@ impl Lowerer {
                     let v = self.eval(&args[0])?;
                     self.want_int(v, "set_int argument")?
                 };
+                let v = F64I::from_i64(n);
                 let r = match self.precision {
-                    Precision::F64 => {
-                        let v = capi::ia_set_int_f64(n);
-                        self.f64i_const(&v, loc)?
-                    }
-                    Precision::Dd => {
-                        let v = capi::ia_set_int_dd(n);
-                        self.ddi_const(&v, loc)?
-                    }
+                    Precision::F64 => self.f64i_const(&v, loc)?,
+                    Precision::Dd => self.ddi_const(&DdI::from_f64i(&v), loc)?,
                 };
                 Ok(Av::Iv(r))
             }
@@ -830,36 +878,7 @@ impl Lowerer {
         }
         let a = self.want_int(l, "integer operand")?;
         let b = self.want_int(r, "integer operand")?;
-        let v = match op {
-            BinOp::Add => a.wrapping_add(b),
-            BinOp::Sub => a.wrapping_sub(b),
-            BinOp::Mul => a.wrapping_mul(b),
-            BinOp::Div => {
-                if b == 0 {
-                    return Err(LowerError::IntEval("division by zero".into()));
-                }
-                a.wrapping_div(b)
-            }
-            BinOp::Rem => {
-                if b == 0 {
-                    return Err(LowerError::IntEval("remainder by zero".into()));
-                }
-                a.wrapping_rem(b)
-            }
-            BinOp::Shl => a.wrapping_shl(b as u32),
-            BinOp::Shr => a.wrapping_shr(b as u32),
-            BinOp::Lt => (a < b) as i64,
-            BinOp::Le => (a <= b) as i64,
-            BinOp::Gt => (a > b) as i64,
-            BinOp::Ge => (a >= b) as i64,
-            BinOp::Eq => (a == b) as i64,
-            BinOp::Ne => (a != b) as i64,
-            BinOp::BitAnd => a & b,
-            BinOp::BitOr => a | b,
-            BinOp::BitXor => a ^ b,
-            BinOp::And | BinOp::Or => unreachable!("handled above"),
-        };
-        Ok(Av::Int(v))
+        int_binop(op, a, b).map(Av::Int)
     }
 
     fn eval_assign(
@@ -880,7 +899,7 @@ impl Lowerer {
                     (Av::Int(_), _) | (_, Av::Int(_)) => {
                         let a = self.want_int(old, "compound target")?;
                         let b = self.want_int(rv, "compound value")?;
-                        self.fold_int(bop, a, b)?
+                        Av::Int(int_binop(bop, a, b)?)
                     }
                     (Av::Iv(a), Av::Iv(b)) => {
                         let op = match bop {
@@ -902,22 +921,6 @@ impl Lowerer {
         };
         self.store(lhs, stored)?;
         Ok(stored)
-    }
-
-    fn fold_int(&self, op: BinOp, a: i64, b: i64) -> Result<Av, LowerError> {
-        let v = match op {
-            BinOp::Add => a.wrapping_add(b),
-            BinOp::Sub => a.wrapping_sub(b),
-            BinOp::Mul => a.wrapping_mul(b),
-            BinOp::Div => {
-                if b == 0 {
-                    return Err(LowerError::IntEval("division by zero".into()));
-                }
-                a.wrapping_div(b)
-            }
-            _ => return Err(LowerError::Unsupported("compound integer assignment".into())),
-        };
-        Ok(Av::Int(v))
     }
 
     /// Stores `v` into an lvalue: variable, temporary, array cell, or

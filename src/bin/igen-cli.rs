@@ -10,7 +10,7 @@
 //! igen-cli run <input.c> [--fn NAME] [--batch N] [--threads N]
 //!              [--opt-level 0|1|2] [--precision f64|dd] [--arg name=INT]
 //!              [--len name=N] [--size N] [--seed N] [--emit-bytecode]
-//!              [--no-peephole] [--tile N] [--metrics] [--trace-out <path>]
+//!              [--no-peephole] [--metrics] [--trace-out <path>]
 //! igen-cli profile <input.c> [--fn NAME] [--batch N] [--opt-level 0|1|2]
 //!                  [--precision f64|dd] [--top N] [--trace-out <path>] ...
 //! igen-cli serve [--socket <path>] [--workers N] [--deadline-ms N]
@@ -135,14 +135,12 @@ fn usage() -> ! {
            --emit-bytecode     print the executed instruction dump to stdout\n\
            --no-peephole       skip the bytecode peephole pass (run the raw\n\
                                SSA lowering; same bits, more instructions)\n\
-           --tile <n>          packed groups per executor tile (default: 8;\n\
-                               0 = default; never changes a result bit)\n\
            --metrics, --trace-out as above\n\
          \n\
          profile mode (width-provenance blame report):\n\
            igen-cli profile <input.c> [options]\n\
            --fn, --batch, --threads, --opt-level, --precision, --arg,\n\
-           --len, --size, --seed, --no-peephole, --tile as in run mode\n\
+           --len, --size, --seed, --no-peephole as in run mode\n\
            --top <n>           sites per blame table (default: 8)\n\
            --trace-out <file>  write the full telemetry trace (profile\n\
                                records included) as JSON lines\n\
@@ -251,7 +249,6 @@ struct RunOpts {
     batch: usize,
     threads: usize,
     seed: u64,
-    tile: usize,
     trace_out: Option<String>,
     emit_bytecode: bool,
     metrics: bool,
@@ -270,7 +267,6 @@ impl RunOpts {
             batch: 64,
             threads: if run { 0 } else { 4 }, // 0 = all cores
             seed: 0x16e0,
-            tile: 0, // 0 = default tile size
             trace_out: None,
             emit_bytecode: false,
             metrics: false,
@@ -302,7 +298,6 @@ impl RunOpts {
                 "--arg" => int_args.push(f.pair("--arg", "name=integer")?),
                 "--len" => lens.push(f.pair("--len", "name=count")?),
                 "--no-peephole" => o.req.peephole = false,
-                "--tile" => o.tile = f.parse("--tile", "a group count")?,
                 "--trace-out" => o.trace_out = Some(f.value("--trace-out", "a path")?.to_string()),
                 "--emit-bytecode" if run => o.emit_bytecode = true,
                 "--metrics" if run => o.metrics = true,
@@ -342,12 +337,7 @@ impl RunOpts {
 
     /// The one-thread reference configuration and the `--threads` one.
     fn configs(&self) -> (BatchConfig, BatchConfig) {
-        let cfg = |threads| {
-            BatchConfig::new()
-                .with_threads(threads)
-                .with_seq_threshold(0)
-                .with_tile_groups(self.tile)
-        };
+        let cfg = |threads| BatchConfig::new().with_threads(threads).with_seq_threshold(0);
         (cfg(1), cfg(self.threads))
     }
 }

@@ -155,6 +155,24 @@ fn out_array_gather() {
     check_f64(src, "split", bind, 66, 10);
 }
 
+/// Integer control flow at the edges of `long`: the lowering evaluates
+/// `>>` as a logical shift and `i64::MIN / -1` as a wrap, as the
+/// interpreter does, so each program takes the interpreter's branch.
+#[test]
+fn integer_edges_take_the_interpreters_branch() {
+    let shr = "double f(double x, int n) { double s = x; \
+               if ((n >> 1) < 0) { s = s * x; } return s; }";
+    let div = "double f(double x, int n) { double s = x; \
+               long m = -9223372036854775807 - n; long k = m / -1; \
+               if (k < 0) { s = s * x; } return s; }";
+    for (src, n, taken, seed) in [(shr, -8, false, 55), (div, 1, true, 66)] {
+        let bind = BindSpec::new(vec![ArgBind::Ival, ArgBind::Int(n)]);
+        let prog = compile_to_program(&compile(src, OptLevel::O0), "f", &bind).expect("lowers");
+        assert_eq!(prog.insns.len(), taken as usize, "{src}");
+        check_f64(src, "f", bind, seed, 5);
+    }
+}
+
 #[test]
 fn henon_dd_precision() {
     let src = std::fs::read_to_string(

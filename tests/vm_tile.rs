@@ -2,13 +2,14 @@
 //!
 //! Two claims are pinned here, both with zero tolerance:
 //!
-//! 1. The tiled instruction-major executor (`run_tile`, reached through
-//!    `BatchProgram`) is bit-identical to the scalar reference
-//!    (`run_scalar`) for every batch-size tail shape — fewer items
-//!    than a packed group, fewer groups than a tile, and non-multiples
-//!    of the tile, each ending in a padded group — at `-O0/-O1/-O2`,
-//!    both precisions, 1/3/8 threads, and several tile sizes, including
-//!    a Hénon@20 leg whose real lanes go non-finite.
+//! 1. The tiled instruction-major executor (`run_tile`) is
+//!    bit-identical to the scalar reference (`run_scalar`) for every
+//!    batch-size tail shape — fewer items than a packed group, fewer
+//!    groups than a tile, and non-multiples of the tile, each ending in
+//!    a padded group — at `-O0/-O1/-O2`, both precisions, through
+//!    `BatchProgram` at 1/3/8 threads and directly over a `TileBank` of
+//!    several tile sizes, including a Hénon@20 leg whose real lanes go
+//!    non-finite.
 //! 2. The peephole pass preserves every endpoint bit of every output on
 //!    the full `vm_identity` program set: the raw lowering and the
 //!    peepholed program are run side by side over random inputs and
@@ -18,10 +19,13 @@ use igen::batch::{BatchConfig, BatchF64I, BatchProgram, SoaBatch};
 use igen::compiler::{
     compile_to_program, compile_to_program_raw, Compiler, Config, OptLevel, Output, Precision,
 };
-use igen::interval::{DdI, F64I};
+use igen::interval::{DdI, LaneOps, F64I};
 use igen::kernels::workload;
 use igen::round::simd::{self, Backend};
-use igen::vm::{peephole, run_scalar, ArgBind, BindSpec, Program, VmElem};
+use igen::vm::{
+    peephole, run_scalar, run_tile, ArgBind, BindSpec, PoolConst, PreparedProgram, Program,
+    TileBank, VmElem,
+};
 use proptest::prelude::*;
 
 const OPT_LEVELS: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
@@ -64,27 +68,60 @@ fn scalar_outputs<T: VmElem>(prog: &Program, inputs: &[T]) -> Vec<T> {
     inputs.chunks(prog.n_inputs as usize).flat_map(|item| run_scalar::<T>(prog, item)).collect()
 }
 
-/// Runs `bp` over `inputs` at every `(threads, tile)` setting and
-/// asserts every word of every output equals `want`'s, bit for bit.
+/// `run_tile` over `inputs` on one bank of `tile` groups, tile after
+/// tile, the lanes of a short last group padded with `[1, 1]` as the
+/// batch driver pads them; outputs item-major.
+fn run_tiled<T: VmElem>(prog: &Program, inputs: &[T], tile: usize) -> Vec<T> {
+    let prep = PreparedProgram::<T>::new(prog.clone());
+    let mut bank = TileBank::<T, T::Lane>::new(&prep, tile);
+    let (nin, lanes) = (prog.n_inputs as usize, T::Lane::LANES);
+    let pad = T::from_const(&PoolConst::f64_pair(1.0, 1.0));
+    let (mut out, mut got) = (Vec::new(), Vec::new());
+    for chunk in inputs.chunks(nin * lanes * tile) {
+        let items = chunk.len() / nin;
+        let groups = items.div_ceil(lanes);
+        for j in 0..nin {
+            for (g, slot) in bank.input_column(j as u32).iter_mut().take(groups).enumerate() {
+                *slot = T::Lane::from_lanes_fn(|l| {
+                    let k = g * lanes + l;
+                    if k < items {
+                        chunk[k * nin + j]
+                    } else {
+                        pad
+                    }
+                });
+            }
+        }
+        run_tile(&prep, &mut bank, items, &mut out, None);
+        for k in 0..items {
+            for s in 0..prog.outputs.len() {
+                got.push(out[s * groups + k / lanes].lane(k % lanes));
+            }
+        }
+    }
+    got
+}
+
+/// Runs `bp` over `inputs` at every thread count, and its program
+/// through [`run_tiled`] at every tile size, and asserts every word of
+/// every output equals `want`'s, bit for bit.
 fn assert_batch_bits<T: VmElem>(
     bp: &BatchProgram,
     inputs: &[T],
     want: &[T],
-    settings: &[(usize, usize)],
+    threads: &[usize],
+    tiles: &[usize],
     ctx: &str,
 ) {
     let (soa, want) = (SoaBatch::from_intervals(inputs), SoaBatch::from_intervals(want));
-    for &(threads, tile) in settings {
-        let cfg =
-            BatchConfig::new().with_threads(threads).with_seq_threshold(0).with_tile_groups(tile);
-        let got = bp.run(&cfg, &soa);
-        assert!(got.bits_eq(&want), "{ctx} threads={threads} tile={tile}");
+    for &threads in threads {
+        let cfg = BatchConfig::new().with_threads(threads).with_seq_threshold(0);
+        assert!(bp.run(&cfg, &soa).bits_eq(&want), "{ctx} threads={threads}");
     }
-}
-
-/// Every `(threads, tile)` pair of the two lists.
-fn settings(threads: &[usize], tiles: &[usize]) -> Vec<(usize, usize)> {
-    threads.iter().flat_map(|&t| tiles.iter().map(move |&g| (t, g))).collect()
+    for &tile in tiles {
+        let got = SoaBatch::from_intervals(&run_tiled(bp.program(), inputs, tile));
+        assert!(got.bits_eq(&want), "{ctx} tile={tile}");
+    }
 }
 
 /// The fixed matrix: opt level × precision × items × threads × tile.
@@ -103,8 +140,8 @@ fn tiled_batch_is_bit_identical_to_scalar_for_every_tail_shape() {
             let points = workload::random_points(&mut rng, items * nin, -1.0, 1.0);
             let inputs = workload::intervals_1ulp(&points);
             let want = scalar_outputs(&prog, &inputs);
-            let runs = settings(&[1, 3, 8], &[1, 2, 8, 16]);
-            assert_batch_bits(&bp, &inputs, &want, &runs, &format!("f64 {opt:?} items={items}"));
+            let ctx = format!("f64 {opt:?} items={items}");
+            assert_batch_bits(&bp, &inputs, &want, &[1, 3, 8], &[1, 2, 8, 16], &ctx);
         }
 
         // dd
@@ -116,8 +153,8 @@ fn tiled_batch_is_bit_identical_to_scalar_for_every_tail_shape() {
             let mut rng = workload::rng(0xDD ^ items as u64 ^ opt as u64);
             let inputs = workload::dd_intervals_1ulp(&mut rng, items * nin, -0.5, 0.5);
             let want = scalar_outputs(&prog, &inputs);
-            let runs = settings(&[1, 3, 8], &[1, 8]);
-            assert_batch_bits(&bp, &inputs, &want, &runs, &format!("dd {opt:?} items={items}"));
+            let ctx = format!("dd {opt:?} items={items}");
+            assert_batch_bits(&bp, &inputs, &want, &[1, 3, 8], &[1, 8], &ctx);
         }
     }
     // Hénon@20 over [-2, 2]: many items leave the attractor's basin and
@@ -125,7 +162,7 @@ fn tiled_batch_is_bit_identical_to_scalar_for_every_tail_shape() {
     // their [1, 1] padding lanes.
     let bind = BindSpec::new(vec![ArgBind::Ival, ArgBind::Ival, ArgBind::Int(20)]);
     let mut padded_nonfinite = [0usize; 2];
-    let runs = [(1usize, 1usize), (3, 8)];
+    let (threads, tiles) = ([1, 3], [1, 8]);
     let out = compile(&henon, OptLevel::O2, Precision::F64);
     let prog = compile_to_program(&out, "henon_map", &bind).expect("lowers");
     let nin = prog.n_inputs as usize;
@@ -139,7 +176,8 @@ fn tiled_batch_is_bit_identical_to_scalar_for_every_tail_shape() {
             .iter()
             .filter(|w| !(w.lo().is_finite() && w.hi().is_finite()))
             .count();
-        assert_batch_bits(&bp, &inputs, &want, &runs, &format!("f64 henon@20 items={items}"));
+        let ctx = format!("f64 henon@20 items={items}");
+        assert_batch_bits(&bp, &inputs, &want, &threads, &tiles, &ctx);
     }
     let out = compile(&henon, OptLevel::O2, Precision::Dd);
     let prog = compile_to_program(&out, "henon_map", &bind).expect("lowers dd");
@@ -152,7 +190,8 @@ fn tiled_batch_is_bit_identical_to_scalar_for_every_tail_shape() {
             .iter()
             .filter(|w| !(w.lo().hi().is_finite() && w.hi().hi().is_finite()))
             .count();
-        assert_batch_bits(&bp, &inputs, &want, &runs, &format!("dd henon@20 items={items}"));
+        let ctx = format!("dd henon@20 items={items}");
+        assert_batch_bits(&bp, &inputs, &want, &threads, &tiles, &ctx);
     }
     assert!(
         padded_nonfinite.iter().all(|&n| n > 0),
@@ -196,7 +235,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random (items, threads, tile) triples against the scalar
-    /// reference on the builtin-heavy poly kernel at -O2.
+    /// reference on the builtin-heavy poly kernel at -O2: the batch at
+    /// `threads`, and `run_tile` at `tile` directly.
     #[test]
     fn tiled_batch_matches_scalar_on_random_shapes(
         items in 1usize..150,
@@ -214,16 +254,16 @@ proptest! {
         let want: Vec<F64I> = (0..items)
             .flat_map(|i| run_scalar::<F64I>(&prog, &inputs[i * nin..(i + 1) * nin]))
             .collect();
+        let tiled = run_tiled(&prog, &inputs, tile);
         let bp = BatchProgram::new(prog);
-        let cfg = BatchConfig::new()
-            .with_threads(threads)
-            .with_seq_threshold(0)
-            .with_tile_groups(tile);
+        let cfg = BatchConfig::new().with_threads(threads).with_seq_threshold(0);
         let got = bp.run(&cfg, &BatchF64I::from_intervals(&inputs)).to_intervals();
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert_eq!(g.lo().to_bits(), w.lo().to_bits());
-            prop_assert_eq!(g.hi().to_bits(), w.hi().to_bits());
+        for got in [got, tiled] {
+            prop_assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(g.lo().to_bits(), w.lo().to_bits());
+                prop_assert_eq!(g.hi().to_bits(), w.hi().to_bits());
+            }
         }
     }
 }
